@@ -1892,7 +1892,7 @@ let padmit () =
         let e = Pr_proto.Policy_route.engine db ~n flow in
         List.iter
           (fun (ad, p, q) ->
-            if Pr_proto.Policy_route.admits e ad ~prev:(Some p) ~next:(Some q) then incr c)
+            if Pr_proto.Policy_route.admits e ad ~prev:p ~next:q then incr c)
           probes)
       flows;
     !c
@@ -1928,7 +1928,7 @@ let padmit () =
       (fun flow ->
         List.iter
           (fun (ad, p, q) ->
-            if Pr_serve.Pdd.admit_node roots.(ad) flow ~prev:(Some p) ~next:(Some q)
+            if Pr_serve.Pdd.admit_node roots.(ad) flow ~prev:p ~next:q
             then incr c)
           probes)
       flows;
@@ -1941,7 +1941,7 @@ let padmit () =
         let entries = Array.map (fun r -> Pr_serve.Pdd.flow_entry r flow) roots in
         List.iter
           (fun (ad, p, q) ->
-            if Pr_serve.Pdd.entry_admit entries.(ad) ~prev:(Some p) ~next:(Some q) then
+            if Pr_serve.Pdd.entry_admit entries.(ad) ~prev:p ~next:q then
               incr c)
           probes)
       flows;

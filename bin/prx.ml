@@ -185,6 +185,12 @@ let oracle_cmd =
     let scenario = scenario_of ~seed ~size ~restrictiveness ~granularity in
     let g = scenario.Pr_core.Scenario.graph in
     let config = scenario.Pr_core.Scenario.config in
+    let n = Pr_topology.Graph.n g in
+    if src < 0 || src >= n || dst < 0 || dst >= n then begin
+      Printf.eprintf "prx: --src %d / --dst %d: the generated internet has ADs 0..%d\n" src
+        dst (n - 1);
+      exit 2
+    end;
     let flow = Pr_policy.Flow.make ~src ~dst () in
     (match Pr_policy.Validate.best_legal g config flow ~max_hops:12 with
     | Some best ->

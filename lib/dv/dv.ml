@@ -266,5 +266,3 @@ module Split_horizon = Make (struct
 end)
 
 let route_of = Plain.route_of
-
-let route_of_sh = Split_horizon.route_of

@@ -42,9 +42,3 @@ val route_of :
   Plain.t -> at:Pr_topology.Ad.id -> dst:Pr_topology.Ad.id -> (int * Pr_topology.Ad.id) option
 (** Current (metric, next hop) at an AD, if reachable. Works on
     [Plain] instances. *)
-
-val route_of_sh :
-  Split_horizon.t ->
-  at:Pr_topology.Ad.id ->
-  dst:Pr_topology.Ad.id ->
-  (int * Pr_topology.Ad.id) option

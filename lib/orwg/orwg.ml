@@ -51,9 +51,9 @@ module type VARIANT = sig
       messages per synthesis). *)
 
   val prune_synthesis : bool
-  (** Synthesis heuristic (paper section 6): search valley-free routes
-      first, falling back to the exhaustive search only when the
-      hierarchy-shaped candidate space has no legal route. *)
+  (** Synthesis heuristic (paper section 6): an optimistic node-level
+      search first, falling back to the exact search only when a
+      hop-constrained term rejects its route. *)
 end
 
 module type S = sig
@@ -126,8 +126,6 @@ module Make (V : VARIANT) = struct
     (* The route server each AD uses: itself, or its provider under
        stub delegation. *)
     route_server : Pr_topology.Ad.id array;
-    (* Hierarchy ranks for the valley-first synthesis heuristic. *)
-    ranks : int array;
     mutable next_handle : int;
   }
 
@@ -145,12 +143,12 @@ module Make (V : VARIANT) = struct
       | [] | [ _ ] -> true
       | a :: (b :: _ as rest) ->
         Lsdb.bidirectional db a b <> None
-        && (prev = None || Policy_route.admits e a ~prev ~next:(Some b))
-        && ok (Some a) rest
+        && (prev < 0 || Policy_route.admits e a ~prev ~next:b)
+        && ok a rest
     in
     match path with
     | [] -> false
-    | first :: _ -> first = flow.Flow.src && ok None path
+    | first :: _ -> first = flow.Flow.src && ok (-1) path
 
   let create graph config net =
     let n = Graph.n graph in
@@ -182,10 +180,6 @@ module Make (V : VARIANT) = struct
         flood;
         store;
         route_server;
-        ranks =
-          Array.map
-            (fun (a : Pr_topology.Ad.t) -> Pr_topology.Ad.level_rank a.Pr_topology.Ad.level)
-            (Graph.ads graph);
         nodes =
           Array.init n (fun _ ->
               {
@@ -285,7 +279,7 @@ module Make (V : VARIANT) = struct
     let shortest () =
       let path, work =
         if V.prune_synthesis then
-          Policy_route.shortest_pruned engine ~ranks:t.ranks ~avoid ()
+          Policy_route.shortest_pruned engine ~avoid ()
         else Policy_route.shortest engine ~avoid ()
       in
       Metrics.record_computation (Network.metrics t.net) server ~work ();

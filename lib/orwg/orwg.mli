@@ -57,10 +57,11 @@ module type VARIANT = sig
       synthesis. Compared against full flooding in experiment E13. *)
 
   val prune_synthesis : bool
-  (** Synthesis heuristic (paper section 6, open issue 1): search
-      valley-free routes first ({!Pr_proto.Policy_route.shortest_pruned}),
-      falling back to the exhaustive search when the hierarchy-shaped
-      candidate space has no legal route. Compared in experiment E7. *)
+  (** Synthesis heuristic (paper section 6, open issue 1): an
+      optimistic node-level search first
+      ({!Pr_proto.Policy_route.shortest_pruned}), falling back to the
+      exact (node, arrived-from) search when a hop-constrained term
+      rejects its route. Compared in experiment E7. *)
 end
 
 module type S = sig

@@ -97,37 +97,55 @@ let term_views t =
    outside every [Except] list, exactly as the interpreted List.mem. *)
 let probe p ad = (ad >= 0 && ad < Bitset.capacity p.bits && Bitset.mem p.bits ad) <> p.compl
 
-let opt_probe p = function
-  | None -> true
-  | Some ad -> probe p ad
+(* A negative hop is unknown — the flow enters or leaves the internet
+   at this AD — and every hop predicate admits it. *)
+let hop_probe p ad = ad < 0 || probe p ad
 
-let cterm_admits ct (ctx : Policy_term.transit_ctx) =
-  let f = ctx.Policy_term.flow in
-  ct.qos_mask land (1 lsl Qos.index f.Flow.qos) <> 0
-  && ct.uci_mask land (1 lsl Uci.index f.Flow.uci) <> 0
-  && ct.hour_mask land (1 lsl f.Flow.hour) <> 0
-  && ((not ct.auth_required) || f.Flow.authenticated)
+let hop = function None -> -1 | Some ad -> ad
+
+(* Does the term pass the class conditions (qos, uci, hour, auth) and
+   the destination? [qbit]/[ubit]/[hbit] are the flow's mask bits. *)
+let class_passes ct ~qbit ~ubit ~hbit ~auth ~dst =
+  ct.qos_mask land qbit <> 0
+  && ct.uci_mask land ubit <> 0
+  && ct.hour_mask land hbit <> 0
+  && ((not ct.auth_required) || auth)
+  && probe ct.dst dst
+
+(* ... and every other flow-only condition: the source. *)
+let flow_passes ct (f : Flow.t) ~qbit ~ubit ~hbit =
+  class_passes ct ~qbit ~ubit ~hbit ~auth:f.Flow.authenticated ~dst:f.Flow.dst
   && probe ct.src f.Flow.src
-  && probe ct.dst f.Flow.dst
-  && opt_probe ct.prev ctx.Policy_term.prev
-  && opt_probe ct.next ctx.Policy_term.next
 
-let allows t ctx =
+(* Index of the first term admitting the crossing, or the term count. *)
+let first_admitting t (f : Flow.t) ~prev ~next =
+  let qbit = 1 lsl Qos.index f.Flow.qos
+  and ubit = 1 lsl Uci.index f.Flow.uci
+  and hbit = 1 lsl f.Flow.hour in
   let k = Array.length t.cterms in
   let i = ref 0 in
-  while !i < k && not (cterm_admits (Array.unsafe_get t.cterms !i) ctx) do
+  while
+    !i < k
+    && not
+         (let ct = Array.unsafe_get t.cterms !i in
+          flow_passes ct f ~qbit ~ubit ~hbit && hop_probe ct.prev prev && hop_probe ct.next next)
+  do
     incr i
   done;
-  !i < k
+  !i
 
-let admitting_term t ctx =
-  let k = Array.length t.cterms in
-  let rec go i =
-    if i >= k then None
-    else if cterm_admits t.cterms.(i) ctx then Some t.terms.(i)
-    else go (i + 1)
+let allows_crossing t f ~prev ~next = first_admitting t f ~prev ~next < Array.length t.cterms
+
+let allows t (ctx : Policy_term.transit_ctx) =
+  allows_crossing t ctx.Policy_term.flow ~prev:(hop ctx.Policy_term.prev)
+    ~next:(hop ctx.Policy_term.next)
+
+let admitting_term t (ctx : Policy_term.transit_ctx) =
+  let i =
+    first_admitting t ctx.Policy_term.flow ~prev:(hop ctx.Policy_term.prev)
+      ~next:(hop ctx.Policy_term.next)
   in
-  go 0
+  if i < Array.length t.terms then Some t.terms.(i) else None
 
 (* Per-flow specialization: resolve every flow-only condition (src,
    dst, qos, uci, hour, auth) once, keeping just the prev/next preds of
@@ -139,22 +157,11 @@ let specialize t (f : Flow.t) =
   let qbit = 1 lsl Qos.index f.Flow.qos
   and ubit = 1 lsl Uci.index f.Flow.uci
   and hbit = 1 lsl f.Flow.hour in
-  let live =
-    Array.to_list t.cterms
-    |> List.filter (fun ct ->
-           ct.qos_mask land qbit <> 0
-           && ct.uci_mask land ubit <> 0
-           && ct.hour_mask land hbit <> 0
-           && ((not ct.auth_required) || f.Flow.authenticated)
-           && probe ct.src f.Flow.src
-           && probe ct.dst f.Flow.dst)
-  in
+  let live = Array.to_list t.cterms |> List.filter (fun ct -> flow_passes ct f ~qbit ~ubit ~hbit) in
   {
     s_prev = Array.of_list (List.map (fun ct -> ct.prev) live);
     s_next = Array.of_list (List.map (fun ct -> ct.next) live);
   }
-
-let spec_term_count s = Array.length s.s_prev
 
 let spec_allows s ~prev ~next =
   let k = Array.length s.s_prev in
@@ -162,8 +169,8 @@ let spec_allows s ~prev ~next =
   while
     !i < k
     && not
-         (opt_probe (Array.unsafe_get s.s_prev !i) prev
-         && opt_probe (Array.unsafe_get s.s_next !i) next)
+         (hop_probe (Array.unsafe_get s.s_prev !i) prev
+         && hop_probe (Array.unsafe_get s.s_next !i) next)
   do
     incr i
   done;
@@ -192,13 +199,9 @@ let admitted_sources_into t acc ~dst ~qos ~uci ~hour ~auth ~prev ~next =
   Array.iter
     (fun ct ->
       if
-        ct.qos_mask land qbit <> 0
-        && ct.uci_mask land ubit <> 0
-        && ct.hour_mask land hbit <> 0
-        && ((not ct.auth_required) || auth)
-        && probe ct.dst dst
-        && opt_probe ct.prev prev
-        && opt_probe ct.next next
+        class_passes ct ~qbit ~ubit ~hbit ~auth ~dst
+        && hop_probe ct.prev (hop prev)
+        && hop_probe ct.next (hop next)
       then
         if ct.src.compl then Bitset.union_compl_into acc ct.src.bits
         else Bitset.union_into acc ct.src.bits)

@@ -59,9 +59,20 @@ val term_views : t -> term_view array
 
 val probe : pred -> Pr_topology.Ad.id -> bool
 
+val hop_probe : pred -> Pr_topology.Ad.id -> bool
+(** {!probe} on a hop: a negative id is an unknown hop (the flow enters
+    or leaves the internet here), which every hop predicate admits. *)
+
+val hop : Pr_topology.Ad.id option -> Pr_topology.Ad.id
+(** A context hop as a {!hop_probe} id: [None] is [-1]. *)
+
+val allows_crossing : t -> Flow.t -> prev:Pr_topology.Ad.id -> next:Pr_topology.Ad.id -> bool
+(** Does some term admit the flow crossing the AD from [prev] to
+    [next]? Negative hops are unknown ({!hop_probe}). Allocation-free. *)
+
 val allows : t -> Policy_term.transit_ctx -> bool
-(** Equivalent to {!Transit_policy.allows} on the source terms;
-    allocation-free. *)
+(** Equivalent to {!Transit_policy.allows} on the source terms:
+    {!allows_crossing} on the context's hops. *)
 
 val admitting_term : t -> Policy_term.transit_ctx -> Policy_term.t option
 (** Equivalent to {!Transit_policy.admitting_term}: the first source
@@ -73,12 +84,10 @@ type spec
 
 val specialize : t -> Flow.t -> spec
 
-val spec_term_count : spec -> int
-
-val spec_allows :
-  spec -> prev:Pr_topology.Ad.id option -> next:Pr_topology.Ad.id option -> bool
-(** Equivalent to [allows t {flow; prev; next}] for the flow the spec
-    was built from; two bitset probes per live term. *)
+val spec_allows : spec -> prev:Pr_topology.Ad.id -> next:Pr_topology.Ad.id -> bool
+(** Equivalent to [allows_crossing t flow ~prev ~next] for the flow the
+    spec was built from (negative hops unknown); two bitset probes per
+    live term. *)
 
 val supports_qos : t -> Qos.t -> bool
 (** Does any term admit this QOS class at all? O(1) against the cached

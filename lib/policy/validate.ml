@@ -1,5 +1,6 @@
 module Graph = Pr_topology.Graph
 module Path = Pr_topology.Path
+module Policy_search = Pr_topology.Policy_search
 
 type verdict =
   | Legal
@@ -24,20 +25,6 @@ let transit_verdict config flow path =
   in
   scan path
 
-(* Per-flow specialized engines, one per AD, built lazily: route
-   search probes the same few transit ADs thousands of times for one
-   flow, so resolve the flow-only conditions once per AD. *)
-let spec_table config flow =
-  let store = Policy_store.of_config config in
-  let specs = Array.make (Policy_store.n store) None in
-  fun ad ->
-    match specs.(ad) with
-    | Some s -> s
-    | None ->
-      let s = Compiled.specialize (Policy_store.compiled store ad) flow in
-      specs.(ad) <- Some s;
-      s
-
 let check g config flow path =
   if not (Path.is_valid g path) then Broken "not a simple path in the graph"
   else if Path.source path <> flow.Flow.src then Broken "path does not start at the source"
@@ -58,141 +45,80 @@ let transit_legal g config flow path =
 
 let legal g config flow path = check g config flow path = Legal
 
+(* The search view of the last graph this domain's oracle searched:
+   experiments call the oracle per flow on one internet. *)
+let views = Domain.DLS.new_key (fun () -> ref None)
+
+let view_of g =
+  let cell = Domain.DLS.get views in
+  match !cell with
+  | Some (g', v) when g' == g -> v
+  | _ ->
+    let v = Policy_search.of_graph g in
+    cell := Some (g, v);
+    v
+
+(* Admission straight off the compiled terms: nothing to build per
+   flow, so a warm search allocates only the route it returns. *)
+let admit config flow =
+  let store = Policy_store.of_config config in
+  fun v p w -> Compiled.allows_crossing (Policy_store.compiled store v) flow ~prev:p ~next:w
+
 let legal_paths g config flow ~max_hops ?(limit = 10_000) () =
-  let src = flow.Flow.src and dst = flow.Flow.dst in
-  let spec_for = spec_table config flow in
-  let results = ref [] in
-  let count = ref 0 in
-  let on_path = Array.make (Graph.n g) false in
-  (* DFS where extending ...prev,u with v requires u (if interior) to
-     admit the crossing prev -> u -> v. *)
-  let rec go u prev prefix_rev depth =
-    if !count < limit then
-      if u = dst then begin
-        incr count;
-        results := List.rev (dst :: prefix_rev) :: !results
-      end
-      else if depth < max_hops then
-        Graph.iter_neighbor_ids g u ~f:(fun v ->
-            if not on_path.(v) then begin
-              let u_ok =
-                u = src || Compiled.spec_allows (spec_for u) ~prev ~next:(Some v)
-              in
-              if u_ok then begin
-                on_path.(v) <- true;
-                go v (Some u) (u :: prefix_rev) (depth + 1);
-                on_path.(v) <- false
-              end
-            end)
-  in
-  if src = dst then [ [ src ] ]
-  else begin
-    on_path.(src) <- true;
-    go src None [] 0;
-    List.rev !results
-  end
+  Policy_search.enumerate (Policy_search.shared_scratch ()) (view_of g) ~src:flow.Flow.src
+    ~dst:flow.Flow.dst ~max_hops ~limit ~admit:(admit config flow)
 
-(* Dijkstra over (node, arrived-from) states. Interior admission
-   depends on the previous and next hop, so node-states are (v, p):
-   at v having arrived from p. The reconstructed state-path can in
-   principle revisit an AD; then we fall back to bounded DFS. *)
-let shortest_legal_dijkstra g config flow ~avoid =
-  let n = Graph.n g in
-  let src = flow.Flow.src and dst = flow.Flow.dst in
-  if src = dst then Some [ src ]
-  else begin
-    let module Pqueue = Pr_util.Pqueue in
-    let spec_for = spec_table config flow in
-    let size = n * n in
-    let dist = Array.make size infinity in
-    let parent = Array.make size (-1) in
-    let settled = Array.make size false in
-    let avoid_arr = Array.make n false in
-    List.iter (fun a -> if a >= 0 && a < n then avoid_arr.(a) <- true) avoid;
-    let q = Pqueue.create () in
-    let encode v p = (v * n) + p in
-    let start = encode src src in
-    dist.(start) <- 0.0;
-    Pqueue.add q ~priority:0.0 start;
-    let final = ref None in
-    let continue_ = ref true in
-    while !continue_ do
-      match Pqueue.pop q with
-      | None -> continue_ := false
-      | Some (d, state) ->
-        if not settled.(state) then begin
-          settled.(state) <- true;
-          let v = state / n and p = state mod n in
-          if v = dst then begin
-            final := Some state;
-            continue_ := false
-          end
-          else begin
-            let prev = if v = src then None else Some p in
-            Graph.iter_neighbors g v ~f:(fun w lid ->
-                if w <> src then begin
-                  let interior_ok =
-                    v = src || Compiled.spec_allows (spec_for v) ~prev ~next:(Some w)
-                  in
-                  let avoid_ok = w = dst || not avoid_arr.(w) in
-                  if interior_ok && avoid_ok then begin
-                    let cost = (Graph.link g lid).Pr_topology.Link.cost in
-                    let state' = encode w v in
-                    let d' = d +. float_of_int cost in
-                    if d' < dist.(state') then begin
-                      dist.(state') <- d';
-                      parent.(state') <- state;
-                      Pqueue.add q ~priority:d' state'
-                    end
-                  end
-                end)
-          end
-        end
-    done;
-    match !final with
-    | None -> None
-    | Some state ->
-      let rec build acc state steps =
-        if steps > size then None
-        else begin
-          let v = state / n in
-          if parent.(state) < 0 then Some (v :: acc)
-          else build (v :: acc) parent.(state) (steps + 1)
-        end
-      in
-      (match build [] state 0 with
-      | Some p when Path.is_loop_free p -> Some p
-      | _ -> None)
-  end
+(* Minimum-cost state walk for the flow, interior ADs outside [avoid]. *)
+let state_search g config flow ~avoid =
+  Policy_search.search (Policy_search.shared_scratch ()) (view_of g) ~src:flow.Flow.src
+    ~dst:flow.Flow.dst ~avoid
+    ~metric:(fun _ _ k -> Graph.slot_cost g k)
+    ~admit:(admit config flow) ()
 
-let shortest_legal g config flow ?(apply_source_policy = false) () =
+type search = No_walk | Found of Path.t option
+
+(* The state search's route, else the bounded DFS's (rare: only when
+   the cheapest state walk self-intersects or the source policy refuses
+   it for a reason other than [avoid]). [No_walk] skips the DFS: every
+   simple legal route is a state walk, and [Source_policy.permits]
+   refuses any route whose interior meets [avoid], so when no state
+   walk reaches the destination the DFS can find nothing either. *)
+let shortest_search g config flow ~apply_source_policy =
   let policy = Config.source config flow.Flow.src in
   let avoid = if apply_source_policy then policy.Source_policy.avoid else [] in
-  match shortest_legal_dijkstra g config flow ~avoid with
-  | Some p when (not apply_source_policy) || Source_policy.permits policy p -> Some p
-  | _ ->
-    (* Fallback: bounded enumeration (rare — only when the cheapest
-       state-path self-intersects or violates a non-avoid criterion). *)
+  match state_search g config flow ~avoid with
+  | Policy_search.Unreachable -> No_walk
+  | Policy_search.Route p when (not apply_source_policy) || Source_policy.permits policy p ->
+    Found (Some p)
+  | Policy_search.Route _ | Policy_search.Revisits ->
     let paths = legal_paths g config flow ~max_hops:12 ~limit:2000 () in
-    if apply_source_policy then Source_policy.best policy g paths
+    if apply_source_policy then Found (Source_policy.best policy g paths)
     else begin
       let scored =
         List.filter_map (fun p -> Option.map (fun c -> (c, p)) (Path.cost g p)) paths
       in
       match List.sort compare scored with
-      | [] -> None
-      | (_, p) :: _ -> Some p
+      | [] -> Found None
+      | (_, p) :: _ -> Found (Some p)
     end
 
+let shortest_legal g config flow ?(apply_source_policy = false) () =
+  match shortest_search g config flow ~apply_source_policy with
+  | No_walk -> None
+  | Found p -> p
+
 let route_exists g config flow ~max_hops =
-  match shortest_legal_dijkstra g config flow ~avoid:[] with
-  | Some p when Pr_topology.Path.hops p <= max_hops -> true
-  | Some _ | None -> legal_paths g config flow ~max_hops ~limit:1 () <> []
+  match state_search g config flow ~avoid:[] with
+  | Policy_search.Route p when Path.hops p <= max_hops -> true
+  | Policy_search.Unreachable -> false
+  | Policy_search.Route _ | Policy_search.Revisits ->
+    legal_paths g config flow ~max_hops ~limit:1 () <> []
 
 let best_legal g config flow ~max_hops =
-  match shortest_legal g config flow ~apply_source_policy:true () with
-  | Some p when Pr_topology.Path.hops p <= max_hops -> Some p
-  | _ ->
+  match shortest_search g config flow ~apply_source_policy:true with
+  | No_walk -> None
+  | Found (Some p) when Path.hops p <= max_hops -> Some p
+  | Found _ ->
     let paths = legal_paths g config flow ~max_hops ~limit:2000 () in
     Source_policy.best (Config.source config flow.Flow.src) g paths
 

@@ -45,10 +45,11 @@ val legal_paths :
 
 val route_exists : Pr_topology.Graph.t -> Config.t -> Flow.t -> max_hops:int -> bool
 (** A transit-legal route within the hop bound exists. Implemented by
-    Dijkstra over (node, arrived-from) states, so it is fast enough to
-    call per flow in large experiments; falls back to bounded DFS in
-    the rare case the state search only finds self-intersecting
-    routes. *)
+    the sparse (node, arrived-from) state search
+    ({!Pr_topology.Policy_search}), fast enough to call per flow at
+    10^4 ADs; falls back to bounded DFS only when the best state walk
+    self-intersects or exceeds the bound. When no state walk reaches
+    the destination there is no route, and no DFS runs. *)
 
 val shortest_legal :
   Pr_topology.Graph.t ->
@@ -59,7 +60,9 @@ val shortest_legal :
   Pr_topology.Path.t option
 (** Minimum-cost transit-legal simple path for the flow (with
     [apply_source_policy], also honoring the source's avoid list), by
-    Dijkstra over (node, arrived-from) states with a DFS fallback. *)
+    the (node, arrived-from) state search, with a DFS fallback when its
+    best walk self-intersects or the source policy refuses it. A warm
+    search allocates little beyond the route it returns. *)
 
 val best_legal :
   Pr_topology.Graph.t -> Config.t -> Flow.t -> max_hops:int -> Pr_topology.Path.t option

@@ -24,9 +24,23 @@ let make_lsa ~origin ~seq ~adjacencies ~terms =
 
 let lsa_bytes lsa = lsa.bytes
 
-type t = { store : lsa option array; empty_terms : Pr_policy.Compiled.t }
+(* The confirmed adjacency as a search view, each slot with its two
+   directed adjacencies and, per QOS class asked for, its metric;
+   derived on demand and dropped by every accepted insert. *)
+type search = {
+  view : Pr_topology.Policy_search.view;
+  pairs : (adjacency * adjacency) array;
+  metrics : int array option array;  (* by Qos.index *)
+}
 
-let create ~n = { store = Array.make n None; empty_terms = Pr_policy.Compiled.compile ~n [] }
+type t = {
+  store : lsa option array;
+  empty_terms : Pr_policy.Compiled.t;
+  mutable search : search option;
+}
+
+let create ~n =
+  { store = Array.make n None; empty_terms = Pr_policy.Compiled.compile ~n []; search = None }
 
 let seq_of t origin =
   match t.store.(origin) with
@@ -36,6 +50,7 @@ let seq_of t origin =
 let insert t lsa =
   if lsa.seq > seq_of t lsa.origin then begin
     t.store.(lsa.origin) <- Some lsa;
+    t.search <- None;
     true
   end
   else false
@@ -71,15 +86,6 @@ let bidirectional t u v =
   | Some a, Some b -> Some (Stdlib.max a b)
   | _ -> None
 
-let bidirectional_metric t qos u v =
-  match (find_adjacency t u v, find_adjacency t v u) with
-  | Some a, Some b ->
-    Some
-      (Qos_metric.metric qos
-         ~cost:(Stdlib.max a.cost b.cost)
-         ~delay:(Stdlib.max a.delay b.delay))
-  | _ -> None
-
 let terms_of t origin =
   match t.store.(origin) with
   | None -> []
@@ -98,3 +104,51 @@ let compiled_of t origin =
 
 let entry_count t =
   Array.fold_left (fun acc slot -> if slot = None then acc else acc + 1) 0 t.store
+
+let build_search t =
+  let n = Array.length t.store in
+  let seen = Array.make n (-1) in
+  let confirmed u a =
+    let v = a.nbr in
+    if v < 0 || v >= n || seen.(v) = u then None
+    else
+      Option.map
+        (fun b ->
+          seen.(v) <- u;
+          (v, a, b))
+        (find_adjacency t v u)
+  in
+  let rows =
+    Array.init n (fun u ->
+        match t.store.(u) with
+        | None -> [||]
+        | Some lsa -> Array.of_list (List.filter_map (confirmed u) lsa.adjacencies))
+  in
+  let off = Array.make (n + 1) 0 in
+  Array.iteri (fun u row -> off.(u + 1) <- off.(u) + Array.length row) rows;
+  let slots = Array.concat (Array.to_list rows) in
+  {
+    view = Pr_topology.Policy_search.of_csr ~off ~nbr:(Array.map (fun (v, _, _) -> v) slots);
+    pairs = Array.map (fun (_, a, b) -> (a, b)) slots;
+    metrics = Array.make Pr_policy.Qos.count None;
+  }
+
+let search_view t qos =
+  let s =
+    match t.search with
+    | Some s -> s
+    | None ->
+      let s = build_search t in
+      t.search <- Some s;
+      s
+  in
+  let i = Pr_policy.Qos.index qos in
+  match s.metrics.(i) with
+  | Some m -> (s.view, m)
+  | None ->
+    let metric (a, b) =
+      Qos_metric.metric qos ~cost:(Stdlib.max a.cost b.cost) ~delay:(Stdlib.max a.delay b.delay)
+    in
+    let m = Array.map metric s.pairs in
+    s.metrics.(i) <- Some m;
+    (s.view, m)

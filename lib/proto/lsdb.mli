@@ -66,12 +66,6 @@ val adjacency_cost : t -> Pr_topology.Ad.id -> Pr_topology.Ad.id -> int option
 val bidirectional : t -> Pr_topology.Ad.id -> Pr_topology.Ad.id -> int option
 (** Max of the two directed costs when both LSAs agree the link is up. *)
 
-val bidirectional_metric :
-  t -> Pr_policy.Qos.t -> Pr_topology.Ad.id -> Pr_topology.Ad.id -> int option
-(** The per-QOS metric ({!Qos_metric.metric}) of the adjacency, when
-    both LSAs agree it is up — what QOS-aware route computations
-    accumulate instead of the raw cost. *)
-
 val terms_of : t -> Pr_topology.Ad.id -> Pr_policy.Policy_term.t list
 (** Stored policy terms for the AD ([] when unknown). *)
 
@@ -79,6 +73,17 @@ val compiled_of : t -> Pr_topology.Ad.id -> Pr_policy.Compiled.t
 (** Compiled form of [terms_of] (an empty compilation when unknown).
     Compiles on first use and caches in the LSA itself, so the cost is
     paid once per origination, not once per database copy. *)
+
+val search_view : t -> Pr_policy.Qos.t -> Pr_topology.Policy_search.view * int array
+(** The adjacency both LSAs of a pair confirm, as a policy-search view:
+    each AD's row lists its confirmed neighbors in advertisement order
+    (a neighbor listed twice counts once, at its first position),
+    paired with each slot's {!Qos_metric.metric} under the QOS class,
+    taken over the larger cost and delay of the two directions — what
+    QOS-aware route computations accumulate instead of the raw cost.
+    The view is built on first use, each class's metrics on the first
+    search under that class; both are kept until the next accepted
+    {!insert}. *)
 
 val entry_count : t -> int
 (** Number of stored LSAs — the database footprint gauge. *)

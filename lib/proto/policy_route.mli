@@ -9,7 +9,9 @@
 
     Because admission of an interior AD depends on both its
     predecessor and successor, shortest-path search runs over
-    (node, arrived-from) states rather than nodes.
+    (node, arrived-from) states rather than nodes: the shared
+    {!Pr_topology.Policy_search} kernel, over the database's
+    {!Lsdb.search_view}.
 
     All searches run through an {!engine}: a per-flow view of the
     database that resolves each AD's flow-only policy conditions once
@@ -25,16 +27,10 @@ type engine
 
 val engine : Lsdb.t -> n:int -> Pr_policy.Flow.t -> engine
 
-val engine_flow : engine -> Pr_policy.Flow.t
-
-val admits :
-  engine ->
-  Pr_topology.Ad.id ->
-  prev:Pr_topology.Ad.id option ->
-  next:Pr_topology.Ad.id option ->
-  bool
+val admits : engine -> Pr_topology.Ad.id -> prev:Pr_topology.Ad.id -> next:Pr_topology.Ad.id -> bool
 (** Does some advertised PT of the AD admit this crossing, according
-    to the database the engine wraps. *)
+    to the database the engine wraps? A negative hop is unknown
+    ({!Pr_policy.Compiled.hop_probe}). *)
 
 val path_admitted : engine -> Pr_topology.Path.t -> bool
 (** Every interior crossing of the path is admitted — what ORWG checks
@@ -60,7 +56,6 @@ val shortest :
 
 val shortest_pruned :
   engine ->
-  ranks:int array ->
   ?avoid:Pr_topology.Ad.id list ->
   unit ->
   Pr_topology.Path.t option * int
@@ -71,9 +66,8 @@ val shortest_pruned :
     exact search's n² (node, arrived-from) states — then validates the
     result exactly and falls back to {!shortest} only when a
     hop-constrained term rejects it. Exact in outcome, cheap in the
-    common case where few terms constrain hops. [ranks] is accepted
-    for strategy experimentation and currently unused. Returns the
-    route and the combined search work. *)
+    common case where few terms constrain hops. Returns the route and
+    the combined search work. *)
 
 val enumerate :
   engine ->
@@ -84,8 +78,3 @@ val enumerate :
 (** All policy-legal simple paths within [max_hops] according to the
     database (default [limit] 2000) — the route server's candidate set
     when the source wants choice rather than just a shortest route. *)
-
-val spanning_work : n:int -> int
-(** Nominal work of one full (per-source) spanning computation, used
-    to compare computation burdens across designs: [n * n] states in
-    the worst case. *)

@@ -122,7 +122,7 @@ let time_ns_per ~ops f =
   !best
 
 (* One admission probe: an interior crossing some answered route made. *)
-type probe = { p_ad : int; p_flow : Flow.t; p_prev : int option; p_next : int option }
+type probe = { p_ad : int; p_flow : Flow.t; p_prev : int; p_next : int }
 
 let run cfg =
   let scenario =
@@ -221,9 +221,8 @@ let run cfg =
     if Pdd.snapshot_version snap = Policy_store.version store then begin
       let rec scan = function
         | prev :: ad :: next :: rest ->
-            let prev_o = Some prev and next_o = Some next in
-            let ctx = { Policy_term.flow; prev = prev_o; next = next_o } in
-            let d = Pdd.admit snap ~ad flow ~prev:prev_o ~next:next_o in
+            let ctx = { Policy_term.flow; prev = Some prev; next = Some next } in
+            let d = Pdd.admit snap ~ad flow ~prev ~next in
             let c = Compiled.allows (Policy_store.compiled store ad) ctx in
             let i = Transit_policy.allows (Policy_store.transit store ad) ctx in
             incr agreement_checks;
@@ -235,7 +234,7 @@ let run cfg =
                      flow.Flow.src flow.Flow.dst ad d c i)
                 "serve.agreement_failure"
             end;
-            record_probe { p_ad = ad; p_flow = flow; p_prev = prev_o; p_next = next_o };
+            record_probe { p_ad = ad; p_flow = flow; p_prev = prev; p_next = next };
             scan (ad :: next :: rest)
         | _ -> ()
       in

@@ -260,8 +260,8 @@ let rec admit_node n (f : Flow.t) ~prev ~next =
         match sel with
         | 4 -> Compiled.probe pred f.Flow.src
         | 5 -> Compiled.probe pred f.Flow.dst
-        | 6 -> ( match prev with None -> true | Some ad -> Compiled.probe pred ad)
-        | _ -> ( match next with None -> true | Some ad -> Compiled.probe pred ad)
+        | 6 -> Compiled.hop_probe pred prev
+        | _ -> Compiled.hop_probe pred next
       in
       admit_node (if pass then yes else no) f ~prev ~next
 
@@ -285,15 +285,10 @@ let rec flow_entry n (f : Flow.t) =
 let rec entry_admit n ~prev ~next =
   match n with
   | Leaf b -> b
-  | Branch _ -> invalid_arg "Pdd.entry_admit: unresolved flow variable"
-  | Test { sel; pred; yes; no; _ } ->
-      let pass =
-        match sel with
-        | 6 -> ( match prev with None -> true | Some ad -> Compiled.probe pred ad)
-        | 7 -> ( match next with None -> true | Some ad -> Compiled.probe pred ad)
-        | _ -> invalid_arg "Pdd.entry_admit: unresolved flow variable"
-      in
+  | Test { sel = (6 | 7) as sel; pred; yes; no; _ } ->
+      let pass = Compiled.hop_probe pred (if sel = 6 then prev else next) in
       entry_admit (if pass then yes else no) ~prev ~next
+  | Branch _ | Test _ -> invalid_arg "Pdd.entry_admit: unresolved flow variable"
 
 let rec depth = function
   | Leaf _ -> 0

@@ -52,14 +52,10 @@ val node_id : node -> int
 (** Unique, stable id; equal ids iff physically equal nodes. *)
 
 val admit_node :
-  node ->
-  Pr_policy.Flow.t ->
-  prev:Pr_topology.Ad.id option ->
-  next:Pr_topology.Ad.id option ->
-  bool
-(** One root-to-leaf walk; allocation-free. [None] prev/next means the
-    flow enters/leaves the internet at this AD, which every predicate
-    admits (matching [Policy_term] semantics). *)
+  node -> Pr_policy.Flow.t -> prev:Pr_topology.Ad.id -> next:Pr_topology.Ad.id -> bool
+(** One root-to-leaf walk; allocation-free. A negative prev/next means
+    the flow enters/leaves the internet at this AD, which every
+    predicate admits (the [None] hop of [Policy_term] semantics). *)
 
 val flow_entry : node -> Pr_policy.Flow.t -> node
 (** Partial evaluation against the flow-only variables (QOS, UCI,
@@ -69,9 +65,9 @@ val flow_entry : node -> Pr_policy.Flow.t -> node
     then pays at most a few probes per path crossing. No nodes are
     built — the result is a shared sub-diagram. *)
 
-val entry_admit :
-  node -> prev:Pr_topology.Ad.id option -> next:Pr_topology.Ad.id option -> bool
-(** Finish a {!flow_entry} walk for a concrete crossing. *)
+val entry_admit : node -> prev:Pr_topology.Ad.id -> next:Pr_topology.Ad.id -> bool
+(** Finish a {!flow_entry} walk for a concrete crossing (negative hops
+    unknown, as in {!admit_node}). *)
 
 val depth : node -> int
 (** Longest root-to-leaf path — walk length upper bound. *)
@@ -116,8 +112,8 @@ val admit :
   snapshot ->
   ad:Pr_topology.Ad.id ->
   Pr_policy.Flow.t ->
-  prev:Pr_topology.Ad.id option ->
-  next:Pr_topology.Ad.id option ->
+  prev:Pr_topology.Ad.id ->
+  next:Pr_topology.Ad.id ->
   bool
 (** Does [ad]'s policy (at this snapshot's version) admit the crossing?
     Equivalent to [Compiled.allows] / interpreted [Transit_policy.allows]

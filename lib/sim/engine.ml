@@ -347,11 +347,6 @@ let pending t =
       (fun acc ln -> acc + Evheap.length ln.heap)
       (Evheap.length s.control) s.lanes
 
-let pending_by_shard t =
-  match t.mode with
-  | Single -> [| Pqueue.length t.queue |]
-  | Sharded s -> Array.map (fun ln -> Evheap.length ln.heap) s.lanes
-
 type stop_reason = Drained | Reached_limit
 
 (* Queue-depth counter cadence: every 64 executed events keeps the

@@ -111,10 +111,6 @@ val schedule_for : t -> ad:int -> delay:float -> (unit -> unit) -> unit
 
 val pending : t -> int
 
-val pending_by_shard : t -> int array
-(** Pending events per shard (control queue excluded); a one-element
-    array for the sequential engine. *)
-
 type stop_reason =
   | Drained  (** no events left: the system has quiesced *)
   | Reached_limit  (** stopped by [max_events] — usually a divergence *)

@@ -169,6 +169,17 @@ let uniq_slot t x y =
   done;
   !found
 
+let unique_csr t = (t.uoff, t.uniq_nbr)
+
+let slot_cost t k = t.links.(t.uniq_best.(k)).Link.cost
+
+let fold_slot_links t k ~init ~f =
+  let acc = ref init in
+  for s = t.uniq_first.(k) to t.uniq_first.(k + 1) - 1 do
+    acc := f !acc t.adj_link.(s)
+  done;
+  !acc
+
 let find_link t x y =
   let k = uniq_slot t x y in
   if k < 0 then None else Some t.uniq_best.(k)
@@ -267,10 +278,6 @@ let count_by pred_list extract =
 let count_by_klass t =
   let all = Array.to_list t.ads in
   count_by all (fun (a : Ad.t) -> a.Ad.klass) [ Ad.Stub; Ad.Multihomed; Ad.Transit; Ad.Hybrid ]
-
-let count_by_level t =
-  let all = Array.to_list t.ads in
-  count_by all (fun (a : Ad.t) -> a.Ad.level) [ Ad.Backbone; Ad.Regional; Ad.Metro; Ad.Campus ]
 
 let count_links_by_kind t =
   let all = Array.to_list t.links in

@@ -58,6 +58,19 @@ val iter_links_between : t -> Ad.id -> Ad.id -> f:(Link.id -> unit) -> unit
 
 val degree : t -> Ad.id -> int
 
+val unique_csr : t -> int array * int array
+(** The unique-neighbor index [(off, nbr)], physically shared with the
+    graph (never mutate it): row [v] spans [off.(v) .. off.(v+1) - 1]
+    of [nbr], in increasing neighbor order. Index [k] of [nbr] is the
+    {e slot} of the AD pair (owner of the row, [nbr.(k)]). *)
+
+val slot_cost : t -> int -> int
+(** Cost of the cheapest link of the slot's AD pair. *)
+
+val fold_slot_links : t -> int -> init:'a -> f:('a -> Link.id -> 'a) -> 'a
+(** Fold over every parallel link of the slot's AD pair, in increasing
+    link id order, without building a list. *)
+
 val find_link : t -> Ad.id -> Ad.id -> Link.id option
 (** Some link joining the two ADs (the cheapest if parallel), if any.
     O(log degree): binary search plus a precomputed cheapest-link read. *)
@@ -82,8 +95,6 @@ val shortest_path_hops : t -> Ad.id -> Ad.id -> int list option
 val fold_links : t -> init:'a -> f:('a -> Link.t -> 'a) -> 'a
 
 val count_by_klass : t -> (Ad.klass * int) list
-
-val count_by_level : t -> (Ad.level * int) list
 
 val count_links_by_kind : t -> (Link.kind * int) list
 

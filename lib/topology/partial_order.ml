@@ -6,8 +6,6 @@ let of_levels g =
   in
   { ranks }
 
-let of_ranks ranks = { ranks = Array.copy ranks }
-
 let rank t i = t.ranks.(i)
 
 type direction = Up | Down | Level

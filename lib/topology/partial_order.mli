@@ -18,9 +18,6 @@ val of_levels : Graph.t -> t
 (** Ranking by hierarchy level: backbone above regional above metro
     above campus. Lateral links join ADs of equal rank. *)
 
-val of_ranks : int array -> t
-(** Explicit ranking; index is the AD id. *)
-
 val rank : t -> Ad.id -> int
 
 type direction =

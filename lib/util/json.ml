@@ -267,10 +267,6 @@ let to_str = function
   | String s -> Ok s
   | v -> Error (Printf.sprintf "expected string, got %s" (type_name v))
 
-let to_bool = function
-  | Bool b -> Ok b
-  | v -> Error (Printf.sprintf "expected bool, got %s" (type_name v))
-
 let to_list = function
   | List items -> Ok items
   | v -> Error (Printf.sprintf "expected list, got %s" (type_name v))

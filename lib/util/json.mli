@@ -43,8 +43,6 @@ val to_float : t -> (float, string) result
 
 val to_str : t -> (string, string) result
 
-val to_bool : t -> (bool, string) result
-
 val to_list : t -> (t list, string) result
 
 val int_member : string -> t -> (int, string) result

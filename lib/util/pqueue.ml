@@ -169,8 +169,8 @@ module Keyed = struct
     end
     else false
 
-  let pop t =
-    if t.size = 0 then None
+  let pop_min t =
+    if t.size = 0 then -1
     else begin
       let top = t.heap.(0) in
       t.size <- t.size - 1;
@@ -181,8 +181,12 @@ module Keyed = struct
         t.pos.(last) <- 0;
         sift_down t 0
       end;
-      Some (t.prio.(top), top)
+      top
     end
+
+  let pop t =
+    let top = pop_min t in
+    if top < 0 then None else Some (t.prio.(top), top)
 
   let clear t =
     for i = 0 to t.size - 1 do

@@ -63,6 +63,10 @@ module Keyed : sig
   (** Remove and return [(priority, key)] for the minimum entry, ties
       broken toward the smaller key. *)
 
+  val pop_min : t -> int
+  (** Allocation-free {!pop}: remove the minimum entry and return its
+      key, or [-1] when the heap is empty. *)
+
   val clear : t -> unit
   (** Empty the heap in O(live entries). *)
 end

@@ -72,11 +72,4 @@ let histogram ~bucket_width xs =
     in
     { bucket_width; buckets }
 
-let pp_histogram ppf h =
-  List.iter
-    (fun (lower, count) ->
-      Format.fprintf ppf "[%8.2f, %8.2f) %5d %s@." lower (lower +. h.bucket_width) count
-        (String.make (Stdlib.min count 60) '#'))
-    h.buckets
-
 let ratio a b = if b = 0.0 then 0.0 else a /. b

@@ -34,8 +34,6 @@ type histogram = { bucket_width : float; buckets : (float * int) list }
 
 val histogram : bucket_width:float -> float list -> histogram
 
-val pp_histogram : Format.formatter -> histogram -> unit
-
 val ratio : float -> float -> float
 (** [ratio a b] is [a /. b], or [0.] when [b = 0.]; used for
     "factor-of" columns in experiment tables. *)

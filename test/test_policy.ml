@@ -410,27 +410,74 @@ let transit_union_monotone =
 
 let oracle_dijkstra_matches_enumeration =
   (* shortest_legal (state Dijkstra) must find a route exactly when the
-     exhaustive enumeration does, and of equal optimal cost. *)
-  QCheck.Test.make ~name:"shortest_legal agrees with exhaustive enumeration" ~count:40
-    QCheck.(pair small_int (pair (int_range 0 13) (int_range 0 13)))
-    (fun (seed, (src, dst)) ->
+     exhaustive enumeration does, and of equal optimal cost. best_legal
+     and route_exists skip the enumeration when the state search proves
+     no route exists; under fine-grained policies and source avoid
+     lists they must still agree with it. *)
+  QCheck.Test.make ~name:"shortest_legal agrees with exhaustive enumeration" ~count:80
+    QCheck.(triple small_int (pair (int_range 0 13) (int_range 0 13)) bool)
+    (fun (seed, (src, dst), fine) ->
       src = dst
       ||
       let g = Figure1.graph () in
       let rng = Rng.create seed in
-      let c = Gen.generate rng g { Gen.default with restrictiveness = 0.6 } in
-      let flow = Flow.make ~src ~dst () in
+      let granularity = if fine then Gen.Fine else Gen.default.Gen.granularity in
+      let c =
+        Gen.generate rng g
+          { Gen.restrictiveness = 0.6; granularity; source_policy_prob = 0.5 }
+      in
+      let flow =
+        Flow.make ~src ~dst
+          ~qos:(Rng.choose rng Qos.all)
+          ~uci:(Rng.choose rng Uci.all)
+          ~hour:(Rng.int rng 24) ~authenticated:(Rng.bool rng) ()
+      in
       let dijkstra = Validate.shortest_legal g c flow () in
       let enumerated = Validate.legal_paths g c flow ~max_hops:13 () in
       let best_enumerated =
         List.filter_map (fun p -> Pr_topology.Path.cost g p) enumerated
         |> List.fold_left Stdlib.min max_int
       in
-      match dijkstra with
+      let source = Config.source c src in
+      let permitted = List.filter (Source_policy.permits source) enumerated in
+      (match dijkstra with
       | None -> enumerated = []
       | Some p ->
         Validate.transit_legal g c flow p
         && Pr_topology.Path.cost g p = Some best_enumerated)
+      && Validate.route_exists g c flow ~max_hops:13 = (enumerated <> [])
+      &&
+      match Validate.best_legal g c flow ~max_hops:13 with
+      | None -> permitted = []
+      | Some p -> Validate.transit_legal g c flow p && Source_policy.permits source p)
+
+(* The oracle runs where the system benchmarks. At 10^4 ADs a search
+   touches sparse (node, arrived-from) state, never n^2 slots, and once
+   its scratch is warm it allocates little beyond the route itself. *)
+let oracle_at_ten_thousand_ads () =
+  let sc = Pr_core.Scenario.for_size ~target_ads:10_000 ~seed:3 () in
+  let g = sc.Pr_core.Scenario.graph and c = sc.Pr_core.Scenario.config in
+  check_bool "10^4 ADs" true (Graph.n g >= 10_000);
+  let flows = Pr_core.Scenario.flows sc ~rng:(Rng.create 5) ~count:6 () in
+  let routed = ref 0 in
+  List.iter
+    (fun (flow : Flow.t) ->
+      match Validate.shortest_legal g c flow () with
+      | None -> ()
+      | Some p ->
+        incr routed;
+        check_bool "transit legal" true (Validate.transit_legal g c flow p);
+        let again = ref None in
+        let words =
+          Pr_telemetry.Alloc.words (fun () -> again := Validate.shortest_legal g c flow ())
+        in
+        check_bool "same route again" true (!again = Some p);
+        let bound = 64.0 +. (8.0 *. float_of_int (List.length p)) in
+        if words > bound then
+          Alcotest.failf "flow %d->%d: a warm search allocated %.0f words for a %d-AD route"
+            flow.Flow.src flow.Flow.dst words (List.length p))
+    flows;
+  check_bool "some flow routed" true (!routed > 0)
 
 (* --- Compiled engine ------------------------------------------------ *)
 
@@ -499,7 +546,11 @@ let compiled_allows_matches_interpreted =
     (fun (terms, ctx) ->
       let policy = Transit_policy.make 5 terms in
       let compiled = Compiled.compile ~n:universe terms in
-      Compiled.allows compiled ctx = Transit_policy.allows policy ctx)
+      let expect = Transit_policy.allows policy ctx in
+      Compiled.allows compiled ctx = expect
+      && Compiled.allows_crossing compiled ctx.Policy_term.flow
+           ~prev:(Compiled.hop ctx.Policy_term.prev) ~next:(Compiled.hop ctx.Policy_term.next)
+         = expect)
 
 let compiled_admitting_term_matches =
   QCheck.Test.make ~name:"Compiled.admitting_term picks the same term" ~count:300
@@ -516,8 +567,11 @@ let spec_matches_full_probe =
     (fun (terms, ctx) ->
       let compiled = Compiled.compile ~n:universe terms in
       let spec = Compiled.specialize compiled ctx.Policy_term.flow in
-      Compiled.spec_allows spec ~prev:ctx.Policy_term.prev ~next:ctx.Policy_term.next
-      = Compiled.allows compiled ctx)
+      let s =
+        Compiled.spec_allows spec ~prev:(Compiled.hop ctx.Policy_term.prev)
+          ~next:(Compiled.hop ctx.Policy_term.next)
+      in
+      s = Compiled.allows compiled ctx && s = Transit_policy.allows (Transit_policy.make 5 terms) ctx)
 
 let admitted_sources_matches_scan =
   QCheck.Test.make
@@ -658,6 +712,7 @@ let () =
             oracle_enumeration_matches_unconstrained;
           Alcotest.test_case "route exists" `Quick oracle_route_exists;
           Alcotest.test_case "best legal" `Quick oracle_best_legal;
+          Alcotest.test_case "at 10^4 ADs" `Quick oracle_at_ten_thousand_ads;
         ]
         @ qsuite
             [

@@ -26,6 +26,11 @@ module Serve = Pr_serve.Serve
 module Workload = Pr_serve.Workload
 module Daemon = Pr_serve.Daemon
 module Metrics = Pr_sim.Metrics
+module Link = Pr_topology.Link
+module Validate = Pr_policy.Validate
+module Lsdb = Pr_proto.Lsdb
+module Policy_route = Pr_proto.Policy_route
+module Policy_search = Pr_topology.Policy_search
 
 let check_int = Alcotest.(check int)
 
@@ -115,8 +120,8 @@ let diagram_matches_compiled_and_interpreted =
       let compiled = Compiled.compile ~n:universe terms in
       let root = Pdd.compile (Pdd.store_create ()) compiled in
       let d =
-        Pdd.admit_node root ctx.Policy_term.flow ~prev:ctx.Policy_term.prev
-          ~next:ctx.Policy_term.next
+        Pdd.admit_node root ctx.Policy_term.flow ~prev:(Compiled.hop ctx.Policy_term.prev)
+          ~next:(Compiled.hop ctx.Policy_term.next)
       in
       let policy = Transit_policy.make 5 terms in
       d = Compiled.allows compiled ctx && d = Transit_policy.allows policy ctx)
@@ -128,9 +133,10 @@ let flow_entry_matches_full_walk =
       let compiled = Compiled.compile ~n:universe terms in
       let root = Pdd.compile (Pdd.store_create ()) compiled in
       let entry = Pdd.flow_entry root ctx.Policy_term.flow in
-      Pdd.entry_admit entry ~prev:ctx.Policy_term.prev ~next:ctx.Policy_term.next
-      = Pdd.admit_node root ctx.Policy_term.flow ~prev:ctx.Policy_term.prev
-          ~next:ctx.Policy_term.next)
+      let prev = Compiled.hop ctx.Policy_term.prev and next = Compiled.hop ctx.Policy_term.next in
+      let e = Pdd.entry_admit entry ~prev ~next in
+      e = Pdd.admit_node root ctx.Policy_term.flow ~prev ~next
+      && e = Transit_policy.allows (Transit_policy.make 5 terms) ctx)
 
 (* Shared store, many policies, churn — and the hash-cons invariant
    (no two structurally equal live nodes) must survive it all. *)
@@ -161,8 +167,8 @@ let hash_cons_invariant_under_churn =
           | Error e -> QCheck.Test.fail_reportf "after flip: %s" e);
           let snap = Pdd.snapshot db in
           let d =
-            Pdd.admit snap ~ad ctx.Policy_term.flow ~prev:ctx.Policy_term.prev
-              ~next:ctx.Policy_term.next
+            Pdd.admit snap ~ad ctx.Policy_term.flow ~prev:(Compiled.hop ctx.Policy_term.prev)
+              ~next:(Compiled.hop ctx.Policy_term.next)
           in
           if d <> Policy_store.allows store ad ctx then
             QCheck.Test.fail_reportf "diagram disagrees with store after flip")
@@ -454,6 +460,117 @@ let metrics_evictions_roundtrip () =
   Metrics.merge acc m;
   check_int "merge accumulates" 12 (Metrics.evictions acc)
 
+(* --- one search kernel, three callers ------------------------------ *)
+
+(* Random fine-grained transit policies over the internet's own ids:
+   prev/next-constrained terms, hour windows (some wrapping past
+   midnight), QOS/UCI subsets, authentication. *)
+let random_transit rng g ad =
+  let n = Graph.n g in
+  let sometimes k = Rng.int rng k = 0 in
+  let subset all =
+    match List.filter (fun _ -> Rng.bool rng) all with
+    | l when l <> [] && sometimes 4 -> l
+    | _ -> all
+  in
+  let pred ~odds among =
+    let ids () = Array.of_list (Rng.sample rng (1 + Rng.int rng 3) among) in
+    if not (sometimes odds) then Policy_term.Any
+    else if Rng.bool rng then Policy_term.Only (ids ())
+    else Policy_term.Except (ids ())
+  in
+  let nbrs = Graph.neighbor_ids g ad and everyone = List.init n Fun.id in
+  let term () =
+    let h1 = Rng.int rng 24 and h2 = Rng.int rng 24 in
+    Policy_term.make ~owner:ad ~sources:(pred ~odds:6 everyone)
+      ~destinations:(pred ~odds:6 everyone) ~prev_hops:(pred ~odds:3 nbrs)
+      ~next_hops:(pred ~odds:3 nbrs) ~qos:(subset Qos.all) ~ucis:(subset Uci.all)
+      ?hours:(if h1 <> h2 && sometimes 4 then Some (h1, h2) else None)
+      ~auth_required:(sometimes 8) ()
+  in
+  Transit_policy.make ad (List.init (1 + Rng.int rng 3) (fun _ -> term ()))
+
+(* Every AD's LSA as a fully flooded database holds it: each neighbor
+   at the cost and delay of the cheapest link. *)
+let flooded_db g config =
+  let n = Graph.n g in
+  let db = Lsdb.create ~n in
+  for ad = 0 to n - 1 do
+    let adjacencies =
+      List.map
+        (fun nbr ->
+          let l = Graph.link g (Option.get (Graph.find_link g ad nbr)) in
+          { Lsdb.nbr; cost = l.Link.cost; delay = l.Link.delay })
+        (Graph.neighbor_ids g ad)
+    in
+    ignore
+      (Lsdb.insert db
+         (Lsdb.make_lsa ~origin:ad ~seq:1 ~adjacencies
+            ~terms:(Config.transit config ad).Transit_policy.terms))
+  done;
+  db
+
+(* Serve.query, Policy_route.shortest and Validate.shortest_legal all
+   run the one kernel, each with its own admission path (diagrams,
+   specialized terms, compiled terms) and adjacency (live graph,
+   flooded database, static graph). For flows whose QOS metric is the
+   link cost they must return the kernel's route — except that when
+   the kernel's best walk revisits an AD, the oracle falls back to
+   enumeration and may still find a legal simple route. *)
+let three_callers_agree =
+  QCheck.Test.make ~name:"serve, policy route and oracle return the same route" ~count:60
+    QCheck.(pair (int_range 14 40) small_int)
+    (fun (size, seed) ->
+      let base = Scenario.for_size ~target_ads:size ~seed () in
+      let g = base.Scenario.graph in
+      let rng = Rng.create seed in
+      let transit =
+        Array.init (Graph.n g) (fun ad ->
+            if Pr_topology.Ad.is_transit_capable (Graph.ad g ad) then random_transit rng g ad
+            else Config.transit base.Scenario.config ad)
+      in
+      let config = Config.make ~transit () in
+      let store = Policy_store.create config in
+      let server = Serve.create g store in
+      let db = flooded_db g config in
+      let view = Policy_search.of_graph g in
+      let scratch = Policy_search.scratch_for view in
+      let n = Graph.n g in
+      List.for_all
+        (fun _ ->
+          let flow =
+            Flow.make ~src:(Rng.int rng n) ~dst:(Rng.int rng n)
+              ~qos:(Rng.choose rng [ Qos.Default; Qos.High_throughput ])
+              ~uci:(Rng.choose rng Uci.all) ~hour:(Rng.int rng 24)
+              ~authenticated:(Rng.bool rng) ()
+          in
+          let served =
+            match Serve.query server ~now:0.0 flow with
+            | Serve.Route { path; _ } -> Some path
+            | Serve.No_route _ -> None
+          in
+          let synthesized = fst (Policy_route.shortest (Policy_route.engine db ~n flow) ()) in
+          let oracle = Validate.shortest_legal g config flow () in
+          let kernel =
+            Policy_search.search scratch view ~src:flow.Flow.src ~dst:flow.Flow.dst
+              ~metric:(fun _ _ k -> Graph.slot_cost g k)
+              ~admit:(fun v p w ->
+                Compiled.allows_crossing (Policy_store.compiled store v) flow ~prev:p ~next:w)
+              ()
+          in
+          match kernel with
+          | Policy_search.Route p ->
+            served = Some p && synthesized = Some p && oracle = Some p
+            && Validate.transit_legal g config flow p
+          | Policy_search.Unreachable -> served = None && synthesized = None && oracle = None
+          | Policy_search.Revisits -> (
+            served = None && synthesized = None
+            &&
+            match oracle with
+            | None -> true
+            | Some p -> Validate.transit_legal g config flow p))
+        (List.init 16 Fun.id))
+
 let () =
   Alcotest.run "pr_serve"
     [
@@ -477,7 +594,8 @@ let () =
           Alcotest.test_case "handle accounting" `Quick handle_accounting;
           Alcotest.test_case "workload determinism" `Quick workload_deterministic;
           Alcotest.test_case "daemon session healthy" `Quick daemon_session_healthy;
-        ] );
+        ]
+        @ qsuite [ three_callers_agree ] );
       ( "orwg-cache",
         [
           Alcotest.test_case "bounded route cache evicts" `Quick orwg_route_cache_bounded;

@@ -11,6 +11,8 @@ module Partial_order = Pr_topology.Partial_order
 module Spf = Pr_topology.Spf
 module Spf_delta = Pr_topology.Spf_delta
 module Hierarchy = Pr_topology.Hierarchy
+module Policy_search = Pr_topology.Policy_search
+module Pqueue = Pr_util.Pqueue
 
 let check_int = Alcotest.(check int)
 
@@ -682,6 +684,127 @@ let hierarchy_compact () =
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
+(* --- Policy_search ----------------------------------------------- *)
+
+(* Admission as a pure pseudo-random function of the crossing. *)
+let random_admit seed pct v p w = Hashtbl.hash (seed, v, p, w) mod 100 < pct
+
+(* The textbook formulation the kernel replaces: dense (v, p) states,
+   one heap entry per strict improvement through each parallel link,
+   float priorities with FIFO ties, lazy deletion. Returns the outcome
+   and the number of states settled. *)
+let reference_search g ~src ~dst ~avoid ~admit =
+  let n = Graph.n g in
+  if src = dst then (Policy_search.Route [ src ], 0)
+  else begin
+    let dist = Array.make (n * n) infinity and parent = Array.make (n * n) (-1) in
+    let settled = Array.make (n * n) false in
+    let q = Pqueue.create () in
+    let start = (src * n) + src and work = ref 0 and final = ref (-1) in
+    dist.(start) <- 0.0;
+    Pqueue.add q ~priority:0.0 start;
+    while !final < 0 && not (Pqueue.is_empty q) do
+      match Pqueue.pop q with
+      | None -> ()
+      | Some (d, st) ->
+        if not settled.(st) then begin
+          settled.(st) <- true;
+          incr work;
+          let v = st / n and p = st mod n in
+          if v = dst then final := st
+          else
+            Graph.iter_neighbors g v ~f:(fun w lid ->
+                if
+                  w <> src
+                  && (w = dst || not (List.mem w avoid))
+                  && (v = src || admit v p w)
+                then begin
+                  let st' = (w * n) + v in
+                  let d' = d +. float_of_int (Graph.link g lid).Link.cost in
+                  if d' < dist.(st') then begin
+                    dist.(st') <- d';
+                    parent.(st') <- st;
+                    Pqueue.add q ~priority:d' st'
+                  end
+                end)
+        end
+    done;
+    let outcome =
+      if !final < 0 then Policy_search.Unreachable
+      else begin
+        let rec build acc st =
+          if st = start then src :: acc else build ((st / n) :: acc) parent.(st)
+        in
+        let path = build [] !final in
+        if Path.is_loop_free path then Policy_search.Route path else Policy_search.Revisits
+      end
+    in
+    (outcome, !work)
+  end
+
+let policy_search_matches_reference =
+  QCheck.Test.make ~name:"Policy_search = dense lazy-deletion reference (route, work)"
+    ~count:300
+    QCheck.(
+      pair small_int (triple small_int (int_range 20 100) (list_of_size Gen.(0 -- 3) small_int)))
+    (fun (gseed, (aseed, pct, avoid)) ->
+      let g = random_multigraph gseed in
+      let n = Graph.n g in
+      let avoid = List.map (fun a -> a mod n) avoid in
+      let view = Policy_search.of_graph g in
+      let scratch = Policy_search.scratch_for view in
+      let admit = random_admit aseed pct in
+      let metric _ _ k = Graph.slot_cost g k in
+      let ok = ref true in
+      (* Every pair, on one reused scratch: stale stamps must never leak
+         from one search into the next. *)
+      for src = 0 to n - 1 do
+        for dst = 0 to n - 1 do
+          let got = Policy_search.search scratch view ~src ~dst ~avoid ~metric ~admit () in
+          let want, work = reference_search g ~src ~dst ~avoid ~admit in
+          if got <> want || Policy_search.settled scratch <> work then ok := false
+        done
+      done;
+      !ok)
+
+let policy_search_basics () =
+  (* A triangle 0-1-2 plus a tail 2-3, where 1 refuses 0 -> 1 -> 2. *)
+  let ads =
+    Array.init 4 (fun id -> Ad.make ~id ~name:(string_of_int id) ~klass:Ad.Hybrid ~level:Ad.Metro)
+  in
+  let link id a b cost = Link.make ~id ~a ~b ~cost Link.Lateral in
+  let g = Graph.create ads [| link 0 0 1 1; link 1 1 2 1; link 2 0 2 5; link 3 2 3 1 |] in
+  let view = Policy_search.of_graph g in
+  let scratch = Policy_search.scratch_for view in
+  let metric _ _ k = Graph.slot_cost g k in
+  let search ?avoid ~admit src dst =
+    Policy_search.search scratch view ~src ~dst ?avoid ~metric ~admit ()
+  in
+  let all _ _ _ = true in
+  check_bool "cheapest route" true (search ~admit:all 0 3 = Policy_search.Route [ 0; 1; 2; 3 ]);
+  check_int "states settled" 5 (Policy_search.settled scratch);
+  let no_012 v p w = not (v = 1 && p = 0 && w = 2) in
+  check_bool "hop-constrained refusal reroutes" true
+    (search ~admit:no_012 0 3 = Policy_search.Route [ 0; 2; 3 ]);
+  check_bool "avoided interior" true
+    (search ~avoid:[ 1 ] ~admit:all 0 3 = Policy_search.Route [ 0; 2; 3 ]);
+  check_bool "avoided destination is exempt" true
+    (search ~avoid:[ 3 ] ~admit:all 0 3 = Policy_search.Route [ 0; 1; 2; 3 ]);
+  check_bool "nothing admitted" true
+    (search ~admit:(fun _ _ _ -> false) 0 3 = Policy_search.Unreachable);
+  check_bool "source to itself" true (search ~admit:all 2 2 = Policy_search.Route [ 2 ]);
+  let unusable _ w _ = if w = 3 then -1 else 1 in
+  check_bool "negative metric = unusable edge" true
+    (Policy_search.search scratch view ~src:0 ~dst:3 ~metric:unusable ~admit:all ()
+    = Policy_search.Unreachable);
+  (* 2 admits only 0 -> 2 -> 1 and 1 -> 2 -> 3 and 1 only 2 -> 1 -> 2:
+     the cheapest walk from 0 to 3 is 0-2-1-2-3, which revisits 2. *)
+  let loop v p w = (v = 2 && ((p = 0 && w = 1) || (p = 1 && w = 3))) || (v = 1 && p = 2 && w = 2) in
+  check_bool "revisiting walk" true (search ~admit:loop 0 3 = Policy_search.Revisits);
+  Alcotest.check_raises "asymmetric rows"
+    (Invalid_argument "Policy_search.of_csr: rows are not symmetric") (fun () ->
+      ignore (Policy_search.of_csr ~off:[| 0; 1; 1 |] ~nbr:[| 1 |]))
+
 let () =
   Alcotest.run "pr_topology"
     [
@@ -733,6 +856,9 @@ let () =
           Alcotest.test_case "cost guard" `Quick delta_cost_guard;
         ]
         @ qsuite [ delta_vs_scratch_prop ] );
+      ( "policy-search",
+        [ Alcotest.test_case "basics" `Quick policy_search_basics ]
+        @ qsuite [ policy_search_matches_reference ] );
       ( "hierarchy",
         [
           Alcotest.test_case "figure1 routes" `Quick hierarchy_figure1;
