@@ -76,6 +76,35 @@ let attackers t = t.attackers
 
 let in_window (w : Plan.window) now = now >= w.Plan.from_time && now <= w.Plan.until_time
 
+(* One message-fault rule. The window makes the record mixed, so
+   [prob] stays a boxed float that passes to [Rng.chance] as is. *)
+type rule = { prob : float; max_extra : float; window : Plan.window }
+
+(* Does any rule fire on this message? Rules are tried in plan order
+   and the walk stops at the first that fires, so later rules draw
+   nothing — the draw sequence of the plan's list order. *)
+let[@inline] fires rules ~now rng =
+  let hit = ref false and i = ref 0 in
+  while (not !hit) && !i < Array.length rules do
+    let r = rules.(!i) in
+    if in_window r.window now && Rng.chance rng r.prob then hit := true;
+    incr i
+  done;
+  !hit
+
+(* Sum of the latency every firing rule adds, in plan order. *)
+let[@inline] extra_latency rules ~now rng =
+  let acc = ref 0.0 in
+  for i = 0 to Array.length rules - 1 do
+    let r = rules.(i) in
+    if in_window r.window now && Rng.chance rng r.prob then
+      acc := !acc +. Rng.float rng r.max_extra
+  done;
+  !acc
+
+(* The copy list of a message no fault touched, shared by all of them. *)
+let unperturbed = [ 0.0 ]
+
 let install (type msg) (net : msg Network.t) ~rng ?crash ?restart ?corrupt
     ?forge (plan : Plan.t) =
   let engine = Network.engine net in
@@ -158,42 +187,47 @@ let install (type msg) (net : msg Network.t) ~rng ?crash ?restart ?corrupt
     a
   in
   let msg_rngs = per_slot_rngs msg_rng in
-  (* Message-level faults become a delivery interposer. *)
-  let drops = ref [] and dups = ref [] and delays = ref [] and reorders = ref [] in
-  List.iter
-    (function
-      | Plan.Drop { prob; window } -> drops := (prob, window) :: !drops
-      | Plan.Duplicate { prob; window } -> dups := (prob, window) :: !dups
-      | Plan.Delay { prob; max_extra; window } ->
-        delays := (prob, max_extra, window) :: !delays
-      | Plan.Reorder { prob; max_extra; window } ->
-        reorders := (prob, max_extra, window) :: !reorders
-      | Plan.Crash _ | Plan.Partition _ | Plan.Flap_storm _ | Plan.Corrupt _
-      | Plan.Replay _ | Plan.Forge _ | Plan.Flap_chatter _ -> ())
-    plan;
-  let drops = List.rev !drops
-  and dups = List.rev !dups
-  and delays = List.rev !delays
-  and reorders = List.rev !reorders in
-  if drops <> [] || dups <> [] || delays <> [] || reorders <> [] then begin
-    let has_delay = delays <> [] in
+  (* Message-level faults become a delivery interposer. Each kind's
+     rules sit in an array in plan order and are walked without
+     closures; a rule keeps its probability boxed, so handing it to
+     [Rng.chance] allocates nothing. *)
+  let rules pick = Array.of_list (List.filter_map pick plan) in
+  let drops =
+    rules (function
+      | Plan.Drop { prob; window } -> Some { prob; max_extra = 0.0; window }
+      | _ -> None)
+  and dups =
+    rules (function
+      | Plan.Duplicate { prob; window } -> Some { prob; max_extra = 0.0; window }
+      | _ -> None)
+  and delays =
+    rules (function
+      | Plan.Delay { prob; max_extra; window } -> Some { prob; max_extra; window }
+      | _ -> None)
+  and reorders =
+    rules (function
+      | Plan.Reorder { prob; max_extra; window } -> Some { prob; max_extra; window }
+      | _ -> None)
+  in
+  if Plan.has_message_faults plan then begin
+    let has_delay = delays <> [||] in
     (* Latest scheduled arrival per directed neighbor pair: the FIFO
        clamp floor. Plain added latency must not overtake earlier
-       messages on the same channel — only Reorder may do that. Keyed
-       by the sender's owning shard: every send for [src] executes
-       either on that lane or on the main domain while lanes are
-       parked, so each table has one writer at a time. *)
-    let last_arrival : (int * int, float) Hashtbl.t array =
-      Array.init shards (fun _ -> Hashtbl.create 64)
-    in
+       messages on the same channel — only Reorder may do that. One
+       flat float per directed unique-neighbor slot (parallel links
+       share their pair's slot, hence one floor), 0 before the first
+       clamp. Indexed by the sender's owning shard: every send for
+       [src] executes either on that lane or on the main domain while
+       lanes are parked, so each array has one writer at a time. *)
+    let nslots = Array.length (snd (Graph.unique_csr graph)) in
+    let last_arrival = Array.init shards (fun _ -> Float.Array.make nslots 0.0) in
     Network.set_delivery_interposer net
       (Some
-         (fun ~src ~dst ~link ->
+         (fun ~src ~dst ~slot:pair ~link ->
            let now = Engine.now engine in
-           let mrng = msg_rngs.(slot ()) in
            let s = slot () in
-           if List.exists (fun (p, w) -> in_window w now && Rng.chance mrng p) drops
-           then begin
+           let mrng = msg_rngs.(s) in
+           if fires drops ~now mrng then begin
              t.dropped.(s) <- t.dropped.(s) + 1;
              instant ~tid:dst "fault.drop";
              []
@@ -201,20 +235,8 @@ let install (type msg) (net : msg Network.t) ~rng ?crash ?restart ?corrupt
            else begin
              let base_delay = (Graph.link graph link).Link.delay in
              let base = now +. base_delay in
-             let extra_d =
-               List.fold_left
-                 (fun acc (p, mx, w) ->
-                   if in_window w now && Rng.chance mrng p then acc +. Rng.float mrng mx
-                   else acc)
-                 0.0 delays
-             in
-             let extra_r =
-               List.fold_left
-                 (fun acc (p, mx, w) ->
-                   if in_window w now && Rng.chance mrng p then acc +. Rng.float mrng mx
-                   else acc)
-                 0.0 reorders
-             in
+             let extra_d = extra_latency delays ~now mrng in
+             let extra_r = extra_latency reorders ~now mrng in
              if extra_d > 0.0 then begin
                t.delayed.(s) <- t.delayed.(s) + 1;
                instant ~tid:dst "fault.delay"
@@ -224,36 +246,34 @@ let install (type msg) (net : msg Network.t) ~rng ?crash ?restart ?corrupt
                instant ~tid:dst "fault.reorder"
              end;
              let la = last_arrival.(Engine.shard_owner engine src) in
-             let key = (src, dst) in
+             let clamp = has_delay && extra_r = 0.0 in
              let arrival =
                if extra_r > 0.0 then base +. extra_d +. extra_r
                else if has_delay then begin
                  (* Clamp even undelayed messages: one may not overtake
                     an earlier delayed one on the same channel. *)
-                 let floor_a =
-                   match Hashtbl.find_opt la key with
-                   | Some a -> a
-                   | None -> 0.0
-                 in
-                 let a = Stdlib.max (base +. extra_d) floor_a in
-                 Hashtbl.replace la key a;
+                 let floor_a = Float.Array.get la pair in
+                 let a = base +. extra_d in
+                 let a = if a >= floor_a then a else floor_a in
+                 Float.Array.set la pair a;
                  a
                end
                else base
              in
-             let copies = ref [ arrival -. base ] in
-             List.iter
-               (fun (p, w) ->
-                 if in_window w now && Rng.chance mrng p then begin
-                   t.duplicated.(s) <- t.duplicated.(s) + 1;
-                   instant ~tid:dst "fault.dup";
-                   let dup_arrival = arrival +. (0.25 *. base_delay) in
-                   if has_delay && extra_r = 0.0 then
-                     Hashtbl.replace la key dup_arrival;
-                   copies := (dup_arrival -. base) :: !copies
-                 end)
-               dups;
-             List.rev !copies
+             let copies = ref [] in
+             for i = 0 to Array.length dups - 1 do
+               let r = dups.(i) in
+               if in_window r.window now && Rng.chance mrng r.prob then begin
+                 t.duplicated.(s) <- t.duplicated.(s) + 1;
+                 instant ~tid:dst "fault.dup";
+                 let dup_arrival = arrival +. (0.25 *. base_delay) in
+                 if clamp then Float.Array.set la pair dup_arrival;
+                 copies := (dup_arrival -. base) :: !copies
+               end
+             done;
+             match !copies with
+             | [] when arrival = base -> unperturbed
+             | dup_copies -> (arrival -. base) :: List.rev dup_copies
            end))
   end;
   (* Byzantine actions: one attacker AD per run (for actions with

@@ -191,15 +191,43 @@ let get_float_opt fields key =
 
 let get_prob fields =
   let* p = get_float fields "p" in
-  if p < 0.0 || p > 1.0 then Error (Printf.sprintf "p=%s out of [0,1]" (float_str p))
+  if Float.is_nan p || p < 0.0 || p > 1.0 then
+    Error (Printf.sprintf "p=%s out of [0,1]" (float_str p))
   else Ok p
 
+(* Times, durations and latency bounds must be finite and non-negative:
+   a time in the past cannot be scheduled, and a NaN or infinite one
+   means nothing. *)
+let check_time key v =
+  if Float.is_finite v && v >= 0.0 then Ok v
+  else Error (Printf.sprintf "%s=%s must be a finite number >= 0" key (float_str v))
+
+let get_time fields key =
+  let* v = get_float fields key in
+  check_time key v
+
+let get_time_opt fields key =
+  let* v = get_float_opt fields key in
+  match v with
+  | None -> Ok None
+  | Some v ->
+    let* v = check_time key v in
+    Ok (Some v)
+
+let get_count fields key =
+  let* v = get_float fields key in
+  if Float.is_integer v && v >= 0.0 && v <= 1e9 then Ok (int_of_float v)
+  else Error (Printf.sprintf "%s=%s must be a whole number >= 0" key (float_str v))
+
+(* [until] may be infinite — an explicit unbounded window. *)
 let get_window fields =
-  let* from_time = get_float_opt fields "from" in
+  let* from_time = get_time_opt fields "from" in
   let* until_time = get_float_opt fields "until" in
   let from_time = Option.value from_time ~default:0.0 in
   let until_time = Option.value until_time ~default:Float.infinity in
-  if until_time < from_time then Error "until < from"
+  if Float.is_nan until_time || until_time < 0.0 then
+    Error (Printf.sprintf "until=%s must be a number >= 0" (float_str until_time))
+  else if until_time < from_time then Error "until < from"
   else Ok { from_time; until_time }
 
 let parse_action s =
@@ -219,49 +247,49 @@ let parse_action s =
       Ok (Duplicate { prob; window })
     | "delay" ->
       let* prob = get_prob fields in
-      let* max_extra = get_float fields "max" in
+      let* max_extra = get_time fields "max" in
       let* window = get_window fields in
       Ok (Delay { prob; max_extra; window })
     | "reorder" ->
       let* prob = get_prob fields in
-      let* max_extra = get_float fields "max" in
+      let* max_extra = get_time fields "max" in
       let* window = get_window fields in
       Ok (Reorder { prob; max_extra; window })
     | "crash" ->
-      let* at_time = get_float fields "at" in
-      let* down_for = get_float_opt fields "down" in
+      let* at_time = get_time fields "at" in
+      let* down_for = get_time_opt fields "down" in
       let ad =
         Option.bind (List.assoc_opt "ad" fields) int_of_string_opt
       in
       Ok (Crash { ad; at_time; down_for })
     | "partition" ->
-      let* at_time = get_float fields "at" in
-      let* heal_after = get_float_opt fields "heal" in
+      let* at_time = get_time fields "at" in
+      let* heal_after = get_time_opt fields "heal" in
       Ok (Partition { at_time; heal_after })
     | "storm" ->
-      let* at_time = get_float fields "at" in
-      let* flaps = get_float fields "flaps" in
-      let* spacing = get_float fields "spacing" in
-      Ok (Flap_storm { at_time; flaps = int_of_float flaps; spacing })
+      let* at_time = get_time fields "at" in
+      let* flaps = get_count fields "flaps" in
+      let* spacing = get_time fields "spacing" in
+      Ok (Flap_storm { at_time; flaps; spacing })
     | "corrupt" ->
       let* prob = get_prob fields in
       let* window = get_window fields in
       let ad = Option.bind (List.assoc_opt "ad" fields) int_of_string_opt in
       Ok (Corrupt { prob; ad; window })
     | "replay" ->
-      let* at_time = get_float fields "at" in
-      let* count = get_float fields "count" in
-      Ok (Replay { at_time; count = int_of_float count })
+      let* at_time = get_time fields "at" in
+      let* count = get_count fields "count" in
+      Ok (Replay { at_time; count })
     | "forge" ->
-      let* at_time = get_float fields "at" in
+      let* at_time = get_time fields "at" in
       let ad = Option.bind (List.assoc_opt "ad" fields) int_of_string_opt in
       Ok (Forge { at_time; ad })
     | "chatter" ->
-      let* at_time = get_float fields "at" in
-      let* flaps = get_float fields "flaps" in
-      let* spacing = get_float fields "spacing" in
+      let* at_time = get_time fields "at" in
+      let* flaps = get_count fields "flaps" in
+      let* spacing = get_time fields "spacing" in
       let ad = Option.bind (List.assoc_opt "ad" fields) int_of_string_opt in
-      Ok (Flap_chatter { at_time; ad; flaps = int_of_float flaps; spacing })
+      Ok (Flap_chatter { at_time; ad; flaps; spacing })
     | other -> Error (Printf.sprintf "unknown fault kind %S" other))
 
 let of_string s =

@@ -98,7 +98,11 @@ val of_string : string -> (t, string) result
     [replay:at,count], [forge:at,ad], [chatter:at,flaps,spacing,ad].
     Omitted [from]/[until] mean an unbounded window; omitted
     [down]/[heal] mean no recovery; omitted [ad] means a random (or for
-    Byzantine actions, the deterministic attacker) transit AD. *)
+    Byzantine actions, the deterministic attacker) transit AD.
+    Rejected with a message: probabilities outside [\[0,1\]] (NaN
+    included); times, durations, [spacing] and [max] that are negative
+    or not finite ([until] alone may be infinite); [flaps] and [count]
+    that are not whole numbers >= 0. *)
 
 val incident_times : t -> float list
 (** Sorted, deduplicated times at which the plan changes topology or

@@ -108,13 +108,15 @@ type peer = {
   mutable next_backoff : float;
 }
 
+module Peers = Hashtbl.Make (Int)
+
 type t = {
   cfg : config;
   engine : Engine.t;
   (* Everything below is indexed by the observing AD [at], whose
      receive path runs on exactly one lane — single-writer by
      construction under sharding. *)
-  peers : (int, peer) Hashtbl.t array;  (* peers.(at), keyed by nbr *)
+  peers : peer Peers.t array;  (* peers.(at), keyed by nbr *)
   on_readmit : at:int -> nbr:int -> unit;
   rejected : int array;
   quarantines : int array;
@@ -141,7 +143,7 @@ let create ?(config = default_config) ~engine ~n ~on_readmit () =
   {
     cfg = config;
     engine;
-    peers = Array.init n (fun _ -> Hashtbl.create 4);
+    peers = Array.init n (fun _ -> Peers.create 4);
     on_readmit;
     rejected = Array.make n 0;
     quarantines = Array.make n 0;
@@ -166,11 +168,13 @@ let bump t main lanes =
 
 let sum = Array.fold_left ( + ) 0
 
+(* Monomorphic int lookup that returns the record itself: no
+   polymorphic hash and no [Some] box on the receive path. *)
 let peer t at nbr =
   let tbl = t.peers.(at) in
-  match Hashtbl.find_opt tbl nbr with
-  | Some p -> p
-  | None ->
+  match Peers.find tbl nbr with
+  | p -> p
+  | exception Not_found ->
     let p =
       {
         penalty = 0.0;
@@ -180,7 +184,7 @@ let peer t at nbr =
         next_backoff = t.cfg.backoff;
       }
     in
-    Hashtbl.replace tbl nbr p;
+    Peers.replace tbl nbr p;
     p
 
 let current_penalty t p ~now =

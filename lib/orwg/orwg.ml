@@ -198,24 +198,27 @@ module Make (V : VARIANT) = struct
            LSA can only invalidate routes that origin sits on —
            adjacency support and transit admission are both decided by
            the LSAs of the path's own members — so only those entries
-           are rechecked ([None] = database reset, recheck all). *)
+           are rechecked ([None] = database reset, recheck all). Most
+           ADs never set up a route, so an empty cache returns at once. *)
         let node = t.nodes.(ad) in
-        let touches entry =
-          match origin with None -> true | Some o -> List.mem o entry.path
-        in
-        let stale =
-          Lru.fold node.pr_cache ~init:[]
-            ~f:(fun acc ((dst, class_idx) as key) entry ->
-              if not (touches entry) then acc
-              else begin
-                let qos = Pr_policy.Qos.of_index (class_idx / Pr_policy.Uci.count) in
-                let uci = Pr_policy.Uci.of_index (class_idx mod Pr_policy.Uci.count) in
-                let flow = Flow.make ~src:ad ~dst ~qos ~uci () in
-                if path_supported (Ls_flood.db t.flood ad) ~n flow entry.path then acc
-                else key :: acc
-              end)
-        in
-        List.iter (Lru.remove node.pr_cache) stale);
+        if Lru.length node.pr_cache > 0 then begin
+          let touches entry =
+            match origin with None -> true | Some o -> List.mem o entry.path
+          in
+          let stale =
+            Lru.fold node.pr_cache ~init:[]
+              ~f:(fun acc ((dst, class_idx) as key) entry ->
+                if not (touches entry) then acc
+                else begin
+                  let qos = Pr_policy.Qos.of_index (class_idx / Pr_policy.Uci.count) in
+                  let uci = Pr_policy.Uci.of_index (class_idx mod Pr_policy.Uci.count) in
+                  let flow = Flow.make ~src:ad ~dst ~qos ~uci () in
+                  if path_supported (Ls_flood.db t.flood ad) ~n flow entry.path then acc
+                  else key :: acc
+                end)
+          in
+          List.iter (Lru.remove node.pr_cache) stale
+        end);
     t
 
   (* The AD's live transit policy: whatever the private store holds

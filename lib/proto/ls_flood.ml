@@ -59,13 +59,13 @@ let current_adjacencies t ad =
   let g = Network.graph t.net in
   let acc = ref [] in
   Graph.iter_neighbor_ids g ad ~f:(fun nbr ->
-      match Network.up_link_between t.net ad nbr with
-      | None -> ()
-      | Some lid ->
+      let lid = Network.up_link t.net ad nbr in
+      if lid >= 0 then begin
         let l = Graph.link g lid in
         acc :=
           { Lsdb.nbr; cost = l.Pr_topology.Link.cost; delay = l.Pr_topology.Link.delay }
-          :: !acc);
+          :: !acc
+      end);
   List.rev !acc
 
 let flood_from t ad ?except lsa =
@@ -204,10 +204,7 @@ let handle_link t ~at ~up:_ = originate t at
    checked against the static config: ORWG mutates transit policies
    live ([set_policy]), so only ownership is invariant. *)
 
-let link_exists g u v =
-  let found = ref false in
-  Graph.iter_links_between g u v ~f:(fun _ -> found := true);
-  !found
+let link_exists g u v = Graph.uniq_slot g u v >= 0
 
 let check_lsa t ~at:_ (lsa : Lsdb.lsa) =
   let g = Network.graph t.net in

@@ -160,10 +160,15 @@ type shared = {
 
 type mode = Single | Sharded of shared
 
+(* The engine clock lives in an all-float record, which OCaml stores
+   flat: advancing it once per event is a plain store, not a boxed
+   float plus a write barrier. *)
+type clock = { mutable now : float }
+
 type t = {
   id : int;
   queue : (unit -> unit) Pqueue.t; (* single mode only *)
-  mutable clock : float;
+  clock : clock;
   mutable executed : int;
   mutable trace : Trace.t;
   mutable observer : (time:float -> pending:int -> unit) option;
@@ -238,7 +243,7 @@ let create ?shards () =
   {
     id = Atomic.fetch_and_add next_id 1;
     queue = Pqueue.create ();
-    clock = 0.0;
+    clock = { now = 0.0 };
     executed = 0;
     trace = Trace.disabled;
     observer = None;
@@ -251,7 +256,10 @@ let create ?shards () =
 let shard_count t =
   match t.mode with Single -> 1 | Sharded s -> Array.length s.lanes
 
-let current_shard t = match lane_of t with Some ln -> ln.lid | None -> -1
+let current_shard t =
+  match t.mode with
+  | Single -> -1
+  | Sharded _ -> ( match lane_of t with Some ln -> ln.lid | None -> -1)
 
 let shard_registry t i =
   match t.mode with Single -> Reg.default | Sharded s -> s.lanes.(i).lreg
@@ -265,7 +273,10 @@ let shard_owner t ad =
 let add_end_of_run_hook t f =
   match t.mode with Single -> () | Sharded s -> s.hooks <- f :: s.hooks
 
-let now t = match lane_of t with Some ln -> ln.lclock | None -> t.clock
+let now t =
+  match t.mode with
+  | Single -> t.clock.now
+  | Sharded _ -> ( match lane_of t with Some ln -> ln.lclock | None -> t.clock.now)
 
 let set_trace t trace =
   t.trace <- trace;
@@ -323,7 +334,7 @@ let schedule_at t ~time f =
 let schedule_for t ~ad ~delay f =
   if delay < 0.0 then invalid_arg "Engine.schedule_for: negative delay";
   match t.mode with
-  | Single -> Pqueue.add t.queue ~priority:(t.clock +. delay) f
+  | Single -> Pqueue.add t.queue ~priority:(t.clock.now +. delay) f
   | Sharded s -> (
     let dst = Shard.owner s.spec ad in
     match lane_of t with
@@ -337,7 +348,7 @@ let schedule_for t ~ad ~delay f =
     | None ->
       (* Workers are parked whenever the main domain runs, so pushing
          straight into the owner's heap is race-free. *)
-      Evheap.add s.lanes.(dst).heap (main_key s ~time:(t.clock +. delay) f))
+      Evheap.add s.lanes.(dst).heap (main_key s ~time:(t.clock.now +. delay) f))
 
 let pending t =
   match t.mode with
@@ -355,7 +366,7 @@ type stop_reason = Drained | Reached_limit
    the engine.queue_depth gauge. *)
 let depth_sample_mask = 63
 
-(* ===== single-shard run: the original engine, verbatim ============== *)
+(* ===== single-shard run ============================================ *)
 
 let run_single ~max_events t =
   let budget = ref max_events in
@@ -365,33 +376,33 @@ let run_single ~max_events t =
     if !budget <= 0 then begin
       Log.warn (fun m ->
           m "event limit reached: %d events executed, %d still pending at t=%g"
-            t.executed (Pqueue.length t.queue) t.clock);
-      Flight.note Flight.global ~ts:t.clock
+            t.executed (Pqueue.length t.queue) t.clock.now);
+      Flight.note Flight.global ~ts:t.clock.now
         ~value:(float_of_int (Pqueue.length t.queue))
         ~detail:"event budget exhausted with work pending"
         "engine.reached_limit";
       Reached_limit
     end
-    else
-      match Pqueue.pop t.queue with
-      | None -> Drained
-      | Some (time, f) ->
-        t.clock <- time;
-        t.executed <- t.executed + 1;
-        Reg.inc t.m_events;
-        decr budget;
-        f ();
-        if t.executed land depth_sample_mask = 0 then begin
-          let depth = Pqueue.length t.queue in
-          Reg.set t.m_depth (float_of_int depth);
-          if Trace.enabled t.trace then
-            Trace.counter t.trace ~ts:t.clock ~tid:0
-              ~value:(float_of_int depth) "engine.queue_depth"
-        end;
-        (match t.observer with
-        | Some obs -> obs ~time:t.clock ~pending:(Pqueue.length t.queue)
-        | None -> ());
-        loop ()
+    else if Pqueue.is_empty t.queue then Drained
+    else begin
+      t.clock.now <- Pqueue.top_priority t.queue;
+      let f = Pqueue.pop_value t.queue in
+      t.executed <- t.executed + 1;
+      Reg.inc t.m_events;
+      decr budget;
+      f ();
+      if t.executed land depth_sample_mask = 0 then begin
+        let depth = Pqueue.length t.queue in
+        Reg.set t.m_depth (float_of_int depth);
+        if Trace.enabled t.trace then
+          Trace.counter t.trace ~ts:t.clock.now ~tid:0
+            ~value:(float_of_int depth) "engine.queue_depth"
+      end;
+      (match t.observer with
+      | Some obs -> obs ~time:t.clock.now ~pending:(Pqueue.length t.queue)
+      | None -> ());
+      loop ()
+    end
   in
   let reason = loop () in
   let wall = Sys.time () -. wall_start in
@@ -541,8 +552,8 @@ let reached_limit_sharded t s =
       m
         "event limit reached: %d events executed, %d still pending at t=%g \
          (per-shard pending [%s], control %d)"
-        t.executed pend t.clock depths (Evheap.length s.control));
-  Flight.note Flight.global ~ts:t.clock ~value:(float_of_int pend)
+        t.executed pend t.clock.now depths (Evheap.length s.control));
+  Flight.note Flight.global ~ts:t.clock.now ~value:(float_of_int pend)
     ~detail:
       (Printf.sprintf
          "event budget exhausted with work pending; per-shard pending [%s], \
@@ -578,7 +589,7 @@ let run_sharded ~max_events t s =
   in
   let observe () =
     match t.observer with
-    | Some obs -> obs ~time:t.clock ~pending:(pending t)
+    | Some obs -> obs ~time:t.clock.now ~pending:(pending t)
     | None -> ()
   in
   let rec loop () =
@@ -602,7 +613,7 @@ let run_sharded ~max_events t s =
              nemesis / chaos closures working unmodified. *)
           let ce = Option.get copt in
           ignore (Evheap.pop s.control);
-          t.clock <- ce.etime;
+          t.clock.now <- ce.etime;
           let own = { g = s.next_g; lseq = 0 } in
           s.next_g <- s.next_g + 1;
           s.ctl_par <- Some own;
@@ -649,7 +660,7 @@ let run_sharded ~max_events t s =
           t.executed <- t.executed + n;
           drain_outboxes s;
           Array.iter
-            (fun ln -> if ln.lclock > t.clock then t.clock <- ln.lclock)
+            (fun ln -> if ln.lclock > t.clock.now then t.clock.now <- ln.lclock)
             s.lanes;
           Reg.set t.m_depth (float_of_int (pending t));
           observe ();

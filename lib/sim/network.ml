@@ -7,7 +7,7 @@ module Flight = Pr_telemetry.Flight
 
 (* Debug tracing: enable with Logs.Src.set_level Network.log_src
    (Some Logs.Debug) and a reporter. Off by default and free when
-   disabled (messages are built lazily). *)
+   disabled: the hot paths test the level before building a message. *)
 let log_src = Logs.Src.create "pr.network" ~doc:"Inter-AD message passing"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
@@ -24,7 +24,8 @@ type 'msg t = {
      delivery, several entries = duplicates). None (the default) costs
      one match per send. *)
   mutable interpose :
-    (src:Pr_topology.Ad.id -> dst:Pr_topology.Ad.id -> link:Link.id -> float list) option;
+    (src:Pr_topology.Ad.id -> dst:Pr_topology.Ad.id -> slot:int -> link:Link.id -> float list)
+    option;
   (* Byzantine hook: rewrite a message as it leaves [src] ([None] from
      the hook = pass unchanged). Used by the nemesis to model an
      attacker AD corrupting its own updates. *)
@@ -107,12 +108,19 @@ let trace t = if t.sharded then Engine.trace t.engine else t.trace
 (* Context-resolved counter handles: the executing shard's on a worker
    domain, the default-registry ones otherwise. *)
 let sends_ctr t =
-  let i = Engine.current_shard t.engine in
-  if i < 0 then t.m_sends else t.lane_sends.(i)
+  if not t.sharded then t.m_sends
+  else
+    let i = Engine.current_shard t.engine in
+    if i < 0 then t.m_sends else t.lane_sends.(i)
 
 let losses_ctr t =
-  let i = Engine.current_shard t.engine in
-  if i < 0 then t.m_losses else t.lane_losses.(i)
+  if not t.sharded then t.m_losses
+  else
+    let i = Engine.current_shard t.engine in
+    if i < 0 then t.m_losses else t.lane_losses.(i)
+
+let debug_on () =
+  match Logs.Src.level log_src with Some Logs.Debug -> true | _ -> false
 
 let set_message_handler t f = t.on_message <- f
 
@@ -126,19 +134,12 @@ let link_is_up t lid = t.link_up.(lid)
 
 let node_is_up t ad = t.node_up.(ad)
 
-let up_link_between t x y =
-  let best = ref (-1) and best_cost = ref max_int in
-  Graph.iter_links_between t.graph x y ~f:(fun lid ->
-      if t.link_up.(lid) then begin
-        let c = (Graph.link t.graph lid).Link.cost in
-        if c < !best_cost then begin
-          best := lid;
-          best_cost := c
-        end
-      end);
-  if !best < 0 then None else Some !best
+(* The one link lookup: the pair's slot, then its cheapest up link. *)
+let slot_link t k = if k < 0 then -1 else Graph.cheapest_up_link t.graph k ~up:t.link_up
 
-let adjacent_and_up t x y = up_link_between t x y <> None
+let up_link t x y = slot_link t (Graph.uniq_slot t.graph x y)
+
+let adjacent_and_up t x y = up_link t x y >= 0
 
 let iter_up_neighbors t x ~f =
   (* The CSR row is sorted by neighbor, so parallel links are adjacent:
@@ -167,23 +168,33 @@ let lose t ~src ~dst =
   let tr = trace t in
   if Trace.enabled tr then
     Trace.instant tr ~ts:(Engine.now t.engine) ~tid:dst "net.lost";
-  Log.debug (fun m ->
-      m "t=%.1f message %d -> %d lost in flight" (Engine.now t.engine) src dst)
+  if debug_on () then
+    Log.debug (fun m ->
+        m "t=%.1f message %d -> %d lost in flight" (Engine.now t.engine) src dst)
+
+(* One delivery event per interposed copy. A zero extra reuses the
+   link's own delay, so the common unperturbed copy boxes no float. *)
+let rec schedule_copies t ~dst ~delay deliver = function
+  | [] -> ()
+  | extra :: rest ->
+    if extra = 0.0 then Engine.schedule_for t.engine ~ad:dst ~delay deliver
+    else Engine.schedule_for t.engine ~ad:dst ~delay:(delay +. extra) deliver;
+    schedule_copies t ~dst ~delay deliver rest
 
 let send t ~src ~dst ~bytes msg =
   (* A crashed AD transmits nothing. *)
-  if not t.node_up.(src) then ()
-  else
-    match up_link_between t src dst with
-    | None -> ()
-    | Some lid ->
+  if t.node_up.(src) then begin
+    let slot = Graph.uniq_slot t.graph src dst in
+    let lid = slot_link t slot in
+    if lid >= 0 then begin
       Metrics.record_send t.metrics src ~bytes;
       Reg.inc (sends_ctr t);
       let tr = trace t in
       if Trace.enabled tr then
         Trace.instant tr ~ts:(Engine.now t.engine) ~tid:src "net.send";
-      Log.debug (fun m ->
-          m "t=%.1f send %d -> %d (%d bytes)" (Engine.now t.engine) src dst bytes);
+      if debug_on () then
+        Log.debug (fun m ->
+            m "t=%.1f send %d -> %d (%d bytes)" (Engine.now t.engine) src dst bytes);
       let msg =
         match t.tamper with
         | None -> msg
@@ -199,19 +210,17 @@ let send t ~src ~dst ~bytes msg =
       (* Delivery executes on the shard owning the receiver; link
          delays are >= the cross-shard minimum by construction, so the
          window synchronizer never has to delay these further. *)
-      (match t.interpose with
+      match t.interpose with
       | None -> Engine.schedule_for t.engine ~ad:dst ~delay deliver
       | Some f -> (
-        match f ~src ~dst ~link:lid with
+        match f ~src ~dst ~slot ~link:lid with
         | [] ->
           (* The fault plan ate it; the bits were still transmitted, so
              the send stays charged. *)
           lose t ~src ~dst
-        | extras ->
-          List.iter
-            (fun extra ->
-              Engine.schedule_for t.engine ~ad:dst ~delay:(delay +. extra) deliver)
-            extras))
+        | extras -> schedule_copies t ~dst ~delay deliver extras)
+    end
+  end
 
 let broadcast t ~src ~bytes msg =
   let neighbors = up_neighbors t src in

@@ -44,16 +44,22 @@ val set_link_handler :
 
 val set_delivery_interposer :
   'msg t ->
-  (src:Pr_topology.Ad.id -> dst:Pr_topology.Ad.id -> link:Pr_topology.Link.id -> float list)
+  (src:Pr_topology.Ad.id ->
+  dst:Pr_topology.Ad.id ->
+  slot:int ->
+  link:Pr_topology.Link.id ->
+  float list)
   option ->
   unit
 (** Install (or remove, with [None]) a fault-plan hook consulted on
-    every send. It returns the extra delivery delays of the message's
-    copies: [\[0.0\]] is the unperturbed delivery, [\[\]] drops the
-    message in flight (counted in {!Pr_sim.Metrics.msgs_lost}, the
-    send still charged), several entries duplicate it, and non-zero
-    entries delay it. Without an interposer the only cost is one match
-    per send. *)
+    every send. [slot] is the directed pair's
+    {!Pr_topology.Graph.uniq_slot} (shared by parallel links), [link]
+    the link the message travels. It returns the extra delivery delays
+    of the message's copies: [\[0.0\]] is the unperturbed delivery,
+    [\[\]] drops the message in flight (counted in
+    {!Pr_sim.Metrics.msgs_lost}, the send still charged), several
+    entries duplicate it, and non-zero entries delay it. Without an
+    interposer the only cost is one match per send. *)
 
 val set_message_tamper :
   'msg t ->
@@ -94,6 +100,10 @@ val set_node_state : 'msg t -> Pr_topology.Ad.id -> up:bool -> unit
     [Pr_proto.Runner.Make.crash_ad]. No-op when the state is
     unchanged. *)
 
+val up_link : 'msg t -> Pr_topology.Ad.id -> Pr_topology.Ad.id -> Pr_topology.Link.id
+(** The cheapest up link joining the two ADs (lowest id among equally
+    cheap ones), or [-1] when none is up — the link {!send} uses. *)
+
 val adjacent_and_up : 'msg t -> Pr_topology.Ad.id -> Pr_topology.Ad.id -> bool
 (** Some up link joins the two ADs. *)
 
@@ -103,10 +113,6 @@ val up_neighbors : 'msg t -> Pr_topology.Ad.id -> Pr_topology.Ad.id list
 val iter_up_neighbors : 'msg t -> Pr_topology.Ad.id -> f:(Pr_topology.Ad.id -> unit) -> unit
 (** Allocation-free {!up_neighbors}: each reachable neighbor once, in
     increasing id order. The form protocol inner loops should use. *)
-
-val up_link_between :
-  'msg t -> Pr_topology.Ad.id -> Pr_topology.Ad.id -> Pr_topology.Link.id option
-(** The cheapest up link joining the two ADs, if any. *)
 
 val set_link_state : 'msg t -> Pr_topology.Link.id -> up:bool -> unit
 (** Change a link's state immediately and notify both endpoints

@@ -158,7 +158,6 @@ let neighbor_ids t i =
 
 let degree t i = t.off.(i + 1) - t.off.(i)
 
-(* Index into the unique-neighbor row of [x] holding [y], or -1. *)
 let uniq_slot t x y =
   let lo = ref t.uoff.(x) and hi = ref (t.uoff.(x + 1) - 1) in
   let found = ref (-1) in
@@ -172,6 +171,27 @@ let uniq_slot t x y =
 let unique_csr t = (t.uoff, t.uniq_nbr)
 
 let slot_cost t k = t.links.(t.uniq_best.(k)).Link.cost
+
+(* The precomputed cheapest link answers whenever it is up; only a
+   pair whose cheapest link is down scans its parallel group. Both
+   pick the lowest id among equally cheap links. *)
+let cheapest_up_link t k ~up =
+  let best = t.uniq_best.(k) in
+  if up.(best) then best
+  else begin
+    let found = ref (-1) and cost = ref max_int in
+    for s = t.uniq_first.(k) to t.uniq_first.(k + 1) - 1 do
+      let lid = t.adj_link.(s) in
+      if up.(lid) then begin
+        let c = t.links.(lid).Link.cost in
+        if c < !cost then begin
+          found := lid;
+          cost := c
+        end
+      end
+    done;
+    !found
+  end
 
 let fold_slot_links t k ~init ~f =
   let acc = ref init in
@@ -187,13 +207,6 @@ let find_link t x y =
 let link_cost t x y =
   let k = uniq_slot t x y in
   if k < 0 then -1 else t.links.(t.uniq_best.(k)).Link.cost
-
-let iter_links_between t x y ~f =
-  let k = uniq_slot t x y in
-  if k >= 0 then
-    for s = t.uniq_first.(k) to t.uniq_first.(k + 1) - 1 do
-      f t.adj_link.(s)
-    done
 
 let bfs_hops t src =
   let n = n t in

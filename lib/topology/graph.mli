@@ -52,10 +52,6 @@ val iter_neighbor_ids : t -> Ad.id -> f:(Ad.id -> unit) -> unit
 val fold_neighbors : t -> Ad.id -> init:'a -> f:('a -> Ad.id -> Link.id -> 'a) -> 'a
 (** Fold over the AD's (neighbor, link) pairs without building a list. *)
 
-val iter_links_between : t -> Ad.id -> Ad.id -> f:(Link.id -> unit) -> unit
-(** Iterate every parallel link joining the two ADs, in increasing link
-    id order; does nothing when they are not adjacent. *)
-
 val degree : t -> Ad.id -> int
 
 val unique_csr : t -> int array * int array
@@ -63,6 +59,17 @@ val unique_csr : t -> int array * int array
     graph (never mutate it): row [v] spans [off.(v) .. off.(v+1) - 1]
     of [nbr], in increasing neighbor order. Index [k] of [nbr] is the
     {e slot} of the AD pair (owner of the row, [nbr.(k)]). *)
+
+val uniq_slot : t -> Ad.id -> Ad.id -> int
+(** The slot of the AD pair in [x]'s unique-neighbor row (see
+    {!unique_csr}), or [-1] when the ADs are not adjacent. O(log
+    degree). Slots are directed: [(x, y)] and [(y, x)] are different
+    slots, and parallel links share their pair's slot. *)
+
+val cheapest_up_link : t -> int -> up:bool array -> Link.id
+(** The cheapest link of the slot's AD pair whose [up] entry (indexed
+    by link id) is true, lowest id among equally cheap ones; [-1] when
+    none is up. Allocation-free. *)
 
 val slot_cost : t -> int -> int
 (** Cost of the cheapest link of the slot's AD pair. *)

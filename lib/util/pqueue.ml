@@ -1,99 +1,168 @@
-(* Binary min-heap in a growable array. Each entry carries the insertion
-   sequence number so that equal priorities pop in FIFO order. *)
+(* Binary min-heap ordered by (priority, insertion seq) whose sifts
+   never touch a boxed value. Heap position [i] is three parallel
+   unboxed cells — [prio] (a flat [Float.Array]), [seq] and [slot] —
+   so moving an entry is three stores of immediates: no [caml_modify],
+   no write barrier, nothing for the minor GC to scan. Sifts carry the
+   moving entry in locals and write the hole once per level.
 
-type 'a entry = { priority : float; seq : int; value : 'a }
+   Values live apart, in [values], indexed by [slot]: each value is
+   written once by [add] and cleared once by the pop that removes it,
+   and vacant slots are recycled through the [free] stack. A popped
+   value is therefore never retained past its pop — the heap's
+   high-water mark holds no stale references. *)
 
 type 'a t = {
-  mutable data : 'a entry array;
+  mutable prio : Float.Array.t;  (* heap position -> priority *)
+  mutable seq : int array;  (* heap position -> insertion seq *)
+  mutable slot : int array;  (* heap position -> value slot *)
+  mutable values : 'a array;  (* value slot -> value; vacant slots hold [vacant] *)
+  mutable free : int array;  (* stack of vacant value slots *)
+  mutable nfree : int;
   mutable size : int;
   mutable next_seq : int;
 }
 
-(* Shared placeholder for vacant slots. Slots at index >= size must not
-   retain the last entry stored in them, or every popped value stays
-   reachable until the slot is overwritten — a space leak proportional
-   to the heap's high-water mark. [Obj.magic] is safe here: the dummy is
-   only ever written into vacant slots and never read as an ['a]. *)
-let dummy_entry : unit entry = { priority = nan; seq = -1; value = () }
+(* Filler for vacant value slots. It is an immediate, so [values] is
+   never created as a flat float array (the arrays start from it, even
+   for ['a = float]), and it is never read back as an ['a]. *)
+let vacant () : 'a = Obj.magic 0
 
-let dummy () : 'a entry = Obj.magic dummy_entry
-
-let create () = { data = [||]; size = 0; next_seq = 0 }
+let create () =
+  {
+    prio = Float.Array.create 0;
+    seq = [||];
+    slot = [||];
+    values = [||];
+    free = [||];
+    nfree = 0;
+    size = 0;
+    next_seq = 0;
+  }
 
 let is_empty t = t.size = 0
 
 let length t = t.size
 
-(* Drops the backing array entirely, releasing everything it retained. *)
+(* Drops the backing arrays entirely, releasing everything they held. *)
 let clear t =
-  t.data <- [||];
+  t.prio <- Float.Array.create 0;
+  t.seq <- [||];
+  t.slot <- [||];
+  t.values <- [||];
+  t.free <- [||];
+  t.nfree <- 0;
   t.size <- 0
 
-let less a b =
-  a.priority < b.priority || (a.priority = b.priority && a.seq < b.seq)
+(* Every value slot is in use exactly when the heap is full: double all
+   five arrays and push the new slots on the free stack, lowest on
+   top. *)
+let grow t =
+  let cap = Array.length t.seq in
+  let ncap = if cap = 0 then 16 else 2 * cap in
+  let prio = Float.Array.create ncap in
+  Float.Array.blit t.prio 0 prio 0 t.size;
+  let extend a = Array.append a (Array.make (ncap - cap) 0) in
+  t.prio <- prio;
+  t.seq <- extend t.seq;
+  t.slot <- extend t.slot;
+  t.values <- Array.append t.values (Array.make (ncap - cap) (vacant ()));
+  t.free <- Array.init ncap (fun i -> ncap - 1 - i);
+  t.nfree <- ncap - cap
 
-let ensure_capacity t =
-  let cap = Array.length t.data in
-  if t.size >= cap then begin
-    let new_cap = if cap = 0 then 16 else 2 * cap in
-    let data = Array.make new_cap (dummy ()) in
-    Array.blit t.data 0 data 0 t.size;
-    t.data <- data
-  end
-
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if less t.data.(i) t.data.(parent) then begin
-      let tmp = t.data.(i) in
-      t.data.(i) <- t.data.(parent);
-      t.data.(parent) <- tmp;
-      sift_up t parent
-    end
-  end
-
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < t.size && less t.data.(l) t.data.(!smallest) then smallest := l;
-  if r < t.size && less t.data.(r) t.data.(!smallest) then smallest := r;
-  if !smallest <> i then begin
-    let tmp = t.data.(i) in
-    t.data.(i) <- t.data.(!smallest);
-    t.data.(!smallest) <- tmp;
-    sift_down t !smallest
-  end
+let[@inline] less (p : float) (s : int) (q : float) (r : int) =
+  p < q || (p = q && s < r)
 
 let add t ~priority value =
-  let entry = { priority; seq = t.next_seq; value } in
-  t.next_seq <- t.next_seq + 1;
-  ensure_capacity t;
-  t.data.(t.size) <- entry;
+  if t.nfree = 0 then grow t;
+  t.nfree <- t.nfree - 1;
+  let sl = t.free.(t.nfree) in
+  t.values.(sl) <- value;
+  let s = t.next_seq in
+  t.next_seq <- s + 1;
+  let prio = t.prio and seq = t.seq and slot = t.slot in
+  let i = ref t.size in
   t.size <- t.size + 1;
-  sift_up t (t.size - 1)
+  let moving = ref true in
+  while !moving && !i > 0 do
+    let parent = (!i - 1) / 2 in
+    let pp = Float.Array.unsafe_get prio parent in
+    let ps = Array.unsafe_get seq parent in
+    if less priority s pp ps then begin
+      Float.Array.unsafe_set prio !i pp;
+      Array.unsafe_set seq !i ps;
+      Array.unsafe_set slot !i (Array.unsafe_get slot parent);
+      i := parent
+    end
+    else moving := false
+  done;
+  Float.Array.unsafe_set prio !i priority;
+  Array.unsafe_set seq !i s;
+  Array.unsafe_set slot !i sl
 
-let min_priority t = if t.size = 0 then None else Some t.data.(0).priority
+let top_priority t = if t.size = 0 then Float.infinity else Float.Array.get t.prio 0
+
+(* Remove the root: release its value slot, then sift the last entry
+   down from the root, writing the hole once per level. *)
+let remove_top t =
+  let prio = t.prio and seq = t.seq and slot = t.slot in
+  let sl = slot.(0) in
+  let v = t.values.(sl) in
+  t.values.(sl) <- vacant ();
+  t.free.(t.nfree) <- sl;
+  t.nfree <- t.nfree + 1;
+  let n = t.size - 1 in
+  t.size <- n;
+  if n > 0 then begin
+    let lp = Float.Array.unsafe_get prio n in
+    let ls = Array.unsafe_get seq n in
+    let lsl_ = Array.unsafe_get slot n in
+    let i = ref 0 in
+    let moving = ref true in
+    while !moving do
+      let l = (2 * !i) + 1 in
+      if l >= n then moving := false
+      else begin
+        let r = l + 1 in
+        let c =
+          if r < n
+             && less (Float.Array.unsafe_get prio r) (Array.unsafe_get seq r)
+                  (Float.Array.unsafe_get prio l) (Array.unsafe_get seq l)
+          then r
+          else l
+        in
+        let cp = Float.Array.unsafe_get prio c in
+        let cs = Array.unsafe_get seq c in
+        if less cp cs lp ls then begin
+          Float.Array.unsafe_set prio !i cp;
+          Array.unsafe_set seq !i cs;
+          Array.unsafe_set slot !i (Array.unsafe_get slot c);
+          i := c
+        end
+        else moving := false
+      end
+    done;
+    Float.Array.unsafe_set prio !i lp;
+    Array.unsafe_set seq !i ls;
+    Array.unsafe_set slot !i lsl_
+  end;
+  v
+
+let pop_value t =
+  if t.size = 0 then invalid_arg "Pqueue.pop_value: empty queue";
+  remove_top t
 
 let pop t =
   if t.size = 0 then None
   else begin
-    let top = t.data.(0) in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.data.(0) <- t.data.(t.size);
-      sift_down t 0
-    end;
-    (* Clear the vacated slot so the popped entry (and, when the heap
-       drains, the moved root) is not retained past its lifetime. *)
-    t.data.(t.size) <- dummy ();
-    Some (top.priority, top.value)
+    let p = Float.Array.get t.prio 0 in
+    let v = remove_top t in
+    Some (p, v)
   end
 
 let fold t ~init ~f =
   let acc = ref init in
   for i = 0 to t.size - 1 do
-    let e = t.data.(i) in
-    acc := f !acc e.priority e.value
+    acc := f !acc (Float.Array.get t.prio i) t.values.(t.slot.(i))
   done;
   !acc
 

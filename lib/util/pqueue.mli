@@ -3,7 +3,13 @@
 
     Entries with equal priority are returned in insertion order, which
     makes discrete-event schedules reproducible independent of heap
-    internals. *)
+    internals: pop order is the strict total order (priority, insertion
+    seq).
+
+    The heap itself holds only unboxed priorities, seqs and value-slot
+    ids, so reordering it never runs a write barrier; {!add} followed
+    by {!top_priority}/{!pop_value} allocates nothing once the arrays
+    have grown to the working size. *)
 
 type 'a t
 
@@ -16,8 +22,15 @@ val length : 'a t -> int
 val add : 'a t -> priority:float -> 'a -> unit
 (** Insert an element with the given priority. *)
 
-val min_priority : 'a t -> float option
-(** Priority of the next element to be popped, if any. *)
+val top_priority : 'a t -> float
+(** Priority of the next element to be popped; [infinity] when the
+    queue is empty. *)
+
+val pop_value : 'a t -> 'a
+(** Remove the entry with the smallest priority (FIFO among equals)
+    and return its value — the allocation-free form of {!pop}, paired
+    with {!top_priority} to read the priority first.
+    @raise Invalid_argument on an empty queue. *)
 
 val pop : 'a t -> (float * 'a) option
 (** Remove and return the entry with the smallest priority (FIFO among

@@ -47,6 +47,40 @@ let plan_parse_errors () =
       | Error _ -> ())
     [ "bogus:plan"; "drop:p=1.5"; "crash:down=8"; "drop:p=nope"; "storm:at=1,flaps=x" ]
 
+(* Values that parse as numbers but cannot be scheduled or mean
+   nothing. A crash in the past used to escape as an uncaught
+   Invalid_argument from the engine at install time. *)
+let plan_rejects_nonsense_values () =
+  List.iter
+    (fun spec ->
+      match Plan.of_string spec with
+      | Ok _ -> Alcotest.failf "spec %S should be rejected" spec
+      | Error _ -> ())
+    [
+      "crash:at=-5,down=1";
+      "crash:at=5,down=-1";
+      "crash:at=inf";
+      "dup:p=nan";
+      "drop:p=nan,until=4";
+      "delay:p=0.5,max=-1";
+      "delay:p=0.5,max=nan";
+      "reorder:p=0.3,max=inf";
+      "partition:at=nan";
+      "partition:at=3,heal=-2";
+      "storm:at=1,flaps=-3,spacing=1";
+      "storm:at=1,flaps=2.5,spacing=1";
+      "storm:at=1,flaps=3,spacing=-1";
+      "replay:at=2,count=nan";
+      "drop:p=0.1,from=-1";
+      "drop:p=0.1,until=nan";
+    ];
+  List.iter
+    (fun spec ->
+      match Plan.of_string spec with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "spec %S should parse: %s" spec e)
+    [ "crash:at=0,down=0"; "drop:p=0,until=inf"; "delay:p=1,max=0"; "storm:at=0,flaps=0,spacing=0" ]
+
 let plan_empty () =
   check_bool "empty spec is the empty plan" true (Plan.of_string "" = Ok []);
   check_bool "no message faults" false (Plan.has_message_faults []);
@@ -320,6 +354,150 @@ let exec_faulted_completes () =
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
+(* --- Delivery interposer -------------------------------------------- *)
+
+let orwg_runner () =
+  match Registry.find_opt "orwg" with
+  | Some p -> p
+  | None -> Alcotest.fail "orwg is not registered"
+
+(* ORWG on a 30-AD internet under a plan: fault counters, a digest of
+   the fault log, and the convergence totals. *)
+let interposed_run ~seed spec =
+  let (Registry.Packed (module P)) = orwg_runner () in
+  let module R = Runner.Make (P) in
+  let sc = Scenario.for_size ~target_ads:30 ~seed () in
+  let r = R.setup sc.Scenario.graph sc.Scenario.config in
+  let plan =
+    match Plan.of_string spec with Ok p -> p | Error e -> Alcotest.fail e
+  in
+  let nem =
+    Nemesis.install (R.network r) ~rng:(Rng.derive seed "faults") ~crash:(R.crash_ad r)
+      ~restart:(R.restart_ad r) plan
+  in
+  let c = R.converge r in
+  let log = Nemesis.fault_log nem in
+  let text =
+    String.concat "" (List.map (fun (t, what) -> Printf.sprintf "%h %s\n" t what) log)
+  in
+  Printf.sprintf "drop=%d dup=%d delay=%d reorder=%d log=%d/%s events=%d msgs=%d conv=%b"
+    (Nemesis.dropped nem) (Nemesis.duplicated nem) (Nemesis.delayed nem)
+    (Nemesis.reordered nem) (List.length log)
+    (Digest.to_hex (Digest.string text))
+    c.Runner.events c.Runner.messages c.Runner.converged
+
+(* Pinned before the interposer moved to slot-indexed FIFO floors and
+   array-held rules: same draws in the same order, so the same faults,
+   the same log and the same convergence. *)
+let interposer_pinned () =
+  List.iter
+    (fun (name, spec, want) ->
+      check_string (name ^ " on 30 ADs, seed 5") want (interposed_run ~seed:5 spec))
+    [
+      ( "default",
+        Plan.to_string Plan.default,
+        "drop=0 dup=331 delay=886 reorder=0 log=12/a69b466b39745b4bfe286626458c7a89 \
+         events=5204 msgs=4861 conv=true" );
+      ( "lossy",
+        Plan.to_string (Option.get (Plan.profile "lossy")),
+        "drop=184 dup=152 delay=401 reorder=144 log=0/d41d8cd98f00b204e9800998ecf8427e \
+         events=1727 msgs=1759 conv=true" );
+      ( "delay+dup+reorder",
+        "delay:p=0.5,max=2,until=40;dup:p=0.2,until=40;reorder:p=0.2,max=3,until=40",
+        "drop=0 dup=379 delay=907 reorder=341 log=0/d41d8cd98f00b204e9800998ecf8427e \
+         events=2203 msgs=1824 conv=true" );
+    ]
+
+(* Two parallel links join ADs 0 and 1: a slow one, and a cheaper fast
+   one that comes up halfway through, so later messages take the fast
+   link. Delay is FIFO-clamped per directed AD pair, not per link, so
+   no message may arrive before one sent earlier. Clamped messages
+   share the floor's arrival time only up to the rounding of
+   now + (delay + extra), so order is checked on arrival times with a
+   rounding tolerance; a per-link floor would let the fast link's
+   messages arrive whole time units early. *)
+let interposer_parallel_links_fifo () =
+  let module Ad = Pr_topology.Ad in
+  let module Link = Pr_topology.Link in
+  let ads =
+    Array.init 2 (fun id ->
+        Ad.make ~id ~name:(Printf.sprintf "N%d" id) ~klass:Ad.Hybrid ~level:Ad.Metro)
+  in
+  let link id ~cost ~delay = Link.make ~id ~a:0 ~b:1 ~cost ~delay Link.Lateral in
+  let g = Graph.create ads [| link 0 ~cost:5 ~delay:3.0; link 1 ~cost:1 ~delay:0.1 |] in
+  let engine = Engine.create () in
+  let net = Network.create engine g (Metrics.create ~n:2) in
+  let arrivals = ref [] in
+  Network.set_message_handler net (fun ~at:_ ~from:_ k ->
+      arrivals := (k, Engine.now engine) :: !arrivals);
+  let plan =
+    match Plan.of_string "delay:p=0.5,max=2" with Ok p -> p | Error e -> Alcotest.fail e
+  in
+  let nem = Nemesis.install net ~rng:(Rng.create 17) plan in
+  Network.set_link_state net 1 ~up:false;
+  let sent = 40 in
+  let used = Array.make sent (-1) in
+  for k = 0 to sent - 1 do
+    Engine.schedule_at engine ~time:(0.05 *. float_of_int k) (fun () ->
+        if k = sent / 2 then Network.set_link_state net 1 ~up:true;
+        used.(k) <- Network.up_link net 0 1;
+        Network.send net ~src:0 ~dst:1 ~bytes:1 k)
+  done;
+  ignore (Engine.run engine);
+  check_bool "some messages were delayed" true (Nemesis.delayed nem > 0);
+  check_int "first half on the slow link" 0 used.(0);
+  check_int "second half on the fast link" 1 used.(sent - 1);
+  let arrivals = List.sort compare (List.rev !arrivals) in
+  check_int "every message delivered" sent (List.length arrivals);
+  ignore
+    (List.fold_left
+       (fun latest (k, at) ->
+         if at < latest -. 1e-9 then
+           Alcotest.failf "message %d arrived at %g, before an earlier one at %g" k at
+             latest;
+         Float.max latest at)
+       0.0 arrivals)
+
+(* The allocation budget of the faulted-convergence message path: the
+   benchmark's converge setup (56 ADs, message faults and a gateway
+   crash, update guard on). *)
+let faulted_convergence_words_per_event () =
+  let (Registry.Packed (module P)) = orwg_runner () in
+  let module R = Runner.Make (P) in
+  let seed = 41 in
+  let sc = Scenario.for_size ~target_ads:56 ~seed () in
+  let g = sc.Scenario.graph in
+  let r = R.setup g sc.Scenario.config in
+  let engine = Network.engine (R.network r) in
+  let guard =
+    Pr_guard.Guard.create ~engine ~n:(Graph.n g)
+      ~on_readmit:(fun ~at ~nbr -> R.resync r ~at ~nbr)
+      ()
+  in
+  R.set_receive_filter r
+    (Some
+       (fun ~at ~from msg ->
+         Pr_guard.Guard.screen guard ~at ~from (R.check_update r ~at ~from msg)));
+  R.set_link_tap r
+    (Some (fun ~at ~nbr ~up -> Pr_guard.Guard.observe_link guard ~at ~nbr ~up));
+  let plan =
+    match Plan.of_string "delay:p=0.25,max=2,until=40;dup:p=0.1,until=40;crash:at=14,down=8"
+    with
+    | Ok p -> p
+    | Error e -> Alcotest.fail e
+  in
+  ignore
+    (Nemesis.install (R.network r) ~rng:(Rng.derive seed "faults") ~crash:(R.crash_ad r)
+       ~restart:(R.restart_ad r) plan);
+  let conv = ref None in
+  let words = Pr_telemetry.Alloc.words (fun () -> conv := Some (R.converge r)) in
+  let c = Option.get !conv in
+  check_bool "converged" true c.Runner.converged;
+  let per_event = words /. float_of_int c.Runner.events in
+  check_bool
+    (Printf.sprintf "%.1f words/event over %d events (budget 80)" per_event c.Runner.events)
+    true (per_event <= 80.0)
+
 let () =
   Alcotest.run "faults"
     [
@@ -327,10 +505,19 @@ let () =
         [
           Alcotest.test_case "profiles round-trip through specs" `Quick plan_roundtrip;
           Alcotest.test_case "bad specs rejected" `Quick plan_parse_errors;
+          Alcotest.test_case "nonsense values rejected" `Quick plan_rejects_nonsense_values;
           Alcotest.test_case "empty plan" `Quick plan_empty;
           Alcotest.test_case "incident times" `Quick plan_incidents;
         ] );
       ("metrics", [ Alcotest.test_case "loss accounting" `Quick metrics_losses ]);
+      ( "interposer",
+        [
+          Alcotest.test_case "counters, log and convergence pinned" `Quick interposer_pinned;
+          Alcotest.test_case "parallel links share one FIFO floor" `Quick
+            interposer_parallel_links_fifo;
+          Alcotest.test_case "faulted convergence allocation budget" `Quick
+            faulted_convergence_words_per_event;
+        ] );
       ( "crash-restart",
         List.map crash_restart_case
           [ "dv-plain"; "link-state"; "egp"; "ecma"; "idrp"; "ls-hbh-pt"; "orwg" ] );

@@ -207,22 +207,39 @@ let csr_find_link_prop =
             (all_ids g))
         (all_ids g))
 
-let csr_links_between_prop =
-  QCheck.Test.make ~name:"iter_links_between yields the pair's links in id order" ~count:100
-    QCheck.small_int (fun seed ->
+let csr_slot_links_prop =
+  QCheck.Test.make
+    ~name:"uniq_slot, fold_slot_links and cheapest_up_link match the link array"
+    ~count:100 QCheck.small_int (fun seed ->
       let g = random_multigraph seed in
+      let rng = Rng.create (seed + 1) in
+      let up = Array.init (Graph.num_links g) (fun _ -> Rng.chance rng 0.6) in
       List.for_all
         (fun x ->
           List.for_all
             (fun y ->
-              let got = ref [] in
-              Graph.iter_links_between g x y ~f:(fun lid -> got := lid :: !got);
               let expected =
                 Graph.fold_links g ~init:[] ~f:(fun acc l ->
                     if Link.connects l x y then l.Link.id :: acc else acc)
                 |> List.sort compare
               in
-              List.rev !got = expected)
+              let cheapest_up =
+                List.fold_left
+                  (fun best lid ->
+                    if up.(lid)
+                       && (best < 0
+                          || (Graph.link g lid).Link.cost < (Graph.link g best).Link.cost)
+                    then lid
+                    else best)
+                  (-1) expected
+              in
+              let k = Graph.uniq_slot g x y in
+              if expected = [] then k = -1
+              else
+                k >= 0
+                && List.rev (Graph.fold_slot_links g k ~init:[] ~f:(fun acc l -> l :: acc))
+                   = expected
+                && Graph.cheapest_up_link g k ~up = cheapest_up)
             (all_ids g))
         (all_ids g))
 
@@ -825,7 +842,7 @@ let () =
             [
               csr_neighbors_prop;
               csr_find_link_prop;
-              csr_links_between_prop;
+              csr_slot_links_prop;
               csr_bfs_prop;
               spf_tree_prop;
             ] );

@@ -96,6 +96,86 @@ let rng_chance_extremes () =
     check_bool "p=1 always" true (Rng.chance rng 1.0)
   done
 
+(* The splitmix64 stream is part of every experiment's identity: these
+   values were drawn before the generator's state moved into unboxed
+   bytes, and must never change. *)
+let rng_stream_pinned () =
+  let stream name r ~bits ~floats ~ints ~chances =
+    List.iteri
+      (fun i want ->
+        Alcotest.(check string)
+          (Printf.sprintf "%s bits64 #%d" name i)
+          want
+          (Printf.sprintf "%Lx" (Rng.bits64 r)))
+      bits;
+    List.iteri
+      (fun i want ->
+        Alcotest.(check string)
+          (Printf.sprintf "%s float #%d" name i)
+          want
+          (Printf.sprintf "%h" (Rng.float r 1.0)))
+      floats;
+    List.iteri
+      (fun i want -> check_int (Printf.sprintf "%s int #%d" name i) want (Rng.int r 1000))
+      ints;
+    Alcotest.(check string)
+      (name ^ " chance 0.3") chances
+      (String.init 16 (fun _ -> if Rng.chance r 0.3 then '1' else '0'))
+  in
+  stream "create 42" (Rng.create 42)
+    ~bits:[ "989b3f130a063869"; "290db4bf2570ded7"; "2a990be63a01b2d5" ]
+    ~floats:[ "0x1.896d649de031p-5"; "0x1.f62d40dca5d82p-1"; "0x1.e187e2fea8348p-3" ]
+    ~ints:[ 122; 996; 195 ] ~chances:"1000110111001000";
+  stream "derive 7 faults" (Rng.derive 7 "faults")
+    ~bits:[ "6fcec82a06a30559"; "bb3b9d64c96a4535"; "b918653f5d2f71b3" ]
+    ~floats:[ "0x1.e883fe18fa3e8p-3"; "0x1.9d030f54fc46fp-1"; "0x1.55876591fcfd2p-2" ]
+    ~ints:[ 458; 511; 702 ] ~chances:"0000000111110000";
+  let parent = Rng.create 9 in
+  let child = Rng.split parent in
+  stream "split child" child
+    ~bits:[ "fb30a14cb4d06cf2"; "be91c7f6b12c4a00"; "300addfad643e97b" ]
+    ~floats:[ "0x1.3c09a1716d698p-1"; "0x1.00850972d655p-2"; "0x1.07138e308e987p-1" ]
+    ~ints:[ 797; 153; 274 ] ~chances:"1000100100000011";
+  stream "split parent" parent
+    ~bits:[ "7e449796d8a5423e"; "f2d0fc3f88b20d54"; "923347c1490bc641" ]
+    ~floats:[ "0x1.487fe593c82d1p-1"; "0x1.4fa054b97a90ep-1"; "0x1.9beb2223b1408p-4" ]
+    ~ints:[ 385; 935; 488 ] ~chances:"0000010010010010"
+
+(* Draws update the state in place. [Rng.float]'s result is a float
+   returned across a module boundary, which the native code generator
+   boxes (2 words) unless the call is inlined; everything else —
+   the state update included — allocates nothing. *)
+let rng_draws_allocate_nothing () =
+  let r = Rng.create 3 in
+  let hits = ref 0 and sum = ref 0 in
+  let n = 10_000 in
+  let chance_words =
+    Pr_telemetry.Alloc.words (fun () ->
+        for _ = 1 to n do
+          if Rng.chance r 0.3 then incr hits
+        done)
+  in
+  let int_words =
+    Pr_telemetry.Alloc.words (fun () ->
+        for _ = 1 to n do
+          sum := !sum + Rng.int r 1000
+        done)
+  in
+  let float_words =
+    Pr_telemetry.Alloc.words (fun () ->
+        for _ = 1 to n do
+          if Rng.float r 1.0 < 0.5 then incr hits
+        done)
+  in
+  check_bool "draws happened" true (!hits > 0 && !sum > 0);
+  Alcotest.(check (float 0.0)) "chance allocates nothing" 0.0 chance_words;
+  Alcotest.(check (float 0.0)) "int allocates nothing" 0.0 int_words;
+  check_bool
+    (Printf.sprintf "float allocates at most its boxed result (%.1f words/draw)"
+       (float_words /. float_of_int n))
+    true
+    (float_words <= 2.0 *. float_of_int n)
+
 (* --- Pqueue -------------------------------------------------------- *)
 
 let pqueue_basic () =
@@ -105,7 +185,7 @@ let pqueue_basic () =
   Pqueue.add q ~priority:1.0 "a";
   Pqueue.add q ~priority:3.0 "c";
   check_int "length" 3 (Pqueue.length q);
-  Alcotest.(check (option (float 0.0))) "min" (Some 1.0) (Pqueue.min_priority q);
+  Alcotest.(check (float 0.0)) "min" 1.0 (Pqueue.top_priority q);
   Alcotest.(check (option (pair (float 0.0) string))) "pop a" (Some (1.0, "a")) (Pqueue.pop q);
   Alcotest.(check (option (pair (float 0.0) string))) "pop b" (Some (2.0, "b")) (Pqueue.pop q);
   Alcotest.(check (option (pair (float 0.0) string))) "pop c" (Some (3.0, "c")) (Pqueue.pop q);
@@ -155,6 +235,131 @@ let pqueue_fold () =
   List.iter (fun i -> Pqueue.add q ~priority:(float_of_int i) i) [ 3; 1; 2 ];
   let total = Pqueue.fold q ~init:0 ~f:(fun acc _ v -> acc + v) in
   check_int "fold sums all" 6 total
+
+(* Model check: random interleavings of add / pop / pop_value / clear /
+   fold against a list model popped by (priority, insertion seq).
+   Priorities come from a tiny set, so most comparisons are ties and
+   the FIFO tie-break carries the order. *)
+type pq_op = Add of int | Pop | Pop_value | Clear | Fold
+
+let pq_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, map (fun p -> Add p) (int_range 0 3));
+        (3, return Pop);
+        (3, return Pop_value);
+        (1, return Fold);
+        (1, return Clear);
+      ])
+
+let pq_op_print = function
+  | Add p -> Printf.sprintf "add %d" p
+  | Pop -> "pop"
+  | Pop_value -> "pop_value"
+  | Clear -> "clear"
+  | Fold -> "fold"
+
+let pqueue_vs_model =
+  QCheck.Test.make ~name:"pqueue = stable-sorted list model" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pq_op_print ops))
+       QCheck.Gen.(list_size (int_range 0 400) pq_op_gen))
+    (fun ops ->
+      let q = Pqueue.create () in
+      (* The model: (priority, seq) pairs; the value is the seq. *)
+      let model = ref [] and next = ref 0 in
+      let model_min () =
+        List.fold_left
+          (fun best (p, s) ->
+            match best with
+            | Some (bp, bs) when bp < p || (bp = p && bs < s) -> best
+            | _ -> Some (p, s))
+          None !model
+      in
+      let take (p, s) = model := List.filter (fun e -> e <> (p, s)) !model in
+      List.for_all
+        (fun op ->
+          let ok =
+            match op with
+            | Add p ->
+              Pqueue.add q ~priority:(float_of_int p) !next;
+              model := (float_of_int p, !next) :: !model;
+              incr next;
+              true
+            | Pop -> (
+              match (Pqueue.pop q, model_min ()) with
+              | None, None -> true
+              | Some (p, v), Some (mp, ms) ->
+                take (mp, ms);
+                p = mp && v = ms
+              | _ -> false)
+            | Pop_value -> (
+              match model_min () with
+              | None -> Pqueue.is_empty q && Pqueue.top_priority q = Float.infinity
+              | Some (mp, ms) ->
+                let p = Pqueue.top_priority q in
+                let v = Pqueue.pop_value q in
+                take (mp, ms);
+                p = mp && v = ms)
+            | Clear ->
+              Pqueue.clear q;
+              model := [];
+              true
+            | Fold ->
+              let got =
+                Pqueue.fold q ~init:[] ~f:(fun acc p v -> (p, v) :: acc)
+              in
+              List.sort compare got = List.sort compare !model
+          in
+          ok
+          && Pqueue.length q = List.length !model
+          && Pqueue.top_priority q
+             = Option.fold ~none:Float.infinity ~some:fst (model_min ()))
+        ops)
+
+(* Once the arrays have grown to the working size, add + pop_value
+   allocate nothing. The priorities are boxed up front: a float passed
+   to a function in another module is boxed by the caller, and that
+   box is the caller's allocation, not the queue's. *)
+let pqueue_steady_state_allocates_nothing () =
+  let q = Pqueue.create () in
+  let prios = List.init 64 (fun i -> float_of_int (i mod 7)) in
+  List.iteri (fun i p -> Pqueue.add q ~priority:p i) prios;
+  let sum = ref 0 in
+  let rec round i = function
+    | [] -> ()
+    | p :: rest ->
+      Pqueue.add q ~priority:p i;
+      sum := !sum + Pqueue.pop_value q;
+      round (i + 1) rest
+  in
+  let rounds () =
+    for _ = 1 to 100 do
+      round 0 prios
+    done
+  in
+  rounds ();
+  let words = Pr_telemetry.Alloc.words rounds in
+  check_int "queue size unchanged" 64 (Pqueue.length q);
+  Alcotest.(check (float 0.0)) "add + pop_value allocate nothing" 0.0 words
+
+(* A popped value must not stay reachable from the queue. *)
+let pqueue_no_retention () =
+  let q = Pqueue.create () in
+  let w = Weak.create 1 in
+  let popped = ref 0 in
+  (let v = Bytes.make 64 'x' in
+   Weak.set w 0 (Some v);
+   Pqueue.add q ~priority:1.0 v);
+  for i = 1 to 40 do
+    Pqueue.add q ~priority:(float_of_int (i + 1)) (Bytes.make 8 'y')
+  done;
+  (match Pqueue.pop q with Some (1.0, _) -> incr popped | _ -> ());
+  Gc.full_major ();
+  check_int "popped the tracked value" 1 !popped;
+  check_bool "popped value collected" false (Weak.check w 0);
+  check_int "rest still queued" 40 (Pqueue.length q)
 
 (* --- Pqueue.Keyed --------------------------------------------------- *)
 
@@ -455,6 +660,8 @@ let () =
           Alcotest.test_case "copy" `Quick rng_copy;
           Alcotest.test_case "invalid args" `Quick rng_invalid;
           Alcotest.test_case "chance extremes" `Quick rng_chance_extremes;
+          Alcotest.test_case "stream pinned" `Quick rng_stream_pinned;
+          Alcotest.test_case "draws allocate nothing" `Quick rng_draws_allocate_nothing;
         ]
         @ qsuite
             [
@@ -470,8 +677,11 @@ let () =
           Alcotest.test_case "FIFO ties" `Quick pqueue_fifo_ties;
           Alcotest.test_case "clear" `Quick pqueue_clear;
           Alcotest.test_case "fold" `Quick pqueue_fold;
+          Alcotest.test_case "steady state allocates nothing" `Quick
+            pqueue_steady_state_allocates_nothing;
+          Alcotest.test_case "no retention after pop" `Quick pqueue_no_retention;
         ]
-        @ qsuite [ pqueue_sorted_output ] );
+        @ qsuite [ pqueue_sorted_output; pqueue_vs_model ] );
       ( "pqueue-keyed",
         [
           Alcotest.test_case "basic + decrease-key" `Quick keyed_basic;
