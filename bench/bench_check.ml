@@ -150,55 +150,6 @@ let check_serve_file file doc =
       | None -> fail "%s: results[%d]: missing \"handle_hit_rate\"" file i)
     rows
 
-(* bench/parallel_bench.exe documents: one row per (size, shard count)
-   with positive sizing/throughput figures, and — the sharded engine's
-   determinism contract — identical event and message counts across
-   every shard count of the same size, for rows that ran to
-   convergence. Budget-truncated rows (converged=false) are exempt:
-   the sharded engine checks its event budget at window boundaries, so
-   the cut point legitimately depends on the shard count there. At
-   least one row must be gate-marked so `prx bench diff` has something
-   cheap to re-run. *)
-let check_parallel_file file doc =
-  (match J.member "protocol" doc with
-  | Some (J.String _) -> ()
-  | _ -> fail "%s: missing \"protocol\"" file);
-  (match Option.bind (J.member "cores" doc) number with
-  | Some v when v >= 1.0 -> ()
-  | _ -> fail "%s: missing or non-positive \"cores\"" file);
-  let rows = rows_of file ~section:"top" doc "results" in
-  check_rows file ~section:"results"
-    ~fields:
-      [ "target_ads"; "shards"; "max_events"; "events"; "messages"; "wall_s"; "events_per_sec" ]
-    rows;
-  let by_size = Hashtbl.create 8 in
-  let gated = ref 0 in
-  List.iteri
-    (fun i row ->
-      (match J.member "gate" row with
-      | Some (J.Bool b) -> if b then incr gated
-      | _ -> fail "%s: results[%d]: missing \"gate\"" file i);
-      let converged =
-        match J.member "converged" row with
-        | Some (J.Bool b) -> b
-        | _ -> fail "%s: results[%d]: missing \"converged\"" file i
-      in
-      if converged then begin
-        let num field = Option.get (Option.bind (J.member field row) number) in
-        let size = num "target_ads" in
-        let counts = (num "events", num "messages") in
-        match Hashtbl.find_opt by_size size with
-        | None -> Hashtbl.replace by_size size (i, counts)
-        | Some (j, prior) ->
-          if prior <> counts then
-            fail
-              "%s: results[%d] disagrees with results[%d] on (events, messages) at \
-               size %g: shard counts must not change a converged simulation"
-              file i j size
-      end)
-    rows;
-  if !gated = 0 then fail "%s: no gate-marked row for bench diff" file
-
 let check_file file =
   let doc =
     match J.parse (read_file file) with
@@ -208,7 +159,6 @@ let check_file file =
   match J.member "benchmark" doc with
   | Some (J.String "route_synthesis_scaling") -> check_synthesis_file file doc
   | Some (J.String "route_server_serving") -> check_serve_file file doc
-  | Some (J.String "parallel_engine") -> check_parallel_file file doc
   | Some (J.String other) -> fail "%s: unknown \"benchmark\" identity %S" file other
   | _ -> fail "%s: missing \"benchmark\" identity" file
 

@@ -61,14 +61,6 @@ let granularity_arg =
     & opt gran_conv Pr_policy.Gen.Source_specific
     & info [ "granularity" ] ~docv:"G" ~doc)
 
-let shards_arg =
-  let doc =
-    "Partition the simulation across N engine shards (OCaml domains). Results are \
-     deterministic per (seed, shard count), and identical to the sequential engine \
-     for scheduled-only workloads."
-  in
-  Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N" ~doc)
-
 let scenario_of ~seed ~size ~restrictiveness ~granularity =
   let policy =
     { Pr_policy.Gen.default with restrictiveness; granularity }
@@ -438,7 +430,7 @@ let sweep_cmd =
   in
   let run () protocols sizes restrictiveness granularities churn fault_profiles
       replicates seed flows max_events jobs timeout out summary crash_id hang_id quiet
-      trace_dir shards =
+      trace_dir =
     let spec =
       {
         Grid.protocols;
@@ -457,7 +449,7 @@ let sweep_cmd =
     let report =
       Driver.sweep ~jobs ~timeout_s:timeout ~quiet
         ~chaos:{ Exec.crash_id; hang_id }
-        ?summary_path ?trace_dir ~shards ~out spec
+        ?summary_path ?trace_dir ~out spec
     in
     Pr_util.Texttable.print ~title:"campaign: per-design-point totals"
       (Pr_campaign.Aggregate.table report.Driver.rows);
@@ -478,15 +470,13 @@ let sweep_cmd =
       const run $ logs_term $ protocols_arg $ sizes_arg $ restrictiveness_list_arg
       $ granularities_arg $ churn_arg $ faults_arg $ replicates_arg $ seed_arg
       $ flows_arg $ max_events_arg $ jobs_arg $ timeout_arg $ out_arg $ summary_arg
-      $ crash_run_arg $ hang_run_arg $ quiet_arg $ trace_dir_arg $ shards_arg)
+      $ crash_run_arg $ hang_run_arg $ quiet_arg $ trace_dir_arg)
 
 (* --- converge ------------------------------------------------------- *)
 
-(* One bounded convergence run, optionally on the sharded engine: the
-   smallest harness for the engine-equivalence contract. The metrics
-   dump is byte-stable per (seed, scenario, shard count), so two
-   invocations differing only in --shards must produce identical
-   files for deterministic workloads — the runtest smoke cmp(1)s them. *)
+(* One bounded convergence run. The metrics dump is byte-stable per
+   (seed, scenario), so the runtest smoke diffs it against a golden
+   file. *)
 
 let converge_cmd =
   let protocol_arg =
@@ -505,7 +495,7 @@ let converge_cmd =
     let doc = "Write the final per-AD metrics as single-line JSON to this file." in
     Arg.(value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE" ~doc)
   in
-  let run () protocol seed size restrictiveness granularity churn shards max_events
+  let run () protocol seed size restrictiveness granularity churn max_events
       metrics_out =
     match Pr_core.Registry.find_opt protocol with
     | None ->
@@ -515,19 +505,13 @@ let converge_cmd =
     | Some (Pr_core.Registry.Packed (module P)) ->
       let scenario = scenario_of ~seed ~size ~restrictiveness ~granularity in
       let module R = Pr_proto.Runner.Make (P) in
-      let r =
-        R.setup ~shards scenario.Pr_core.Scenario.graph
-          scenario.Pr_core.Scenario.config
-      in
+      let r = R.setup scenario.Pr_core.Scenario.graph scenario.Pr_core.Scenario.config in
       if churn then
         Pr_sim.Churn.schedule (R.network r)
           (Pr_util.Rng.derive seed "churn")
           ~events:6 ~spacing:4.0 ();
       let c = R.converge ~max_events r in
-      let engine = Pr_sim.Network.engine (R.network r) in
-      Format.printf "%s on %s (shards=%d): %a@." protocol
-        scenario.Pr_core.Scenario.label
-        (Pr_sim.Engine.shard_count engine)
+      Format.printf "%s on %s: %a@." protocol scenario.Pr_core.Scenario.label
         Pr_proto.Runner.pp_convergence c;
       Printf.printf "table entries: %d (max %d)\n" (R.table_entries r)
         (R.max_table_entries r);
@@ -543,11 +527,11 @@ let converge_cmd =
   Cmd.v
     (Cmd.info "converge"
        ~doc:
-         "Converge one protocol on a generated scenario — optionally on the sharded \
-          multicore engine (--shards) — and print the convergence totals.")
+         "Converge one protocol on a generated scenario and print the convergence \
+          totals.")
     Term.(
       const run $ logs_term $ protocol_arg $ seed_arg $ size_arg $ restrictiveness_arg
-      $ granularity_arg $ churn_flag $ shards_arg $ max_events_arg $ metrics_out_arg)
+      $ granularity_arg $ churn_flag $ max_events_arg $ metrics_out_arg)
 
 (* --- trace ---------------------------------------------------------- *)
 
@@ -572,7 +556,7 @@ let trace_cmd =
     let doc = "Simulation event budget." in
     Arg.(value & opt int 10_000_000 & info [ "max-events" ] ~docv:"N" ~doc)
   in
-  let run () protocol seed size flows restrictiveness granularity window shards
+  let run () protocol seed size flows restrictiveness granularity window
       max_events out =
     match Pr_core.Registry.find_opt protocol with
     | None ->
@@ -584,7 +568,7 @@ let trace_cmd =
       let g = scenario.Pr_core.Scenario.graph in
       let module R = Pr_proto.Runner.Make (P) in
       let trace = Pr_obs.Trace.create () in
-      let r = R.setup ~trace ~shards g scenario.Pr_core.Scenario.config in
+      let r = R.setup ~trace g scenario.Pr_core.Scenario.config in
       let m = R.metrics r in
       let table_total () =
         let acc = ref 0 in
@@ -645,7 +629,7 @@ let trace_cmd =
           and print the convergence timeline and per-AD load profile.")
     Term.(
       const run $ logs_term $ protocol_arg $ seed_arg $ size_arg $ flows_arg
-      $ restrictiveness_arg $ granularity_arg $ window_arg $ shards_arg
+      $ restrictiveness_arg $ granularity_arg $ window_arg
       $ max_events_arg $ out_arg)
 
 (* --- chaos ---------------------------------------------------------- *)
@@ -705,7 +689,7 @@ let chaos_cmd =
     in
     Arg.(value & opt string "prx-postmortem.json" & info [ "post-mortem" ] ~docv:"FILE" ~doc)
   in
-  let run () protocol seed size probes restrictiveness granularity churn shards
+  let run () protocol seed size probes restrictiveness granularity churn
       max_events plan_str list_profiles no_guard report_path post_mortem =
     if list_profiles then begin
       List.iter
@@ -750,13 +734,19 @@ let chaos_cmd =
       exit 2
     | Some packed ->
       let scenario = scenario_of ~seed ~size ~restrictiveness ~granularity in
+      (match
+         Pr_faults.Plan.check_ads plan
+           ~n:(Pr_topology.Graph.n scenario.Pr_core.Scenario.graph)
+       with
+      | Ok () -> ()
+      | Error e -> bad_plan e);
       let guard =
         if no_guard then Pr_guard.Guard.disabled else Pr_guard.Guard.default_config
       in
       let report =
         Pr_faults.Chaos.run ~plan ~guard ~probes
           ?churn:(if churn then Some (6, 4.0) else None)
-          ~max_events ~shards packed scenario
+          ~max_events packed scenario
       in
       Format.printf "%a@." Pr_faults.Chaos.pp report;
       Option.iter
@@ -791,7 +781,7 @@ let chaos_cmd =
           violation.")
     Term.(
       const run $ logs_term $ protocol_arg $ seed_arg $ size_arg $ probes_arg
-      $ restrictiveness_arg $ granularity_arg $ churn_flag $ shards_arg
+      $ restrictiveness_arg $ granularity_arg $ churn_flag
       $ max_events_arg $ plan_arg $ list_profiles_flag $ no_guard_flag $ report_arg
       $ post_mortem_arg)
 
@@ -902,6 +892,23 @@ let serve_cmd =
       Printf.eprintf "prx: --sizes must name at least one size\n";
       exit 2
     end;
+    let policy = { Pr_policy.Gen.default with restrictiveness; granularity } in
+    (* A plan that names no AD fits every internet (it passes even
+       against zero ADs); otherwise check it against each size's
+       internet before any session runs. *)
+    if Result.is_error (Pr_faults.Plan.check_ads plan ~n:0) then
+      List.iter
+        (fun target_ads ->
+          let sc = Pr_core.Scenario.for_size ~policy ~target_ads ~seed () in
+          match
+            Pr_faults.Plan.check_ads plan
+              ~n:(Pr_topology.Graph.n sc.Pr_core.Scenario.graph)
+          with
+          | Ok () -> ()
+          | Error e ->
+            Printf.eprintf "prx: bad --plan %S at size %d: %s\n" plan_str target_ads e;
+            exit 2)
+        sizes;
     let reports =
       List.map
         (fun target_ads ->
@@ -918,8 +925,7 @@ let serve_cmd =
               route_capacity;
               handle_capacity;
               check_every;
-              policy =
-                { Pr_policy.Gen.default with restrictiveness; granularity };
+              policy;
               record_exact = false;
             }
           in
@@ -1085,6 +1091,15 @@ let bench_cmd =
           Printf.eprintf "prx: cannot read baseline %s: %s\n" baseline e;
           exit 2
       in
+      (match J.member "benchmark" doc with
+      | Some (J.String "route_server_serving") -> ()
+      | Some (J.String other) ->
+        Printf.eprintf
+          "prx: bench diff gates \"route_server_serving\" documents (got %S)\n" other;
+        exit 2
+      | _ ->
+        Printf.eprintf "prx: %s: missing \"benchmark\" identity\n" baseline;
+        exit 2);
       let rows =
         match Option.map J.to_list (J.member "results" doc) with
         | Some (Ok l) -> l
@@ -1094,112 +1109,48 @@ let bench_cmd =
       in
       let compared = ref 0 in
       let failed = ref 0 in
-      (* Shared per-row comparison tail: print failures, count them. *)
-      let gate_row ~label ~spec ~baseline:row ~current =
-        let outcomes = T.Gate.compare_row ~spec ~baseline:row ~current in
-        List.iter
-          (fun o ->
-            if not o.T.Gate.ok then begin
-              incr failed;
-              Format.printf "  %a@." T.Gate.pp_outcome o
-            end)
-          outcomes;
-        let bad = List.length (T.Gate.failures outcomes) in
-        if bad = 0 then
-          Printf.printf "  %s: %d field(s) within tolerance\n" label
-            (List.length outcomes)
-        else Printf.printf "  %s: %d field(s) OUT OF TOLERANCE\n" label bad
+      let seed = Result.value (J.int_member "seed" doc) ~default:42 in
+      let plan_str = Result.value (J.string_member "plan" doc) ~default:"default" in
+      let plan =
+        match Pr_faults.Plan.profile plan_str with
+        | Some p -> p
+        | None -> (
+          match Pr_faults.Plan.of_string plan_str with
+          | Ok p -> p
+          | Error e ->
+            Printf.eprintf "prx: baseline has bad plan %S: %s\n" plan_str e;
+            exit 2)
       in
-      let gate_serve () =
-        let seed = Result.value (J.int_member "seed" doc) ~default:42 in
-        let plan_str = Result.value (J.string_member "plan" doc) ~default:"default" in
-        let plan =
-          match Pr_faults.Plan.profile plan_str with
-          | Some p -> p
-          | None -> (
-            match Pr_faults.Plan.of_string plan_str with
-            | Ok p -> p
-            | Error e ->
-              Printf.eprintf "prx: baseline has bad plan %S: %s\n" plan_str e;
-              exit 2)
-        in
-        let spec = T.Gate.serve_spec ~timing_tolerance:tolerance in
-        List.iter
-          (fun row ->
-            let cfg =
-              Pr_serve.Daemon.config_of_row ~seed ~plan ~plan_name:plan_str row
-            in
-            let ads = cfg.Pr_serve.Daemon.target_ads in
-            if ads <= 0 then
-              Printf.printf "skipping row without target_ads\n"
-            else if sizes <> [] && not (List.mem ads sizes) then ()
-            else begin
-              incr compared;
-              Printf.printf "re-running size %d (seed %d, plan %s)...\n%!" ads seed
-                cfg.Pr_serve.Daemon.plan_name;
-              let report = Pr_serve.Daemon.run cfg in
-              gate_row
-                ~label:(Printf.sprintf "size %d" ads)
-                ~spec ~baseline:row
+      let spec = T.Gate.serve_spec ~timing_tolerance:tolerance in
+      List.iter
+        (fun row ->
+          let cfg = Pr_serve.Daemon.config_of_row ~seed ~plan ~plan_name:plan_str row in
+          let ads = cfg.Pr_serve.Daemon.target_ads in
+          if ads <= 0 then Printf.printf "skipping row without target_ads\n"
+          else if sizes <> [] && not (List.mem ads sizes) then ()
+          else begin
+            incr compared;
+            Printf.printf "re-running size %d (seed %d, plan %s)...\n%!" ads seed
+              cfg.Pr_serve.Daemon.plan_name;
+            let report = Pr_serve.Daemon.run cfg in
+            let outcomes =
+              T.Gate.compare_row ~spec ~baseline:row
                 ~current:(Pr_serve.Daemon.row_json report)
-            end)
-          rows
-      in
-      (* parallel_engine baselines: re-run only the rows marked
-         [gate = true] (the cheap sizes), at their recorded shard
-         count. Event/message counts gate exactly — the determinism
-         contract — while throughput is banded and wall clock ignored,
-         because the measuring host's core count is in the baseline,
-         not reproducible here. *)
-      let gate_parallel () =
-        let module PB = Pr_campaign.Parallel_bench in
-        let seed = Result.value (J.int_member "seed" doc) ~default:42 in
-        let protocol = Result.value (J.string_member "protocol" doc) ~default:"ls" in
-        let packed =
-          match Pr_core.Registry.find_opt protocol with
-          | Some p -> p
-          | None ->
-            Printf.eprintf "prx: baseline names unknown protocol %S\n" protocol;
-            exit 2
-        in
-        let spec = PB.gate_spec ~timing_tolerance:tolerance in
-        List.iter
-          (fun row ->
-            let gated =
-              match J.member "gate" row with Some (J.Bool b) -> b | _ -> false
             in
-            let ads = Result.value (J.int_member "target_ads" row) ~default:0 in
-            let shards = Result.value (J.int_member "shards" row) ~default:1 in
-            let max_events =
-              Result.value (J.int_member "max_events" row) ~default:1_000_000
-            in
-            if (not gated) || ads <= 0 then ()
-            else if sizes <> [] && not (List.mem ads sizes) then ()
-            else begin
-              incr compared;
-              Printf.printf "re-running %s size %d on %d shard(s) (seed %d)...\n%!"
-                protocol ads shards seed;
-              let r =
-                PB.measure packed ~seed ~target_ads:ads ~shards ~max_events
-              in
-              gate_row
-                ~label:(Printf.sprintf "size %d x%d" ads shards)
-                ~spec ~baseline:row ~current:(PB.row_json r)
-            end)
-          rows
-      in
-      (match J.member "benchmark" doc with
-      | Some (J.String "route_server_serving") -> gate_serve ()
-      | Some (J.String "parallel_engine") -> gate_parallel ()
-      | Some (J.String other) ->
-        Printf.eprintf
-          "prx: bench diff gates \"route_server_serving\" or \"parallel_engine\" \
-           documents (got %S)\n"
-          other;
-        exit 2
-      | _ ->
-        Printf.eprintf "prx: %s: missing \"benchmark\" identity\n" baseline;
-        exit 2);
+            List.iter
+              (fun o ->
+                if not o.T.Gate.ok then begin
+                  incr failed;
+                  Format.printf "  %a@." T.Gate.pp_outcome o
+                end)
+              outcomes;
+            let bad = List.length (T.Gate.failures outcomes) in
+            if bad = 0 then
+              Printf.printf "  size %d: %d field(s) within tolerance\n" ads
+                (List.length outcomes)
+            else Printf.printf "  size %d: %d field(s) OUT OF TOLERANCE\n" ads bad
+          end)
+        rows;
       if !compared = 0 then begin
         Printf.eprintf "prx: no baseline rows matched (checked %d)\n"
           (List.length rows);
@@ -1216,10 +1167,9 @@ let bench_cmd =
     Cmd.v
       (Cmd.info "diff"
          ~doc:
-           "Re-run the measurements behind a committed benchmark document \
-            (BENCH_serve.json sessions, or the gated rows of BENCH_parallel.json) and \
-            compare under tolerance bands; exits 1 on regression, 2 when nothing was \
-            comparable.")
+           "Re-run the sessions behind a committed serving benchmark document \
+            (BENCH_serve.json) and compare under tolerance bands; exits 1 on \
+            regression, 2 when nothing was comparable.")
       Term.(const run $ logs_term $ baseline_arg $ sizes_arg $ tolerance_arg)
   in
   Cmd.group

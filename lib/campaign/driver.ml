@@ -15,7 +15,7 @@ let ensure_dir dir =
   | () -> ()
   | exception Unix.Unix_error (Unix.EEXIST, _, _) -> ()
 
-let sweep ?jobs ?timeout_s ?(quiet = false) ?chaos ?summary_path ?trace_dir ?shards ~out spec =
+let sweep ?jobs ?timeout_s ?(quiet = false) ?chaos ?summary_path ?trace_dir ~out spec =
   let runs = Grid.expand spec in
   let total = List.length runs in
   let completed = Sink.completed_ids (Sink.read ~path:out) in
@@ -37,8 +37,8 @@ let sweep ?jobs ?timeout_s ?(quiet = false) ?chaos ?summary_path ?trace_dir ?sha
     Fun.protect
       ~finally:(fun () -> close_out oc)
       (fun () ->
-        Pool.run_all ?jobs ?timeout_s ~quiet ~trace:pool_trace ?shards
-          ~exec:(Exec.run_record ?chaos ?trace_dir ?shards)
+        Pool.run_all ?jobs ?timeout_s ~quiet ~trace:pool_trace
+          ~exec:(Exec.run_record ?chaos ?trace_dir)
           ~on_outcome:(fun outcome -> Sink.append oc outcome.Pool.record)
           todo)
   in

@@ -24,7 +24,6 @@ val sweep :
   ?chaos:Exec.chaos ->
   ?summary_path:string ->
   ?trace_dir:string ->
-  ?shards:int ->
   out:string ->
   Grid.spec ->
   report
@@ -34,6 +33,4 @@ val sweep :
     [trace_dir] (created if missing), each executed run writes a
     Chrome trace of its simulation into the directory (see
     {!Exec.trace_filename}) and the pool writes its wall-clock worker
-    timeline to [pool.json] there. [shards] runs every simulation on
-    that many engine shards and caps the worker count so
-    jobs × shards stays within {!Domain.recommended_domain_count}. *)
+    timeline to [pool.json] there. *)

@@ -17,7 +17,6 @@ let no_chaos = { crash_id = None; hang_id = None }
 
 type t = {
   run : Grid.run;
-  shards : int;
   converged : bool;
   stop_reason : string;
   outcome : string;
@@ -84,9 +83,12 @@ let scenario_of (run : Grid.run) =
    and invariant violations land in the JSONL record. An exhausted
    event budget is a *result* here ([outcome = "budget_exhausted"] with
    partial metrics), not a worker failure to retry. *)
-let execute_faulted ~shards packed (run : Grid.run) plan =
+let execute_faulted packed (run : Grid.run) plan =
   let started = Unix.gettimeofday () in
   let scenario = scenario_of run in
+  match Pr_faults.Plan.check_ads plan ~n:(Graph.n scenario.Scenario.graph) with
+  | Error e -> Error (Printf.sprintf "fault profile %S: %s" run.faults e)
+  | Ok () ->
   ignore (Pr_policy.Policy_store.of_config scenario.Scenario.config);
   let flows =
     Scenario.flows scenario ~rng:(Rng.create (run.seed + 2)) ~count:run.flows ()
@@ -94,13 +96,12 @@ let execute_faulted ~shards packed (run : Grid.run) plan =
   let report =
     Pr_faults.Chaos.run ~plan ~flows
       ?churn:(if run.churn then Some (churn_events, churn_spacing) else None)
-      ~max_events:run.max_events ~shards packed scenario
+      ~max_events:run.max_events packed scenario
   in
   let module C = Pr_faults.Chaos in
   Ok
     {
       run;
-      shards;
       converged = report.C.converged;
       stop_reason = report.C.stop_reason;
       outcome = (if report.C.converged then "completed" else "budget_exhausted");
@@ -135,7 +136,7 @@ let execute_faulted ~shards packed (run : Grid.run) plan =
       time_to_first_route = None;
     }
 
-let execute ?(chaos = no_chaos) ?trace_dir ?(shards = 1) (run : Grid.run) =
+let execute ?(chaos = no_chaos) ?trace_dir (run : Grid.run) =
   apply_chaos chaos run;
   match Registry.find_opt run.protocol with
   | None ->
@@ -151,7 +152,7 @@ let execute ?(chaos = no_chaos) ?trace_dir ?(shards = 1) (run : Grid.run) =
       Error
         (Printf.sprintf "unknown fault profile %S (known: %s)" run.faults
            (String.concat ", " Pr_faults.Plan.profile_names))
-    | Some plan when run.faults <> "none" -> execute_faulted ~shards packed run plan
+    | Some plan when run.faults <> "none" -> execute_faulted packed run plan
     | Some _ ->
     let started = Unix.gettimeofday () in
     let scenario = scenario_of run in
@@ -166,7 +167,7 @@ let execute ?(chaos = no_chaos) ?trace_dir ?(shards = 1) (run : Grid.run) =
       | Some _ -> Trace.create ()
       | None -> Trace.disabled
     in
-    let r = R.setup ~trace ~shards g scenario.Scenario.config in
+    let r = R.setup ~trace g scenario.Scenario.config in
     let m = R.metrics r in
     let table_total () =
       let acc = ref 0 in
@@ -232,7 +233,6 @@ let execute ?(chaos = no_chaos) ?trace_dir ?(shards = 1) (run : Grid.run) =
     Ok
       {
         run;
-        shards;
         converged = c.Runner.converged;
         stop_reason = (if c.Runner.converged then "drained" else "event-budget");
         outcome = (if c.Runner.converged then "completed" else "budget_exhausted");
@@ -265,9 +265,6 @@ let execute ?(chaos = no_chaos) ?trace_dir ?(shards = 1) (run : Grid.run) =
 let to_json t =
   J.Obj
     (Grid.params_json t.run
-    (* Sequential records keep their historical shape; the field only
-       appears when the run actually sharded its engine. *)
-    @ (if t.shards > 1 then [ ("shards", J.Int t.shards) ] else [])
     @ [
         ("status", J.String "ok");
         ("converged", J.Bool t.converged);
@@ -306,12 +303,12 @@ let to_json t =
     | Some ts -> [ ("time_to_first_route", J.Float ts) ]
     | None -> [])
 
-let run_record ?chaos ?trace_dir ?shards run =
+let run_record ?chaos ?trace_dir run =
   (* Workers are forked per run, so the process-global registry delta
      around the run is exactly this run's telemetry; the JSONL record
      carries the snapshot diff for Aggregate to merge across shards. *)
   let before = Telemetry.snapshot Telemetry.default in
-  match execute ?chaos ?trace_dir ?shards run with
+  match execute ?chaos ?trace_dir run with
   | Ok t ->
     Pr_telemetry.Alloc.sample ();
     let telemetry =

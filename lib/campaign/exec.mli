@@ -20,7 +20,6 @@ val no_chaos : chaos
 
 type t = {
   run : Grid.run;
-  shards : int;  (** engine shard count the run executed with *)
   converged : bool;
   stop_reason : string;  (** ["drained"] or ["event-budget"] *)
   outcome : string;
@@ -72,7 +71,7 @@ val trace_filename : Grid.run -> string
     plus [".json"]. *)
 
 val execute :
-  ?chaos:chaos -> ?trace_dir:string -> ?shards:int -> Grid.run -> (t, string) result
+  ?chaos:chaos -> ?trace_dir:string -> Grid.run -> (t, string) result
 (** [Error] reports an unknown protocol name or fault profile; every
     simulation-level problem is folded into the result's fields
     instead. When [trace_dir] is given (the directory must exist), the
@@ -80,16 +79,14 @@ val execute :
     named {!trace_filename} into it. Runs whose [faults] profile is
     not ["none"] go through {!Pr_faults.Chaos} — the workload doubles
     as the invariant probe set and violation counts land in the
-    record; tracing is not supported on that path. [shards] (default
-    1) runs the simulation on the sharded engine; records then carry a
-    [shards] field. *)
+    record; tracing is not supported on that path. *)
 
 val to_json : t -> Pr_util.Json.t
 (** The run's JSONL record: {!Grid.params_json} fields, then
     [status = "ok"] and the measured totals. *)
 
 val run_record :
-  ?chaos:chaos -> ?trace_dir:string -> ?shards:int -> Grid.run -> Pr_util.Json.t
+  ?chaos:chaos -> ?trace_dir:string -> Grid.run -> Pr_util.Json.t
 (** [execute] then [to_json]; an [Error] becomes a record with
     [status = "failed"] and an [error] field. Successful records also
     carry a ["telemetry"] snapshot — the {!Pr_telemetry.Registry}

@@ -102,15 +102,8 @@ let outcome_of_exit w proc_status wall_s =
     }
 
 let run_all ?(jobs = 4) ?(timeout_s = 120.0) ?(quiet = false) ?(trace = Trace.disabled)
-    ?(shards = 1) ~exec ~on_outcome runs =
+    ~exec ~on_outcome runs =
   let jobs = Stdlib.max 1 jobs in
-  (* Sharded workers each spawn [shards] domains; cap the fork
-     parallelism so jobs × shards never oversubscribes the machine
-     (sequential sweeps keep the caller's [jobs] untouched). *)
-  let jobs =
-    if shards <= 1 then jobs
-    else Stdlib.min jobs (Stdlib.max 1 (Domain.recommended_domain_count () / shards))
-  in
   (* Pool spans are on the wall clock (microseconds since pool start),
      one track per worker pid — a different timebase from the
      simulated-time run traces, which is why they live in their own

@@ -33,17 +33,12 @@ val run_all :
   ?timeout_s:float ->
   ?quiet:bool ->
   ?trace:Pr_obs.Trace.t ->
-  ?shards:int ->
   exec:(Grid.run -> Pr_util.Json.t) ->
   on_outcome:(outcome -> unit) ->
   Grid.run list ->
   int * int
 (** [run_all ~exec ~on_outcome runs] keeps up to [jobs] (default 4)
-    workers in flight; when [shards > 1] (each worker running a
-    sharded simulation on that many domains) the worker count is
-    additionally capped at
-    [Domain.recommended_domain_count () / shards] so the campaign
-    never runs more domains than cores; [exec] runs in the forked child and its record
+    workers in flight; [exec] runs in the forked child and its record
     must carry a [status] field ({!Exec.run_record} does). A worker
     exceeding [timeout_s] (default 120) of wall clock is killed.
     [on_outcome] fires in the parent, in completion order. An [exec]

@@ -94,7 +94,7 @@ let probe_attempts = 3
 let checkpoint_flows = 10
 
 let run ?(plan = Plan.default) ?(guard = Guard.default_config) ?flows
-    ?(probes = 40) ?churn ?max_events ?(trace = Trace.disabled) ?(shards = 1)
+    ?(probes = 40) ?churn ?max_events ?(trace = Trace.disabled)
     (Registry.Packed (module P) : Registry.packed) (scenario : Scenario.t) =
   let module R = Runner.Make (P) in
   let guard_cfg = guard in
@@ -109,7 +109,7 @@ let run ?(plan = Plan.default) ?(guard = Guard.default_config) ?flows
      residual-topology baseline below, and every validation probe all
      key off this configuration, so the terms compile exactly once. *)
   ignore (Pr_policy.Policy_store.of_config scenario.Scenario.config);
-  let r = R.setup ~trace ~shards g scenario.Scenario.config in
+  let r = R.setup ~trace g scenario.Scenario.config in
   let engine = Network.engine (R.network r) in
   (* The update guard interposes on every AD's receive path and link
      observations — uniformly, the attacker included (it is just

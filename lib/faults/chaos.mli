@@ -115,7 +115,6 @@ val run :
   ?churn:int * float ->
   ?max_events:int ->
   ?trace:Pr_obs.Trace.t ->
-  ?shards:int ->
   Pr_core.Registry.packed ->
   Pr_core.Scenario.t ->
   report
@@ -126,10 +125,7 @@ val run :
     40, flows drawn from the scenario); [churn] is [(events, spacing)]
     for additional link churn on its own rng stream; [max_events]
     bounds the converge (exhaustion yields a [no-reconvergence]
-    violation and a partial report rather than an exception); [shards]
-    (default 1) runs the faulted simulation on the sharded engine —
-    scheduled-only plans report identically at every shard count, and
-    the residual-topology baseline always runs sequentially. *)
+    violation and a partial report rather than an exception). *)
 
 val loop_violations : report -> int
 

@@ -9,64 +9,32 @@ let log_src = Logs.Src.create "pr.faults" ~doc:"Fault injection"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-(* Per-message state is kept per scheduling slot so the interposer and
-   tamper hook — which execute on whichever domain performs the send —
-   never share mutable state across lanes: slot 0 is the main domain
-   (and the whole story for sequential runs), slots 1..N the worker
-   lanes of a sharded engine. Probabilistic draws on a lane come from
-   that lane's own split stream, so a sharded run is deterministic per
-   (seed, plan, shard-count); scheduled incidents (crash, partition,
-   storm) run as control events on the main domain and fire
-   identically at every shard count. *)
 type t = {
-  slots : int;
-  logs : (float * string) list array;  (* per-slot, reverse chronological *)
-  dropped : int array;
-  duplicated : int array;
-  delayed : int array;
-  reordered : int array;
-  corrupted : int array;
+  mutable log : (float * string) list;  (* reverse chronological *)
+  mutable dropped : int;
+  mutable duplicated : int;
+  mutable delayed : int;
+  mutable reordered : int;
+  mutable corrupted : int;
   mutable partition_cut : Link.id list;
   mutable replayed : int;
   mutable forged : int;
   mutable attackers : Pr_topology.Ad.id list;
 }
 
-let isum = Array.fold_left ( + ) 0
+let fault_log t = List.rev t.log
 
-(* Merge the per-slot logs into one chronological list. Within a slot
-   entries are already ordered; across slots ties break on (slot,
-   position), so the merged log is a deterministic function of the
-   run. The single-slot fast path is the sequential engine's exact
-   historical output. *)
-let fault_log t =
-  if t.slots = 1 then List.rev t.logs.(0)
-  else begin
-    let tagged = ref [] in
-    Array.iteri
-      (fun slot lst ->
-        List.iteri
-          (fun pos e -> tagged := (e, slot, pos) :: !tagged)
-          (List.rev lst))
-      t.logs;
-    List.sort
-      (fun ((t1, _), s1, p1) ((t2, _), s2, p2) ->
-        compare (t1, s1, p1) (t2, s2, p2))
-      !tagged
-    |> List.map (fun (e, _, _) -> e)
-  end
+let dropped t = t.dropped
 
-let dropped t = isum t.dropped
+let duplicated t = t.duplicated
 
-let duplicated t = isum t.duplicated
+let delayed t = t.delayed
 
-let delayed t = isum t.delayed
-
-let reordered t = isum t.reordered
+let reordered t = t.reordered
 
 let partition_cut t = t.partition_cut
 
-let corrupted t = isum t.corrupted
+let corrupted t = t.corrupted
 
 let replayed t = t.replayed
 
@@ -109,19 +77,14 @@ let install (type msg) (net : msg Network.t) ~rng ?crash ?restart ?corrupt
     ?forge (plan : Plan.t) =
   let engine = Network.engine net in
   let graph = Network.graph net in
-  let shards = Engine.shard_count engine in
-  let nslots = if shards <= 1 then 1 else shards + 1 in
-  (* Current scheduling slot: main/control context is -1 + 1 = 0. *)
-  let slot () = Engine.current_shard engine + 1 in
   let t =
     {
-      slots = nslots;
-      logs = Array.make nslots [];
-      dropped = Array.make nslots 0;
-      duplicated = Array.make nslots 0;
-      delayed = Array.make nslots 0;
-      reordered = Array.make nslots 0;
-      corrupted = Array.make nslots 0;
+      log = [];
+      dropped = 0;
+      duplicated = 0;
+      delayed = 0;
+      reordered = 0;
+      corrupted = 0;
       partition_cut = [];
       replayed = 0;
       forged = 0;
@@ -129,16 +92,13 @@ let install (type msg) (net : msg Network.t) ~rng ?crash ?restart ?corrupt
     }
   in
   let note time what =
-    let s = slot () in
-    t.logs.(s) <- (time, what) :: t.logs.(s);
+    t.log <- (time, what) :: t.log;
     Pr_telemetry.Flight.note Pr_telemetry.Flight.global ~ts:time ~detail:what
       "nemesis.fault";
     Log.info (fun m -> m "t=%.2f %s" time what)
   in
-  (* The recorder is looked up per call: on a worker lane
-     [Network.trace] resolves to that lane's private recorder. *)
+  let trace = Network.trace net in
   let instant ~tid name =
-    let trace = Network.trace net in
     if Trace.enabled trace then Trace.instant trace ~ts:(Engine.now engine) ~tid name
   in
   (* Without protocol-aware callbacks (tests driving a bare network),
@@ -173,20 +133,9 @@ let install (type msg) (net : msg Network.t) ~rng ?crash ?restart ?corrupt
         end
   in
   (* One independent stream per concern, split in a fixed order, so the
-     number of draws one action makes never shifts another's. Under
-     sharding each slot additionally gets its own sub-stream (slot 0
-     keeps the parent), so concurrent lanes never contend on one rng
-     and draws depend only on (seed, plan, shard-count). *)
+     number of draws one action makes never shifts another's. *)
   let msg_rng = Rng.split rng in
   let sched_rng = Rng.split rng in
-  let per_slot_rngs parent =
-    let a = Array.make nslots parent in
-    for i = 1 to nslots - 1 do
-      a.(i) <- Rng.split parent
-    done;
-    a
-  in
-  let msg_rngs = per_slot_rngs msg_rng in
   (* Message-level faults become a delivery interposer. Each kind's
      rules sit in an array in plan order and are walked without
      closures; a rule keeps its probability boxed, so handing it to
@@ -216,46 +165,42 @@ let install (type msg) (net : msg Network.t) ~rng ?crash ?restart ?corrupt
        messages on the same channel — only Reorder may do that. One
        flat float per directed unique-neighbor slot (parallel links
        share their pair's slot, hence one floor), 0 before the first
-       clamp. Indexed by the sender's owning shard: every send for
-       [src] executes either on that lane or on the main domain while
-       lanes are parked, so each array has one writer at a time. *)
-    let nslots = Array.length (snd (Graph.unique_csr graph)) in
-    let last_arrival = Array.init shards (fun _ -> Float.Array.make nslots 0.0) in
+       clamp. *)
+    let last_arrival =
+      Float.Array.make (Array.length (snd (Graph.unique_csr graph))) 0.0
+    in
     Network.set_delivery_interposer net
       (Some
-         (fun ~src ~dst ~slot:pair ~link ->
+         (fun ~src:_ ~dst ~slot:pair ~link ->
            let now = Engine.now engine in
-           let s = slot () in
-           let mrng = msg_rngs.(s) in
-           if fires drops ~now mrng then begin
-             t.dropped.(s) <- t.dropped.(s) + 1;
+           if fires drops ~now msg_rng then begin
+             t.dropped <- t.dropped + 1;
              instant ~tid:dst "fault.drop";
              []
            end
            else begin
              let base_delay = (Graph.link graph link).Link.delay in
              let base = now +. base_delay in
-             let extra_d = extra_latency delays ~now mrng in
-             let extra_r = extra_latency reorders ~now mrng in
+             let extra_d = extra_latency delays ~now msg_rng in
+             let extra_r = extra_latency reorders ~now msg_rng in
              if extra_d > 0.0 then begin
-               t.delayed.(s) <- t.delayed.(s) + 1;
+               t.delayed <- t.delayed + 1;
                instant ~tid:dst "fault.delay"
              end;
              if extra_r > 0.0 then begin
-               t.reordered.(s) <- t.reordered.(s) + 1;
+               t.reordered <- t.reordered + 1;
                instant ~tid:dst "fault.reorder"
              end;
-             let la = last_arrival.(Engine.shard_owner engine src) in
              let clamp = has_delay && extra_r = 0.0 in
              let arrival =
                if extra_r > 0.0 then base +. extra_d +. extra_r
                else if has_delay then begin
                  (* Clamp even undelayed messages: one may not overtake
                     an earlier delayed one on the same channel. *)
-                 let floor_a = Float.Array.get la pair in
+                 let floor_a = Float.Array.get last_arrival pair in
                  let a = base +. extra_d in
                  let a = if a >= floor_a then a else floor_a in
-                 Float.Array.set la pair a;
+                 Float.Array.set last_arrival pair a;
                  a
                end
                else base
@@ -263,11 +208,11 @@ let install (type msg) (net : msg Network.t) ~rng ?crash ?restart ?corrupt
              let copies = ref [] in
              for i = 0 to Array.length dups - 1 do
                let r = dups.(i) in
-               if in_window r.window now && Rng.chance mrng r.prob then begin
-                 t.duplicated.(s) <- t.duplicated.(s) + 1;
+               if in_window r.window now && Rng.chance msg_rng r.prob then begin
+                 t.duplicated <- t.duplicated + 1;
                  instant ~tid:dst "fault.dup";
                  let dup_arrival = arrival +. (0.25 *. base_delay) in
-                 if clamp then Float.Array.set la pair dup_arrival;
+                 if clamp then Float.Array.set last_arrival pair dup_arrival;
                  copies := (dup_arrival -. base) :: !copies
                end
              done;
@@ -283,7 +228,6 @@ let install (type msg) (net : msg Network.t) ~rng ?crash ?restart ?corrupt
      and replayed updates are injected through the normal send path. *)
   if Plan.has_byzantine plan then begin
     let byz_rng = Rng.split rng in
-    let byz_rngs = per_slot_rngs byz_rng in
     let attacker_default =
       match Graph.transit_ids graph with
       | [] -> Rng.int byz_rng (Graph.n graph)
@@ -312,25 +256,11 @@ let install (type msg) (net : msg Network.t) ~rng ?crash ?restart ?corrupt
       List.exists (function Plan.Replay _ -> true | _ -> false) plan
     in
     (* Ring of the attackers' recent sends, captured pre-corruption:
-       replayed updates are well-formed but stale by re-injection time.
-       One ring per owning shard (the capture runs on the sender's
-       lane); replay drains them in lane order on the main domain. *)
+       replayed updates are well-formed but stale by re-injection time. *)
     let capture_cap = 32 in
-    let captured : (Pr_topology.Ad.id * int * msg) Queue.t array =
-      Array.init shards (fun _ -> Queue.create ())
-    in
-    let captured_total () =
-      Array.fold_left (fun acc q -> acc + Queue.length q) 0 captured
-    in
-    let captured_pop () =
-      let rec go i =
-        if Queue.is_empty captured.(i) then go (i + 1) else Queue.pop captured.(i)
-      in
-      go 0
-    in
+    let captured : (Pr_topology.Ad.id * int * msg) Queue.t = Queue.create () in
     (* Self-injected traffic (forge / replay re-sends) passes the tamper
-       hook untouched and is never re-captured. Only the main domain
-       flips this flag, and only while the lanes are parked. *)
+       hook untouched and is never re-captured. *)
     let injecting = ref false in
     if corrupt_specs <> [] || want_capture then
       Network.set_message_tamper net
@@ -339,24 +269,22 @@ let install (type msg) (net : msg Network.t) ~rng ?crash ?restart ?corrupt
              if !injecting then None
              else begin
                if want_capture && List.mem src attackers_l then begin
-                 let q = captured.(Engine.shard_owner engine src) in
-                 if Queue.length q >= capture_cap then ignore (Queue.pop q);
-                 Queue.push (dst, bytes, msg) q
+                 if Queue.length captured >= capture_cap then
+                   ignore (Queue.pop captured);
+                 Queue.push (dst, bytes, msg) captured
                end;
                let now = Engine.now engine in
                match corrupt with
                | None -> None
                | Some corrupt_fn ->
-                 let brng = byz_rngs.(slot ()) in
                  let rec go = function
                    | [] -> None
                    | (prob, atk, w) :: rest ->
-                     if src = atk && in_window w now && Rng.chance brng prob
+                     if src = atk && in_window w now && Rng.chance byz_rng prob
                      then (
-                       match corrupt_fn brng msg with
+                       match corrupt_fn byz_rng msg with
                        | Some m ->
-                         let s = slot () in
-                         t.corrupted.(s) <- t.corrupted.(s) + 1;
+                         t.corrupted <- t.corrupted + 1;
                          note now (Printf.sprintf "corrupt %d->%d" src dst);
                          instant ~tid:dst "fault.corrupt";
                          Some m
@@ -374,10 +302,10 @@ let install (type msg) (net : msg Network.t) ~rng ?crash ?restart ?corrupt
       (function
         | Plan.Replay { at_time; count } ->
           Engine.schedule_at engine ~time:at_time (fun () ->
-              let k = Stdlib.min count (captured_total ()) in
+              let k = Stdlib.min count (Queue.length captured) in
               let src = attacker_default in
               for _ = 1 to k do
-                let dst, bytes, msg = captured_pop () in
+                let dst, bytes, msg = Queue.pop captured in
                 t.replayed <- t.replayed + 1;
                 send_injected ~src ~dst ~bytes msg
               done;

@@ -219,6 +219,14 @@ let get_count fields key =
   if Float.is_integer v && v >= 0.0 && v <= 1e9 then Ok (int_of_float v)
   else Error (Printf.sprintf "%s=%s must be a whole number >= 0" key (float_str v))
 
+let get_ad fields =
+  match List.assoc_opt "ad" fields with
+  | None -> Ok None
+  | Some v -> (
+    match int_of_string_opt v with
+    | Some a -> Ok (Some a)
+    | None -> Error (Printf.sprintf "ad=%S is not an AD number" v))
+
 (* [until] may be infinite — an explicit unbounded window. *)
 let get_window fields =
   let* from_time = get_time_opt fields "from" in
@@ -258,9 +266,7 @@ let parse_action s =
     | "crash" ->
       let* at_time = get_time fields "at" in
       let* down_for = get_time_opt fields "down" in
-      let ad =
-        Option.bind (List.assoc_opt "ad" fields) int_of_string_opt
-      in
+      let* ad = get_ad fields in
       Ok (Crash { ad; at_time; down_for })
     | "partition" ->
       let* at_time = get_time fields "at" in
@@ -274,7 +280,7 @@ let parse_action s =
     | "corrupt" ->
       let* prob = get_prob fields in
       let* window = get_window fields in
-      let ad = Option.bind (List.assoc_opt "ad" fields) int_of_string_opt in
+      let* ad = get_ad fields in
       Ok (Corrupt { prob; ad; window })
     | "replay" ->
       let* at_time = get_time fields "at" in
@@ -282,13 +288,13 @@ let parse_action s =
       Ok (Replay { at_time; count })
     | "forge" ->
       let* at_time = get_time fields "at" in
-      let ad = Option.bind (List.assoc_opt "ad" fields) int_of_string_opt in
+      let* ad = get_ad fields in
       Ok (Forge { at_time; ad })
     | "chatter" ->
       let* at_time = get_time fields "at" in
       let* flaps = get_count fields "flaps" in
       let* spacing = get_time fields "spacing" in
-      let ad = Option.bind (List.assoc_opt "ad" fields) int_of_string_opt in
+      let* ad = get_ad fields in
       Ok (Flap_chatter { at_time; ad; flaps; spacing })
     | other -> Error (Printf.sprintf "unknown fault kind %S" other))
 
@@ -303,6 +309,20 @@ let of_string s =
       (Ok [])
       (String.split_on_char ';' s)
     |> Result.map List.rev
+
+let check_ads t ~n =
+  let named =
+    List.filter_map
+      (function
+        | Crash { ad; _ } | Corrupt { ad; _ } | Forge { ad; _ } | Flap_chatter { ad; _ } -> ad
+        | Drop _ | Duplicate _ | Delay _ | Reorder _ | Partition _ | Flap_storm _
+        | Replay _ -> None)
+      t
+  in
+  match List.find_opt (fun a -> a < 0 || a >= n) named with
+  | None -> Ok ()
+  | Some a ->
+    Error (Printf.sprintf "ad=%d is not an AD of this internet (ADs 0..%d)" a (n - 1))
 
 (* Times at which the plan changes the topology (fault onset *and*
    recovery): the harness probes forwarding just after each one. *)

@@ -102,7 +102,14 @@ val of_string : string -> (t, string) result
     Rejected with a message: probabilities outside [\[0,1\]] (NaN
     included); times, durations, [spacing] and [max] that are negative
     or not finite ([until] alone may be infinite); [flaps] and [count]
-    that are not whole numbers >= 0. *)
+    that are not whole numbers >= 0; an [ad] that is not an integer.
+    Whether an [ad] exists depends on the internet: see {!check_ads}. *)
+
+val check_ads : t -> n:int -> (unit, string) result
+(** [Error] with a message when an action names an AD outside
+    [\[0, n)], the ADs of an [n]-AD internet. Call it before running
+    the plan: {!Nemesis.install} indexes the internet's arrays with
+    these ids. *)
 
 val incident_times : t -> float list
 (** Sorted, deduplicated times at which the plan changes topology or

@@ -20,16 +20,7 @@
    All timing comes from the simulation engine, all bookkeeping is
    incremental, and no randomness is drawn — the guard never perturbs
    the determinism discipline: a (seed, plan, guard-config) triple
-   fully determines every run.
-
-   Sharded runs: [screen] executes on the lane owning [at] (the
-   receive path runs on the destination's shard), so all per-pair and
-   per-AD state is indexed by [at] and therefore single-writer. Counts
-   go to per-shard registry handles (merged deterministically at end of
-   run); the active-quarantines gauge is only touched from the main
-   domain, and [on_readmit] defers through the engine when fired from
-   a worker so the resync's sends originate from the owning lane's
-   scheduling context. *)
+   fully determines every run. *)
 
 module Engine = Pr_sim.Engine
 module Reg = Pr_telemetry.Registry
@@ -113,60 +104,29 @@ module Peers = Hashtbl.Make (Int)
 type t = {
   cfg : config;
   engine : Engine.t;
-  (* Everything below is indexed by the observing AD [at], whose
-     receive path runs on exactly one lane — single-writer by
-     construction under sharding. *)
   peers : peer Peers.t array;  (* peers.(at), keyed by nbr *)
   on_readmit : at:int -> nbr:int -> unit;
-  rejected : int array;
-  quarantines : int array;
-  drops : int array;
-  readmissions : int array;
-  active : int array;
-  (* Per-shard registry counter handles (empty when sequential):
-     lane-side increments land in the lane's registry and merge into
-     the default registry deterministically at end of run. *)
-  lm_rejected : Reg.counter array;
-  lm_quarantines : Reg.counter array;
-  lm_drops : Reg.counter array;
-  lm_readmissions : Reg.counter array;
+  mutable rejected : int;
+  mutable quarantines : int;
+  mutable drops : int;
+  mutable readmissions : int;
+  mutable active : int;
 }
 
 let create ?(config = default_config) ~engine ~n ~on_readmit () =
-  let shards = Engine.shard_count engine in
-  let lane_ctr name =
-    if shards <= 1 then [||]
-    else
-      Array.init shards (fun i ->
-          Reg.counter (Engine.shard_registry engine i) name)
-  in
   {
     cfg = config;
     engine;
     peers = Array.init n (fun _ -> Peers.create 4);
     on_readmit;
-    rejected = Array.make n 0;
-    quarantines = Array.make n 0;
-    drops = Array.make n 0;
-    readmissions = Array.make n 0;
-    active = Array.make n 0;
-    lm_rejected = lane_ctr "guard.updates_rejected";
-    lm_quarantines = lane_ctr "guard.quarantines";
-    lm_drops = lane_ctr "guard.quarantine_drops";
-    lm_readmissions = lane_ctr "guard.readmissions";
+    rejected = 0;
+    quarantines = 0;
+    drops = 0;
+    readmissions = 0;
+    active = 0;
   }
 
 let config t = t.cfg
-
-(* Bump the registry counter for the current scheduling context: the
-   module-init default handle on the main domain, the owning lane's
-   handle on a worker. *)
-let bump t main lanes =
-  match Engine.current_shard t.engine with
-  | s when s >= 0 -> Reg.inc lanes.(s)
-  | _ -> Reg.inc main
-
-let sum = Array.fold_left ( + ) 0
 
 (* Monomorphic int lookup that returns the record itself: no
    polymorphic hash and no [Some] box on the receive path. *)
@@ -197,23 +157,7 @@ let penalty t ~at ~nbr =
 
 let quarantined t ~at ~nbr = (peer t at nbr).quarantined
 
-(* The gauge is registry-global, so only the main domain publishes it;
-   worker-side transitions surface once their counts merge and the
-   next main-context transition (or end of run) republishes. *)
-let note_active t =
-  if Engine.current_shard t.engine < 0 then
-    Reg.set m_active (float_of_int (sum t.active))
-
-(* Hand the readmission to the runner. From a worker domain the resync
-   must not run inline — it originates sends from [nbr]'s state — so
-   it defers through the engine to [nbr]'s owning lane at the next
-   window boundary. Sequential runs keep the direct call (bit-for-bit
-   with the pre-sharding engine). *)
-let fire_readmit t ~at ~nbr =
-  if Engine.current_shard t.engine >= 0 then
-    Engine.schedule_for t.engine ~ad:nbr ~delay:0.0 (fun () ->
-        t.on_readmit ~at ~nbr)
-  else t.on_readmit ~at ~nbr
+let note_active t = Reg.set m_active (float_of_int t.active)
 
 (* Readmission: the backoff must have elapsed AND the damping penalty
    must have decayed below [reuse]. A still-hot penalty reschedules the
@@ -234,15 +178,15 @@ let rec try_readmit t p ~at ~nbr () =
     else begin
       p.quarantined <- false;
       p.strikes <- 0;
-      t.active.(at) <- t.active.(at) - 1;
+      t.active <- t.active - 1;
       note_active t;
-      t.readmissions.(at) <- t.readmissions.(at) + 1;
-      bump t m_readmissions t.lm_readmissions;
+      t.readmissions <- t.readmissions + 1;
+      Reg.inc m_readmissions;
       Flight.note Flight.global ~ts:now
         ~detail:(Printf.sprintf "ad %d readmitted neighbor %d" at nbr)
         "guard.readmit";
       Log.debug (fun m -> m "t=%.2f ad %d readmits neighbor %d" now at nbr);
-      fire_readmit t ~at ~nbr
+      t.on_readmit ~at ~nbr
     end
   end
 
@@ -251,9 +195,9 @@ let quarantine t p ~at ~nbr ~reason =
     let now = Engine.now t.engine in
     p.quarantined <- true;
     p.strikes <- 0;
-    t.quarantines.(at) <- t.quarantines.(at) + 1;
-    bump t m_quarantines t.lm_quarantines;
-    t.active.(at) <- t.active.(at) + 1;
+    t.quarantines <- t.quarantines + 1;
+    Reg.inc m_quarantines;
+    t.active <- t.active + 1;
     note_active t;
     Flight.note Flight.global ~ts:now
       ~detail:(Printf.sprintf "ad %d quarantined neighbor %d: %s" at nbr reason)
@@ -273,16 +217,16 @@ let screen t ~at ~from verdict =
   else begin
     let p = peer t at from in
     if p.quarantined then begin
-      t.drops.(at) <- t.drops.(at) + 1;
-      bump t m_drops t.lm_drops;
+      t.drops <- t.drops + 1;
+      Reg.inc m_drops;
       false
     end
     else
       match verdict with
       | Ok () -> true
       | Error reason ->
-        t.rejected.(at) <- t.rejected.(at) + 1;
-        bump t m_rejected t.lm_rejected;
+        t.rejected <- t.rejected + 1;
+        Reg.inc m_rejected;
         Flight.note Flight.global ~ts:(Engine.now t.engine)
           ~detail:
             (Printf.sprintf "ad %d rejected update from %d: %s" at from reason)
@@ -304,12 +248,12 @@ let observe_link t ~at ~nbr ~up =
       quarantine t p ~at ~nbr ~reason:"flap damping suppression"
   end
 
-let updates_rejected t = sum t.rejected
+let updates_rejected t = t.rejected
 
-let quarantines_total t = sum t.quarantines
+let quarantines_total t = t.quarantines
 
-let quarantine_drops t = sum t.drops
+let quarantine_drops t = t.drops
 
-let readmissions t = sum t.readmissions
+let readmissions t = t.readmissions
 
-let active_quarantines t = sum t.active
+let active_quarantines t = t.active

@@ -85,67 +85,6 @@ let counter t ~ts ~tid ~value name = record t Counter ~ts ~dur:0.0 ~tid ~value n
 
 let complete t ~ts ~dur ~tid name = record t Complete ~ts ~dur ~tid ~value:0.0 name
 
-let capacity t = t.capacity
-
-(* Drain per-shard recorders into a primary one, re-establishing the
-   global timestamp order the Chrome export (and validate_json's
-   monotonicity check) relies on. Stable on equal stamps: the primary's
-   own events first, then sources in array order — deterministic for a
-   given set of buffers. Overflow past the primary's capacity drops the
-   latest-stamped events, matching [record]'s drop-newest discipline. *)
-let merge_from t srcs =
-  let extra = Array.fold_left (fun a (s : t) -> a + s.len) 0 srcs in
-  (if t.capacity > 0 && extra > 0 then begin
-     let n = t.len + extra in
-     let ks = Array.make n Instant
-     and tss = Array.make n 0.0
-     and ds = Array.make n 0.0
-     and tis = Array.make n 0
-     and ns = Array.make n ""
-     and vs = Array.make n 0.0 in
-     let pos = ref 0 in
-     let copy_from (s : t) =
-       for i = 0 to s.len - 1 do
-         let p = !pos in
-         ks.(p) <- s.kinds.(i);
-         tss.(p) <- s.ts.(i);
-         ds.(p) <- s.dur.(i);
-         tis.(p) <- s.tid.(i);
-         ns.(p) <- s.names.(i);
-         vs.(p) <- s.values.(i);
-         incr pos
-       done
-     in
-     copy_from t;
-     Array.iter copy_from srcs;
-     let order = Array.init n (fun i -> i) in
-     (* The index tiebreak makes the sort stable over the concat order. *)
-     Array.sort
-       (fun a b ->
-         let c = Float.compare tss.(a) tss.(b) in
-         if c <> 0 then c else compare a b)
-       order;
-     let keep = Stdlib.min n t.capacity in
-     for i = 0 to keep - 1 do
-       let j = order.(i) in
-       t.kinds.(i) <- ks.(j);
-       t.ts.(i) <- tss.(j);
-       t.dur.(i) <- ds.(j);
-       t.tid.(i) <- tis.(j);
-       t.names.(i) <- ns.(j);
-       t.values.(i) <- vs.(j)
-     done;
-     t.len <- keep;
-     t.dropped <- t.dropped + (n - keep)
-   end);
-  Array.iter
-    (fun (s : t) ->
-      if t.capacity > 0 then t.dropped <- t.dropped + s.dropped;
-      clear s)
-    srcs
-
-(* --- Chrome trace-event export ------------------------------------- *)
-
 let event ~name ~ph ~ts ~tid extra =
   J.Obj
     ([

@@ -44,17 +44,6 @@ val complete : t -> ts:float -> dur:float -> tid:int -> string -> unit
     duration. Used for route computations, where [dur] is the work
     charge rather than elapsed time. *)
 
-val capacity : t -> int
-(** Buffer capacity; 0 for {!disabled}. *)
-
-val merge_from : t -> t array -> unit
-(** Drain the source recorders into [t], re-sorting the combined
-    buffer by timestamp (stable: [t]'s events first on equal stamps,
-    then sources in array order). The sharded engine uses this to fold
-    per-shard recorders back into the primary at the end of a run;
-    overflow past [t]'s capacity is counted as dropped. Sources are
-    cleared. *)
-
 val to_json : t -> Pr_util.Json.t
 (** Chrome trace-event document ([{"traceEvents": [...]}]) loadable in
     Perfetto / chrome://tracing. Events appear in record order, so

@@ -53,11 +53,7 @@ let compiled t ad =
     t.compiled.(ad) <- Some c;
     c
 
-(* Eagerly compile every AD's terms. The sharded engine's worker
-   domains evaluate policies on the receive path; compiling everything
-   up front on the main domain keeps the lazy fill (and its
-   compilation counter) off the parallel path, so per-shard runs stay
-   deterministic and race-free. *)
+(* Eagerly compile every AD's terms. *)
 let precompile t =
   for ad = 0 to t.n - 1 do
     ignore (compiled t ad)

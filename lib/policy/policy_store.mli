@@ -35,9 +35,9 @@ val compiled : t -> Pr_topology.Ad.id -> Compiled.t
     call, cached after). *)
 
 val precompile : t -> unit
-(** Compile every AD's terms eagerly. The sharded engine's setup path
-    calls this so no lazy compilation (or its counter) ever runs on a
-    worker domain. *)
+(** Compile every AD's terms eagerly, so no lazy compilation runs
+    later — e.g. to time compilation apart from the searches that
+    would otherwise trigger it. *)
 
 val set_transit : t -> Pr_topology.Ad.id -> Transit_policy.t -> unit
 (** Replace an AD's transit policy, invalidate its compilation and

@@ -2,35 +2,13 @@ module Trace = Pr_obs.Trace
 module Reg = Pr_telemetry.Registry
 module Hist = Pr_telemetry.Hist
 
-(* [work] is the default-registry handle (the whole story for
-   sequential runs). Under sharding a computation runs on the lane
-   owning its AD, so the charge goes to that lane's registry instead;
-   the handles are memoized per registry by physical equality. The
-   cache list is immutable and its field update is a single word
-   store, so a lost concurrent prepend merely causes an idempotent
-   re-resolution later. *)
-type t = {
-  name : string;
-  work : Hist.t;
-  mutable cache : (Reg.t * Hist.t) list;
-}
+type t = { name : string; work : Hist.t }
 
-let make name =
-  { name; work = Reg.histogram Reg.default ("proto." ^ name ^ ".work"); cache = [] }
-
-let hist_for p reg =
-  if reg == Reg.default then p.work
-  else
-    match List.assq_opt reg p.cache with
-    | Some h -> h
-    | None ->
-      let h = Reg.histogram reg ("proto." ^ p.name ^ ".work") in
-      p.cache <- (reg, h) :: p.cache;
-      h
+let make name = { name; work = Reg.histogram Reg.default ("proto." ^ name ^ ".work") }
 
 let computation p net ~at ?(work = 1) () =
   let engine = Pr_sim.Network.engine net in
-  Hist.record_int (hist_for p (Pr_sim.Engine.current_registry engine)) work;
+  Hist.record_int p.work work;
   let tr = Pr_sim.Network.trace net in
   if Trace.enabled tr then
     Trace.complete tr ~ts:(Pr_sim.Engine.now engine) ~dur:(float_of_int work)

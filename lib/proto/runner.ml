@@ -48,20 +48,11 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
     mutable link_tap : (at:Pr_topology.Ad.id -> nbr:Pr_topology.Ad.id -> up:bool -> unit) option;
   }
 
-  let setup ?(trace = Trace.disabled) ?(shards = 1) graph config =
-    let engine =
-      if shards <= 1 then Engine.create ()
-      else Engine.create ~shards:(Pr_sim.Shard.plan graph ~shards) ()
-    in
+  let setup ?(trace = Trace.disabled) graph config =
+    let engine = Engine.create () in
     Engine.set_trace engine trace;
     let metrics = Metrics.create ~n:(Graph.n graph) in
     let net = Network.create ~trace engine graph metrics in
-    (* Worker domains evaluate compiled policies on the receive path;
-       compile everything up front so the lazy fill (and its counter)
-       never runs off the main domain. *)
-    if Engine.shard_count engine > 1 then
-      Pr_policy.Policy_store.precompile
-        (Pr_policy.Policy_store.of_config config);
     let proto = P.create graph config net in
     let t =
       {

@@ -20,7 +20,6 @@ module Make (P : Protocol_intf.PROTOCOL) : sig
 
   val setup :
     ?trace:Pr_obs.Trace.t ->
-    ?shards:int ->
     Pr_topology.Graph.t ->
     Pr_policy.Config.t ->
     t
@@ -28,10 +27,7 @@ module Make (P : Protocol_intf.PROTOCOL) : sig
       installed but nothing has been sent yet. [trace] (default
       {!Pr_obs.Trace.disabled}) is threaded into the engine and
       network, and protocols pick it up via [Network.trace] for their
-      route-computation spans. [shards] (default 1: the sequential
-      engine) partitions the simulation across that many OCaml domains
-      with {!Pr_sim.Shard.plan}; results are identical to the
-      sequential engine for the same seed and scenario. *)
+      route-computation spans. *)
 
   val graph : t -> Pr_topology.Graph.t
 

@@ -33,8 +33,6 @@ let record_send t ad ~bytes =
 
 let record_loss t ad = t.lost.(ad) <- t.lost.(ad) + 1
 
-let add_losses t ad count = t.lost.(ad) <- t.lost.(ad) + count
-
 let record_eviction t ad ?(count = 1) () = t.evicted.(ad) <- t.evicted.(ad) + count
 
 let record_computation t ad ?(work = 1) () = t.comps.(ad) <- t.comps.(ad) + work

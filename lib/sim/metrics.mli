@@ -21,11 +21,6 @@ val record_loss : t -> Pr_topology.Ad.id -> unit
     crashed AD, or eaten by a fault-plan drop. Charged to the intended
     {e receiver}: loss is the receiver's missing information. *)
 
-val add_losses : t -> Pr_topology.Ad.id -> int -> unit
-(** Charge [count] losses to an AD at once. The sharded {!Network}
-    accumulates cross-shard interposer drops in per-shard shadow
-    arrays and flushes them here at the end of a run. *)
-
 val record_eviction : t -> Pr_topology.Ad.id -> ?count:int -> unit -> unit
 (** One (or [count]) bounded-cache evictions at the AD — setup-handle
     or route-cache entries displaced under LRU pressure. State the AD

@@ -37,65 +37,23 @@ type 'msg t = {
   (* Registry handles resolved once at creation. *)
   m_sends : Reg.counter;
   m_losses : Reg.counter;
-  (* Sharded-engine instrumentation: the hot send/lose paths run on
-     worker domains, so each shard records into its own registry
-     handles (absorbed into the default registry at end of run) and
-     charges cross-shard losses to a per-shard shadow array flushed
-     into Metrics — the single-writer Metrics arrays must not be
-     written from a foreign domain. Empty on a sequential engine. *)
-  sharded : bool;
-  lane_sends : Reg.counter array;
-  lane_losses : Reg.counter array;
-  lost_shadow : int array array;
 }
 
 let create ?(trace = Trace.disabled) engine graph metrics =
-  let shards = Engine.shard_count engine in
-  let sharded = shards > 1 in
-  let t =
-    {
-      engine;
-      graph;
-      metrics;
-      trace;
-      link_up = Array.make (Graph.num_links graph) true;
-      node_up = Array.make (Graph.n graph) true;
-      interpose = None;
-      tamper = None;
-      on_message = (fun ~at:_ ~from:_ _ -> ());
-      on_link = (fun ~at:_ ~link:_ ~up:_ -> ());
-      m_sends = Reg.counter Reg.default "net.sends";
-      m_losses = Reg.counter Reg.default "net.losses";
-      sharded;
-      lane_sends =
-        (if sharded then
-           Array.init shards (fun i ->
-               Reg.counter (Engine.shard_registry engine i) "net.sends")
-         else [||]);
-      lane_losses =
-        (if sharded then
-           Array.init shards (fun i ->
-               Reg.counter (Engine.shard_registry engine i) "net.losses")
-         else [||]);
-      lost_shadow =
-        (if sharded then
-           Array.init shards (fun _ -> Array.make (Graph.n graph) 0)
-         else [||]);
-    }
-  in
-  if sharded then
-    Engine.add_end_of_run_hook engine (fun () ->
-        Array.iter
-          (fun row ->
-            Array.iteri
-              (fun ad c ->
-                if c <> 0 then begin
-                  Metrics.add_losses metrics ad c;
-                  row.(ad) <- 0
-                end)
-              row)
-          t.lost_shadow);
-  t
+  {
+    engine;
+    graph;
+    metrics;
+    trace;
+    link_up = Array.make (Graph.num_links graph) true;
+    node_up = Array.make (Graph.n graph) true;
+    interpose = None;
+    tamper = None;
+    on_message = (fun ~at:_ ~from:_ _ -> ());
+    on_link = (fun ~at:_ ~link:_ ~up:_ -> ());
+    m_sends = Reg.counter Reg.default "net.sends";
+    m_losses = Reg.counter Reg.default "net.losses";
+  }
 
 let graph t = t.graph
 
@@ -103,21 +61,7 @@ let engine t = t.engine
 
 let metrics t = t.metrics
 
-let trace t = if t.sharded then Engine.trace t.engine else t.trace
-
-(* Context-resolved counter handles: the executing shard's on a worker
-   domain, the default-registry ones otherwise. *)
-let sends_ctr t =
-  if not t.sharded then t.m_sends
-  else
-    let i = Engine.current_shard t.engine in
-    if i < 0 then t.m_sends else t.lane_sends.(i)
-
-let losses_ctr t =
-  if not t.sharded then t.m_losses
-  else
-    let i = Engine.current_shard t.engine in
-    if i < 0 then t.m_losses else t.lane_losses.(i)
+let trace t = t.trace
 
 let debug_on () =
   match Logs.Src.level log_src with Some Logs.Debug -> true | _ -> false
@@ -157,29 +101,23 @@ let up_neighbors t x =
   List.rev !acc
 
 let lose t ~src ~dst =
-  (* Loss is charged to the receiver. On a worker domain the Metrics
-     row may belong to a foreign shard (an interposer drop runs in the
-     sender's context), so the charge goes to this shard's shadow
-     array, flushed at end of run. *)
-  (let i = Engine.current_shard t.engine in
-   if i < 0 then Metrics.record_loss t.metrics dst
-   else t.lost_shadow.(i).(dst) <- t.lost_shadow.(i).(dst) + 1);
-  Reg.inc (losses_ctr t);
-  let tr = trace t in
-  if Trace.enabled tr then
-    Trace.instant tr ~ts:(Engine.now t.engine) ~tid:dst "net.lost";
+  (* Loss is charged to the receiver. *)
+  Metrics.record_loss t.metrics dst;
+  Reg.inc t.m_losses;
+  if Trace.enabled t.trace then
+    Trace.instant t.trace ~ts:(Engine.now t.engine) ~tid:dst "net.lost";
   if debug_on () then
     Log.debug (fun m ->
         m "t=%.1f message %d -> %d lost in flight" (Engine.now t.engine) src dst)
 
 (* One delivery event per interposed copy. A zero extra reuses the
    link's own delay, so the common unperturbed copy boxes no float. *)
-let rec schedule_copies t ~dst ~delay deliver = function
+let rec schedule_copies t ~delay deliver = function
   | [] -> ()
   | extra :: rest ->
-    if extra = 0.0 then Engine.schedule_for t.engine ~ad:dst ~delay deliver
-    else Engine.schedule_for t.engine ~ad:dst ~delay:(delay +. extra) deliver;
-    schedule_copies t ~dst ~delay deliver rest
+    if extra = 0.0 then Engine.schedule t.engine ~delay deliver
+    else Engine.schedule t.engine ~delay:(delay +. extra) deliver;
+    schedule_copies t ~delay deliver rest
 
 let send t ~src ~dst ~bytes msg =
   (* A crashed AD transmits nothing. *)
@@ -188,10 +126,9 @@ let send t ~src ~dst ~bytes msg =
     let lid = slot_link t slot in
     if lid >= 0 then begin
       Metrics.record_send t.metrics src ~bytes;
-      Reg.inc (sends_ctr t);
-      let tr = trace t in
-      if Trace.enabled tr then
-        Trace.instant tr ~ts:(Engine.now t.engine) ~tid:src "net.send";
+      Reg.inc t.m_sends;
+      if Trace.enabled t.trace then
+        Trace.instant t.trace ~ts:(Engine.now t.engine) ~tid:src "net.send";
       if debug_on () then
         Log.debug (fun m ->
             m "t=%.1f send %d -> %d (%d bytes)" (Engine.now t.engine) src dst bytes);
@@ -207,18 +144,15 @@ let send t ~src ~dst ~bytes msg =
         if t.link_up.(lid) && t.node_up.(dst) then t.on_message ~at:dst ~from:src msg
         else lose t ~src ~dst
       in
-      (* Delivery executes on the shard owning the receiver; link
-         delays are >= the cross-shard minimum by construction, so the
-         window synchronizer never has to delay these further. *)
       match t.interpose with
-      | None -> Engine.schedule_for t.engine ~ad:dst ~delay deliver
+      | None -> Engine.schedule t.engine ~delay deliver
       | Some f -> (
         match f ~src ~dst ~slot ~link:lid with
         | [] ->
           (* The fault plan ate it; the bits were still transmitted, so
              the send stays charged. *)
           lose t ~src ~dst
-        | extras -> schedule_copies t ~dst ~delay deliver extras)
+        | extras -> schedule_copies t ~delay deliver extras)
     end
   end
 
@@ -231,9 +165,8 @@ let set_link_state t lid ~up =
   if t.link_up.(lid) <> up then begin
     t.link_up.(lid) <- up;
     let l = Graph.link t.graph lid in
-    let tr = trace t in
-    if Trace.enabled tr then
-      Trace.instant tr ~ts:(Engine.now t.engine) ~tid:l.Link.a
+    if Trace.enabled t.trace then
+      Trace.instant t.trace ~ts:(Engine.now t.engine) ~tid:l.Link.a
         (if up then "link.up" else "link.down");
     Flight.note Flight.global ~ts:(Engine.now t.engine) ~tid:l.Link.a
       ~detail:(Printf.sprintf "link %d--%d" l.Link.a l.Link.b)
@@ -248,9 +181,8 @@ let set_link_state t lid ~up =
 let set_node_state t ad ~up =
   if t.node_up.(ad) <> up then begin
     t.node_up.(ad) <- up;
-    let tr = trace t in
-    if Trace.enabled tr then
-      Trace.instant tr ~ts:(Engine.now t.engine) ~tid:ad
+    if Trace.enabled t.trace then
+      Trace.instant t.trace ~ts:(Engine.now t.engine) ~tid:ad
         (if up then "node.up" else "node.down");
     Flight.note Flight.global ~ts:(Engine.now t.engine) ~tid:ad
       ~detail:(Printf.sprintf "AD %d" ad)

@@ -33,9 +33,8 @@ let global = create ~capacity:1024 ()
 let enabled t = t.on
 let set_enabled t on = t.on <- on
 
-(* Notes can arrive concurrently from the sharded engine's worker
-   domains (guard rejections, nemesis faults), so slot allocation and
-   the writes it guards are serialized. Uncontended lock cost is
+(* Notes may arrive from any domain, so slot allocation and the
+   writes it guards are serialized. Uncontended lock cost is
    negligible next to the string formatting every caller already does,
    and the recorder is off the per-event hot path. *)
 let note_mutex = Mutex.create ()

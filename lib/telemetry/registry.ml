@@ -82,24 +82,6 @@ let snapshot t =
     t.tbl []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-(* Fold a snapshot into a live registry: counters add, gauges keep the
-   max, histograms merge. Instruments are created on demand. This is
-   the deterministic merge the sharded engine uses to fold per-shard
-   registries back into the default one at the end of a run — lane
-   registries are absorbed in shard order, and counter addition /
-   histogram merge are order-independent, so the merged totals are a
-   pure function of the per-shard values. *)
-let absorb t snap =
-  List.iter
-    (fun (name, v) ->
-      match v with
-      | Counter c -> add (counter t name) c
-      | Gauge v ->
-          let g = gauge t name in
-          if v > g.g_val then g.g_val <- v
-      | Histogram h -> Hist.merge ~into:(histogram t name) h)
-    snap
-
 let diff ~after ~before =
   List.map
     (fun (name, v) ->

@@ -47,13 +47,6 @@ type snapshot = (string * value) list
 
 val snapshot : t -> snapshot
 
-val absorb : t -> snapshot -> unit
-(** Fold a snapshot into a live registry: counters add, gauges keep
-    the max of current and incoming, histograms merge. Instruments are
-    created on demand. The sharded engine uses this to fold per-shard
-    registries into {!default} at the end of a run; the result is
-    order-independent for counters and histograms. *)
-
 val diff : after:snapshot -> before:snapshot -> snapshot
 (** Counters and histograms subtract; gauges take the [after] value.
     Names only in [after] pass through unchanged. *)

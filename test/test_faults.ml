@@ -73,13 +73,41 @@ let plan_rejects_nonsense_values () =
       "replay:at=2,count=nan";
       "drop:p=0.1,from=-1";
       "drop:p=0.1,until=nan";
+      "crash:at=1,ad=abc";
+      "corrupt:p=0.5,ad=1.5";
+      "forge:at=1,ad=";
+      "chatter:at=1,flaps=2,spacing=1,ad=x";
     ];
   List.iter
     (fun spec ->
       match Plan.of_string spec with
       | Ok _ -> ()
       | Error e -> Alcotest.failf "spec %S should parse: %s" spec e)
-    [ "crash:at=0,down=0"; "drop:p=0,until=inf"; "delay:p=1,max=0"; "storm:at=0,flaps=0,spacing=0" ]
+    [ "crash:at=0,down=0"; "drop:p=0,until=inf"; "delay:p=1,max=0"; "storm:at=0,flaps=0,spacing=0" ];
+  (* ADs that parse but that a 30-AD internet does not have *)
+  let check_ads spec =
+    match Plan.of_string spec with
+    | Error e -> Alcotest.failf "spec %S should parse: %s" spec e
+    | Ok plan -> Plan.check_ads plan ~n:30
+  in
+  List.iter
+    (fun spec ->
+      match check_ads spec with
+      | Ok () -> Alcotest.failf "spec %S should be out of range at 30 ADs" spec
+      | Error _ -> ())
+    [
+      "crash:at=1,ad=99999";
+      "forge:at=1,ad=-3";
+      "chatter:at=1,flaps=2,spacing=1,ad=500";
+      "corrupt:p=0.5,ad=30";
+      "drop:p=0.1;crash:at=2,ad=3;forge:at=4,ad=31";
+    ];
+  List.iter
+    (fun spec ->
+      match check_ads spec with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "spec %S should fit 30 ADs: %s" spec e)
+    [ "crash:at=1,ad=0"; "forge:at=1,ad=29"; "crash:at=1"; "replay:at=2,count=3"; "" ]
 
 let plan_empty () =
   check_bool "empty spec is the empty plan" true (Plan.of_string "" = Ok []);

@@ -451,6 +451,54 @@ let oracle_dijkstra_matches_enumeration =
       | None -> permitted = []
       | Some p -> Validate.transit_legal g c flow p && Source_policy.permits source p)
 
+(* Paper §5.4.1: restrictiveness trades against availability. Opening
+   one transit-capable AD's policy completely can only add legal
+   routes, so no flow that had one before loses it. *)
+let opening_a_policy_never_loses_a_route =
+  QCheck.Test.make ~name:"opening one AD's transit policy never removes a route"
+    ~count:60
+    QCheck.(triple (int_range 14 40) small_int bool)
+    (fun (size, seed, fine) ->
+      let g = (Pr_core.Scenario.for_size ~target_ads:size ~seed ()).Pr_core.Scenario.graph in
+      let n = Graph.n g in
+      let rng = Rng.create seed in
+      let granularity = if fine then Gen.Fine else Gen.default.Gen.granularity in
+      let before =
+        Gen.generate rng g
+          {
+            Gen.restrictiveness = 0.5 +. Rng.float rng 0.4;
+            granularity;
+            source_policy_prob = 0.5;
+          }
+      in
+      match Graph.transit_ids g with
+      | [] -> true
+      | transit_ads ->
+        let opened = Rng.choose rng transit_ads in
+        let after =
+          Config.make
+            ~transit:
+              (Array.init n (fun ad ->
+                   if ad = opened then Transit_policy.open_transit ad
+                   else Config.transit before ad))
+            ~source:
+              (Array.init n (fun ad ->
+                   if Config.has_source_policy before ad then
+                     Some (Config.source before ad)
+                   else None))
+            ()
+        in
+        List.for_all
+          (fun _ ->
+            let flow =
+              Flow.make ~src:(Rng.int rng n) ~dst:(Rng.int rng n)
+                ~qos:(Rng.choose rng Qos.all) ~uci:(Rng.choose rng Uci.all)
+                ~hour:(Rng.int rng 24) ~authenticated:(Rng.bool rng) ()
+            in
+            (not (Validate.route_exists g before flow ~max_hops:n))
+            || Validate.route_exists g after flow ~max_hops:n)
+          (List.init 12 Fun.id))
+
 (* The oracle runs where the system benchmarks. At 10^4 ADs a search
    touches sparse (node, arrived-from) state, never n^2 slots, and once
    its scratch is warm it allocates little beyond the route itself. *)
@@ -723,5 +771,6 @@ let () =
               pt_restriction_monotone;
               hour_window_complement;
               transit_union_monotone;
+              opening_a_policy_never_loses_a_route;
             ] );
     ]

@@ -62,6 +62,65 @@ let engine_bad_schedule () =
   Alcotest.check_raises "negative delay" (Invalid_argument "Engine.schedule: negative delay")
     (fun () -> Engine.schedule e ~delay:(-1.0) (fun () -> ()))
 
+let engine_schedule_at () =
+  let e = Engine.create () in
+  let log = ref [] in
+  Engine.schedule_at e ~time:5.0 (fun () ->
+      log := Engine.now e :: !log;
+      (* Absolute times are absolute, not offsets from the clock. *)
+      Engine.schedule_at e ~time:7.0 (fun () -> log := Engine.now e :: !log));
+  Engine.schedule e ~delay:2.0 (fun () -> log := Engine.now e :: !log);
+  ignore (Engine.run e);
+  Alcotest.(check (list (float 1e-9))) "fired at their times" [ 2.0; 5.0; 7.0 ]
+    (List.rev !log);
+  Alcotest.check_raises "past time"
+    (Invalid_argument "Engine.schedule_at: time in the past")
+    (fun () -> Engine.schedule_at e ~time:6.0 (fun () -> ()))
+
+let engine_resume_after_budget () =
+  (* A run cut by the budget leaves the rest queued; the next run
+     picks up where it stopped and the lifetime count accumulates. *)
+  let e = Engine.create () in
+  let fired = ref 0 in
+  for i = 1 to 150 do
+    Engine.schedule e ~delay:(float_of_int i) (fun () -> incr fired)
+  done;
+  check_bool "cut" true (Engine.run ~max_events:100 e = Engine.Reached_limit);
+  check_int "fired before the cut" 100 !fired;
+  check_int "left pending" 50 (Engine.pending e);
+  check_float "clock at the cut" 100.0 (Engine.now e);
+  check_bool "drains on resume" true (Engine.run e = Engine.Drained);
+  check_int "all fired" 150 !fired;
+  check_int "lifetime count" 150 (Engine.events_executed e);
+  check_float "clock at the end" 150.0 (Engine.now e)
+
+let engine_observer () =
+  let e = Engine.create () in
+  let seen = ref [] in
+  Engine.set_observer e (Some (fun ~time ~pending -> seen := (time, pending) :: !seen));
+  Engine.schedule e ~delay:1.0 (fun () -> Engine.schedule e ~delay:1.0 (fun () -> ()));
+  Engine.schedule e ~delay:3.0 (fun () -> ());
+  ignore (Engine.run e);
+  Alcotest.(check (list (pair (float 1e-9) int)))
+    "one call per event, after it ran" [ (1.0, 2); (2.0, 1); (3.0, 0) ] (List.rev !seen);
+  (* Removing the observer stops the calls; the queue still drains. *)
+  Engine.set_observer e None;
+  Engine.schedule e ~delay:1.0 (fun () -> ());
+  check_bool "drained" true (Engine.run e = Engine.Drained);
+  check_int "no further calls" 3 (List.length !seen);
+  check_int "observer adds no events" 4 (Engine.events_executed e)
+
+let engine_empty_run () =
+  let e = Engine.create () in
+  check_bool "nothing to do" true (Engine.run e = Engine.Drained);
+  check_int "nothing executed" 0 (Engine.events_executed e);
+  check_float "clock untouched" 0.0 (Engine.now e);
+  Engine.schedule e ~delay:1.0 (fun () -> ());
+  check_bool "zero budget stops at once" true
+    (Engine.run ~max_events:0 e = Engine.Reached_limit);
+  check_int "nothing executed on a zero budget" 0 (Engine.events_executed e);
+  check_int "still pending" 1 (Engine.pending e)
+
 (* --- Metrics ------------------------------------------------------- *)
 
 let metrics_counters () =
@@ -411,75 +470,31 @@ let churn_bad_spacing () =
   Alcotest.check_raises "spacing" (Invalid_argument "Churn.schedule: spacing <= 0")
     (fun () -> Pr_sim.Churn.schedule net (Rng.create 1) ~events:2 ~spacing:0.0 ())
 
-(* --- Sharded engine -------------------------------------------------- *)
-
-module Shard = Pr_sim.Shard
-
-let shard_plan_partitions () =
-  let g = Generator.generate (Rng.create 7) (Generator.scaled ~target_ads:60) in
-  let s = Shard.plan g ~shards:4 in
-  check_int "count" 4 (Shard.count s);
-  let pop = Array.make 4 0 in
-  for ad = 0 to Graph.n g - 1 do
-    let o = Shard.owner s ad in
-    check_bool "owner in range" true (o >= 0 && o < 4);
-    pop.(o) <- pop.(o) + 1
-  done;
-  Array.iteri (fun i c -> check_bool (Printf.sprintf "shard %d populated" i) true (c > 0)) pop;
-  check_bool "cross-shard delta positive" true (Shard.delta s > 0.0)
-
-let shard_plan_deterministic () =
-  let g = Generator.generate (Rng.create 7) (Generator.scaled ~target_ads:60) in
-  let a = Shard.plan g ~shards:4 and b = Shard.plan g ~shards:4 in
-  for ad = 0 to Graph.n g - 1 do
-    check_int "same owner" (Shard.owner a ad) (Shard.owner b ad)
-  done;
-  check_float "same delta" (Shard.delta a) (Shard.delta b)
-
-let shard_plan_single () =
-  let g = Figure1.graph () in
-  let s = Shard.plan g ~shards:1 in
-  check_int "one shard" 1 (Shard.count s);
-  for ad = 0 to Graph.n g - 1 do
-    check_int "everything on shard 0" 0 (Shard.owner s ad)
-  done;
-  (* No cross-shard links: the window width is unbounded. *)
-  check_bool "delta infinite" true (Shard.delta s = infinity)
-
-(* One converge under churn, sequential or sharded, summarized by
-   everything the equivalence contract covers: the convergence record,
-   the full metrics document (per-AD sends, bytes, computations, table
-   entries), and the delivery outcome of one flow per AD. *)
-let converge_summary ~seed ~size ~shards =
+(* One converge under churn summarized by everything a golden file of
+   the run would pin: the convergence record, the full metrics document
+   (per-AD sends, bytes, computations, table entries), and the delivery
+   outcome of one flow per AD. *)
+let converge_summary ~seed ~size =
   let g = Generator.generate (Rng.create seed) (Generator.scaled ~target_ads:size) in
   let module R = Pr_proto.Runner.Make (Pr_ls.Ls) in
-  let r = R.setup ~shards g (Pr_policy.Config.defaults g) in
-  Pr_sim.Churn.schedule (R.network r)
-    (Rng.derive seed "churn")
-    ~events:6 ~spacing:4.0 ();
+  let r = R.setup g (Pr_policy.Config.defaults g) in
+  Pr_sim.Churn.schedule (R.network r) (Rng.derive seed "churn") ~events:6 ~spacing:4.0 ();
   let c = R.converge r in
   let metrics = Pr_util.Json.to_string (Metrics.to_json (R.metrics r)) in
   let n = Graph.n g in
   let routes =
     List.init n (fun src ->
         let dst = (src + (n / 2)) mod n in
-        Pr_proto.Forwarding.delivered
-          (R.send_flow r (Pr_policy.Flow.make ~src ~dst ())))
+        Pr_proto.Forwarding.delivered (R.send_flow r (Pr_policy.Flow.make ~src ~dst ())))
   in
   (c, metrics, routes)
 
-let sharded_equals_sequential =
-  QCheck.Test.make
-    ~name:"sharded converge equals sequential (any topology, churn, 2-8 shards)"
-    ~count:8
-    QCheck.(triple small_int small_int small_int)
-    (fun (seed, size, shards) ->
-      let seed = 1 + (seed mod 1000)
-      and size = 8 + (size mod 33)
-      and shards = 2 + (shards mod 7) in
-      let cs, ms, rs = converge_summary ~seed ~size ~shards:1 in
-      let cp, mp, rp = converge_summary ~seed ~size ~shards in
-      cs = cp && String.equal ms mp && rs = rp)
+let converge_reproducible =
+  QCheck.Test.make ~name:"converge under churn is reproducible (any topology)" ~count:8
+    QCheck.(pair small_int small_int)
+    (fun (seed, size) ->
+      let seed = 1 + (seed mod 1000) and size = 8 + (size mod 33) in
+      converge_summary ~seed ~size = converge_summary ~seed ~size)
 
 let () =
   Alcotest.run "pr_sim"
@@ -491,6 +506,10 @@ let () =
           Alcotest.test_case "nested scheduling" `Quick engine_nested_scheduling;
           Alcotest.test_case "event budget" `Quick engine_event_budget;
           Alcotest.test_case "bad schedule" `Quick engine_bad_schedule;
+          Alcotest.test_case "absolute schedule" `Quick engine_schedule_at;
+          Alcotest.test_case "resume after budget" `Quick engine_resume_after_budget;
+          Alcotest.test_case "observer" `Quick engine_observer;
+          Alcotest.test_case "empty run" `Quick engine_empty_run;
         ] );
       ( "metrics",
         [
@@ -519,13 +538,6 @@ let () =
           Alcotest.test_case "failover" `Quick virtual_gateway_failover;
           Alcotest.test_case "protocol transparent" `Quick virtual_gateway_protocol_transparent;
         ] );
-      ( "sharded",
-        [
-          Alcotest.test_case "plan partitions" `Quick shard_plan_partitions;
-          Alcotest.test_case "plan deterministic" `Quick shard_plan_deterministic;
-          Alcotest.test_case "single shard trivial" `Quick shard_plan_single;
-        ]
-        @ List.map QCheck_alcotest.to_alcotest [ sharded_equals_sequential ] );
       ( "churn",
         [
           Alcotest.test_case "restores links" `Quick churn_restores_links;
@@ -534,5 +546,6 @@ let () =
           Alcotest.test_case "no up links" `Quick churn_no_up_links;
           Alcotest.test_case "kind matches nothing" `Quick churn_kind_matches_nothing;
           Alcotest.test_case "bad spacing" `Quick churn_bad_spacing;
-        ] );
+        ]
+        @ List.map QCheck_alcotest.to_alcotest [ converge_reproducible ] );
     ]
