@@ -84,8 +84,11 @@ let link_of_sexp = function
     let* kind = kind_of_atom kind in
     let* cost = Sexp.to_int cost in
     (match float_of_string_opt delay with
-    | None -> Error ("bad delay " ^ delay)
-    | Some delay -> Ok (Link.make ~id ~a ~b ~cost ~delay kind))
+    | Some d when Float.is_finite d && d > 0.0 -> (
+      match Link.make ~id ~a ~b ~cost ~delay:d kind with
+      | l -> Ok l
+      | exception Invalid_argument msg -> Error msg)
+    | _ -> Error ("bad delay " ^ delay))
   | s -> Error ("malformed link: " ^ Sexp.to_string s)
 
 let graph_to_sexp g =

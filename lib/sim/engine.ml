@@ -46,11 +46,13 @@ let trace t = t.trace
 let set_observer t obs = t.observer <- obs
 
 let schedule t ~delay f =
-  if delay < 0.0 then invalid_arg "Engine.schedule: negative delay";
+  (* Written so that NaN fails too: a NaN time would sit unordered in
+     the queue. *)
+  if not (delay >= 0.0) then invalid_arg "Engine.schedule: negative delay";
   Pqueue.add t.queue ~priority:(t.clock.now +. delay) f
 
 let schedule_at t ~time f =
-  if time < t.clock.now then invalid_arg "Engine.schedule_at: time in the past";
+  if not (time >= t.clock.now) then invalid_arg "Engine.schedule_at: time in the past";
   Pqueue.add t.queue ~priority:time f
 
 let pending t = Pqueue.length t.queue

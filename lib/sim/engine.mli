@@ -29,11 +29,13 @@ val set_observer : t -> (time:float -> pending:int -> unit) option -> unit
     {!Pr_obs.Timeline}. *)
 
 val schedule : t -> delay:float -> (unit -> unit) -> unit
-(** Schedule an event [delay >= 0] time units from now. *)
+(** Schedule an event [delay >= 0] time units from now.
+    @raise Invalid_argument on a negative or NaN delay. *)
 
 val schedule_at : t -> time:float -> (unit -> unit) -> unit
 (** Schedule at an absolute simulated time, which must not be in the
-    past. *)
+    past.
+    @raise Invalid_argument on a past or NaN time. *)
 
 val pending : t -> int
 

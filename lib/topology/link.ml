@@ -7,7 +7,8 @@ type t = { id : id; a : Ad.id; b : Ad.id; kind : kind; cost : int; delay : float
 let make ~id ~a ~b ?(cost = 1) ?(delay = 1.0) kind =
   if a = b then invalid_arg "Link.make: self loop";
   if cost < 1 then invalid_arg "Link.make: cost < 1";
-  if delay <= 0.0 then invalid_arg "Link.make: delay <= 0";
+  if not (Float.is_finite delay && delay > 0.0) then
+    invalid_arg "Link.make: delay not finite and > 0";
   { id; a; b; kind; cost; delay }
 
 let other_end t x =

@@ -22,6 +22,8 @@ type t = {
 }
 
 val make : id:id -> a:Ad.id -> b:Ad.id -> ?cost:int -> ?delay:float -> kind -> t
+(** @raise Invalid_argument on a self loop, a cost below 1, or a delay
+    that is not finite and > 0. *)
 
 val other_end : t -> Ad.id -> Ad.id
 (** [other_end l x] is the endpoint of [l] that is not [x].

@@ -1,25 +1,49 @@
-(* Binary min-heap ordered by (priority, insertion seq) whose sifts
-   never touch a boxed value. Heap position [i] is three parallel
-   unboxed cells — [prio] (a flat [Float.Array]), [seq] and [slot] —
-   so moving an entry is three stores of immediates: no [caml_modify],
-   no write barrier, nothing for the minor GC to scan. Sifts carry the
-   moving entry in locals and write the hole once per level.
+(* Binary min-heap of equal-priority FIFO runs, popped in exact
+   (priority, insertion seq) order, whose sifts never touch a boxed
+   value.
+
+   Runs. A run is a linked list of value slots that share one priority
+   (equal under [=], and with the same sign when that priority is
+   zero), in insertion order; [next] links a slot to its successor.
+   The heap holds one entry per run, its head, so popping the heap is
+   a k-way merge of sorted runs: every run is sorted by (priority,
+   seq) because [add] only ever appends the newest seq to a run whose
+   priority equals its own. A small direct-mapped table maps a
+   priority's bucket to the tail slot of that priority's open run,
+   which lets [add] append in O(1) without touching the heap. The
+   table is only a shortcut: when two priorities share a bucket the
+   newer one evicts the older, whose run stays in the heap, closed,
+   and a later [add] of the evicted priority opens a new run. Such a
+   run holds only larger seqs than the closed one, so the merge order
+   is still exact. Flooding waves, which land many events on one
+   simulated time, therefore push and pop in O(1).
+
+   Heap position [i] is three parallel unboxed cells — [prio] (a flat
+   [Float.Array]), [seq] and [slot] — so moving an entry is three
+   stores of immediates: no [caml_modify], no write barrier, nothing
+   for the minor GC to scan. Sifts carry the moving entry in locals and
+   write the hole once per level.
 
    Values live apart, in [values], indexed by [slot]: each value is
    written once by [add] and cleared once by the pop that removes it,
    and vacant slots are recycled through the [free] stack. A popped
-   value is therefore never retained past its pop — the heap's
+   value is therefore never retained past its pop — the queue's
    high-water mark holds no stale references. *)
 
 type 'a t = {
-  mutable prio : Float.Array.t;  (* heap position -> priority *)
-  mutable seq : int array;  (* heap position -> insertion seq *)
-  mutable slot : int array;  (* heap position -> value slot *)
+  mutable prio : Float.Array.t;  (* heap position -> priority of its run *)
+  mutable seq : int array;  (* heap position -> insertion seq of the run head *)
+  mutable slot : int array;  (* heap position -> value slot of the run head *)
   mutable values : 'a array;  (* value slot -> value; vacant slots hold [vacant] *)
+  mutable vseq : int array;  (* value slot -> insertion seq *)
+  mutable next : int array;  (* value slot -> next slot of its run; -1 at the tail *)
   mutable free : int array;  (* stack of vacant value slots *)
   mutable nfree : int;
-  mutable size : int;
+  mutable size : int;  (* heap entries: one per run *)
+  mutable count : int;  (* values *)
   mutable next_seq : int;
+  mutable open_prio : Float.Array.t;  (* bucket -> priority of its open run *)
+  mutable open_tail : int array;  (* bucket -> tail slot of its open run; -1 when none *)
 }
 
 (* Filler for vacant value slots. It is an immediate, so [values] is
@@ -27,35 +51,41 @@ type 'a t = {
    for ['a = float]), and it is never read back as an ['a]. *)
 let vacant () : 'a = Obj.magic 0
 
+let buckets = 64
+
+(* The bucket of a priority, by [int_of_float] arithmetic so that
+   hashing a float never boxes it: scale so that fractional times keep
+   20 bits, then take bits of a Fibonacci product. Equal priorities
+   (and 0.0 / -0.0) land in one bucket; NaN lands somewhere and never
+   matches. *)
+let[@inline] bucket p =
+  ((int_of_float (p *. 1048576.0) * 0x1E3779B97F4A7C15) lsr 40) land (buckets - 1)
+
 let create () =
   {
     prio = Float.Array.create 0;
     seq = [||];
     slot = [||];
     values = [||];
+    vseq = [||];
+    next = [||];
     free = [||];
     nfree = 0;
     size = 0;
+    count = 0;
     next_seq = 0;
+    open_prio = Float.Array.create 0;
+    open_tail = [||];
   }
 
 let is_empty t = t.size = 0
 
-let length t = t.size
+let length t = t.count
 
-(* Drops the backing arrays entirely, releasing everything they held. *)
-let clear t =
-  t.prio <- Float.Array.create 0;
-  t.seq <- [||];
-  t.slot <- [||];
-  t.values <- [||];
-  t.free <- [||];
-  t.nfree <- 0;
-  t.size <- 0
-
-(* Every value slot is in use exactly when the heap is full: double all
-   five arrays and push the new slots on the free stack, lowest on
-   top. *)
+(* Every value slot is in use: double the arrays and push the new
+   slots on the free stack, lowest on top. The run table is allocated
+   by the first growth, so a queue that is never added to costs
+   nothing. *)
 let grow t =
   let cap = Array.length t.seq in
   let ncap = if cap = 0 then 16 else 2 * cap in
@@ -66,11 +96,23 @@ let grow t =
   t.seq <- extend t.seq;
   t.slot <- extend t.slot;
   t.values <- Array.append t.values (Array.make (ncap - cap) (vacant ()));
+  t.vseq <- extend t.vseq;
+  t.next <- extend t.next;
   t.free <- Array.init ncap (fun i -> ncap - 1 - i);
-  t.nfree <- ncap - cap
+  t.nfree <- ncap - cap;
+  if cap = 0 then begin
+    t.open_prio <- Float.Array.make buckets 0.0;
+    t.open_tail <- Array.make buckets (-1)
+  end
 
 let[@inline] less (p : float) (s : int) (q : float) (r : int) =
   p < q || (p = q && s < r)
+
+(* Exactly equal: [=], which NaN never satisfies, and the same sign
+   when both are zeros, so a run's priority is bit-for-bit the priority
+   each of its values was added with. *)
+let[@inline] same (p : float) (q : float) =
+  p = q && (p <> 0.0 || Float.sign_bit p = Float.sign_bit q)
 
 let add t ~priority value =
   if t.nfree = 0 then grow t;
@@ -79,71 +121,113 @@ let add t ~priority value =
   t.values.(sl) <- value;
   let s = t.next_seq in
   t.next_seq <- s + 1;
-  let prio = t.prio and seq = t.seq and slot = t.slot in
-  let i = ref t.size in
-  t.size <- t.size + 1;
-  let moving = ref true in
-  while !moving && !i > 0 do
-    let parent = (!i - 1) / 2 in
-    let pp = Float.Array.unsafe_get prio parent in
-    let ps = Array.unsafe_get seq parent in
-    if less priority s pp ps then begin
-      Float.Array.unsafe_set prio !i pp;
-      Array.unsafe_set seq !i ps;
-      Array.unsafe_set slot !i (Array.unsafe_get slot parent);
-      i := parent
-    end
-    else moving := false
-  done;
-  Float.Array.unsafe_set prio !i priority;
-  Array.unsafe_set seq !i s;
-  Array.unsafe_set slot !i sl
+  t.count <- t.count + 1;
+  Array.unsafe_set t.vseq sl s;
+  Array.unsafe_set t.next sl (-1);
+  let b = bucket priority in
+  let tail = Array.unsafe_get t.open_tail b in
+  if tail >= 0 && same (Float.Array.unsafe_get t.open_prio b) priority then begin
+    (* Append to the open run: the heap is not touched. *)
+    Array.unsafe_set t.next tail sl;
+    Array.unsafe_set t.open_tail b sl
+  end
+  else begin
+    (* Open a new run (evicting any other priority's open run from the
+       bucket) and sift its head up into the heap. *)
+    Float.Array.unsafe_set t.open_prio b priority;
+    Array.unsafe_set t.open_tail b sl;
+    let prio = t.prio and seq = t.seq and slot = t.slot in
+    let i = ref t.size in
+    t.size <- t.size + 1;
+    let moving = ref true in
+    while !moving && !i > 0 do
+      let parent = (!i - 1) / 2 in
+      let pp = Float.Array.unsafe_get prio parent in
+      let ps = Array.unsafe_get seq parent in
+      if less priority s pp ps then begin
+        Float.Array.unsafe_set prio !i pp;
+        Array.unsafe_set seq !i ps;
+        Array.unsafe_set slot !i (Array.unsafe_get slot parent);
+        i := parent
+      end
+      else moving := false
+    done;
+    Float.Array.unsafe_set prio !i priority;
+    Array.unsafe_set seq !i s;
+    Array.unsafe_set slot !i sl
+  end
 
 let top_priority t = if t.size = 0 then Float.infinity else Float.Array.get t.prio 0
 
-(* Remove the root: release its value slot, then sift the last entry
-   down from the root, writing the hole once per level. *)
-let remove_top t =
+(* Sift the entry at heap position 0 down into place. The moving key is
+   read from position 0 rather than passed in, so no float crosses the
+   call boundary (it would be boxed). *)
+let sift_down t =
   let prio = t.prio and seq = t.seq and slot = t.slot in
-  let sl = slot.(0) in
+  let n = t.size in
+  let mp = Float.Array.unsafe_get prio 0 in
+  let ms = Array.unsafe_get seq 0 in
+  let msl = Array.unsafe_get slot 0 in
+  let i = ref 0 in
+  let moving = ref true in
+  while !moving do
+    let l = (2 * !i) + 1 in
+    if l >= n then moving := false
+    else begin
+      let r = l + 1 in
+      let c =
+        if r < n
+           && less (Float.Array.unsafe_get prio r) (Array.unsafe_get seq r)
+                (Float.Array.unsafe_get prio l) (Array.unsafe_get seq l)
+        then r
+        else l
+      in
+      let cp = Float.Array.unsafe_get prio c in
+      let cs = Array.unsafe_get seq c in
+      if less cp cs mp ms then begin
+        Float.Array.unsafe_set prio !i cp;
+        Array.unsafe_set seq !i cs;
+        Array.unsafe_set slot !i (Array.unsafe_get slot c);
+        i := c
+      end
+      else moving := false
+    end
+  done;
+  if !i > 0 then begin
+    Float.Array.unsafe_set prio !i mp;
+    Array.unsafe_set seq !i ms;
+    Array.unsafe_set slot !i msl
+  end
+
+(* Remove the head of the root run and release its value slot. If the
+   run goes on, its successor becomes the root entry (same priority, a
+   larger seq) and sifts down, which normally stops at once. If the run
+   is finished, its bucket is closed when it still points at it, and
+   the last heap entry moves to the root and sifts down. *)
+let remove_top t =
+  let sl = Array.unsafe_get t.slot 0 in
   let v = t.values.(sl) in
   t.values.(sl) <- vacant ();
   t.free.(t.nfree) <- sl;
   t.nfree <- t.nfree + 1;
-  let n = t.size - 1 in
-  t.size <- n;
-  if n > 0 then begin
-    let lp = Float.Array.unsafe_get prio n in
-    let ls = Array.unsafe_get seq n in
-    let lsl_ = Array.unsafe_get slot n in
-    let i = ref 0 in
-    let moving = ref true in
-    while !moving do
-      let l = (2 * !i) + 1 in
-      if l >= n then moving := false
-      else begin
-        let r = l + 1 in
-        let c =
-          if r < n
-             && less (Float.Array.unsafe_get prio r) (Array.unsafe_get seq r)
-                  (Float.Array.unsafe_get prio l) (Array.unsafe_get seq l)
-          then r
-          else l
-        in
-        let cp = Float.Array.unsafe_get prio c in
-        let cs = Array.unsafe_get seq c in
-        if less cp cs lp ls then begin
-          Float.Array.unsafe_set prio !i cp;
-          Array.unsafe_set seq !i cs;
-          Array.unsafe_set slot !i (Array.unsafe_get slot c);
-          i := c
-        end
-        else moving := false
-      end
-    done;
-    Float.Array.unsafe_set prio !i lp;
-    Array.unsafe_set seq !i ls;
-    Array.unsafe_set slot !i lsl_
+  t.count <- t.count - 1;
+  let succ = Array.unsafe_get t.next sl in
+  if succ >= 0 then begin
+    Array.unsafe_set t.seq 0 (Array.unsafe_get t.vseq succ);
+    Array.unsafe_set t.slot 0 succ;
+    sift_down t
+  end
+  else begin
+    let b = bucket (Float.Array.unsafe_get t.prio 0) in
+    if Array.unsafe_get t.open_tail b = sl then Array.unsafe_set t.open_tail b (-1);
+    let n = t.size - 1 in
+    t.size <- n;
+    if n > 0 then begin
+      Float.Array.unsafe_set t.prio 0 (Float.Array.unsafe_get t.prio n);
+      Array.unsafe_set t.seq 0 (Array.unsafe_get t.seq n);
+      Array.unsafe_set t.slot 0 (Array.unsafe_get t.slot n);
+      sift_down t
+    end
   end;
   v
 
@@ -158,13 +242,6 @@ let pop t =
     let v = remove_top t in
     Some (p, v)
   end
-
-let fold t ~init ~f =
-  let acc = ref init in
-  for i = 0 to t.size - 1 do
-    acc := f !acc (Float.Array.get t.prio i) t.values.(t.slot.(i))
-  done;
-  !acc
 
 (* Indexed heap with decrease-key over a dense integer key space. Keys
    double as identities: at most one live entry per key, its heap slot

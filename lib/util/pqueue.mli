@@ -2,14 +2,22 @@
     tie-breaking.
 
     Entries with equal priority are returned in insertion order, which
-    makes discrete-event schedules reproducible independent of heap
+    makes discrete-event schedules reproducible independent of queue
     internals: pop order is the strict total order (priority, insertion
     seq).
 
-    The heap itself holds only unboxed priorities, seqs and value-slot
-    ids, so reordering it never runs a write barrier; {!add} followed
-    by {!top_priority}/{!pop_value} allocates nothing once the arrays
-    have grown to the working size. *)
+    Internally the queue is a binary min-heap of {e runs}: values added
+    with exactly the same priority while that priority's run is open
+    are chained behind one another in insertion order, and the heap
+    holds only each run's head. A flooding wave that lands many events
+    on one priority therefore adds and pops them in O(1) each. Popping
+    is a merge of sorted runs, so the order is the same (priority, seq)
+    order a plain heap gives; runs change the cost, never the order.
+
+    The heap holds only unboxed priorities, seqs and value-slot ids, so
+    reordering it never runs a write barrier; {!add} followed by
+    {!top_priority}/{!pop_value} allocates nothing once the arrays have
+    grown to the working size. A popped value is never retained. *)
 
 type 'a t
 
@@ -18,6 +26,8 @@ val create : unit -> 'a t
 val is_empty : 'a t -> bool
 
 val length : 'a t -> int
+(** Number of values in the queue (every value of every run, not the
+    number of heap entries). *)
 
 val add : 'a t -> priority:float -> 'a -> unit
 (** Insert an element with the given priority. *)
@@ -35,14 +45,6 @@ val pop_value : 'a t -> 'a
 val pop : 'a t -> (float * 'a) option
 (** Remove and return the entry with the smallest priority (FIFO among
     equals). *)
-
-val clear : 'a t -> unit
-(** Empty the queue and drop the backing array, releasing every value it
-    retained. Popped entries are likewise cleared from their slots
-    eagerly, so neither operation leaves stale references behind. *)
-
-val fold : 'a t -> init:'b -> f:('b -> float -> 'a -> 'b) -> 'b
-(** Fold over the current contents in unspecified order. *)
 
 (** Indexed min-heap with decrease-key over a dense integer key space
     [0, capacity). At most one live entry per key; improving a key's

@@ -216,6 +216,35 @@ let codec_rejects_garbage () =
   check_bool "missing file" true
     (Result.is_error (Pr_core.Codec.load_file ~path:"/nonexistent/file.scn"))
 
+(* A link delay must be finite and > 0: anything else is a load error,
+   not an exception out of Link.make (<= 0) and not a silently accepted
+   NaN or infinite propagation time. *)
+let codec_rejects_bad_delay () =
+  let text = Pr_core.Codec.save (Scenario.figure1 ~seed:42 ()) in
+  let first_link = "(link 0 0 1 lateral 1 1)" in
+  let n = String.length first_link in
+  let rec find i =
+    if i + n > String.length text then Alcotest.fail "first link not found"
+    else if String.sub text i n = first_link then i
+    else find (i + 1)
+  in
+  let i = find 0 in
+  let with_link ?(cost = "1") d =
+    String.sub text 0 i
+    ^ Printf.sprintf "(link 0 0 1 lateral %s %s)" cost d
+    ^ String.sub text (i + n) (String.length text - i - n)
+  in
+  check_bool "unchanged file loads" true (Result.is_ok (Pr_core.Codec.load (with_link "1")));
+  List.iter
+    (fun d ->
+      Alcotest.(check (result reject string))
+        ("delay " ^ d) (Error ("bad delay " ^ d)) (Pr_core.Codec.load (with_link d)))
+    [ "nan"; "inf"; "-inf"; "0"; "-1" ];
+  (* Link.make's other checks surface as load errors too. *)
+  Alcotest.(check (result reject string))
+    "cost 0" (Error "Link.make: cost < 1")
+    (Pr_core.Codec.load (with_link ~cost:"0" "1"))
+
 let codec_file_roundtrip () =
   let s = Scenario.figure1 ~seed:9 () in
   let path = Filename.temp_file "scenario" ".scn" in
@@ -404,7 +433,8 @@ let () =
           Alcotest.test_case "rejects garbage" `Quick codec_rejects_garbage;
           Alcotest.test_case "file roundtrip" `Quick codec_file_roundtrip;
         ]
-        @ List.map QCheck_alcotest.to_alcotest [ codec_roundtrip_behaviour ] );
+        @ List.map QCheck_alcotest.to_alcotest [ codec_roundtrip_behaviour ]
+        @ [ Alcotest.test_case "rejects bad link delays" `Quick codec_rejects_bad_delay ] );
       ( "impact",
         [
           Alcotest.test_case "no-op change" `Quick impact_noop_change;

@@ -62,6 +62,16 @@ let engine_bad_schedule () =
   Alcotest.check_raises "negative delay" (Invalid_argument "Engine.schedule: negative delay")
     (fun () -> Engine.schedule e ~delay:(-1.0) (fun () -> ()))
 
+(* NaN compares false both ways, so a plain [delay < 0.0] guard let it
+   through into the queue, where it has no place in the time order. *)
+let engine_rejects_nan () =
+  let e = Engine.create () in
+  Alcotest.check_raises "NaN delay" (Invalid_argument "Engine.schedule: negative delay")
+    (fun () -> Engine.schedule e ~delay:Float.nan (fun () -> ()));
+  Alcotest.check_raises "NaN time" (Invalid_argument "Engine.schedule_at: time in the past")
+    (fun () -> Engine.schedule_at e ~time:Float.nan (fun () -> ()));
+  check_int "nothing queued" 0 (Engine.pending e)
+
 let engine_schedule_at () =
   let e = Engine.create () in
   let log = ref [] in
@@ -109,6 +119,86 @@ let engine_observer () =
   check_bool "drained" true (Engine.run e = Engine.Drained);
   check_int "no further calls" 3 (List.length !seen);
   check_int "observer adds no events" 4 (Engine.events_executed e)
+
+(* Random event programs against a (time, seq) model. Event [i] (ids
+   follow scheduling order) schedules the children listed in
+   [program.(i)], each at a delay drawn from {0, 0.25, 1, a random
+   fraction} either relative ([schedule]) or absolute ([schedule_at]
+   now + d). Integer times give long equal-time runs, fractional ones
+   near-singletons, so the queue's run path and its plain heap path
+   interleave. The engine runs with a budget cut part-way and resumes;
+   the executed ids must be exactly the model's order. *)
+type child = Rel of float | Abs of float
+
+let child_gen =
+  QCheck.Gen.(
+    let delay =
+      oneof
+        [
+          return 0.0;
+          return 0.25;
+          return 1.0;
+          map (fun k -> float_of_int k /. 97.0) (int_range 1 300);
+        ]
+    in
+    map2 (fun abs d -> if abs then Abs d else Rel d) bool delay)
+
+let engine_program_matches_model =
+  QCheck.Test.make ~name:"engine executes random programs in (time, seq) order" ~count:200
+    (QCheck.make
+       ~print:(fun (roots, program, cut) ->
+         Printf.sprintf "roots %d, cut %d, %d events with children" roots cut
+           (Array.length program))
+       QCheck.Gen.(
+         triple (int_range 1 4)
+           (map Array.of_list (list_size (int_range 0 300) (list_size (int_range 0 3) child_gen)))
+           (int_range 0 400)))
+    (fun (roots, program, cut) ->
+      let children i = if i < Array.length program then program.(i) else [] in
+      (* The engine under test. *)
+      let e = Engine.create () in
+      let executed = ref [] and next_id = ref 0 in
+      let rec spawn sched =
+        let id = !next_id in
+        incr next_id;
+        sched (fun () ->
+            executed := id :: !executed;
+            List.iter
+              (function
+                | Rel d -> spawn (fun f -> Engine.schedule e ~delay:d f)
+                | Abs d -> spawn (fun f -> Engine.schedule_at e ~time:(Engine.now e +. d) f))
+              (children id))
+      in
+      for _ = 1 to roots do
+        spawn (fun f -> Engine.schedule e ~delay:0.0 f)
+      done;
+      let first = Engine.run ~max_events:cut e in
+      let cut_ok = first = Engine.Drained || Engine.events_executed e = cut in
+      let rest = Engine.run e in
+      (* The model: (time, id) pairs popped by (time, id); ids are the
+         scheduling order, so they double as seqs. *)
+      let pending = ref (List.init roots (fun id -> (0.0, id))) in
+      let next = ref roots and order = ref [] in
+      let rec drain () =
+        match !pending with
+        | [] -> ()
+        | p0 :: ps ->
+          let now, id =
+            List.fold_left
+              (fun ((bt, bi) as b) ((t, i) as c) -> if t < bt || (t = bt && i < bi) then c else b)
+              p0 ps
+          in
+          pending := List.filter (fun (_, i) -> i <> id) !pending;
+          order := id :: !order;
+          List.iter
+            (fun (Rel d | Abs d) ->
+              pending := (now +. d, !next) :: !pending;
+              incr next)
+            (children id);
+          drain ()
+      in
+      drain ();
+      cut_ok && rest = Engine.Drained && !executed = !order)
 
 let engine_empty_run () =
   let e = Engine.create () in
@@ -510,7 +600,9 @@ let () =
           Alcotest.test_case "resume after budget" `Quick engine_resume_after_budget;
           Alcotest.test_case "observer" `Quick engine_observer;
           Alcotest.test_case "empty run" `Quick engine_empty_run;
-        ] );
+          Alcotest.test_case "NaN schedule" `Quick engine_rejects_nan;
+        ]
+        @ List.map QCheck_alcotest.to_alcotest [ engine_program_matches_model ] );
       ( "metrics",
         [
           Alcotest.test_case "counters" `Quick metrics_counters;

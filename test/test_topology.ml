@@ -43,7 +43,14 @@ let link_basics () =
   Alcotest.check_raises "self loop" (Invalid_argument "Link.make: self loop") (fun () ->
       ignore (Link.make ~id:0 ~a:1 ~b:1 Link.Lateral));
   Alcotest.check_raises "bad cost" (Invalid_argument "Link.make: cost < 1") (fun () ->
-      ignore (Link.make ~id:0 ~a:1 ~b:2 ~cost:0 Link.Lateral))
+      ignore (Link.make ~id:0 ~a:1 ~b:2 ~cost:0 Link.Lateral));
+  List.iter
+    (fun delay ->
+      Alcotest.check_raises
+        (Printf.sprintf "bad delay %g" delay)
+        (Invalid_argument "Link.make: delay not finite and > 0")
+        (fun () -> ignore (Link.make ~id:0 ~a:1 ~b:2 ~delay Link.Lateral)))
+    [ 0.0; -1.0; Float.nan; Float.infinity; Float.neg_infinity ]
 
 (* --- Graph --------------------------------------------------------- *)
 

@@ -207,6 +207,22 @@ let pqueue_fifo_ties () =
   Alcotest.(check (list string)) "FIFO among equal priorities"
     [ "a0"; "c0"; "e0"; "b1"; "d1" ] (List.rev !popped)
 
+(* Values chained into an equal-priority run still count one each, and
+   a run stays FIFO while it is appended to between pops. *)
+let pqueue_run_length () =
+  let q = Pqueue.create () in
+  List.iter (fun v -> Pqueue.add q ~priority:1.0 v) [ "a"; "b"; "c" ];
+  Pqueue.add q ~priority:2.0 "x";
+  Pqueue.add q ~priority:1.0 "d";
+  check_int "every value counted" 5 (Pqueue.length q);
+  Alcotest.(check string) "run head" "a" (Pqueue.pop_value q);
+  Pqueue.add q ~priority:1.0 "e";
+  check_int "after a pop and an append" 5 (Pqueue.length q);
+  let rest = List.init 5 (fun _ -> Pqueue.pop_value q) in
+  Alcotest.(check (list string)) "FIFO within the run" [ "b"; "c"; "d"; "e"; "x" ] rest;
+  check_int "drained" 0 (Pqueue.length q);
+  check_bool "empty" true (Pqueue.is_empty q)
+
 let pqueue_sorted_output =
   QCheck.Test.make ~name:"pqueue pops in nondecreasing priority" ~count:200
     QCheck.(list (float_bound_inclusive 100.0))
@@ -221,44 +237,21 @@ let pqueue_sorted_output =
       let out = drain [] in
       out = List.sort compare priorities)
 
-let pqueue_clear () =
-  let q = Pqueue.create () in
-  Pqueue.add q ~priority:1.0 1;
-  Pqueue.clear q;
-  check_bool "cleared" true (Pqueue.is_empty q);
-  Pqueue.add q ~priority:5.0 2;
-  Alcotest.(check (option (pair (float 0.0) int))) "usable after clear" (Some (5.0, 2))
-    (Pqueue.pop q)
-
-let pqueue_fold () =
-  let q = Pqueue.create () in
-  List.iter (fun i -> Pqueue.add q ~priority:(float_of_int i) i) [ 3; 1; 2 ];
-  let total = Pqueue.fold q ~init:0 ~f:(fun acc _ v -> acc + v) in
-  check_int "fold sums all" 6 total
-
-(* Model check: random interleavings of add / pop / pop_value / clear /
-   fold against a list model popped by (priority, insertion seq).
-   Priorities come from a tiny set, so most comparisons are ties and
-   the FIFO tie-break carries the order. *)
-type pq_op = Add of int | Pop | Pop_value | Clear | Fold
+(* Model check: random interleavings of add / pop / pop_value against
+   a list model popped by (priority, insertion seq). Priorities come
+   from a tiny set, so most comparisons are ties and the FIFO tie-break
+   carries the order. *)
+type pq_op = Add of int | Pop | Pop_value
 
 let pq_op_gen =
   QCheck.Gen.(
     frequency
-      [
-        (6, map (fun p -> Add p) (int_range 0 3));
-        (3, return Pop);
-        (3, return Pop_value);
-        (1, return Fold);
-        (1, return Clear);
-      ])
+      [ (6, map (fun p -> Add p) (int_range 0 3)); (3, return Pop); (3, return Pop_value) ])
 
 let pq_op_print = function
   | Add p -> Printf.sprintf "add %d" p
   | Pop -> "pop"
   | Pop_value -> "pop_value"
-  | Clear -> "clear"
-  | Fold -> "fold"
 
 let pqueue_vs_model =
   QCheck.Test.make ~name:"pqueue = stable-sorted list model" ~count:300
@@ -302,20 +295,73 @@ let pqueue_vs_model =
                 let v = Pqueue.pop_value q in
                 take (mp, ms);
                 p = mp && v = ms)
-            | Clear ->
-              Pqueue.clear q;
-              model := [];
-              true
-            | Fold ->
-              let got =
-                Pqueue.fold q ~init:[] ~f:(fun acc p v -> (p, v) :: acc)
-              in
-              List.sort compare got = List.sort compare !model
           in
           ok
           && Pqueue.length q = List.length !model
           && Pqueue.top_priority q
              = Option.fold ~none:Float.infinity ~some:fst (model_min ()))
+        ops)
+
+(* The run path against the same model. The tiny-set model above never
+   has more distinct priorities pending than the run table has buckets,
+   so here priorities mix a few hot values (0.0 and -0.0 among them)
+   with hundreds of distinct ones: buckets collide, open runs are
+   evicted and left in the heap closed, and a later run opens for a
+   priority whose earlier run is still queued. Popped priorities are
+   compared bit for bit, so a run that swallowed a -0.0 behind a 0.0
+   head would show. *)
+type pq_run_op = Add_prio of float | Pop_any
+
+let pq_hot = [| 0.0; -0.0; 1.0; 2.0; 2.5 |]
+
+let pq_run_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map (fun i -> Add_prio pq_hot.(i)) (int_bound (Array.length pq_hot - 1)));
+        (4, map (fun k -> Add_prio (float_of_int k /. 8.0)) (int_range 1 400));
+        (5, return Pop_any);
+      ])
+
+let pq_run_op_print = function
+  | Add_prio p -> Printf.sprintf "add %h" p
+  | Pop_any -> "pop"
+
+let pqueue_runs_vs_model =
+  QCheck.Test.make ~name:"pqueue runs = stable-sorted list model" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pq_run_op_print ops))
+       QCheck.Gen.(list_size (int_range 0 1500) pq_run_op_gen))
+    (fun ops ->
+      let q = Pqueue.create () in
+      let model = ref [] and next = ref 0 in
+      let model_pop () =
+        let min =
+          List.fold_left
+            (fun best (p, s) ->
+              match best with
+              | Some (bp, bs) when bp < p || (bp = p && bs < s) -> best
+              | _ -> Some (p, s))
+            None !model
+        in
+        Option.iter (fun (_, s) -> model := List.filter (fun (_, s') -> s' <> s) !model) min;
+        min
+      in
+      let bits = Int64.bits_of_float in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Add_prio p ->
+            Pqueue.add q ~priority:p !next;
+            model := (p, !next) :: !model;
+            incr next;
+            true
+          | Pop_any -> (
+            match (Pqueue.pop q, model_pop ()) with
+            | None, None -> true
+            | Some (p, v), Some (mp, ms) -> bits p = bits mp && v = ms
+            | _ -> false))
+          && Pqueue.length q = List.length !model)
         ops)
 
 (* Once the arrays have grown to the working size, add + pop_value
@@ -675,12 +721,14 @@ let () =
         [
           Alcotest.test_case "basic order" `Quick pqueue_basic;
           Alcotest.test_case "FIFO ties" `Quick pqueue_fifo_ties;
-          Alcotest.test_case "clear" `Quick pqueue_clear;
-          Alcotest.test_case "fold" `Quick pqueue_fold;
-          Alcotest.test_case "steady state allocates nothing" `Quick
-            pqueue_steady_state_allocates_nothing;
-          Alcotest.test_case "no retention after pop" `Quick pqueue_no_retention;
+          Alcotest.test_case "length counts run members" `Quick pqueue_run_length;
         ]
+        @ qsuite [ pqueue_runs_vs_model ]
+        @ [
+            Alcotest.test_case "steady state allocates nothing" `Quick
+              pqueue_steady_state_allocates_nothing;
+            Alcotest.test_case "no retention after pop" `Quick pqueue_no_retention;
+          ]
         @ qsuite [ pqueue_sorted_output; pqueue_vs_model ] );
       ( "pqueue-keyed",
         [
