@@ -18,9 +18,10 @@ type t = {
      origins' LSAs changed. The scoped-invalidation machinery — a
      consumer whose cached region provably does not meet the delta
      skips its recompute entirely. [dirty_full] swallows the origin
-     list (database reset); [dirty_mem] is allocated lazily so
-     protocols that never drain pay one list cell per change, not a
-     bitset per AD. *)
+     list (database reset). Tracking starts at an AD's first drain,
+     which answers [Full] and allocates [dirty_mem]; until then
+     [dirty_mem] is [None] and nothing is recorded, so protocols that
+     never drain pay nothing per change. *)
   dirty : Pr_topology.Ad.id list array;  (* newest first *)
   dirty_mem : Bitset.t option array;
   dirty_full : bool array;
@@ -31,10 +32,11 @@ type t = {
 
 let create net ~terms_for ?(flood_to = fun _ -> true) () =
   let n = Graph.n (Network.graph net) in
+  let first = Lsdb.create ~n in
   {
     net;
     n;
-    dbs = Array.init n (fun _ -> Lsdb.create ~n);
+    dbs = Array.init n (fun ad -> if ad = 0 then first else Lsdb.sibling first);
     seqs = Array.make n 0;
     versions = Array.make n 0;
     dirty = Array.make n [];
@@ -75,25 +77,16 @@ let flood_from t ad ?except lsa =
       if nbr <> except && t.flood_to nbr then Network.send t.net ~src:ad ~dst:nbr ~bytes lsa)
 
 let mark_dirty t ad origin =
-  match origin with
-  | None ->
+  match (t.dirty_mem.(ad), origin) with
+  | None, _ -> ()
+  | Some m, None ->
     t.dirty_full.(ad) <- true;
     t.dirty.(ad) <- [];
-    (match t.dirty_mem.(ad) with Some m -> Bitset.clear m | None -> ())
-  | Some o ->
-    if not t.dirty_full.(ad) then begin
-      let m =
-        match t.dirty_mem.(ad) with
-        | Some m -> m
-        | None ->
-          let m = Bitset.create t.n in
-          t.dirty_mem.(ad) <- Some m;
-          m
-      in
-      if not (Bitset.mem m o) then begin
-        Bitset.add m o;
-        t.dirty.(ad) <- o :: t.dirty.(ad)
-      end
+    Bitset.clear m
+  | Some m, Some o ->
+    if (not t.dirty_full.(ad)) && not (Bitset.mem m o) then begin
+      Bitset.add m o;
+      t.dirty.(ad) <- o :: t.dirty.(ad)
     end
 
 let changed t ad ~origin =
@@ -102,19 +95,24 @@ let changed t ad ~origin =
   t.on_change ad ~origin
 
 let take_delta t ad =
-  if t.dirty_full.(ad) then begin
-    t.dirty_full.(ad) <- false;
-    t.dirty.(ad) <- [];
-    (match t.dirty_mem.(ad) with Some m -> Bitset.clear m | None -> ());
+  match t.dirty_mem.(ad) with
+  | None ->
+    t.dirty_mem.(ad) <- Some (Bitset.create t.n);
     Full
-  end
-  else
-    match t.dirty.(ad) with
-    | [] -> Unchanged
-    | os ->
+  | Some m ->
+    if t.dirty_full.(ad) then begin
+      t.dirty_full.(ad) <- false;
       t.dirty.(ad) <- [];
-      (match t.dirty_mem.(ad) with Some m -> Bitset.clear m | None -> ());
-      Origins (List.rev os)
+      Bitset.clear m;
+      Full
+    end
+    else (
+      match t.dirty.(ad) with
+      | [] -> Unchanged
+      | os ->
+        t.dirty.(ad) <- [];
+        Bitset.clear m;
+        Origins (List.rev os))
 
 (* The region an AD's cached routes can depend on: everything reachable
    from it through bidirectionally-confirmed adjacencies of its own
@@ -307,8 +305,7 @@ let reset_node t ad =
   (* State loss empties the AD's database; the origination sequence
      number survives (lollipop-style — restarting at 0 would make the
      rest of the internet reject the fresh LSAs as stale). *)
-  let n = Graph.n (Network.graph t.net) in
-  t.dbs.(ad) <- Lsdb.create ~n;
+  t.dbs.(ad) <- Lsdb.sibling t.dbs.(ad);
   changed t ad ~origin:None;
   originate t ad;
   (* Adjacency bring-up database exchange (the OSPF-style sync real

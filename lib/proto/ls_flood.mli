@@ -74,7 +74,11 @@ val take_delta : t -> Pr_topology.Ad.id -> delta
     each protocol instance owns its flood, so its per-AD node state is
     that single consumer. Together with {!reachable_set} and
     {!delta_in_scope} this replaces "db_version moved, recompute" with
-    "recompute only if the delta can touch my region". *)
+    "recompute only if the delta can touch my region".
+
+    The first drain at an AD answers [Full] and starts tracking its
+    dirty origins; before it nothing is recorded, so protocols that
+    never drain keep no per-AD dirty state. *)
 
 val reachable_set : t -> Pr_topology.Ad.id -> Pr_util.Bitset.t
 (** The region the AD's routes depend on: every AD reachable from it

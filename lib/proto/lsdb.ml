@@ -33,14 +33,30 @@ type search = {
   metrics : int array option array;  (* by Qos.index *)
 }
 
+(* The last view built by any database of a family, with the store it
+   was built from. One per flood: shared by every sibling, never
+   global. *)
+type cache = {
+  mutable key : lsa option array;
+  mutable built : search option;
+}
+
 type t = {
   store : lsa option array;
   empty_terms : Pr_policy.Compiled.t;
   mutable search : search option;
+  cache : cache;
 }
 
 let create ~n =
-  { store = Array.make n None; empty_terms = Pr_policy.Compiled.compile ~n []; search = None }
+  {
+    store = Array.make n None;
+    empty_terms = Pr_policy.Compiled.compile ~n [];
+    search = None;
+    cache = { key = [||]; built = None };
+  }
+
+let sibling t = { t with store = Array.make (Array.length t.store) None; search = None }
 
 let seq_of t origin =
   match t.store.(origin) with
@@ -56,15 +72,6 @@ let insert t lsa =
   else false
 
 let get t origin = t.store.(origin)
-
-let known_ads t =
-  let acc = ref [] in
-  Array.iter
-    (function
-      | Some lsa -> acc := lsa.origin :: !acc
-      | None -> ())
-    t.store;
-  List.rev !acc
 
 let fold t ~init ~f =
   Array.fold_left
@@ -133,12 +140,38 @@ let build_search t =
     metrics = Array.make Pr_policy.Qos.count None;
   }
 
+(* Slot for slot the physically same records. Each database boxes its
+   own [Some lsa], so the options are compared by their contents. *)
+let same_records a b =
+  let n = Array.length a in
+  n = Array.length b
+  &&
+  let rec go i =
+    i = n
+    ||
+    (match (a.(i), b.(i)) with
+     | Some x, Some y -> x == y
+     | None, None -> true
+     | _ -> false)
+    && go (i + 1)
+  in
+  go 0
+
 let search_view t qos =
   let s =
     match t.search with
     | Some s -> s
     | None ->
-      let s = build_search t in
+      let c = t.cache in
+      let s =
+        match c.built with
+        | Some s when same_records c.key t.store -> s
+        | _ ->
+          let s = build_search t in
+          c.key <- Array.copy t.store;
+          c.built <- Some s;
+          s
+      in
       t.search <- Some s;
       s
   in

@@ -42,6 +42,14 @@ type t
 (** One AD's copy of the database. *)
 
 val create : n:int -> t
+(** An empty database with its own search-view cache (see
+    {!search_view}). *)
+
+val sibling : t -> t
+(** An empty database of the same size that shares its argument's
+    search-view cache: the databases of one flood are siblings, so a
+    view built for one is reused by every other holding the same
+    records. *)
 
 val insert : t -> lsa -> bool
 (** [insert db lsa] is true when the LSA is newer than the stored one
@@ -52,9 +60,6 @@ val get : t -> Pr_topology.Ad.id -> lsa option
 
 val seq_of : t -> Pr_topology.Ad.id -> int
 (** Stored sequence number, or -1 when none. *)
-
-val known_ads : t -> Pr_topology.Ad.id list
-(** Origins with a stored LSA. *)
 
 val fold : t -> init:'a -> f:('a -> lsa -> 'a) -> 'a
 
@@ -83,7 +88,17 @@ val search_view : t -> Pr_policy.Qos.t -> Pr_topology.Policy_search.view * int a
     QOS-aware route computations accumulate instead of the raw cost.
     The view is built on first use, each class's metrics on the first
     search under that class; both are kept until the next accepted
-    {!insert}. *)
+    {!insert}.
+
+    Siblings share views: a database whose store holds, slot for slot,
+    the physically same LSA records as the one the family's last view
+    was built from reuses that view (and its metrics) instead of
+    building its own; any other content builds afresh and replaces the
+    shared entry. The view is a function of the records alone, so
+    sharing changes no route and no search work. The key is record
+    identity, not the sequence number: a corrupted copy
+    ({!Ls_flood.corrupt_lsa}) carries the honest [seq] with different
+    adjacencies. *)
 
 val entry_count : t -> int
 (** Number of stored LSAs — the database footprint gauge. *)

@@ -32,10 +32,6 @@ val admits : engine -> Pr_topology.Ad.id -> prev:Pr_topology.Ad.id -> next:Pr_to
     to the database the engine wraps? A negative hop is unknown
     ({!Pr_policy.Compiled.hop_probe}). *)
 
-val path_admitted : engine -> Pr_topology.Path.t -> bool
-(** Every interior crossing of the path is admitted — what ORWG checks
-    before re-using a cached source route. *)
-
 val force_interpreted : bool ref
 (** When true, {!admits} (and so every search) re-interprets the raw
     [Policy_term.t] lists with [List.exists] instead of probing the

@@ -83,7 +83,6 @@ let lsdb_known_and_fold () =
   let db = Lsdb.create ~n:5 in
   ignore (Lsdb.insert db (lsa 0 1 []));
   ignore (Lsdb.insert db (lsa 3 1 []));
-  Alcotest.(check (list int)) "known" [ 0; 3 ] (Lsdb.known_ads db);
   check_int "fold" 2 (Lsdb.fold db ~init:0 ~f:(fun acc _ -> acc + 1))
 
 let lsdb_bytes_pinned () =
@@ -108,6 +107,148 @@ let lsdb_bytes_pinned () =
   check_bool "compiled once" true (Lsdb.compiled_of db 1 == Lsdb.compiled_of db 1);
   check_int "empty compilation for unknown ADs" 0
     (Pr_policy.Compiled.term_count (Lsdb.compiled_of db 4))
+
+(* Siblings share search views exactly by record identity. A pool of
+   LSAs over three ADs, each origination paired with a corrupted twin
+   that keeps the honest [seq] but retargets one adjacency (as
+   [Ls_flood.corrupt_lsa] does), is fed to three sibling databases in
+   random order, with resets. Every search must return the view a
+   private database fed the same records builds, and must reuse the
+   family's last view exactly when its store holds, slot for slot,
+   the physically same records that view was built from. *)
+
+let shared_view_n = 3
+
+let shared_view_pool =
+  let n = shared_view_n in
+  let honest origin seq =
+    let adjacencies =
+      List.filter_map
+        (fun w ->
+          if w = origin || (origin + w + seq) mod 3 = 0 then None
+          else
+            Some
+              {
+                Lsdb.nbr = w;
+                cost = 1 + (((origin * w) + seq) mod 4);
+                delay = float_of_int (1 + ((origin + w) mod 3));
+              })
+        (List.init n Fun.id)
+    in
+    lsa origin seq adjacencies
+  in
+  let twin (l : Lsdb.lsa) =
+    match l.Lsdb.adjacencies with
+    | [] -> { l with Lsdb.adjacencies = [ adj ((l.Lsdb.origin + 1) mod n) 9 ]; compiled = None }
+    | a :: rest ->
+      let nbr = (a.Lsdb.nbr + 1) mod n in
+      { l with Lsdb.adjacencies = { a with Lsdb.nbr; cost = a.Lsdb.cost + 3 } :: rest; compiled = None }
+  in
+  Array.of_list
+    (List.concat_map
+       (fun origin ->
+         List.concat_map
+           (fun seq ->
+             let l = honest origin seq in
+             [ l; twin l ])
+           [ 1; 2 ])
+       (List.init n Fun.id))
+
+type shared_view_op = Insert of int * int | Reset of int | Search of int
+
+let shared_view_dbs = 3
+
+let shared_view_op_gen =
+  let open QCheck.Gen in
+  let db = int_bound (shared_view_dbs - 1) in
+  frequency
+    [
+      (6, map2 (fun d p -> Insert (d, p)) db (int_bound (Array.length shared_view_pool - 1)));
+      (1, map (fun d -> Reset d) db);
+      (4, map (fun d -> Search d) db);
+    ]
+
+let shared_view_op_print = function
+  | Insert (d, p) -> Printf.sprintf "insert db%d pool%d" d p
+  | Reset d -> Printf.sprintf "reset db%d" d
+  | Search d -> Printf.sprintf "search db%d" d
+
+let store_of db = Array.init shared_view_n (Lsdb.get db)
+
+let same_records a b =
+  Array.for_all2
+    (fun x y ->
+      match (x, y) with
+      | Some x, Some y -> x == y
+      | None, None -> true
+      | _ -> false)
+    a b
+
+let view_rows view =
+  Array.init shared_view_n (fun u ->
+      let row = ref [] in
+      Pr_topology.Policy_search.iter_row view u ~f:(fun w k -> row := (w, k) :: !row);
+      List.rev !row)
+
+(* The view and every class's metrics, as plain data. *)
+let view_contents db =
+  let view = fst (Lsdb.search_view db Pr_policy.Qos.Default) in
+  (view_rows view, List.map (fun q -> snd (Lsdb.search_view db q)) Pr_policy.Qos.all)
+
+let lsdb_shared_view =
+  QCheck.Test.make ~name:"sibling views shared by record identity" ~count:300
+    QCheck.(
+      make
+        ~print:(Print.list shared_view_op_print) ~shrink:Shrink.list
+        Gen.(list_size (int_range 1 60) shared_view_op_gen))
+    (fun ops ->
+      let first = Lsdb.create ~n:shared_view_n in
+      let dbs =
+        Array.init shared_view_dbs (fun i -> if i = 0 then first else Lsdb.sibling first)
+      in
+      (* [held.(d)]: the view database [d] last returned, while its
+         store is unchanged; [last]: the store the family's last fresh
+         view came from, with that view. *)
+      let held = Array.make shared_view_dbs None in
+      let last = ref None in
+      let search d =
+        let db = dbs.(d) in
+        let view, _ = Lsdb.search_view db Pr_policy.Qos.Default in
+        let private_db = Lsdb.create ~n:shared_view_n in
+        Lsdb.fold db ~init:() ~f:(fun () l -> ignore (Lsdb.insert private_db l));
+        if view_contents db <> view_contents private_db then
+          QCheck.Test.fail_reportf "db%d: view differs from a private build" d;
+        let store = store_of db in
+        (match (held.(d), !last) with
+         | Some (_, held_view), _ ->
+           if held_view != view then QCheck.Test.fail_reportf "db%d: held view dropped" d
+         | None, Some (key, last_view) ->
+           if same_records key store <> (view == last_view) then
+             QCheck.Test.fail_reportf "db%d: view %s although the records %s" d
+               (if view == last_view then "shared" else "not shared")
+               (if same_records key store then "match" else "differ")
+         | None, None -> ());
+        if Option.is_none held.(d) then last := Some (store, view);
+        held.(d) <- Some (store, view);
+        Array.iteri
+          (fun e h ->
+            match h with
+            | Some (other, other_view) when e <> d && other_view == view ->
+              if not (same_records other store) then
+                QCheck.Test.fail_reportf "db%d and db%d share a view over different records" d e
+            | _ -> ())
+          held
+      in
+      List.iter
+        (function
+          | Insert (d, p) -> if Lsdb.insert dbs.(d) shared_view_pool.(p) then held.(d) <- None
+          | Reset d ->
+            dbs.(d) <- Lsdb.sibling dbs.(d);
+            held.(d) <- None
+          | Search d -> search d)
+        ops;
+      Array.iteri (fun d _ -> search d) dbs;
+      true)
 
 (* --- Ls_flood -------------------------------------------------------- *)
 
@@ -151,6 +292,20 @@ let flood_reacts_to_failure () =
       None
       (Lsdb.bidirectional (Ls_flood.db flood ad) 0 1)
   done
+
+let flood_take_delta () =
+  let _, e, _, flood = flood_setup () in
+  Ls_flood.start flood;
+  ignore (Engine.run e);
+  (* Nothing is tracked before the first drain, which answers Full. *)
+  check_bool "first drain is full" true (Ls_flood.take_delta flood 0 = Ls_flood.Full);
+  check_bool "then unchanged" true (Ls_flood.take_delta flood 0 = Ls_flood.Unchanged);
+  let seq o = Lsdb.seq_of (Ls_flood.db flood 0) o in
+  let deliver o = Ls_flood.handle_message flood ~at:0 ~from:1 (lsa o (seq o + 1) []) in
+  List.iter deliver [ 5; 2; 5; 9 ];
+  Alcotest.(check bool) "origins, deduplicated, oldest first" true
+    (Ls_flood.take_delta flood 0 = Ls_flood.Origins [ 5; 2; 9 ]);
+  check_bool "drained" true (Ls_flood.take_delta flood 0 = Ls_flood.Unchanged)
 
 let flood_change_callback () =
   let _, e, _, flood = flood_setup () in
@@ -388,11 +543,13 @@ let () =
           Alcotest.test_case "bidirectional" `Quick lsdb_bidirectional;
           Alcotest.test_case "known/fold" `Quick lsdb_known_and_fold;
           Alcotest.test_case "bytes pinned" `Quick lsdb_bytes_pinned;
-        ] );
+        ]
+        @ qsuite [ lsdb_shared_view ] );
       ( "ls-flood",
         [
           Alcotest.test_case "converges consistent" `Quick flood_converges_consistent;
           Alcotest.test_case "reacts to failure" `Quick flood_reacts_to_failure;
+          Alcotest.test_case "take delta" `Quick flood_take_delta;
           Alcotest.test_case "change callback" `Quick flood_change_callback;
         ] );
       ( "policy-route",
