@@ -1469,6 +1469,13 @@ let static_policy_db (scenario : Scenario.t) =
   done;
   db
 
+(* The pre-compilation admission path: the AD's raw Policy Terms,
+   read off the database and walked on every check. *)
+let interpreted_admits db ad ctx =
+  List.exists
+    (fun term -> Pr_policy.Policy_term.admits term ctx)
+    (Pr_proto.Lsdb.terms_of db ad)
+
 (* Route synthesis (the LS-HBH/ORWG kernel: engine build + exact
    (node, arrived-from) search) on one scenario, timed with the
    interpreted admission path and again with the compiled one. Returns
@@ -1478,35 +1485,37 @@ let policy_synth_measure (scenario : Scenario.t) =
   let n = Graph.n g in
   let db = static_policy_db scenario in
   let flows = Scenario.flows scenario ~rng:(Rng.create 213) ~count:10 () in
-  let synthesize_all () =
-    List.iter
-      (fun flow ->
-        let e = Pr_proto.Policy_route.engine db ~n flow in
-        ignore (Pr_proto.Policy_route.shortest e ()))
-      flows
+  (* The interpreted arm runs the same search as the compiled one. *)
+  let interpreted_route (flow : Flow.t) =
+    let view, metrics = Pr_proto.Lsdb.search_view db flow.Flow.qos in
+    let admit ad prev next =
+      let hop x = if x < 0 then None else Some x in
+      interpreted_admits db ad { Pr_policy.Policy_term.flow; prev = hop prev; next = hop next }
+    in
+    match
+      Pr_topology.Policy_search.search
+        (Pr_topology.Policy_search.shared_scratch ())
+        view ~src:flow.Flow.src ~dst:flow.Flow.dst
+        ~metric:(fun _ _ k -> metrics.(k))
+        ~admit ()
+    with
+    | Pr_topology.Policy_search.Route p -> Some p
+    | Pr_topology.Policy_search.Revisits | Pr_topology.Policy_search.Unreachable -> None
   in
-  let forced flag () =
-    Pr_proto.Policy_route.force_interpreted := flag;
-    Fun.protect
-      ~finally:(fun () -> Pr_proto.Policy_route.force_interpreted := false)
-      synthesize_all
+  let compiled_route flow =
+    fst (Pr_proto.Policy_route.shortest (Pr_proto.Policy_route.engine db ~n flow) ())
   in
+  let synthesize_all route () = List.iter (fun flow -> ignore (route flow)) flows in
   (* Both paths must synthesize identical routes — the equivalence the
      qcheck suite proves term-by-term, re-checked here end-to-end. *)
   List.iter
     (fun flow ->
-      let route forced =
-        Pr_proto.Policy_route.force_interpreted := forced;
-        Fun.protect
-          ~finally:(fun () -> Pr_proto.Policy_route.force_interpreted := false)
-          (fun () ->
-            fst (Pr_proto.Policy_route.shortest (Pr_proto.Policy_route.engine db ~n flow) ()))
-      in
-      if route true <> route false then
+      if interpreted_route flow <> compiled_route flow then
         failwith "policy_synth_measure: interpreted and compiled routes differ")
     flows;
   let interp_ns, compiled_ns =
-    time_pair_ns_per ~ops:(List.length flows) (forced true) (forced false)
+    time_pair_ns_per ~ops:(List.length flows)
+      (synthesize_all interpreted_route) (synthesize_all compiled_route)
   in
   (List.length flows, interp_ns, compiled_ns)
 
@@ -1851,9 +1860,8 @@ let synth () =
    run it per (node, arrived-from) relaxation, IDRP per mask build.
    Measure it in isolation on a restrictive internet, three ways:
 
-   - interpreted: [List.exists Policy_term.admits] over the raw terms
-     (the pre-compilation engine, kept alive behind
-     [Policy_route.force_interpreted]);
+   - interpreted: [interpreted_admits], [List.exists Policy_term.admits]
+     over the raw terms — the pre-compilation engine;
    - compiled:    [Compiled.allows] — int masks + bitset probes, no
                   per-flow setup;
    - specialized: the [Policy_route.engine] path — flow-only
@@ -1912,11 +1920,17 @@ let padmit () =
       flows;
     !c
   in
-  let with_interpreted f =
-    Pr_proto.Policy_route.force_interpreted := true;
-    Fun.protect
-      ~finally:(fun () -> Pr_proto.Policy_route.force_interpreted := false)
-      f
+  let count_interpreted () =
+    let c = ref 0 in
+    List.iter
+      (fun flow ->
+        List.iter
+          (fun (ad, p, q) ->
+            if interpreted_admits db ad { Pr_policy.Policy_term.flow; prev = Some p; next = Some q }
+            then incr c)
+          probes)
+      flows;
+    !c
   in
   let pdd_store = Pr_serve.Pdd.store_create () in
   let roots =
@@ -1949,11 +1963,11 @@ let padmit () =
   in
   (* All variants must agree before any of them is timed. *)
   let admitted = count_engine () in
-  if count_compiled () <> admitted || with_interpreted count_engine <> admitted then
+  if count_compiled () <> admitted || count_interpreted () <> admitted then
     failwith "padmit: admission variants disagree";
   if count_diagram () <> admitted || count_diagram_entry () <> admitted then
     failwith "padmit: decision diagram disagrees with the term engines";
-  let interp_ns = with_interpreted (fun () -> time_ns_per ~ops (fun () -> ignore (count_engine ()))) in
+  let interp_ns = time_ns_per ~ops (fun () -> ignore (count_interpreted ())) in
   let compiled_ns = time_ns_per ~ops (fun () -> ignore (count_compiled ())) in
   let spec_ns = time_ns_per ~ops (fun () -> ignore (count_engine ())) in
   let diagram_ns = time_ns_per ~ops (fun () -> ignore (count_diagram ())) in

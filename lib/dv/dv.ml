@@ -1,7 +1,6 @@
 module Graph = Pr_topology.Graph
 module Link = Pr_topology.Link
 module Network = Pr_sim.Network
-module Metrics = Pr_sim.Metrics
 module Flow = Pr_policy.Flow
 module Packet = Pr_proto.Packet
 module Cost_model = Pr_proto.Cost_model
@@ -118,7 +117,6 @@ module Make (V : VARIANT) = struct
       table
 
   let handle_message t ~at ~from vector =
-    Metrics.record_computation (Network.metrics t.net) at ();
     Pr_proto.Probe.computation probe_update t.net ~at ();
     let table = heard_table t at from in
     let changed = ref [] in

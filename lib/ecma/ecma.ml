@@ -2,7 +2,6 @@ module Graph = Pr_topology.Graph
 module Link = Pr_topology.Link
 module Ad = Pr_topology.Ad
 module Network = Pr_sim.Network
-module Metrics = Pr_sim.Metrics
 module Flow = Pr_policy.Flow
 module Qos = Pr_policy.Qos
 module Policy_term = Pr_policy.Policy_term
@@ -191,7 +190,6 @@ let heard_table t ad nbr =
     table
 
 let handle_message t ~at ~from entries =
-  Metrics.record_computation (Network.metrics t.net) at ();
   Pr_proto.Probe.computation probe_update t.net ~at ();
   let n = Graph.n t.graph in
   let heard = heard_table t at from in

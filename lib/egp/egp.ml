@@ -1,6 +1,5 @@
 module Graph = Pr_topology.Graph
 module Network = Pr_sim.Network
-module Metrics = Pr_sim.Metrics
 module Flow = Pr_policy.Flow
 module Packet = Pr_proto.Packet
 module Cost_model = Pr_proto.Cost_model
@@ -103,7 +102,6 @@ let start t =
   done
 
 let handle_message t ~at ~from entries =
-  Metrics.record_computation (Network.metrics t.net) at ();
   Pr_proto.Probe.computation probe_update t.net ~at ();
   List.iter
     (fun (dst, reachable) ->

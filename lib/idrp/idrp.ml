@@ -2,7 +2,6 @@ module Graph = Pr_topology.Graph
 module Link = Pr_topology.Link
 module Bitset = Pr_util.Bitset
 module Network = Pr_sim.Network
-module Metrics = Pr_sim.Metrics
 module Flow = Pr_policy.Flow
 module Qos = Pr_policy.Qos
 module Uci = Pr_policy.Uci
@@ -246,7 +245,6 @@ module Make (V : VARIANT) = struct
     done
 
   let handle_message t ~at ~from updates =
-    Metrics.record_computation (Network.metrics t.net) at ~work:(List.length updates) ();
     Pr_proto.Probe.computation probe_update t.net ~at ~work:(List.length updates) ();
     let node = t.nodes.(at) in
     let touched = ref [] in

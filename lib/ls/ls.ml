@@ -1,12 +1,11 @@
 module Graph = Pr_topology.Graph
+module Spf = Pr_topology.Spf
 module Network = Pr_sim.Network
-module Metrics = Pr_sim.Metrics
 module Flow = Pr_policy.Flow
 module Packet = Pr_proto.Packet
 module Lsdb = Pr_proto.Lsdb
 module Ls_flood = Pr_proto.Ls_flood
 module Design_point = Pr_proto.Design_point
-module Pqueue = Pr_util.Pqueue
 
 let probe_spf = Pr_proto.Probe.make "ls.spf"
 
@@ -25,7 +24,6 @@ type t = {
   flood : Ls_flood.t;
   nodes : node array;
   mutable spf_count : int;
-  mutable spf_skips : int;
 }
 
 let name = "link-state"
@@ -43,7 +41,6 @@ let create graph _config net =
     flood;
     nodes = Array.init n (fun _ -> { next_hops = Array.make n (-1); computed_version = -1 });
     spf_count = 0;
-    spf_skips = 0;
   }
 
 let start t = Ls_flood.start t.flood
@@ -58,49 +55,25 @@ let reset_node t ~at =
   node.computed_version <- -1;
   Ls_flood.reset_node t.flood at
 
-(* Plain Dijkstra over the AD's database, recording the first hop of
-   each shortest path. *)
+(* Dijkstra over the AD's database: an adjacency counts once both
+   ends advertise it. The tree's first hops are the next hops. *)
 let run_spf t ad ~version =
-  let n = Graph.n t.graph in
   let db = Ls_flood.db t.flood ad in
-  let dist = Array.make n infinity in
-  let first_hop = Array.make n (-1) in
-  let settled = Array.make n false in
-  let q = Pqueue.create () in
-  dist.(ad) <- 0.0;
-  Pqueue.add q ~priority:0.0 ad;
-  let work = ref 0 in
-  let rec drain () =
-    match Pqueue.pop q with
+  let relax u f =
+    match Lsdb.get db u with
     | None -> ()
-    | Some (d, u) ->
-      if not settled.(u) then begin
-        settled.(u) <- true;
-        incr work;
-        (match Lsdb.get db u with
-        | None -> ()
-        | Some lsa ->
-          List.iter
-            (fun (a : Lsdb.adjacency) ->
-              let v = a.Lsdb.nbr in
-              match Lsdb.bidirectional db u v with
-              | None -> ()
-              | Some cost ->
-                let d' = d +. float_of_int cost in
-                if d' < dist.(v) then begin
-                  dist.(v) <- d';
-                  first_hop.(v) <- (if u = ad then v else first_hop.(u));
-                  Pqueue.add q ~priority:d' v
-                end)
-            lsa.Lsdb.adjacencies)
-      end;
-      drain ()
+    | Some lsa ->
+      List.iter
+        (fun (a : Lsdb.adjacency) ->
+          match Lsdb.bidirectional db u a.Lsdb.nbr with
+          | None -> ()
+          | Some cost -> f a.Lsdb.nbr cost)
+        lsa.Lsdb.adjacencies
   in
-  drain ();
+  let tree, work = Spf.search ~n:(Graph.n t.graph) ~src:ad ~relax () in
   t.spf_count <- t.spf_count + 1;
-  Metrics.record_computation (Network.metrics t.net) ad ~work:!work ();
-  Pr_proto.Probe.computation probe_spf t.net ~at:ad ~work:!work ();
-  t.nodes.(ad).next_hops <- first_hop;
+  Pr_proto.Probe.computation probe_spf t.net ~at:ad ~work ();
+  t.nodes.(ad).next_hops <- tree.Spf.first_hop;
   t.nodes.(ad).computed_version <- version
 
 (* Scoped invalidation: the version moved, but if every changed origin
@@ -140,10 +113,7 @@ let ensure_fresh t ad =
   let version = Ls_flood.db_version t.flood ad in
   if t.nodes.(ad).computed_version <> version then begin
     let delta = Ls_flood.take_delta t.flood ad in
-    if delta_out_of_scope t ad delta then begin
-      t.spf_skips <- t.spf_skips + 1;
-      t.nodes.(ad).computed_version <- version
-    end
+    if delta_out_of_scope t ad delta then t.nodes.(ad).computed_version <- version
     else run_spf t ad ~version
   end
 
@@ -183,5 +153,3 @@ let next_hop_of t ~at ~dst =
   if nh < 0 then None else Some nh
 
 let spf_runs t = t.spf_count
-
-let spf_skips t = t.spf_skips

@@ -19,9 +19,3 @@ val spf_runs : t -> int
 (** Total shortest-path-first computations performed across all ADs —
     the baseline computation figure that experiment E5 compares
     against the policy designs. *)
-
-val spf_skips : t -> int
-(** Recomputations avoided by delta-scoped invalidation: the database
-    version moved but every changed origin was provably outside the
-    region the AD's cached tree spans (see [Ls_flood.take_delta]), so
-    the cached next hops were reused unchanged. *)

@@ -1,6 +1,5 @@
 module Graph = Pr_topology.Graph
 module Network = Pr_sim.Network
-module Metrics = Pr_sim.Metrics
 module Flow = Pr_policy.Flow
 module Config = Pr_policy.Config
 module Transit_policy = Pr_policy.Transit_policy
@@ -108,7 +107,6 @@ let compute_route t at (flow : Flow.t) =
     let db = Ls_flood.db t.flood at in
     let engine = Policy_route.engine db ~n flow in
     let path, work = Policy_route.shortest engine () in
-    Metrics.record_computation (Network.metrics t.net) at ~work ();
     Pr_proto.Probe.computation probe_synth t.net ~at ~work ();
     Hashtbl.replace node.route_cache key (version, path);
     path

@@ -285,7 +285,6 @@ module Make (V : VARIANT) = struct
           Policy_route.shortest_pruned engine ~avoid ()
         else Policy_route.shortest engine ~avoid ()
       in
-      Metrics.record_computation (Network.metrics t.net) server ~work ();
       Pr_proto.Probe.computation probe_synth t.net ~at:server ~work ();
       charge_delegation path;
       path
@@ -301,9 +300,6 @@ module Make (V : VARIANT) = struct
                  (fun ad -> not (List.mem ad (Path.transit_ads p)))
                  extra_avoid)
       in
-      Metrics.record_computation (Network.metrics t.net) server
-        ~work:(Stdlib.max 1 (List.length candidates))
-        ();
       Pr_proto.Probe.computation probe_synth t.net ~at:server
         ~work:(Stdlib.max 1 (List.length candidates))
         ();
@@ -341,7 +337,6 @@ module Make (V : VARIANT) = struct
         in
         if not admitted then Error ad
         else begin
-          Metrics.record_computation (Network.metrics t.net) ad ();
           Pr_proto.Probe.computation probe_validate t.net ~at:ad ();
           if next <> None || ad = flow.Flow.dst then
             pg_install t ad handle { prev; next };

@@ -1,14 +1,7 @@
 module Flow = Pr_policy.Flow
-module Policy_term = Pr_policy.Policy_term
 module Compiled = Pr_policy.Compiled
-module Pqueue = Pr_util.Pqueue
 module Policy_search = Pr_topology.Policy_search
-
-(* Benchmark escape hatch: route synthesis through the pre-compilation
-   interpreted path (List.exists over Policy_term lists straight off
-   the database). Exists so the policy-admit microbenchmark can
-   measure both paths in one binary; never set outside bench. *)
-let force_interpreted = ref false
+module Spf = Pr_topology.Spf
 
 type engine = {
   db : Lsdb.t;
@@ -29,15 +22,7 @@ let spec_for e ad =
     e.specs.(ad) <- Some s;
     s
 
-let interpreted_admits db ad flow ~prev ~next =
-  let terms = Lsdb.terms_of db ad in
-  let hop x = if x < 0 then None else Some x in
-  let ctx = { Policy_term.flow; prev = hop prev; next = hop next } in
-  List.exists (fun term -> Policy_term.admits term ctx) terms
-
-let admits e ad ~prev ~next =
-  if !force_interpreted then interpreted_admits e.db ad e.flow ~prev ~next
-  else Compiled.spec_allows (spec_for e ad) ~prev ~next
+let admits e ad ~prev ~next = Compiled.spec_allows (spec_for e ad) ~prev ~next
 
 let shortest e ?(avoid = []) () =
   let src = e.flow.Flow.src and dst = e.flow.Flow.dst in
@@ -65,52 +50,17 @@ let shortest e ?(avoid = []) () =
    validates the result and falls back to the exact search when some
    hop-constrained term rejects it. *)
 let shortest_optimistic e ~avoid =
-  let n = e.n in
   let src = e.flow.Flow.src and dst = e.flow.Flow.dst in
   let view, metrics = Lsdb.search_view e.db e.flow.Flow.qos in
-  let dist = Array.make n infinity in
-  let parent = Array.make n (-1) in
-  let settled = Array.make n false in
-  let work = ref 0 in
-  let q = Pqueue.create () in
-  let avoid_arr = Array.make n false in
-  List.iter (fun a -> if a >= 0 && a < n then avoid_arr.(a) <- true) avoid;
-  dist.(src) <- 0.0;
-  Pqueue.add q ~priority:0.0 src;
-  let continue_ = ref true in
-  let found = ref false in
-  while !continue_ do
-    match Pqueue.pop q with
-    | None -> continue_ := false
-    | Some (d, v) ->
-      if not settled.(v) then begin
-        settled.(v) <- true;
-        incr work;
-        if v = dst then begin
-          found := true;
-          continue_ := false
-        end
-        else begin
-          let v_ok = v = src || admits e v ~prev:(-1) ~next:(-1) in
-          if v_ok then
-            Policy_search.iter_row view v ~f:(fun w k ->
-                let avoid_ok = w = dst || not avoid_arr.(w) in
-                if avoid_ok && w <> src then begin
-                  let d' = d +. float_of_int metrics.(k) in
-                  if d' < dist.(w) then begin
-                    dist.(w) <- d';
-                    parent.(w) <- v;
-                    Pqueue.add q ~priority:d' w
-                  end
-                end)
-        end
-      end
-  done;
-  if not !found then (None, !work)
-  else begin
-    let rec build acc v = if v = src then src :: acc else build (v :: acc) parent.(v) in
-    (Some (build [] dst), !work)
-  end
+  let avoid_arr = Array.make e.n false in
+  List.iter (fun a -> if a >= 0 && a < e.n then avoid_arr.(a) <- true) avoid;
+  let relax v f =
+    if v = src || admits e v ~prev:(-1) ~next:(-1) then
+      Policy_search.iter_row view v ~f:(fun w k ->
+          if w = dst || not avoid_arr.(w) then f w metrics.(k))
+  in
+  let tree, work = Spf.search ~n:e.n ~src ~dst ~relax () in
+  (Spf.path tree dst, work)
 
 (* Is the path exactly legal per the database, including prev/next-hop
    constrained terms? *)

@@ -32,13 +32,6 @@ val admits : engine -> Pr_topology.Ad.id -> prev:Pr_topology.Ad.id -> next:Pr_to
     to the database the engine wraps? A negative hop is unknown
     ({!Pr_policy.Compiled.hop_probe}). *)
 
-val force_interpreted : bool ref
-(** When true, {!admits} (and so every search) re-interprets the raw
-    [Policy_term.t] lists with [List.exists] instead of probing the
-    compiled specialization — the pre-compilation code path, kept
-    alive so the policy-admit microbenchmark can compare both in one
-    binary. Defaults to false; do not set outside [bench]. *)
-
 val shortest :
   engine ->
   ?avoid:Pr_topology.Ad.id list ->

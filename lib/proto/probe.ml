@@ -8,6 +8,7 @@ let make name = { name; work = Reg.histogram Reg.default ("proto." ^ name ^ ".wo
 
 let computation p net ~at ?(work = 1) () =
   let engine = Pr_sim.Network.engine net in
+  Pr_sim.Metrics.record_computation (Pr_sim.Network.metrics net) at ~work ();
   Hist.record_int p.work work;
   let tr = Pr_sim.Network.trace net in
   if Trace.enabled tr then

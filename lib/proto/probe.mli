@@ -3,14 +3,14 @@
     A probe is made once per (driver, computation-kind) — [make
     "dv.update"] — and resolves its registry histogram handle at that
     point, so the per-event [computation] call never hashes a string.
-    Each call charges the work figure to the
+    Each call is a protocol's one computation charge: it records the
+    computation in the network's {!Pr_sim.Metrics} (the paper's
+    computation currency), adds the work figure to the
     [proto.<name>.work] histogram in {!Pr_telemetry.Registry.default}
-    and, when the network's trace is enabled, records the same
-    self-contained span as before: timestamped at the current
-    simulated time, on the AD's track, with the work charge as its
-    duration — so Perfetto renders per-AD computation load directly.
-    Call it right next to [Metrics.record_computation] with the same
-    [at] and [work]. *)
+    and, when the network's trace is enabled, records a
+    self-contained span: timestamped at the current simulated time, on
+    the AD's track, with the work charge as its duration — so Perfetto
+    renders per-AD computation load directly. *)
 
 type t
 

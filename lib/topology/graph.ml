@@ -130,6 +130,11 @@ let iter_neighbors t i ~f =
     f t.adj_nbr.(k) t.adj_link.(k)
   done
 
+let iter_neighbor_costs t i ~f =
+  for k = t.off.(i) to t.off.(i + 1) - 1 do
+    f t.adj_nbr.(k) t.links.(t.adj_link.(k)).Link.cost
+  done
+
 let iter_neighbor_ids t i ~f =
   for k = t.uoff.(i) to t.uoff.(i + 1) - 1 do
     f t.uniq_nbr.(k)
@@ -253,34 +258,6 @@ let has_cycle t =
     if not visited.(i) then dfs i (-1)
   done;
   !found
-
-let shortest_path_hops t src dst =
-  let n = n t in
-  let dist = Array.make n (-1) in
-  let parent = Array.make n (-1) in
-  let queue = Array.make (Stdlib.max n 1) 0 in
-  let head = ref 0 and tail = ref 0 in
-  dist.(src) <- 0;
-  queue.(!tail) <- src;
-  incr tail;
-  while !head < !tail do
-    let u = queue.(!head) in
-    incr head;
-    for k = t.off.(u) to t.off.(u + 1) - 1 do
-      let v = t.adj_nbr.(k) in
-      if dist.(v) < 0 then begin
-        dist.(v) <- dist.(u) + 1;
-        parent.(v) <- u;
-        queue.(!tail) <- v;
-        incr tail
-      end
-    done
-  done;
-  if dist.(dst) < 0 then None
-  else begin
-    let rec build acc v = if v = src then src :: acc else build (v :: acc) parent.(v) in
-    Some (build [] dst)
-  end
 
 let fold_links t ~init ~f = Array.fold_left f init t.links
 

@@ -45,6 +45,11 @@ val iter_neighbors : t -> Ad.id -> f:(Ad.id -> Link.id -> unit) -> unit
     increasing (neighbor, link) order — the same pairs {!neighbors}
     returns. *)
 
+val iter_neighbor_costs : t -> Ad.id -> f:(Ad.id -> int -> unit) -> unit
+(** {!iter_neighbors} with each link's static cost in place of its id:
+    one call per parallel link, so a shortest-path relaxation pays one
+    indirect call per edge. *)
+
 val iter_neighbor_ids : t -> Ad.id -> f:(Ad.id -> unit) -> unit
 (** Allocation-free iteration over the AD's unique neighbors, in
     increasing order — the same ids {!neighbor_ids} returns. *)
@@ -95,9 +100,6 @@ val has_cycle : t -> bool
 
 val bfs_hops : t -> Ad.id -> int array
 (** Hop distances from a source; [-1] marks unreachable ADs. *)
-
-val shortest_path_hops : t -> Ad.id -> Ad.id -> int list option
-(** A minimum-hop AD path from source to destination, inclusive. *)
 
 val fold_links : t -> init:'a -> f:('a -> Link.t -> 'a) -> 'a
 

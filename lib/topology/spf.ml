@@ -1,8 +1,7 @@
-(* Single-source shortest-path trees over the CSR adjacency: the core
-   route-synthesis kernel the scaling benchmark measures. Dijkstra with
-   the FIFO-tie-break heap; relaxation streams straight over the packed
-   adjacency rows, so the per-edge work is array reads plus at most one
-   heap insertion. *)
+(* Single-source shortest paths: the one node-level Dijkstra in the
+   library (pop order and early exit are documented in spf.mli).
+   Integer costs give many equal distances, which the FIFO run heap
+   pushes and pops in O(1) each. *)
 
 module Pqueue = Pr_util.Pqueue
 
@@ -13,64 +12,54 @@ type tree = {
   first_hop : int array;  (* first AD after the source; -1 at the source *)
 }
 
-let tree g ~src =
-  let n = Graph.n g in
+let search ~n ~src ?(dst = -1) ~relax () =
   let dist = Array.make n (-1) in
   let parent = Array.make n (-1) in
   let first_hop = Array.make n (-1) in
-  let settled = Array.make n false in
   let best = Array.make n max_int in
   let q = Pqueue.create () in
+  let settled = ref 0 in
+  (* The node being expanded and its distance. [improve] reads them
+     from here, so one closure serves every pop. *)
+  let u = ref src and du = ref 0 in
+  let improve v cost =
+    if dist.(v) < 0 then begin
+      let d = !du + cost in
+      if d < best.(v) then begin
+        best.(v) <- d;
+        parent.(v) <- !u;
+        first_hop.(v) <- (if !u = src then v else first_hop.(!u));
+        Pqueue.add q ~priority:(float_of_int d) v
+      end
+    end
+  in
+  let rec drain () =
+    if not (Pqueue.is_empty q) then begin
+      let v = Pqueue.pop_value q in
+      if dist.(v) >= 0 then drain ()
+      else begin
+        dist.(v) <- best.(v);
+        incr settled;
+        if v <> dst then begin
+          u := v;
+          du := best.(v);
+          relax v improve;
+          drain ()
+        end
+      end
+    end
+  in
   best.(src) <- 0;
   Pqueue.add q ~priority:0.0 src;
-  let rec drain () =
-    match Pqueue.pop q with
-    | None -> ()
-    | Some (_, u) ->
-      if not settled.(u) then begin
-        settled.(u) <- true;
-        dist.(u) <- best.(u);
-        Graph.iter_neighbors g u ~f:(fun v lid ->
-            if not settled.(v) then begin
-              let d = best.(u) + (Graph.link g lid).Link.cost in
-              if d < best.(v) then begin
-                best.(v) <- d;
-                parent.(v) <- u;
-                first_hop.(v) <- (if u = src then v else first_hop.(u));
-                Pqueue.add q ~priority:(float_of_int d) v
-              end
-            end)
-      end;
-      drain ()
-  in
   drain ();
-  { src; dist; parent; first_hop }
+  ({ src; dist; parent; first_hop }, !settled)
+
+let tree g ~src =
+  fst (search ~n:(Graph.n g) ~src ~relax:(fun u f -> Graph.iter_neighbor_costs g u ~f) ())
 
 let tree_state g ~up ~cost ~src =
-  let n = Graph.n g in
-  let dist = Array.make n (-1) in
-  let parent = Array.make n (-1) in
-  let first_hop = Array.make n (-1) in
-  let cand_parent = Array.make n (-1) in
-  let q = Pqueue.Keyed.create ~capacity:n in
-  ignore (Pqueue.Keyed.insert_or_decrease q src ~priority:0);
-  let rec drain () =
-    match Pqueue.Keyed.pop q with
-    | None -> ()
-    | Some (d, u) ->
-      dist.(u) <- d;
-      parent.(u) <- cand_parent.(u);
-      if u <> src then
-        first_hop.(u) <- (if parent.(u) = src then u else first_hop.(parent.(u)));
-      Graph.iter_neighbors g u ~f:(fun v lid ->
-          if up.(lid) && dist.(v) < 0 then begin
-            let c = d + cost.(lid) in
-            if Pqueue.Keyed.insert_or_decrease q v ~priority:c then cand_parent.(v) <- u
-          end);
-      drain ()
-  in
-  drain ();
-  { src; dist; parent; first_hop }
+  let relax u f = Graph.iter_neighbors g u ~f:(fun v lid -> if up.(lid) then f v cost.(lid)) in
+  fst (search ~n:(Graph.n g) ~src ~relax ())
 
 let reachable t =
   Array.fold_left (fun acc d -> if d >= 0 then acc + 1 else acc) (-1) t.dist

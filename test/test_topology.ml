@@ -88,11 +88,7 @@ let graph_validation () =
 let graph_bfs () =
   let g = Generator.line ~n:5 in
   let dist = Graph.bfs_hops g 0 in
-  Alcotest.(check (array int)) "line distances" [| 0; 1; 2; 3; 4 |] dist;
-  Alcotest.(check (option (list int)))
-    "shortest path"
-    (Some [ 0; 1; 2; 3; 4 ])
-    (Graph.shortest_path_hops g 0 4)
+  Alcotest.(check (array int)) "line distances" [| 0; 1; 2; 3; 4 |] dist
 
 let graph_acyclic_line () =
   let g = Generator.line ~n:4 in
@@ -292,6 +288,104 @@ let spf_tree_prop =
                    && Path.cost g p = Some t.Pr_topology.Spf.dist.(dst))
                (all_ids g))
         (all_ids g))
+
+(* The dense lazy-deletion Dijkstra [Spf.tree] ran before it became a
+   caller of [Spf.search], generalized to an up mask, per-link costs
+   and an early exit at [dst] (-1: none). Returns the tree and the
+   number of nodes settled. *)
+let reference_search g ~up ~cost ~src ~dst =
+  let n = Graph.n g in
+  let dist = Array.make n (-1) in
+  let parent = Array.make n (-1) in
+  let first_hop = Array.make n (-1) in
+  let settled = Array.make n false in
+  let best = Array.make n max_int in
+  let count = ref 0 in
+  let q = Pqueue.create () in
+  best.(src) <- 0;
+  Pqueue.add q ~priority:0.0 src;
+  let rec drain () =
+    match Pqueue.pop q with
+    | None -> ()
+    | Some (_, u) ->
+      if settled.(u) then drain ()
+      else begin
+        settled.(u) <- true;
+        incr count;
+        dist.(u) <- best.(u);
+        if u <> dst then begin
+          Graph.iter_neighbors g u ~f:(fun v lid ->
+              if up.(lid) && not settled.(v) then begin
+                let d = best.(u) + cost.(lid) in
+                if d < best.(v) then begin
+                  best.(v) <- d;
+                  parent.(v) <- u;
+                  first_hop.(v) <- (if u = src then v else first_hop.(u));
+                  Pqueue.add q ~priority:(float_of_int d) v
+                end
+              end);
+          drain ()
+        end
+      end
+  in
+  drain ();
+  ({ Spf.src; dist; parent; first_hop }, !count)
+
+(* Multigraphs built to stress tie-breaking: parallel links, costs in
+   1..3 so many routes tie, a random down mask and, half the time, a
+   destination to stop at. *)
+let search_matches_reference =
+  QCheck.Test.make ~name:"Spf.search matches the dense lazy-deletion reference" ~count:300
+    QCheck.small_nat
+    (fun seed ->
+      let rng = Rng.create seed in
+      let n = 2 + Rng.int rng 16 in
+      let ads =
+        Array.init n (fun id ->
+            Ad.make ~id ~name:(Printf.sprintf "N%d" id) ~klass:Ad.Hybrid ~level:Ad.Metro)
+      in
+      let m = Rng.int rng (3 * n) in
+      let links =
+        Array.init m (fun id ->
+            let a = Rng.int rng n in
+            let b = (a + 1 + Rng.int rng (n - 1)) mod n in
+            Link.make ~id ~a ~b ~cost:(1 + Rng.int rng 3) Link.Lateral)
+      in
+      let g = Graph.create ads links in
+      let up = Array.init m (fun _ -> Rng.int rng 5 > 0) in
+      let cost = Array.init m (fun lid -> (Graph.link g lid).Link.cost) in
+      let src = Rng.int rng n in
+      let dst = if Rng.bool rng then Rng.int rng n else -1 in
+      let relax u f =
+        Graph.iter_neighbors g u ~f:(fun v lid -> if up.(lid) then f v cost.(lid))
+      in
+      let got =
+        if dst < 0 then Spf.search ~n ~src ~relax ()
+        else Spf.search ~n ~src ~dst ~relax ()
+      in
+      got = reference_search g ~up ~cost ~src ~dst)
+
+(* Ties break the same way everywhere: with every link up at its
+   static cost, [tree_state] is [tree], parents and first hops
+   included. *)
+let tree_state_is_tree () =
+  List.iter
+    (fun g ->
+      let m = Graph.num_links g in
+      let up = Array.make m true in
+      let cost = Array.init m (fun lid -> (Graph.link g lid).Link.cost) in
+      for src = 0 to Graph.n g - 1 do
+        check_bool
+          (Printf.sprintf "tree_state = tree from %d" src)
+          true
+          (Spf.tree_state g ~up ~cost ~src = Spf.tree g ~src)
+      done)
+    [
+      Figure1.graph ();
+      Generator.ring ~n:12;
+      random_multigraph 17;
+      Generator.generate (Rng.create 1) (Generator.scaled ~target_ads:150);
+    ]
 
 (* --- Path ---------------------------------------------------------- *)
 
@@ -853,6 +947,9 @@ let () =
               csr_bfs_prop;
               spf_tree_prop;
             ] );
+      ( "spf",
+        [ Alcotest.test_case "tree_state = tree" `Quick tree_state_is_tree ]
+        @ qsuite [ search_matches_reference ] );
       ( "path",
         [
           Alcotest.test_case "basics" `Quick path_basics;
