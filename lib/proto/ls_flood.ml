@@ -27,6 +27,10 @@ type t = {
   dirty_full : bool array;
   terms_for : Pr_topology.Ad.id -> Pr_policy.Policy_term.t list;
   flood_to : Pr_topology.Ad.id -> bool;
+  (* Per origin, the last record {!check_lsa} accepted (a sentinel
+     until then): honest copies of one origination are one physical
+     record, so each is validated once however many copies arrive. *)
+  vetted : Lsdb.lsa array;
   mutable on_change : Pr_topology.Ad.id -> origin:Pr_topology.Ad.id option -> unit;
 }
 
@@ -44,6 +48,7 @@ let create net ~terms_for ?(flood_to = fun _ -> true) () =
     dirty_full = Array.make n false;
     terms_for;
     flood_to;
+    vetted = Array.make n (Lsdb.make_lsa ~origin:(-1) ~seq:(-1) ~adjacencies:[] ~terms:[]);
     on_change = (fun _ ~origin:_ -> ());
   }
 
@@ -70,11 +75,8 @@ let current_adjacencies t ad =
       end);
   List.rev !acc
 
-let flood_from t ad ?except lsa =
-  let bytes = Lsdb.lsa_bytes lsa in
-  let except = match except with None -> -1 | Some e -> e in
-  Network.iter_up_neighbors t.net ad ~f:(fun nbr ->
-      if nbr <> except && t.flood_to nbr then Network.send t.net ~src:ad ~dst:nbr ~bytes lsa)
+let flood_from t ad ~except lsa =
+  Network.broadcast t.net ~src:ad ~except ~filter:t.flood_to ~bytes:(Lsdb.lsa_bytes lsa) lsa
 
 let mark_dirty t ad origin =
   match (t.dirty_mem.(ad), origin) with
@@ -172,7 +174,7 @@ let originate t ad =
       ~adjacencies:(current_adjacencies t ad) ~terms:(t.terms_for ad)
   in
   if Lsdb.insert t.dbs.(ad) lsa then changed t ad ~origin:(Some ad);
-  flood_from t ad lsa
+  flood_from t ad ~except:(-1) lsa
 
 let start t =
   let n = Graph.n (Network.graph t.net) in
@@ -200,11 +202,17 @@ let handle_link t ~at ~up:_ = originate t at
    connectivity the AD does not have), and Policy Terms owned by
    someone other than the origin. Term {e content} is deliberately not
    checked against the static config: ORWG mutates transit policies
-   live ([set_policy]), so only ownership is invariant. *)
+   live ([set_policy]), so only ownership is invariant.
+
+   A verdict depends only on the record's immutable fields (origin,
+   adjacencies, term owners) and the static graph, so an accepted
+   record is remembered by identity and a later copy of it is answered
+   without re-checking. Corruption, forgery and tampering always build
+   fresh records; rejections are never remembered. *)
 
 let link_exists g u v = Graph.uniq_slot g u v >= 0
 
-let check_lsa t ~at:_ (lsa : Lsdb.lsa) =
+let validate t (lsa : Lsdb.lsa) =
   let g = Network.graph t.net in
   let origin = lsa.Lsdb.origin in
   if origin < 0 || origin >= t.n then
@@ -219,6 +227,11 @@ let check_lsa t ~at:_ (lsa : Lsdb.lsa) =
               Some (Printf.sprintf "adjacency neighbor %d out of range" a.Lsdb.nbr)
           else if a.Lsdb.cost < 0 then
             bad := Some (Printf.sprintf "negative adjacency cost %d" a.Lsdb.cost)
+          else if not (Float.is_finite a.Lsdb.delay && a.Lsdb.delay > 0.0) then
+            bad :=
+              Some
+                (Printf.sprintf "adjacency to %d has impossible delay %g" a.Lsdb.nbr
+                   a.Lsdb.delay)
           else if not (link_exists g origin a.Lsdb.nbr) then
             bad :=
               Some
@@ -235,6 +248,16 @@ let check_lsa t ~at:_ (lsa : Lsdb.lsa) =
       lsa.Lsdb.terms;
     match !bad with None -> Ok () | Some reason -> Error reason
   end
+
+let check_lsa t ~at:_ (lsa : Lsdb.lsa) =
+  let origin = lsa.Lsdb.origin in
+  if origin >= 0 && origin < t.n && t.vetted.(origin) == lsa then Ok ()
+  else
+    match validate t lsa with
+    | Ok () ->
+      t.vetted.(origin) <- lsa;
+      Ok ()
+    | Error _ as e -> e
 
 let audit_db t ~at =
   Lsdb.fold t.dbs.(at) ~init:None ~f:(fun acc lsa ->

@@ -107,10 +107,16 @@ val db_entries : t -> Pr_topology.Ad.id -> int
 val check_lsa : t -> at:Pr_topology.Ad.id -> Lsdb.lsa -> (unit, string) result
 (** Accepts everything honest flooding can deliver (including
     duplicates and late copies); rejects out-of-range ids, negative
-    costs, adjacencies over links the real topology does not contain,
-    and Policy Terms owned by someone other than the origin. Term
-    content is not checked against the static config — ORWG mutates
-    transit policies live, so only ownership is invariant. *)
+    costs, adjacency delays that are not finite and > 0, adjacencies
+    over links the real topology does not contain, and Policy Terms
+    owned by someone other than the origin. Term content is not
+    checked against the static config — ORWG mutates transit policies
+    live, so only ownership is invariant.
+
+    The last accepted record per origin is remembered by physical
+    identity and answered [Ok ()] without re-checking; rejections are
+    recomputed every time. Every field the check reads is immutable and
+    the graph is static, so the verdict equals a fresh check's. *)
 
 val audit_db : t -> at:Pr_topology.Ad.id -> string option
 (** First LSA in the AD's database that {!check_lsa} would reject —

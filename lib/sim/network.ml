@@ -119,47 +119,60 @@ let rec schedule_copies t ~delay deliver = function
     else Engine.schedule t.engine ~delay:(delay +. extra) deliver;
     schedule_copies t ~delay deliver rest
 
+(* The send path after the slot lookup, shared by {!send} and
+   {!broadcast}: [lid] is the up link [slot_link] chose for [src]'s
+   slot [slot] to [dst], and [src] is up. *)
+let send_on t ~src ~dst ~slot ~lid ~bytes msg =
+  Metrics.record_send t.metrics src ~bytes;
+  Reg.inc t.m_sends;
+  if Trace.enabled t.trace then
+    Trace.instant t.trace ~ts:(Engine.now t.engine) ~tid:src "net.send";
+  if debug_on () then
+    Log.debug (fun m ->
+        m "t=%.1f send %d -> %d (%d bytes)" (Engine.now t.engine) src dst bytes);
+  let msg =
+    match t.tamper with
+    | None -> msg
+    | Some f -> ( match f ~src ~dst ~bytes msg with None -> msg | Some m -> m)
+  in
+  let delay = (Graph.link t.graph lid).Link.delay in
+  let deliver () =
+    (* Lost if the link failed, or the receiver crashed, while the
+       message was in flight. *)
+    if t.link_up.(lid) && t.node_up.(dst) then t.on_message ~at:dst ~from:src msg
+    else lose t ~src ~dst
+  in
+  match t.interpose with
+  | None -> Engine.schedule t.engine ~delay deliver
+  | Some f -> (
+    match f ~src ~dst ~slot ~link:lid with
+    | [] ->
+      (* The fault plan ate it; the bits were still transmitted, so
+         the send stays charged. *)
+      lose t ~src ~dst
+    | extras -> schedule_copies t ~delay deliver extras)
+
 let send t ~src ~dst ~bytes msg =
   (* A crashed AD transmits nothing. *)
   if t.node_up.(src) then begin
     let slot = Graph.uniq_slot t.graph src dst in
     let lid = slot_link t slot in
-    if lid >= 0 then begin
-      Metrics.record_send t.metrics src ~bytes;
-      Reg.inc t.m_sends;
-      if Trace.enabled t.trace then
-        Trace.instant t.trace ~ts:(Engine.now t.engine) ~tid:src "net.send";
-      if debug_on () then
-        Log.debug (fun m ->
-            m "t=%.1f send %d -> %d (%d bytes)" (Engine.now t.engine) src dst bytes);
-      let msg =
-        match t.tamper with
-        | None -> msg
-        | Some f -> ( match f ~src ~dst ~bytes msg with None -> msg | Some m -> m)
-      in
-      let delay = (Graph.link t.graph lid).Link.delay in
-      let deliver () =
-        (* Lost if the link failed, or the receiver crashed, while the
-           message was in flight. *)
-        if t.link_up.(lid) && t.node_up.(dst) then t.on_message ~at:dst ~from:src msg
-        else lose t ~src ~dst
-      in
-      match t.interpose with
-      | None -> Engine.schedule t.engine ~delay deliver
-      | Some f -> (
-        match f ~src ~dst ~slot ~link:lid with
-        | [] ->
-          (* The fault plan ate it; the bits were still transmitted, so
-             the send stays charged. *)
-          lose t ~src ~dst
-        | extras -> schedule_copies t ~delay deliver extras)
-    end
+    if lid >= 0 then send_on t ~src ~dst ~slot ~lid ~bytes msg
   end
 
-let broadcast t ~src ~bytes msg =
-  let neighbors = up_neighbors t src in
-  List.iter (fun nbr -> send t ~src ~dst:nbr ~bytes msg) neighbors;
-  List.length neighbors
+let broadcast t ~src ~except ~filter ~bytes msg =
+  if t.node_up.(src) then begin
+    (* [src]'s unique-neighbor row: slot [k] is the pair (src, nbr.(k)),
+       so no per-neighbor slot search. *)
+    let off, nbr = Graph.unique_csr t.graph in
+    for k = off.(src) to off.(src + 1) - 1 do
+      let dst = nbr.(k) in
+      if dst <> except then begin
+        let lid = slot_link t k in
+        if lid >= 0 && filter dst then send_on t ~src ~dst ~slot:k ~lid ~bytes msg
+      end
+    done
+  end
 
 let set_link_state t lid ~up =
   if t.link_up.(lid) <> up then begin

@@ -82,9 +82,20 @@ val send :
     were transmitted). *)
 
 val broadcast :
-  'msg t -> src:Pr_topology.Ad.id -> bytes:int -> 'msg -> int
-(** Send to every currently reachable neighbor; returns how many were
-    sent. *)
+  'msg t ->
+  src:Pr_topology.Ad.id ->
+  except:Pr_topology.Ad.id ->
+  filter:(Pr_topology.Ad.id -> bool) ->
+  bytes:int ->
+  'msg ->
+  unit
+(** {!send} to every neighbor joined to [src] by an up link, other than
+    [except] ([-1] excepts no one) and satisfying [filter], in
+    increasing neighbor order — each on the link {!send} would pick.
+    It walks [src]'s unique-neighbor row instead of searching each
+    neighbor's slot; deliveries, link choice and charges equal a
+    {!send} per {!iter_up_neighbors} neighbor. [filter] is consulted
+    only for neighbors behind an up link. *)
 
 val link_is_up : 'msg t -> Pr_topology.Link.id -> bool
 

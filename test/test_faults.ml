@@ -523,8 +523,8 @@ let faulted_convergence_words_per_event () =
   check_bool "converged" true c.Runner.converged;
   let per_event = words /. float_of_int c.Runner.events in
   check_bool
-    (Printf.sprintf "%.1f words/event over %d events (budget 80)" per_event c.Runner.events)
-    true (per_event <= 80.0)
+    (Printf.sprintf "%.1f words/event over %d events (budget 40)" per_event c.Runner.events)
+    true (per_event <= 40.0)
 
 let () =
   Alcotest.run "faults"

@@ -332,6 +332,123 @@ let converged_policy_db config =
   ignore (Engine.run e);
   (g, flood)
 
+(* --- Ls_flood vetting ------------------------------------------------- *)
+
+(* Honest records of a converged policy flood over Figure 1: every
+   origin's LSA as AD 0 holds it, Policy Terms included. *)
+let honest_records () =
+  let g, flood = converged_policy_db (Config.defaults (Figure1.graph ())) in
+  let records = Lsdb.fold (Ls_flood.db flood 0) ~init:[] ~f:(fun acc l -> l :: acc) in
+  (g, flood, List.rev records)
+
+(* A flood over [g] that has vetted nothing yet. *)
+let fresh_flood g =
+  let net = Network.create (Engine.create ()) g (Metrics.create ~n:(Graph.n g)) in
+  Ls_flood.create net ~terms_for:(fun _ -> []) ()
+
+let with_delay (l : Lsdb.lsa) delay =
+  match l.Lsdb.adjacencies with
+  | [] -> None
+  | a :: rest -> Some { l with Lsdb.adjacencies = { a with Lsdb.delay } :: rest; compiled = None }
+
+(* Forged twins of an honest adjacency whose delay no link can have
+   are refused; the honest record is accepted before and after. *)
+let flood_rejects_bad_delays () =
+  let _, flood, records = honest_records () in
+  List.iter
+    (fun (l : Lsdb.lsa) ->
+      check_bool "honest accepted" true (Ls_flood.check_lsa flood ~at:0 l = Ok ());
+      List.iter
+        (fun delay ->
+          match with_delay l delay with
+          | None -> ()
+          | Some bad -> (
+            match Ls_flood.check_lsa flood ~at:0 bad with
+            | Ok () -> Alcotest.failf "delay %g from ad %d accepted" delay l.Lsdb.origin
+            | Error reason ->
+              check_bool (Printf.sprintf "reason names the delay: %s" reason) true
+                (String.starts_with ~prefix:"adjacency to" reason)))
+        [ Float.nan; -1.0; 0.0; Float.infinity ];
+      check_bool "honest still accepted" true (Ls_flood.check_lsa flood ~at:0 l = Ok ()))
+    records
+
+(* The vetted [check_lsa] answers exactly what a fresh flood (nothing
+   vetted yet) answers, for any stream of honest records, honest
+   copies and re-sequenced copies, corruptions (which keep the honest
+   seq), forgeries, field-level forgeries and replays. *)
+type vet_op = Pick of int | Replay_last | Corrupt of int | Forge of int
+
+let vet_op_print = function
+  | Pick i -> Printf.sprintf "pick %d" i
+  | Replay_last -> "replay last"
+  | Corrupt i -> Printf.sprintf "corrupt %d" i
+  | Forge o -> Printf.sprintf "forge %d" o
+
+let vetting_matches_fresh =
+  let g, base, honest = honest_records () in
+  let n = Graph.n g in
+  let forged (l : Lsdb.lsa) = { l with Lsdb.compiled = None } in
+  let variants (l : Lsdb.lsa) =
+    let foreign_terms =
+      match l.Lsdb.terms with
+      | [] -> []
+      | t :: rest ->
+        let owner = (l.Lsdb.origin + 1) mod n in
+        [ { (forged l) with Lsdb.terms = { t with Pr_policy.Policy_term.owner } :: rest } ]
+    in
+    let bad_adjacency =
+      match l.Lsdb.adjacencies with
+      | [] -> []
+      | a :: rest ->
+        List.map
+          (fun a' -> { (forged l) with Lsdb.adjacencies = a' :: rest })
+          [ { a with Lsdb.cost = -1 }; { a with Lsdb.nbr = n + 3 } ]
+    in
+    [
+      l;
+      forged l;
+      { (forged l) with Lsdb.seq = l.Lsdb.seq + 1 };
+      { (forged l) with Lsdb.origin = n };
+      { (forged l) with Lsdb.origin = (l.Lsdb.origin + 1) mod n };
+    ]
+    @ foreign_terms @ bad_adjacency
+    @ List.filter_map (with_delay l) [ Float.nan; -1.0 ]
+  in
+  let pool = Array.of_list (List.concat_map variants honest) in
+  let honest = Array.of_list honest in
+  let op_gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, map (fun i -> Pick i) (int_bound (Array.length pool - 1)));
+          (3, return Replay_last);
+          (2, map (fun i -> Corrupt i) (int_bound (Array.length honest - 1)));
+          (1, map (fun o -> Forge o) (int_bound (n - 1)));
+        ])
+  in
+  QCheck.Test.make ~name:"vetted check_lsa = fresh check_lsa" ~count:300
+    QCheck.(
+      make ~print:(Print.list vet_op_print) ~shrink:Shrink.list
+        Gen.(list_size (int_range 1 80) op_gen))
+    (fun ops ->
+      let vetted = fresh_flood g in
+      let rng = Rng.create 7 in
+      let last = ref pool.(0) in
+      List.for_all
+        (fun op ->
+          let l =
+            match op with
+            | Pick i -> pool.(i)
+            | Replay_last -> !last
+            | Corrupt i ->
+              Option.value (Ls_flood.corrupt_lsa base ~rng honest.(i)) ~default:honest.(i)
+            | Forge o -> (
+              match Ls_flood.forge_lsa base o with Some (l, _) -> l | None -> !last)
+          in
+          last := l;
+          Ls_flood.check_lsa vetted ~at:0 l = Ls_flood.check_lsa (fresh_flood g) ~at:0 l)
+        ops)
+
 let policy_route_matches_oracle () =
   let g0 = Figure1.graph () in
   let config = Config.defaults g0 in
@@ -551,7 +668,9 @@ let () =
           Alcotest.test_case "reacts to failure" `Quick flood_reacts_to_failure;
           Alcotest.test_case "take delta" `Quick flood_take_delta;
           Alcotest.test_case "change callback" `Quick flood_change_callback;
-        ] );
+          Alcotest.test_case "rejects impossible delays" `Quick flood_rejects_bad_delays;
+        ]
+        @ qsuite [ vetting_matches_fresh ] );
       ( "policy-route",
         [
           Alcotest.test_case "matches oracle" `Quick policy_route_matches_oracle;

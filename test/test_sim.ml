@@ -398,13 +398,110 @@ let network_in_flight_loss () =
   check_int "in-flight message lost" 0 !received
 
 let network_broadcast () =
-  let net, e, _, g = make_net () in
+  let net, e, m, g = make_net () in
   let received = ref [] in
   Network.set_message_handler net (fun ~at ~from:_ _ -> received := at :: !received);
-  let sent = Network.broadcast net ~src:0 ~bytes:10 "x" in
-  check_int "sent to degree-many" (Graph.degree g 0) sent;
+  (* The best-connected AD, so [except] and [filter] leave some. *)
+  let src = ref 0 in
+  for ad = 1 to Graph.n g - 1 do
+    if Graph.degree g ad > Graph.degree g !src then src := ad
+  done;
+  let src = !src in
+  let nbrs = Graph.neighbor_ids g src in
+  Network.broadcast net ~src ~except:(-1) ~filter:(fun _ -> true) ~bytes:10 "x";
+  check_int "one send per neighbor" (List.length nbrs) (Metrics.messages m);
   ignore (Engine.run e);
-  check_int "all delivered" sent (List.length !received)
+  Alcotest.(check (list int)) "each neighbor once, in order" nbrs (List.rev !received);
+  received := [];
+  let except = List.hd nbrs and skipped = List.nth nbrs (List.length nbrs - 1) in
+  Network.broadcast net ~src ~except ~filter:(fun v -> v <> skipped) ~bytes:10 "x";
+  ignore (Engine.run e);
+  Alcotest.(check (list int)) "except and filter honoured"
+    (List.filter (fun v -> v <> except && v <> skipped) nbrs)
+    (List.rev !received);
+  (* A crashed AD broadcasts nothing, charges nothing. *)
+  received := [];
+  let before = Metrics.messages m in
+  Network.set_node_state net src ~up:false;
+  Network.broadcast net ~src ~except:(-1) ~filter:(fun _ -> true) ~bytes:10 "x";
+  ignore (Engine.run e);
+  check_int "crashed sender silent" 0 (List.length !received);
+  check_int "crashed sender uncharged" before (Metrics.messages m)
+
+(* [broadcast] walks the sender's unique-neighbor row; the loop it
+   replaced searched each up neighbor's slot again through [send]. On
+   random multigraphs (parallel links of different cost and delay),
+   random down links, crashed ADs and random [except] and [filter],
+   with an interposer that keeps, duplicates, delays or drops copies,
+   both must make the same sends on the same slots and links, deliver
+   the same messages at the same times in the same order, and leave
+   equal per-AD metrics. *)
+let reference_broadcast net ~src ~except ~filter ~bytes msg =
+  Network.iter_up_neighbors net src ~f:(fun nbr ->
+      if nbr <> except && filter nbr then Network.send net ~src ~dst:nbr ~bytes msg)
+
+let random_multigraph rng =
+  let n = 2 + Rng.int rng 9 in
+  let ads =
+    Array.init n (fun id ->
+        Pr_topology.Ad.make ~id ~name:(Printf.sprintf "N%d" id) ~klass:Pr_topology.Ad.Hybrid
+          ~level:Pr_topology.Ad.Metro)
+  in
+  let delays = [| 0.25; 0.5; 1.0; 1.75 |] in
+  let links =
+    Array.init (Rng.int rng (3 * n)) (fun id ->
+        let a = Rng.int rng n in
+        let b = (a + 1 + Rng.int rng (n - 1)) mod n in
+        Link.make ~id ~a ~b ~cost:(1 + Rng.int rng 3)
+          ~delay:delays.(Rng.int rng (Array.length delays))
+          Link.Lateral)
+  in
+  Graph.create ads links
+
+let broadcast_matches_reference =
+  QCheck.Test.make ~name:"slot fan-out = per-neighbor send loop" ~count:300 QCheck.small_nat
+    (fun seed ->
+      let rng = Rng.create seed in
+      let g = random_multigraph rng in
+      let n = Graph.n g in
+      let down = Array.init (Graph.num_links g) (fun _ -> Rng.int rng 4 = 0) in
+      let crashed = Array.init n (fun _ -> Rng.int rng 5 = 0) in
+      let rounds =
+        List.init (1 + Rng.int rng 4) (fun _ ->
+            let src = Rng.int rng n in
+            let except = if Rng.bool rng then Rng.int rng n else -1 in
+            let keep = Array.init n (fun _ -> Rng.int rng 4 <> 0) in
+            (src, except, keep))
+      in
+      let run fan_out =
+        let e = Engine.create () in
+        let m = Metrics.create ~n in
+        let net = Network.create e g m in
+        Array.iteri (fun lid d -> if d then Network.set_link_state net lid ~up:false) down;
+        Array.iteri (fun ad c -> if c then Network.set_node_state net ad ~up:false) crashed;
+        let sends = ref [] and deliveries = ref [] in
+        Network.set_delivery_interposer net
+          (Some
+             (fun ~src ~dst ~slot ~link ->
+               sends := (src, dst, slot, link) :: !sends;
+               match (dst + link) mod 4 with
+               | 0 -> []
+               | 1 -> [ 0.0; 0.5 ]
+               | 2 -> [ 0.25 ]
+               | _ -> [ 0.0 ]));
+        Network.set_message_handler net (fun ~at ~from msg ->
+            deliveries := (at, from, msg, Engine.now e) :: !deliveries);
+        List.iteri
+          (fun i (src, except, keep) ->
+            let filter v = keep.(v) in
+            if fan_out then
+              Network.broadcast net ~src ~except ~filter ~bytes:(10 + i) i
+            else reference_broadcast net ~src ~except ~filter ~bytes:(10 + i) i;
+            ignore (Engine.run e))
+          rounds;
+        (List.rev !sends, List.rev !deliveries, Pr_util.Json.to_string (Metrics.to_json m))
+      in
+      run true = run false)
 
 let network_up_neighbors () =
   let net, _, _, g = make_net () in
@@ -624,7 +721,8 @@ let () =
           Alcotest.test_case "up neighbors" `Quick network_up_neighbors;
           Alcotest.test_case "fail random link" `Quick network_fail_random;
           Alcotest.test_case "fail random by kind" `Quick network_fail_random_kind;
-        ] );
+        ]
+        @ List.map QCheck_alcotest.to_alcotest [ broadcast_matches_reference ] );
       ( "virtual-gateway",
         [
           Alcotest.test_case "failover" `Quick virtual_gateway_failover;
