@@ -929,6 +929,13 @@ let serve_cmd =
               record_exact = false;
             }
           in
+          let cfg =
+            match Pr_serve.Daemon.check_config cfg with
+            | Ok cfg -> cfg
+            | Error e ->
+              Printf.eprintf "prx: bad serve option: %s\n" e;
+              exit 2
+          in
           let r = Pr_serve.Daemon.run cfg in
           Format.printf "%a@." Pr_serve.Daemon.pp_report r;
           r)
@@ -1122,9 +1129,19 @@ let bench_cmd =
             exit 2)
       in
       let spec = T.Gate.serve_spec ~timing_tolerance:tolerance in
+      (* Every row must describe a runnable session before any runs. *)
+      let rows =
+        List.mapi
+          (fun i row ->
+            match Pr_serve.Daemon.config_of_row ~seed ~plan ~plan_name:plan_str row with
+            | Ok cfg -> (row, cfg)
+            | Error e ->
+              Printf.eprintf "prx: %s: results row %d: %s\n" baseline i e;
+              exit 2)
+          rows
+      in
       List.iter
-        (fun row ->
-          let cfg = Pr_serve.Daemon.config_of_row ~seed ~plan ~plan_name:plan_str row in
+        (fun (row, cfg) ->
           let ads = cfg.Pr_serve.Daemon.target_ads in
           if ads <= 0 then Printf.printf "skipping row without target_ads\n"
           else if sizes <> [] && not (List.mem ads sizes) then ()

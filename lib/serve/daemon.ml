@@ -496,63 +496,98 @@ let row_json r =
       ("latency_hist", Hist.to_json r.latency);
     ]
 
+let check_config c =
+  let bad fmt = Printf.ksprintf (fun m -> Error m) fmt in
+  let fraction x = x >= 0.0 && x <= 1.0 in
+  let p = c.policy in
+  if c.route_capacity < 1 then bad "route_capacity must be >= 1 (got %d)" c.route_capacity
+  else if c.handle_capacity < 1 then
+    bad "handle_capacity must be >= 1 (got %d)" c.handle_capacity
+  else if c.batch < 1 then bad "batch must be >= 1 (got %d)" c.batch
+  else if c.check_every < 0 then bad "check_every must be >= 0 (got %d)" c.check_every
+  else if not (Float.is_finite c.interval && c.interval > 0.0) then
+    bad "interval must be a finite number > 0 (got %g)" c.interval
+  else if not (Float.is_finite c.duration && c.duration >= 0.0) then
+    bad "duration must be a finite number >= 0 (got %g)" c.duration
+  else if not (Float.is_finite c.flip_every && c.flip_every >= 0.0) then
+    bad "flip_every must be a finite number >= 0 (got %g)" c.flip_every
+  else if not (fraction p.Gen.restrictiveness) then
+    bad "restrictiveness must be in [0, 1] (got %g)" p.Gen.restrictiveness
+  else if not (fraction p.Gen.source_policy_prob) then
+    bad "source_policy_prob must be in [0, 1] (got %g)" p.Gen.source_policy_prob
+  else Ok c
+
 (* Rebuild a session config from a baseline row. Fields absent from
    older rows fall back to the `prx serve` CLI defaults those baselines
    were generated with (Gen.default policy: restrictiveness 0.3,
-   source-specific granularity). *)
+   source-specific granularity); a field present with a bad value is
+   an error. *)
 let config_of_row ~seed ~plan ~plan_name row =
+  let ( let* ) = Result.bind in
+  let bad fmt = Printf.ksprintf (fun m -> Error m) fmt in
   (* A row-level "plan" overrides the document-level one (attack rows
-     ride alongside benign rows); an unparseable row plan falls back
-     to the document's. *)
-  let plan, plan_name =
+     ride alongside benign rows). *)
+  let* plan, plan_name =
     match Json.member "plan" row with
+    | None -> Ok (plan, plan_name)
     | Some (Json.String s) -> (
         match Plan.profile s with
-        | Some p -> (p, s)
+        | Some p -> Ok (p, s)
         | None -> (
-            match Plan.of_string s with Ok p -> (p, s) | Error _ -> (plan, plan_name)))
-    | _ -> (plan, plan_name)
+            match Plan.of_string s with
+            | Ok p -> Ok (p, s)
+            | Error e -> bad "bad plan %S: %s" s e))
+    | Some _ -> bad "plan must be a string"
   in
   let num name d =
     match Json.member name row with
-    | Some (Json.Int v) -> float_of_int v
-    | Some (Json.Float v) -> v
-    | _ -> d
+    | None -> Ok d
+    | Some (Json.Int v) -> Ok (float_of_int v)
+    | Some (Json.Float v) -> Ok v
+    | Some _ -> bad "%s must be a number" name
   in
-  let int_f name d = int_of_float (num name (float_of_int d)) in
-  let granularity =
+  let int_f name d =
+    let* v = num name (float_of_int d) in
+    if Float.is_integer v && Float.abs v < 1e15 then Ok (int_of_float v)
+    else bad "%s must be an integer (got %g)" name v
+  in
+  let* granularity =
     match Json.member "granularity" row with
+    | None -> Ok Gen.default.Gen.granularity
     | Some (Json.String g) -> (
         match
-          List.find_opt
-            (fun k -> Gen.granularity_to_string k = g)
-            Gen.all_granularities
+          List.find_opt (fun k -> Gen.granularity_to_string k = g) Gen.all_granularities
         with
-        | Some k -> k
-        | None -> Gen.default.Gen.granularity)
-    | _ -> Gen.default.Gen.granularity
+        | Some k -> Ok k
+        | None -> bad "unknown granularity %S" g)
+    | Some _ -> bad "granularity must be a string"
   in
-  {
-    seed;
-    target_ads = int_f "target_ads" 0;
-    duration = num "duration" default_config.duration;
-    batch = int_f "batch" default_config.batch;
-    interval = num "interval" default_config.interval;
-    plan;
-    plan_name;
-    flip_every = num "flip_every" default_config.flip_every;
-    route_capacity = int_f "route_capacity" default_config.route_capacity;
-    handle_capacity = int_f "handle_capacity" default_config.handle_capacity;
-    check_every = int_f "check_every" default_config.check_every;
-    policy =
-      {
-        Gen.restrictiveness = num "restrictiveness" Gen.default.Gen.restrictiveness;
-        granularity;
-        source_policy_prob =
-          num "source_policy_prob" Gen.default.Gen.source_policy_prob;
-      };
-    record_exact = false;
-  }
+  let* target_ads = int_f "target_ads" 0 in
+  let* duration = num "duration" default_config.duration in
+  let* batch = int_f "batch" default_config.batch in
+  let* interval = num "interval" default_config.interval in
+  let* flip_every = num "flip_every" default_config.flip_every in
+  let* route_capacity = int_f "route_capacity" default_config.route_capacity in
+  let* handle_capacity = int_f "handle_capacity" default_config.handle_capacity in
+  let* check_every = int_f "check_every" default_config.check_every in
+  let* restrictiveness = num "restrictiveness" Gen.default.Gen.restrictiveness in
+  let* source_policy_prob = num "source_policy_prob" Gen.default.Gen.source_policy_prob in
+  check_config
+    {
+      seed;
+      target_ads;
+      duration;
+      batch;
+      interval;
+      plan;
+      plan_name;
+      flip_every;
+      route_capacity;
+      handle_capacity;
+      check_every;
+      policy = { Gen.restrictiveness; granularity; source_policy_prob };
+      record_exact = false;
+    }
 
 let doc_json ~reports =
   match reports with

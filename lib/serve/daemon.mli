@@ -124,11 +124,22 @@ val doc_json : reports:report list -> Pr_util.Json.t
 
 val pp_report : Format.formatter -> report -> unit
 
+val check_config : config -> (config, string) result
+(** The config back when a session can run it: capacities, batch size
+    and [check_every] in range, a finite interval [> 0], a finite
+    duration and flip period [>= 0], and policy fractions in [0, 1].
+    Otherwise an error naming the first bad field. *)
+
 val config_of_row :
-  seed:int -> plan:Pr_faults.Plan.t -> plan_name:string -> Pr_util.Json.t -> config
+  seed:int ->
+  plan:Pr_faults.Plan.t ->
+  plan_name:string ->
+  Pr_util.Json.t ->
+  (config, string) result
 (** Rebuild the session config a BENCH_serve.json results row was
     generated with, falling back to the `prx serve` CLI defaults for
     fields older baselines did not record. A row-level ["plan"] field
     overrides [plan]/[plan_name], so one document can gate benign and
     attack rows together. The `prx bench diff` regression gate re-runs
-    rows through this. *)
+    rows through this. A field of the wrong type, an unparseable plan
+    or granularity, or a config {!check_config} refuses is an error. *)

@@ -9,6 +9,7 @@ module Uci = Pr_policy.Uci
 module Policy_store = Pr_policy.Policy_store
 module Lru = Pr_util.Lru
 module Policy_search = Pr_topology.Policy_search
+module Spf = Pr_topology.Spf
 module Trace = Pr_obs.Trace
 module Reg = Pr_telemetry.Registry
 module Hist = Pr_telemetry.Hist
@@ -28,6 +29,9 @@ type t = {
          cheapest link, all links up. Folding over the live links on
          every relaxation instead halves query throughput at 10^4 ADs. *)
   single_link : int array;  (* per slot: its link when it has one, else -1 *)
+  labels : (int, int array) Lru.t;
+      (* key: (dst, QOS) packed; per AD, its [slot_metric] distance to
+         dst ([max_int] if none): the search's lower bound *)
   entries : Pdd.node array;
       (* per-AD flow entries of the running search, valid where
          [Policy_search.first_touch] has fired *)
@@ -42,6 +46,8 @@ type t = {
   mutable handle_hits : int;
   mutable handle_misses : int;
   mutable no_routes : int;
+  mutable search_states : int;
+  mutable bound_builds : int;
   (* Registry handles resolved once at creation; the query path never
      hashes a metric name. These shadow the per-server counters above
      into the process-global registry so campaign shards and the
@@ -54,6 +60,9 @@ type t = {
   m_no_routes : Reg.counter;
   m_handles_issued : Reg.counter;
   m_handle_evictions : Reg.counter;
+  m_search_states : Reg.counter;
+  m_bound_builds : Reg.counter;
+  m_bound_evictions : Reg.counter;
   m_rebuild_ns : Hist.t;
   m_pdd_nodes : Reg.gauge;
   m_pdd_preds : Reg.gauge;
@@ -61,6 +70,10 @@ type t = {
 
 let qos_metric qos (link : Link.t) =
   Pr_proto.Qos_metric.metric qos ~cost:link.Link.cost ~delay:link.Link.delay
+
+(* Distinct (dst, QOS) pairs a 256-query pass of the 10^4-AD serving
+   benchmark asks for: 188-211 over seeds 1-12. *)
+let label_capacity = 512
 
 let create ?(route_capacity = Some 4096) ?(handle_capacity = Some 1024)
     ?(trace = Trace.disabled) ?(link_up = fun _ -> true) ?(node_up = fun _ -> true)
@@ -84,6 +97,7 @@ let create ?(route_capacity = Some 4096) ?(handle_capacity = Some 1024)
     single_link =
       Array.init slots (fun k ->
           fold_links k (fun only l -> if only = max_int then l else -1));
+    labels = Lru.create ~capacity:(Some label_capacity) ();
     entries = Array.make (Graph.n graph) (Pdd.leaf false);
     trace;
     routes = Lru.create ~capacity:route_capacity ();
@@ -96,6 +110,8 @@ let create ?(route_capacity = Some 4096) ?(handle_capacity = Some 1024)
     handle_hits = 0;
     handle_misses = 0;
     no_routes = 0;
+    search_states = 0;
+    bound_builds = 0;
     m_queries = Reg.counter Reg.default "serve.queries";
     m_route_hits = Reg.counter Reg.default "serve.route_hits";
     m_route_misses = Reg.counter Reg.default "serve.route_misses";
@@ -104,6 +120,9 @@ let create ?(route_capacity = Some 4096) ?(handle_capacity = Some 1024)
     m_no_routes = Reg.counter Reg.default "serve.no_routes";
     m_handles_issued = Reg.counter Reg.default "serve.handles_issued";
     m_handle_evictions = Reg.counter Reg.default "serve.handle_evictions";
+    m_search_states = Reg.counter Reg.default "serve.search_states";
+    m_bound_builds = Reg.counter Reg.default "serve.bound_builds";
+    m_bound_evictions = Reg.counter Reg.default "serve.bound_evictions";
     m_rebuild_ns = Reg.histogram Reg.default "pdd.rebuild_ns";
     m_pdd_nodes = Reg.gauge Reg.default "pdd.nodes";
     m_pdd_preds = Reg.gauge Reg.default "pdd.preds";
@@ -156,12 +175,35 @@ type answer =
   | Route of { path : Path.t; handle : int; version : int; cache_hit : bool }
   | No_route of { version : int }
 
+(* The search's lower bound toward [dst] under [qos]: one node-level
+   Dijkstra from [dst] over [slot_metric], which is symmetric (both
+   slots of an AD pair fold the same links). Policy and link or node
+   state only remove edges or raise a pair's metric above its cheapest
+   link, so the distance bounds every admissible route's and is
+   consistent; it depends on the static graph alone, so nothing ever
+   invalidates it. *)
+let label t qos dst =
+  let key = (dst * Qos.count) + Qos.index qos in
+  match Lru.find t.labels key with
+  | Some h -> h
+  | None ->
+      let static = t.slot_metric.(Qos.index qos) in
+      let relax u f = Policy_search.iter_row t.view u ~f:(fun w k -> f w static.(k)) in
+      let h = (fst (Spf.search ~n:(Graph.n t.graph) ~src:dst ~relax ())).Spf.dist in
+      Array.iteri (fun v d -> if d < 0 then h.(v) <- max_int) h;
+      t.bound_builds <- t.bound_builds + 1;
+      Reg.inc t.m_bound_builds;
+      if Lru.put t.labels key h <> None then Reg.inc t.m_bound_evictions;
+      h
+
 (* Exact (node, arrived-from) policy search over the configured graph
    under the live link/node state, with admission resolved through the
    diagram snapshot: one [Pdd.flow_entry] per touched AD, then at most
    a few predicate probes per edge relaxation. An edge's metric is its
    cheapest up parallel link under the flow's QOS: a table read when
-   the AD pair has a single link. *)
+   the AD pair has a single link. The destination's label bounds the
+   search (see [Policy_search.search]): the route is the unbounded
+   search's. *)
 let synthesize t snap (f : Flow.t) =
   let g = t.graph and qos = f.Flow.qos and link_up = t.link_up and node_up = t.node_up in
   let static = t.slot_metric.(Qos.index qos) and single = t.single_link in
@@ -184,9 +226,13 @@ let synthesize t snap (f : Flow.t) =
       t.entries.(v) <- Pdd.flow_entry (Pdd.root snap v) f;
     Pdd.entry_admit t.entries.(v) ~prev:p ~next:w
   in
-  match
-    Policy_search.search t.scratch t.view ~src:f.Flow.src ~dst:f.Flow.dst ~metric ~admit ()
-  with
+  let src = f.Flow.src and dst = f.Flow.dst in
+  let lower = if src = dst then None else Some (label t qos dst) in
+  let outcome = Policy_search.search t.scratch t.view ~src ~dst ?lower ~metric ~admit () in
+  let states = Policy_search.settled t.scratch in
+  t.search_states <- t.search_states + states;
+  Reg.add t.m_search_states states;
+  match outcome with
   | Policy_search.Route path -> Some path
   | Policy_search.Revisits | Policy_search.Unreachable -> None
 
@@ -269,6 +315,9 @@ type stats = {
   no_routes : int;
   rebuilds : int;
   rebuilt_ads : int;
+  search_states : int;
+  bound_builds : int;
+  bound_evictions : int;
 }
 
 let stats (t : t) =
@@ -286,6 +335,9 @@ let stats (t : t) =
     no_routes = t.no_routes;
     rebuilds = Pdd.rebuilds t.pdd;
     rebuilt_ads = Pdd.rebuilt_ads t.pdd;
+    search_states = t.search_states;
+    bound_builds = t.bound_builds;
+    bound_evictions = Lru.evictions t.labels;
   }
 
 let self_check t =

@@ -20,6 +20,13 @@
       present handles instead of repeating the query. A handle miss
       (evicted under LRU pressure) means the client must re-set-up.
 
+    A third LRU keeps per-destination distance labels: for each
+    (destination, QOS), every AD's shortest metric to the destination
+    over the static graph. A label lower-bounds every admissible route
+    and no policy, link or node event invalidates it, so a query passes
+    it to {!Pr_topology.Policy_search.search} to settle fewer states
+    and run fewer admissions for the same route.
+
     Cache hits, misses and evictions are exposed in {!stats} and as
     [lib/obs] trace instants/counters. *)
 
@@ -89,6 +96,9 @@ type stats = {
   no_routes : int;
   rebuilds : int;  (** diagram rebuild passes, initial build included *)
   rebuilt_ads : int;  (** per-AD diagram recompilations *)
+  search_states : int;  (** policy-search states settled, both passes *)
+  bound_builds : int;  (** distance labels computed *)
+  bound_evictions : int;  (** distance labels evicted from their cache *)
 }
 
 val stats : t -> stats

@@ -81,11 +81,13 @@ type scratch = {
   mutable parent : int array;
   mutable reached : int array;  (* slot -> generation whose dist is valid *)
   mutable q : Keyed.t;
-  mutable touched : int array;  (* AD -> generation of its first touch *)
+  mutable touched : int array;  (* AD -> [touch] of its first touch *)
   mutable avoided : int array;
   mutable on_path : int array;
-  mutable gen : int;
+  mutable gen : int;  (* bumped per pass: stamps [reached], [avoided], [on_path] *)
+  mutable touch : int;  (* [gen] at the search's start: both passes share it *)
   mutable work : int;
+  mutable bound_work : int;
 }
 
 let scratch () =
@@ -98,7 +100,9 @@ let scratch () =
     avoided = [||];
     on_path = [||];
     gen = 0;
+    touch = 0;
     work = 0;
+    bound_work = 0;
   }
 
 (* Grow to fit the view and open a new generation. Fresh stamp arrays
@@ -117,7 +121,9 @@ let begin_search s v =
     s.on_path <- Array.make n 0
   end;
   s.gen <- s.gen + 1;
-  s.work <- 0
+  s.touch <- s.gen;
+  s.work <- 0;
+  s.bound_work <- 0
 
 let scratch_for v =
   let s = scratch () in
@@ -128,63 +134,99 @@ let shared = Domain.DLS.new_key scratch
 
 let shared_scratch () = Domain.DLS.get shared
 
-let first_touch s ad = s.touched.(ad) <> s.gen && (s.touched.(ad) <- s.gen; true)
+let first_touch s ad = s.touched.(ad) <> s.touch && (s.touched.(ad) <- s.touch; true)
 
 let settled s = s.work
 
+let bound_settled s = s.bound_work
+
 type outcome = Route of Path.t | Revisits | Unreachable
 
-let search s v ~src ~dst ?(avoid = []) ~metric ~admit () =
+let overflow () = invalid_arg "Policy_search.search: path metric overflow"
+
+(* One pass of the relaxation loop; returns the settled destination
+   state, or -1. A push whose d' + h(w) exceeds [cut] is skipped before
+   admission; an empty [h] bounds nothing. The exact order keys a push
+   by (d', seq); the bound pass ([astar]) by (d' + h(w), LIFO seq) and
+   lowers [cut] to each destination distance it pushes. *)
+let pass s v ~src ~dst ~avoid ~metric ~admit ~h ~astar ~cut =
+  let bounded = Array.length h > 0 and gen = s.gen and off = v.off and nbr = v.nbr and twin = v.twin in
+  let dist = s.dist and parent = s.parent and reached = s.reached in
+  let avoided = s.avoided and q = s.q and bits = v.seq_bits in
+  List.iter (fun a -> if a >= 0 && a < Array.length avoided then avoided.(a) <- gen) avoid;
+  let start = Array.length nbr and seq = ref 1 and final = ref (-1) and cut = ref cut in
+  let tie = if astar then (1 lsl bits) - 1 else 0 in
+  Keyed.clear q;
+  dist.(start) <- 0;
+  parent.(start) <- -1;
+  reached.(start) <- gen;
+  ignore (Keyed.insert_or_decrease q start ~priority:0);
+  while !final < 0 && not (Keyed.is_empty q) do
+    (* Metrics are >= 0, h is consistent and only strict improvements
+       enter the heap, so a popped state is settled for good. *)
+    let st = Keyed.pop_min q in
+    s.work <- s.work + 1;
+    let at = if st = start then src else nbr.(twin.(st)) in
+    if at = dst then final := st
+    else begin
+      let d = dist.(st) and from = if st = start then -1 else nbr.(st) in
+      for k = off.(at) to off.(at + 1) - 1 do
+        let w = nbr.(k) in
+        if w <> src && (w = dst || avoided.(w) <> gen) then begin
+          let c = metric at w k in
+          let st' = twin.(k) and d' = d + c in
+          if c >= 0 && (reached.(st') <> gen || d' < dist.(st')) then begin
+            let hw = if bounded then h.(w) else 0 in
+            (* Admission last: it is the dearest check, and pure. *)
+            if hw <> max_int && hw <= !cut - d' && (at = src || admit at from w) then begin
+              let f = if astar then d' + hw else d' in
+              if f > v.max_dist then overflow ();
+              if astar && w = dst then cut := d';
+              reached.(st') <- gen;
+              dist.(st') <- d';
+              parent.(st') <- st;
+              ignore (Keyed.insert_or_decrease q st' ~priority:((f lsl bits) lor (!seq lxor tie)));
+              incr seq
+            end
+          end
+        end
+      done
+    end
+  done;
+  !final
+
+let search s v ~src ~dst ?(avoid = []) ?lower ~metric ~admit () =
   begin_search s v;
   if src = dst then Route [ src ]
   else begin
-    let gen = s.gen and off = v.off and nbr = v.nbr and twin = v.twin in
-    let dist = s.dist and parent = s.parent and reached = s.reached in
-    let avoided = s.avoided and q = s.q and bits = v.seq_bits in
-    List.iter (fun a -> if a >= 0 && a < Array.length avoided then avoided.(a) <- gen) avoid;
-    let start = Array.length nbr and seq = ref 1 and final = ref (-1) in
-    Keyed.clear q;
-    dist.(start) <- 0;
-    parent.(start) <- -1;
-    reached.(start) <- gen;
-    ignore (Keyed.insert_or_decrease q start ~priority:0);
-    while !final < 0 && not (Keyed.is_empty q) do
-      (* Metrics are >= 0 and only strict improvements enter the heap,
-         so a popped state is settled for good. *)
-      let st = Keyed.pop_min q in
-      s.work <- s.work + 1;
-      let at = if st = start then src else nbr.(twin.(st)) in
-      if at = dst then final := st
-      else begin
-        let d = dist.(st) and from = if st = start then -1 else nbr.(st) in
-        for k = off.(at) to off.(at + 1) - 1 do
-          let w = nbr.(k) in
-          if w <> src && (w = dst || avoided.(w) <> gen) then begin
-            (* Admission last: it is the dearest check, and pure. *)
-            let c = metric at w k in
-            let st' = twin.(k) and d' = d + c in
-            if c >= 0 && (reached.(st') <> gen || d' < dist.(st')) then
-              if at = src || admit at from w then begin
-                if d' > v.max_dist then invalid_arg "Policy_search.search: path metric overflow";
-                reached.(st') <- gen;
-                dist.(st') <- d';
-                parent.(st') <- st;
-                ignore (Keyed.insert_or_decrease q st' ~priority:((d' lsl bits) lor !seq));
-                incr seq
-              end
+    let final =
+      match lower with
+      | None ->
+          pass s v ~src ~dst ~avoid ~metric ~admit ~h:[||] ~astar:false ~cut:max_int
+      | Some h ->
+          if Array.length h < Array.length v.off - 1 then
+            invalid_arg "Policy_search.search: lower bound shorter than the view";
+          (* Pass 1 learns the optimum D*; pass 2 replays the exact
+             order over the states that can still meet it. *)
+          let goal = pass s v ~src ~dst ~avoid ~metric ~admit ~h ~astar:true ~cut:max_int in
+          s.bound_work <- s.work;
+          if goal < 0 then -1
+          else begin
+            let best = s.dist.(goal) in
+            s.gen <- s.gen + 1;
+            pass s v ~src ~dst ~avoid ~metric ~admit ~h ~astar:false ~cut:best
           end
-        done
-      end
-    done;
-    if !final < 0 then Unreachable
+    in
+    if final < 0 then Unreachable
     else begin
-      let path = ref [] and simple = ref true and st = ref !final in
+      let gen = s.gen and start = Array.length v.nbr and nbr = v.nbr and twin = v.twin in
+      let path = ref [] and simple = ref true and st = ref final in
       while !st >= 0 do
         let ad = if !st = start then src else nbr.(twin.(!st)) in
         if s.on_path.(ad) = gen then simple := false;
         s.on_path.(ad) <- gen;
         path := ad :: !path;
-        st := parent.(!st)
+        st := s.parent.(!st)
       done;
       if !simple then Route !path else Revisits
     end

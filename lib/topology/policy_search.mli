@@ -14,7 +14,9 @@
 
     Pop order is (distance, order of the last strict improvement), the
     order of a FIFO-tie heap that pushes every improvement: routes and
-    {!settled} counts are those of the textbook lazy-deletion search. *)
+    {!settled} counts are those of the textbook lazy-deletion search.
+    A caller holding a lower bound on the distance to the destination
+    can pass it to cut the states searched without changing the route. *)
 
 type view
 (** Immutable rows of unique neighbors plus the reverse-slot index. *)
@@ -42,7 +44,7 @@ val shared_scratch : unit -> scratch
 
 val first_touch : scratch -> Ad.id -> bool
 (** True the first time it is asked about the AD during the current
-    search: lets an admission callback resolve per-AD flow state once
+    search (both passes of a bounded one): lets an admission callback resolve per-AD flow state once
     per search in a caller-owned array, without clearing it. *)
 
 type outcome =
@@ -56,6 +58,7 @@ val search :
   src:Ad.id ->
   dst:Ad.id ->
   ?avoid:Ad.id list ->
+  ?lower:int array ->
   metric:(Ad.id -> Ad.id -> int -> int) ->
   admit:(Ad.id -> Ad.id -> Ad.id -> bool) ->
   unit ->
@@ -66,11 +69,30 @@ val search :
     [admit v p w] decides the interior crossing p -> v -> w; [src]
     needs none, and it is asked only about edges that would improve a
     state.
-    @raise Invalid_argument if a path metric overflows the heap key. *)
+
+    [lower], indexed by AD, must be a consistent lower bound on the
+    metric to [dst]: [lower.(dst) = 0], [lower.(v) <= metric v w k +
+    lower.(w)] for every usable edge, and [max_int] only where no
+    usable walk reaches [dst]. The search then runs two passes of the
+    one relaxation loop. The bound pass pops states by d + lower (A-star)
+    and skips pushes beyond the best destination distance pushed so
+    far: it finds the optimum D* or proves [Unreachable]. The exact pass
+    replays the (distance, improvement) order, skipping, before
+    admission, every push whose d + lower exceeds D*. No state on the
+    returned parent chain is skipped and a skipped state leads only to
+    states beyond D*, so the outcome is the unbounded search's; the
+    exact pass settles a subset of its states.
+    @raise Invalid_argument if a path metric (plus its bound, in the
+    bound pass) overflows the heap key, or [lower] is shorter than the
+    view. *)
 
 val settled : scratch -> int
-(** States settled by the last search: the work charged to
-    [Pr_sim.Metrics] as computation. *)
+(** States settled by the last search, both passes counted: the work
+    charged to [Pr_sim.Metrics] as computation. *)
+
+val bound_settled : scratch -> int
+(** Of {!settled}, the states the bound pass settled; 0 when the last
+    search had no [lower]. *)
 
 val enumerate :
   scratch ->

@@ -31,6 +31,7 @@ module Validate = Pr_policy.Validate
 module Lsdb = Pr_proto.Lsdb
 module Policy_route = Pr_proto.Policy_route
 module Policy_search = Pr_topology.Policy_search
+module Qos_metric = Pr_proto.Qos_metric
 
 let check_int = Alcotest.(check int)
 
@@ -387,6 +388,35 @@ let daemon_session_healthy () =
     (r.Daemon.stats.Serve.rebuilt_ads
     < r.Daemon.ads * (r.Daemon.stats.Serve.rebuilds + 1))
 
+(* A baseline row is outside input: absent fields take the CLI
+   defaults, and a bad field is an error, never an exception or a
+   silent default. *)
+let config_of_row_validates () =
+  let module J = Pr_util.Json in
+  let of_row fields =
+    Daemon.config_of_row ~seed:1 ~plan:Pr_faults.Plan.default ~plan_name:"default"
+      (J.Obj (("target_ads", J.Int 14) :: fields))
+  in
+  let rejects name fields = check_bool name true (Result.is_error (of_row fields)) in
+  let defaults =
+    { Daemon.default_config with Daemon.seed = 1; target_ads = 14; policy = Gen.default }
+  in
+  check_bool "absent fields take the CLI defaults" true (of_row [] = Ok defaults);
+  rejects "route capacity 0" [ ("route_capacity", J.Int 0) ];
+  rejects "handle capacity -1" [ ("handle_capacity", J.Int (-1)) ];
+  rejects "batch 0" [ ("batch", J.Int 0) ];
+  rejects "fractional batch" [ ("batch", J.Float 1.5) ];
+  rejects "interval 0" [ ("interval", J.Float 0.0) ];
+  rejects "negative duration" [ ("duration", J.Float (-1.0)) ];
+  rejects "restrictiveness above 1" [ ("restrictiveness", J.Float 1.5) ];
+  rejects "string where a number goes" [ ("duration", J.String "long") ];
+  rejects "unparseable plan" [ ("plan", J.String "bogus:plan") ];
+  rejects "unknown granularity" [ ("granularity", J.String "medium") ];
+  check_bool "row plan overrides" true
+    (match of_row [ ("plan", J.String "none") ] with
+    | Ok c -> c.Daemon.plan_name = "none"
+    | Error _ -> false)
+
 (* --- ORWG route cache bounded by the same LRU ---------------------- *)
 
 module Tiny_rc = Pr_orwg.Orwg.Make (struct
@@ -510,13 +540,26 @@ let flooded_db g config =
   done;
   db
 
+(* Per graph slot, the flow's QOS metric of the AD pair's cheapest link:
+   the edge metric of the route server and of policy route synthesis
+   when every link is up. *)
+let qos_slot_metric g qos =
+  let slots = Array.length (snd (Graph.unique_csr g)) in
+  Array.init slots (fun k ->
+      Graph.fold_slot_links g k ~init:max_int ~f:(fun m l ->
+          let l = Graph.link g l in
+          min m (Qos_metric.metric qos ~cost:l.Link.cost ~delay:l.Link.delay)))
+
 (* Serve.query, Policy_route.shortest and Validate.shortest_legal all
    run the one kernel, each with its own admission path (diagrams,
    specialized terms, compiled terms) and adjacency (live graph,
-   flooded database, static graph). For flows whose QOS metric is the
-   link cost they must return the kernel's route — except that when
-   the kernel's best walk revisits an AD, the oracle falls back to
-   enumeration and may still find a legal simple route. *)
+   flooded database, static graph). The route server (bounded by its
+   distance labels) and policy route synthesis must return the kernel's
+   route under every QOS. The oracle ranks routes by link cost, so it
+   must return the kernel's route only for flows whose QOS metric is
+   the link cost — and even then, when the kernel's best walk revisits
+   an AD, it falls back to enumeration and may still find a legal
+   simple route. *)
 let three_callers_agree =
   QCheck.Test.make ~name:"serve, policy route and oracle return the same route" ~count:60
     QCheck.(pair (int_range 14 40) small_int)
@@ -535,12 +578,14 @@ let three_callers_agree =
       let db = flooded_db g config in
       let view = Policy_search.of_graph g in
       let scratch = Policy_search.scratch_for view in
+      let metrics = Array.init Qos.count (fun i -> qos_slot_metric g (Qos.of_index i)) in
       let n = Graph.n g in
       List.for_all
         (fun _ ->
+          let qos = Rng.choose rng Qos.all in
+          let by_cost = qos = Qos.Default || qos = Qos.High_throughput in
           let flow =
-            Flow.make ~src:(Rng.int rng n) ~dst:(Rng.int rng n)
-              ~qos:(Rng.choose rng [ Qos.Default; Qos.High_throughput ])
+            Flow.make ~src:(Rng.int rng n) ~dst:(Rng.int rng n) ~qos
               ~uci:(Rng.choose rng Uci.all) ~hour:(Rng.int rng 24)
               ~authenticated:(Rng.bool rng) ()
           in
@@ -553,23 +598,80 @@ let three_callers_agree =
           let oracle = Validate.shortest_legal g config flow () in
           let kernel =
             Policy_search.search scratch view ~src:flow.Flow.src ~dst:flow.Flow.dst
-              ~metric:(fun _ _ k -> Graph.slot_cost g k)
+              ~metric:(fun _ _ k -> metrics.(Qos.index qos).(k))
               ~admit:(fun v p w ->
                 Compiled.allows_crossing (Policy_store.compiled store v) flow ~prev:p ~next:w)
               ()
           in
+          let oracle_legal () =
+            match oracle with None -> true | Some p -> Validate.transit_legal g config flow p
+          in
           match kernel with
           | Policy_search.Route p ->
-            served = Some p && synthesized = Some p && oracle = Some p
+            served = Some p && synthesized = Some p
+            && (if by_cost then oracle = Some p else oracle_legal ())
             && Validate.transit_legal g config flow p
           | Policy_search.Unreachable -> served = None && synthesized = None && oracle = None
-          | Policy_search.Revisits -> (
-            served = None && synthesized = None
-            &&
-            match oracle with
-            | None -> true
-            | Some p -> Validate.transit_legal g config flow p))
+          | Policy_search.Revisits -> served = None && synthesized = None && oracle_legal ())
         (List.init 16 Fun.id))
+
+(* At the sizes served: 256 workload queries on a 10^3-AD internet.
+   Every answer the route server's bounded search gives is the
+   unbounded search's over the same diagram snapshot, for well under
+   the states. *)
+let bounded_search_at_scale () =
+  let policy = Daemon.default_config.Daemon.policy in
+  let sc = Scenario.for_size ~policy ~target_ads:1000 ~seed:1 () in
+  let g = sc.Scenario.graph in
+  let store = Policy_store.create sc.Scenario.config in
+  let server = Serve.create g store in
+  let snap = Serve.snapshot server in
+  let view = Policy_search.of_graph g in
+  let scratch = Policy_search.scratch_for view in
+  let metrics = Array.init Qos.count (fun i -> qos_slot_metric g (Qos.of_index i)) in
+  let entries = Array.make (Graph.n g) (Pdd.leaf false) in
+  let unbounded (f : Flow.t) =
+    let admit v p w =
+      if Policy_search.first_touch scratch v then
+        entries.(v) <- Pdd.flow_entry (Pdd.root snap v) f;
+      Pdd.entry_admit entries.(v) ~prev:p ~next:w
+    in
+    let metric _ _ k = metrics.(Qos.index f.Flow.qos).(k) in
+    match
+      Policy_search.search scratch view ~src:f.Flow.src ~dst:f.Flow.dst ~metric ~admit ()
+    with
+    | Policy_search.Route p -> Some p
+    | Policy_search.Revisits | Policy_search.Unreachable -> None
+  in
+  let wl = Workload.create ~rng:(Rng.create 1) g in
+  let searched = ref 0 and unbounded_states = ref 0 and agree = ref 0 in
+  let clock = ref 0.0 and asked = ref 0 in
+  while !asked < 256 do
+    clock := !clock +. 0.01;
+    match Workload.next wl ~now:!clock with
+    | Workload.Data _ -> ()
+    | Workload.Query f ->
+      incr asked;
+      let served, hit =
+        match Serve.query server ~snap ~now:!clock f with
+        | Serve.Route { path; cache_hit; _ } -> (Some path, cache_hit)
+        | Serve.No_route _ -> (None, false)
+      in
+      if served = unbounded f then incr agree;
+      if not hit then begin
+        incr searched;
+        unbounded_states := !unbounded_states + Policy_search.settled scratch
+      end
+  done;
+  let s = Serve.stats server in
+  check_int "every answer is the unbounded search's" 256 !agree;
+  check_int "queries searched (one repeat hits the route cache)" 255 !searched;
+  check_bool "bounded states <= 60% of unbounded" true
+    (s.Serve.search_states * 10 <= !unbounded_states * 6);
+  check_int "unbounded states" 37895 !unbounded_states;
+  check_int "bounded states, both passes" 17184 s.Serve.search_states;
+  check_int "labels built" 167 s.Serve.bound_builds;
+  check_int "labels evicted" 0 s.Serve.bound_evictions
 
 let () =
   Alcotest.run "pr_serve"
@@ -594,6 +696,8 @@ let () =
           Alcotest.test_case "handle accounting" `Quick handle_accounting;
           Alcotest.test_case "workload determinism" `Quick workload_deterministic;
           Alcotest.test_case "daemon session healthy" `Quick daemon_session_healthy;
+          Alcotest.test_case "bounded search at 10^3 ADs" `Quick bounded_search_at_scale;
+          Alcotest.test_case "baseline rows are validated" `Quick config_of_row_validates;
         ]
         @ qsuite [ three_callers_agree ] );
       ( "orwg-cache",

@@ -885,6 +885,50 @@ let policy_search_matches_reference =
       done;
       !ok)
 
+(* The bounded search against the unbounded one, on live metrics the
+   label only bounds: some AD pairs are down for good (the label skips
+   them too, so some ADs get no label), some directed edges are down
+   for now, and live metrics exceed the cheapest link's. *)
+let policy_search_bounded_matches_unbounded =
+  QCheck.Test.make ~name:"bounded Policy_search = unbounded (outcome; exact pass settles fewer)"
+    ~count:300
+    QCheck.(
+      pair (pair small_int (int_range 0 30))
+        (triple small_int (int_range 20 100) (list_of_size Gen.(0 -- 3) small_int)))
+    (fun ((gseed, pdown), (aseed, pct, avoid)) ->
+      let g = random_multigraph gseed in
+      let n = Graph.n g in
+      let avoid = List.map (fun a -> a mod n) avoid in
+      let view = Policy_search.of_graph g in
+      let bounded = Policy_search.scratch_for view and plain = Policy_search.scratch_for view in
+      let admit = random_admit aseed pct in
+      let roll x = Hashtbl.hash (gseed, aseed, x) mod 100 in
+      let dead v w = roll (`Pair (min v w, max v w)) < pdown in
+      let metric v w k =
+        if dead v w || roll (`Edge (v, w)) < pdown then -1
+        else Graph.slot_cost g k + (roll (`Extra k) mod 3)
+      in
+      let label dst =
+        let relax u f =
+          Policy_search.iter_row view u ~f:(fun w k ->
+              if not (dead u w) then f w (Graph.slot_cost g k))
+        in
+        Array.map
+          (fun d -> if d < 0 then max_int else d)
+          (fst (Spf.search ~n ~src:dst ~relax ())).Spf.dist
+      in
+      let ok = ref true in
+      for dst = 0 to n - 1 do
+        let lower = label dst in
+        for src = 0 to n - 1 do
+          let want = Policy_search.search plain view ~src ~dst ~avoid ~metric ~admit () in
+          let got = Policy_search.search bounded view ~src ~dst ~avoid ~lower ~metric ~admit () in
+          let exact_pass = Policy_search.settled bounded - Policy_search.bound_settled bounded in
+          if got <> want || exact_pass > Policy_search.settled plain then ok := false
+        done
+      done;
+      !ok)
+
 let policy_search_basics () =
   (* A triangle 0-1-2 plus a tail 2-3, where 1 refuses 0 -> 1 -> 2. *)
   let ads =
@@ -911,6 +955,17 @@ let policy_search_basics () =
   check_bool "nothing admitted" true
     (search ~admit:(fun _ _ _ -> false) 0 3 = Policy_search.Unreachable);
   check_bool "source to itself" true (search ~admit:all 2 2 = Policy_search.Route [ 2 ]);
+  (* Exact distances to 3 as the bound: each pass settles 4 states. *)
+  let lower = [| 3; 2; 1; 0 |] in
+  check_bool "bounded: same route" true
+    (Policy_search.search scratch view ~src:0 ~dst:3 ~lower ~metric ~admit:all ()
+    = Policy_search.Route [ 0; 1; 2; 3 ]);
+  check_int "bounded: states, both passes" 8 (Policy_search.settled scratch);
+  check_int "bounded: states, bound pass" 4 (Policy_search.bound_settled scratch);
+  Alcotest.check_raises "bound shorter than the view"
+    (Invalid_argument "Policy_search.search: lower bound shorter than the view") (fun () ->
+      ignore
+        (Policy_search.search scratch view ~src:0 ~dst:3 ~lower:[| 0 |] ~metric ~admit:all ()));
   let unusable _ w _ = if w = 3 then -1 else 1 in
   check_bool "negative metric = unusable edge" true
     (Policy_search.search scratch view ~src:0 ~dst:3 ~metric:unusable ~admit:all ()
@@ -979,7 +1034,7 @@ let () =
         @ qsuite [ delta_vs_scratch_prop ] );
       ( "policy-search",
         [ Alcotest.test_case "basics" `Quick policy_search_basics ]
-        @ qsuite [ policy_search_matches_reference ] );
+        @ qsuite [ policy_search_matches_reference; policy_search_bounded_matches_unbounded ] );
       ( "hierarchy",
         [
           Alcotest.test_case "figure1 routes" `Quick hierarchy_figure1;
