@@ -37,13 +37,38 @@ let size_arg =
   let doc = "Approximate number of ADs in the generated internet." in
   Arg.(value & opt int 56 & info [ "size" ] ~docv:"ADS" ~doc)
 
-let flows_arg =
-  let doc = "Number of flows in the workload." in
-  Arg.(value & opt int 100 & info [ "flows" ] ~docv:"N" ~doc)
+(* A value a subcommand cannot run with is a usage error: a [prx:]
+   message on stderr and exit status 2, before anything runs. *)
+let usage_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("prx: " ^ msg);
+      exit 2)
+    fmt
+
+(* An integer option that counts something, so is never negative. *)
+let count_arg ~name ~default ~doc =
+  let check n =
+    if n < 0 then usage_error "--%s must be >= 0 (got %d)" name n;
+    n
+  in
+  let arg = Arg.(value & opt int default & info [ name ] ~docv:"N" ~doc) in
+  Term.(const check $ arg)
+
+let check_restrictiveness r =
+  if not (r >= 0.0 && r <= 1.0) then
+    usage_error "--restrictiveness must be in [0, 1] (got %g)" r
+
+let flows_arg = count_arg ~name:"flows" ~default:100 ~doc:"Number of flows in the workload."
 
 let restrictiveness_arg =
   let doc = "Policy restrictiveness in [0,1]." in
-  Arg.(value & opt float 0.3 & info [ "restrictiveness" ] ~docv:"R" ~doc)
+  let check r =
+    check_restrictiveness r;
+    r
+  in
+  let arg = Arg.(value & opt float 0.3 & info [ "restrictiveness" ] ~docv:"R" ~doc) in
+  Term.(const check $ arg)
 
 let granularity_arg =
   let doc = "Policy granularity: coarse, destination, source-specific or fine." in
@@ -220,6 +245,9 @@ let impact_cmd =
   in
   let run () seed size restrictiveness granularity ad close =
     let scenario = scenario_of ~seed ~size ~restrictiveness ~granularity in
+    let n = Pr_topology.Graph.n scenario.Pr_core.Scenario.graph in
+    if ad < 0 || ad >= n then
+      usage_error "--ad %d: the generated internet has ADs 0..%d" ad (n - 1);
     let proposed =
       if close then Pr_policy.Transit_policy.no_transit ad
       else Pr_policy.Transit_policy.open_transit ad
@@ -336,8 +364,14 @@ let sweep_cmd =
   in
   let restrictiveness_list_arg =
     let doc = "Comma-separated policy restrictiveness values in [0,1]." in
-    Arg.(
-      value & opt (list float) [ 0.0; 0.5 ] & info [ "restrictiveness" ] ~docv:"RS" ~doc)
+    let check rs =
+      List.iter check_restrictiveness rs;
+      rs
+    in
+    let arg =
+      Arg.(value & opt (list float) [ 0.0; 0.5 ] & info [ "restrictiveness" ] ~docv:"RS" ~doc)
+    in
+    Term.(const check $ arg)
   in
   let granularities_arg =
     let doc = "Comma-separated policy granularities." in
@@ -667,8 +701,8 @@ let chaos_cmd =
     Arg.(value & flag & info [ "no-guard" ] ~doc)
   in
   let probes_arg =
-    let doc = "Number of probe flows checked against the invariants." in
-    Arg.(value & opt int 40 & info [ "probes" ] ~docv:"N" ~doc)
+    count_arg ~name:"probes" ~default:40
+      ~doc:"Number of probe flows checked against the invariants."
   in
   let churn_flag =
     let doc = "Interleave scheduled link churn (its own rng stream) with the plan." in

@@ -60,15 +60,12 @@ let reset_node t ~at =
 let run_spf t ad ~version =
   let db = Ls_flood.db t.flood ad in
   let relax u f =
-    match Lsdb.get db u with
-    | None -> ()
-    | Some lsa ->
-      List.iter
-        (fun (a : Lsdb.adjacency) ->
-          match Lsdb.bidirectional db u a.Lsdb.nbr with
-          | None -> ()
-          | Some cost -> f a.Lsdb.nbr cost)
-        lsa.Lsdb.adjacencies
+    List.iter
+      (fun (a : Lsdb.adjacency) ->
+        match Lsdb.bidirectional db u a.Lsdb.nbr with
+        | None -> ()
+        | Some cost -> f a.Lsdb.nbr cost)
+      (Lsdb.adjacencies_of db u)
   in
   let tree, work = Spf.search ~n:(Graph.n t.graph) ~src:ad ~relax () in
   t.spf_count <- t.spf_count + 1;
@@ -99,14 +96,10 @@ let delta_out_of_scope t ad = function
       (List.exists
          (fun o ->
            in_tree o
-           ||
-           match Lsdb.get db o with
-           | None -> false
-           | Some lsa ->
-             List.exists
-               (fun (a : Lsdb.adjacency) ->
-                 in_tree a.Lsdb.nbr && Lsdb.bidirectional db o a.Lsdb.nbr <> None)
-               lsa.Lsdb.adjacencies)
+           || List.exists
+                (fun (a : Lsdb.adjacency) ->
+                  in_tree a.Lsdb.nbr && Lsdb.bidirectional db o a.Lsdb.nbr <> None)
+                (Lsdb.adjacencies_of db o))
          os)
 
 let ensure_fresh t ad =

@@ -127,19 +127,16 @@ let reachable_set t ad =
   Queue.add ad queue;
   while not (Queue.is_empty queue) do
     let u = Queue.pop queue in
-    match Lsdb.get db u with
-    | None -> ()
-    | Some lsa ->
-      List.iter
-        (fun (a : Lsdb.adjacency) ->
-          let v = a.Lsdb.nbr in
-          if v >= 0 && v < t.n && (not (Bitset.mem reach v))
-             && Lsdb.bidirectional db u v <> None
-          then begin
-            Bitset.add reach v;
-            Queue.add v queue
-          end)
-        lsa.Lsdb.adjacencies
+    List.iter
+      (fun (a : Lsdb.adjacency) ->
+        let v = a.Lsdb.nbr in
+        if v >= 0 && v < t.n && (not (Bitset.mem reach v))
+           && Lsdb.bidirectional db u v <> None
+        then begin
+          Bitset.add reach v;
+          Queue.add v queue
+        end)
+      (Lsdb.adjacencies_of db u)
   done;
   reach
 
@@ -156,15 +153,11 @@ let delta_in_scope t ad ~reach origins =
     (fun o ->
       o = ad
       || Bitset.mem reach o
-      ||
-      match Lsdb.get db o with
-      | None -> false
-      | Some lsa ->
-        List.exists
-          (fun (a : Lsdb.adjacency) ->
-            let v = a.Lsdb.nbr in
-            v >= 0 && v < t.n && Bitset.mem reach v && Lsdb.bidirectional db o v <> None)
-          lsa.Lsdb.adjacencies)
+      || List.exists
+           (fun (a : Lsdb.adjacency) ->
+             let v = a.Lsdb.nbr in
+             v >= 0 && v < t.n && Bitset.mem reach v && Lsdb.bidirectional db o v <> None)
+           (Lsdb.adjacencies_of db o))
     origins
 
 let originate t ad =

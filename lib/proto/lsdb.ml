@@ -37,54 +37,55 @@ type search = {
    was built from. One per flood: shared by every sibling, never
    global. *)
 type cache = {
-  mutable key : lsa option array;
+  mutable key : lsa array;
   mutable built : search option;
 }
 
+(* [store] holds each origin's record bare, or [absent] where there is
+   none: no option box per stored LSA. *)
 type t = {
-  store : lsa option array;
+  store : lsa array;
   empty_terms : Pr_policy.Compiled.t;
   mutable search : search option;
   cache : cache;
 }
 
+(* The one empty-slot sentinel, shared by every database. Its seq -1
+   is below every real record's, so [insert] needs no case for an
+   empty slot; it is never handed out, and its [compiled] field is
+   never written. *)
+let absent = make_lsa ~origin:(-1) ~seq:(-1) ~adjacencies:[] ~terms:[]
+
 let create ~n =
   {
-    store = Array.make n None;
+    store = Array.make n absent;
     empty_terms = Pr_policy.Compiled.compile ~n [];
     search = None;
     cache = { key = [||]; built = None };
   }
 
-let sibling t = { t with store = Array.make (Array.length t.store) None; search = None }
+let sibling t = { t with store = Array.make (Array.length t.store) absent; search = None }
 
-let seq_of t origin =
-  match t.store.(origin) with
-  | None -> -1
-  | Some lsa -> lsa.seq
+let seq_of t origin = t.store.(origin).seq
 
 let insert t lsa =
   if lsa.seq > seq_of t lsa.origin then begin
-    t.store.(lsa.origin) <- Some lsa;
+    t.store.(lsa.origin) <- lsa;
     t.search <- None;
     true
   end
   else false
 
-let get t origin = t.store.(origin)
+let get t origin =
+  let lsa = t.store.(origin) in
+  if lsa == absent then None else Some lsa
 
 let fold t ~init ~f =
-  Array.fold_left
-    (fun acc slot ->
-      match slot with
-      | Some lsa -> f acc lsa
-      | None -> acc)
-    init t.store
+  Array.fold_left (fun acc lsa -> if lsa == absent then acc else f acc lsa) init t.store
 
-let find_adjacency t u v =
-  match t.store.(u) with
-  | None -> None
-  | Some lsa -> List.find_opt (fun a -> a.nbr = v) lsa.adjacencies
+let adjacencies_of t origin = t.store.(origin).adjacencies
+
+let find_adjacency t u v = List.find_opt (fun a -> a.nbr = v) t.store.(u).adjacencies
 
 let adjacency_cost t u v = Option.map (fun a -> a.cost) (find_adjacency t u v)
 
@@ -93,24 +94,21 @@ let bidirectional t u v =
   | Some a, Some b -> Some (Stdlib.max a b)
   | _ -> None
 
-let terms_of t origin =
-  match t.store.(origin) with
-  | None -> []
-  | Some lsa -> lsa.terms
+let terms_of t origin = t.store.(origin).terms
 
 let compiled_of t origin =
-  match t.store.(origin) with
-  | None -> t.empty_terms
-  | Some lsa -> (
+  let lsa = t.store.(origin) in
+  if lsa == absent then t.empty_terms
+  else
     match lsa.compiled with
     | Some c -> c
     | None ->
       let c = Pr_policy.Compiled.compile ~n:(Array.length t.store) lsa.terms in
       lsa.compiled <- Some c;
-      c)
+      c
 
 let entry_count t =
-  Array.fold_left (fun acc slot -> if slot = None then acc else acc + 1) 0 t.store
+  Array.fold_left (fun acc lsa -> if lsa == absent then acc else acc + 1) 0 t.store
 
 let build_search t =
   let n = Array.length t.store in
@@ -127,9 +125,7 @@ let build_search t =
   in
   let rows =
     Array.init n (fun u ->
-        match t.store.(u) with
-        | None -> [||]
-        | Some lsa -> Array.of_list (List.filter_map (confirmed u) lsa.adjacencies))
+        Array.of_list (List.filter_map (confirmed u) t.store.(u).adjacencies))
   in
   let off = Array.make (n + 1) 0 in
   Array.iteri (fun u row -> off.(u + 1) <- off.(u) + Array.length row) rows;
@@ -140,21 +136,12 @@ let build_search t =
     metrics = Array.make Pr_policy.Qos.count None;
   }
 
-(* Slot for slot the physically same records. Each database boxes its
-   own [Some lsa], so the options are compared by their contents. *)
+(* Slot for slot the physically same records ([absent] included). *)
 let same_records a b =
   let n = Array.length a in
   n = Array.length b
   &&
-  let rec go i =
-    i = n
-    ||
-    (match (a.(i), b.(i)) with
-     | Some x, Some y -> x == y
-     | None, None -> true
-     | _ -> false)
-    && go (i + 1)
-  in
+  let rec go i = i = n || (a.(i) == b.(i) && go (i + 1)) in
   go 0
 
 let search_view t qos =

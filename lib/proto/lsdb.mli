@@ -57,6 +57,11 @@ val insert : t -> lsa -> bool
     it onward. Stale or duplicate LSAs return false and are ignored. *)
 
 val get : t -> Pr_topology.Ad.id -> lsa option
+(** The stored LSA, if any. Allocates the option: inner loops read
+    {!adjacencies_of}, {!terms_of} or {!seq_of} instead. *)
+
+val adjacencies_of : t -> Pr_topology.Ad.id -> adjacency list
+(** Stored adjacencies for the AD ([] when unknown). *)
 
 val seq_of : t -> Pr_topology.Ad.id -> int
 (** Stored sequence number, or -1 when none. *)

@@ -13,7 +13,7 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 type clock = { mutable now : float }
 
 type t = {
-  queue : (unit -> unit) Pqueue.t;
+  queue : Pqueue.Calls.t;
   clock : clock;
   mutable executed : int;
   mutable trace : Trace.t;
@@ -27,7 +27,7 @@ type t = {
 
 let create () =
   {
-    queue = Pqueue.create ();
+    queue = Pqueue.Calls.create ();
     clock = { now = 0.0 };
     executed = 0;
     trace = Trace.disabled;
@@ -49,13 +49,17 @@ let schedule t ~delay f =
   (* Written so that NaN fails too: a NaN time would sit unordered in
      the queue. *)
   if not (delay >= 0.0) then invalid_arg "Engine.schedule: negative delay";
-  Pqueue.add t.queue ~priority:(t.clock.now +. delay) f
+  Pqueue.Calls.add t.queue ~priority:(t.clock.now +. delay) f
 
 let schedule_at t ~time f =
   if not (time >= t.clock.now) then invalid_arg "Engine.schedule_at: time in the past";
-  Pqueue.add t.queue ~priority:time f
+  Pqueue.Calls.add t.queue ~priority:time f
 
-let pending t = Pqueue.length t.queue
+let schedule_call t ~delay f x =
+  if not (delay >= 0.0) then invalid_arg "Engine.schedule_call: negative delay";
+  Pqueue.Calls.add_call t.queue ~priority:(t.clock.now +. delay) f x
+
+let pending t = Pqueue.Calls.length t.queue
 
 type stop_reason = Drained | Reached_limit
 
@@ -73,30 +77,29 @@ let run ?(max_events = 10_000_000) t =
     if !budget <= 0 then begin
       Log.warn (fun m ->
           m "event limit reached: %d events executed, %d still pending at t=%g"
-            t.executed (Pqueue.length t.queue) t.clock.now);
+            t.executed (Pqueue.Calls.length t.queue) t.clock.now);
       Flight.note Flight.global ~ts:t.clock.now
-        ~value:(float_of_int (Pqueue.length t.queue))
+        ~value:(float_of_int (Pqueue.Calls.length t.queue))
         ~detail:"event budget exhausted with work pending"
         "engine.reached_limit";
       Reached_limit
     end
-    else if Pqueue.is_empty t.queue then Drained
+    else if Pqueue.Calls.is_empty t.queue then Drained
     else begin
-      t.clock.now <- Pqueue.top_priority t.queue;
-      let f = Pqueue.pop_value t.queue in
+      t.clock.now <- Pqueue.Calls.top_priority t.queue;
       t.executed <- t.executed + 1;
       Reg.inc t.m_events;
       decr budget;
-      f ();
+      Pqueue.Calls.run_top t.queue;
       if t.executed land depth_sample_mask = 0 then begin
-        let depth = Pqueue.length t.queue in
+        let depth = Pqueue.Calls.length t.queue in
         Reg.set t.m_depth (float_of_int depth);
         if Trace.enabled t.trace then
           Trace.counter t.trace ~ts:t.clock.now ~tid:0
             ~value:(float_of_int depth) "engine.queue_depth"
       end;
       (match t.observer with
-      | Some obs -> obs ~time:t.clock.now ~pending:(Pqueue.length t.queue)
+      | Some obs -> obs ~time:t.clock.now ~pending:(Pqueue.Calls.length t.queue)
       | None -> ());
       loop ()
     end

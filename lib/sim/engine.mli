@@ -1,7 +1,7 @@
 (** Discrete-event simulation engine.
 
-    A simple event-list simulator: closures scheduled at simulated
-    times, executed in time order with deterministic FIFO tie-breaking
+    A simple event-list simulator: calls scheduled at simulated times,
+    executed in time order with deterministic FIFO tie-breaking
     (see {!Pr_util.Pqueue}). Routing protocols are message-driven, so a
     drained queue means the protocol has converged. *)
 
@@ -36,6 +36,14 @@ val schedule_at : t -> time:float -> (unit -> unit) -> unit
 (** Schedule at an absolute simulated time, which must not be in the
     past.
     @raise Invalid_argument on a past or NaN time. *)
+
+val schedule_call : t -> delay:float -> ('a -> unit) -> 'a -> unit
+(** [schedule_call t ~delay f x] schedules the call [f x], like
+    [schedule t ~delay (fun () -> f x)] but with no closure: the queue
+    keeps [f] and [x] side by side. A handler built once and applied to
+    many payloads (a link delivering messages) then allocates nothing
+    per event.
+    @raise Invalid_argument on a negative or NaN delay. *)
 
 val pending : t -> int
 

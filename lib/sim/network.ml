@@ -34,10 +34,17 @@ type 'msg t = {
     option;
   mutable on_message : at:Pr_topology.Ad.id -> from:Pr_topology.Ad.id -> 'msg -> unit;
   mutable on_link : at:Pr_topology.Ad.id -> link:Link.id -> up:bool -> unit;
+  (* Directed link [2 * link] (from its [a] end) or [2 * link + 1]
+     (from its [b] end) -> the handler delivering a message sent over
+     it, built on the first send; [unbuilt] until then. Each send
+     schedules (deliverer, message), so no closure is made per send. *)
+  deliverers : ('msg -> unit) array;
   (* Registry handles resolved once at creation. *)
   m_sends : Reg.counter;
   m_losses : Reg.counter;
 }
+
+let unbuilt _ = ()
 
 let create ?(trace = Trace.disabled) engine graph metrics =
   {
@@ -51,6 +58,7 @@ let create ?(trace = Trace.disabled) engine graph metrics =
     tamper = None;
     on_message = (fun ~at:_ ~from:_ _ -> ());
     on_link = (fun ~at:_ ~link:_ ~up:_ -> ());
+    deliverers = Array.make (2 * Graph.num_links graph) unbuilt;
     m_sends = Reg.counter Reg.default "net.sends";
     m_losses = Reg.counter Reg.default "net.losses";
   }
@@ -110,14 +118,31 @@ let lose t ~src ~dst =
     Log.debug (fun m ->
         m "t=%.1f message %d -> %d lost in flight" (Engine.now t.engine) src dst)
 
+(* The deliverer of the directed link [l] from [src] to [dst]. *)
+let deliverer t (l : Link.t) ~src ~dst =
+  let lid = l.Link.id in
+  let k = if src = l.Link.a then 2 * lid else (2 * lid) + 1 in
+  let d = t.deliverers.(k) in
+  if d != unbuilt then d
+  else begin
+    let d msg =
+      (* Lost if the link failed, or the receiver crashed, while the
+         message was in flight. *)
+      if t.link_up.(lid) && t.node_up.(dst) then t.on_message ~at:dst ~from:src msg
+      else lose t ~src ~dst
+    in
+    t.deliverers.(k) <- d;
+    d
+  end
+
 (* One delivery event per interposed copy. A zero extra reuses the
    link's own delay, so the common unperturbed copy boxes no float. *)
-let rec schedule_copies t ~delay deliver = function
+let rec schedule_copies t ~delay deliver msg = function
   | [] -> ()
   | extra :: rest ->
-    if extra = 0.0 then Engine.schedule t.engine ~delay deliver
-    else Engine.schedule t.engine ~delay:(delay +. extra) deliver;
-    schedule_copies t ~delay deliver rest
+    if extra = 0.0 then Engine.schedule_call t.engine ~delay deliver msg
+    else Engine.schedule_call t.engine ~delay:(delay +. extra) deliver msg;
+    schedule_copies t ~delay deliver msg rest
 
 (* The send path after the slot lookup, shared by {!send} and
    {!broadcast}: [lid] is the up link [slot_link] chose for [src]'s
@@ -135,22 +160,18 @@ let send_on t ~src ~dst ~slot ~lid ~bytes msg =
     | None -> msg
     | Some f -> ( match f ~src ~dst ~bytes msg with None -> msg | Some m -> m)
   in
-  let delay = (Graph.link t.graph lid).Link.delay in
-  let deliver () =
-    (* Lost if the link failed, or the receiver crashed, while the
-       message was in flight. *)
-    if t.link_up.(lid) && t.node_up.(dst) then t.on_message ~at:dst ~from:src msg
-    else lose t ~src ~dst
-  in
+  let l = Graph.link t.graph lid in
+  let delay = l.Link.delay in
+  let deliver = deliverer t l ~src ~dst in
   match t.interpose with
-  | None -> Engine.schedule t.engine ~delay deliver
+  | None -> Engine.schedule_call t.engine ~delay deliver msg
   | Some f -> (
     match f ~src ~dst ~slot ~link:lid with
     | [] ->
       (* The fault plan ate it; the bits were still transmitted, so
          the send stays charged. *)
       lose t ~src ~dst
-    | extras -> schedule_copies t ~delay deliver extras)
+    | extras -> schedule_copies t ~delay deliver msg extras)
 
 let send t ~src ~dst ~bytes msg =
   (* A crashed AD transmits nothing. *)

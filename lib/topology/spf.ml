@@ -52,6 +52,9 @@ let search ~n ~src ?(dst = -1) ~relax () =
   best.(src) <- 0;
   Pqueue.add q ~priority:0.0 src;
   drain ();
+  (* An early exit at [dst] leaves entries behind; clearing hands the
+     queue's storage on to the next search, as a drain does. *)
+  Pqueue.clear q;
   ({ src; dist; parent; first_hop }, !settled)
 
 let tree g ~src =

@@ -28,13 +28,24 @@
    written once by [add] and cleared once by the pop that removes it,
    and vacant slots are recycled through the [free] stack. A popped
    value is therefore never retained past its pop — the queue's
-   high-water mark holds no stale references. *)
+   high-water mark holds no stale references. A call entry ({!Calls})
+   keeps its argument beside its handler, in [args]; the two are
+   written, read and cleared together.
+
+   Storage outlives a drained queue. The queue that empties hands its
+   arrays to a domain-local spare, which keeps the larger of its own
+   and the handed ones, and a queue growing from zero capacity adopts
+   the spare instead of allocating. This is exact: an empty queue's
+   storage holds only vacant slots, a full free stack and closed run
+   buckets, and pop order depends only on (priority, seq), where seq
+   belongs to the queue record, not to its storage. *)
 
 type 'a t = {
   mutable prio : Float.Array.t;  (* heap position -> priority of its run *)
   mutable seq : int array;  (* heap position -> insertion seq of the run head *)
   mutable slot : int array;  (* heap position -> value slot of the run head *)
   mutable values : 'a array;  (* value slot -> value; vacant slots hold [vacant] *)
+  mutable args : Obj.t array;  (* value slot -> argument of a call entry, else [vacant] *)
   mutable vseq : int array;  (* value slot -> insertion seq *)
   mutable next : int array;  (* value slot -> next slot of its run; -1 at the tail *)
   mutable free : int array;  (* stack of vacant value slots *)
@@ -46,9 +57,11 @@ type 'a t = {
   mutable open_tail : int array;  (* bucket -> tail slot of its open run; -1 when none *)
 }
 
-(* Filler for vacant value slots. It is an immediate, so [values] is
-   never created as a flat float array (the arrays start from it, even
-   for ['a = float]), and it is never read back as an ['a]. *)
+(* Filler for vacant value and argument slots. It is an immediate, so
+   neither array is ever created as a flat float array (the arrays
+   start from it, even for ['a = float]), and it is never read back as
+   an ['a]. It is also [Obj.repr ()], the argument a plain closure of a
+   {!Calls} queue is applied to. *)
 let vacant () : 'a = Obj.magic 0
 
 let buckets = 64
@@ -61,12 +74,15 @@ let buckets = 64
 let[@inline] bucket p =
   ((int_of_float (p *. 1048576.0) * 0x1E3779B97F4A7C15) lsr 40) land (buckets - 1)
 
+let no_prio = Float.Array.create 0
+
 let create () =
   {
-    prio = Float.Array.create 0;
+    prio = no_prio;
     seq = [||];
     slot = [||];
     values = [||];
+    args = [||];
     vseq = [||];
     next = [||];
     free = [||];
@@ -74,7 +90,7 @@ let create () =
     size = 0;
     count = 0;
     next_seq = 0;
-    open_prio = Float.Array.create 0;
+    open_prio = no_prio;
     open_tail = [||];
   }
 
@@ -82,27 +98,78 @@ let is_empty t = t.size = 0
 
 let length t = t.count
 
-(* Every value slot is in use: double the arrays and push the new
-   slots on the free stack, lowest on top. The run table is allocated
-   by the first growth, so a queue that is never added to costs
-   nothing. *)
+let capacity t = Array.length t.seq
+
+(* The domain's spare storage: a queue record used only for its arrays,
+   at zero capacity when there is none. *)
+let spare : Obj.t t Domain.DLS.key = Domain.DLS.new_key create
+
+(* Leave an empty queue at zero capacity. *)
+let drop t =
+  t.prio <- no_prio;
+  t.seq <- [||];
+  t.slot <- [||];
+  t.values <- [||];
+  t.args <- [||];
+  t.vseq <- [||];
+  t.next <- [||];
+  t.free <- [||];
+  t.open_prio <- no_prio;
+  t.open_tail <- [||];
+  t.nfree <- 0
+
+(* Move an empty queue's storage to [dst] and leave [src] at zero
+   capacity. The values array holds only vacant slots, so its element
+   type is moot. *)
+let transfer (src : 'a t) (dst : 'b t) =
+  dst.prio <- src.prio;
+  dst.seq <- src.seq;
+  dst.slot <- src.slot;
+  dst.values <- (Obj.magic (src.values : 'a array) : 'b array);
+  dst.args <- src.args;
+  dst.vseq <- src.vseq;
+  dst.next <- src.next;
+  dst.free <- src.free;
+  dst.open_prio <- src.open_prio;
+  dst.open_tail <- src.open_tail;
+  drop src
+
+(* The queue has just emptied: hand its storage to the spare if larger
+   than the spare's, else drop it. Either way the queue is left at zero
+   capacity, and its next [add] adopts the spare. *)
+let release t =
+  let sp = Domain.DLS.get spare in
+  if capacity t > capacity sp then transfer t sp else drop t
+
+(* Every value slot is in use: adopt the spare when the queue has no
+   storage yet, else double the arrays and push the new slots on the
+   free stack, lowest on top. The run table is allocated with the first
+   storage, so a queue that is never added to costs nothing. *)
 let grow t =
-  let cap = Array.length t.seq in
-  let ncap = if cap = 0 then 16 else 2 * cap in
-  let prio = Float.Array.create ncap in
-  Float.Array.blit t.prio 0 prio 0 t.size;
-  let extend a = Array.append a (Array.make (ncap - cap) 0) in
-  t.prio <- prio;
-  t.seq <- extend t.seq;
-  t.slot <- extend t.slot;
-  t.values <- Array.append t.values (Array.make (ncap - cap) (vacant ()));
-  t.vseq <- extend t.vseq;
-  t.next <- extend t.next;
-  t.free <- Array.init ncap (fun i -> ncap - 1 - i);
-  t.nfree <- ncap - cap;
-  if cap = 0 then begin
-    t.open_prio <- Float.Array.make buckets 0.0;
-    t.open_tail <- Array.make buckets (-1)
+  let cap = capacity t in
+  let sp = Domain.DLS.get spare in
+  if cap = 0 && capacity sp > 0 then begin
+    transfer sp t;
+    t.nfree <- capacity t
+  end
+  else begin
+    let ncap = if cap = 0 then 16 else 2 * cap in
+    let prio = Float.Array.create ncap in
+    Float.Array.blit t.prio 0 prio 0 t.size;
+    let extend a = Array.append a (Array.make (ncap - cap) 0) in
+    t.prio <- prio;
+    t.seq <- extend t.seq;
+    t.slot <- extend t.slot;
+    t.values <- Array.append t.values (Array.make (ncap - cap) (vacant ()));
+    t.args <- Array.append t.args (Array.make (ncap - cap) (vacant ()));
+    t.vseq <- extend t.vseq;
+    t.next <- extend t.next;
+    t.free <- Array.init ncap (fun i -> ncap - 1 - i);
+    t.nfree <- ncap - cap;
+    if cap = 0 then begin
+      t.open_prio <- Float.Array.make buckets 0.0;
+      t.open_tail <- Array.make buckets (-1)
+    end
   end
 
 let[@inline] less (p : float) (s : int) (q : float) (r : int) =
@@ -114,7 +181,8 @@ let[@inline] less (p : float) (s : int) (q : float) (r : int) =
 let[@inline] same (p : float) (q : float) =
   p = q && (p <> 0.0 || Float.sign_bit p = Float.sign_bit q)
 
-let add t ~priority value =
+(* Queue [value] and return its value slot. *)
+let[@inline] insert t ~priority value =
   if t.nfree = 0 then grow t;
   t.nfree <- t.nfree - 1;
   let sl = t.free.(t.nfree) in
@@ -155,7 +223,10 @@ let add t ~priority value =
     Float.Array.unsafe_set prio !i priority;
     Array.unsafe_set seq !i s;
     Array.unsafe_set slot !i sl
-  end
+  end;
+  sl
+
+let add t ~priority value = ignore (insert t ~priority value : int)
 
 let top_priority t = if t.size = 0 then Float.infinity else Float.Array.get t.prio 0
 
@@ -203,7 +274,9 @@ let sift_down t =
    run goes on, its successor becomes the root entry (same priority, a
    larger seq) and sifts down, which normally stops at once. If the run
    is finished, its bucket is closed when it still points at it, and
-   the last heap entry moves to the root and sifts down. *)
+   the last heap entry moves to the root and sifts down. The caller
+   has read and cleared the slot's argument; a queue left empty hands
+   its storage on. *)
 let remove_top t =
   let sl = Array.unsafe_get t.slot 0 in
   let v = t.values.(sl) in
@@ -229,6 +302,7 @@ let remove_top t =
       sift_down t
     end
   end;
+  if t.count = 0 then release t;
   v
 
 let pop_value t =
@@ -242,6 +316,53 @@ let pop t =
     let v = remove_top t in
     Some (p, v)
   end
+
+(* Vacate every queued slot run by run, close the run table and hand
+   the storage on, as a drain would. *)
+let clear t =
+  if t.count > 0 then begin
+    for i = 0 to t.size - 1 do
+      let sl = ref (Array.unsafe_get t.slot i) in
+      while !sl >= 0 do
+        t.values.(!sl) <- vacant ();
+        t.args.(!sl) <- vacant ();
+        t.free.(t.nfree) <- !sl;
+        t.nfree <- t.nfree + 1;
+        sl := Array.unsafe_get t.next !sl
+      done
+    done;
+    Array.fill t.open_tail 0 buckets (-1);
+    t.size <- 0;
+    t.count <- 0;
+    release t
+  end
+
+module Calls = struct
+  type nonrec t = (Obj.t -> unit) t
+
+  let create = create
+
+  let is_empty = is_empty
+
+  let length = length
+
+  let top_priority = top_priority
+
+  let add t ~priority (f : unit -> unit) =
+    ignore (insert t ~priority (Obj.magic f : Obj.t -> unit) : int)
+
+  let add_call t ~priority (f : 'a -> unit) (x : 'a) =
+    let sl = insert t ~priority (Obj.magic f : Obj.t -> unit) in
+    t.args.(sl) <- Obj.repr x
+
+  let run_top t =
+    if t.size = 0 then invalid_arg "Pqueue.Calls.run_top: empty queue";
+    let sl = Array.unsafe_get t.slot 0 in
+    let x = Array.unsafe_get t.args sl in
+    if Obj.is_block x then Array.unsafe_set t.args sl (vacant ());
+    let f = remove_top t in
+    f x
+end
 
 (* Indexed heap with decrease-key over a dense integer key space. Keys
    double as identities: at most one live entry per key, its heap slot

@@ -17,7 +17,16 @@
     The heap holds only unboxed priorities, seqs and value-slot ids, so
     reordering it never runs a write barrier; {!add} followed by
     {!top_priority}/{!pop_value} allocates nothing once the arrays have
-    grown to the working size. A popped value is never retained. *)
+    grown to the working size. A popped value is never retained.
+
+    Storage outlives a drained queue: a queue that empties hands its
+    arrays to a domain-local spare (which keeps the larger of its own
+    and the handed ones), and a queue growing from no storage adopts
+    the spare. A fresh queue therefore reaches the working size of the
+    last one drained on its domain without allocating. Pop order does
+    not depend on which storage a queue holds. Because of the spare,
+    queues used by several systhreads of one domain must be serialized
+    together, not only each on its own. *)
 
 type 'a t
 
@@ -45,6 +54,38 @@ val pop_value : 'a t -> 'a
 val pop : 'a t -> (float * 'a) option
 (** Remove and return the entry with the smallest priority (FIFO among
     equals). *)
+
+val clear : 'a t -> unit
+(** Remove every value, handing the storage on as a drain does. *)
+
+(** A queue of calls: the event list of a discrete-event simulator. An
+    entry is a handler and its argument, kept side by side in one value
+    slot, so queueing a call on a message allocates no closure. Pop
+    order is the (priority, insertion seq) order of ['a t], over plain
+    and argument-carrying entries alike. *)
+module Calls : sig
+  type t
+
+  val create : unit -> t
+
+  val is_empty : t -> bool
+
+  val length : t -> int
+
+  val top_priority : t -> float
+
+  val add : t -> priority:float -> (unit -> unit) -> unit
+  (** Queue the call [f ()]. *)
+
+  val add_call : t -> priority:float -> ('a -> unit) -> 'a -> unit
+  (** [add_call q ~priority f x] queues the call [f x]. *)
+
+  val run_top : t -> unit
+  (** Remove the next entry, then make its call. The entry is out of
+      the queue, and its handler and argument are no longer held by
+      it, before the call runs.
+      @raise Invalid_argument on an empty queue. *)
+end
 
 (** Indexed min-heap with decrease-key over a dense integer key space
     [0, capacity). At most one live entry per key; improving a key's

@@ -404,6 +404,49 @@ let experiment_availability_helper () =
   check_int "partition of workload" (List.length flows)
     (List.length delivered + List.length undelivered)
 
+(* --- Run isolation ------------------------------------------------------ *)
+
+(* Runs in one process share nothing that shows: the event queue's
+   storage and any other state a run hands on must leave a later run's
+   results exactly as if it ran alone. Scenario A runs, then a larger
+   B (whose queue storage A then adopts), then A again. *)
+
+let isolation_a = lazy (Scenario.for_size ~target_ads:56 ~seed:3 ())
+
+let isolation_b = lazy (Scenario.for_size ~target_ads:120 ~seed:5 ())
+
+let a_b_a run =
+  let a = run (Lazy.force isolation_a) in
+  ignore (run (Lazy.force isolation_b));
+  (a, run (Lazy.force isolation_a))
+
+(* The result record (compared with [compare], so a NaN mean equals
+   itself) and the converged metrics as JSON. *)
+let isolated_evaluate () =
+  let (Registry.Packed (module P) as packed) = Registry.find "orwg" in
+  let module R = Pr_proto.Runner.Make (P) in
+  let run s =
+    let flows = Scenario.flows s ~rng:(Rng.create 11) ~count:30 () in
+    let result = Experiment.evaluate packed s ~flows () in
+    let r = R.setup s.Scenario.graph s.Scenario.config in
+    ignore (R.converge r);
+    (result, Pr_util.Json.to_string (Pr_sim.Metrics.to_json (R.metrics r)))
+  in
+  let (first, first_json), (again, again_json) = a_b_a run in
+  check_bool "A's result is unchanged by B" true (compare first again = 0);
+  Alcotest.(check string) "A's metrics JSON is unchanged by B" first_json again_json
+
+(* The same for an ORWG run through the default fault plan, as
+   [prx chaos orwg] makes it: the full report JSON. *)
+let isolated_chaos () =
+  let packed = Registry.find "orwg" in
+  let run s =
+    Pr_util.Json.to_string
+      (Pr_faults.Chaos.report_json (Pr_faults.Chaos.run ~probes:20 packed s))
+  in
+  let first, again = a_b_a run in
+  Alcotest.(check string) "A's chaos report is unchanged by B" first again
+
 let () =
   Alcotest.run "pr_core"
     [
@@ -435,6 +478,11 @@ let () =
         ]
         @ List.map QCheck_alcotest.to_alcotest [ codec_roundtrip_behaviour ]
         @ [ Alcotest.test_case "rejects bad link delays" `Quick codec_rejects_bad_delay ] );
+      ( "run-isolation",
+        [
+          Alcotest.test_case "evaluate A, B, A" `Quick isolated_evaluate;
+          Alcotest.test_case "chaos A, B, A" `Quick isolated_chaos;
+        ] );
       ( "impact",
         [
           Alcotest.test_case "no-op change" `Quick impact_noop_change;

@@ -486,10 +486,11 @@ let interposer_parallel_links_fifo () =
          Float.max latest at)
        0.0 arrivals)
 
-(* The allocation budget of the faulted-convergence message path: the
+(* The allocation budgets of the faulted-convergence message path: the
    benchmark's converge setup (56 ADs, message faults and a gateway
-   crash, update guard on). *)
-let faulted_convergence_words_per_event () =
+   crash, update guard on), measured once: total words and minor words
+   over the converge, and the events it ran. *)
+let measure_faulted_convergence () =
   let (Registry.Packed (module P)) = orwg_runner () in
   let module R = Runner.Make (P) in
   let seed = 41 in
@@ -518,13 +519,31 @@ let faulted_convergence_words_per_event () =
     (Nemesis.install (R.network r) ~rng:(Rng.derive seed "faults") ~crash:(R.crash_ad r)
        ~restart:(R.restart_ad r) plan);
   let conv = ref None in
+  let minor_before = Gc.minor_words () in
   let words = Pr_telemetry.Alloc.words (fun () -> conv := Some (R.converge r)) in
+  let minor = Gc.minor_words () -. minor_before in
   let c = Option.get !conv in
   check_bool "converged" true c.Runner.converged;
-  let per_event = words /. float_of_int c.Runner.events in
+  (words, minor, c.Runner.events)
+
+let faulted_convergence = lazy (measure_faulted_convergence ())
+
+let faulted_convergence_words_per_event () =
+  let words, _, events = Lazy.force faulted_convergence in
+  let per_event = words /. float_of_int events in
   check_bool
-    (Printf.sprintf "%.1f words/event over %d events (budget 40)" per_event c.Runner.events)
+    (Printf.sprintf "%.1f words/event over %d events (budget 40)" per_event events)
     true (per_event <= 40.0)
+
+(* Minor words alone: the per-message garbage a delivery makes. A
+   closure per send (eight words, promoted when in flight at a minor
+   collection) would take this over its budget. *)
+let faulted_convergence_minor_words_per_event () =
+  let _, minor, events = Lazy.force faulted_convergence in
+  let per_event = minor /. float_of_int events in
+  check_bool
+    (Printf.sprintf "%.1f minor words/event over %d events (budget 20)" per_event events)
+    true (per_event <= 20.0)
 
 let () =
   Alcotest.run "faults"
@@ -545,6 +564,8 @@ let () =
             interposer_parallel_links_fifo;
           Alcotest.test_case "faulted convergence allocation budget" `Quick
             faulted_convergence_words_per_event;
+          Alcotest.test_case "faulted convergence minor-words budget" `Quick
+            faulted_convergence_minor_words_per_event;
         ] );
       ( "crash-restart",
         List.map crash_restart_case

@@ -108,6 +108,54 @@ let lsdb_bytes_pinned () =
   check_int "empty compilation for unknown ADs" 0
     (Pr_policy.Compiled.term_count (Lsdb.compiled_of db 4))
 
+(* Empty slots hold one shared sentinel record (seq -1). It never
+   leaks: no accessor returns or counts it, [compiled_of] never caches
+   into it (two databases of different sizes each get their own empty
+   compilation), a seq-0 record is fresher than it and a forged seq -1
+   record is not. *)
+let lsdb_sentinel_hidden () =
+  let db = Lsdb.create ~n:4 and wide = Lsdb.create ~n:9 in
+  let empty_view db =
+    let view, _ = Lsdb.search_view db Pr_policy.Qos.Default in
+    let rows = ref 0 in
+    for u = 0 to 3 do
+      Pr_topology.Policy_search.iter_row view u ~f:(fun _ _ -> incr rows)
+    done;
+    !rows
+  in
+  let hidden label db ad =
+    check_bool (label ^ ": get") true (Lsdb.get db ad = None);
+    check_int (label ^ ": seq_of") (-1) (Lsdb.seq_of db ad);
+    check_bool (label ^ ": adjacencies_of") true (Lsdb.adjacencies_of db ad = []);
+    check_bool (label ^ ": terms_of") true (Lsdb.terms_of db ad = []);
+    check_int (label ^ ": compiled_of") 0
+      (Pr_policy.Compiled.term_count (Lsdb.compiled_of db ad))
+  in
+  for ad = 0 to 3 do
+    hidden "empty" db ad
+  done;
+  check_int "empty: entry_count" 0 (Lsdb.entry_count db);
+  check_int "empty: fold" 0 (Lsdb.fold db ~init:0 ~f:(fun acc _ -> acc + 1));
+  check_int "empty: no view rows" 0 (empty_view db);
+  check_bool "each database its own empty compilation" true
+    (Lsdb.compiled_of db 0 != Lsdb.compiled_of wide 0);
+  let first = lsa 2 0 [ adj 1 1 ] in
+  check_bool "seq 0 accepted into an empty slot" true (Lsdb.insert db first);
+  check_bool "get returns the record" true
+    (match Lsdb.get db 2 with Some l -> l == first | None -> false);
+  check_int "seq 0 stored" 0 (Lsdb.seq_of db 2);
+  check_bool "forged seq -1 refused" false (Lsdb.insert db (lsa 3 (-1) [ adj 2 4 ]));
+  check_bool "forged seq -1 refused over a record" false
+    (Lsdb.insert db (lsa 2 (-1) [ adj 3 4 ]));
+  hidden "after a refusal" db 3;
+  check_int "one entry" 1 (Lsdb.entry_count db);
+  check_bool "fold sees only the record" true
+    (Lsdb.fold db ~init:[] ~f:(fun acc l -> l :: acc) = [ first ]);
+  check_int "one-way adjacency gives no view rows" 0 (empty_view db);
+  for ad = 0 to 8 do
+    hidden "wider database" wide ad
+  done
+
 (* Siblings share search views exactly by record identity. A pool of
    LSAs over three ADs, each origination paired with a corrupted twin
    that keeps the honest [seq] but retargets one adjacency (as
@@ -660,6 +708,7 @@ let () =
           Alcotest.test_case "bidirectional" `Quick lsdb_bidirectional;
           Alcotest.test_case "known/fold" `Quick lsdb_known_and_fold;
           Alcotest.test_case "bytes pinned" `Quick lsdb_bytes_pinned;
+          Alcotest.test_case "empty-slot sentinel hidden" `Quick lsdb_sentinel_hidden;
         ]
         @ qsuite [ lsdb_shared_view ] );
       ( "ls-flood",

@@ -123,12 +123,14 @@ let engine_observer () =
 (* Random event programs against a (time, seq) model. Event [i] (ids
    follow scheduling order) schedules the children listed in
    [program.(i)], each at a delay drawn from {0, 0.25, 1, a random
-   fraction} either relative ([schedule]) or absolute ([schedule_at]
-   now + d). Integer times give long equal-time runs, fractional ones
-   near-singletons, so the queue's run path and its plain heap path
-   interleave. The engine runs with a budget cut part-way and resumes;
-   the executed ids must be exactly the model's order. *)
-type child = Rel of float | Abs of float
+   fraction} either relative ([schedule]), absolute ([schedule_at]
+   now + d) or as a closure-free call of one shared handler on the
+   child's id ([schedule_call]). Integer times give long equal-time
+   runs, fractional ones near-singletons, so the queue's run path and
+   its plain heap path interleave, and calls share runs with closures.
+   The engine runs with a budget cut part-way and resumes; the executed
+   ids must be exactly the model's order. *)
+type child = Rel of float | Abs of float | Call of float
 
 let child_gen =
   QCheck.Gen.(
@@ -141,7 +143,7 @@ let child_gen =
           map (fun k -> float_of_int k /. 97.0) (int_range 1 300);
         ]
     in
-    map2 (fun abs d -> if abs then Abs d else Rel d) bool delay)
+    map2 (fun k d -> match k with 0 -> Rel d | 1 -> Abs d | _ -> Call d) (int_bound 2) delay)
 
 let engine_program_matches_model =
   QCheck.Test.make ~name:"engine executes random programs in (time, seq) order" ~count:200
@@ -158,19 +160,26 @@ let engine_program_matches_model =
       (* The engine under test. *)
       let e = Engine.create () in
       let executed = ref [] and next_id = ref 0 in
-      let rec spawn sched =
+      let fresh () =
         let id = !next_id in
         incr next_id;
-        sched (fun () ->
-            executed := id :: !executed;
-            List.iter
-              (function
-                | Rel d -> spawn (fun f -> Engine.schedule e ~delay:d f)
-                | Abs d -> spawn (fun f -> Engine.schedule_at e ~time:(Engine.now e +. d) f))
-              (children id))
+        id
       in
-      for _ = 1 to roots do
-        spawn (fun f -> Engine.schedule e ~delay:0.0 f)
+      let rec fire id =
+        executed := id :: !executed;
+        List.iter
+          (fun c ->
+            let child = fresh () in
+            match c with
+            | Rel d -> Engine.schedule e ~delay:d (fun () -> fire child)
+            | Abs d -> Engine.schedule_at e ~time:(Engine.now e +. d) (fun () -> fire child)
+            | Call d -> Engine.schedule_call e ~delay:d fire child)
+          (children id)
+      in
+      for i = 1 to roots do
+        let id = fresh () in
+        if i mod 2 = 0 then Engine.schedule_call e ~delay:0.0 fire id
+        else Engine.schedule e ~delay:0.0 (fun () -> fire id)
       done;
       let first = Engine.run ~max_events:cut e in
       let cut_ok = first = Engine.Drained || Engine.events_executed e = cut in
@@ -191,7 +200,7 @@ let engine_program_matches_model =
           pending := List.filter (fun (_, i) -> i <> id) !pending;
           order := id :: !order;
           List.iter
-            (fun (Rel d | Abs d) ->
+            (fun (Rel d | Abs d | Call d) ->
               pending := (now +. d, !next) :: !pending;
               incr next)
             (children id);
@@ -199,6 +208,31 @@ let engine_program_matches_model =
       in
       drain ();
       cut_ok && rest = Engine.Drained && !executed = !order)
+
+(* [schedule_call] hands the handler its payload unchanged, whatever
+   the payload's representation (a boxed float, an immediate, a
+   block), and rejects what [schedule] rejects. *)
+let engine_schedule_call_payloads () =
+  let e = Engine.create () in
+  let log = ref [] in
+  Engine.schedule_call e ~delay:2.0
+    (fun (x : float) -> log := Printf.sprintf "%g" x :: !log)
+    2.5;
+  Engine.schedule_call e ~delay:1.0 (fun (s : string) -> log := s :: !log) "one";
+  Engine.schedule_call e ~delay:2.0 (fun n -> log := string_of_int n :: !log) 7;
+  Engine.schedule e ~delay:2.0 (fun () -> log := "closure" :: !log);
+  Engine.schedule_call e ~delay:3.0 (fun (a, b) -> log := (a ^ b) :: !log) ("pa", "ir");
+  check_int "pending" 5 (Engine.pending e);
+  check_bool "drained" true (Engine.run e = Engine.Drained);
+  Alcotest.(check (list string))
+    "time order, FIFO ties across calls and closures"
+    [ "one"; "2.5"; "7"; "closure"; "pair" ] (List.rev !log);
+  Alcotest.check_raises "negative delay"
+    (Invalid_argument "Engine.schedule_call: negative delay") (fun () ->
+      Engine.schedule_call e ~delay:(-1.0) ignore ());
+  Alcotest.check_raises "NaN delay"
+    (Invalid_argument "Engine.schedule_call: negative delay") (fun () ->
+      Engine.schedule_call e ~delay:Float.nan ignore ())
 
 let engine_empty_run () =
   let e = Engine.create () in
@@ -697,6 +731,7 @@ let () =
           Alcotest.test_case "resume after budget" `Quick engine_resume_after_budget;
           Alcotest.test_case "observer" `Quick engine_observer;
           Alcotest.test_case "empty run" `Quick engine_empty_run;
+          Alcotest.test_case "schedule_call payloads" `Quick engine_schedule_call_payloads;
           Alcotest.test_case "NaN schedule" `Quick engine_rejects_nan;
         ]
         @ List.map QCheck_alcotest.to_alcotest [ engine_program_matches_model ] );

@@ -407,6 +407,103 @@ let pqueue_no_retention () =
   check_bool "popped value collected" false (Weak.check w 0);
   check_int "rest still queued" 40 (Pqueue.length q)
 
+(* Storage handover. Two queues with different value types alternate
+   filling and draining, the first to drain alternating by round, so
+   each adopts the storage the other handed on; round sizes vary, so
+   adoption meets a spare both larger and smaller than the queue's last
+   storage. Every drain must pop in the stable-sorted (priority, seq)
+   order of a list model, and [clear] must leave a queue that refills
+   in the same order. *)
+let pqueue_handover_vs_model =
+  let prios = QCheck.Gen.(list_size (int_range 0 120) (int_bound 4)) in
+  QCheck.Test.make ~name:"pqueue storage handover = stable-sorted list model" ~count:200
+    (QCheck.make
+       ~print:(fun rounds ->
+         String.concat " | "
+           (List.map
+              (fun (a, b, c) ->
+                Printf.sprintf "%d/%d/%b" (List.length a) (List.length b) c)
+              rounds))
+       QCheck.Gen.(list_size (int_range 1 8) (triple prios prios bool)))
+    (fun rounds ->
+      let qa : string Pqueue.t = Pqueue.create () and qb : float Pqueue.t = Pqueue.create () in
+      let model ps =
+        List.stable_sort (fun (p, _) (q, _) -> compare p q)
+          (List.mapi (fun i p -> (float_of_int p, i)) ps)
+      in
+      let drain q value =
+        let rec go acc =
+          match Pqueue.pop q with
+          | None -> List.rev acc
+          | Some (p, v) -> go ((p, value v) :: acc)
+        in
+        go []
+      in
+      let fill q value ps =
+        List.iteri (fun i p -> Pqueue.add q ~priority:(float_of_int p) (value i)) ps
+      in
+      List.for_all
+        (fun (pa, pb, clear_b) ->
+          fill qa string_of_int pa;
+          fill qb float_of_int pb;
+          let a, b =
+            if clear_b then begin
+              (* Abandon b's entries, then refill it. *)
+              Pqueue.clear qb;
+              fill qb float_of_int pb;
+              let b = drain qb int_of_float in
+              (drain qa int_of_string, b)
+            end
+            else
+              let a = drain qa int_of_string in
+              (a, drain qb int_of_float)
+          in
+          a = model pa && b = model pb && Pqueue.is_empty qa && Pqueue.is_empty qb)
+        rounds)
+
+(* The storage a drained queue hands on holds none of its values: a
+   queue that adopts it does not keep them reachable. *)
+let pqueue_handover_no_retention () =
+  let q = Pqueue.create () in
+  let w = Weak.create 50 in
+  for i = 0 to 49 do
+    let v = Bytes.make 64 'x' in
+    Weak.set w i (Some v);
+    Pqueue.add q ~priority:(float_of_int (i mod 3)) v
+  done;
+  while not (Pqueue.is_empty q) do
+    ignore (Pqueue.pop_value q)
+  done;
+  let adopter = Pqueue.create () in
+  Pqueue.add adopter ~priority:0.0 (Bytes.make 8 'y');
+  Gc.full_major ();
+  for i = 0 to 49 do
+    check_bool (Printf.sprintf "value %d collected" i) false (Weak.check w i)
+  done;
+  check_int "adopter holds its own value" 1 (Pqueue.length adopter)
+
+(* A fresh queue refilled up to the size of the last one drained adopts
+   its storage and allocates nothing. Priorities are boxed up front, as
+   in the steady-state test. *)
+let pqueue_refill_allocates_nothing () =
+  let size = 1000 in
+  let prios = List.init size (fun i -> float_of_int (i mod 13)) in
+  let rec fill q = function
+    | [] -> ()
+    | p :: rest ->
+      Pqueue.add q ~priority:p 7;
+      fill q rest
+  in
+  let first = Pqueue.create () in
+  fill first prios;
+  while not (Pqueue.is_empty first) do
+    ignore (Pqueue.pop_value first)
+  done;
+  let fresh = Pqueue.create () in
+  let words = Pr_telemetry.Alloc.words (fun () -> fill fresh prios) in
+  check_int "refilled" size (Pqueue.length fresh);
+  Alcotest.(check (float 0.0)) "refill allocates nothing" 0.0 words
+
 (* --- Pqueue.Keyed --------------------------------------------------- *)
 
 let keyed_basic () =
@@ -728,8 +825,12 @@ let () =
             Alcotest.test_case "steady state allocates nothing" `Quick
               pqueue_steady_state_allocates_nothing;
             Alcotest.test_case "no retention after pop" `Quick pqueue_no_retention;
+            Alcotest.test_case "handed-on storage retains nothing" `Quick
+              pqueue_handover_no_retention;
+            Alcotest.test_case "refill to the spare's size allocates nothing" `Quick
+              pqueue_refill_allocates_nothing;
           ]
-        @ qsuite [ pqueue_sorted_output; pqueue_vs_model ] );
+        @ qsuite [ pqueue_sorted_output; pqueue_vs_model; pqueue_handover_vs_model ] );
       ( "pqueue-keyed",
         [
           Alcotest.test_case "basic + decrease-key" `Quick keyed_basic;
