@@ -796,8 +796,8 @@ let chaos_cmd =
            let module T = Pr_telemetry in
            let first = List.hd report.Pr_faults.Chaos.violations in
            T.Alloc.sample ();
-           T.Flight.dump T.Flight.global
-             ~metrics:(T.Registry.snapshot T.Registry.default)
+           Pr_obs.Trace.write_post_mortem Pr_obs.Trace.flight
+             ~metrics:(T.Registry.snapshot_to_json (T.Registry.snapshot T.Registry.default))
              ~reason:
                (Printf.sprintf "chaos invariant violation: [%s] %s"
                   first.Pr_faults.Chaos.kind first.Pr_faults.Chaos.detail)
@@ -1011,8 +1011,8 @@ let serve_cmd =
                else "no queries answered")
          in
          T.Alloc.sample ();
-         T.Flight.dump T.Flight.global
-           ~metrics:(T.Registry.snapshot T.Registry.default)
+         Pr_obs.Trace.write_post_mortem Pr_obs.Trace.flight
+           ~metrics:(T.Registry.snapshot_to_json (T.Registry.snapshot T.Registry.default))
            ~reason:
              ("serve health-check failure: "
              ^ String.concat "; " (List.map describe sick))

@@ -9,8 +9,10 @@
    Registry.snapshot_of_json, survive a JSON round-trip, and render to
    Prometheus text; repeated --require NAME flags assert that a metric
    of that name is present. Post-mortems must carry a nonempty reason
-   and at least one event; repeated --expect-event NAME flags assert
-   an event of that name was recorded, and an embedded "metrics"
+   and at least one event, each passing the trace documents' event
+   check (Pr_obs.Trace.validate_events: known phase, name/ph/ts/pid/tid,
+   counter args, non-decreasing ts); repeated --expect-event NAME flags
+   assert an event of that name was recorded, and an embedded "metrics"
    snapshot (if any) is validated like a standalone one.
 
    Usage: telemetry_check FILE [--require NAME]... [--expect-event NAME]...
@@ -69,13 +71,10 @@ let check_post_mortem ~expected json =
     | None -> fail "post-mortem has no events field"
   in
   if events = [] then fail "post-mortem recorded no events";
-  let names =
-    List.filter_map
-      (fun ev -> Result.to_option (J.string_member "name" ev))
-      events
-  in
-  if List.length names <> List.length events then
-    fail "post-mortem contains an event without a name";
+  (match Pr_obs.Trace.validate_events events with
+  | Ok () -> ()
+  | Error e -> fail "post-mortem %s" e);
+  let names = List.map (fun ev -> Result.get_ok (J.string_member "name" ev)) events in
   List.iter
     (fun name ->
       if not (List.mem name names) then

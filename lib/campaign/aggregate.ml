@@ -231,16 +231,23 @@ let row_json r =
    counters and histograms add, gauges keep the max — the telemetry one
    process running every shard sequentially would have accumulated.
    Records without a parseable snapshot (older JSONL, failed runs) are
-   skipped. *)
+   skipped, and so is a snapshot that gives a metric a different kind
+   than earlier records did (a results file from an older build), with
+   a note on stderr. *)
 let merged_telemetry (sink : Sink.t) =
   List.fold_left
-    (fun acc (_id, record) ->
+    (fun acc (id, record) ->
       match J.member "telemetry" record with
       | None -> acc
       | Some t -> (
         match Telemetry.snapshot_of_json t with
         | Error _ -> acc
-        | Ok snap -> Telemetry.merge acc snap))
+        | Ok snap -> (
+          match Telemetry.merge acc snap with
+          | Ok merged -> merged
+          | Error e ->
+            Printf.eprintf "run %s: telemetry snapshot skipped: %s\n%!" id e;
+            acc)))
     [] sink.Sink.records
 
 let summary_json ?(skipped = 0) sink =

@@ -16,8 +16,6 @@ type chaos = {
           per-run timeout *)
 }
 
-val no_chaos : chaos
-
 type t = {
   run : Grid.run;
   converged : bool;

@@ -212,13 +212,9 @@ let run ?(plan = Plan.default) ?(guard = Guard.default_config) ?flows
   let violate ~flow kind detail =
     violations := { time = conv.Runner.sim_time; kind; flow; detail } :: !violations;
     let tid = match flow with Some (src, _) -> src | None -> 0 in
-    Pr_telemetry.Flight.note Pr_telemetry.Flight.global ~ts:conv.Runner.sim_time
-      ~tid
-      ~detail:(kind ^ ": " ^ detail)
+    Trace.note trace ~ts:conv.Runner.sim_time ~tid ~detail:(kind ^ ": " ^ detail)
       "invariant.violation";
-    Pr_telemetry.Registry.(inc (counter default "chaos.violations"));
-    if Trace.enabled trace then
-      Trace.instant trace ~ts:conv.Runner.sim_time ~tid "invariant.violation"
+    Pr_telemetry.Registry.(inc (counter default "chaos.violations"))
   in
   (* Containment: after reconvergence, no honest up AD may hold
      routing state its own validation would have rejected — poisoned

@@ -133,8 +133,6 @@ val blackhole_violations : report -> int
 
 val containment_violations : report -> int
 
-val availability_violations : report -> int
-
 val find_protocol : string -> Pr_core.Registry.packed option
 (** {!Pr_core.Registry.find_opt} extended with the deliberately broken
     {!Broken} variant (["broken-ls"]), which is not in the registry. *)

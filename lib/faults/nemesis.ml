@@ -91,13 +91,13 @@ let install (type msg) (net : msg Network.t) ~rng ?crash ?restart ?corrupt
       attackers = [];
     }
   in
-  let note time what =
+  let trace = Network.trace net in
+  let note ~tid name time what =
     t.log <- (time, what) :: t.log;
-    Pr_telemetry.Flight.note Pr_telemetry.Flight.global ~ts:time ~detail:what
-      "nemesis.fault";
+    Trace.note trace ~ts:time ~tid ~detail:what name;
     Log.info (fun m -> m "t=%.2f %s" time what)
   in
-  let trace = Network.trace net in
+  (* Message-level faults fire per send: trace-only, like sends. *)
   let instant ~tid name =
     if Trace.enabled trace then Trace.instant trace ~ts:(Engine.now engine) ~tid name
   in
@@ -285,8 +285,8 @@ let install (type msg) (net : msg Network.t) ~rng ?crash ?restart ?corrupt
                        match corrupt_fn byz_rng msg with
                        | Some m ->
                          t.corrupted <- t.corrupted + 1;
-                         note now (Printf.sprintf "corrupt %d->%d" src dst);
-                         instant ~tid:dst "fault.corrupt";
+                         note ~tid:dst "fault.corrupt" now
+                           (Printf.sprintf "corrupt %d->%d" src dst);
                          Some m
                        | None -> go rest)
                      else go rest
@@ -309,20 +309,17 @@ let install (type msg) (net : msg Network.t) ~rng ?crash ?restart ?corrupt
                 t.replayed <- t.replayed + 1;
                 send_injected ~src ~dst ~bytes msg
               done;
-              note at_time (Printf.sprintf "replay ad=%d count=%d" src k);
-              instant ~tid:src "fault.replay")
+              note ~tid:src "fault.replay" at_time
+                (Printf.sprintf "replay ad=%d count=%d" src k))
         | Plan.Forge { at_time; ad } ->
           let origin = resolve ad in
+          let note = note ~tid:origin "fault.forge" at_time in
           Engine.schedule_at engine ~time:at_time (fun () ->
               match forge with
-              | None ->
-                note at_time
-                  (Printf.sprintf "forge ad=%d: no forger installed" origin)
+              | None -> note (Printf.sprintf "forge ad=%d: no forger installed" origin)
               | Some forge_fn -> (
                 match forge_fn ~origin with
-                | None ->
-                  note at_time
-                    (Printf.sprintf "forge ad=%d: nothing to forge" origin)
+                | None -> note (Printf.sprintf "forge ad=%d: nothing to forge" origin)
                 | Some (msg, bytes) ->
                   let nbrs = Network.up_neighbors net origin in
                   List.iter
@@ -330,10 +327,9 @@ let install (type msg) (net : msg Network.t) ~rng ?crash ?restart ?corrupt
                       t.forged <- t.forged + 1;
                       send_injected ~src:origin ~dst ~bytes msg)
                     nbrs;
-                  note at_time
+                  note
                     (Printf.sprintf "forge ad=%d to %d neighbors" origin
-                       (List.length nbrs));
-                  instant ~tid:origin "fault.forge"))
+                       (List.length nbrs))))
         | Plan.Flap_chatter { at_time; ad; flaps; spacing } ->
           let atk = resolve ad in
           (* One fixed adjacency — the attacker's lowest-id neighbor —
@@ -349,12 +345,12 @@ let install (type msg) (net : msg Network.t) ~rng ?crash ?restart ?corrupt
               let tf = at_time +. (float_of_int i *. spacing) in
               Engine.schedule_at engine ~time:tf (fun () ->
                   if Network.link_is_up net lid then begin
-                    note tf (Printf.sprintf "chatter down link=%d" lid);
-                    instant ~tid:atk "fault.chatter";
+                    note ~tid:atk "fault.chatter" tf
+                      (Printf.sprintf "chatter down link=%d" lid);
                     Network.set_link_state net lid ~up:false;
                     let hold = Plan.storm_hold ~spacing in
                     Engine.schedule engine ~delay:hold (fun () ->
-                        note (tf +. hold)
+                        note ~tid:atk "fault.restore" (tf +. hold)
                           (Printf.sprintf "chatter restore link=%d" lid);
                         Network.set_link_state net lid ~up:true)
                   end)
@@ -380,15 +376,13 @@ let install (type msg) (net : msg Network.t) ~rng ?crash ?restart ?corrupt
             | pool -> Rng.choose r pool)
         in
         Engine.schedule_at engine ~time:at_time (fun () ->
-            note at_time (Printf.sprintf "crash ad=%d" target);
-            instant ~tid:target "fault.crash";
+            note ~tid:target "fault.crash" at_time (Printf.sprintf "crash ad=%d" target);
             crash target);
         Option.iter
           (fun d ->
             let tr = at_time +. d in
             Engine.schedule_at engine ~time:tr (fun () ->
-                note tr (Printf.sprintf "restart ad=%d" target);
-                instant ~tid:target "fault.restart";
+                note ~tid:target "fault.restart" tr (Printf.sprintf "restart ad=%d" target);
                 restart target))
           down_for
       | Plan.Partition { at_time; heal_after } ->
@@ -426,10 +420,9 @@ let install (type msg) (net : msg Network.t) ~rng ?crash ?restart ?corrupt
               (Graph.links graph);
             cut := List.rev !cut;
             t.partition_cut <- !cut;
-            note at_time
+            note ~tid:0 "fault.partition" at_time
               (Printf.sprintf "partition %d|%d cut=%d links" !count (n - !count)
-                 (List.length !cut));
-            instant ~tid:0 "fault.partition");
+                 (List.length !cut)));
         Option.iter
           (fun h ->
             let th = at_time +. h in
@@ -437,8 +430,8 @@ let install (type msg) (net : msg Network.t) ~rng ?crash ?restart ?corrupt
                 (* Exactly the links the partition took down — never a
                    link churn, a storm or a crash failed. *)
                 List.iter (fun lid -> Network.set_link_state net lid ~up:true) !cut;
-                note th (Printf.sprintf "heal restore=%d links" (List.length !cut));
-                instant ~tid:0 "fault.heal"))
+                note ~tid:0 "fault.heal" th
+                  (Printf.sprintf "heal restore=%d links" (List.length !cut))))
           heal_after
       | Plan.Flap_storm { at_time; flaps; spacing } ->
         let r = Rng.split sched_rng in
@@ -446,13 +439,13 @@ let install (type msg) (net : msg Network.t) ~rng ?crash ?restart ?corrupt
           let tf = at_time +. (float_of_int i *. spacing) in
           Engine.schedule_at engine ~time:tf (fun () ->
               match Network.fail_random_link net r () with
-              | None -> note tf "flap: no up link to fail"
+              | None -> note ~tid:0 "fault.flap" tf "flap: no up link to fail"
               | Some lid ->
-                note tf (Printf.sprintf "flap down link=%d" lid);
-                instant ~tid:0 "fault.flap";
+                note ~tid:0 "fault.flap" tf (Printf.sprintf "flap down link=%d" lid);
                 let hold = Plan.storm_hold ~spacing in
                 Engine.schedule engine ~delay:hold (fun () ->
-                    note (tf +. hold) (Printf.sprintf "flap restore link=%d" lid);
+                    note ~tid:0 "fault.restore" (tf +. hold)
+                      (Printf.sprintf "flap restore link=%d" lid);
                     Network.set_link_state net lid ~up:true))
         done)
     plan;

@@ -24,7 +24,7 @@
 
 module Engine = Pr_sim.Engine
 module Reg = Pr_telemetry.Registry
-module Flight = Pr_telemetry.Flight
+module Trace = Pr_obs.Trace
 
 let log_src = Logs.Src.create "pr.guard" ~doc:"Update guard"
 
@@ -182,7 +182,7 @@ let rec try_readmit t p ~at ~nbr () =
       note_active t;
       t.readmissions <- t.readmissions + 1;
       Reg.inc m_readmissions;
-      Flight.note Flight.global ~ts:now
+      Trace.note (Engine.trace t.engine) ~ts:now ~tid:0
         ~detail:(Printf.sprintf "ad %d readmitted neighbor %d" at nbr)
         "guard.readmit";
       Log.debug (fun m -> m "t=%.2f ad %d readmits neighbor %d" now at nbr);
@@ -199,7 +199,7 @@ let quarantine t p ~at ~nbr ~reason =
     Reg.inc m_quarantines;
     t.active <- t.active + 1;
     note_active t;
-    Flight.note Flight.global ~ts:now
+    Trace.note (Engine.trace t.engine) ~ts:now ~tid:0
       ~detail:(Printf.sprintf "ad %d quarantined neighbor %d: %s" at nbr reason)
       "guard.quarantine";
     Log.info (fun m ->
@@ -227,7 +227,7 @@ let screen t ~at ~from verdict =
       | Error reason ->
         t.rejected <- t.rejected + 1;
         Reg.inc m_rejected;
-        Flight.note Flight.global ~ts:(Engine.now t.engine)
+        Trace.note (Engine.trace t.engine) ~ts:(Engine.now t.engine) ~tid:0
           ~detail:
             (Printf.sprintf "ad %d rejected update from %d: %s" at from reason)
           "guard.reject";

@@ -64,8 +64,6 @@ let index_of t name =
 
 let first_nonzero t name = Option.bind (index_of t name) (fun i -> t.first_nonzero.(i))
 
-let last_change t name = Option.map (fun i -> t.last_change.(i)) (index_of t name)
-
 let final t name = Option.map (fun i -> t.last.(i)) (index_of t name)
 
 (* Quiescence = the last simulated time any observed series moved. *)

@@ -34,9 +34,6 @@ val samples : t -> (float * float array) list
 val first_nonzero : t -> string -> float option
 (** Time the named series was first observed nonzero. *)
 
-val last_change : t -> string -> float option
-(** Time the named series last changed value ([None]: unknown series). *)
-
 val final : t -> string -> float option
 
 val quiescence : t -> float

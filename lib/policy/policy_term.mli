@@ -15,17 +15,10 @@ type ad_pred =
   | Except of Pr_topology.Ad.id array
       (** sorted ascending; admits all but listed ADs *)
 
-val pred_admits : ad_pred -> Pr_topology.Ad.id -> bool
-(** Binary search over the sorted id array — O(log n) per probe. The
-    array must be sorted; predicates built by {!make} always are. *)
-
-val pred_size : ad_pred -> int
-(** Number of AD ids carried, for advertisement byte accounting. *)
-
 val sort_pred : ad_pred -> ad_pred
 (** Sorted copy of the predicate (identity for [Any]). Callers that
     build terms by record update instead of {!make} must sort their
-    payloads — unsorted arrays break {!pred_admits}. *)
+    payloads — admission binary-searches the arrays. *)
 
 type t = {
   owner : Pr_topology.Ad.id;  (** the advertising transit AD *)

@@ -330,8 +330,4 @@ let reset_node t ad =
      even for origins it shares no adjacency with. Duplicates are shed
      by the sequence-number check; the pushes are charged to the
      neighbors like any other flood traffic. *)
-  if t.flood_to ad then
-    Network.iter_up_neighbors t.net ad ~f:(fun nbr ->
-        if t.flood_to nbr then
-          Lsdb.fold t.dbs.(nbr) ~init:() ~f:(fun () lsa ->
-              Network.send t.net ~src:nbr ~dst:ad ~bytes:(Lsdb.lsa_bytes lsa) lsa))
+  Network.iter_up_neighbors t.net ad ~f:(fun nbr -> resync t ~at:ad ~nbr)

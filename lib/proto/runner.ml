@@ -49,10 +49,9 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
   }
 
   let setup ?(trace = Trace.disabled) graph config =
-    let engine = Engine.create () in
-    Engine.set_trace engine trace;
+    let engine = Engine.create ~trace () in
     let metrics = Metrics.create ~n:(Graph.n graph) in
-    let net = Network.create ~trace engine graph metrics in
+    let net = Network.create engine graph metrics in
     let proto = P.create graph config net in
     let t =
       {

@@ -19,7 +19,7 @@ module Guard = Pr_guard.Guard
 module Scenario = Pr_core.Scenario
 module Hist = Pr_telemetry.Hist
 module Reg = Pr_telemetry.Registry
-module Flight = Pr_telemetry.Flight
+module Trace = Pr_obs.Trace
 module Alloc = Pr_telemetry.Alloc
 
 type config = {
@@ -228,7 +228,7 @@ let run cfg =
             incr agreement_checks;
             if not (d = c && c = i && d) then begin
               incr agreement_failures;
-              Flight.note Flight.global ~ts:(Engine.now engine) ~tid:ad
+              Trace.note (Engine.trace engine) ~ts:(Engine.now engine) ~tid:ad
                 ~detail:
                   (Printf.sprintf "flow %d->%d at AD %d: pdd=%b compiled=%b interpreted=%b"
                      flow.Flow.src flow.Flow.dst ad d c i)
@@ -339,7 +339,7 @@ let run cfg =
             <> Compiled.spec_allows specs.(i) ~prev:p.p_prev ~next:p.p_next
           then begin
             incr agreement_failures;
-            Flight.note Flight.global ~ts:cfg.duration ~tid:p.p_ad
+            Trace.note (Engine.trace engine) ~ts:cfg.duration ~tid:p.p_ad
               ~detail:"microbench probe: diagram vs specialized bitset disagree"
               "serve.agreement_failure"
           end)
@@ -379,7 +379,7 @@ let run cfg =
   in
   (match self_check_error with
   | Some e ->
-      Flight.note Flight.global ~ts:cfg.duration ~detail:e
+      Trace.note (Engine.trace engine) ~ts:cfg.duration ~tid:0 ~detail:e
         "serve.self_check_failed"
   | None -> ());
   (* Publish the session histograms into the process-global registry so

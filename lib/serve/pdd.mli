@@ -48,9 +48,6 @@ val compile : store -> Pr_policy.Compiled.t -> node
 
 val leaf : bool -> node
 
-val node_id : node -> int
-(** Unique, stable id; equal ids iff physically equal nodes. *)
-
 val admit_node :
   node -> Pr_policy.Flow.t -> prev:Pr_topology.Ad.id -> next:Pr_topology.Ad.id -> bool
 (** One root-to-leaf walk; allocation-free. A negative prev/next means

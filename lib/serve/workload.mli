@@ -43,6 +43,3 @@ val create : ?params:params -> rng:Pr_util.Rng.t -> Pr_topology.Graph.t -> t
 
 val next : t -> now:float -> op
 (** Draw the next operation at simulated time [now]. *)
-
-val hour_of : t -> now:float -> int
-(** The hour of day the generator assigns to time [now]. *)

@@ -1,7 +1,6 @@
 module Pqueue = Pr_util.Pqueue
 module Trace = Pr_obs.Trace
 module Reg = Pr_telemetry.Registry
-module Flight = Pr_telemetry.Flight
 
 let log_src = Logs.Src.create "pr.engine" ~doc:"Discrete-event engine"
 
@@ -16,7 +15,7 @@ type t = {
   queue : Pqueue.Calls.t;
   clock : clock;
   mutable executed : int;
-  mutable trace : Trace.t;
+  trace : Trace.t;
   mutable observer : (time:float -> pending:int -> unit) option;
   (* Registry handles resolved once at creation; the event loop never
      hashes a metric name. *)
@@ -25,12 +24,12 @@ type t = {
   m_rate : Reg.gauge;
 }
 
-let create () =
+let create ?(trace = Trace.disabled) () =
   {
     queue = Pqueue.Calls.create ();
     clock = { now = 0.0 };
     executed = 0;
-    trace = Trace.disabled;
+    trace;
     observer = None;
     m_events = Reg.counter Reg.default "engine.events";
     m_depth = Reg.gauge Reg.default "engine.queue_depth";
@@ -38,8 +37,6 @@ let create () =
   }
 
 let now t = t.clock.now
-
-let set_trace t trace = t.trace <- trace
 
 let trace t = t.trace
 
@@ -78,10 +75,9 @@ let run ?(max_events = 10_000_000) t =
       Log.warn (fun m ->
           m "event limit reached: %d events executed, %d still pending at t=%g"
             t.executed (Pqueue.Calls.length t.queue) t.clock.now);
-      Flight.note Flight.global ~ts:t.clock.now
+      Trace.note t.trace ~ts:t.clock.now ~tid:0
         ~value:(float_of_int (Pqueue.Calls.length t.queue))
-        ~detail:"event budget exhausted with work pending"
-        "engine.reached_limit";
+        ~detail:"event budget exhausted with work pending" "engine.reached_limit";
       Reached_limit
     end
     else if Pqueue.Calls.is_empty t.queue then Drained

@@ -7,19 +7,18 @@
 
 type t
 
-val create : unit -> t
+val create : ?trace:Pr_obs.Trace.t -> unit -> t
+(** [trace] (default {!Pr_obs.Trace.disabled}) is the run's recorder:
+    while it is enabled, [run] samples an ["engine.queue_depth"]
+    counter every 64 executed events, and the network and the layers
+    above record on it through {!trace}. A disabled recorder costs one
+    branch per event. *)
 
 val now : t -> float
 (** Current simulated time; 0 before any event runs. *)
 
-val set_trace : t -> Pr_obs.Trace.t -> unit
-(** Attach a trace recorder. While enabled, [run] samples an
-    ["engine.queue_depth"] counter every 64 executed events. Defaults
-    to {!Pr_obs.Trace.disabled}: no recording, no overhead beyond one
-    branch per event. *)
-
 val trace : t -> Pr_obs.Trace.t
-(** The attached recorder. *)
+(** The run's recorder, given at creation. *)
 
 val set_observer : t -> (time:float -> pending:int -> unit) option -> unit
 (** Install a hook called after every executed event with the engine
@@ -55,7 +54,7 @@ val run : ?max_events:int -> t -> stop_reason
 (** Execute events until none remain or [max_events] (default 10^7)
     have run. Returns why it stopped; hitting the limit also logs a
     warning on the ["pr.engine"] source with the executed and pending
-    counts and leaves a flight-recorder note. *)
+    counts and leaves an ["engine.reached_limit"] {!Pr_obs.Trace.note}. *)
 
 val events_executed : t -> int
 (** Total events executed so far over the engine's lifetime. *)

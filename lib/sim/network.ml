@@ -3,7 +3,6 @@ module Link = Pr_topology.Link
 module Rng = Pr_util.Rng
 module Trace = Pr_obs.Trace
 module Reg = Pr_telemetry.Registry
-module Flight = Pr_telemetry.Flight
 
 (* Debug tracing: enable with Logs.Src.set_level Network.log_src
    (Some Logs.Debug) and a reporter. Off by default and free when
@@ -16,7 +15,6 @@ type 'msg t = {
   engine : Engine.t;
   graph : Graph.t;
   metrics : Metrics.t;
-  trace : Trace.t;
   link_up : bool array;
   node_up : bool array;
   (* Fault-plan hook: maps each send to the extra delivery delays of
@@ -46,12 +44,11 @@ type 'msg t = {
 
 let unbuilt _ = ()
 
-let create ?(trace = Trace.disabled) engine graph metrics =
+let create engine graph metrics =
   {
     engine;
     graph;
     metrics;
-    trace;
     link_up = Array.make (Graph.num_links graph) true;
     node_up = Array.make (Graph.n graph) true;
     interpose = None;
@@ -69,7 +66,7 @@ let engine t = t.engine
 
 let metrics t = t.metrics
 
-let trace t = t.trace
+let trace t = Engine.trace t.engine
 
 let debug_on () =
   match Logs.Src.level log_src with Some Logs.Debug -> true | _ -> false
@@ -112,8 +109,8 @@ let lose t ~src ~dst =
   (* Loss is charged to the receiver. *)
   Metrics.record_loss t.metrics dst;
   Reg.inc t.m_losses;
-  if Trace.enabled t.trace then
-    Trace.instant t.trace ~ts:(Engine.now t.engine) ~tid:dst "net.lost";
+  let tr = trace t in
+  if Trace.enabled tr then Trace.instant tr ~ts:(Engine.now t.engine) ~tid:dst "net.lost";
   if debug_on () then
     Log.debug (fun m ->
         m "t=%.1f message %d -> %d lost in flight" (Engine.now t.engine) src dst)
@@ -150,8 +147,8 @@ let rec schedule_copies t ~delay deliver msg = function
 let send_on t ~src ~dst ~slot ~lid ~bytes msg =
   Metrics.record_send t.metrics src ~bytes;
   Reg.inc t.m_sends;
-  if Trace.enabled t.trace then
-    Trace.instant t.trace ~ts:(Engine.now t.engine) ~tid:src "net.send";
+  let tr = trace t in
+  if Trace.enabled tr then Trace.instant tr ~ts:(Engine.now t.engine) ~tid:src "net.send";
   if debug_on () then
     Log.debug (fun m ->
         m "t=%.1f send %d -> %d (%d bytes)" (Engine.now t.engine) src dst bytes);
@@ -199,10 +196,7 @@ let set_link_state t lid ~up =
   if t.link_up.(lid) <> up then begin
     t.link_up.(lid) <- up;
     let l = Graph.link t.graph lid in
-    if Trace.enabled t.trace then
-      Trace.instant t.trace ~ts:(Engine.now t.engine) ~tid:l.Link.a
-        (if up then "link.up" else "link.down");
-    Flight.note Flight.global ~ts:(Engine.now t.engine) ~tid:l.Link.a
+    Trace.note (trace t) ~ts:(Engine.now t.engine) ~tid:l.Link.a
       ~detail:(Printf.sprintf "link %d--%d" l.Link.a l.Link.b)
       (if up then "link.up" else "link.down");
     Log.info (fun m ->
@@ -215,10 +209,7 @@ let set_link_state t lid ~up =
 let set_node_state t ad ~up =
   if t.node_up.(ad) <> up then begin
     t.node_up.(ad) <- up;
-    if Trace.enabled t.trace then
-      Trace.instant t.trace ~ts:(Engine.now t.engine) ~tid:ad
-        (if up then "node.up" else "node.down");
-    Flight.note Flight.global ~ts:(Engine.now t.engine) ~tid:ad
+    Trace.note (trace t) ~ts:(Engine.now t.engine) ~tid:ad
       ~detail:(Printf.sprintf "AD %d" ad)
       (if up then "node.up" else "node.down");
     Log.info (fun m ->

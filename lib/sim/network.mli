@@ -14,14 +14,14 @@ val log_src : Logs.src
     install a reporter) to trace sends, in-flight losses and link
     state changes. *)
 
-val create :
-  ?trace:Pr_obs.Trace.t -> Engine.t -> Pr_topology.Graph.t -> Metrics.t -> 'msg t
+val create : Engine.t -> Pr_topology.Graph.t -> Metrics.t -> 'msg t
 (** All links start up. Handlers must be installed before any
-    traffic flows. When [trace] (default {!Pr_obs.Trace.disabled}) is
-    enabled, the network records instant events for sends
-    (["net.send"], track = sender), in-flight losses (["net.lost"],
-    track = intended receiver), link flaps (["link.up"] /
-    ["link.down"]) and AD crashes (["node.up"] / ["node.down"]). *)
+    traffic flows. When the engine's trace is enabled, the network
+    records instant events for sends (["net.send"], track = sender)
+    and in-flight losses (["net.lost"], track = intended receiver).
+    Link flaps (["link.up"] / ["link.down"]) and AD crashes
+    (["node.up"] / ["node.down"]) are {!Pr_obs.Trace.note}s: they also
+    reach the post-mortem ring. *)
 
 val graph : 'msg t -> Pr_topology.Graph.t
 
@@ -30,9 +30,8 @@ val engine : 'msg t -> Engine.t
 val metrics : 'msg t -> Metrics.t
 
 val trace : 'msg t -> Pr_obs.Trace.t
-(** The recorder passed at creation; {!Pr_obs.Trace.disabled} when
-    none was. Protocol drivers record their route-computation spans on
-    this. *)
+(** The engine's recorder ({!Engine.trace}). Protocol drivers record
+    their route-computation spans on this. *)
 
 val set_message_handler :
   'msg t -> (at:Pr_topology.Ad.id -> from:Pr_topology.Ad.id -> 'msg -> unit) -> unit

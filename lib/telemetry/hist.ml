@@ -225,15 +225,3 @@ let of_json j =
     end;
     Ok t
   end
-
-let pp ppf t =
-  if t.count = 0 then Format.fprintf ppf "(empty)"
-  else begin
-    Format.fprintf ppf "count=%d mean=%.1f p50=%.1f p99=%.1f max=%.1f"
-      t.count (mean t) (quantile t 50.0) (quantile t 99.0) (max_value t);
-    List.iter
-      (fun (i, c) ->
-        let lo, hi = bucket_bounds i in
-        Format.fprintf ppf "@ [%g,%g):%d" lo hi c)
-      (buckets t)
-  end

@@ -79,5 +79,3 @@ val equal : t -> t -> bool
 val to_json : t -> Pr_util.Json.t
 
 val of_json : Pr_util.Json.t -> (t, string) result
-
-val pp : Format.formatter -> t -> unit

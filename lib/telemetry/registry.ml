@@ -93,30 +93,40 @@ let diff ~after ~before =
       | v, _ -> (name, v))
     after
 
+let value_kind = function
+  | Counter _ -> "counter"
+  | Gauge _ -> "gauge"
+  | Histogram _ -> "histogram"
+
 let merge a b =
   let tbl = Hashtbl.create 64 in
   List.iter (fun (name, v) -> Hashtbl.replace tbl name v) a;
-  List.iter
-    (fun (name, v) ->
-      match (Hashtbl.find_opt tbl name, v) with
-      | None, _ -> Hashtbl.replace tbl name v
-      | Some (Counter x), Counter y -> Hashtbl.replace tbl name (Counter (x + y))
-      | Some (Gauge x), Gauge y ->
-          Hashtbl.replace tbl name (Gauge (Float.max x y))
-      | Some (Histogram x), Histogram y ->
+  let rec add = function
+    | [] ->
+      Ok
+        (Hashtbl.fold (fun name v acc -> (name, v) :: acc) tbl []
+        |> List.sort (fun (x, _) (y, _) -> String.compare x y))
+    | (name, v) :: rest -> (
+      let merged =
+        match (Hashtbl.find_opt tbl name, v) with
+        | None, _ -> Ok v
+        | Some (Counter x), Counter y -> Ok (Counter (x + y))
+        | Some (Gauge x), Gauge y -> Ok (Gauge (Float.max x y))
+        | Some (Histogram x), Histogram y ->
           let m = Hist.copy x in
           Hist.merge ~into:m y;
-          Hashtbl.replace tbl name (Histogram m)
-      | Some other, _ ->
-          invalid_arg
-            (Printf.sprintf "Registry.merge: kind clash on %S (%s)" name
-               (match other with
-               | Counter _ -> "counter"
-               | Gauge _ -> "gauge"
-               | Histogram _ -> "histogram")))
-    b;
-  Hashtbl.fold (fun name v acc -> (name, v) :: acc) tbl []
-  |> List.sort (fun (x, _) (y, _) -> String.compare x y)
+          Ok (Histogram m)
+        | Some other, _ ->
+          Error
+            (Printf.sprintf "kind clash on %S (%s vs %s)" name (value_kind other) (value_kind v))
+      in
+      match merged with
+      | Ok m ->
+        Hashtbl.replace tbl name m;
+        add rest
+      | Error _ as e -> e)
+  in
+  add b
 
 let snapshot_to_json snap =
   let metric (name, v) =

@@ -51,9 +51,10 @@ val diff : after:snapshot -> before:snapshot -> snapshot
 (** Counters and histograms subtract; gauges take the [after] value.
     Names only in [after] pass through unchanged. *)
 
-val merge : snapshot -> snapshot -> snapshot
-(** Counters and histograms add; gauges keep the max. Raises
-    [Invalid_argument] on a kind clash. *)
+val merge : snapshot -> snapshot -> (snapshot, string) result
+(** Counters and histograms add; gauges keep the max. A metric with
+    different kinds in the two snapshots is an [Error] naming it and
+    both kinds. *)
 
 val snapshot_to_json : snapshot -> Pr_util.Json.t
 (** [{"document": "telemetry-snapshot", "metrics": [...]}]. *)

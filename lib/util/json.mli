@@ -41,8 +41,6 @@ val to_int : t -> (int, string) result
 val to_float : t -> (float, string) result
 (** Accepts [Float] and [Int]. *)
 
-val to_str : t -> (string, string) result
-
 val to_list : t -> (t list, string) result
 
 val int_member : string -> t -> (int, string) result

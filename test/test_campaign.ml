@@ -304,6 +304,39 @@ let aggregate_groups_by_protocol () =
     check_int "orwg nothing ok" 0 orwg.Aggregate.ok
   | rows -> Alcotest.fail (Printf.sprintf "expected 2 rows, got %d" (List.length rows))
 
+(* A results file resumed across builds can give one metric two kinds:
+   the record whose snapshot clashes is left out of the merged
+   telemetry, whole, instead of aborting the summary. *)
+let aggregate_skips_kind_clash () =
+  let module Reg = Pr_telemetry.Registry in
+  let record id snap =
+    ( id,
+      J.Obj
+        [
+          ("id", J.String id);
+          ("protocol", J.String "ecma");
+          ("status", J.String "ok");
+          ("telemetry", Reg.snapshot_to_json snap);
+        ] )
+  in
+  let sink =
+    {
+      Sink.records =
+        [
+          record "a" [ ("engine.events", Reg.Counter 5) ];
+          record "b" [ ("engine.events", Reg.Gauge 3.0); ("net.sends", Reg.Counter 1) ];
+          record "c" [ ("engine.events", Reg.Counter 7) ];
+        ];
+      malformed = 0;
+    }
+  in
+  let summary = Aggregate.summary_json sink in
+  match Reg.snapshot_of_json (Option.get (J.member "telemetry" summary)) with
+  | Error e -> Alcotest.fail e
+  | Ok snap ->
+    check_bool "clashing record skipped, the others merged" true
+      (snap = [ ("engine.events", Reg.Counter 12) ])
+
 (* --- Driver (end to end) --------------------------------------------- *)
 
 let driver_end_to_end_and_resume () =
@@ -402,7 +435,11 @@ let () =
           Alcotest.test_case "incomplete not skipped" `Quick sink_incomplete_not_skipped;
         ] );
       ( "aggregate",
-        [ Alcotest.test_case "groups by protocol" `Quick aggregate_groups_by_protocol ] );
+        [
+          Alcotest.test_case "groups by protocol" `Quick aggregate_groups_by_protocol;
+          Alcotest.test_case "telemetry kind clash skips the record" `Quick
+            aggregate_skips_kind_clash;
+        ] );
       ( "driver",
         [
           Alcotest.test_case "end to end + resume" `Quick driver_end_to_end_and_resume;

@@ -18,6 +18,7 @@ module Scenario = Pr_core.Scenario
 module Plan = Pr_faults.Plan
 module Nemesis = Pr_faults.Nemesis
 module Chaos = Pr_faults.Chaos
+module Trace = Pr_obs.Trace
 
 let check_int = Alcotest.(check int)
 
@@ -486,17 +487,15 @@ let interposer_parallel_links_fifo () =
          Float.max latest at)
        0.0 arrivals)
 
-(* The allocation budgets of the faulted-convergence message path: the
-   benchmark's converge setup (56 ADs, message faults and a gateway
-   crash, update guard on), measured once: total words and minor words
-   over the converge, and the events it ran. *)
-let measure_faulted_convergence () =
+(* The benchmark's converge setup (56 ADs, message faults and a gateway
+   crash, update guard on), ready to converge. *)
+let faulted_orwg ?trace () =
   let (Registry.Packed (module P)) = orwg_runner () in
   let module R = Runner.Make (P) in
   let seed = 41 in
   let sc = Scenario.for_size ~target_ads:56 ~seed () in
   let g = sc.Scenario.graph in
-  let r = R.setup g sc.Scenario.config in
+  let r = R.setup ?trace g sc.Scenario.config in
   let engine = Network.engine (R.network r) in
   let guard =
     Pr_guard.Guard.create ~engine ~n:(Graph.n g)
@@ -518,9 +517,16 @@ let measure_faulted_convergence () =
   ignore
     (Nemesis.install (R.network r) ~rng:(Rng.derive seed "faults") ~crash:(R.crash_ad r)
        ~restart:(R.restart_ad r) plan);
+  fun () -> R.converge r
+
+(* The allocation budgets of the faulted-convergence message path,
+   measured once: total words and minor words over the converge, and
+   the events it ran. *)
+let measure_faulted_convergence () =
+  let converge = faulted_orwg () in
   let conv = ref None in
   let minor_before = Gc.minor_words () in
-  let words = Pr_telemetry.Alloc.words (fun () -> conv := Some (R.converge r)) in
+  let words = Pr_telemetry.Alloc.words (fun () -> conv := Some (converge ())) in
   let minor = Gc.minor_words () -. minor_before in
   let c = Option.get !conv in
   check_bool "converged" true c.Runner.converged;
@@ -545,6 +551,59 @@ let faulted_convergence_minor_words_per_event () =
     (Printf.sprintf "%.1f minor words/event over %d events (budget 20)" per_event events)
     true (per_event <= 20.0)
 
+(* One call records each notable event: every link, node, fault, guard
+   and invariant-violation entry the post-mortem ring holds after a
+   traced run is in the run's trace too, at the same ts and tid. *)
+let notable_events_reach_both_sinks () =
+  let events field doc =
+    match J.member field doc with
+    | Some (J.List l) -> l
+    | _ -> Alcotest.failf "no %s list" field
+  in
+  let key e =
+    ( Result.get_ok (J.string_member "name" e),
+      Result.get_ok (J.float_member "ts" e),
+      Result.get_ok (J.int_member "tid" e) )
+  in
+  let notable (name, _, _) =
+    name = "invariant.violation"
+    || List.exists
+         (fun prefix -> String.starts_with ~prefix name)
+         [ "link."; "node."; "fault."; "guard." ]
+  in
+  let traced_run run =
+    Trace.clear Trace.flight;
+    let trace = Trace.create () in
+    run trace;
+    let ring =
+      List.filter notable
+        (List.map key (events "events" (Trace.post_mortem ~reason:"test" Trace.flight)))
+    in
+    let traced = List.map key (events "traceEvents" (Trace.to_json trace)) in
+    List.iter
+      (fun ((name, ts, tid) as k) ->
+        if not (List.mem k traced) then
+          Alcotest.failf "%s at t=%g on track %d is in the ring only" name ts tid)
+      ring;
+    List.map (fun (name, _, _) -> name) ring
+  in
+  let faulted =
+    traced_run (fun trace ->
+        check_bool "converged" true (faulted_orwg ~trace () ()).Runner.converged)
+  in
+  let attacked =
+    traced_run (fun trace ->
+        let scenario = Scenario.for_size ~target_ads:14 ~seed:42 () in
+        let plan = Option.get (Plan.profile "byzantine") in
+        ignore
+          (Chaos.run ~plan ~trace (Option.get (Chaos.find_protocol "broken-ls")) scenario))
+  in
+  List.iter
+    (fun name ->
+      check_bool (name ^ " noted") true
+        (List.exists (String.starts_with ~prefix:name) (faulted @ attacked)))
+    [ "link."; "node."; "fault.crash"; "guard."; "invariant.violation" ]
+
 let () =
   Alcotest.run "faults"
     [
@@ -566,6 +625,8 @@ let () =
             faulted_convergence_words_per_event;
           Alcotest.test_case "faulted convergence minor-words budget" `Quick
             faulted_convergence_minor_words_per_event;
+          Alcotest.test_case "notable events reach trace and post-mortem ring" `Quick
+            notable_events_reach_both_sinks;
         ] );
       ( "crash-restart",
         List.map crash_restart_case

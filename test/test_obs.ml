@@ -30,12 +30,16 @@ let validate_ok trace =
 (* --- recorder ------------------------------------------------------- *)
 
 (* Arbitrary record operations, for driving a recorder generically. *)
-let apply_op t i = function
-  | 0 -> Trace.span_begin t ~ts:(float_of_int i) ~tid:(i mod 3) "s"
-  | 1 -> Trace.span_end t ~ts:(float_of_int i) ~tid:(i mod 3) "s"
-  | 2 -> Trace.instant t ~ts:(float_of_int i) ~tid:0 "i"
-  | 3 -> Trace.counter t ~ts:(float_of_int i) ~tid:0 ~value:(float_of_int i) "c"
-  | _ -> Trace.complete t ~ts:(float_of_int i) ~dur:1.0 ~tid:0 "x"
+let apply_op_named t i op name =
+  match op with
+  | 0 -> Trace.span_begin t ~ts:(float_of_int i) ~tid:(i mod 3) name
+  | 1 -> Trace.span_end t ~ts:(float_of_int i) ~tid:(i mod 3) name
+  | 2 -> Trace.instant t ~ts:(float_of_int i) ~tid:0 name
+  | 3 -> Trace.counter t ~ts:(float_of_int i) ~tid:0 ~value:(float_of_int i) name
+  | _ -> Trace.complete t ~ts:(float_of_int i) ~dur:1.0 ~tid:0 name
+
+let apply_op t i op =
+  apply_op_named t i op (match op with 0 | 1 -> "s" | 2 -> "i" | 3 -> "c" | _ -> "x")
 
 let disabled_records_nothing =
   QCheck.Test.make ~name:"disabled recorder stores and drops nothing" ~count:50
@@ -57,6 +61,46 @@ let export_always_valid =
       match Trace.validate_json (Trace.to_json t) with
       | Ok () -> true
       | Error _ -> false)
+
+(* The ring against a list model, for both overflow policies: after any
+   mix of record kinds, [length] and [dropped] follow from the count, and the held events export in record order — the first
+   [capacity] of them when dropping the newest, the last [capacity]
+   when overwriting the oldest. *)
+let ring_matches_list_model =
+  let ph = [| "B"; "E"; "i"; "C"; "X"; "i" |] in
+  QCheck.Test.make ~name:"ring matches a list model under both policies" ~count:300
+    QCheck.(triple bool (int_range 1 8) (list (int_bound 5)))
+    (fun (overwrite, capacity, ops) ->
+      let policy = if overwrite then Trace.Overwrite_oldest else Trace.Drop_newest in
+      let t = Trace.create ~policy ~capacity () in
+      List.iteri
+        (fun i op ->
+          let name = Printf.sprintf "e%d" i in
+          match op with
+          | 5 -> Trace.note t ~ts:(float_of_int i) ~tid:0 ~detail:"d" name
+          | op -> apply_op_named t i op name)
+        ops;
+      let n = List.length ops in
+      let held = Stdlib.min n capacity in
+      let model =
+        List.filteri
+          (fun i _ -> if overwrite then i >= n - held else i < held)
+          (List.mapi (fun i op -> (Printf.sprintf "e%d" i, ph.(op))) ops)
+      in
+      let exported =
+        match J.member "events" (Trace.post_mortem ~reason:"model" t) with
+        | Some (J.List evs) ->
+          List.map
+            (fun e ->
+              ( Result.get_ok (J.string_member "name" e),
+                Result.get_ok (J.string_member "ph" e) ))
+            evs
+        | _ -> []
+      in
+      Trace.length t = held
+      && Trace.dropped t = n - held
+      && exported = model
+      && Result.is_ok (Trace.validate_json (Trace.to_json t)))
 
 let recorder_basics () =
   let t = Trace.create ~capacity:16 () in
@@ -287,7 +331,7 @@ let () =
           Alcotest.test_case "validator rejects bad documents" `Quick
             validator_rejects_bad_documents;
         ]
-        @ qsuite [ disabled_records_nothing; export_always_valid ] );
+        @ qsuite [ disabled_records_nothing; export_always_valid; ring_matches_list_model ] );
       ( "interference",
         List.map
           (fun name ->

@@ -11,7 +11,7 @@ module J = Pr_util.Json
 module Stats = Pr_util.Stats
 module Hist = Pr_telemetry.Hist
 module Reg = Pr_telemetry.Registry
-module Flight = Pr_telemetry.Flight
+module Trace = Pr_obs.Trace
 module Gate = Pr_telemetry.Gate
 module Alloc = Pr_telemetry.Alloc
 module Daemon = Pr_serve.Daemon
@@ -203,7 +203,7 @@ let test_snapshot_diff_merge () =
   (* Merging the diff back onto [before] recovers [after] — up to
      histogram min/max, which [Hist.diff] only knows at bucket
      resolution. *)
-  let recovered = Reg.merge before d in
+  let recovered = Result.get_ok (Reg.merge before d) in
   check_bool "before + diff = after" true
     (List.for_all2
        (fun (n, v) (n', v') ->
@@ -213,7 +213,11 @@ let test_snapshot_diff_merge () =
          | Reg.Histogram x, Reg.Histogram y ->
            Hist.buckets x = Hist.buckets y && Hist.count x = Hist.count y
          | _ -> v = v')
-       recovered after)
+       recovered after);
+  match Reg.merge before [ ("c.events", Reg.Gauge 1.0) ] with
+  | Error e ->
+    Alcotest.(check string) "clash named" "kind clash on \"c.events\" (counter vs gauge)" e
+  | Ok _ -> Alcotest.fail "kind clash merged"
 
 let test_prometheus () =
   let text = Reg.to_prometheus (Reg.snapshot (populated ())) in
@@ -229,27 +233,30 @@ let test_prometheus () =
 
 (* --- flight recorder ------------------------------------------------- *)
 
+let post_mortem_events ring =
+  Result.get_ok
+    (J.to_list (Option.get (J.member "events" (Trace.post_mortem ~reason:"r" ring))))
+
 let test_flight_ring () =
-  let f = Flight.create ~capacity:4 () in
+  let f = Trace.create ~policy:Trace.Overwrite_oldest ~capacity:4 () in
   for i = 1 to 6 do
-    Flight.note f ~ts:(float_of_int i) (Printf.sprintf "e%d" i)
+    Trace.instant f ~ts:(float_of_int i) ~tid:0 (Printf.sprintf "e%d" i)
   done;
-  check_int "total counts everything" 6 (Flight.total f);
-  check_int "length capped" 4 (Flight.length f);
+  check_int "total counts everything" 6 (Trace.length f + Trace.dropped f);
+  check_int "length capped" 4 (Trace.length f);
   check_bool "oldest overwritten, order kept" true
-    (List.map (fun (e : Flight.event) -> e.name) (Flight.events f)
+    (List.map (fun e -> Result.get_ok (J.string_member "name" e)) (post_mortem_events f)
     = [ "e3"; "e4"; "e5"; "e6" ]);
-  Flight.set_enabled f false;
-  Flight.note f ~ts:9.0 "ignored";
-  check_int "disabled is a no-op" 6 (Flight.total f)
+  Trace.instant Trace.disabled ~ts:9.0 ~tid:0 "ignored";
+  check_int "disabled is a no-op" 0 (Trace.length Trace.disabled + Trace.dropped Trace.disabled)
 
 let test_flight_dump () =
-  let f = Flight.create ~capacity:8 () in
-  Flight.note f ~ts:1.0 ~detail:"AD 3" "node.down";
-  Flight.note f ~kind:Flight.Counter ~ts:2.0 ~value:17.0 "queue";
+  let f = Trace.create ~policy:Trace.Overwrite_oldest ~capacity:8 () in
+  Trace.note f ~ts:1.0 ~tid:3 ~detail:"AD 3" "node.down";
+  Trace.counter f ~ts:2.0 ~tid:0 ~value:17.0 "queue";
   let path = Filename.temp_file "flight" ".json" in
-  Flight.dump f ~reason:"test dump" ~path
-    ~metrics:(Reg.snapshot (populated ()));
+  Trace.write_post_mortem f ~reason:"test dump" ~path
+    ~metrics:(Reg.snapshot_to_json (Reg.snapshot (populated ())));
   let ic = open_in path in
   let doc = really_input_string ic (in_channel_length ic) in
   close_in ic;
@@ -261,8 +268,12 @@ let test_flight_dump () =
       (Result.get_ok (J.string_member "document" j));
     Alcotest.(check string) "reason" "test dump"
       (Result.get_ok (J.string_member "reason" j));
-    check_int "events" 2
-      (List.length (Result.get_ok (J.to_list (Option.get (J.member "events" j)))));
+    let events = Result.get_ok (J.to_list (Option.get (J.member "events" j))) in
+    check_int "events" 2 (List.length events);
+    check_bool "events pass the shared validator" true
+      (Result.is_ok (Trace.validate_events events));
+    check_bool "detail exported" true
+      (J.member "args" (List.hd events) = Some (J.Obj [ ("detail", J.String "AD 3") ]));
     check_bool "metrics embedded" true (J.member "metrics" j <> None)
 
 (* --- regression gate ------------------------------------------------- *)
