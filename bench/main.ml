@@ -11,6 +11,7 @@
 
 module Rng = Pr_util.Rng
 module Stats = Pr_util.Stats
+module J = Pr_util.Json
 module Texttable = Pr_util.Texttable
 module Ad = Pr_topology.Ad
 module Link = Pr_topology.Link
@@ -36,6 +37,7 @@ module Registry = Pr_core.Registry
 module Scenario = Pr_core.Scenario
 module Experiment = Pr_core.Experiment
 module Design_space = Pr_core.Design_space
+module Gate = Pr_telemetry.Gate
 
 let section title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '#')
@@ -1790,63 +1792,84 @@ let synth () =
   note "\nIncremental delta-SPF and hierarchical synthesis on the same internets:\n";
   let drows = run_delta ~sizes:(delta_sizes ()) in
   if json then begin
+    (* Graph shape and the counted work are fixed by the generator seed,
+       so they are exact; time, repetition counts, allocation and heap
+       words vary run to run and are banded. Rounding keeps each figure
+       at the precision the table prints. *)
+    let round digits x =
+      let k = 10.0 ** float_of_int digits in
+      J.Float (Float.round (x *. k) /. k)
+    in
+    let ns x = J.Int (int_of_float (Float.round x)) in
+    let row layer kernel target exact band =
+      {
+        Gate.layer;
+        kernel;
+        config = [ ("target_ads", J.Int target) ];
+        exact;
+        band;
+        cores = 1;
+      }
+    in
+    let spf =
+      List.map
+        (fun (target, ads, links, sources, reps, ns_op, words, live) ->
+          row "kernel" "Spf.tree (Dijkstra over CSR adjacency)" target
+            [ ("ads", J.Int ads); ("links", J.Int links); ("sources", J.Int sources) ]
+            [
+              ("reps", J.Int reps);
+              ("ns_per_op", ns ns_op);
+              ("alloc_words_per_op", ns words);
+              ("live_words", J.Int live);
+            ])
+        results
+    in
+    let policy =
+      List.map
+        (fun (target, ads, links, flows, interp_ns, compiled_ns) ->
+          row "search"
+            "Policy_route.shortest (exact policy search, restrictiveness 0.8, fine \
+             granularity)"
+            target
+            [ ("ads", J.Int ads); ("links", J.Int links); ("flows", J.Int flows) ]
+            [
+              ("interpreted_ns_per_route", ns interp_ns);
+              ("compiled_ns_per_route", ns compiled_ns);
+              ("speedup", round 2 (interp_ns /. compiled_ns));
+            ])
+        presults
+    in
+    let delta =
+      List.map
+        (fun r ->
+          row "kernel"
+            "Spf_delta repair vs Spf.tree_state full recompute; Hierarchy two-level \
+             synthesis"
+            r.d_target
+            [
+              ("ads", J.Int r.d_ads);
+              ("links", J.Int r.d_links);
+              ("sources", J.Int r.d_srcs);
+              ("events", J.Int r.d_events);
+              ("clusters", J.Int r.d_clusters);
+              ("pairs", J.Int r.d_pairs);
+              ("hier_stretch_mean", round 3 r.d_stretch_mean);
+              ("hier_stretch_max", round 3 r.d_stretch_max);
+              ("hier_table_mean", round 1 r.d_table_mean);
+            ]
+            [
+              ("full_ns_per_event", ns r.d_full_ns);
+              ("incremental_ns_per_event", ns r.d_incr_ns);
+              ("speedup", round 1 (r.d_full_ns /. r.d_incr_ns));
+              ("hier_route_ns", ns r.d_route_ns);
+            ])
+        drows
+    in
     let oc = open_out out in
-    Printf.fprintf oc "{\n";
-    Printf.fprintf oc "  \"benchmark\": \"route_synthesis_scaling\",\n";
-    Printf.fprintf oc "  \"kernel\": \"Spf.tree (Dijkstra over CSR adjacency)\",\n";
-    Printf.fprintf oc
-      "  \"units\": { \"time\": \"ns_per_op\", \"alloc\": \"words_per_op\", \"live\": \
-       \"words\" },\n";
-    Printf.fprintf oc "  \"results\": [\n";
-    List.iteri
-      (fun i (target, ads, links, sources, reps, ns, words, live) ->
-        Printf.fprintf oc
-          "    { \"target_ads\": %d, \"ads\": %d, \"links\": %d, \"sources\": %d, \
-           \"reps\": %d, \"ns_per_op\": %.0f, \"alloc_words_per_op\": %.0f, \
-           \"live_words\": %d }%s\n"
-          target ads links sources reps ns words live
-          (if i = List.length results - 1 then "" else ","))
-      results;
-    Printf.fprintf oc "  ],\n";
-    Printf.fprintf oc "  \"policy_synthesis\": {\n";
-    Printf.fprintf oc
-      "    \"kernel\": \"Policy_route.shortest (exact policy search, restrictiveness \
-       0.8, fine granularity)\",\n";
-    Printf.fprintf oc "    \"units\": { \"time\": \"ns_per_route\" },\n";
-    Printf.fprintf oc "    \"results\": [\n";
-    List.iteri
-      (fun i (target, ads, links, flows, interp_ns, compiled_ns) ->
-        Printf.fprintf oc
-          "      { \"target_ads\": %d, \"ads\": %d, \"links\": %d, \"flows\": %d, \
-           \"interpreted_ns_per_route\": %.0f, \"compiled_ns_per_route\": %.0f, \
-           \"speedup\": %.2f }%s\n"
-          target ads links flows interp_ns compiled_ns
-          (interp_ns /. compiled_ns)
-          (if i = List.length presults - 1 then "" else ","))
-      presults;
-    Printf.fprintf oc "    ]\n  },\n";
-    Printf.fprintf oc "  \"delta\": {\n";
-    Printf.fprintf oc
-      "    \"kernel\": \"Spf_delta repair vs Spf.tree_state full recompute; Hierarchy \
-       two-level synthesis\",\n";
-    Printf.fprintf oc
-      "    \"units\": { \"time\": \"ns_per_event\", \"route\": \"ns_per_route\" },\n";
-    Printf.fprintf oc "    \"results\": [\n";
-    List.iteri
-      (fun i r ->
-        Printf.fprintf oc
-          "      { \"target_ads\": %d, \"ads\": %d, \"links\": %d, \"sources\": %d, \
-           \"events\": %d, \"full_ns_per_event\": %.0f, \"incremental_ns_per_event\": \
-           %.0f, \"speedup\": %.1f, \"clusters\": %d, \"hier_stretch_mean\": %.3f, \
-           \"hier_stretch_max\": %.3f, \"hier_table_mean\": %.1f, \"hier_route_ns\": \
-           %.0f, \"pairs\": %d }%s\n"
-          r.d_target r.d_ads r.d_links r.d_srcs r.d_events r.d_full_ns r.d_incr_ns
-          (r.d_full_ns /. r.d_incr_ns)
-          r.d_clusters r.d_stretch_mean r.d_stretch_max r.d_table_mean r.d_route_ns
-          r.d_pairs
-          (if i = List.length drows - 1 then "" else ","))
-      drows;
-    Printf.fprintf oc "    ]\n  }\n}\n";
+    output_string oc
+      (J.to_string_pretty
+         (Gate.document_json ~benchmark:"route_synthesis_scaling" (spf @ policy @ delta)));
+    output_char oc '\n';
     close_out oc;
     note "\nWrote %s\n" out
   end

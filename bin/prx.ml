@@ -978,7 +978,7 @@ let serve_cmd =
     (if out <> "none" then begin
        let oc = open_out out in
        output_string oc
-         (Pr_util.Json.to_string_pretty (Pr_serve.Daemon.doc_json ~reports));
+         (Pr_util.Json.to_string_pretty (Pr_serve.Daemon.document_json reports));
        output_char oc '\n';
        close_out oc;
        Printf.printf "results: %s\n" out
@@ -1087,12 +1087,10 @@ let stats_cmd =
 
 (* --- bench diff ----------------------------------------------------- *)
 
-(* The regression gate: re-run the sessions a committed
-   BENCH_serve.json was generated from (rows are self-describing; older
-   rows fall back to the serve CLI defaults) and compare field by field
-   under the declared tolerance bands — deterministic counters must
-   match exactly, wall-clock figures within the timing band. Exits 1 on
-   any out-of-band field, 2 when nothing could be compared. *)
+(* The regression gate: re-run the serve rows of a committed benchmark
+   document from their own configs and gate each fresh row against its
+   baseline row (Pr_telemetry.Gate). Exits 1 on any failed field, 2 on
+   a malformed document or when nothing could be compared. *)
 
 let bench_cmd =
   let diff_cmd =
@@ -1107,120 +1105,66 @@ let bench_cmd =
     in
     let tolerance_arg =
       let doc =
-        "Relative tolerance band for wall-clock-derived fields (qps, latencies); \
-         deterministic counters always compare exactly. Generous by default because \
-         baselines cross machines."
+        "Relative tolerance for the rows' band fields (qps, latencies); exact fields \
+         always compare exactly. Generous by default because baselines cross machines."
       in
-      Arg.(value & opt float 9.0 & info [ "timing-tolerance" ] ~docv:"TOL" ~doc)
+      Arg.(
+        value
+        & opt float Pr_telemetry.Gate.default_tolerance
+        & info [ "timing-tolerance" ] ~docv:"TOL" ~doc)
     in
     let run () baseline sizes tolerance =
-      let module J = Pr_util.Json in
-      let module T = Pr_telemetry in
-      let read_file path =
-        try
-          let ic = open_in_bin path in
-          let len = in_channel_length ic in
-          let c = really_input_string ic len in
-          close_in ic;
-          Ok c
-        with Sys_error e -> Error e
-      in
-      let doc =
-        match Result.bind (read_file baseline) J.parse with
-        | Ok doc -> doc
-        | Error e ->
-          Printf.eprintf "prx: cannot read baseline %s: %s\n" baseline e;
-          exit 2
-      in
-      (match J.member "benchmark" doc with
-      | Some (J.String "route_server_serving") -> ()
-      | Some (J.String other) ->
-        Printf.eprintf
-          "prx: bench diff gates \"route_server_serving\" documents (got %S)\n" other;
-        exit 2
-      | _ ->
-        Printf.eprintf "prx: %s: missing \"benchmark\" identity\n" baseline;
-        exit 2);
+      let module Gate = Pr_telemetry.Gate in
+      let module Daemon = Pr_serve.Daemon in
+      let fail fmt = Printf.ksprintf (fun m -> prerr_endline ("prx: " ^ m); exit 2) fmt in
       let rows =
-        match Option.map J.to_list (J.member "results" doc) with
-        | Some (Ok l) -> l
-        | _ ->
-          Printf.eprintf "prx: %s: missing \"results\" list\n" baseline;
-          exit 2
+        match Gate.read baseline with
+        | Ok (_, rows) -> rows
+        | Error e -> fail "cannot read baseline %s: %s" baseline e
       in
-      let compared = ref 0 in
-      let failed = ref 0 in
-      let seed = Result.value (J.int_member "seed" doc) ~default:42 in
-      let plan_str = Result.value (J.string_member "plan" doc) ~default:"default" in
-      let plan =
-        match Pr_faults.Plan.profile plan_str with
-        | Some p -> p
-        | None -> (
-          match Pr_faults.Plan.of_string plan_str with
-          | Ok p -> p
-          | Error e ->
-            Printf.eprintf "prx: baseline has bad plan %S: %s\n" plan_str e;
-            exit 2)
+      (* Every serve row must describe a runnable session before any runs. *)
+      let sessions =
+        List.concat
+          (List.mapi
+             (fun i (row : Gate.row) ->
+               if row.Gate.layer <> "serve" then []
+               else
+                 match Daemon.config_of_row row with
+                 | Ok cfg -> [ (row, cfg) ]
+                 | Error e -> fail "%s: results row %d: %s" baseline i e)
+             rows)
       in
-      let spec = T.Gate.serve_spec ~timing_tolerance:tolerance in
-      (* Every row must describe a runnable session before any runs. *)
-      let rows =
-        List.mapi
-          (fun i row ->
-            match Pr_serve.Daemon.config_of_row ~seed ~plan ~plan_name:plan_str row with
-            | Ok cfg -> (row, cfg)
-            | Error e ->
-              Printf.eprintf "prx: %s: results row %d: %s\n" baseline i e;
-              exit 2)
-          rows
+      let chosen =
+        List.filter (fun (_, c) -> sizes = [] || List.mem c.Daemon.target_ads sizes) sessions
       in
-      List.iter
-        (fun (row, cfg) ->
-          let ads = cfg.Pr_serve.Daemon.target_ads in
-          if ads <= 0 then Printf.printf "skipping row without target_ads\n"
-          else if sizes <> [] && not (List.mem ads sizes) then ()
-          else begin
-            incr compared;
-            Printf.printf "re-running size %d (seed %d, plan %s)...\n%!" ads seed
-              cfg.Pr_serve.Daemon.plan_name;
-            let report = Pr_serve.Daemon.run cfg in
-            let outcomes =
-              T.Gate.compare_row ~spec ~baseline:row
-                ~current:(Pr_serve.Daemon.row_json report)
-            in
-            List.iter
-              (fun o ->
-                if not o.T.Gate.ok then begin
-                  incr failed;
-                  Format.printf "  %a@." T.Gate.pp_outcome o
-                end)
-              outcomes;
-            let bad = List.length (T.Gate.failures outcomes) in
-            if bad = 0 then
-              Printf.printf "  size %d: %d field(s) within tolerance\n" ads
-                (List.length outcomes)
-            else Printf.printf "  size %d: %d field(s) OUT OF TOLERANCE\n" ads bad
-          end)
-        rows;
-      if !compared = 0 then begin
-        Printf.eprintf "prx: no baseline rows matched (checked %d)\n"
-          (List.length rows);
-        exit 2
-      end;
-      if !failed > 0 then begin
-        Printf.printf "bench diff: FAIL (%d field(s) out of tolerance vs %s)\n"
-          !failed baseline;
+      if chosen = [] then
+        fail "%s: no serve rows to re-run (%d row(s), %d serve)" baseline (List.length rows)
+          (List.length sessions);
+      let failed =
+        List.fold_left
+          (fun failed (row, cfg) ->
+            let ads = cfg.Daemon.target_ads in
+            Printf.printf "re-running size %d (seed %d, plan %s)...\n%!" ads cfg.Daemon.seed
+              cfg.Daemon.plan_name;
+            let current = Daemon.row (Daemon.run cfg) in
+            let bad = Gate.failures (Gate.compare_row ~tolerance ~baseline:row ~current) in
+            List.iter (Format.printf "  %a@." Gate.pp_outcome) bad;
+            Printf.printf "  size %d: %d field(s) out of tolerance\n" ads (List.length bad);
+            failed + List.length bad)
+          0 chosen
+      in
+      if failed > 0 then begin
+        Printf.printf "bench diff: FAIL (%d field(s) out of tolerance vs %s)\n" failed baseline;
         exit 1
       end;
-      Printf.printf "bench diff: ok (%d row(s) within tolerance of %s)\n" !compared
+      Printf.printf "bench diff: ok (%d row(s) within tolerance of %s)\n" (List.length chosen)
         baseline
     in
     Cmd.v
       (Cmd.info "diff"
          ~doc:
-           "Re-run the sessions behind a committed serving benchmark document \
-            (BENCH_serve.json) and compare under tolerance bands; exits 1 on \
-            regression, 2 when nothing was comparable.")
+           "Re-run the serve rows of a committed benchmark document (BENCH_serve.json) \
+            and gate them; exits 1 on regression, 2 when nothing was comparable.")
       Term.(const run $ logs_term $ baseline_arg $ sizes_arg $ tolerance_arg)
   in
   Cmd.group

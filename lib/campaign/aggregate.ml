@@ -1,6 +1,7 @@
 module J = Pr_util.Json
 module Texttable = Pr_util.Texttable
 module Telemetry = Pr_telemetry.Registry
+module Gate = Pr_telemetry.Gate
 
 type row = {
   design_point : string;
@@ -193,39 +194,46 @@ let table rows_list =
     rows_list;
   t
 
-let row_json r =
-  J.Obj
-    [
-      ("design_point", J.String r.design_point);
-      ("protocol", J.String r.protocol);
-      ("runs", J.Int r.runs);
-      ("ok", J.Int r.ok);
-      ("failed", J.Int r.failed);
-      ("crashed", J.Int r.crashed);
-      ("timed_out", J.Int r.timed_out);
-      ("unconverged", J.Int r.unconverged);
-      ("budget_exhausted", J.Int r.budget_exhausted);
-      ("messages", J.Int r.messages);
-      ("bytes", J.Int r.bytes);
-      ("computations", J.Int r.computations);
-      ("transit_computations", J.Int r.transit_computations);
-      ("msgs_lost", J.Int r.msgs_lost);
-      ("table_total", J.Int r.table_total);
-      ("table_max", J.Int r.table_max);
-      ("msg_max", J.Int r.msg_max);
-      ("msg_mean", J.Float r.msg_mean);
-      ("msg_p90", J.Float r.msg_p90);
-      ("tbl_p90", J.Float r.tbl_p90);
-      ("delivered", J.Int r.delivered);
-      ("flows", J.Int r.flows);
-      ("loop_violations", J.Int r.loop_violations);
-      ("blackhole_violations", J.Int r.blackhole_violations);
-      ("containment_violations", J.Int r.containment_violations);
-      ("updates_rejected", J.Int r.updates_rejected);
-      ("quarantines", J.Int r.quarantines);
-      ("trace_dropped", J.Int r.trace_dropped);
-      ("wall_s", J.Float r.wall_s);
-    ]
+(* Every total is a sum or max of per-run counters, and the skew
+   columns are computed from integers, so all of it is exact; only the
+   summed worker wall clock is banded. *)
+let gate_row r =
+  {
+    Gate.layer = "converge";
+    kernel = r.design_point;
+    config = [ ("protocol", J.String r.protocol) ];
+    exact =
+      [
+        ("runs", J.Int r.runs);
+        ("ok", J.Int r.ok);
+        ("failed", J.Int r.failed);
+        ("crashed", J.Int r.crashed);
+        ("timed_out", J.Int r.timed_out);
+        ("unconverged", J.Int r.unconverged);
+        ("budget_exhausted", J.Int r.budget_exhausted);
+        ("messages", J.Int r.messages);
+        ("bytes", J.Int r.bytes);
+        ("computations", J.Int r.computations);
+        ("transit_computations", J.Int r.transit_computations);
+        ("msgs_lost", J.Int r.msgs_lost);
+        ("table_total", J.Int r.table_total);
+        ("table_max", J.Int r.table_max);
+        ("msg_max", J.Int r.msg_max);
+        ("msg_mean", J.Float r.msg_mean);
+        ("msg_p90", J.Float r.msg_p90);
+        ("tbl_p90", J.Float r.tbl_p90);
+        ("delivered", J.Int r.delivered);
+        ("flows", J.Int r.flows);
+        ("loop_violations", J.Int r.loop_violations);
+        ("blackhole_violations", J.Int r.blackhole_violations);
+        ("containment_violations", J.Int r.containment_violations);
+        ("updates_rejected", J.Int r.updates_rejected);
+        ("quarantines", J.Int r.quarantines);
+        ("trace_dropped", J.Int r.trace_dropped);
+      ];
+    band = [ ("wall_s", J.Float r.wall_s) ];
+    cores = 1;
+  }
 
 (* Merge the per-run registry snapshots the (forked) workers recorded:
    counters and histograms add, gauges keep the max — the telemetry one
@@ -250,27 +258,10 @@ let merged_telemetry (sink : Sink.t) =
             acc)))
     [] sink.Sink.records
 
-let summary_json ?(skipped = 0) sink =
-  let rows_list = rows sink in
-  let sum f = List.fold_left (fun acc r -> acc + f r) 0 rows_list in
-  let telemetry = merged_telemetry sink in
-  J.Obj
-    [
-      ("benchmark", J.String "campaign");
-      ( "runs",
-        J.Obj
-          [
-            ("total", J.Int (sum (fun r -> r.runs)));
-            ("ok", J.Int (sum (fun r -> r.ok)));
-            ("failed", J.Int (sum (fun r -> r.failed)));
-            ("crashed", J.Int (sum (fun r -> r.crashed)));
-            ("timed_out", J.Int (sum (fun r -> r.timed_out)));
-            ("skipped_on_resume", J.Int skipped);
-            ("malformed_lines", J.Int sink.Sink.malformed);
-          ] );
-      ("per_design_point", J.List (List.map row_json rows_list));
-      ("telemetry", Telemetry.snapshot_to_json telemetry);
-    ]
+let summary_json sink =
+  Gate.document_json ~benchmark:"campaign"
+    ~context:[ ("telemetry", Telemetry.snapshot_to_json (merged_telemetry sink)) ]
+    (List.map gate_row (rows sink))
 
 let write_summary ~path json =
   let oc = open_out path in

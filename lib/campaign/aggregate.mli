@@ -51,14 +51,16 @@ val rows : Sink.t -> row list
 
 val table : row list -> Pr_util.Texttable.t
 
-val summary_json : ?skipped:int -> Sink.t -> Pr_util.Json.t
-(** The [BENCH_campaign.json] document: run-health totals (including
-    how many runs a resume [skipped] and how many lines were
-    malformed), the per-design-point rows, and the per-run
-    ["telemetry"] snapshots merged across every record that carries
-    one (counters and histograms add, gauges keep the max). A record
-    whose snapshot does not parse, or clashes in a metric's kind with
-    the records before it, is left out of the merge; a clash is
-    reported on stderr with the run id and the metric. *)
+val summary_json : Sink.t -> Pr_util.Json.t
+(** The [BENCH_campaign.json] document: one {!Pr_telemetry.Gate} row
+    per design point (layer ["converge"], kernel the design point,
+    config the protocol; every total exact, the summed wall clock
+    banded), and beside the rows, as context the gate does not read,
+    the per-run ["telemetry"] snapshots merged across every record
+    that carries one (counters and histograms add, gauges keep the
+    max). A record whose snapshot does not parse, or clashes in a
+    metric's kind with the records before it, is left out of the
+    merge; a clash is reported on stderr with the run id and the
+    metric. *)
 
 val write_summary : path:string -> Pr_util.Json.t -> unit

@@ -47,6 +47,6 @@ let sweep ?jobs ?timeout_s ?(quiet = false) ?chaos ?summary_path ?trace_dir ~out
     trace_dir;
   let sink = Sink.read ~path:out in
   let rows = Aggregate.rows sink in
-  let summary = Aggregate.summary_json ~skipped sink in
+  let summary = Aggregate.summary_json sink in
   Option.iter (fun path -> Aggregate.write_summary ~path summary) summary_path;
   { total; skipped; executed = List.length todo; ok; not_ok; rows; summary }

@@ -6,10 +6,6 @@
     exact: [load (save s)] yields a scenario whose graph and policies
     behave identically to [s]. *)
 
-val scenario_to_sexp : Scenario.t -> Pr_util.Sexp.t
-
-val scenario_of_sexp : Pr_util.Sexp.t -> (Scenario.t, string) result
-
 val save : Scenario.t -> string
 (** Pretty-printed document suitable for a file. *)
 
@@ -18,13 +14,3 @@ val load : string -> (Scenario.t, string) result
 val save_file : Scenario.t -> path:string -> unit
 
 val load_file : path:string -> (Scenario.t, string) result
-
-(** Exposed for tests and other tooling: *)
-
-val graph_to_sexp : Pr_topology.Graph.t -> Pr_util.Sexp.t
-
-val graph_of_sexp : Pr_util.Sexp.t -> (Pr_topology.Graph.t, string) result
-
-val config_to_sexp : Pr_policy.Config.t -> Pr_util.Sexp.t
-
-val config_of_sexp : Pr_util.Sexp.t -> (Pr_policy.Config.t, string) result

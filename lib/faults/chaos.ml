@@ -97,6 +97,10 @@ let run ?(plan = Plan.default) ?(guard = Guard.default_config) ?flows
     ?(probes = 40) ?churn ?max_events ?(trace = Trace.disabled)
     (Registry.Packed (module P) : Registry.packed) (scenario : Scenario.t) =
   let module R = Runner.Make (P) in
+  (* A post-mortem covers this run only: an earlier run in this process
+     restarted simulated time, so its events would read as time going
+     backwards. The faulted run and its baseline below share the ring. *)
+  Trace.clear Trace.flight;
   let guard_cfg = guard in
   let seed = scenario.Scenario.seed in
   let g = scenario.Scenario.graph in

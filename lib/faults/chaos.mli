@@ -125,7 +125,9 @@ val run :
     40, flows drawn from the scenario); [churn] is [(events, spacing)]
     for additional link churn on its own rng stream; [max_events]
     bounds the converge (exhaustion yields a [no-reconvergence]
-    violation and a partial report rather than an exception). *)
+    violation and a partial report rather than an exception). The run
+    starts by clearing {!Pr_obs.Trace.flight}, so a post-mortem written
+    after it holds the faulted run's and its baseline's events only. *)
 
 val loop_violations : report -> int
 

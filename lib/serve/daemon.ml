@@ -21,6 +21,7 @@ module Hist = Pr_telemetry.Hist
 module Reg = Pr_telemetry.Registry
 module Trace = Pr_obs.Trace
 module Alloc = Pr_telemetry.Alloc
+module Gate = Pr_telemetry.Gate
 
 type config = {
   seed : int;
@@ -125,6 +126,10 @@ let time_ns_per ~ops f =
 type probe = { p_ad : int; p_flow : Flow.t; p_prev : int; p_next : int }
 
 let run cfg =
+  (* A post-mortem covers one session: events of an earlier session in
+     this process restarted simulated time and would read as going
+     backwards. *)
+  Trace.clear Trace.flight;
   let scenario =
     Scenario.for_size ~policy:cfg.policy ~target_ads:cfg.target_ads ~seed:cfg.seed ()
   in
@@ -434,67 +439,84 @@ let run cfg =
 let healthy r =
   r.agreement_failures = 0 && r.self_check_error = None && r.answered > 0
 
-let row_json r =
+let kernel =
+  "hash-consed policy decision diagrams + LRU handle table under fault-plan and \
+   set_transit churn"
+
+(* The session config rides along in every row, so `prx bench diff`
+   can re-run a baseline row exactly — including its own fault plan,
+   so one document can mix benign and attack rows. Every counter is a
+   product of (seed, plan, config), so it is exact; the wall-clock and
+   allocation figures are banded. The slowest single rebuild is left
+   out: one preemption during a microsecond-scale sample moves it by
+   orders of magnitude, so it measures the scheduler, not the code. *)
+let row r =
   let s = r.stats in
-  Json.Obj
-    [
-      ("target_ads", Json.Int r.config.target_ads);
-      ("ads", Json.Int r.ads);
-      ("links", Json.Int r.links);
-      ("queries", Json.Int r.queries);
-      ("data_packets", Json.Int r.data_packets);
-      ("answered", Json.Int r.answered);
-      ("no_routes", Json.Int r.no_routes);
-      ("qps", Json.Float r.qps);
-      ("p50_ns", Json.Float r.p50_ns);
-      ("p99_ns", Json.Float r.p99_ns);
-      ("admit_ns", Json.Float r.admit_ns);
-      ("spec_admit_ns", Json.Float r.spec_admit_ns);
-      ("admit_probes", Json.Int r.admit_probes);
-      ("handle_hit_rate", Json.Float r.handle_hit_rate);
-      ("route_hits", Json.Int s.Serve.route_hits);
-      ("route_misses", Json.Int s.Serve.route_misses);
-      ("route_evictions", Json.Int s.Serve.route_evictions);
-      ("handle_hits", Json.Int s.Serve.handle_hits);
-      ("handle_misses", Json.Int s.Serve.handle_misses);
-      ("handle_evictions", Json.Int s.Serve.handle_evictions);
-      ("handles_issued", Json.Int s.Serve.handles_issued);
-      ("rebuilds", Json.Int s.Serve.rebuilds);
-      ("rebuilt_ads", Json.Int s.Serve.rebuilt_ads);
-      ("rebuild_p50_ns", Json.Float r.rebuild_p50_ns);
-      ("rebuild_max_ns", Json.Float r.rebuild_max_ns);
-      ("build_ns", Json.Float r.build_ns);
-      ("diagram_nodes", Json.Int r.diagram_nodes);
-      ("diagram_preds", Json.Int r.diagram_preds);
-      ("store_version", Json.Int r.store_version);
-      ("flips", Json.Int r.flips);
-      ("faults", Json.Int r.faults);
-      ("agreement_checks", Json.Int r.agreement_checks);
-      ("agreement_failures", Json.Int r.agreement_failures);
-      ("stale_batches", Json.Int r.stale_batches);
-      ("queries_shed", Json.Int r.queries_shed);
-      ("max_stale_age", Json.Float r.max_stale_age);
-      ("link_quarantines", Json.Int r.link_quarantines);
-      ("link_readmissions", Json.Int r.link_readmissions);
-      (* Self-describing rows: the session config rides along so `prx
-         bench diff` can re-run a baseline row exactly — including its
-         own fault plan, so one document can mix benign and attack
-         rows. *)
-      ("plan", Json.String r.config.plan_name);
-      ("duration", Json.Float r.config.duration);
-      ("batch", Json.Int r.config.batch);
-      ("interval", Json.Float r.config.interval);
-      ("flip_every", Json.Float r.config.flip_every);
-      ("route_capacity", Json.Int r.config.route_capacity);
-      ("handle_capacity", Json.Int r.config.handle_capacity);
-      ("check_every", Json.Int r.config.check_every);
-      ("restrictiveness", Json.Float r.config.policy.Gen.restrictiveness);
-      ( "granularity",
-        Json.String (Gen.granularity_to_string r.config.policy.Gen.granularity) );
-      ("source_policy_prob", Json.Float r.config.policy.Gen.source_policy_prob);
-      ("admit_alloc_w", Json.Float r.admit_alloc_w);
-      ("latency_hist", Hist.to_json r.latency);
-    ]
+  let c = r.config in
+  {
+    Gate.layer = "serve";
+    kernel;
+    config =
+      [
+        ("seed", Json.Int c.seed);
+        ("target_ads", Json.Int c.target_ads);
+        ("plan", Json.String c.plan_name);
+        ("duration", Json.Float c.duration);
+        ("batch", Json.Int c.batch);
+        ("interval", Json.Float c.interval);
+        ("flip_every", Json.Float c.flip_every);
+        ("route_capacity", Json.Int c.route_capacity);
+        ("handle_capacity", Json.Int c.handle_capacity);
+        ("check_every", Json.Int c.check_every);
+        ("restrictiveness", Json.Float c.policy.Gen.restrictiveness);
+        ("granularity", Json.String (Gen.granularity_to_string c.policy.Gen.granularity));
+        ("source_policy_prob", Json.Float c.policy.Gen.source_policy_prob);
+      ];
+    exact =
+      [
+        ("ads", Json.Int r.ads);
+        ("links", Json.Int r.links);
+        ("queries", Json.Int r.queries);
+        ("data_packets", Json.Int r.data_packets);
+        ("answered", Json.Int r.answered);
+        ("no_routes", Json.Int r.no_routes);
+        ("admit_probes", Json.Int r.admit_probes);
+        ("handle_hit_rate", Json.Float r.handle_hit_rate);
+        ("route_hits", Json.Int s.Serve.route_hits);
+        ("route_misses", Json.Int s.Serve.route_misses);
+        ("route_evictions", Json.Int s.Serve.route_evictions);
+        ("handle_hits", Json.Int s.Serve.handle_hits);
+        ("handle_misses", Json.Int s.Serve.handle_misses);
+        ("handle_evictions", Json.Int s.Serve.handle_evictions);
+        ("handles_issued", Json.Int s.Serve.handles_issued);
+        ("rebuilds", Json.Int s.Serve.rebuilds);
+        ("rebuilt_ads", Json.Int s.Serve.rebuilt_ads);
+        ("diagram_nodes", Json.Int r.diagram_nodes);
+        ("diagram_preds", Json.Int r.diagram_preds);
+        ("store_version", Json.Int r.store_version);
+        ("flips", Json.Int r.flips);
+        ("faults", Json.Int r.faults);
+        ("agreement_checks", Json.Int r.agreement_checks);
+        ("agreement_failures", Json.Int r.agreement_failures);
+        ("stale_batches", Json.Int r.stale_batches);
+        ("queries_shed", Json.Int r.queries_shed);
+        ("max_stale_age", Json.Float r.max_stale_age);
+        ("link_quarantines", Json.Int r.link_quarantines);
+        ("link_readmissions", Json.Int r.link_readmissions);
+      ];
+    band =
+      [
+        ("qps", Json.Float r.qps);
+        ("p50_ns", Json.Float r.p50_ns);
+        ("p99_ns", Json.Float r.p99_ns);
+        ("admit_ns", Json.Float r.admit_ns);
+        ("spec_admit_ns", Json.Float r.spec_admit_ns);
+        ("admit_alloc_w", Json.Float r.admit_alloc_w);
+        ("rebuild_p50_ns", Json.Float r.rebuild_p50_ns);
+        ("build_ns", Json.Float r.build_ns);
+      ];
+    cores = 1;
+  }
 
 let check_config c =
   let bad fmt = Printf.ksprintf (fun m -> Error m) fmt in
@@ -517,19 +539,17 @@ let check_config c =
     bad "source_policy_prob must be in [0, 1] (got %g)" p.Gen.source_policy_prob
   else Ok c
 
-(* Rebuild a session config from a baseline row. Fields absent from
-   older rows fall back to the `prx serve` CLI defaults those baselines
-   were generated with (Gen.default policy: restrictiveness 0.3,
-   source-specific granularity); a field present with a bad value is
-   an error. *)
-let config_of_row ~seed ~plan ~plan_name row =
+(* Rebuild a session config from a baseline row. Fields the row's
+   config leaves out fall back to the `prx serve` CLI defaults
+   (Gen.default policy: restrictiveness 0.3, source-specific
+   granularity); a field present with a bad value is an error. *)
+let config_of_row (row : Gate.row) =
   let ( let* ) = Result.bind in
   let bad fmt = Printf.ksprintf (fun m -> Error m) fmt in
-  (* A row-level "plan" overrides the document-level one (attack rows
-     ride alongside benign rows). *)
+  let field name = List.assoc_opt name row.Gate.config in
   let* plan, plan_name =
-    match Json.member "plan" row with
-    | None -> Ok (plan, plan_name)
+    match field "plan" with
+    | None -> Ok (default_config.plan, default_config.plan_name)
     | Some (Json.String s) -> (
         match Plan.profile s with
         | Some p -> Ok (p, s)
@@ -540,7 +560,7 @@ let config_of_row ~seed ~plan ~plan_name row =
     | Some _ -> bad "plan must be a string"
   in
   let num name d =
-    match Json.member name row with
+    match field name with
     | None -> Ok d
     | Some (Json.Int v) -> Ok (float_of_int v)
     | Some (Json.Float v) -> Ok v
@@ -552,7 +572,7 @@ let config_of_row ~seed ~plan ~plan_name row =
     else bad "%s must be an integer (got %g)" name v
   in
   let* granularity =
-    match Json.member "granularity" row with
+    match field "granularity" with
     | None -> Ok Gen.default.Gen.granularity
     | Some (Json.String g) -> (
         match
@@ -562,7 +582,9 @@ let config_of_row ~seed ~plan ~plan_name row =
         | None -> bad "unknown granularity %S" g)
     | Some _ -> bad "granularity must be a string"
   in
+  let* seed = int_f "seed" default_config.seed in
   let* target_ads = int_f "target_ads" 0 in
+  let* () = if target_ads >= 1 then Ok () else bad "target_ads must be >= 1 (got %d)" target_ads in
   let* duration = num "duration" default_config.duration in
   let* batch = int_f "batch" default_config.batch in
   let* interval = num "interval" default_config.interval in
@@ -589,22 +611,8 @@ let config_of_row ~seed ~plan ~plan_name row =
       record_exact = false;
     }
 
-let doc_json ~reports =
-  match reports with
-  | [] -> invalid_arg "Daemon.doc_json: no reports"
-  | first :: _ ->
-      Json.Obj
-        [
-          ("benchmark", Json.String "route_server_serving");
-          ( "kernel",
-            Json.String
-              "hash-consed policy decision diagrams + LRU handle table under \
-               fault-plan and set_transit churn" );
-          ("units", Json.String "ns (wall), queries/s");
-          ("plan", Json.String first.config.plan_name);
-          ("seed", Json.Int first.config.seed);
-          ("results", Json.List (List.map row_json reports));
-        ]
+let document_json reports =
+  Gate.document_json ~benchmark:"route_server_serving" (List.map row reports)
 
 let pp_stale ppf r =
   if r.stale_batches > 0 then

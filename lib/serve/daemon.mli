@@ -111,16 +111,20 @@ type report = {
 }
 
 val run : config -> report
+(** One session. It starts by clearing {!Pr_obs.Trace.flight}, so a
+    post-mortem written after it holds this session's events only. *)
 
 val healthy : report -> bool
 (** No admission disagreements, no leak/audit error, and at least one
     answered query. *)
 
-val row_json : report -> Pr_util.Json.t
-(** One BENCH_serve.json results row. *)
+val row : report -> Pr_telemetry.Gate.row
+(** One BENCH_serve.json row, layer ["serve"]: the session config,
+    every counter [exact], the wall-clock and allocation figures in
+    [band]. *)
 
-val doc_json : reports:report list -> Pr_util.Json.t
-(** The full BENCH_serve.json document ("route_server_serving"). *)
+val document_json : report list -> Pr_util.Json.t
+(** The BENCH_serve.json document ("route_server_serving"). *)
 
 val pp_report : Format.formatter -> report -> unit
 
@@ -130,16 +134,13 @@ val check_config : config -> (config, string) result
     duration and flip period [>= 0], and policy fractions in [0, 1].
     Otherwise an error naming the first bad field. *)
 
-val config_of_row :
-  seed:int ->
-  plan:Pr_faults.Plan.t ->
-  plan_name:string ->
-  Pr_util.Json.t ->
-  (config, string) result
-(** Rebuild the session config a BENCH_serve.json results row was
-    generated with, falling back to the `prx serve` CLI defaults for
-    fields older baselines did not record. A row-level ["plan"] field
-    overrides [plan]/[plan_name], so one document can gate benign and
-    attack rows together. The `prx bench diff` regression gate re-runs
-    rows through this. A field of the wrong type, an unparseable plan
-    or granularity, or a config {!check_config} refuses is an error. *)
+val config_of_row : Pr_telemetry.Gate.row -> (config, string) result
+(** Rebuild the session config a BENCH_serve.json row was generated
+    with from the row's [config], falling back to {!default_config}'s
+    seed and plan and to the `prx serve` CLI defaults for fields it
+    leaves out. Each row carries its own plan, so one document can
+    gate benign and attack rows together. The `prx bench diff`
+    regression gate re-runs rows through this. A missing or
+    non-positive [target_ads], a field of the wrong type, an
+    unparseable plan or granularity, or a config {!check_config}
+    refuses is an error. *)

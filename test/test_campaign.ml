@@ -385,18 +385,26 @@ let driver_summary_schema () =
   Sys.remove path;
   Sys.remove summary_path;
   check_bool "summary written equals report summary" true (on_disk = report.Driver.summary);
-  check_string "benchmark tag" "campaign"
-    (Result.get_ok (J.string_member "benchmark" on_disk));
-  let runs = Option.get (J.member "runs" on_disk) in
-  check_int "totals" 1 (Result.get_ok (J.int_member "total" runs));
-  match J.member "per_design_point" on_disk with
-  | Some (J.List [ row ]) ->
-    check_string "protocol" "ecma" (Result.get_ok (J.string_member "protocol" row));
-    List.iter
-      (fun field ->
-        check_bool (field ^ " present") true (Result.is_ok (J.int_member field row)))
-      [ "messages"; "bytes"; "computations"; "transit_computations"; "table_total"; "table_max" ]
-  | _ -> Alcotest.fail "per_design_point missing"
+  match Pr_telemetry.Gate.document_of_json on_disk with
+  | Error e -> Alcotest.fail e
+  | Ok (benchmark, rows) -> (
+    check_string "benchmark tag" "campaign" benchmark;
+    check_bool "merged telemetry rides beside the rows" true
+      (J.member "telemetry" on_disk <> None);
+    match rows with
+    | [ row ] ->
+      check_string "layer" "converge" row.Pr_telemetry.Gate.layer;
+      check_bool "config names the protocol" true
+        (row.Pr_telemetry.Gate.config = [ ("protocol", J.String "ecma") ]);
+      check_bool "runs" true (List.assoc_opt "runs" row.Pr_telemetry.Gate.exact = Some (J.Int 1));
+      List.iter
+        (fun field ->
+          check_bool (field ^ " exact") true
+            (List.mem_assoc field row.Pr_telemetry.Gate.exact))
+        [ "messages"; "bytes"; "computations"; "transit_computations"; "table_total"; "table_max" ];
+      check_bool "wall clock banded" true
+        (List.mem_assoc "wall_s" row.Pr_telemetry.Gate.band)
+    | _ -> Alcotest.fail "expected one design-point row")
 
 let () =
   Alcotest.run "pr_campaign"

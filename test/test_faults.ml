@@ -604,6 +604,31 @@ let notable_events_reach_both_sinks () =
         (List.exists (String.starts_with ~prefix:name) (faulted @ attacked)))
     [ "link."; "node."; "fault.crash"; "guard."; "invariant.violation" ]
 
+(* A post-mortem written after several runs in one process (two
+   chaos runs here, each a faulted run plus its baseline) holds the
+   last run's events only: each run restarts simulated time, so the
+   earlier run's events would read as time going backwards. The
+   faulted run's events survive its own baseline run. *)
+let post_mortem_covers_one_run () =
+  let scenario = Scenario.for_size ~target_ads:14 ~seed:42 () in
+  let packed = Option.get (Chaos.find_protocol "orwg") in
+  let events () =
+    match J.member "events" (Trace.post_mortem ~reason:"test" Trace.flight) with
+    | Some (J.List l) -> l
+    | _ -> Alcotest.fail "no events list"
+  in
+  ignore (Chaos.run ~probes:10 packed scenario);
+  let first = events () in
+  check_bool "the faulted run's link events kept" true
+    (List.exists
+       (fun e -> J.string_member "name" e = Ok "link.down")
+       first);
+  ignore (Chaos.run ~probes:10 packed scenario);
+  (match Trace.validate_events (events ()) with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "post-mortem after two runs: %s" e);
+  check_int "the second run's events only" (List.length first) (List.length (events ()))
+
 let () =
   Alcotest.run "faults"
     [
@@ -627,6 +652,7 @@ let () =
             faulted_convergence_minor_words_per_event;
           Alcotest.test_case "notable events reach trace and post-mortem ring" `Quick
             notable_events_reach_both_sinks;
+          Alcotest.test_case "post-mortem covers one run" `Quick post_mortem_covers_one_run;
         ] );
       ( "crash-restart",
         List.map crash_restart_case

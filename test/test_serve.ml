@@ -388,34 +388,74 @@ let daemon_session_healthy () =
     (r.Daemon.stats.Serve.rebuilt_ads
     < r.Daemon.ads * (r.Daemon.stats.Serve.rebuilds + 1))
 
-(* A baseline row is outside input: absent fields take the CLI
-   defaults, and a bad field is an error, never an exception or a
+(* A baseline row's config is outside input: absent fields take the
+   CLI defaults, and a bad field is an error, never an exception or a
    silent default. *)
 let config_of_row_validates () =
   let module J = Pr_util.Json in
-  let of_row fields =
-    Daemon.config_of_row ~seed:1 ~plan:Pr_faults.Plan.default ~plan_name:"default"
-      (J.Obj (("target_ads", J.Int 14) :: fields))
+  let of_config config =
+    Daemon.config_of_row
+      { Pr_telemetry.Gate.layer = "serve"; kernel = "daemon"; config; exact = []; band = []; cores = 1 }
   in
+  let of_row fields = of_config (("target_ads", J.Int 14) :: fields) in
   let rejects name fields = check_bool name true (Result.is_error (of_row fields)) in
   let defaults =
-    { Daemon.default_config with Daemon.seed = 1; target_ads = 14; policy = Gen.default }
+    { Daemon.default_config with Daemon.target_ads = 14; policy = Gen.default }
   in
   check_bool "absent fields take the CLI defaults" true (of_row [] = Ok defaults);
+  check_bool "a row without a target size" true (Result.is_error (of_config []));
   rejects "route capacity 0" [ ("route_capacity", J.Int 0) ];
   rejects "handle capacity -1" [ ("handle_capacity", J.Int (-1)) ];
   rejects "batch 0" [ ("batch", J.Int 0) ];
   rejects "fractional batch" [ ("batch", J.Float 1.5) ];
+  rejects "fractional seed" [ ("seed", J.Float 1.5) ];
   rejects "interval 0" [ ("interval", J.Float 0.0) ];
   rejects "negative duration" [ ("duration", J.Float (-1.0)) ];
   rejects "restrictiveness above 1" [ ("restrictiveness", J.Float 1.5) ];
   rejects "string where a number goes" [ ("duration", J.String "long") ];
   rejects "unparseable plan" [ ("plan", J.String "bogus:plan") ];
   rejects "unknown granularity" [ ("granularity", J.String "medium") ];
-  check_bool "row plan overrides" true
-    (match of_row [ ("plan", J.String "none") ] with
-    | Ok c -> c.Daemon.plan_name = "none"
+  check_bool "row plan and seed taken" true
+    (match of_row [ ("plan", J.String "none"); ("seed", J.Int 5) ] with
+    | Ok c -> c.Daemon.plan_name = "none" && c.Daemon.seed = 5
     | Error _ -> false)
+
+(* A row re-runs as itself: the config a session writes into its row
+   rebuilds that session's config. *)
+let row_config_round_trips () =
+  let cfg =
+    { Daemon.default_config with Daemon.target_ads = 14; duration = 2.0; seed = 5 }
+  in
+  let r = Daemon.run cfg in
+  check_bool "config_of_row (row r) = config" true
+    (Daemon.config_of_row (Daemon.row r) = Ok cfg)
+
+(* `prx serve --sizes a,b` failing on b writes one post-mortem after two
+   sessions: it must hold the failing session's events only, in
+   non-decreasing simulated time. *)
+let post_mortem_after_two_sessions () =
+  let module J = Pr_util.Json in
+  let module Trace = Pr_obs.Trace in
+  let session target_ads =
+    ignore
+      (Daemon.run
+         {
+           Daemon.default_config with
+           Daemon.target_ads;
+           duration = 8.0;
+           plan = Option.get (Pr_faults.Plan.profile "chatter");
+           plan_name = "chatter";
+         })
+  in
+  session 20;
+  session 14;
+  match J.member "events" (Trace.post_mortem ~reason:"test" Trace.flight) with
+  | Some (J.List events) -> (
+      check_bool "the last session noted events" true (events <> []);
+      match Trace.validate_events events with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "post-mortem after two sessions: %s" e)
+  | _ -> Alcotest.fail "no events list"
 
 (* --- ORWG route cache bounded by the same LRU ---------------------- *)
 
@@ -698,6 +738,9 @@ let () =
           Alcotest.test_case "daemon session healthy" `Quick daemon_session_healthy;
           Alcotest.test_case "bounded search at 10^3 ADs" `Quick bounded_search_at_scale;
           Alcotest.test_case "baseline rows are validated" `Quick config_of_row_validates;
+          Alcotest.test_case "row config round-trips" `Quick row_config_round_trips;
+          Alcotest.test_case "post-mortem after two sessions" `Quick
+            post_mortem_after_two_sessions;
         ]
         @ qsuite [ three_callers_agree ] );
       ( "orwg-cache",

@@ -3,7 +3,8 @@
    associative, equivalent to recording into one histogram), JSON
    round-trips for histograms and registry snapshots, snapshot
    diff/merge semantics, the flight-recorder ring contract, the
-   bench-regression gate's tolerance bands, allocation accounting, and
+   benchmark row shape and its gate, a fuzz of the parsers of outside
+   input, allocation accounting, and
    the daemon acceptance criterion: estimated p50/p99 within one log2
    bucket of the exact sorted-list percentiles of the same session. *)
 
@@ -278,34 +279,147 @@ let test_flight_dump () =
 
 (* --- regression gate ------------------------------------------------- *)
 
-let row fields = J.Obj (List.map (fun (k, v) -> (k, J.Float v)) fields)
+let row ?(layer = "serve") ?(config = [ ("target_ads", J.Int 14) ]) exact band =
+  { Gate.layer; kernel = "daemon"; config; exact; band; cores = 1 }
+
+let fails ~baseline ~current =
+  List.map
+    (fun (o : Gate.outcome) -> o.field)
+    (Gate.failures (Gate.compare_row ~tolerance:0.5 ~baseline ~current))
 
 let test_gate_bands () =
-  let spec =
+  let baseline =
+    row [ ("queries", J.Int 100); ("hit_rate", J.Float 0.25) ] [ ("qps", J.Float 50.0) ]
+  in
+  check_bool "identical row passes" true (fails ~baseline ~current:baseline = []);
+  check_bool "band drift within tolerance passes" true
+    (fails ~baseline
+       ~current:
+         (row [ ("queries", J.Int 100); ("hit_rate", J.Float 0.25) ] [ ("qps", J.Float 70.0) ])
+    = []);
+  check_bool "exact and band drift both fail" true
+    (fails ~baseline
+       ~current:
+         (row [ ("queries", J.Int 101); ("hit_rate", J.Float 0.25) ] [ ("qps", J.Float 200.0) ])
+    = [ "queries"; "qps" ]);
+  check_bool "an exact float must match as written" true
+    (fails ~baseline
+       ~current:
+         (row
+            [ ("queries", J.Int 100); ("hit_rate", J.Float (0.25 +. 1e-9)) ]
+            [ ("qps", J.Float 50.0) ])
+    = [ "hit_rate" ]);
+  check_bool "a field missing from the current row fails" true
+    (fails ~baseline ~current:(row [ ("queries", J.Int 100) ] []) = [ "hit_rate"; "qps" ]);
+  (* The baseline is the spec: fields only the current row has are not
+     compared, and a field the producer moved to the band still gates
+     exactly against an exact baseline. *)
+  check_bool "baseline decides" true
+    (fails ~baseline
+       ~current:
+         (row [ ("queries", J.Int 100); ("extra", J.Int 7) ]
+            [ ("hit_rate", J.Float 0.25); ("qps", J.Float 50.0) ])
+    = [])
+
+let parse_doc text = Result.bind (J.parse text) Gate.document_of_json
+
+let test_gate_schema () =
+  let rows =
     [
-      { Gate.field = "queries"; band = Gate.Exact };
-      { Gate.field = "qps"; band = Gate.Rel 0.5 };
-      { Gate.field = "noise"; band = Gate.Ignore };
+      row [ ("queries", J.Int 1) ] [ ("qps", J.Float 2.5) ];
+      row ~layer:"kernel" [] [ ("ns_per_op", J.Int 3) ];
     ]
   in
-  let baseline = row [ ("queries", 100.0); ("qps", 50.0); ("noise", 1.0) ] in
-  let ok_row = row [ ("queries", 100.0); ("qps", 70.0); ("noise", 99.0) ] in
-  check_int "all within" 0
-    (List.length (Gate.failures (Gate.compare_row ~spec ~baseline ~current:ok_row)));
-  let drifted = row [ ("queries", 101.0); ("qps", 200.0); ("noise", 0.0) ] in
-  let bad = Gate.failures (Gate.compare_row ~spec ~baseline ~current:drifted) in
-  check_bool "exact and rel both fail, ignore passes" true
-    (List.map (fun (o : Gate.outcome) -> o.field) bad = [ "queries"; "qps" ]);
-  (* Schema evolution: absent in baseline skips; absent in current fails. *)
-  let old_baseline = row [ ("queries", 100.0) ] in
-  check_int "absent-in-baseline skipped" 0
-    (List.length
-       (Gate.failures (Gate.compare_row ~spec ~baseline:old_baseline ~current:ok_row)));
-  let truncated = row [ ("queries", 100.0); ("noise", 1.0) ] in
-  check_bool "absent-in-current fails" true
-    (List.exists
-       (fun (o : Gate.outcome) -> o.field = "qps")
-       (Gate.failures (Gate.compare_row ~spec ~baseline ~current:truncated)))
+  check_bool "document round-trips" true
+    (parse_doc (J.to_string (Gate.document_json ~benchmark:"b" rows)) = Ok ("b", rows));
+  check_bool "context members are not read" true
+    (parse_doc
+       (J.to_string (Gate.document_json ~benchmark:"b" ~context:[ ("x", J.Null) ] rows))
+    = Ok ("b", rows));
+  let rejects name ?(expect = "") text =
+    match parse_doc text with
+    | Ok _ -> Alcotest.failf "%s: accepted" name
+    | Error e ->
+        if expect <> "" then Alcotest.(check string) name expect e
+  in
+  let doc r = Printf.sprintf "{\"benchmark\": \"b\", \"results\": [%s]}" r in
+  let good =
+    "\"layer\": \"serve\", \"kernel\": \"k\", \"config\": {}, \"exact\": {}, \
+     \"band\": {}"
+  in
+  ignore (Result.get_ok (parse_doc (doc ("{" ^ good ^ ", \"cores\": 1}"))));
+  rejects "non-numeric exact value"
+    ~expect:"results row 0: exact \"queries\" is not a number"
+    (doc
+       "{\"layer\": \"serve\", \"kernel\": \"k\", \"config\": {}, \"exact\": \
+        {\"queries\": \"3\"}, \"band\": {}, \"cores\": 1}");
+  rejects "layer off the ladder"
+    (doc
+       "{\"layer\": \"engine\", \"kernel\": \"k\", \"config\": {}, \"exact\": {}, \
+        \"band\": {}, \"cores\": 1}");
+  rejects "zero cores" (doc ("{" ^ good ^ ", \"cores\": 0}"));
+  rejects "missing cores" (doc ("{" ^ good ^ "}"));
+  rejects "member outside the shape" (doc ("{" ^ good ^ ", \"cores\": 1, \"qps\": 1}"));
+  rejects "field in exact and band"
+    (doc
+       "{\"layer\": \"serve\", \"kernel\": \"k\", \"config\": {}, \"exact\": \
+        {\"q\": 1}, \"band\": {\"q\": 1}, \"cores\": 1}");
+  rejects "two rows, one key"
+    ~expect:"results rows 0 and 1 share layer, kernel and config"
+    (doc ("{" ^ good ^ ", \"cores\": 1}, {" ^ good ^ ", \"cores\": 2}"));
+  rejects "empty results" "{\"benchmark\": \"b\", \"results\": []}";
+  rejects "no identity" "{\"results\": []}";
+  rejects "not an object" "[1, 2]"
+
+let test_gate_keys () =
+  let a = row ~config:[ ("target_ads", J.Int 14); ("plan", J.String "none") ] [] [] in
+  let b = row ~config:[ ("plan", J.String "none"); ("target_ads", J.Float 14.0) ] [] [] in
+  check_bool "member order and number spelling do not matter" true (Gate.same_key a b);
+  check_bool "config values do" false
+    (Gate.same_key a (row ~config:[ ("target_ads", J.Int 15); ("plan", J.String "none") ] [] []));
+  check_bool "layer does" false (Gate.same_key a { a with Gate.layer = "kernel" })
+
+(* --- outside input: fuzz --------------------------------------------- *)
+
+(* Random strings and single-byte mutations or truncations of the
+   committed benchmark documents: each parser of outside input returns
+   Ok or Error, never raises. *)
+let committed =
+  List.map
+    (fun f -> In_channel.with_open_bin (Filename.concat ".." f) In_channel.input_all)
+    [ "BENCH_synthesis.json"; "BENCH_serve.json"; "BENCH_campaign.json" ]
+
+let fuzz_input =
+  let open QCheck.Gen in
+  let mutated =
+    oneofl committed >>= fun doc ->
+    int_bound (String.length doc - 1) >>= fun at ->
+    oneof
+      [
+        map (fun c -> String.mapi (fun i x -> if i = at then c else x) doc) char;
+        return (String.sub doc 0 at);
+      ]
+  in
+  QCheck.make
+    ~print:(fun s -> Printf.sprintf "%d bytes: %S" (String.length s) (String.sub s 0 (min 80 (String.length s))))
+    (oneof [ string; string_printable; mutated ])
+
+let never_raises name f =
+  QCheck.Test.make ~name ~count:600 fuzz_input (fun s ->
+      match f s with Ok _ | Error _ -> true | exception _ -> false)
+
+let fuzz_tests =
+  [
+    never_raises "Json.parse" J.parse;
+    never_raises "Gate.document_of_json" (fun s ->
+        Result.bind (J.parse s) Gate.document_of_json);
+    never_raises "Plan.of_string" Pr_faults.Plan.of_string;
+  ]
+
+let test_committed_parse () =
+  List.iter
+    (fun doc -> check_bool "committed document parses" true (Result.is_ok (parse_doc doc)))
+    committed
 
 (* --- allocation accounting ------------------------------------------ *)
 
@@ -393,7 +507,13 @@ let () =
           Alcotest.test_case "dump" `Quick test_flight_dump;
         ] );
       ( "gate",
-        [ Alcotest.test_case "tolerance bands" `Quick test_gate_bands ] );
+        [
+          Alcotest.test_case "tolerance bands" `Quick test_gate_bands;
+          Alcotest.test_case "row schema" `Quick test_gate_schema;
+          Alcotest.test_case "row keys" `Quick test_gate_keys;
+          Alcotest.test_case "committed documents parse" `Quick test_committed_parse;
+        ] );
+      ("fuzz", List.map QCheck_alcotest.to_alcotest fuzz_tests);
       ( "alloc",
         [ Alcotest.test_case "words" `Quick test_alloc_words ] );
       ( "daemon",
