@@ -251,10 +251,18 @@ let config_of_sexp sexp =
     | None -> Ok []
     | Some items -> map_result source_of_sexp items
   in
-  let source = Array.make (Array.length transit) None in
-  List.iter
-    (fun (p : Source_policy.t) -> source.(p.Source_policy.owner) <- Some p)
-    sources;
+  let n = Array.length transit in
+  let source = Array.make n None in
+  let* () =
+    List.fold_left
+      (fun acc (p : Source_policy.t) ->
+        let* () = acc in
+        let owner = p.Source_policy.owner in
+        if owner < 0 || owner >= n then
+          Error (Printf.sprintf "source policy of AD %d outside the %d-AD graph" owner n)
+        else Ok (source.(owner) <- Some p))
+      (Ok ()) sources
+  in
   match Config.make ~transit ~source () with
   | c -> Ok c
   | exception Invalid_argument msg -> Error msg

@@ -15,16 +15,22 @@ let ids_mem ids ad =
   done;
   !found
 
+(* Generated predicates arrive already ascending, so one pass that
+   finds them in order saves the sort; only the rest pay for it. *)
+let sorted_copy ids =
+  let ids = Array.copy ids in
+  let ascending = ref true and i = ref 1 in
+  while !ascending && !i < Array.length ids do
+    if Array.unsafe_get ids (!i - 1) > Array.unsafe_get ids !i then ascending := false;
+    incr i
+  done;
+  if not !ascending then Array.sort Int.compare ids;
+  ids
+
 let sort_pred = function
   | Any -> Any
-  | Only ids ->
-    let ids = Array.copy ids in
-    Array.sort compare ids;
-    Only ids
-  | Except ids ->
-    let ids = Array.copy ids in
-    Array.sort compare ids;
-    Except ids
+  | Only ids -> Only (sorted_copy ids)
+  | Except ids -> Except (sorted_copy ids)
 
 let pred_admits pred ad =
   match pred with

@@ -50,31 +50,44 @@ type ipred = { pid : int; p : Compiled.pred; triv : triv }
 
 type key = KBranch of int * int array | KTest of int * int * int * int
 
+(* Predicates are interned by content: the complement flag and the
+   bitset's packed bytes. A lookup hashes and compares bytes in place,
+   allocating nothing; the table's keys are the interned predicates
+   themselves, which no one mutates once compiled. *)
+module Pred_tbl = Hashtbl.Make (struct
+  type t = Compiled.pred
+
+  let equal (a : t) (b : t) =
+    a.Compiled.compl = b.Compiled.compl && Bitset.equal a.Compiled.bits b.Compiled.bits
+
+  let hash (p : t) = Bitset.hash p.Compiled.bits lxor Bool.to_int p.Compiled.compl
+end)
+
 type store = {
-  preds : (bool * int list, ipred) Hashtbl.t;
+  preds : ipred Pred_tbl.t;
   nodes : (key, node) Hashtbl.t;
   mutable next_pid : int;
   mutable next_id : int;
 }
 
 let store_create () =
-  { preds = Hashtbl.create 256; nodes = Hashtbl.create 1024; next_pid = 0; next_id = 2 }
+  { preds = Pred_tbl.create 256; nodes = Hashtbl.create 1024; next_pid = 0; next_id = 2 }
 
 let store_nodes s = Hashtbl.length s.nodes
-let store_preds s = Hashtbl.length s.preds
+let store_preds s = Pred_tbl.length s.preds
 
 let intern_pred s (p : Compiled.pred) =
-  let els = Bitset.elements p.Compiled.bits in
-  let k = (p.Compiled.compl, els) in
-  match Hashtbl.find_opt s.preds k with
+  match Pred_tbl.find_opt s.preds p with
   | Some ip -> ip
   | None ->
       let triv =
-        if els <> [] then T_test else if p.Compiled.compl then T_true else T_false
+        if not (Bitset.is_empty p.Compiled.bits) then T_test
+        else if p.Compiled.compl then T_true
+        else T_false
       in
       let ip = { pid = s.next_pid; p; triv } in
       s.next_pid <- s.next_pid + 1;
-      Hashtbl.add s.preds k ip;
+      Pred_tbl.add s.preds p ip;
       ip
 
 let mk_branch s sel children =
@@ -180,7 +193,7 @@ let compile s (c : Compiled.t) =
       (fun i -> not (dead i))
       (List.init (Array.length info) (fun i -> i))
   in
-  let memo : (int * int list, node) Hashtbl.t = Hashtbl.create 64 in
+  let memo : (int * int list, node) Hashtbl.t = Hashtbl.create 16 in
   let rec build l live =
     if live = [] then leaf_false
     else if List.exists (fun i -> info.(i).free.(l)) live then leaf_true
@@ -204,10 +217,21 @@ let compile s (c : Compiled.t) =
       | 2 -> v = 1 || not info.(i).auth
       | _ -> info.(i).hm land (1 lsl v) <> 0
     in
-    let children =
-      Array.init arity (fun v -> build (l + 1) (List.filter (passes v) live))
+    let passes_all i =
+      match l with
+      | 0 -> info.(i).qm land full_qos = full_qos
+      | 1 -> info.(i).um land full_uci = full_uci
+      | 2 -> not info.(i).auth
+      | _ -> info.(i).hm land full_day = full_day
     in
-    mk_branch s l children
+    (* When no live term tests this level every child is the same
+       diagram, which [mk_branch] would collapse to: build it once. *)
+    if List.for_all passes_all live then build (l + 1) live
+    else
+      let children =
+        Array.init arity (fun v -> build (l + 1) (List.filter (passes v) live))
+      in
+      mk_branch s l children
   and test_level l live =
     let pass_through, tested =
       List.partition (fun i -> (pred_at info l i).triv = T_true) live
@@ -373,16 +397,15 @@ let check db =
   let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
   let seen_ids = Hashtbl.create 1024 in
   let by_key = Hashtbl.create 1024 in
-  let preds_by_key = Hashtbl.create 256 in
+  let preds_by_key = Pred_tbl.create 256 in
   let result = ref (Ok ()) in
   let fail_once e = if !result = Ok () then result := e in
   let check_pred (p : Compiled.pred) =
-    let k = (p.Compiled.compl, Bitset.elements p.Compiled.bits) in
-    match Hashtbl.find_opt preds_by_key k with
+    match Pred_tbl.find_opt preds_by_key p with
     | Some p' when not (p' == p) ->
         fail_once (err "two physically distinct equal predicates reachable")
     | Some _ -> ()
-    | None -> Hashtbl.add preds_by_key k p
+    | None -> Pred_tbl.add preds_by_key p p
   in
   let rec visit n =
     match n with

@@ -294,11 +294,16 @@ let transit_ids t =
       | Ad.Transit | Ad.Hybrid -> true
       | Ad.Stub | Ad.Multihomed -> false)
 
+(* A walk over the cone only: the marks are one bit per AD and the
+   members are collected as they are first reached, so no pass over
+   the whole graph follows the walk. *)
 let hierarchy_descendants t root =
-  let seen = Array.make (n t) false in
+  let seen = Pr_util.Bitset.create (n t) in
+  let cone = ref [] in
   let rec go u =
-    if not seen.(u) then begin
-      seen.(u) <- true;
+    if not (Pr_util.Bitset.mem seen u) then begin
+      Pr_util.Bitset.add seen u;
+      cone := u :: !cone;
       iter_neighbors t u ~f:(fun v lid ->
           let l = t.links.(lid) in
           if
@@ -308,11 +313,9 @@ let hierarchy_descendants t root =
     end
   in
   go root;
-  let acc = ref [] in
-  for i = n t - 1 downto 0 do
-    if seen.(i) then acc := i :: !acc
-  done;
-  !acc
+  let ids = Array.of_list !cone in
+  Array.sort Int.compare ids;
+  ids
 
 let pp_summary ppf t =
   Format.fprintf ppf "%d ADs, %d links;" (n t) (num_links t);

@@ -117,10 +117,11 @@ val host_ids : t -> Ad.id list
 
 val transit_ids : t -> Ad.id list
 
-val hierarchy_descendants : t -> Ad.id -> Ad.id list
+val hierarchy_descendants : t -> Ad.id -> Ad.id array
 (** The AD's customer cone: itself plus every AD reachable by
     repeatedly following hierarchical links toward strictly lower
-    hierarchy levels (backbone → regional → metro → campus). Sorted.
+    hierarchy levels (backbone → regional → metro → campus), sorted
+    ascending. Costs O(cone log cone) plus one bit per AD of marks.
     Used by policy generation: a provider always serves its own
     customers. *)
 

@@ -61,8 +61,6 @@ let fold t ~init ~f =
   iter t (fun i -> acc := f !acc i);
   !acc
 
-let elements t = List.rev (fold t ~init:[] ~f:(fun acc i -> i :: acc))
-
 let of_list n xs =
   let t = create n in
   List.iter (add t) xs;
@@ -120,9 +118,12 @@ let subset a b =
 
 let equal a b = a.capacity = b.capacity && Bytes.equal a.words b.words
 
+(* Spare high bits are always zero, so equal sets have equal bytes. *)
+let hash t = Hashtbl.hash t.words
+
 let pp ppf t =
   Format.fprintf ppf "{%a}"
     (Format.pp_print_list
        ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
        Format.pp_print_int)
-    (elements t)
+    (List.rev (fold t ~init:[] ~f:(fun acc i -> i :: acc)))

@@ -29,8 +29,6 @@ val iter : t -> (int -> unit) -> unit
 
 val fold : t -> init:'a -> f:('a -> int -> 'a) -> 'a
 
-val elements : t -> int list
-
 val of_list : int -> int list -> t
 (** [of_list n xs] builds a set over universe [n] containing [xs]. *)
 
@@ -53,5 +51,9 @@ val subset : t -> t -> bool
 (** [subset a b] is true when every member of [a] is in [b]. *)
 
 val equal : t -> t -> bool
+
+val hash : t -> int
+(** A hash of the set's packed bytes, consistent with {!equal}: one
+    pass over [capacity / 8] bytes, no allocation. *)
 
 val pp : Format.formatter -> t -> unit

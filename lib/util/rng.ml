@@ -64,6 +64,23 @@ let chance t p =
   else if p >= 1.0 then true
   else float t 1.0 < p
 
+(* [float t 1.0 < p] compares x / 2^53 with p, both exact, so it holds
+   exactly when the integer x is below the ceiling of p * 2^53: the
+   same decision without the conversion and the division, for loops
+   that prepare it once. [chance] keeps the float form: preparing odds
+   on every call slowed the fault interposer's per-message draws.
+   Negative odds draw nothing: -1 never hits, -2 always does. *)
+type odds = int
+
+let odds p =
+  if p <= 0.0 then -1
+  else if p >= 1.0 then -2
+  else if Float.is_nan p then 0
+  else int_of_float (Float.ceil (p *. 9007199254740992.0))
+
+let[@inline] hit t k =
+  if k >= 0 then Int64.to_int (Int64.shift_right_logical (bits64 t) 11) < k else k = -2
+
 let choose_array t a =
   if Array.length a = 0 then invalid_arg "Rng.choose_array: empty array";
   a.(int t (Array.length a))

@@ -47,6 +47,17 @@ val bool : t -> bool
 val chance : t -> float -> bool
 (** [chance t p] is true with probability [p] (clamped to [\[0,1\]]). *)
 
+type odds
+(** A probability prepared for many draws. *)
+
+val odds : float -> odds
+
+val hit : t -> odds -> bool
+(** [hit t (odds p)] is [chance t p]: the same decision from the same
+    draw (none when [p] is at most 0 or at least 1), at about two
+    thirds of the cost, for loops that draw one probability many
+    times. *)
+
 val choose : t -> 'a list -> 'a
 (** Uniform choice from a non-empty list. @raise Invalid_argument on []. *)
 

@@ -124,6 +124,37 @@ let pt_auth () =
   check_bool "unauthenticated rejected" false (Policy_term.admits t (ctx ()));
   check_bool "authenticated accepted" true (Policy_term.admits t (ctx ~auth:true ()))
 
+(* [sort_pred] checks for ascending input before sorting; its result
+   must be what a full polymorphic sort of a copy gives. *)
+let sort_pred_matches_sort =
+  let open QCheck in
+  let shaped =
+    Gen.(
+      pair
+        (oneofl [ `Random; `Ascending; `Descending; `Duplicates ])
+        (list_size (int_bound 60) (int_range (-5) 40))
+      >|= fun (shape, xs) ->
+      match shape with
+      | `Random -> xs
+      | `Ascending -> List.sort compare xs
+      | `Descending -> List.sort (fun a b -> compare b a) xs
+      | `Duplicates -> List.sort compare (xs @ xs))
+  in
+  Test.make ~name:"sort_pred equals Array.sort compare" ~count:500
+    (make ~print:Print.(list int) shaped)
+    (fun xs ->
+      let ids = Array.of_list xs in
+      let expected = Array.copy ids in
+      Array.sort compare expected;
+      let before = Array.copy ids in
+      (match Policy_term.sort_pred (Policy_term.Only ids) with
+      | Policy_term.Only a -> a = expected
+      | _ -> false)
+      && (match Policy_term.sort_pred (Policy_term.Except ids) with
+         | Policy_term.Except a -> a = expected && (ids = [||] || not (a == ids))
+         | _ -> false)
+      && ids = before)
+
 let pt_bytes () =
   let open_bytes = Policy_term.advertisement_bytes (Policy_term.open_term 1) in
   let listed =
@@ -247,6 +278,167 @@ let gen_deterministic () =
   check_int "same total terms" (Config.total_terms c1) (Config.total_terms c2);
   check_int "same bytes" (Config.total_advertisement_bytes c1)
     (Config.total_advertisement_bytes c2)
+
+(* The list-based generator that [Gen] replaced, kept as the reference
+   model: one list cell per kept id, [List.filter] draws and the
+   n-element cone scan. [Gen.generate] must return an equal
+   configuration and leave the generator at the same next draw. *)
+module Reference_gen = struct
+  let hierarchy_descendants g root =
+    let seen = Array.make (Graph.n g) false in
+    let rec go u =
+      if not seen.(u) then begin
+        seen.(u) <- true;
+        Graph.iter_neighbors g u ~f:(fun v lid ->
+            let l = Graph.link g lid in
+            if
+              l.Pr_topology.Link.kind = Pr_topology.Link.Hierarchical
+              && Ad.level_rank (Graph.ad g v).Ad.level > Ad.level_rank (Graph.ad g u).Ad.level
+            then go v)
+      end
+    in
+    go root;
+    let acc = ref [] in
+    for i = Graph.n g - 1 downto 0 do
+      if seen.(i) then acc := i :: !acc
+    done;
+    !acc
+
+  let sublist rng keep xs =
+    let chosen = List.filter (fun _ -> Rng.chance rng keep) xs in
+    match chosen with
+    | [] -> [ Rng.choose rng xs ]
+    | _ -> chosen
+
+  let coarse_terms rng r owner =
+    if Rng.chance rng 0.5 then
+      [ Policy_term.make ~owner ~qos:(sublist rng (1.0 -. r) Qos.all) () ]
+    else begin
+      let width = Stdlib.min 23 (Stdlib.max 4 (24 - int_of_float (r *. 20.0))) in
+      let start = Rng.int rng 24 in
+      [ Policy_term.make ~owner ~hours:(start, (start + width) mod 24) () ]
+    end
+
+  let destination_terms rng r owner hosts =
+    let keep = Stdlib.max 0.1 (1.0 -. r) in
+    let dests = sublist rng keep hosts in
+    [ Policy_term.make ~owner ~destinations:(Policy_term.Only (Array.of_list dests)) () ]
+
+  let source_specific_terms rng r owner hosts =
+    let excluded = List.filter (fun ad -> ad <> owner && Rng.chance rng (r *. 0.5)) hosts in
+    match excluded with
+    | [] -> [ Policy_term.open_term owner ]
+    | _ -> [ Policy_term.make ~owner ~sources:(Policy_term.Except (Array.of_list excluded)) () ]
+
+  let fine_terms rng r owner hosts =
+    List.map
+      (fun uci ->
+        let keep = Stdlib.max 0.15 (1.0 -. r) in
+        let sources = sublist rng keep hosts in
+        Policy_term.make ~owner
+          ~sources:(Policy_term.Only (Array.of_list sources))
+          ~qos:(sublist rng (1.0 -. (r *. 0.5)) Qos.all)
+          ~ucis:[ uci ] ())
+      Uci.all
+
+  let transit_terms rng (p : Gen.params) g (ad : Ad.t) hosts =
+    let owner = ad.Ad.id in
+    let restricted = Rng.chance rng p.Gen.restrictiveness in
+    let r = p.Gen.restrictiveness in
+    let base =
+      if not restricted then [ Policy_term.open_term owner ]
+      else
+        match p.Gen.granularity with
+        | Gen.Coarse -> coarse_terms rng r owner
+        | Gen.Destination -> destination_terms rng r owner hosts
+        | Gen.Source_specific -> source_specific_terms rng r owner hosts
+        | Gen.Fine -> fine_terms rng r owner hosts
+    in
+    let cone = hierarchy_descendants g owner in
+    let customer_terms =
+      if List.length cone <= 1 then []
+      else
+        [
+          Policy_term.make ~owner ~sources:(Policy_term.Only (Array.of_list cone)) ();
+          Policy_term.make ~owner ~destinations:(Policy_term.Only (Array.of_list cone)) ();
+        ]
+    in
+    match ad.Ad.klass with
+    | Ad.Hybrid ->
+      let scope = sublist rng 0.4 hosts in
+      let dests = Policy_term.sort_pred (Policy_term.Only (Array.of_list scope)) in
+      let scoped =
+        List.map
+          (fun (t : Policy_term.t) ->
+            match t.Policy_term.destinations with
+            | Policy_term.Any -> { t with Policy_term.destinations = dests }
+            | _ -> t)
+          base
+      in
+      customer_terms @ scoped
+    | Ad.Transit -> if restricted then customer_terms @ base else base
+    | Ad.Stub | Ad.Multihomed -> []
+
+  let generate rng g (p : Gen.params) =
+    let hosts = Graph.host_ids g in
+    let transit =
+      Array.map
+        (fun (ad : Ad.t) ->
+          if Ad.is_transit_capable ad then
+            Transit_policy.make ad.Ad.id (transit_terms rng p g ad hosts)
+          else Transit_policy.no_transit ad.Ad.id)
+        (Graph.ads g)
+    in
+    let transit_ids = Graph.transit_ids g in
+    let source =
+      Array.map
+        (fun (ad : Ad.t) ->
+          let hosts_here =
+            match ad.Ad.klass with
+            | Ad.Stub | Ad.Multihomed | Ad.Hybrid -> true
+            | Ad.Transit -> false
+          in
+          if hosts_here && Rng.chance rng p.Gen.source_policy_prob && transit_ids <> [] then begin
+            let avoid =
+              List.filter
+                (fun t -> t <> ad.Ad.id && Rng.chance rng (p.Gen.restrictiveness *. 0.4))
+                transit_ids
+            in
+            match avoid with
+            | [] -> None
+            | _ -> Some (Source_policy.make ~owner:ad.Ad.id ~avoid ())
+          end
+          else None)
+        (Graph.ads g)
+    in
+    Config.make ~transit ~source ()
+end
+
+let gen_matches_reference =
+  let params =
+    QCheck.Gen.(
+      quad (oneofl Gen.all_granularities) (oneofl [ 0.0; 0.3; 0.8; 1.0 ])
+        (oneofl [ 0.0; 0.3; 1.0 ])
+        (pair (int_range 14 400) small_nat))
+  in
+  QCheck.Test.make ~name:"generate equals the list-based reference generator" ~count:120
+    (QCheck.make
+       ~print:(fun (gr, r, sp, (size, seed)) ->
+         Printf.sprintf "%s r=%g sp=%g size=%d seed=%d" (Gen.granularity_to_string gr) r sp
+           size seed)
+       params)
+    (fun (granularity, restrictiveness, source_policy_prob, (size, seed)) ->
+      let g =
+        if size <= 14 then Figure1.graph ()
+        else
+          Pr_topology.Generator.generate (Rng.create seed)
+            (Pr_topology.Generator.scaled ~target_ads:size)
+      in
+      let p = { Gen.restrictiveness; granularity; source_policy_prob } in
+      let rng = Rng.create (seed + 1) and reference = Rng.create (seed + 1) in
+      let c = Gen.generate rng g p in
+      let expected = Reference_gen.generate reference g p in
+      c = expected && Rng.bits64 rng = Rng.bits64 reference)
 
 (* --- Validate ------------------------------------------------------ *)
 
@@ -719,7 +911,8 @@ let () =
           Alcotest.test_case "degenerate hour windows" `Quick pt_hours_degenerate;
           Alcotest.test_case "authentication" `Quick pt_auth;
           Alcotest.test_case "byte accounting" `Quick pt_bytes;
-        ] );
+        ]
+        @ qsuite [ sort_pred_matches_sort ] );
       ( "transit-policy",
         [
           Alcotest.test_case "semantics" `Quick transit_policy_semantics;
@@ -751,7 +944,8 @@ let () =
           Alcotest.test_case "zero restrictiveness open" `Quick gen_zero_restrictiveness_is_open;
           Alcotest.test_case "deterministic" `Quick gen_deterministic;
         ]
-        @ qsuite [ gen_stubs_never_transit; gen_fine_means_more_terms ] );
+        @ qsuite
+            [ gen_stubs_never_transit; gen_fine_means_more_terms; gen_matches_reference ] );
       ( "validate",
         [
           Alcotest.test_case "open config verdicts" `Quick oracle_open_config;

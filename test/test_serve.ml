@@ -176,6 +176,86 @@ let hash_cons_invariant_under_churn =
         flips;
       true)
 
+(* --- decision diagram: the route server's policies at scale --------- *)
+
+let serve_policy = Daemon.default_config.Daemon.policy
+
+(* At 300 ADs under the route server's restrictive fine-grained
+   policies the store interns exactly the predicates and nodes that
+   interning by element lists did, passes its own audit, and answers
+   every crossing as the compiled policy does. *)
+let pdd_at_300_ads () =
+  let sc = Scenario.for_size ~policy:serve_policy ~target_ads:300 ~seed:11 () in
+  let n = Graph.n sc.Scenario.graph in
+  let store = Policy_store.create sc.Scenario.config in
+  let db = Pdd.db_create store in
+  check_int "interned predicates" 120 (Pdd.store_preds (Pdd.db_store db));
+  check_int "interned nodes" 336 (Pdd.store_nodes (Pdd.db_store db));
+  (match Pdd.check db with Ok () -> () | Error e -> Alcotest.fail e);
+  let snap = Pdd.snapshot db in
+  let rng = Rng.create 3 in
+  for _ = 1 to 5000 do
+    let ad = Rng.int rng n in
+    let flow =
+      Flow.make ~src:(Rng.int rng n) ~dst:(Rng.int rng n)
+        ~qos:(Qos.of_index (Rng.int rng Qos.count))
+        ~uci:(Uci.of_index (Rng.int rng Uci.count))
+        ~hour:(Rng.int rng 24) ~authenticated:(Rng.bool rng) ()
+    in
+    let hop () = Rng.int rng (n + 1) - 1 in
+    let prev = hop () and next = hop () in
+    let ctx =
+      {
+        Policy_term.flow;
+        prev = (if prev < 0 then None else Some prev);
+        next = (if next < 0 then None else Some next);
+      }
+    in
+    let compiled = Compiled.allows (Policy_store.compiled store ad) ctx in
+    if Pdd.admit snap ~ad flow ~prev ~next <> compiled then
+      Alcotest.failf "AD %d: diagram and compiled policy disagree" ad
+  done
+
+(* Allocation budgets of the 2 000-AD route server's setup, in words
+   (deterministic): generating its policies, compiling every AD's
+   diagram, and the refresh after its largest policy is flipped closed
+   and back. Each budget is 1.5x what the setup allocates; the
+   list-per-kept-id generator and element-list interning allocated
+   more than three times as much, so a return to either fails here. *)
+let setup_words =
+  lazy
+    (let rng = Rng.create 1 in
+     let g =
+       Pr_topology.Generator.generate (Rng.split rng)
+         (Pr_topology.Generator.scaled ~target_ads:2000)
+     in
+     let config = ref None in
+     let gen_words =
+       Pr_telemetry.Alloc.words (fun () -> config := Some (Gen.generate rng g serve_policy))
+     in
+     let store = Policy_store.create (Option.get !config) in
+     let db = ref None in
+     let db_words = Pr_telemetry.Alloc.words (fun () -> db := Some (Pdd.db_create store)) in
+     let db = Option.get !db in
+     let largest =
+       List.fold_left
+         (fun best ad ->
+           let terms ad = Transit_policy.term_count (Policy_store.transit store ad) in
+           if terms ad > terms best then ad else best)
+         0 (Graph.transit_ids g)
+     in
+     let original = Policy_store.transit store largest in
+     Policy_store.set_transit store largest (Transit_policy.no_transit largest);
+     ignore (Pdd.refresh db);
+     Policy_store.set_transit store largest original;
+     let refresh_words = Pr_telemetry.Alloc.words (fun () -> ignore (Pdd.refresh db)) in
+     (gen_words, db_words, refresh_words))
+
+let within_budget name budget pick () =
+  let words = pick (Lazy.force setup_words) in
+  check_bool (Printf.sprintf "%s: %.0f words (budget %.0f)" name words budget) true
+    (words <= budget)
+
 (* --- Lru ----------------------------------------------------------- *)
 
 (* Model: MRU-first association list, bounded at the capacity. *)
@@ -717,12 +797,21 @@ let () =
   Alcotest.run "pr_serve"
     [
       ( "pdd",
-        qsuite
-          [
-            diagram_matches_compiled_and_interpreted;
-            flow_entry_matches_full_walk;
-            hash_cons_invariant_under_churn;
-          ] );
+        [
+          Alcotest.test_case "300 ADs: pinned store, audit, admission" `Quick pdd_at_300_ads;
+          Alcotest.test_case "2 000-AD Gen.generate budget" `Quick
+            (within_budget "Gen.generate" 858_000. (fun (w, _, _) -> w));
+          Alcotest.test_case "2 000-AD Pdd.db_create budget" `Quick
+            (within_budget "Pdd.db_create" 497_000. (fun (_, w, _) -> w));
+          Alcotest.test_case "2 000-AD Pdd.refresh budget" `Quick
+            (within_budget "Pdd.refresh" 4_360. (fun (_, _, w) -> w));
+        ]
+        @ qsuite
+            [
+              diagram_matches_compiled_and_interpreted;
+              flow_entry_matches_full_walk;
+              hash_cons_invariant_under_churn;
+            ] );
       ( "lru",
         [
           Alcotest.test_case "eviction order" `Quick lru_eviction_order;

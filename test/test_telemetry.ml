@@ -404,8 +404,42 @@ let fuzz_input =
     ~print:(fun s -> Printf.sprintf "%d bytes: %S" (String.length s) (String.sub s 0 (min 80 (String.length s))))
     (oneof [ string; string_printable; mutated ])
 
-let never_raises name f =
-  QCheck.Test.make ~name ~count:600 fuzz_input (fun s ->
+(* A saved 30-AD scenario, the document [prx topology --size 30 --seed 3
+   --save] writes, and its mutations: a random byte, a truncation, or
+   one integer token rewritten to a random integer (an id that may fall
+   outside the graph). *)
+let scenario_doc =
+  Pr_core.Codec.save (Pr_core.Scenario.for_size ~target_ads:30 ~seed:3 ())
+
+let scenario_input =
+  let open QCheck.Gen in
+  let doc = scenario_doc and len = String.length scenario_doc in
+  let digit i = i >= 0 && i < len && doc.[i] >= '0' && doc.[i] <= '9' in
+  let int_tokens =
+    List.filter
+      (fun i -> digit i && (not (digit (i - 1))) && (i = 0 || doc.[i - 1] <> '-'))
+      (List.init len Fun.id)
+  in
+  let byte =
+    int_bound (len - 1) >>= fun at ->
+    map (fun c -> String.mapi (fun i x -> if i = at then c else x) doc) char
+  in
+  let truncated = map (fun at -> String.sub doc 0 at) (int_bound (len - 1)) in
+  let renumbered =
+    oneofl int_tokens >>= fun at ->
+    map
+      (fun v ->
+        let stop = ref at in
+        while digit !stop do incr stop done;
+        String.sub doc 0 at ^ string_of_int v ^ String.sub doc !stop (len - !stop))
+      (int_range (-3) 99)
+  in
+  QCheck.make
+    ~print:(fun s -> Printf.sprintf "%d bytes: %S" (String.length s) s)
+    (frequency [ (1, string ~gen:char); (1, byte); (1, truncated); (3, renumbered) ])
+
+let never_raises ?(count = 600) ?(input = fuzz_input) name f =
+  QCheck.Test.make ~name ~count input (fun s ->
       match f s with Ok _ | Error _ -> true | exception _ -> false)
 
 let fuzz_tests =
@@ -414,7 +448,28 @@ let fuzz_tests =
     never_raises "Gate.document_of_json" (fun s ->
         Result.bind (J.parse s) Gate.document_of_json);
     never_raises "Plan.of_string" Pr_faults.Plan.of_string;
+    never_raises "Sexp.of_string" Pr_util.Sexp.of_string;
+    never_raises ~count:1500 ~input:scenario_input "Sexp.of_string on scenarios"
+      Pr_util.Sexp.of_string;
+    never_raises ~count:1500 ~input:scenario_input "Codec.load" Pr_core.Codec.load;
   ]
+
+(* A source policy owned by an AD outside the graph is an error, not
+   an out-of-bounds write. *)
+let test_source_owner_out_of_range () =
+  let owner = "(source-policy 13" and len = String.length scenario_doc in
+  let k = String.length owner in
+  let rec find i = if String.sub scenario_doc i k = owner then i else find (i + 1) in
+  let at = find 0 in
+  List.iter
+    (fun bad ->
+      let doc =
+        String.sub scenario_doc 0 at ^ "(source-policy " ^ bad
+        ^ String.sub scenario_doc (at + k) (len - at - k)
+      in
+      check_bool ("owner " ^ bad ^ " rejected") true (Result.is_error (Pr_core.Codec.load doc)))
+    [ "43"; "32"; "-1" ];
+  check_bool "unmutated document loads" true (Result.is_ok (Pr_core.Codec.load scenario_doc))
 
 let test_committed_parse () =
   List.iter
@@ -513,7 +568,10 @@ let () =
           Alcotest.test_case "row keys" `Quick test_gate_keys;
           Alcotest.test_case "committed documents parse" `Quick test_committed_parse;
         ] );
-      ("fuzz", List.map QCheck_alcotest.to_alcotest fuzz_tests);
+      ( "fuzz",
+        Alcotest.test_case "source policy owner out of range" `Quick
+          test_source_owner_out_of_range
+        :: List.map QCheck_alcotest.to_alcotest fuzz_tests );
       ( "alloc",
         [ Alcotest.test_case "words" `Quick test_alloc_words ] );
       ( "daemon",

@@ -64,6 +64,30 @@ let rng_float_bounds =
       let x = Rng.float rng 10.0 in
       x >= 0.0 && x < 10.0)
 
+(* [hit t (odds p)] must be [chance t p], draw for draw: on random
+   probabilities, on the clamped and NaN ones, and at the boundary,
+   where p is the very value the next draw maps to or a neighbour. *)
+let rng_hit_matches_chance =
+  let open QCheck in
+  let probability =
+    Gen.oneof
+      [
+        Gen.float_range (-0.5) 1.5;
+        Gen.oneofl [ 0.0; 1.0; -0.0; Float.nan; Float.infinity; Float.neg_infinity; 1e-300 ];
+      ]
+  in
+  Test.make ~name:"Rng.hit (odds p) draws as Rng.chance p" ~count:500
+    (pair small_nat (make ~print:Print.float probability))
+    (fun (seed, p) ->
+      let next_unit = Rng.float (Rng.create seed) 1.0 in
+      List.for_all
+        (fun p ->
+          let a = Rng.create seed and b = Rng.create seed in
+          let o = Rng.odds p in
+          List.for_all (fun _ -> Rng.hit a o = Rng.chance b p) [ 1; 2; 3 ]
+          && Rng.bits64 a = Rng.bits64 b)
+        [ p; next_unit; Float.pred next_unit; Float.succ next_unit ])
+
 let rng_invalid () =
   let rng = Rng.create 0 in
   Alcotest.check_raises "int 0" (Invalid_argument "Rng.int: bound must be positive")
@@ -607,7 +631,8 @@ let bitset_basic () =
   Bitset.remove b 63;
   check_bool "removed" false (Bitset.mem b 63);
   check_int "cardinal after remove" 2 (Bitset.cardinal b);
-  Alcotest.(check (list int)) "elements" [ 0; 99 ] (Bitset.elements b)
+  Alcotest.(check (list int)) "members" [ 0; 99 ]
+    (List.filter (Bitset.mem b) (List.init 100 Fun.id))
 
 let bitset_bounds () =
   let b = Bitset.create 8 in
@@ -625,9 +650,10 @@ let bitset_vs_reference =
       Bitset.union_into u b;
       let i = Bitset.copy a in
       Bitset.inter_into i b;
-      Bitset.elements u = List.sort_uniq compare (sa @ sb)
-      && Bitset.elements i = List.filter (fun x -> List.mem x sb) sa
-      && Bitset.disjoint a b = (Bitset.elements i = [])
+      let members s = List.filter (Bitset.mem s) (List.init 64 Fun.id) in
+      members u = List.sort_uniq compare (sa @ sb)
+      && members i = List.filter (fun x -> List.mem x sb) sa
+      && Bitset.disjoint a b = (members i = [])
       && Bitset.subset i a)
 
 let bitset_equal_copy =
@@ -808,6 +834,7 @@ let () =
         ]
         @ qsuite
             [
+              rng_hit_matches_chance;
               rng_int_bounds;
               rng_int_in_range_bounds;
               rng_float_bounds;
