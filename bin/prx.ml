@@ -333,7 +333,7 @@ let sweep_cmd =
       | s -> (
         let names = String.split_on_char ',' s in
         match
-          List.filter (fun n -> Option.is_none (Pr_core.Registry.find_opt n)) names
+          List.filter (fun n -> Option.is_none (Pr_faults.Chaos.find_protocol n)) names
         with
         | [] -> Ok names
         | unknown ->
@@ -343,7 +343,7 @@ let sweep_cmd =
                   "unknown protocol (design point) %s; known protocols: %s; or one of \
                    the groups: designs, baselines, all"
                   (String.concat ", " (List.map (Printf.sprintf "%S") unknown))
-                  (String.concat ", " (known_protocols ())))))
+                  (String.concat ", " (known_protocols () @ [ "broken-ls" ])))))
     in
     Arg.conv ~docv:"PROTOCOLS"
       (parse, fun ppf ps -> Format.pp_print_string ppf (String.concat "," ps))
@@ -351,7 +351,8 @@ let sweep_cmd =
   let protocols_arg =
     let doc =
       "Comma-separated protocol (design point) names, or a group: designs (the four \
-       section-5 points), baselines, all."
+       section-5 points), baselines, all. The deliberately broken variant broken-ls is \
+       also accepted: under a fault profile the harness must flag it."
     in
     Arg.(
       value

@@ -36,7 +36,7 @@ type row = {
 }
 
 let design_point_of protocol =
-  match Pr_core.Registry.find_opt protocol with
+  match Pr_faults.Chaos.find_protocol protocol with
   | Some packed -> Pr_proto.Design_point.to_string (Pr_core.Registry.design_point packed)
   | None -> "?"
 

@@ -138,10 +138,10 @@ let execute_faulted packed (run : Grid.run) plan =
 
 let execute ?(chaos = no_chaos) ?trace_dir (run : Grid.run) =
   apply_chaos chaos run;
-  match Registry.find_opt run.protocol with
+  match Pr_faults.Chaos.find_protocol run.protocol with
   | None ->
     Error
-      (Printf.sprintf "unknown protocol %S (known: %s)" run.protocol
+      (Printf.sprintf "unknown protocol %S (known: %s, broken-ls)" run.protocol
          (String.concat ", " (Registry.names Registry.all)))
   | Some (Registry.Packed (module P) as packed) -> (
     match

@@ -58,7 +58,7 @@ let start t = Ls_flood.start t.flood
 
 let handle_message t ~at ~from lsa = Ls_flood.handle_message t.flood ~at ~from lsa
 
-let handle_link t ~at ~link:_ ~up = Ls_flood.handle_link t.flood ~at ~up
+let handle_link t ~at ~link ~up = Ls_flood.handle_link t.flood ~at ~link ~up
 
 let reset_node t ~at =
   let node = t.nodes.(at) in

@@ -235,13 +235,13 @@ module Make (V : VARIANT) = struct
     (* Re-originate so the new terms flood; until the flood completes,
        remote route servers are stale and their setups may be refused
        (and retried around the refusal). *)
-    Ls_flood.handle_link t.flood ~at:ad ~up:true
+    Ls_flood.originate t.flood ad
 
   let start t = Ls_flood.start t.flood
 
   let handle_message t ~at ~from lsa = Ls_flood.handle_message t.flood ~at ~from lsa
 
-  let handle_link t ~at ~link:_ ~up = Ls_flood.handle_link t.flood ~at ~up
+  let handle_link t ~at ~link ~up = Ls_flood.handle_link t.flood ~at ~link ~up
 
   let reset_node t ~at =
     let node = t.nodes.(at) in

@@ -181,8 +181,6 @@ let handle_message t ~at ~from lsa =
     flood_from t at ~except:from lsa
   end
 
-let handle_link t ~at ~up:_ = originate t at
-
 (* {2 Adversarial surface shared by the link-state families}
 
    Validation accepts everything honest flooding can deliver —
@@ -316,6 +314,16 @@ let resync t ~at ~nbr =
   if t.flood_to at && t.flood_to nbr then
     Lsdb.fold t.dbs.(nbr) ~init:() ~f:(fun () lsa ->
         Network.send t.net ~src:nbr ~dst:at ~bytes:(Lsdb.lsa_bytes lsa) lsa)
+
+(* A link event at [at]: re-originate, and on restore pull the other
+   end's full database — LSAs flooded while the link was down (or lost
+   on it as it failed) are never sent again, so without the pull a
+   healed partition keeps two diverged views. Each end pulls from the
+   other, so a restore exchanges in both directions. *)
+let handle_link t ~at ~link ~up =
+  originate t at;
+  if up then
+    resync t ~at ~nbr:(Pr_topology.Link.other_end (Graph.link (Network.graph t.net) link) at)
 
 let reset_node t ad =
   (* State loss empties the AD's database; the origination sequence

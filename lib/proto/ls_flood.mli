@@ -39,9 +39,16 @@ val start : t -> unit
 
 val handle_message : t -> at:Pr_topology.Ad.id -> from:Pr_topology.Ad.id -> Lsdb.lsa -> unit
 
-val handle_link : t -> at:Pr_topology.Ad.id -> up:bool -> unit
+val originate : t -> Pr_topology.Ad.id -> unit
 (** The AD re-originates and floods a fresh LSA reflecting its current
-    adjacencies. *)
+    adjacencies and policy terms. *)
+
+val handle_link :
+  t -> at:Pr_topology.Ad.id -> link:Pr_topology.Link.id -> up:bool -> unit
+(** An incident link changed state: the AD re-originates; on a restore
+    it also pulls the other end's full database ({!resync}), recovering
+    every LSA it missed while the link was down. The pull is charged to
+    the other end like any flood traffic. *)
 
 val reset_node : t -> Pr_topology.Ad.id -> unit
 (** The AD restarted with state loss: its database is emptied (the

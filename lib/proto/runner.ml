@@ -156,13 +156,16 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
 
   let restart_ad t ad =
     if not (Network.node_is_up t.net ad) then begin
-      Network.set_node_state t.net ad ~up:true;
       (* Bring the adjacencies back before the routing process knows
-         anything: neighbors react normally, the restarting router —
-         still muted — does not advertise its stale pre-crash state. *)
+         anything: neighbors react normally, while the restarting
+         router — muted, and still down, so it transmits nothing —
+         neither advertises nor hands out its stale pre-crash state (a
+         link-state neighbor's link-up pull from it comes back empty;
+         its own reset exchange below covers those links). *)
       let mine = Option.value (Hashtbl.find_opt t.crash_links ad) ~default:[] in
       Hashtbl.remove t.crash_links ad;
       apply_link_patch t ad ~up:true mine;
+      Network.set_node_state t.net ad ~up:true;
       (* Then reboot it with total state loss; its re-announcements go
          out over the restored links, and the neighbors' link-up
          advertisements are already in flight toward it. *)

@@ -307,7 +307,7 @@ let flood_setup () =
   let net = Network.create e g m in
   let flood = Ls_flood.create net ~terms_for:(fun _ -> []) () in
   Network.set_message_handler net (fun ~at ~from msg -> Ls_flood.handle_message flood ~at ~from msg);
-  Network.set_link_handler net (fun ~at ~link:_ ~up -> Ls_flood.handle_link flood ~at ~up);
+  Network.set_link_handler net (fun ~at ~link ~up -> Ls_flood.handle_link flood ~at ~link ~up);
   (g, e, net, flood)
 
 let flood_converges_consistent () =
