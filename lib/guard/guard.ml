@@ -105,6 +105,7 @@ type t = {
   cfg : config;
   engine : Engine.t;
   peers : peer Peers.t array;  (* peers.(at), keyed by nbr *)
+  held : int array;  (* held.(at): neighbors [at] holds in quarantine *)
   on_readmit : at:int -> nbr:int -> unit;
   mutable rejected : int;
   mutable quarantines : int;
@@ -118,6 +119,7 @@ let create ?(config = default_config) ~engine ~n ~on_readmit () =
     cfg = config;
     engine;
     peers = Array.init n (fun _ -> Peers.create 4);
+    held = Array.make n 0;
     on_readmit;
     rejected = 0;
     quarantines = 0;
@@ -178,6 +180,7 @@ let rec try_readmit t p ~at ~nbr () =
     else begin
       p.quarantined <- false;
       p.strikes <- 0;
+      t.held.(at) <- t.held.(at) - 1;
       t.active <- t.active - 1;
       note_active t;
       t.readmissions <- t.readmissions + 1;
@@ -195,6 +198,7 @@ let quarantine t p ~at ~nbr ~reason =
     let now = Engine.now t.engine in
     p.quarantined <- true;
     p.strikes <- 0;
+    t.held.(at) <- t.held.(at) + 1;
     t.quarantines <- t.quarantines + 1;
     Reg.inc m_quarantines;
     t.active <- t.active + 1;
@@ -211,31 +215,35 @@ let quarantine t p ~at ~nbr ~reason =
 
 (* Screen one arriving update: [verdict] is the protocol driver's
    validation result. Returns true when the update should be believed
-   (delivered to the driver). *)
+   (delivered to the driver). A valid update at an AD that holds no
+   neighbor in quarantine is believed without looking its sender up:
+   the lookup could only find an unquarantined peer, and believing
+   touches no counter. *)
 let screen t ~at ~from verdict =
   if not t.cfg.enabled then true
-  else begin
-    let p = peer t at from in
-    if p.quarantined then begin
-      t.drops <- t.drops + 1;
-      Reg.inc m_drops;
-      false
-    end
-    else
-      match verdict with
-      | Ok () -> true
-      | Error reason ->
-        t.rejected <- t.rejected + 1;
-        Reg.inc m_rejected;
-        Trace.note (Engine.trace t.engine) ~ts:(Engine.now t.engine) ~tid:0
-          ~detail:
-            (Printf.sprintf "ad %d rejected update from %d: %s" at from reason)
-          "guard.reject";
-        p.strikes <- p.strikes + 1;
-        if p.strikes >= t.cfg.strikes then
-          quarantine t p ~at ~nbr:from ~reason:("invalid update: " ^ reason);
+  else
+    match verdict with
+    | Ok () when t.held.(at) = 0 -> true
+    | _ ->
+      let p = peer t at from in
+      if p.quarantined then begin
+        t.drops <- t.drops + 1;
+        Reg.inc m_drops;
         false
-  end
+      end
+      else (
+        match verdict with
+        | Ok () -> true
+        | Error reason ->
+          t.rejected <- t.rejected + 1;
+          Reg.inc m_rejected;
+          Trace.note (Engine.trace t.engine) ~ts:(Engine.now t.engine) ~tid:0
+            ~detail:(Printf.sprintf "ad %d rejected update from %d: %s" at from reason)
+            "guard.reject";
+          p.strikes <- p.strikes + 1;
+          if p.strikes >= t.cfg.strikes then
+            quarantine t p ~at ~nbr:from ~reason:("invalid update: " ^ reason);
+          false)
 
 (* Flap damping input: a link to [nbr] went down as seen from [at]. *)
 let observe_link t ~at ~nbr ~up =

@@ -35,6 +35,7 @@ type node =
 let leaf_false = Leaf false
 let leaf_true = Leaf true
 let leaf b = if b then leaf_true else leaf_false
+let is_false_leaf n = n == leaf_false
 
 let node_id = function
   | Leaf false -> 0
@@ -352,7 +353,7 @@ let db_store db = db.hc
 
 let refresh db =
   let v = Policy_store.version db.pstore in
-  if v = db.snap.s_version then 0
+  if v = db.snap.s_version then []
   else begin
     let changed = ref [] in
     for ad = db.n - 1 downto 0 do
@@ -365,7 +366,7 @@ let refresh db =
            (e.g. set_transit re-installing the same value): nothing to
            rebuild, just track the version. *)
         db.snap <- { db.snap with s_version = v };
-        0
+        []
     | ads ->
         (* Copy-on-write: outstanding snapshots keep the old array. *)
         let roots = Array.copy db.snap.s_roots in
@@ -376,9 +377,8 @@ let refresh db =
           ads;
         db.snap <- { s_version = v; s_roots = roots };
         db.rebuilds <- db.rebuilds + 1;
-        let k = List.length ads in
-        db.rebuilt_ads <- db.rebuilt_ads + k;
-        k
+        db.rebuilt_ads <- db.rebuilt_ads + List.length ads;
+        ads
   end
 
 let rebuilds db = db.rebuilds

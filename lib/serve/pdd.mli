@@ -48,6 +48,10 @@ val compile : store -> Pr_policy.Compiled.t -> node
 
 val leaf : bool -> node
 
+val is_false_leaf : node -> bool
+(** Is this the [false] leaf? An AD whose root it is admits no
+    crossing at all. *)
+
 val admit_node :
   node -> Pr_policy.Flow.t -> prev:Pr_topology.Ad.id -> next:Pr_topology.Ad.id -> bool
 (** One root-to-leaf walk; allocation-free. A negative prev/next means
@@ -78,11 +82,12 @@ val db_create : ?store:store -> Pr_policy.Policy_store.t -> db
 
 val db_store : db -> store
 
-val refresh : db -> int
+val refresh : db -> Pr_topology.Ad.id list
 (** Catch up with the policy store: recompile the diagrams of exactly
     the ADs whose [Transit_policy.t] object changed since the last
-    refresh, publish a fresh roots array, and return the number of ADs
-    recompiled (0 when the store version is unchanged). *)
+    refresh, publish a fresh roots array, and return the ADs
+    recompiled, in increasing order ([\[\]] when the store version is
+    unchanged). *)
 
 val rebuilds : db -> int
 (** Refresh passes that recompiled at least one AD (the initial full

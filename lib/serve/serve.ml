@@ -31,7 +31,11 @@ type t = {
   single_link : int array;  (* per slot: its link when it has one, else -1 *)
   labels : (int, int array) Lru.t;
       (* key: (dst, QOS) packed; per AD, its [slot_metric] distance to
-         dst ([max_int] if none): the search's lower bound *)
+         dst through [carrying] ADs ([max_int] if none, and at every
+         AD but dst outside [carrying]): the search's lower bound *)
+  carrying : bool array;
+      (* per AD: [carries] at some version [refresh] has seen. Only
+         grows; every cached label was built over the current set. *)
   entries : Pdd.node array;
       (* per-AD flow entries of the running search, valid where
          [Policy_search.first_touch] has fired *)
@@ -75,16 +79,24 @@ let qos_metric qos (link : Link.t) =
    benchmark asks for: 188-211 over seeds 1-12. *)
 let label_capacity = 512
 
+(* Can [u] carry transit at [snap]: transit-capable by class, or a
+   diagram root other than the false leaf. *)
+let carries graph snap u =
+  Pr_topology.Ad.is_transit_capable (Graph.ad graph u)
+  || not (Pdd.is_false_leaf (Pdd.root snap u))
+
 let create ?(route_capacity = Some 4096) ?(handle_capacity = Some 1024)
     ?(trace = Trace.disabled) ?(link_up = fun _ -> true) ?(node_up = fun _ -> true)
     graph store =
   let view = Policy_search.of_graph graph in
   let slots = Array.length (snd (Graph.unique_csr graph)) in
   let fold_links k f = Graph.fold_slot_links graph k ~init:max_int ~f in
+  let pdd = Pdd.db_create store in
+  let snap = Pdd.snapshot pdd in
   {
     graph;
     store;
-    pdd = Pdd.db_create store;
+    pdd;
     link_up;
     node_up;
     view;
@@ -98,6 +110,7 @@ let create ?(route_capacity = Some 4096) ?(handle_capacity = Some 1024)
       Array.init slots (fun k ->
           fold_links k (fun only l -> if only = max_int then l else -1));
     labels = Lru.create ~capacity:(Some label_capacity) ();
+    carrying = Array.init (Graph.n graph) (carries graph snap);
     entries = Array.make (Graph.n graph) (Pdd.leaf false);
     trace;
     routes = Lru.create ~capacity:route_capacity ();
@@ -130,10 +143,22 @@ let create ?(route_capacity = Some 4096) ?(handle_capacity = Some 1024)
 
 let pdd t = t.pdd
 
+(* An AD joins [carrying] only through a recompiled diagram, so only
+   the ADs [Pdd.refresh] recompiled are looked at. A join drops every
+   label: each was built without the joiner. *)
 let refresh t ~now =
   let t0 = Monotonic_clock.now () in
-  let k = Pdd.refresh t.pdd in
+  let ads = Pdd.refresh t.pdd in
+  let k = List.length ads in
   if k > 0 then begin
+    let snap = Pdd.snapshot t.pdd in
+    List.iter
+      (fun u ->
+        if (not t.carrying.(u)) && carries t.graph snap u then begin
+          t.carrying.(u) <- true;
+          Lru.clear t.labels
+        end)
+      ads;
     let dt = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) in
     Hist.record t.m_rebuild_ns dt;
     let store = Pdd.db_store t.pdd in
@@ -177,18 +202,24 @@ type answer =
 
 (* The search's lower bound toward [dst] under [qos]: one node-level
    Dijkstra from [dst] over [slot_metric], which is symmetric (both
-   slots of an AD pair fold the same links). Policy and link or node
-   state only remove edges or raise a pair's metric above its cheapest
-   link, so the distance bounds every admissible route's and is
-   consistent; it depends on the static graph alone, so nothing ever
-   invalidates it. *)
+   slots of an AD pair fold the same links), through [carrying] ADs
+   only. An AD outside [carrying] admits nothing at any snapshot a
+   query can pin, so no route crosses it; it gets [max_int] unless it
+   is dst, and the search never pushes a state there — such a state
+   could never push one in turn, so the other states keep their
+   relative order and the route is the unbounded search's. Policy and
+   link or node state only remove edges or raise a pair's metric above
+   its cheapest link, so the distance bounds every admissible route's
+   and is consistent. It stays valid until an AD joins [carrying]. *)
 let label t qos dst =
   let key = (dst * Qos.count) + Qos.index qos in
   match Lru.find t.labels key with
   | Some h -> h
   | None ->
-      let static = t.slot_metric.(Qos.index qos) in
-      let relax u f = Policy_search.iter_row t.view u ~f:(fun w k -> f w static.(k)) in
+      let static = t.slot_metric.(Qos.index qos) and carrying = t.carrying in
+      let relax u f =
+        Policy_search.iter_row t.view u ~f:(fun w k -> if carrying.(w) then f w static.(k))
+      in
       let h = (fst (Spf.search ~n:(Graph.n t.graph) ~src:dst ~relax ())).Spf.dist in
       Array.iteri (fun v d -> if d < 0 then h.(v) <- max_int) h;
       t.bound_builds <- t.bound_builds + 1;

@@ -22,10 +22,16 @@
 
     A third LRU keeps per-destination distance labels: for each
     (destination, QOS), every AD's shortest metric to the destination
-    over the static graph. A label lower-bounds every admissible route
-    and no policy, link or node event invalidates it, so a query passes
-    it to {!Pr_topology.Policy_search.search} to settle fewer states
-    and run fewer admissions for the same route.
+    over the static graph, through the ADs that can carry transit
+    (transit-capable by class, or a diagram root other than the
+    [false] leaf); every other AD but the destination is out of reach.
+    A label lower-bounds every admissible route, so a query passes it
+    to {!Pr_topology.Policy_search.search} to settle fewer states and
+    run fewer admissions for the same route. No link or node event
+    invalidates a label; {!refresh} drops them all when a recompiled
+    AD joins the carrying set. Refresh the diagrams through {!refresh}
+    only: a direct {!Pdd.refresh} on {!pdd} would hide a joining AD
+    from the labels.
 
     Cache hits, misses and evictions are exposed in {!stats} and as
     [lib/obs] trace instants/counters. *)
@@ -52,7 +58,9 @@ val refresh : t -> now:float -> int
 (** Catch the diagrams up with the policy store; returns the number of
     AD diagrams recompiled (0 when nothing changed). Queries issued
     after a refresh answer from the new version; queries that pinned
-    the old snapshot keep answering from it. *)
+    the old snapshot keep answering from it. A recompiled AD that can
+    now carry transit, and could not before, drops every cached
+    distance label. *)
 
 val snapshot : t -> Pdd.snapshot
 (** The current database version (refresh first for the newest). *)

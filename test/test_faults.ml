@@ -417,9 +417,9 @@ let interposed_run ~seed spec =
 
 (* Pinned before the interposer moved to slot-indexed FIFO floors and
    array-held rules: same draws in the same order, so the same faults,
-   the same log and the same convergence. The default plan's row was
-   re-pinned when a restored link began resynchronising the link-state
-   databases at both ends: the flap storm's restores now pull. *)
+   the same log and the same convergence. The default plan's flap
+   storm restores links, and each restore resynchronises the
+   link-state databases at both ends. *)
 let interposer_pinned () =
   List.iter
     (fun (name, spec, want) ->

@@ -154,6 +154,116 @@ let config_strings () =
   check_bool "enabled config renders its knobs" true
     (String.length s > 3 && String.sub s 0 3 = "on(")
 
+(* --- Screening against the Hashtbl-only reference (qcheck) ----------- *)
+
+(* The reference screen is the guard's own path before it kept a
+   per-AD count of quarantined peers: every update looks its sender up
+   in a table keyed by (at, nbr). The model keeps that table — strikes,
+   quarantine flag and damping penalty per pair — applies the same
+   strike and suppression rules, learns readmissions from the guard's
+   callback, and predicts every verdict and every counter. *)
+type model_peer = {
+  mutable m_strikes : int;
+  mutable m_quarantined : bool;
+  mutable m_penalty : float;
+  mutable m_penalty_at : float;
+}
+
+let screen_matches_reference =
+  QCheck.Test.make ~name:"screen equals the Hashtbl-only reference" ~count:200
+    QCheck.(pair small_int (int_range 1 3))
+    (fun (seed, strikes) ->
+      let rng = Rng.create (seed + 1) in
+      let engine = Engine.create () in
+      let n = 3 in
+      let config = { Guard.default_config with Guard.strikes } in
+      let table = Hashtbl.create 8 in
+      let lookup at nbr =
+        match Hashtbl.find_opt table (at, nbr) with
+        | Some p -> p
+        | None ->
+          let p =
+            { m_strikes = 0; m_quarantined = false; m_penalty = 0.0; m_penalty_at = 0.0 }
+          in
+          Hashtbl.replace table (at, nbr) p;
+          p
+      in
+      let quarantines = ref 0 and readmissions = ref 0 and active = ref 0 in
+      let rejected = ref 0 and drops = ref 0 and mismatch = ref None in
+      let fail fmt = Printf.ksprintf (fun m -> if !mismatch = None then mismatch := Some m) fmt in
+      let quarantine p =
+        if not p.m_quarantined then begin
+          p.m_quarantined <- true;
+          p.m_strikes <- 0;
+          incr quarantines;
+          incr active
+        end
+      in
+      let guard =
+        Guard.create ~config ~engine ~n
+          ~on_readmit:(fun ~at ~nbr ->
+            let p = lookup at nbr in
+            if not p.m_quarantined then fail "readmitted %d->%d while not quarantined" nbr at;
+            p.m_quarantined <- false;
+            p.m_strikes <- 0;
+            incr readmissions;
+            decr active)
+          ()
+      in
+      let counters () =
+        Printf.sprintf "q=%d r=%d a=%d rej=%d drops=%d" (Guard.quarantines_total guard)
+          (Guard.readmissions guard) (Guard.active_quarantines guard)
+          (Guard.updates_rejected guard) (Guard.quarantine_drops guard)
+      and expected () =
+        Printf.sprintf "q=%d r=%d a=%d rej=%d drops=%d" !quarantines !readmissions !active
+          !rejected !drops
+      in
+      let t = ref 0.0 in
+      for step = 1 to 80 do
+        t := !t +. Rng.float rng 0.6;
+        let at = Rng.int rng n in
+        let nbr = (at + 1 + Rng.int rng (n - 1)) mod n in
+        let op = Rng.int rng 4 in
+        Engine.schedule_at engine ~time:!t (fun () ->
+            let p = lookup at nbr in
+            (if op = 0 then begin
+               let now = Engine.now engine in
+               p.m_penalty <-
+                 Guard.decay ~half_life:config.Guard.half_life p.m_penalty
+                   ~dt:(now -. p.m_penalty_at)
+                 +. config.Guard.flap_penalty;
+               p.m_penalty_at <- now;
+               if p.m_penalty >= config.Guard.suppress then quarantine p;
+               Guard.observe_link guard ~at ~nbr ~up:false
+             end
+             else begin
+               let verdict = if op = 1 then Error "forged update" else Ok () in
+               let want =
+                 if p.m_quarantined then (incr drops; false)
+                 else
+                   match verdict with
+                   | Ok () -> true
+                   | Error _ ->
+                     incr rejected;
+                     p.m_strikes <- p.m_strikes + 1;
+                     if p.m_strikes >= strikes then quarantine p;
+                     false
+               in
+               let got = Guard.screen guard ~at ~from:nbr verdict in
+               if got <> want then fail "step %d: screen %d->%d gave %b" step nbr at got
+             end);
+            if Guard.quarantined guard ~at ~nbr <> p.m_quarantined then
+              fail "step %d: quarantine flag of %d->%d differs" step nbr at;
+            if counters () <> expected () then
+              fail "step %d: counters %s, reference %s" step (counters ()) (expected ()))
+      done;
+      (match Engine.run engine with
+      | Engine.Drained -> ()
+      | Engine.Reached_limit -> fail "engine did not drain");
+      if counters () <> expected () then
+        fail "drained: counters %s, reference %s" (counters ()) (expected ());
+      match !mismatch with None -> true | Some m -> QCheck.Test.fail_report m)
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -163,6 +273,7 @@ let () =
         qsuite [ decay_monotone; decay_composes ]
         @ [ Alcotest.test_case "half-life halves" `Quick decay_halves_at_half_life ] );
       ("liveness", qsuite [ attack_always_readmitted ]);
+      ("reference", qsuite [ screen_matches_reference ]);
       ( "screen",
         [
           Alcotest.test_case "one strike quarantines" `Quick one_strike_quarantines;

@@ -737,20 +737,17 @@ let three_callers_agree =
 
 (* At the sizes served: 256 workload queries on a 10^3-AD internet.
    Every answer the route server's bounded search gives is the
-   unbounded search's over the same diagram snapshot, for well under
-   the states. *)
-let bounded_search_at_scale () =
-  let policy = Daemon.default_config.Daemon.policy in
-  let sc = Scenario.for_size ~policy ~target_ads:1000 ~seed:1 () in
-  let g = sc.Scenario.graph in
-  let store = Policy_store.create sc.Scenario.config in
-  let server = Serve.create g store in
-  let snap = Serve.snapshot server in
+   unbounded search's over the same diagram snapshot, for a fifth of
+   the states or fewer: the labels leave out the ADs that carry no
+   transit. *)
+(* The reference for every route-server answer: the same search over
+   the same diagram snapshot, all links up, with no distance label. *)
+let unbounded_search g =
   let view = Policy_search.of_graph g in
   let scratch = Policy_search.scratch_for view in
   let metrics = Array.init Qos.count (fun i -> qos_slot_metric g (Qos.of_index i)) in
   let entries = Array.make (Graph.n g) (Pdd.leaf false) in
-  let unbounded (f : Flow.t) =
+  let search snap (f : Flow.t) =
     let admit v p w =
       if Policy_search.first_touch scratch v then
         entries.(v) <- Pdd.flow_entry (Pdd.root snap v) f;
@@ -763,6 +760,17 @@ let bounded_search_at_scale () =
     | Policy_search.Route p -> Some p
     | Policy_search.Revisits | Policy_search.Unreachable -> None
   in
+  (search, scratch)
+
+let bounded_search_at_scale () =
+  let policy = Daemon.default_config.Daemon.policy in
+  let sc = Scenario.for_size ~policy ~target_ads:1000 ~seed:1 () in
+  let g = sc.Scenario.graph in
+  let store = Policy_store.create sc.Scenario.config in
+  let server = Serve.create g store in
+  let snap = Serve.snapshot server in
+  let search, scratch = unbounded_search g in
+  let unbounded = search snap in
   let wl = Workload.create ~rng:(Rng.create 1) g in
   let searched = ref 0 and unbounded_states = ref 0 and agree = ref 0 in
   let clock = ref 0.0 and asked = ref 0 in
@@ -786,12 +794,143 @@ let bounded_search_at_scale () =
   let s = Serve.stats server in
   check_int "every answer is the unbounded search's" 256 !agree;
   check_int "queries searched (one repeat hits the route cache)" 255 !searched;
-  check_bool "bounded states <= 60% of unbounded" true
-    (s.Serve.search_states * 10 <= !unbounded_states * 6);
+  check_bool "bounded states <= 20% of unbounded" true
+    (s.Serve.search_states * 10 <= !unbounded_states * 2);
   check_int "unbounded states" 37895 !unbounded_states;
-  check_int "bounded states, both passes" 17184 s.Serve.search_states;
+  check_int "bounded states, both passes" 4872 s.Serve.search_states;
   check_int "labels built" 167 s.Serve.bound_builds;
   check_int "labels evicted" 0 s.Serve.bound_evictions
+
+let multihomed_ids g =
+  List.filter
+    (fun ad -> (Graph.ad g ad).Pr_topology.Ad.klass = Pr_topology.Ad.Multihomed)
+    (List.init (Graph.n g) Fun.id)
+
+(* The labels leave out every AD that carries no transit; policy flips
+   move ADs in and out of that set. Under the daemon's policy, at the
+   sizes served, every answer stays the unbounded search's across
+   transit ADs closed, opened and restored and multi-homed stubs given
+   a transit term and closed again, for queries pinned to the current
+   snapshot and to older ones. *)
+let labels_exact_across_flips =
+  QCheck.Test.make ~name:"serve equals the unbounded search across flips" ~count:6
+    QCheck.(pair (int_range 300 1000) small_int)
+    (fun (size, seed) ->
+      let policy = Daemon.default_config.Daemon.policy in
+      let sc = Scenario.for_size ~policy ~target_ads:size ~seed () in
+      let g = sc.Scenario.graph and config = sc.Scenario.config in
+      let store = Policy_store.create config in
+      let server = Serve.create g store in
+      let search, _ = unbounded_search g in
+      let rng = Rng.create (seed + 7) in
+      let transit = Array.of_list (Graph.transit_ids g) in
+      (* Three multi-homed stubs to flip, and every ordered pair of
+         their neighbors: once a stub carries transit, its two-hop
+         detour is often the best route between them, and the labels
+         toward them were built while it carried none. *)
+      let stubs =
+        Array.of_list
+          (List.filteri (fun i _ -> i < 3) (Rng.shuffle_list rng (multihomed_ids g)))
+      in
+      if Array.length stubs = 0 then QCheck.Test.fail_report "no multi-homed stub to flip";
+      let near =
+        Array.of_list
+          (List.concat_map
+             (fun m ->
+               let nbrs = Graph.neighbor_ids g m in
+               List.concat_map
+                 (fun a -> List.filter_map (fun b -> if a <> b then Some (a, b) else None) nbrs)
+                 nbrs)
+             (Array.to_list stubs))
+      in
+      let n = Graph.n g in
+      let snaps = ref [ Serve.snapshot server ] and bad = ref None in
+      (* Round 0 only builds labels; every later round flips one AD
+         first, each kind of flip in turn, and round 3 always gives a
+         stub a term. *)
+      for round = 0 to 11 do
+        let pick a = a.(Rng.int rng (Array.length a)) in
+        if round > 0 then begin
+          match round mod 4 with
+          | 0 ->
+            let ad = pick transit in
+            Policy_store.set_transit store ad (Transit_policy.no_transit ad)
+          | 1 ->
+            let ad = pick transit in
+            Policy_store.set_transit store ad (Transit_policy.open_transit ad)
+          | 2 ->
+            let ad = pick transit in
+            Policy_store.set_transit store ad (Config.transit config ad)
+          | _ ->
+            let ad = pick stubs in
+            Policy_store.set_transit store ad
+              (if round = 3 || Rng.bool rng then Transit_policy.open_transit ad
+               else Config.transit config ad)
+        end;
+        ignore (Serve.refresh server ~now:0.0);
+        snaps := List.filteri (fun i _ -> i < 3) (Serve.snapshot server :: !snaps);
+        for q = 1 to 24 do
+          let snap = List.nth !snaps (if q mod 4 = 0 then Rng.int rng (List.length !snaps) else 0) in
+          let flow =
+            if q mod 2 = 0 && Array.length near > 0 then
+              let src, dst = near.(Rng.int rng (Array.length near)) in
+              Flow.make ~src ~dst ()
+            else
+              Flow.make ~src:(Rng.int rng n) ~dst:(Rng.int rng n)
+                ~qos:(Rng.choose rng Qos.all) ~uci:(Rng.choose rng Uci.all)
+                ~hour:(Rng.int rng 24) ~authenticated:(Rng.bool rng) ()
+          in
+          let served =
+            match Serve.query server ~snap ~now:0.0 flow with
+            | Serve.Route { path; _ } -> Some path
+            | Serve.No_route _ -> None
+          in
+          if served <> search snap flow && !bad = None then
+            bad := Some (Printf.sprintf "round %d query %d: %d -> %d differs" round q
+                           flow.Flow.src flow.Flow.dst)
+        done
+      done;
+      match !bad with Some m -> QCheck.Test.fail_report m | None -> true)
+
+(* S reaches D through the multi-homed stub M or through the transit
+   AD T, which is closed. The label toward D is built while M carries
+   no transit, so it leaves M out. Once M gains a transit term the only
+   legal route is S M D, and the server finds it only if the refresh
+   dropped the label. *)
+let stub_joins_after_labels () =
+  let module Ad = Pr_topology.Ad in
+  let ad id klass = Ad.make ~id ~name:(Printf.sprintf "ad%d" id) ~klass ~level:Ad.Campus in
+  let s = 0 and m = 1 and t = 2 and d = 3 in
+  let g =
+    Graph.create
+      [| ad s Ad.Stub; ad m Ad.Multihomed; ad t Ad.Transit; ad d Ad.Stub |]
+      [|
+        Link.make ~id:0 ~a:s ~b:m Link.Lateral;
+        Link.make ~id:1 ~a:m ~b:d Link.Lateral;
+        Link.make ~id:2 ~a:s ~b:t Link.Lateral;
+        Link.make ~id:3 ~a:t ~b:d Link.Lateral;
+      |]
+  in
+  let transit = Array.init 4 Transit_policy.no_transit in
+  let store = Policy_store.create (Config.make ~transit ()) in
+  let server = Serve.create g store in
+  let flow = Flow.make ~src:s ~dst:d () in
+  let answer () =
+    match Serve.query server ~now:0.0 flow with
+    | Serve.Route { path; _ } -> Some path
+    | Serve.No_route _ -> None
+  in
+  check_bool "no route while M and T carry nothing" true (answer () = None);
+  check_int "the label toward D was built" 1 (Serve.stats server).Serve.bound_builds;
+  Policy_store.set_transit store m (Transit_policy.open_transit m);
+  check_int "one diagram recompiled" 1 (Serve.refresh server ~now:0.0);
+  check_bool "the route crosses M" true (answer () = Some [ s; m; d ]);
+  check_int "the label was rebuilt" 2 (Serve.stats server).Serve.bound_builds;
+  (* Opening T, transit-capable by class, drops nothing. *)
+  Policy_store.set_transit store t (Transit_policy.open_transit t);
+  ignore (Serve.refresh server ~now:0.0);
+  check_bool "still routed" true (answer () <> None);
+  check_int "a transit AD's flip keeps the label" 2 (Serve.stats server).Serve.bound_builds
 
 let () =
   Alcotest.run "pr_serve"
@@ -826,12 +965,14 @@ let () =
           Alcotest.test_case "workload determinism" `Quick workload_deterministic;
           Alcotest.test_case "daemon session healthy" `Quick daemon_session_healthy;
           Alcotest.test_case "bounded search at 10^3 ADs" `Quick bounded_search_at_scale;
+          Alcotest.test_case "a stub that gains a term drops the labels" `Quick
+            stub_joins_after_labels;
           Alcotest.test_case "baseline rows are validated" `Quick config_of_row_validates;
           Alcotest.test_case "row config round-trips" `Quick row_config_round_trips;
           Alcotest.test_case "post-mortem after two sessions" `Quick
             post_mortem_after_two_sessions;
         ]
-        @ qsuite [ three_callers_agree ] );
+        @ qsuite [ three_callers_agree; labels_exact_across_flips ] );
       ( "orwg-cache",
         [
           Alcotest.test_case "bounded route cache evicts" `Quick orwg_route_cache_bounded;
