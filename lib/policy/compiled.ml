@@ -153,15 +153,31 @@ let admitting_term t (ctx : Policy_term.transit_ctx) =
    per term with zero allocation. *)
 type spec = { s_prev : pred array; s_next : pred array }
 
+let no_spec = { s_prev = [||]; s_next = [||] }
+
+(* Count the surviving terms, then fill the two arrays: no list. *)
 let specialize t (f : Flow.t) =
   let qbit = 1 lsl Qos.index f.Flow.qos
   and ubit = 1 lsl Uci.index f.Flow.uci
   and hbit = 1 lsl f.Flow.hour in
-  let live = Array.to_list t.cterms |> List.filter (fun ct -> flow_passes ct f ~qbit ~ubit ~hbit) in
-  {
-    s_prev = Array.of_list (List.map (fun ct -> ct.prev) live);
-    s_next = Array.of_list (List.map (fun ct -> ct.next) live);
-  }
+  let cterms = t.cterms and live = ref 0 in
+  for i = 0 to Array.length cterms - 1 do
+    if flow_passes cterms.(i) f ~qbit ~ubit ~hbit then incr live
+  done;
+  if !live = 0 then no_spec
+  else begin
+    let s_prev = Array.make !live cterms.(0).prev and s_next = Array.make !live cterms.(0).next in
+    let j = ref 0 in
+    for i = 0 to Array.length cterms - 1 do
+      let ct = cterms.(i) in
+      if flow_passes ct f ~qbit ~ubit ~hbit then begin
+        s_prev.(!j) <- ct.prev;
+        s_next.(!j) <- ct.next;
+        incr j
+      end
+    done;
+    { s_prev; s_next }
+  end
 
 let spec_allows s ~prev ~next =
   let k = Array.length s.s_prev in

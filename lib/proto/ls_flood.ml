@@ -31,6 +31,7 @@ type t = {
      until then): honest copies of one origination are one physical
      record, so each is validated once however many copies arrive. *)
   vetted : Lsdb.lsa array;
+  origins : Pr_topology.Ad.id option array;  (* [Some o] at o: accepting an LSA boxes nothing *)
   mutable on_change : Pr_topology.Ad.id -> origin:Pr_topology.Ad.id option -> unit;
 }
 
@@ -49,6 +50,7 @@ let create net ~terms_for ?(flood_to = fun _ -> true) () =
     terms_for;
     flood_to;
     vetted = Array.make n (Lsdb.make_lsa ~origin:(-1) ~seq:(-1) ~adjacencies:[] ~terms:[]);
+    origins = Array.init n Option.some;
     on_change = (fun _ ~origin:_ -> ());
   }
 
@@ -166,7 +168,7 @@ let originate t ad =
     Lsdb.make_lsa ~origin:ad ~seq:t.seqs.(ad)
       ~adjacencies:(current_adjacencies t ad) ~terms:(t.terms_for ad)
   in
-  if Lsdb.insert t.dbs.(ad) lsa then changed t ad ~origin:(Some ad);
+  if Lsdb.insert t.dbs.(ad) lsa then changed t ad ~origin:t.origins.(ad);
   flood_from t ad ~except:(-1) lsa
 
 let start t =
@@ -177,7 +179,7 @@ let start t =
 
 let handle_message t ~at ~from lsa =
   if Lsdb.insert t.dbs.(at) lsa then begin
-    changed t at ~origin:(Some lsa.Lsdb.origin);
+    changed t at ~origin:t.origins.(lsa.Lsdb.origin);
     flood_from t at ~except:from lsa
   end
 

@@ -42,9 +42,11 @@ type cache = {
 }
 
 (* [store] holds each origin's record bare, or [absent] where there is
-   none: no option box per stored LSA. *)
+   none: no option box per stored LSA. [count] is the number of origins
+   not [absent]. *)
 type t = {
   store : lsa array;
+  mutable count : int;
   empty_terms : Pr_policy.Compiled.t;
   mutable search : search option;
   cache : cache;
@@ -59,17 +61,19 @@ let absent = make_lsa ~origin:(-1) ~seq:(-1) ~adjacencies:[] ~terms:[]
 let create ~n =
   {
     store = Array.make n absent;
+    count = 0;
     empty_terms = Pr_policy.Compiled.compile ~n [];
     search = None;
     cache = { key = [||]; built = None };
   }
 
-let sibling t = { t with store = Array.make (Array.length t.store) absent; search = None }
+let sibling t = { t with store = Array.make (Array.length t.store) absent; count = 0; search = None }
 
 let seq_of t origin = t.store.(origin).seq
 
 let insert t lsa =
   if lsa.seq > seq_of t lsa.origin then begin
+    if t.store.(lsa.origin) == absent then t.count <- t.count + 1;
     t.store.(lsa.origin) <- lsa;
     t.search <- None;
     true
@@ -107,8 +111,7 @@ let compiled_of t origin =
       lsa.compiled <- Some c;
       c
 
-let entry_count t =
-  Array.fold_left (fun acc lsa -> if lsa == absent then acc else acc + 1) 0 t.store
+let entry_count t = t.count
 
 let build_search t =
   let n = Array.length t.store in

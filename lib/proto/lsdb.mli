@@ -106,4 +106,5 @@ val search_view : t -> Pr_policy.Qos.t -> Pr_topology.Policy_search.view * int a
     adjacencies. *)
 
 val entry_count : t -> int
-(** Number of stored LSAs — the database footprint gauge. *)
+(** Number of stored LSAs — the database footprint gauge. O(1): kept
+    by {!insert}. *)

@@ -315,14 +315,16 @@ let rec entry_admit n ~prev ~next =
       entry_admit (if pass then yes else no) ~prev ~next
   | Branch _ | Test _ -> invalid_arg "Pdd.entry_admit: unresolved flow variable"
 
-let rec depth = function
-  | Leaf _ -> 0
-  | Branch { children; _ } -> 1 + Array.fold_left (fun d c -> max d (depth c)) 0 children
-  | Test { yes; no; _ } -> 1 + max (depth yes) (depth no)
-
 (* --- whole-database diagrams ------------------------------------- *)
 
-type snapshot = { s_version : int; s_roots : node array }
+(* The roots in chunks of [chunk] ADs: a refresh copies the spine and
+   the chunks it recompiles into, small blocks the minor heap takes,
+   where one n-slot copy took a fresh major-heap block (20 page faults
+   at 10^4 ADs). *)
+type snapshot = { s_version : int; s_roots : node array array }
+
+let chunk_bits = 8
+let chunk = 1 lsl chunk_bits
 
 type db = {
   hc : store;
@@ -338,7 +340,11 @@ let db_create ?store pstore =
   let hc = match store with Some s -> s | None -> store_create () in
   let n = Policy_store.n pstore in
   let seen = Array.init n (Policy_store.transit pstore) in
-  let roots = Array.init n (fun ad -> compile hc (Policy_store.compiled pstore ad)) in
+  let roots =
+    Array.init ((n + chunk - 1) / chunk) (fun c ->
+        Array.init (min chunk (n - (c * chunk))) (fun i ->
+            compile hc (Policy_store.compiled pstore ((c * chunk) + i))))
+  in
   {
     hc;
     pstore;
@@ -369,11 +375,14 @@ let refresh db =
         []
     | ads ->
         (* Copy-on-write: outstanding snapshots keep the old array. *)
-        let roots = Array.copy db.snap.s_roots in
+        let old = db.snap.s_roots in
+        let roots = Array.copy old in
         List.iter
           (fun ad ->
+            let c = ad lsr chunk_bits in
+            if roots.(c) == old.(c) then roots.(c) <- Array.copy old.(c);
             db.seen.(ad) <- Policy_store.transit db.pstore ad;
-            roots.(ad) <- compile db.hc (Policy_store.compiled db.pstore ad))
+            roots.(c).(ad land (chunk - 1)) <- compile db.hc (Policy_store.compiled db.pstore ad))
           ads;
         db.snap <- { s_version = v; s_roots = roots };
         db.rebuilds <- db.rebuilds + 1;
@@ -386,9 +395,9 @@ let rebuilt_ads db = db.rebuilt_ads
 
 let snapshot db = db.snap
 let snapshot_version s = s.s_version
-let root s ad = s.s_roots.(ad)
+let root s ad = s.s_roots.(ad lsr chunk_bits).(ad land (chunk - 1))
 
-let admit s ~ad f ~prev ~next = admit_node s.s_roots.(ad) f ~prev ~next
+let admit s ~ad f ~prev ~next = admit_node (root s ad) f ~prev ~next
 
 (* Hash-cons audit: walk everything reachable from the current roots
    and verify structural identity implies physical identity, for both
@@ -434,5 +443,5 @@ let check db =
     | Some _ -> fail_once (err "reachable node %d shadowed in the store" (node_id n))
     | None -> fail_once (err "reachable node %d not interned" (node_id n))
   in
-  Array.iter visit db.snap.s_roots;
+  Array.iter (Array.iter visit) db.snap.s_roots;
   !result

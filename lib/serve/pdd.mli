@@ -24,7 +24,7 @@
     {!db} tracks a {!Pr_policy.Policy_store}: [refresh] recompiles
     only the ADs whose policy object changed since the last refresh
     (detected by physical equality, the store's own sharing
-    discipline) and installs the new roots in a fresh array, so an
+    discipline) and installs the new roots in fresh arrays, so an
     outstanding {!snapshot} keeps answering from the exact database
     version it captured even while [set_transit] churn continues. *)
 
@@ -70,9 +70,6 @@ val entry_admit : node -> prev:Pr_topology.Ad.id -> next:Pr_topology.Ad.id -> bo
 (** Finish a {!flow_entry} walk for a concrete crossing (negative hops
     unknown, as in {!admit_node}). *)
 
-val depth : node -> int
-(** Longest root-to-leaf path — walk length upper bound. *)
-
 (** {1 Whole-database diagrams over a policy store} *)
 
 type db
@@ -85,7 +82,8 @@ val db_store : db -> store
 val refresh : db -> Pr_topology.Ad.id list
 (** Catch up with the policy store: recompile the diagrams of exactly
     the ADs whose [Transit_policy.t] object changed since the last
-    refresh, publish a fresh roots array, and return the ADs
+    refresh, publish fresh roots (a fresh spine, and fresh copies of
+    the 256-AD chunks they fall in), and return the ADs
     recompiled, in increasing order ([\[\]] when the store version is
     unchanged). *)
 
@@ -97,9 +95,9 @@ val rebuilt_ads : db -> int
 (** Total AD recompilations across all rebuilds (initial build counts
     [n]). *)
 
-type snapshot = private { s_version : int; s_roots : node array }
-(** An immutable view of one database version: the roots array
-    published by the matching [refresh]. Reads against a snapshot are
+type snapshot
+(** An immutable view of one database version: the roots published
+    by the matching [refresh]. Reads against a snapshot are
     unaffected by later [set_transit]/[refresh] churn. *)
 
 val snapshot : db -> snapshot

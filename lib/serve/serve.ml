@@ -9,7 +9,6 @@ module Uci = Pr_policy.Uci
 module Policy_store = Pr_policy.Policy_store
 module Lru = Pr_util.Lru
 module Policy_search = Pr_topology.Policy_search
-module Spf = Pr_topology.Spf
 module Trace = Pr_obs.Trace
 module Reg = Pr_telemetry.Registry
 module Hist = Pr_telemetry.Hist
@@ -31,11 +30,13 @@ type t = {
   single_link : int array;  (* per slot: its link when it has one, else -1 *)
   labels : (int, int array) Lru.t;
       (* key: (dst, QOS) packed; per AD, its [slot_metric] distance to
-         dst through [carrying] ADs ([max_int] if none, and at every
-         AD but dst outside [carrying]): the search's lower bound *)
-  carrying : bool array;
-      (* per AD: [carries] at some version [refresh] has seen. Only
-         grows; every cached label was built over the current set. *)
+         dst through carrying ADs ([max_int] if none, and at every AD
+         but dst that carries none): the search's lower bound *)
+  carrying : Policy_search.rows;
+      (* kept: the ADs that [carries] at some version [refresh] has
+         seen. Only grows; every cached label was built over the
+         current set. *)
+  heap : Pr_util.Pqueue.Keyed.t;  (* the label builds' Dijkstra heap *)
   entries : Pdd.node array;
       (* per-AD flow entries of the running search, valid where
          [Policy_search.first_touch] has fired *)
@@ -110,7 +111,8 @@ let create ?(route_capacity = Some 4096) ?(handle_capacity = Some 1024)
       Array.init slots (fun k ->
           fold_links k (fun only l -> if only = max_int then l else -1));
     labels = Lru.create ~capacity:(Some label_capacity) ();
-    carrying = Array.init (Graph.n graph) (carries graph snap);
+    carrying = Policy_search.restrict view ~keep:(carries graph snap);
+    heap = Pr_util.Pqueue.Keyed.create ~capacity:(Graph.n graph);
     entries = Array.make (Graph.n graph) (Pdd.leaf false);
     trace;
     routes = Lru.create ~capacity:route_capacity ();
@@ -154,8 +156,8 @@ let refresh t ~now =
     let snap = Pdd.snapshot t.pdd in
     List.iter
       (fun u ->
-        if (not t.carrying.(u)) && carries t.graph snap u then begin
-          t.carrying.(u) <- true;
+        if (not (Policy_search.kept t.carrying u)) && carries t.graph snap u then begin
+          Policy_search.keep t.carrying u;
           Lru.clear t.labels
         end)
       ads;
@@ -201,10 +203,9 @@ type answer =
   | No_route of { version : int }
 
 (* The search's lower bound toward [dst] under [qos]: one node-level
-   Dijkstra from [dst] over [slot_metric], which is symmetric (both
-   slots of an AD pair fold the same links), through [carrying] ADs
-   only. An AD outside [carrying] admits nothing at any snapshot a
-   query can pin, so no route crosses it; it gets [max_int] unless it
+   Dijkstra from [dst] over [slot_metric], through the [carrying] rows
+   only ([Policy_search.lower_bound]). An AD outside [carrying] admits
+   nothing at any snapshot a query can pin, so no route crosses it; it gets [max_int] unless it
    is dst, and the search never pushes a state there — such a state
    could never push one in turn, so the other states keep their
    relative order and the route is the unbounded search's. Policy and
@@ -216,12 +217,9 @@ let label t qos dst =
   match Lru.find t.labels key with
   | Some h -> h
   | None ->
-      let static = t.slot_metric.(Qos.index qos) and carrying = t.carrying in
-      let relax u f =
-        Policy_search.iter_row t.view u ~f:(fun w k -> if carrying.(w) then f w static.(k))
+      let h =
+        Policy_search.lower_bound t.carrying t.heap ~dst ~metric:t.slot_metric.(Qos.index qos)
       in
-      let h = (fst (Spf.search ~n:(Graph.n t.graph) ~src:dst ~relax ())).Spf.dist in
-      Array.iteri (fun v d -> if d < 0 then h.(v) <- max_int) h;
       t.bound_builds <- t.bound_builds + 1;
       Reg.inc t.m_bound_builds;
       if Lru.put t.labels key h <> None then Reg.inc t.m_bound_evictions;
@@ -234,7 +232,8 @@ let label t qos dst =
    cheapest up parallel link under the flow's QOS: a table read when
    the AD pair has a single link. The destination's label bounds the
    search (see [Policy_search.search]): the route is the unbounded
-   search's. *)
+   search's. The label is [max_int] at every AD outside the carrying
+   set but dst, so the search relaxes only the carrying rows. *)
 let synthesize t snap (f : Flow.t) =
   let g = t.graph and qos = f.Flow.qos and link_up = t.link_up and node_up = t.node_up in
   let static = t.slot_metric.(Qos.index qos) and single = t.single_link in
@@ -259,7 +258,9 @@ let synthesize t snap (f : Flow.t) =
   in
   let src = f.Flow.src and dst = f.Flow.dst in
   let lower = if src = dst then None else Some (label t qos dst) in
-  let outcome = Policy_search.search t.scratch t.view ~src ~dst ?lower ~metric ~admit () in
+  let outcome =
+    Policy_search.search t.scratch t.view ~src ~dst ?lower ~rows:t.carrying ~metric ~admit ()
+  in
   let states = Policy_search.settled t.scratch in
   t.search_states <- t.search_states + states;
   Reg.add t.m_search_states states;

@@ -6,14 +6,11 @@ let log_src = Logs.Src.create "pr.engine" ~doc:"Discrete-event engine"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-(* The engine clock lives in an all-float record, which OCaml stores
-   flat: advancing it once per event is a plain store, not a boxed
-   float plus a write barrier. *)
-type clock = { mutable now : float }
-
 type t = {
   queue : Pqueue.Calls.t;
-  clock : clock;
+  clock : Pqueue.Calls.clock;
+      (* advanced by the queue itself, which also adds the delays: no
+         event time is boxed on its way in or out *)
   mutable executed : int;
   trace : Trace.t;
   mutable observer : (time:float -> pending:int -> unit) option;
@@ -27,7 +24,7 @@ type t = {
 let create ?(trace = Trace.disabled) () =
   {
     queue = Pqueue.Calls.create ();
-    clock = { now = 0.0 };
+    clock = { Pqueue.Calls.now = 0.0 };
     executed = 0;
     trace;
     observer = None;
@@ -46,7 +43,7 @@ let schedule t ~delay f =
   (* Written so that NaN fails too: a NaN time would sit unordered in
      the queue. *)
   if not (delay >= 0.0) then invalid_arg "Engine.schedule: negative delay";
-  Pqueue.Calls.add t.queue ~priority:(t.clock.now +. delay) f
+  Pqueue.Calls.add_after t.queue t.clock ~delay f
 
 let schedule_at t ~time f =
   if not (time >= t.clock.now) then invalid_arg "Engine.schedule_at: time in the past";
@@ -54,7 +51,7 @@ let schedule_at t ~time f =
 
 let schedule_call t ~delay f x =
   if not (delay >= 0.0) then invalid_arg "Engine.schedule_call: negative delay";
-  Pqueue.Calls.add_call t.queue ~priority:(t.clock.now +. delay) f x
+  Pqueue.Calls.add_call_after t.queue t.clock ~delay f x
 
 let pending t = Pqueue.Calls.length t.queue
 
@@ -82,11 +79,10 @@ let run ?(max_events = 10_000_000) t =
     end
     else if Pqueue.Calls.is_empty t.queue then Drained
     else begin
-      t.clock.now <- Pqueue.Calls.top_priority t.queue;
       t.executed <- t.executed + 1;
       Reg.inc t.m_events;
       decr budget;
-      Pqueue.Calls.run_top t.queue;
+      Pqueue.Calls.run_top t.queue t.clock;
       if t.executed land depth_sample_mask = 0 then begin
         let depth = Pqueue.Calls.length t.queue in
         Reg.set t.m_depth (float_of_int depth);

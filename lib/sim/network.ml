@@ -14,6 +14,10 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 type 'msg t = {
   engine : Engine.t;
   graph : Graph.t;
+  (* Read once at creation: the send path fetches neither per call. *)
+  uoff : int array;  (* [Graph.unique_csr] *)
+  unbr : int array;
+  trace : Trace.t;
   metrics : Metrics.t;
   link_up : bool array;
   node_up : bool array;
@@ -45,9 +49,13 @@ type 'msg t = {
 let unbuilt _ = ()
 
 let create engine graph metrics =
+  let uoff, unbr = Graph.unique_csr graph in
   {
     engine;
     graph;
+    uoff;
+    unbr;
+    trace = Engine.trace engine;
     metrics;
     link_up = Array.make (Graph.num_links graph) true;
     node_up = Array.make (Graph.n graph) true;
@@ -66,7 +74,7 @@ let engine t = t.engine
 
 let metrics t = t.metrics
 
-let trace t = Engine.trace t.engine
+let trace t = t.trace
 
 let debug_on () =
   match Logs.Src.level log_src with Some Logs.Debug -> true | _ -> false
@@ -109,8 +117,7 @@ let lose t ~src ~dst =
   (* Loss is charged to the receiver. *)
   Metrics.record_loss t.metrics dst;
   Reg.inc t.m_losses;
-  let tr = trace t in
-  if Trace.enabled tr then Trace.instant tr ~ts:(Engine.now t.engine) ~tid:dst "net.lost";
+  if Trace.enabled t.trace then Trace.instant t.trace ~ts:(Engine.now t.engine) ~tid:dst "net.lost";
   if debug_on () then
     Log.debug (fun m ->
         m "t=%.1f message %d -> %d lost in flight" (Engine.now t.engine) src dst)
@@ -147,8 +154,7 @@ let rec schedule_copies t ~delay deliver msg = function
 let send_on t ~src ~dst ~slot ~lid ~bytes msg =
   Metrics.record_send t.metrics src ~bytes;
   Reg.inc t.m_sends;
-  let tr = trace t in
-  if Trace.enabled tr then Trace.instant tr ~ts:(Engine.now t.engine) ~tid:src "net.send";
+  if Trace.enabled t.trace then Trace.instant t.trace ~ts:(Engine.now t.engine) ~tid:src "net.send";
   if debug_on () then
     Log.debug (fun m ->
         m "t=%.1f send %d -> %d (%d bytes)" (Engine.now t.engine) src dst bytes);
@@ -182,9 +188,8 @@ let broadcast t ~src ~except ~filter ~bytes msg =
   if t.node_up.(src) then begin
     (* [src]'s unique-neighbor row: slot [k] is the pair (src, nbr.(k)),
        so no per-neighbor slot search. *)
-    let off, nbr = Graph.unique_csr t.graph in
-    for k = off.(src) to off.(src + 1) - 1 do
-      let dst = nbr.(k) in
+    for k = t.uoff.(src) to t.uoff.(src + 1) - 1 do
+      let dst = t.unbr.(k) in
       if dst <> except then begin
         let lid = slot_link t k in
         if lid >= 0 && filter dst then send_on t ~src ~dst ~slot:k ~lid ~bytes msg
@@ -196,7 +201,7 @@ let set_link_state t lid ~up =
   if t.link_up.(lid) <> up then begin
     t.link_up.(lid) <- up;
     let l = Graph.link t.graph lid in
-    Trace.note (trace t) ~ts:(Engine.now t.engine) ~tid:l.Link.a
+    Trace.note t.trace ~ts:(Engine.now t.engine) ~tid:l.Link.a
       ~detail:(Printf.sprintf "link %d--%d" l.Link.a l.Link.b)
       (if up then "link.up" else "link.down");
     Log.info (fun m ->
@@ -209,7 +214,7 @@ let set_link_state t lid ~up =
 let set_node_state t ad ~up =
   if t.node_up.(ad) <> up then begin
     t.node_up.(ad) <- up;
-    Trace.note (trace t) ~ts:(Engine.now t.engine) ~tid:ad
+    Trace.note t.trace ~ts:(Engine.now t.engine) ~tid:ad
       ~detail:(Printf.sprintf "AD %d" ad)
       (if up then "node.up" else "node.down");
     Log.info (fun m ->

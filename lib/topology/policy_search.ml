@@ -76,6 +76,75 @@ let iter_row v ad ~f =
     f v.nbr.(k) k
   done
 
+(* AD v's restricted row is [slots.(off.(v)) .. slots.(off.(v) + len.(v) - 1)]:
+   each row keeps its view span, so a joining AD's slot is inserted in
+   place. *)
+type rows = { view : view; kept : bool array; len : int array; slots : int array }
+
+let restrict v ~keep =
+  let n = Array.length v.off - 1 in
+  let kept = Array.init n keep in
+  let len = Array.make n 0 and slots = Array.make (Array.length v.nbr) 0 in
+  for u = 0 to n - 1 do
+    for k = v.off.(u) to v.off.(u + 1) - 1 do
+      if kept.(v.nbr.(k)) then begin
+        slots.(v.off.(u) + len.(u)) <- k;
+        len.(u) <- len.(u) + 1
+      end
+    done
+  done;
+  { view = v; kept; len; slots }
+
+let kept r ad = r.kept.(ad)
+
+let keep r ad =
+  if not r.kept.(ad) then begin
+    r.kept.(ad) <- true;
+    let v = r.view and slots = r.slots in
+    for k = v.off.(ad) to v.off.(ad + 1) - 1 do
+      (* Slot [twin.(k)] of neighbor u reaches [ad]: insertion-sort it
+         into u's restricted row. *)
+      let u = v.nbr.(k) and s = v.twin.(k) in
+      let base = v.off.(u) in
+      let i = ref (base + r.len.(u)) in
+      while !i > base && slots.(!i - 1) > s do
+        slots.(!i) <- slots.(!i - 1);
+        decr i
+      done;
+      slots.(!i) <- s;
+      r.len.(u) <- r.len.(u) + 1
+    done
+  end
+
+let no_rows =
+  let view = { off = [| 0 |]; nbr = [||]; twin = [||]; seq_bits = 0; max_dist = 0 } in
+  { view; kept = [||]; len = [||]; slots = [||] }
+
+(* Node-level Dijkstra from [dst] over the restricted rows. Relaxing
+   w's slot k to v prices the edge v -> w by its own slot, [twin.(k)].
+   With decrease-key and metrics >= 0, a settled AD is never improved
+   again, so the label doubles as the distance array. *)
+let lower_bound r q ~dst ~metric =
+  let v = r.view in
+  let off = v.off and nbr = v.nbr and twin = v.twin and len = r.len and slots = r.slots in
+  let h = Array.make (Array.length off - 1) max_int in
+  Keyed.clear q;
+  h.(dst) <- 0;
+  ignore (Keyed.insert_or_decrease q dst ~priority:0);
+  while not (Keyed.is_empty q) do
+    let w = Keyed.pop_min q in
+    let d = h.(w) in
+    for i = off.(w) to off.(w) + len.(w) - 1 do
+      let k = slots.(i) in
+      let u = nbr.(k) and d' = d + metric.(twin.(k)) in
+      if d' < h.(u) then begin
+        h.(u) <- d';
+        ignore (Keyed.insert_or_decrease q u ~priority:d')
+      end
+    done
+  done;
+  h
+
 type scratch = {
   mutable dist : int array;
   mutable parent : int array;
@@ -84,6 +153,8 @@ type scratch = {
   mutable touched : int array;  (* AD -> [touch] of its first touch *)
   mutable avoided : int array;
   mutable on_path : int array;
+  mutable dst_mark : int array;  (* AD -> [touch] when it neighbors an unkept dst *)
+  mutable dst_slot : int array;  (* ... and then its slot to dst *)
   mutable gen : int;  (* bumped per pass: stamps [reached], [avoided], [on_path] *)
   mutable touch : int;  (* [gen] at the search's start: both passes share it *)
   mutable work : int;
@@ -99,6 +170,8 @@ let scratch () =
     touched = [||];
     avoided = [||];
     on_path = [||];
+    dst_mark = [||];
+    dst_slot = [||];
     gen = 0;
     touch = 0;
     work = 0;
@@ -118,7 +191,9 @@ let begin_search s v =
   if Array.length s.touched < n then begin
     s.touched <- Array.make n 0;
     s.avoided <- Array.make n 0;
-    s.on_path <- Array.make n 0
+    s.on_path <- Array.make n 0;
+    s.dst_mark <- Array.make n 0;
+    s.dst_slot <- Array.make n 0
   end;
   s.gen <- s.gen + 1;
   s.touch <- s.gen;
@@ -148,11 +223,19 @@ let overflow () = invalid_arg "Policy_search.search: path metric overflow"
    state, or -1. A push whose d' + h(w) exceeds [cut] is skipped before
    admission; an empty [h] bounds nothing. The exact order keys a push
    by (d', seq); the bound pass ([astar]) by (d' + h(w), LIFO seq) and
-   lowers [cut] to each destination distance it pushes. *)
-let pass s v ~src ~dst ~avoid ~metric ~admit ~h ~astar ~cut =
+   lowers [cut] to each destination distance it pushes.
+
+   With restricted rows [r] an AD's slots are its kept ones, with the
+   slot to an unkept dst ([dst_slot], or [max_int] when none) merged in
+   at its place: the slots left out reach ADs with h = max_int, whose
+   pushes are skipped anyway, so the pushes and their seqs are those
+   of the full rows. *)
+let pass s v r ~src ~dst ~avoid ~metric ~admit ~h ~astar ~cut =
   let bounded = Array.length h > 0 and gen = s.gen and off = v.off and nbr = v.nbr and twin = v.twin in
   let dist = s.dist and parent = s.parent and reached = s.reached in
   let avoided = s.avoided and q = s.q and bits = v.seq_bits in
+  let restricted = r != no_rows and len = r.len and slots = r.slots in
+  let merge_dst = restricted && not r.kept.(dst) and dst_mark = s.dst_mark and touch = s.touch in
   List.iter (fun a -> if a >= 0 && a < Array.length avoided then avoided.(a) <- gen) avoid;
   let start = Array.length nbr and seq = ref 1 and final = ref (-1) and cut = ref cut in
   let tie = if astar then (1 lsl bits) - 1 else 0 in
@@ -170,7 +253,12 @@ let pass s v ~src ~dst ~avoid ~metric ~admit ~h ~astar ~cut =
     if at = dst then final := st
     else begin
       let d = dist.(st) and from = if st = start then -1 else nbr.(st) in
-      for k = off.(at) to off.(at + 1) - 1 do
+      let i = ref off.(at) in
+      let stop = if restricted then !i + len.(at) else off.(at + 1) in
+      let kd = ref (if merge_dst && dst_mark.(at) = touch then s.dst_slot.(at) else max_int) in
+      while !i < stop || !kd < max_int do
+        let next = if !i >= stop then max_int else if restricted then slots.(!i) else !i in
+        let k = if next < !kd then (incr i; next) else begin let k = !kd in kd := max_int; k end in
         let w = nbr.(k) in
         if w <> src && (w = dst || avoided.(w) <> gen) then begin
           let c = metric at w k in
@@ -195,26 +283,33 @@ let pass s v ~src ~dst ~avoid ~metric ~admit ~h ~astar ~cut =
   done;
   !final
 
-let search s v ~src ~dst ?(avoid = []) ?lower ~metric ~admit () =
+let search s v ~src ~dst ?(avoid = []) ?lower ?(rows = no_rows) ~metric ~admit () =
   begin_search s v;
+  if rows != no_rows && rows.view != v then invalid_arg "Policy_search.search: rows of another view";
   if src = dst then Route [ src ]
   else begin
     let final =
       match lower with
       | None ->
-          pass s v ~src ~dst ~avoid ~metric ~admit ~h:[||] ~astar:false ~cut:max_int
+          if rows != no_rows then invalid_arg "Policy_search.search: rows without a lower bound";
+          pass s v rows ~src ~dst ~avoid ~metric ~admit ~h:[||] ~astar:false ~cut:max_int
       | Some h ->
           if Array.length h < Array.length v.off - 1 then
             invalid_arg "Policy_search.search: lower bound shorter than the view";
+          if rows != no_rows && not rows.kept.(dst) then
+            for j = v.off.(dst) to v.off.(dst + 1) - 1 do
+              s.dst_mark.(v.nbr.(j)) <- s.touch;
+              s.dst_slot.(v.nbr.(j)) <- v.twin.(j)
+            done;
           (* Pass 1 learns the optimum D*; pass 2 replays the exact
              order over the states that can still meet it. *)
-          let goal = pass s v ~src ~dst ~avoid ~metric ~admit ~h ~astar:true ~cut:max_int in
+          let goal = pass s v rows ~src ~dst ~avoid ~metric ~admit ~h ~astar:true ~cut:max_int in
           s.bound_work <- s.work;
           if goal < 0 then -1
           else begin
             let best = s.dist.(goal) in
             s.gen <- s.gen + 1;
-            pass s v ~src ~dst ~avoid ~metric ~admit ~h ~astar:false ~cut:best
+            pass s v rows ~src ~dst ~avoid ~metric ~admit ~h ~astar:false ~cut:best
           end
     in
     if final < 0 then Unreachable

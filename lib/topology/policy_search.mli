@@ -33,6 +33,30 @@ val of_graph : Graph.t -> view
 val iter_row : view -> Ad.id -> f:(Ad.id -> int -> unit) -> unit
 (** [f w k] for each neighbor [w] of the AD, [k] its slot, in row order. *)
 
+type rows
+(** A view's rows restricted to a set of kept ADs: each AD's row lists
+    the view slots whose neighbor is kept, in view order. A search
+    passed them iterates only those slots (see {!search}). *)
+
+val restrict : view -> keep:(Ad.id -> bool) -> rows
+(** Rows restricted to the ADs [keep] holds for. O(n + m). *)
+
+val keep : rows -> Ad.id -> unit
+(** Add the AD to the kept set, in place: its slot enters each
+    neighbor's row at its view position. O(sum of the neighbors' row
+    lengths); nothing when already kept. *)
+
+val kept : rows -> Ad.id -> bool
+
+val lower_bound :
+  rows -> Pr_util.Pqueue.Keyed.t -> dst:Ad.id -> metric:int array -> int array
+(** Per AD, the least [metric] (by view slot, [>= 0]) of a walk to
+    [dst] whose ADs other than [dst] are all kept; [max_int] where none
+    is, so every unkept AD but [dst]. A Dijkstra from [dst] on the
+    heap, whose capacity must be at least n; the returned array is its
+    only allocation. It bounds {!search} for any metric no lower than
+    [metric] slot for slot, and meets the precondition of [~rows]. *)
+
 type scratch
 (** Reusable search state, grown to fit the largest view it serves. *)
 
@@ -59,6 +83,7 @@ val search :
   dst:Ad.id ->
   ?avoid:Ad.id list ->
   ?lower:int array ->
+  ?rows:rows ->
   metric:(Ad.id -> Ad.id -> int -> int) ->
   admit:(Ad.id -> Ad.id -> Ad.id -> bool) ->
   unit ->
@@ -82,9 +107,17 @@ val search :
     returned parent chain is skipped and a skipped state leads only to
     states beyond D*, so the outcome is the unbounded search's; the
     exact pass settles a subset of its states.
+
+    [rows], restricted rows over this view, needs [lower], and
+    [lower.(v) = max_int] for every AD [v] outside the kept set other
+    than [dst]. Both passes then relax only the kept slots, plus the
+    slot to [dst] when [dst] is not kept, merged in at its place in
+    slot order. Every slot left out leads to a push the bound would
+    skip, so the outcome, pop order and {!settled} are those of the
+    search without [rows]; [metric] is simply not asked about them.
     @raise Invalid_argument if a path metric (plus its bound, in the
-    bound pass) overflows the heap key, or [lower] is shorter than the
-    view. *)
+    bound pass) overflows the heap key, [lower] is shorter than the
+    view, or [rows] are another view's or come without [lower]. *)
 
 val settled : scratch -> int
 (** States settled by the last search, both passes counted: the work

@@ -64,9 +64,6 @@ let tree_state g ~up ~cost ~src =
   let relax u f = Graph.iter_neighbors g u ~f:(fun v lid -> if up.(lid) then f v cost.(lid)) in
   fst (search ~n:(Graph.n g) ~src ~relax ())
 
-let reachable t =
-  Array.fold_left (fun acc d -> if d >= 0 then acc + 1 else acc) (-1) t.dist
-
 let path t dst =
   if t.dist.(dst) < 0 then None
   else begin

@@ -54,8 +54,5 @@ val tree_state : Graph.t -> up:bool array -> cost:int array -> src:Ad.id -> tree
     Distances are uniquely determined, so only [dist] is comparable
     with {!Spf_delta}, whose repair breaks ties its own way. *)
 
-val reachable : tree -> int
-(** Destinations with a route, excluding the source itself. *)
-
 val path : tree -> Ad.id -> Path.t option
 (** The tree route from the source to [dst]. *)

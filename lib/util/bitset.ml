@@ -51,16 +51,6 @@ let is_empty t =
 
 let clear t = Bytes.fill t.words 0 (Bytes.length t.words) '\000'
 
-let iter t f =
-  for i = 0 to t.capacity - 1 do
-    if mem t i then f i
-  done
-
-let fold t ~init ~f =
-  let acc = ref init in
-  iter t (fun i -> acc := f !acc i);
-  !acc
-
 let of_list n xs =
   let t = create n in
   List.iter (add t) xs;
@@ -120,10 +110,3 @@ let equal a b = a.capacity = b.capacity && Bytes.equal a.words b.words
 
 (* Spare high bits are always zero, so equal sets have equal bytes. *)
 let hash t = Hashtbl.hash t.words
-
-let pp ppf t =
-  Format.fprintf ppf "{%a}"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-       Format.pp_print_int)
-    (List.rev (fold t ~init:[] ~f:(fun acc i -> i :: acc)))

@@ -25,10 +25,6 @@ val is_empty : t -> bool
 
 val clear : t -> unit
 
-val iter : t -> (int -> unit) -> unit
-
-val fold : t -> init:'a -> f:('a -> int -> 'a) -> 'a
-
 val of_list : int -> int list -> t
 (** [of_list n xs] builds a set over universe [n] containing [xs]. *)
 
@@ -55,5 +51,3 @@ val equal : t -> t -> bool
 val hash : t -> int
 (** A hash of the set's packed bytes, consistent with {!equal}: one
     pass over [capacity / 8] bytes, no allocation. *)
-
-val pp : Format.formatter -> t -> unit

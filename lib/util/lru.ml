@@ -101,15 +101,6 @@ let clear t =
   t.head <- None;
   t.tail <- None
 
-let iter t ~f =
-  let rec go = function
-    | None -> ()
-    | Some n ->
-        f n.key n.value;
-        go n.next
-  in
-  go t.head
-
 let fold t ~init ~f =
   let rec go acc = function
     | None -> acc

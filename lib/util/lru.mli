@@ -50,10 +50,6 @@ val clear : ('k, 'v) t -> unit
 (** Drop all entries.  Eviction counts survive (they are lifetime
     statistics, not contents). *)
 
-val iter : ('k, 'v) t -> f:('k -> 'v -> unit) -> unit
-(** Iterate entries from most- to least-recently-used.  [f] must not
-    mutate the cache. *)
-
 val fold : ('k, 'v) t -> init:'a -> f:('a -> 'k -> 'v -> 'a) -> 'a
 (** Fold entries from most- to least-recently-used.  [f] must not
     mutate the cache. *)

@@ -340,23 +340,28 @@ let clear t =
 module Calls = struct
   type nonrec t = (Obj.t -> unit) t
 
+  type clock = { mutable now : float }
+
   let create = create
 
   let is_empty = is_empty
 
   let length = length
 
-  let top_priority = top_priority
-
   let add t ~priority (f : unit -> unit) =
     ignore (insert t ~priority (Obj.magic f : Obj.t -> unit) : int)
 
-  let add_call t ~priority (f : 'a -> unit) (x : 'a) =
-    let sl = insert t ~priority (Obj.magic f : Obj.t -> unit) in
+  (* [insert] is inlined, so the sum reaches the heap unboxed. *)
+  let add_after t clock ~delay (f : unit -> unit) =
+    ignore (insert t ~priority:(clock.now +. delay) (Obj.magic f : Obj.t -> unit) : int)
+
+  let add_call_after t clock ~delay (f : 'a -> unit) (x : 'a) =
+    let sl = insert t ~priority:(clock.now +. delay) (Obj.magic f : Obj.t -> unit) in
     t.args.(sl) <- Obj.repr x
 
-  let run_top t =
+  let run_top t clock =
     if t.size = 0 then invalid_arg "Pqueue.Calls.run_top: empty queue";
+    clock.now <- Float.Array.unsafe_get t.prio 0;
     let sl = Array.unsafe_get t.slot 0 in
     let x = Array.unsafe_get t.args sl in
     if Obj.is_block x then Array.unsafe_set t.args sl (vacant ());
@@ -391,47 +396,62 @@ module Keyed = struct
 
   let priority t key = if t.pos.(key) >= 0 then Some t.prio.(key) else None
 
-  let less t a b = t.prio.(a) < t.prio.(b) || (t.prio.(a) = t.prio.(b) && a < b)
+  (* Hole-based sifts: the moving key rides in locals and each level
+     writes one slot, instead of a swap (two slots, two positions) per
+     level. The comparisons, and so the heap, are those of swapping
+     sifts. *)
+  let[@inline] less (p : int) (a : int) (q : int) (b : int) = p < q || (p = q && a < b)
 
-  let swap t i j =
-    let a = t.heap.(i) and b = t.heap.(j) in
-    t.heap.(i) <- b;
-    t.heap.(j) <- a;
-    t.pos.(b) <- i;
-    t.pos.(a) <- j
-
-  let rec sift_up t i =
-    if i > 0 then begin
-      let parent = (i - 1) / 2 in
-      if less t t.heap.(i) t.heap.(parent) then begin
-        swap t i parent;
-        sift_up t parent
+  let sift_up t i key =
+    let heap = t.heap and pos = t.pos and prio = t.prio in
+    let p = prio.(key) and i = ref i and moving = ref true in
+    while !moving && !i > 0 do
+      let parent = (!i - 1) / 2 in
+      let above = heap.(parent) in
+      if less p key prio.(above) above then begin
+        heap.(!i) <- above;
+        pos.(above) <- !i;
+        i := parent
       end
-    end
+      else moving := false
+    done;
+    heap.(!i) <- key;
+    pos.(key) <- !i
 
-  let rec sift_down t i =
-    let l = (2 * i) + 1 and r = (2 * i) + 2 in
-    let smallest = ref i in
-    if l < t.size && less t t.heap.(l) t.heap.(!smallest) then smallest := l;
-    if r < t.size && less t t.heap.(r) t.heap.(!smallest) then smallest := r;
-    if !smallest <> i then begin
-      swap t i !smallest;
-      sift_down t !smallest
-    end
+  let sift_down t key =
+    let heap = t.heap and pos = t.pos and prio = t.prio and n = t.size in
+    let p = prio.(key) and i = ref 0 and moving = ref true in
+    while !moving do
+      let l = (2 * !i) + 1 in
+      if l >= n then moving := false
+      else begin
+        let r = l + 1 in
+        let c =
+          if r < n && less prio.(heap.(r)) heap.(r) prio.(heap.(l)) heap.(l) then r else l
+        in
+        let below = heap.(c) in
+        if less prio.(below) below p key then begin
+          heap.(!i) <- below;
+          pos.(below) <- !i;
+          i := c
+        end
+        else moving := false
+      end
+    done;
+    heap.(!i) <- key;
+    pos.(key) <- !i
 
   let insert_or_decrease t key ~priority =
     let slot = t.pos.(key) in
     if slot < 0 then begin
       t.prio.(key) <- priority;
-      t.heap.(t.size) <- key;
-      t.pos.(key) <- t.size;
       t.size <- t.size + 1;
-      sift_up t (t.size - 1);
+      sift_up t (t.size - 1) key;
       true
     end
     else if priority < t.prio.(key) then begin
       t.prio.(key) <- priority;
-      sift_up t slot;
+      sift_up t slot key;
       true
     end
     else false
@@ -442,12 +462,7 @@ module Keyed = struct
       let top = t.heap.(0) in
       t.size <- t.size - 1;
       t.pos.(top) <- -1;
-      if t.size > 0 then begin
-        let last = t.heap.(t.size) in
-        t.heap.(0) <- last;
-        t.pos.(last) <- 0;
-        sift_down t 0
-      end;
+      if t.size > 0 then sift_down t t.heap.(t.size);
       top
     end
 

@@ -62,9 +62,14 @@ val clear : 'a t -> unit
     entry is a handler and its argument, kept side by side in one value
     slot, so queueing a call on a message allocates no closure. Pop
     order is the (priority, insertion seq) order of ['a t], over plain
-    and argument-carrying entries alike. *)
+    and argument-carrying entries alike. The simulator's clock is a
+    cell the queue reads and advances itself, so no priority crosses a
+    call boundary as a boxed float. *)
 module Calls : sig
   type t
+
+  type clock = { mutable now : float }
+  (** An all-float record, stored flat: updating it boxes nothing. *)
 
   val create : unit -> t
 
@@ -72,18 +77,21 @@ module Calls : sig
 
   val length : t -> int
 
-  val top_priority : t -> float
-
   val add : t -> priority:float -> (unit -> unit) -> unit
-  (** Queue the call [f ()]. *)
+  (** Queue the call [f ()] at an absolute priority. *)
 
-  val add_call : t -> priority:float -> ('a -> unit) -> 'a -> unit
-  (** [add_call q ~priority f x] queues the call [f x]. *)
+  val add_after : t -> clock -> delay:float -> (unit -> unit) -> unit
+  (** Queue the call [f ()] at [clock.now +. delay]. *)
 
-  val run_top : t -> unit
-  (** Remove the next entry, then make its call. The entry is out of
-      the queue, and its handler and argument are no longer held by
-      it, before the call runs.
+  val add_call_after : t -> clock -> delay:float -> ('a -> unit) -> 'a -> unit
+  (** [add_call_after q clock ~delay f x] queues the call [f x] at
+      [clock.now +. delay]. *)
+
+  val run_top : t -> clock -> unit
+  (** Set the clock to the next entry's priority, remove the entry,
+      then make its call. The entry is out of the queue, and its
+      handler and argument are no longer held by it, before the call
+      runs.
       @raise Invalid_argument on an empty queue. *)
 end
 

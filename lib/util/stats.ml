@@ -51,10 +51,6 @@ let summary xs =
       p99 = percentile xs 99.0;
     }
 
-let pp_summary ppf s =
-  Format.fprintf ppf "n=%d mean=%.2f sd=%.2f min=%.2f med=%.2f p90=%.2f max=%.2f"
-    s.count s.mean s.stddev s.min s.median s.p90 s.max
-
 type histogram = { bucket_width : float; buckets : (float * int) list }
 
 let histogram ~bucket_width xs =

@@ -26,8 +26,6 @@ val percentile : float list -> float -> float
 (** [percentile xs p] with [p] in [\[0,100\]], linear interpolation
     between order statistics. 0 for the empty sample. *)
 
-val pp_summary : Format.formatter -> summary -> unit
-
 type histogram = { bucket_width : float; buckets : (float * int) list }
 (** Buckets are (lower bound, count), sorted ascending; empty buckets
     between occupied ones are included. *)

@@ -553,6 +553,32 @@ let faulted_convergence_minor_words_per_event () =
     (Printf.sprintf "%.1f minor words/event over %d events (budget 20)" per_event events)
     true (per_event <= 20.0)
 
+(* The fault-free 120-AD ORWG converge, measured once its event queue
+   storage is warm (a first converge of the same internet grows it):
+   about 0.4 words per event, under a budget of 0.6. Boxing the event
+   time on its way into and out of the queue, fetching the unique CSR
+   as a tuple per broadcast and a [Some origin] per accepted LSA took
+   it to about 7. *)
+let converge_words_per_event () =
+  let (Registry.Packed (module P)) = orwg_runner () in
+  let module R = Runner.Make (P) in
+  let sc = Scenario.for_size ~target_ads:120 ~seed:1 () in
+  let setup () = R.setup sc.Scenario.graph sc.Scenario.config in
+  ignore (R.converge (setup ()));
+  let r = setup () and conv = ref None in
+  Gc.full_major ();
+  let words =
+    Pr_telemetry.Alloc.words (fun () ->
+        conv := Some (R.converge r);
+        Gc.minor ())
+  in
+  let c = Option.get !conv in
+  check_bool "converged" true c.Runner.converged;
+  let per_event = words /. float_of_int c.Runner.events in
+  check_bool
+    (Printf.sprintf "%.2f words/event over %d events (budget 0.6)" per_event c.Runner.events)
+    true (per_event <= 0.6)
+
 (* One call records each notable event: every link, node, fault, guard
    and invariant-violation entry the post-mortem ring holds after a
    traced run is in the run's trace too, at the same ts and tid. *)
@@ -652,6 +678,8 @@ let () =
             faulted_convergence_words_per_event;
           Alcotest.test_case "faulted convergence minor-words budget" `Quick
             faulted_convergence_minor_words_per_event;
+          Alcotest.test_case "fault-free 120-AD converge allocation budget" `Quick
+            converge_words_per_event;
           Alcotest.test_case "notable events reach trace and post-mortem ring" `Quick
             notable_events_reach_both_sinks;
           Alcotest.test_case "post-mortem covers one run" `Quick post_mortem_covers_one_run;

@@ -813,6 +813,48 @@ let spec_matches_full_probe =
       in
       s = Compiled.allows compiled ctx && s = Transit_policy.allows (Transit_policy.make 5 terms) ctx)
 
+(* The list-built specialization that the count-then-fill one
+   replaced, over the exported term views: the terms whose flow-only
+   conditions pass, their prev/next predicates in term order. *)
+let list_specialize compiled (f : Flow.t) =
+  let probe (p : Compiled.pred) ad =
+    (ad >= 0 && ad < Bitset.capacity p.Compiled.bits && Bitset.mem p.Compiled.bits ad)
+    <> p.Compiled.compl
+  in
+  let qbit = 1 lsl Qos.index f.Flow.qos
+  and ubit = 1 lsl Uci.index f.Flow.uci
+  and hbit = 1 lsl f.Flow.hour in
+  let live =
+    Array.to_list (Compiled.term_views compiled)
+    |> List.filter (fun (v : Compiled.term_view) ->
+           v.Compiled.v_qos_mask land qbit <> 0
+           && v.Compiled.v_uci_mask land ubit <> 0
+           && v.Compiled.v_hour_mask land hbit <> 0
+           && ((not v.Compiled.v_auth_required) || f.Flow.authenticated)
+           && probe v.Compiled.v_dst f.Flow.dst
+           && probe v.Compiled.v_src f.Flow.src)
+  in
+  fun ~prev ~next ->
+    List.exists
+      (fun (v : Compiled.term_view) ->
+        (prev < 0 || probe v.Compiled.v_prev prev) && (next < 0 || probe v.Compiled.v_next next))
+      live
+
+let specialize_matches_list_built =
+  QCheck.Test.make ~name:"specialize equals the list-built specialization" ~count:500
+    (QCheck.make QCheck.Gen.(pair gen_terms gen_ctx))
+    (fun (terms, ctx) ->
+      let compiled = Compiled.compile ~n:universe terms in
+      let flow = ctx.Policy_term.flow in
+      let spec = Compiled.specialize compiled flow and want = list_specialize compiled flow in
+      let hops = List.init (universe + 3) (fun i -> i - 1) in
+      List.for_all
+        (fun prev ->
+          List.for_all
+            (fun next -> Compiled.spec_allows spec ~prev ~next = want ~prev ~next)
+            hops)
+        hops)
+
 let admitted_sources_matches_scan =
   QCheck.Test.make
     ~name:"admitted_sources_into equals the per-source interpreted scan" ~count:200
@@ -926,6 +968,7 @@ let () =
               compiled_allows_matches_interpreted;
               compiled_admitting_term_matches;
               spec_matches_full_probe;
+              specialize_matches_list_built;
               admitted_sources_matches_scan;
             ] );
       ( "source-policy",

@@ -243,6 +243,24 @@ let view_contents db =
   let view = fst (Lsdb.search_view db Pr_policy.Qos.Default) in
   (view_rows view, List.map (fun q -> snd (Lsdb.search_view db q)) Pr_policy.Qos.all)
 
+(* The kept entry count against a fold over the store, after every
+   insert (fresh, newer, stale or duplicate) and every reset to an
+   empty sibling, on the database and on a sibling of it. *)
+let lsdb_count_matches_fold =
+  QCheck.Test.make ~name:"entry_count equals the fold over stored LSAs" ~count:300
+    QCheck.(list (triple (int_range (-1) 7) (int_range 0 4) bool))
+    (fun ops ->
+      let dbs = [| Lsdb.create ~n:8; Lsdb.create ~n:8 |] in
+      dbs.(1) <- Lsdb.sibling dbs.(0);
+      let folded db = Lsdb.fold db ~init:0 ~f:(fun acc _ -> acc + 1) in
+      List.for_all
+        (fun (origin, seq, first) ->
+          let i = if first then 0 else 1 in
+          if origin < 0 then dbs.(i) <- Lsdb.sibling dbs.(i)
+          else ignore (Lsdb.insert dbs.(i) (lsa origin seq []));
+          Array.for_all (fun db -> Lsdb.entry_count db = folded db) dbs)
+        ops)
+
 let lsdb_shared_view =
   QCheck.Test.make ~name:"sibling views shared by record identity" ~count:300
     QCheck.(
@@ -710,7 +728,7 @@ let () =
           Alcotest.test_case "bytes pinned" `Quick lsdb_bytes_pinned;
           Alcotest.test_case "empty-slot sentinel hidden" `Quick lsdb_sentinel_hidden;
         ]
-        @ qsuite [ lsdb_shared_view ] );
+        @ qsuite [ lsdb_shared_view; lsdb_count_matches_fold ] );
       ( "ls-flood",
         [
           Alcotest.test_case "converges consistent" `Quick flood_converges_consistent;

@@ -932,6 +932,87 @@ let stub_joins_after_labels () =
   check_bool "still routed" true (answer () <> None);
   check_int "a transit AD's flip keeps the label" 2 (Serve.stats server).Serve.bound_builds
 
+(* The label as built before the carrying rows: one [Spf.search] from
+   dst over the full rows that relaxes only toward carrying ADs. *)
+let spf_label g view carrying qos dst =
+  let static = qos_slot_metric g qos in
+  let relax u f =
+    Policy_search.iter_row view u ~f:(fun w k -> if carrying.(w) then f w static.(k))
+  in
+  let dist = (fst (Pr_topology.Spf.search ~n:(Graph.n g) ~src:dst ~relax ())).Pr_topology.Spf.dist in
+  Array.map (fun d -> if d < 0 then max_int else d) dist
+
+let carries g snap u =
+  Pr_topology.Ad.is_transit_capable (Graph.ad g u)
+  || not (Pdd.is_false_leaf (Pdd.root snap u))
+
+(* Every label the server builds over its carrying rows is the
+   [Spf]-built one over the ADs that carried transit at some refreshed
+   version, before and after multi-homed stubs join that set. The same
+   destinations are asked each round, so a label kept past a join would
+   differ. *)
+let labels_match_spf_reference =
+  QCheck.Test.make ~name:"labels = the Spf-built reference across stub joins" ~count:6
+    QCheck.(pair (int_range 300 1000) small_int)
+    (fun (size, seed) ->
+      let policy = Daemon.default_config.Daemon.policy in
+      let sc = Scenario.for_size ~policy ~target_ads:size ~seed () in
+      let g = sc.Scenario.graph in
+      let store = Policy_store.create sc.Scenario.config in
+      let server = Serve.create g store in
+      let view = Policy_search.of_graph g and n = Graph.n g in
+      let carrying = Array.init n (carries g (Serve.snapshot server)) in
+      let rng = Rng.create (seed + 11) in
+      let dsts = List.init 6 (fun _ -> Rng.int rng n) in
+      let stubs = Array.of_list (multihomed_ids g) in
+      let bad = ref None in
+      for round = 0 to 3 do
+        if round > 0 && Array.length stubs > 0 then begin
+          for _ = 1 to 2 do
+            let m = stubs.(Rng.int rng (Array.length stubs)) in
+            Policy_store.set_transit store m (Transit_policy.open_transit m)
+          done;
+          ignore (Serve.refresh server ~now:0.0);
+          let snap = Serve.snapshot server in
+          Array.iteri (fun u c -> if not c then carrying.(u) <- carries g snap u) carrying
+        end;
+        List.iter
+          (fun dst ->
+            List.iter
+              (fun qos ->
+                if Serve.label server qos dst <> spf_label g view carrying qos dst && !bad = None
+                then bad := Some (Printf.sprintf "round %d: label toward %d differs" round dst))
+              Qos.all)
+          dsts
+      done;
+      match !bad with Some m -> QCheck.Test.fail_report m | None -> true)
+
+(* A label build allocates the label and its cache entry, nothing per
+   AD searched: <= 1.5 words per AD at 2 000 ADs, averaged over 16
+   builds toward distinct destinations. An [Spf.search] build, with
+   its four n-word arrays, allocated 4.5. The label is a major-heap block, whose words
+   the runtime counts only at its next collection: a full major first
+   and a minor last settle the count. *)
+let label_build_budget () =
+  let policy = Daemon.default_config.Daemon.policy in
+  let sc = Scenario.for_size ~policy ~target_ads:2000 ~seed:1 () in
+  let g = sc.Scenario.graph in
+  let server = Serve.create g (Policy_store.create sc.Scenario.config) in
+  let n = Graph.n g in
+  ignore (Serve.label server Qos.Default 0);
+  let builds = 16 in
+  Gc.full_major ();
+  let words =
+    Pr_telemetry.Alloc.words (fun () ->
+        for dst = 1 to builds do
+          ignore (Serve.label server Qos.Default dst)
+        done;
+        Gc.minor ())
+  in
+  check_int "labels built" (builds + 1) (Serve.stats server).Serve.bound_builds;
+  let per_ad = words /. float_of_int (builds * n) in
+  check_bool (Printf.sprintf "%.2f words per AD per label (budget 1.5)" per_ad) true (per_ad <= 1.5)
+
 let () =
   Alcotest.run "pr_serve"
     [
@@ -967,12 +1048,13 @@ let () =
           Alcotest.test_case "bounded search at 10^3 ADs" `Quick bounded_search_at_scale;
           Alcotest.test_case "a stub that gains a term drops the labels" `Quick
             stub_joins_after_labels;
+          Alcotest.test_case "2 000-AD label build budget" `Quick label_build_budget;
           Alcotest.test_case "baseline rows are validated" `Quick config_of_row_validates;
           Alcotest.test_case "row config round-trips" `Quick row_config_round_trips;
           Alcotest.test_case "post-mortem after two sessions" `Quick
             post_mortem_after_two_sessions;
         ]
-        @ qsuite [ three_callers_agree; labels_exact_across_flips ] );
+        @ qsuite [ three_callers_agree; labels_exact_across_flips; labels_match_spf_reference ] );
       ( "orwg-cache",
         [
           Alcotest.test_case "bounded route cache evicts" `Quick orwg_route_cache_bounded;

@@ -717,6 +717,29 @@ let converge_reproducible =
       let seed = 1 + (seed mod 1000) and size = 8 + (size mod 33) in
       converge_summary ~seed ~size = converge_summary ~seed ~size)
 
+(* The event loop allocates nothing per event once the queue's storage
+   is warm: the queue adds the delay to the clock and advances the
+   clock itself, so no event time is boxed. Returning the top priority
+   and passing [now +. delay] across the module boundary boxed two
+   floats, 4 words per event. *)
+let engine_loop_allocates_nothing () =
+  let e = Engine.create () and count = ref 0 in
+  let rec tick x =
+    incr count;
+    if !count land 1023 <> 0 then Engine.schedule_call e ~delay:0.5 tick x
+  in
+  let events () =
+    count := 0;
+    for i = 1 to 16 do
+      Engine.schedule_call e ~delay:(float_of_int i) tick ()
+    done;
+    ignore (Engine.run e)
+  in
+  events ();
+  let words = Pr_telemetry.Alloc.words events in
+  let per_event = words /. float_of_int !count in
+  check_bool (Printf.sprintf "%.3f words/event (budget 0.1)" per_event) true (per_event <= 0.1)
+
 let () =
   Alcotest.run "pr_sim"
     [
@@ -733,6 +756,7 @@ let () =
           Alcotest.test_case "empty run" `Quick engine_empty_run;
           Alcotest.test_case "schedule_call payloads" `Quick engine_schedule_call_payloads;
           Alcotest.test_case "NaN schedule" `Quick engine_rejects_nan;
+          Alcotest.test_case "event loop allocation" `Quick engine_loop_allocates_nothing;
         ]
         @ List.map QCheck_alcotest.to_alcotest [ engine_program_matches_model ] );
       ( "metrics",

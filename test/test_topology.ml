@@ -929,6 +929,61 @@ let policy_search_bounded_matches_unbounded =
       done;
       !ok)
 
+(* Restricted rows against the full ones. Rows are shuffled, so slot
+   order is not neighbor order and the merged slot to an unkept dst
+   must land at its place. Some ADs join the kept set in place after
+   [restrict]. An unkept AD admits no crossing, so the label over the
+   kept rows bounds every admissible route: both searches also return
+   the unbounded search's outcome. Every (src, dst) pair is searched,
+   so kept and unkept dsts, unkept srcs and adjacent pairs all occur. *)
+let policy_search_restricted_rows =
+  QCheck.Test.make ~name:"restricted rows = full rows (outcome, settled, bound settled)"
+    ~count:300
+    QCheck.(pair small_int (triple small_int (int_range 20 100) (int_range 0 100)))
+    (fun (gseed, (aseed, pct, pkeep)) ->
+      let g = random_multigraph gseed in
+      let n = Graph.n g in
+      let roll x = Hashtbl.hash (gseed, aseed, x) mod 100 in
+      let off, nbr = Graph.unique_csr g in
+      let nbr = Array.copy nbr in
+      let rng = Rng.create (gseed + aseed) in
+      for v = 0 to n - 1 do
+        for i = off.(v + 1) - 1 downto off.(v) + 1 do
+          let j = off.(v) + Rng.int rng (i - off.(v) + 1) in
+          let x = nbr.(i) in
+          nbr.(i) <- nbr.(j);
+          nbr.(j) <- x
+        done
+      done;
+      let view = Policy_search.of_csr ~off ~nbr in
+      let rows = Policy_search.restrict view ~keep:(fun v -> roll (`Keep v) < pkeep) in
+      for v = 0 to n - 1 do
+        if roll (`Join v) < 15 then Policy_search.keep rows v
+      done;
+      let base = Array.init (Array.length nbr) (fun k -> 1 + (roll (`Cost k) mod 5)) in
+      let metric v w k =
+        if roll (`Down (v, w)) < 10 then -1 else base.(k) + (roll (`Extra k) mod 2)
+      in
+      let admit v p w = Policy_search.kept rows v && random_admit aseed pct v p w in
+      let plain = Policy_search.scratch_for view and full = Policy_search.scratch_for view in
+      let restricted = Policy_search.scratch_for view in
+      let heap = Pqueue.Keyed.create ~capacity:n in
+      let ok = ref true in
+      for dst = 0 to n - 1 do
+        let lower = Policy_search.lower_bound rows heap ~dst ~metric:base in
+        for src = 0 to n - 1 do
+          let want = Policy_search.search plain view ~src ~dst ~metric ~admit () in
+          let bounded = Policy_search.search full view ~src ~dst ~lower ~metric ~admit () in
+          let got = Policy_search.search restricted view ~src ~dst ~lower ~rows ~metric ~admit () in
+          if
+            got <> bounded || got <> want
+            || Policy_search.settled restricted <> Policy_search.settled full
+            || Policy_search.bound_settled restricted <> Policy_search.bound_settled full
+          then ok := false
+        done
+      done;
+      !ok)
+
 let policy_search_basics () =
   (* A triangle 0-1-2 plus a tail 2-3, where 1 refuses 0 -> 1 -> 2. *)
   let ads =
@@ -1034,7 +1089,12 @@ let () =
         @ qsuite [ delta_vs_scratch_prop ] );
       ( "policy-search",
         [ Alcotest.test_case "basics" `Quick policy_search_basics ]
-        @ qsuite [ policy_search_matches_reference; policy_search_bounded_matches_unbounded ] );
+        @ qsuite
+            [
+              policy_search_matches_reference;
+              policy_search_bounded_matches_unbounded;
+              policy_search_restricted_rows;
+            ] );
       ( "hierarchy",
         [
           Alcotest.test_case "figure1 routes" `Quick hierarchy_figure1;

@@ -615,6 +615,96 @@ let keyed_vs_model =
       in
       drain [] = expect)
 
+(* The swap-based, recursive Keyed heap that the hole-based sifts
+   replaced, kept here as the reference for pop order. *)
+module Swap_keyed = struct
+  type t = { heap : int array; pos : int array; prio : int array; mutable size : int }
+
+  let create n = { heap = Array.make n 0; pos = Array.make n (-1); prio = Array.make n 0; size = 0 }
+
+  let less t a b = t.prio.(a) < t.prio.(b) || (t.prio.(a) = t.prio.(b) && a < b)
+
+  let swap t i j =
+    let a = t.heap.(i) and b = t.heap.(j) in
+    t.heap.(i) <- b;
+    t.heap.(j) <- a;
+    t.pos.(b) <- i;
+    t.pos.(a) <- j
+
+  let rec sift_up t i =
+    if i > 0 then begin
+      let parent = (i - 1) / 2 in
+      if less t t.heap.(i) t.heap.(parent) then begin
+        swap t i parent;
+        sift_up t parent
+      end
+    end
+
+  let rec sift_down t i =
+    let l = (2 * i) + 1 and r = (2 * i) + 2 in
+    let smallest = ref i in
+    if l < t.size && less t t.heap.(l) t.heap.(!smallest) then smallest := l;
+    if r < t.size && less t t.heap.(r) t.heap.(!smallest) then smallest := r;
+    if !smallest <> i then begin
+      swap t i !smallest;
+      sift_down t !smallest
+    end
+
+  let insert_or_decrease t key ~priority =
+    let slot = t.pos.(key) in
+    if slot < 0 then begin
+      t.prio.(key) <- priority;
+      t.heap.(t.size) <- key;
+      t.pos.(key) <- t.size;
+      t.size <- t.size + 1;
+      sift_up t (t.size - 1);
+      true
+    end
+    else if priority < t.prio.(key) then begin
+      t.prio.(key) <- priority;
+      sift_up t slot;
+      true
+    end
+    else false
+
+  let pop_min t =
+    if t.size = 0 then -1
+    else begin
+      let top = t.heap.(0) in
+      t.size <- t.size - 1;
+      t.pos.(top) <- -1;
+      if t.size > 0 then begin
+        let last = t.heap.(t.size) in
+        t.heap.(0) <- last;
+        t.pos.(last) <- 0;
+        sift_down t 0
+      end;
+      top
+    end
+end
+
+(* Interleaved inserts, decreases and pops, with many equal
+   priorities: every answer and every popped key is the swap-based
+   heap's, down to the final drain. *)
+let keyed_matches_swap_heap =
+  QCheck.Test.make ~name:"keyed heap pops as the swap-based heap does" ~count:500
+    QCheck.(list (pair (int_range 0 63) (int_range (-1) 40)))
+    (fun ops ->
+      let q = Pqueue.Keyed.create ~capacity:64 and r = Swap_keyed.create 64 in
+      List.for_all
+        (fun (k, p) ->
+          if p < 0 then Pqueue.Keyed.pop_min q = Swap_keyed.pop_min r
+          else
+            Pqueue.Keyed.insert_or_decrease q k ~priority:p
+            = Swap_keyed.insert_or_decrease r k ~priority:p)
+        ops
+      &&
+      let rec drain () =
+        let a = Pqueue.Keyed.pop_min q in
+        a = Swap_keyed.pop_min r && (a < 0 || drain ())
+      in
+      drain ())
+
 (* --- Bitset -------------------------------------------------------- *)
 
 let bitset_basic () =
@@ -864,7 +954,7 @@ let () =
           Alcotest.test_case "key ties" `Quick keyed_key_ties;
           Alcotest.test_case "vacated slot reuse + clear" `Quick keyed_vacated_reuse;
         ]
-        @ qsuite [ keyed_vs_model ] );
+        @ qsuite [ keyed_vs_model; keyed_matches_swap_heap ] );
       ( "bitset",
         [
           Alcotest.test_case "basic" `Quick bitset_basic;
