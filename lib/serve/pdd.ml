@@ -317,10 +317,10 @@ let rec entry_admit n ~prev ~next =
 
 (* --- whole-database diagrams ------------------------------------- *)
 
-(* The roots in chunks of [chunk] ADs: a refresh copies the spine and
-   the chunks it recompiles into, small blocks the minor heap takes,
-   where one n-slot copy took a fresh major-heap block (20 page faults
-   at 10^4 ADs). *)
+(* The roots in chunks of [chunk] ADs, so that a refresh copies only
+   the spine and the chunks it recompiles into: small blocks from the
+   minor heap. One n-slot copy is a fresh major-heap block, which at
+   10^4 ADs costs 20 page faults when no freed block is at hand. *)
 type snapshot = { s_version : int; s_roots : node array array }
 
 let chunk_bits = 8

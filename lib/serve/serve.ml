@@ -205,8 +205,9 @@ type answer =
 (* The search's lower bound toward [dst] under [qos]: one node-level
    Dijkstra from [dst] over [slot_metric], through the [carrying] rows
    only ([Policy_search.lower_bound]). An AD outside [carrying] admits
-   nothing at any snapshot a query can pin, so no route crosses it; it gets [max_int] unless it
-   is dst, and the search never pushes a state there — such a state
+   nothing at any snapshot a query can pin, so no route crosses it; it
+   gets [max_int] unless it is dst, and the search never pushes a state
+   there — such a state
    could never push one in turn, so the other states keep their
    relative order and the route is the unbounded search's. Policy and
    link or node state only remove edges or raise a pair's metric above

@@ -76,7 +76,7 @@ let iter_row v ad ~f =
     f v.nbr.(k) k
   done
 
-(* AD v's restricted row is [slots.(off.(v)) .. slots.(off.(v) + len.(v) - 1)]:
+(* AD v's restricted row is [slots.(off.(v) + i)] for i < [len.(v)]:
    each row keeps its view span, so a joining AD's slot is inserted in
    place. *)
 type rows = { view : view; kept : bool array; len : int array; slots : int array }
@@ -258,7 +258,8 @@ let pass s v r ~src ~dst ~avoid ~metric ~admit ~h ~astar ~cut =
       let kd = ref (if merge_dst && dst_mark.(at) = touch then s.dst_slot.(at) else max_int) in
       while !i < stop || !kd < max_int do
         let next = if !i >= stop then max_int else if restricted then slots.(!i) else !i in
-        let k = if next < !kd then (incr i; next) else begin let k = !kd in kd := max_int; k end in
+        let k = if next < !kd then next else !kd in
+        if next < !kd then incr i else kd := max_int;
         let w = nbr.(k) in
         if w <> src && (w = dst || avoided.(w) <> gen) then begin
           let c = metric at w k in
