@@ -13,6 +13,7 @@ type message = Lsdb.lsa
 
 type node = {
   mutable next_hops : Pr_topology.Ad.id array;  (* -1 = unreachable *)
+  mutable reachable : int;  (* entries of [next_hops] that are >= 0 *)
   (* Database version the tree was computed at; -1 = never. The tree is
      a per-source SPF cache: fresh while the version still matches. *)
   mutable computed_version : int;
@@ -39,7 +40,9 @@ let create graph _config net =
     graph;
     net;
     flood;
-    nodes = Array.init n (fun _ -> { next_hops = Array.make n (-1); computed_version = -1 });
+    nodes =
+      Array.init n (fun _ ->
+          { next_hops = Array.make n (-1); reachable = 0; computed_version = -1 });
     spf_count = 0;
   }
 
@@ -52,6 +55,7 @@ let handle_link t ~at ~link ~up = Ls_flood.handle_link t.flood ~at ~link ~up
 let reset_node t ~at =
   let node = t.nodes.(at) in
   Array.fill node.next_hops 0 (Array.length node.next_hops) (-1);
+  node.reachable <- 0;
   node.computed_version <- -1;
   Ls_flood.reset_node t.flood at
 
@@ -70,8 +74,11 @@ let run_spf t ad ~version =
   let tree, work = Spf.search ~n:(Graph.n t.graph) ~src:ad ~relax () in
   t.spf_count <- t.spf_count + 1;
   Pr_proto.Probe.computation probe_spf t.net ~at:ad ~work ();
-  t.nodes.(ad).next_hops <- tree.Spf.first_hop;
-  t.nodes.(ad).computed_version <- version
+  let node = t.nodes.(ad) in
+  node.next_hops <- tree.Spf.first_hop;
+  node.reachable <-
+    Array.fold_left (fun acc nh -> if nh >= 0 then acc + 1 else acc) 0 node.next_hops;
+  node.computed_version <- version
 
 (* Scoped invalidation: the version moved, but if every changed origin
    is provably outside the region this AD's tree spans — not reachable
@@ -136,9 +143,9 @@ let forward t ~at ~from:_ packet =
     if nh < 0 then Packet.Drop "no route" else Packet.Forward nh
   end
 
-let table_entries t ad =
-  Ls_flood.db_entries t.flood ad
-  + Array.fold_left (fun acc nh -> if nh >= 0 then acc + 1 else acc) 0 t.nodes.(ad).next_hops
+let routes t ad = t.nodes.(ad).reachable
+
+let table_entries t ad = Ls_flood.db_entries t.flood ad + routes t ad
 
 let next_hop_of t ~at ~dst =
   ensure_fresh t at;

@@ -15,6 +15,11 @@ val next_hop_of :
 (** The AD's current next hop toward a destination (forcing the
     spanning-tree computation if the database changed). *)
 
+val routes : t -> Pr_topology.Ad.id -> int
+(** Destinations the AD's current next-hop table reaches, without
+    recomputing the table: the table part of [table_entries], counted
+    once per spanning tree, O(1). *)
+
 val spf_runs : t -> int
 (** Total shortest-path-first computations performed across all ADs —
     the baseline computation figure that experiment E5 compares

@@ -14,6 +14,7 @@ type cterm = {
   uci_mask : int;  (* bit per Uci.index *)
   hour_mask : int;  (* bit per hour of day, 24 bits *)
   auth_required : bool;
+  hop_free : bool;  (* prev and next are [Any] or an empty [Except] *)
 }
 
 type t = {
@@ -47,6 +48,10 @@ let hour_mask = function
     else if h1 = h2 then 0 (* empty window; unreachable via Policy_term.make *)
     else (((1 lsl (24 - h1)) - 1) lsl h1) lor ((1 lsl h2) - 1)
 
+let admits_every_hop = function
+  | Policy_term.Any | Policy_term.Except [||] -> true
+  | Policy_term.Only _ | Policy_term.Except _ -> false
+
 let compile_term n (t : Policy_term.t) =
   {
     src = compile_pred n t.Policy_term.sources;
@@ -57,6 +62,8 @@ let compile_term n (t : Policy_term.t) =
     uci_mask = uci_mask t.Policy_term.ucis;
     hour_mask = hour_mask t.Policy_term.hours;
     auth_required = t.Policy_term.auth_required;
+    hop_free =
+      admits_every_hop t.Policy_term.prev_hops && admits_every_hop t.Policy_term.next_hops;
   }
 
 let compile ~n terms =
@@ -150,21 +157,27 @@ let admitting_term t (ctx : Policy_term.transit_ctx) =
 (* Per-flow specialization: resolve every flow-only condition (src,
    dst, qos, uci, hour, auth) once, keeping just the prev/next preds of
    the surviving terms. The inner-loop check is then two bitset probes
-   per term with zero allocation. *)
-type spec = { s_prev : pred array; s_next : pred array }
+   per term with zero allocation. A surviving hop-free term admits
+   every crossing, so the spec is then the shared [all_spec]. *)
+type spec = { s_all : bool; s_prev : pred array; s_next : pred array }
 
-let no_spec = { s_prev = [||]; s_next = [||] }
+let no_spec = { s_all = false; s_prev = [||]; s_next = [||] }
+
+let all_spec = { no_spec with s_all = true }
 
 (* Count the surviving terms, then fill the two arrays: no list. *)
 let specialize t (f : Flow.t) =
   let qbit = 1 lsl Qos.index f.Flow.qos
   and ubit = 1 lsl Uci.index f.Flow.uci
   and hbit = 1 lsl f.Flow.hour in
-  let cterms = t.cterms and live = ref 0 in
-  for i = 0 to Array.length cterms - 1 do
-    if flow_passes cterms.(i) f ~qbit ~ubit ~hbit then incr live
+  let cterms = t.cterms and live = ref 0 and all = ref false and i = ref 0 in
+  while (not !all) && !i < Array.length cterms do
+    let ct = cterms.(!i) in
+    if flow_passes ct f ~qbit ~ubit ~hbit then if ct.hop_free then all := true else incr live;
+    incr i
   done;
-  if !live = 0 then no_spec
+  if !all then all_spec
+  else if !live = 0 then no_spec
   else begin
     let s_prev = Array.make !live cterms.(0).prev and s_next = Array.make !live cterms.(0).next in
     let j = ref 0 in
@@ -176,10 +189,12 @@ let specialize t (f : Flow.t) =
         incr j
       end
     done;
-    { s_prev; s_next }
+    { s_all = false; s_prev; s_next }
   end
 
 let spec_allows s ~prev ~next =
+  s.s_all
+  ||
   let k = Array.length s.s_prev in
   let i = ref 0 in
   while

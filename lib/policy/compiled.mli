@@ -82,7 +82,13 @@ type spec
 (** A compiled policy specialized to one flow: only the prev/next
     predicates of terms whose flow-only conditions passed. *)
 
+val no_spec : spec
+(** The spec that admits nothing: what a policy with no surviving term
+    specializes to. *)
+
 val specialize : t -> Flow.t -> spec
+(** When a surviving term constrains neither hop, the one shared
+    always-admit spec: no allocation, and no probe per crossing. *)
 
 val spec_allows : spec -> prev:Pr_topology.Ad.id -> next:Pr_topology.Ad.id -> bool
 (** Equivalent to [allows_crossing t flow ~prev ~next] for the flow the

@@ -45,35 +45,89 @@ let transit_legal g config flow path =
 
 let legal g config flow path = check g config flow path = Legal
 
-(* The search view of the last graph this domain's oracle searched:
-   experiments call the oracle per flow on one internet. *)
-let views = Domain.DLS.new_key (fun () -> ref None)
+(* What the oracle keeps for the last (graph, store) this domain
+   searched: experiments call it per flow on one internet. Only an AD
+   with a term can be crossed, so the carrying rows keep those, and
+   each label is the [slot_cost] distance to its destination through
+   them: it bounds every legal route's cost, [avoid] only removing
+   edges, so the bounded search returns the unbounded one's route. *)
+type oracle = {
+  graph : Graph.t;
+  store : Policy_store.t;
+  version : int;
+  view : Policy_search.view;
+  cost : int array;  (* per view slot: [Graph.slot_cost] *)
+  labels : Policy_search.labels;  (* keyed by destination *)
+  specs : Compiled.spec array;
+      (* per AD, the running search's flow specialization, valid where
+         [Policy_search.first_touch] has fired *)
+}
 
-let view_of g =
-  let cell = Domain.DLS.get views in
-  match !cell with
-  | Some (g', v) when g' == g -> v
-  | _ ->
-    let v = Policy_search.of_graph g in
-    cell := Some (g, v);
-    v
+(* Labels are n words each: the cache holds at most 2^22 words of
+   them (32 MB), and never more than 512 labels. *)
+let label_capacity n = max 16 (min 512 ((1 lsl 22) / max 1 n))
 
-(* Admission straight off the compiled terms: nothing to build per
-   flow, so a warm search allocates only the route it returns. *)
-let admit config flow =
+let oracles = Domain.DLS.new_key (fun () -> ref None)
+
+let oracle_of g config =
   let store = Policy_store.of_config config in
-  fun v p w -> Compiled.allows_crossing (Policy_store.compiled store v) flow ~prev:p ~next:w
+  let cell = Domain.DLS.get oracles in
+  match !cell with
+  | Some o when o.graph == g && o.store == store && o.version = Policy_store.version store -> o
+  | last ->
+    let view =
+      match last with
+      | Some o when o.graph == g -> o.view
+      | _ -> Policy_search.of_graph g
+    in
+    let n = Graph.n g in
+    let has_terms v = Transit_policy.term_count (Policy_store.transit store v) > 0 in
+    let o =
+      {
+        graph = g;
+        store;
+        version = Policy_store.version store;
+        view;
+        cost = Array.init (Array.length (snd (Graph.unique_csr g))) (Graph.slot_cost g);
+        labels = Policy_search.labels view ~keep:has_terms ~capacity:(label_capacity n);
+        specs = Array.make n Compiled.no_spec;
+      }
+    in
+    cell := Some o;
+    o
+
+(* Admission through each touched AD's flow specialization, resolved
+   once per search: a warm search allocates only its route. *)
+let admit o s flow v p w =
+  if Policy_search.first_touch s v then
+    o.specs.(v) <- Compiled.specialize (Policy_store.compiled o.store v) flow;
+  Compiled.spec_allows o.specs.(v) ~prev:p ~next:w
 
 let legal_paths g config flow ~max_hops ?(limit = 10_000) () =
-  Policy_search.enumerate (Policy_search.shared_scratch ()) (view_of g) ~src:flow.Flow.src
-    ~dst:flow.Flow.dst ~max_hops ~limit ~admit:(admit config flow)
+  let o = oracle_of g config and s = Policy_search.shared_scratch () in
+  Policy_search.enumerate s o.view ~src:flow.Flow.src ~dst:flow.Flow.dst ~max_hops ~limit
+    ~admit:(admit o s flow)
 
-(* Minimum-cost state walk for the flow, interior ADs outside [avoid]. *)
+let states = Domain.DLS.new_key (fun () -> ref 0)
+
+let searched_states () = !(Domain.DLS.get states)
+
+(* Minimum-cost state walk for the flow, interior ADs outside [avoid],
+   bounded by the destination's label over the carrying rows. *)
 let state_search g config flow ~avoid =
-  Policy_search.search (Policy_search.shared_scratch ()) (view_of g) ~src:flow.Flow.src
-    ~dst:flow.Flow.dst ~avoid
-    ~metric:(fun _ _ k -> Graph.slot_cost g k)
-    ~admit:(admit config flow) ()
+  let o = oracle_of g config and s = Policy_search.shared_scratch () in
+  let src = flow.Flow.src and dst = flow.Flow.dst and cost = o.cost in
+  let lower =
+    if src = dst then None else Some (Policy_search.label o.labels ~key:dst ~dst ~metric:cost)
+  in
+  let outcome =
+    Policy_search.search s o.view ~src ~dst ~avoid ?lower ~rows:(Policy_search.carrying o.labels)
+      ~metric:(fun _ _ k -> cost.(k))
+      ~admit:(admit o s flow) ()
+  in
+  let count = Domain.DLS.get states in
+  count := !count + Policy_search.settled s;
+  outcome
 
 type search = No_walk | Found of Path.t option
 

@@ -49,7 +49,14 @@ val route_exists : Pr_topology.Graph.t -> Config.t -> Flow.t -> max_hops:int -> 
     ({!Pr_topology.Policy_search}), fast enough to call per flow at
     10^4 ADs; falls back to bounded DFS only when the best state walk
     self-intersects or exceeds the bound. When no state walk reaches
-    the destination there is no route, and no DFS runs. *)
+    the destination there is no route, and no DFS runs.
+
+    The search relaxes only the rows of the ADs that have a term (no
+    other AD can be crossed), bounded by the destination's distance
+    label over them. Per (graph, store) the calling domain keeps the
+    rows, the labels (rebuilt when the graph, the store or its version
+    changes) and per-AD flow specializations. The route is the
+    unbounded search's. *)
 
 val shortest_legal :
   Pr_topology.Graph.t ->
@@ -68,5 +75,9 @@ val best_legal :
   Pr_topology.Graph.t -> Config.t -> Flow.t -> max_hops:int -> Pr_topology.Path.t option
 (** The minimum-cost transit-legal path that the source policy also
     permits, or [None]. Ties break deterministically. *)
+
+val searched_states : unit -> int
+(** States settled by this domain's oracle state searches so far, both
+    passes of each bounded search counted: the oracle's work. *)
 
 val pp_verdict : Format.formatter -> verdict -> unit

@@ -28,15 +28,12 @@ type t = {
          cheapest link, all links up. Folding over the live links on
          every relaxation instead halves query throughput at 10^4 ADs. *)
   single_link : int array;  (* per slot: its link when it has one, else -1 *)
-  labels : (int, int array) Lru.t;
-      (* key: (dst, QOS) packed; per AD, its [slot_metric] distance to
-         dst through carrying ADs ([max_int] if none, and at every AD
-         but dst that carries none): the search's lower bound *)
-  carrying : Policy_search.rows;
-      (* kept: the ADs that [carries] at some version [refresh] has
-         seen. Only grows; every cached label was built over the
-         current set. *)
-  heap : Pr_util.Pqueue.Keyed.t;  (* the label builds' Dijkstra heap *)
+  labels : Policy_search.labels;
+      (* rows kept: the ADs that [carries] at some version [refresh]
+         has seen, a set that only grows. Labels keyed by (dst, QOS)
+         packed: per AD, its [slot_metric] distance to dst through
+         carrying ADs ([max_int] if none, and at every AD but dst that
+         carries none), the search's lower bound. *)
   entries : Pdd.node array;
       (* per-AD flow entries of the running search, valid where
          [Policy_search.first_touch] has fired *)
@@ -52,7 +49,6 @@ type t = {
   mutable handle_misses : int;
   mutable no_routes : int;
   mutable search_states : int;
-  mutable bound_builds : int;
   (* Registry handles resolved once at creation; the query path never
      hashes a metric name. These shadow the per-server counters above
      into the process-global registry so campaign shards and the
@@ -66,8 +62,6 @@ type t = {
   m_handles_issued : Reg.counter;
   m_handle_evictions : Reg.counter;
   m_search_states : Reg.counter;
-  m_bound_builds : Reg.counter;
-  m_bound_evictions : Reg.counter;
   m_rebuild_ns : Hist.t;
   m_pdd_nodes : Reg.gauge;
   m_pdd_preds : Reg.gauge;
@@ -94,6 +88,12 @@ let create ?(route_capacity = Some 4096) ?(handle_capacity = Some 1024)
   let fold_links k f = Graph.fold_slot_links graph k ~init:max_int ~f in
   let pdd = Pdd.db_create store in
   let snap = Pdd.snapshot pdd in
+  let m_bound_builds = Reg.counter Reg.default "serve.bound_builds"
+  and m_bound_evictions = Reg.counter Reg.default "serve.bound_evictions" in
+  let on_build ~evicted =
+    Reg.inc m_bound_builds;
+    if evicted then Reg.inc m_bound_evictions
+  in
   {
     graph;
     store;
@@ -110,9 +110,8 @@ let create ?(route_capacity = Some 4096) ?(handle_capacity = Some 1024)
     single_link =
       Array.init slots (fun k ->
           fold_links k (fun only l -> if only = max_int then l else -1));
-    labels = Lru.create ~capacity:(Some label_capacity) ();
-    carrying = Policy_search.restrict view ~keep:(carries graph snap);
-    heap = Pr_util.Pqueue.Keyed.create ~capacity:(Graph.n graph);
+    labels =
+      Policy_search.labels ~on_build view ~keep:(carries graph snap) ~capacity:label_capacity;
     entries = Array.make (Graph.n graph) (Pdd.leaf false);
     trace;
     routes = Lru.create ~capacity:route_capacity ();
@@ -126,7 +125,6 @@ let create ?(route_capacity = Some 4096) ?(handle_capacity = Some 1024)
     handle_misses = 0;
     no_routes = 0;
     search_states = 0;
-    bound_builds = 0;
     m_queries = Reg.counter Reg.default "serve.queries";
     m_route_hits = Reg.counter Reg.default "serve.route_hits";
     m_route_misses = Reg.counter Reg.default "serve.route_misses";
@@ -136,8 +134,6 @@ let create ?(route_capacity = Some 4096) ?(handle_capacity = Some 1024)
     m_handles_issued = Reg.counter Reg.default "serve.handles_issued";
     m_handle_evictions = Reg.counter Reg.default "serve.handle_evictions";
     m_search_states = Reg.counter Reg.default "serve.search_states";
-    m_bound_builds = Reg.counter Reg.default "serve.bound_builds";
-    m_bound_evictions = Reg.counter Reg.default "serve.bound_evictions";
     m_rebuild_ns = Reg.histogram Reg.default "pdd.rebuild_ns";
     m_pdd_nodes = Reg.gauge Reg.default "pdd.nodes";
     m_pdd_preds = Reg.gauge Reg.default "pdd.preds";
@@ -156,10 +152,7 @@ let refresh t ~now =
     let snap = Pdd.snapshot t.pdd in
     List.iter
       (fun u ->
-        if (not (Policy_search.kept t.carrying u)) && carries t.graph snap u then begin
-          Policy_search.keep t.carrying u;
-          Lru.clear t.labels
-        end)
+        if carries t.graph snap u then Policy_search.join t.labels u)
       ads;
     let dt = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) in
     Hist.record t.m_rebuild_ns dt;
@@ -203,8 +196,8 @@ type answer =
   | No_route of { version : int }
 
 (* The search's lower bound toward [dst] under [qos]: one node-level
-   Dijkstra from [dst] over [slot_metric], through the [carrying] rows
-   only ([Policy_search.lower_bound]). An AD outside [carrying] admits
+   Dijkstra from [dst] over [slot_metric], through the carrying rows
+   only ([Policy_search.label]). An AD outside the carrying set admits
    nothing at any snapshot a query can pin, so no route crosses it; it
    gets [max_int] unless it is dst, and the search never pushes a state
    there — such a state
@@ -212,19 +205,10 @@ type answer =
    relative order and the route is the unbounded search's. Policy and
    link or node state only remove edges or raise a pair's metric above
    its cheapest link, so the distance bounds every admissible route's
-   and is consistent. It stays valid until an AD joins [carrying]. *)
+   and is consistent. It stays valid until an AD joins the set. *)
 let label t qos dst =
-  let key = (dst * Qos.count) + Qos.index qos in
-  match Lru.find t.labels key with
-  | Some h -> h
-  | None ->
-      let h =
-        Policy_search.lower_bound t.carrying t.heap ~dst ~metric:t.slot_metric.(Qos.index qos)
-      in
-      t.bound_builds <- t.bound_builds + 1;
-      Reg.inc t.m_bound_builds;
-      if Lru.put t.labels key h <> None then Reg.inc t.m_bound_evictions;
-      h
+  Policy_search.label t.labels ~key:((dst * Qos.count) + Qos.index qos) ~dst
+    ~metric:t.slot_metric.(Qos.index qos)
 
 (* Exact (node, arrived-from) policy search over the configured graph
    under the live link/node state, with admission resolved through the
@@ -260,7 +244,8 @@ let synthesize t snap (f : Flow.t) =
   let src = f.Flow.src and dst = f.Flow.dst in
   let lower = if src = dst then None else Some (label t qos dst) in
   let outcome =
-    Policy_search.search t.scratch t.view ~src ~dst ?lower ~rows:t.carrying ~metric ~admit ()
+    Policy_search.search t.scratch t.view ~src ~dst ?lower ~rows:(Policy_search.carrying t.labels)
+      ~metric ~admit ()
   in
   let states = Policy_search.settled t.scratch in
   t.search_states <- t.search_states + states;
@@ -369,8 +354,8 @@ let stats (t : t) =
     rebuilds = Pdd.rebuilds t.pdd;
     rebuilt_ads = Pdd.rebuilt_ads t.pdd;
     search_states = t.search_states;
-    bound_builds = t.bound_builds;
-    bound_evictions = Lru.evictions t.labels;
+    bound_builds = Policy_search.label_builds t.labels;
+    bound_evictions = Policy_search.label_evictions t.labels;
   }
 
 let self_check t =

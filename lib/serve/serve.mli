@@ -71,9 +71,12 @@ val label : t -> Pr_policy.Qos.t -> Pr_topology.Ad.id -> int array
     cheapest-link metric of a walk to the destination through ADs that
     carry transit, [max_int] where none is and at every AD but the
     destination that carries none. Built on a miss and cached; the
-    array is shared with the cache, so it must not be written. Queries
-    call it; it is exported so that its value and its allocation (the
-    label's own n + 1 words, and the cache entry) can be checked. *)
+    array is shared with the cache, so it must not be written, and a
+    later build may write into it, so it is valid only until the
+    next label is built.
+    Queries call it; it is exported so that its value and its
+    allocation (the label's own n + 1 words, and the cache entry) can
+    be checked. *)
 
 type answer =
   | Route of { path : Pr_topology.Path.t; handle : int; version : int; cache_hit : bool }

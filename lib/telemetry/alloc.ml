@@ -1,7 +1,12 @@
+(* OCaml 5 adds a domain's direct major-heap allocations to the
+   counters only when a collection flushes them: a full major before
+   and a minor after make the reading exact. *)
 let words f =
+  Gc.full_major ();
   let s0 = Gc.quick_stat () in
   let m0 = Gc.minor_words () in
   f ();
+  Gc.minor ();
   let m1 = Gc.minor_words () in
   let s1 = Gc.quick_stat () in
   m1 -. m0

@@ -8,7 +8,10 @@
     registry. *)
 
 val words : (unit -> unit) -> float
-(** Words allocated by one call of [f]. *)
+(** Words allocated by one call of [f]. Runs a full major collection
+    before [f] and a minor one after it, so that words [f] allocated
+    directly in the major heap are counted: keep it out of timed
+    loops. *)
 
 val words_per : ops:int -> (unit -> unit) -> float
 (** [words f /. float ops]: per-operation allocation for a thunk that

@@ -124,10 +124,17 @@ let no_rows =
    w's slot k to v prices the edge v -> w by its own slot, [twin.(k)].
    With decrease-key and metrics >= 0, a settled AD is never improved
    again, so the label doubles as the distance array. *)
-let lower_bound r q ~dst ~metric =
+let lower_bound ?into r q ~dst ~metric =
   let v = r.view in
   let off = v.off and nbr = v.nbr and twin = v.twin and len = r.len and slots = r.slots in
-  let h = Array.make (Array.length off - 1) max_int in
+  let n = Array.length off - 1 in
+  let h =
+    match into with
+    | Some h ->
+        Array.fill h 0 n max_int;
+        h
+    | None -> Array.make n max_int
+  in
   Keyed.clear q;
   h.(dst) <- 0;
   ignore (Keyed.insert_or_decrease q dst ~priority:0);
@@ -144,6 +151,59 @@ let lower_bound r q ~dst ~metric =
     done
   done;
   h
+
+module Lru = Pr_util.Lru
+
+type labels = {
+  rows : rows;
+  heap : Keyed.t;
+  cache : (int, int array) Lru.t;
+  mutable spare : int array list;  (* arrays of the labels [join] dropped *)
+  mutable builds : int;
+  on_build : evicted:bool -> unit;
+}
+
+let labels ?(on_build = fun ~evicted:_ -> ()) v ~keep ~capacity =
+  {
+    rows = restrict v ~keep;
+    heap = Keyed.create ~capacity:(Array.length v.off - 1);
+    cache = Lru.create ~capacity:(Some capacity) ();
+    spare = [];
+    builds = 0;
+    on_build;
+  }
+
+let carrying l = l.rows
+
+let join l ad =
+  if not (kept l.rows ad) then begin
+    keep l.rows ad;
+    l.spare <- Lru.fold l.cache ~init:l.spare ~f:(fun acc _ h -> h :: acc);
+    Lru.clear l.cache
+  end
+
+(* A miss builds into a dropped label's array, else into the array of
+   the label its [put] is about to evict. *)
+let label l ~key ~dst ~metric =
+  match Lru.find l.cache key with
+  | Some h -> h
+  | None ->
+      let into =
+        match (l.spare, Lru.capacity l.cache) with
+        | h :: rest, _ ->
+            l.spare <- rest;
+            Some h
+        | [], Some c when Lru.length l.cache >= c -> Lru.oldest l.cache
+        | [], _ -> None
+      in
+      let h = lower_bound ?into l.rows l.heap ~dst ~metric in
+      l.builds <- l.builds + 1;
+      l.on_build ~evicted:(Lru.put l.cache key h <> None);
+      h
+
+let label_builds l = l.builds
+
+let label_evictions l = Lru.evictions l.cache
 
 type scratch = {
   mutable dist : int array;

@@ -16,7 +16,9 @@
     order of a FIFO-tie heap that pushes every improvement: routes and
     {!settled} counts are those of the textbook lazy-deletion search.
     A caller holding a lower bound on the distance to the destination
-    can pass it to cut the states searched without changing the route. *)
+    can pass it to cut the states searched without changing the route;
+    {!labels} builds and caches such bounds over the ADs that can carry
+    transit, for the route server and the oracle alike. *)
 
 type view
 (** Immutable rows of unique neighbors plus the reverse-slot index. *)
@@ -49,13 +51,49 @@ val keep : rows -> Ad.id -> unit
 val kept : rows -> Ad.id -> bool
 
 val lower_bound :
+  ?into:int array ->
   rows -> Pr_util.Pqueue.Keyed.t -> dst:Ad.id -> metric:int array -> int array
 (** Per AD, the least [metric] (by view slot, [>= 0]) of a walk to
     [dst] whose ADs other than [dst] are all kept; [max_int] where none
     is, so every unkept AD but [dst]. A Dijkstra from [dst] on the
-    heap, whose capacity must be at least n; the returned array is its
-    only allocation. It bounds {!search} for any metric no lower than
-    [metric] slot for slot, and meets the precondition of [~rows]. *)
+    heap, whose capacity must be at least n. The label is written into
+    [into] (an n-word array, overwritten) and returned, or else into a
+    fresh array, the build's only allocation. It bounds {!search} for
+    any metric no lower than [metric] slot for slot, and meets the
+    precondition of [~rows]. *)
+
+type labels
+(** The label machinery of a route search that knows which ADs can
+    carry transit: restricted rows over the kept ADs, the heap their
+    labels are built on, and an LRU cache of built labels. Label arrays
+    are recycled: a build writes into the array of a label evicted or
+    dropped before it, so a full cache allocates a cache entry per
+    build, not an n-word label. *)
+
+val labels :
+  ?on_build:(evicted:bool -> unit) -> view -> keep:(Ad.id -> bool) -> capacity:int -> labels
+(** Rows restricted to [keep] ({!restrict}) and an empty cache of at
+    most [capacity] labels. [on_build] is called after each build,
+    told whether it evicted a cached label. *)
+
+val carrying : labels -> rows
+(** The restricted rows, to pass to {!search} with a label. *)
+
+val join : labels -> Ad.id -> unit
+(** {!keep} the AD; when it was not kept, drop every cached label
+    (each was built without it). *)
+
+val label : labels -> key:int -> dst:Ad.id -> metric:int array -> int array
+(** The cached label under [key], else {!lower_bound} toward [dst]
+    over [metric], cached under [key]. A key must always name the same
+    (dst, metric). The array belongs to the cache: it must not be
+    written, and it is valid only until the next build or {!join}. *)
+
+val label_builds : labels -> int
+(** Labels built since {!labels}. *)
+
+val label_evictions : labels -> int
+(** Labels evicted from the cache by a build. *)
 
 type scratch
 (** Reusable search state, grown to fit the largest view it serves. *)

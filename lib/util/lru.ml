@@ -63,6 +63,8 @@ let find t k =
       Some n.value
   | None -> None
 
+let oldest t = match t.tail with Some n -> Some n.value | None -> None
+
 let evict_lru t =
   match t.tail with
   | None -> None

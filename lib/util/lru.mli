@@ -33,6 +33,10 @@ val peek : ('k, 'v) t -> 'k -> 'v option
 val find : ('k, 'v) t -> 'k -> 'v option
 (** Lookup; a hit moves the entry to most-recently-used. *)
 
+val oldest : ('k, 'v) t -> 'v option
+(** The least-recently-used value, without touching recency: the one
+    the next [put] of a fresh key into a full cache evicts. *)
+
 val put : ('k, 'v) t -> 'k -> 'v -> 'k option
 (** [put t k v] inserts or updates [k] and marks it most-recently-used.
     If the insert would exceed a bounded capacity, the

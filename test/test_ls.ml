@@ -106,6 +106,42 @@ let ls_next_hop_is_neighbor =
       done;
       !ok)
 
+(* [Ls.routes] is counted once per spanning tree; it must stay the
+   fold over the AD's next hops through link failures and restores,
+   crashes (whose reset empties the table) and restarts. *)
+let routes_match_fold =
+  QCheck.Test.make ~name:"routes equals the fold over next hops" ~count:10 QCheck.small_int
+    (fun seed ->
+      let rng = Rng.create seed in
+      let g = Generator.random_mesh rng ~n:20 ~extra_links:12 in
+      let r = R.setup g (Config.defaults g) in
+      ignore (R.converge r);
+      let n = Graph.n g and ls = R.protocol r and ok = ref true in
+      let check () =
+        for at = 0 to n - 1 do
+          let fold = ref 0 in
+          for dst = 0 to n - 1 do
+            if Ls.next_hop_of ls ~at ~dst <> None then incr fold
+          done;
+          if Ls.routes ls at <> !fold then ok := false
+        done
+      in
+      check ();
+      for _ = 1 to 6 do
+        let ad = Rng.int rng n and lid = Rng.int rng (Graph.num_links g) in
+        (match Rng.int rng 3 with
+        | 0 -> R.fail_link r lid
+        | 1 -> R.restore_link r lid
+        | _ ->
+          R.crash_ad r ad;
+          ignore (R.converge r);
+          R.restart_ad r ad;
+          if Ls.routes ls ad <> 0 then ok := false);
+        ignore (R.converge r);
+        check ()
+      done;
+      !ok)
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -119,5 +155,5 @@ let () =
           Alcotest.test_case "fewer messages than DV" `Quick
             ls_cheaper_convergence_messages_than_dv;
         ]
-        @ qsuite [ ls_next_hop_is_neighbor ] );
+        @ qsuite [ ls_next_hop_is_neighbor; routes_match_fold ] );
     ]

@@ -16,6 +16,8 @@ module Gen = Pr_policy.Gen
 module Validate = Pr_policy.Validate
 module Compiled = Pr_policy.Compiled
 module Policy_store = Pr_policy.Policy_store
+module Path = Pr_topology.Path
+module Policy_search = Pr_topology.Policy_search
 
 let check_int = Alcotest.(check int)
 
@@ -719,6 +721,178 @@ let oracle_at_ten_thousand_ads () =
     flows;
   check_bool "some flow routed" true (!routed > 0)
 
+(* --- The bounded oracle against the unbounded search --------------- *)
+
+(* The oracle's state search as it was before it ran in the carrying
+   subgraph: the unbounded (node, arrived-from) search over every AD's
+   full row, admitting each crossing straight off the compiled terms. *)
+let reference_state_search g config flow ~avoid =
+  let store = Policy_store.of_config config in
+  let view = Policy_search.of_graph g in
+  let scratch = Policy_search.scratch_for view in
+  let outcome =
+    Policy_search.search scratch view ~src:flow.Flow.src ~dst:flow.Flow.dst ~avoid
+      ~metric:(fun _ _ k -> Graph.slot_cost g k)
+      ~admit:(fun v p w ->
+        Compiled.allows_crossing (Policy_store.compiled store v) flow ~prev:p ~next:w)
+      ()
+  in
+  (outcome, Policy_search.settled scratch)
+
+(* [Validate]'s answers over the reference search, with its fallbacks. *)
+type reference = No_walk | Found of Path.t option
+
+let reference_shortest g config flow ~apply_source_policy =
+  let policy = Config.source config flow.Flow.src in
+  let avoid = if apply_source_policy then policy.Source_policy.avoid else [] in
+  match fst (reference_state_search g config flow ~avoid) with
+  | Policy_search.Unreachable -> No_walk
+  | Policy_search.Route p when (not apply_source_policy) || Source_policy.permits policy p ->
+    Found (Some p)
+  | Policy_search.Route _ | Policy_search.Revisits ->
+    let paths = Validate.legal_paths g config flow ~max_hops:12 ~limit:2000 () in
+    if apply_source_policy then Found (Source_policy.best policy g paths)
+    else begin
+      let scored = List.filter_map (fun p -> Option.map (fun c -> (c, p)) (Path.cost g p)) paths in
+      match List.sort compare scored with [] -> Found None | (_, p) :: _ -> Found (Some p)
+    end
+
+let reference_shortest_legal g config flow ~apply_source_policy =
+  match reference_shortest g config flow ~apply_source_policy with
+  | No_walk -> None
+  | Found p -> p
+
+let reference_route_exists g config flow ~max_hops =
+  match fst (reference_state_search g config flow ~avoid:[]) with
+  | Policy_search.Route p when Path.hops p <= max_hops -> true
+  | Policy_search.Unreachable -> false
+  | Policy_search.Route _ | Policy_search.Revisits ->
+    Validate.legal_paths g config flow ~max_hops ~limit:1 () <> []
+
+let reference_best_legal g config flow ~max_hops =
+  match reference_shortest g config flow ~apply_source_policy:true with
+  | No_walk -> None
+  | Found (Some p) when Path.hops p <= max_hops -> Some p
+  | Found _ ->
+    let paths = Validate.legal_paths g config flow ~max_hops ~limit:2000 () in
+    Source_policy.best (Config.source config flow.Flow.src) g paths
+
+(* A random internet whose policies hit every case the bounds must
+   respect: generated fine-grained terms; ADs (stubs among them) given
+   a term that constrains its previous and next hops, built by
+   [Policy_term.make] as [Codec] loads terms, alone or beside a
+   hop-free one; transit ADs closed to transit; and sources that avoid
+   transit ADs. *)
+let oracle_internet ~size ~seed =
+  let g = (Pr_core.Scenario.for_size ~target_ads:size ~seed ()).Pr_core.Scenario.graph in
+  let n = Graph.n g and rng = Rng.create (seed + 17) in
+  let base =
+    Gen.generate rng g
+      { Gen.restrictiveness = 0.5; granularity = Gen.Fine; source_policy_prob = 0.3 }
+  in
+  let some ids = Array.of_list (List.filter (fun _ -> Rng.int rng 3 > 0) ids) in
+  let hop_term ad =
+    let nbrs = Graph.neighbor_ids g ad in
+    let next_hops =
+      match nbrs with [] -> Policy_term.Any | _ -> Policy_term.Except [| Rng.choose rng nbrs |]
+    in
+    Policy_term.make ~owner:ad ~prev_hops:(Policy_term.Only (some nbrs)) ~next_hops ()
+  in
+  let transit =
+    Array.init n (fun ad ->
+        let own = Config.transit base ad in
+        match Rng.int rng 6 with
+        | 0 -> Transit_policy.make ad [ hop_term ad ]
+        | 1 -> Transit_policy.make ad (hop_term ad :: own.Transit_policy.terms)
+        | 2 when Ad.is_transit_capable (Graph.ad g ad) -> Transit_policy.no_transit ad
+        | _ -> own)
+  in
+  let transit_ids = Array.of_list (Graph.transit_ids g) in
+  let source =
+    Array.init n (fun ad ->
+        if Rng.int rng 3 = 0 && Array.length transit_ids > 0 then
+          Some
+            (Source_policy.make ~owner:ad
+               ~avoid:(List.init (1 + Rng.int rng 3) (fun _ -> Rng.choose_array rng transit_ids))
+               ())
+        else if Config.has_source_policy base ad then Some (Config.source base ad)
+        else None)
+  in
+  (g, Config.make ~transit ~source ())
+
+(* Flows with every endpoint case: src = dst, stub to stub, and any
+   pair, in random classes. *)
+let oracle_flows g rng ~count =
+  let n = Graph.n g in
+  let stubs =
+    Array.of_list
+      (List.filter (fun ad -> not (Ad.is_transit_capable (Graph.ad g ad))) (List.init n Fun.id))
+  in
+  List.init count (fun q ->
+      let src, dst =
+        match q mod 4 with
+        | 0 ->
+          let a = Rng.int rng n in
+          (a, a)
+        | 1 when Array.length stubs > 1 -> (Rng.choose_array rng stubs, Rng.choose_array rng stubs)
+        | _ -> (Rng.int rng n, Rng.int rng n)
+      in
+      Flow.make ~src ~dst ~qos:(Rng.choose rng Qos.all) ~uci:(Rng.choose rng Uci.all)
+        ~hour:(Rng.int rng 24) ~authenticated:(Rng.bool rng) ())
+
+let bounded_oracle_matches_unbounded =
+  QCheck.Test.make ~name:"the bounded oracle answers as the unbounded search" ~count:40
+    QCheck.(pair (int_range 14 300) small_int)
+    (fun (size, seed) ->
+      let g, c = oracle_internet ~size ~seed in
+      let bad = ref None in
+      List.iter
+        (fun (f : Flow.t) ->
+          let differs what =
+            if !bad = None then
+              bad := Some (Printf.sprintf "%s %d -> %d" what f.Flow.src f.Flow.dst)
+          in
+          if
+            Validate.shortest_legal g c f ()
+            <> reference_shortest_legal g c f ~apply_source_policy:false
+          then differs "shortest_legal";
+          if Validate.shortest_legal g c f ~apply_source_policy:true ()
+             <> reference_shortest_legal g c f ~apply_source_policy:true
+          then differs "shortest_legal with source policy";
+          List.iter
+            (fun max_hops ->
+              if Validate.route_exists g c f ~max_hops <> reference_route_exists g c f ~max_hops
+              then differs (Printf.sprintf "route_exists within %d hops" max_hops);
+              if Validate.best_legal g c f ~max_hops <> reference_best_legal g c f ~max_hops then
+                differs (Printf.sprintf "best_legal within %d hops" max_hops))
+            [ 3; 12 ])
+        (oracle_flows g (Rng.create seed) ~count:24);
+      match !bad with Some m -> QCheck.Test.fail_report m | None -> true)
+
+(* At 10^3 ADs, the classification E9 makes per flow ([best_legal],
+   then [route_exists]) settles a small fraction of the unbounded
+   search's states: the labels leave out the ADs with no term. *)
+let oracle_states_at_scale () =
+  let sc = Pr_core.Scenario.for_size ~target_ads:1000 ~seed:1 () in
+  let g = sc.Pr_core.Scenario.graph and c = sc.Pr_core.Scenario.config in
+  let flows = Pr_core.Scenario.flows sc ~rng:(Rng.create 2) ~count:100 () in
+  let before = Validate.searched_states () and unbounded = ref 0 in
+  List.iter
+    (fun (f : Flow.t) ->
+      let best = Validate.best_legal g c f ~max_hops:12 in
+      check_bool "best_legal" true (best = reference_best_legal g c f ~max_hops:12);
+      check_bool "route_exists" true
+        (Validate.route_exists g c f ~max_hops:12 = reference_route_exists g c f ~max_hops:12);
+      let policy = Config.source c f.Flow.src in
+      List.iter
+        (fun avoid -> unbounded := !unbounded + snd (reference_state_search g c f ~avoid))
+        [ policy.Source_policy.avoid; [] ])
+    flows;
+  let bounded = Validate.searched_states () - before in
+  check_bool "bounded states <= 10% of unbounded" true (bounded * 10 <= !unbounded);
+  check_int "unbounded states" 96690 !unbounded;
+  check_int "bounded states, both passes" 3680 bounded
+
 (* --- Compiled engine ------------------------------------------------ *)
 
 (* The compiled engine's whole contract is observational equivalence
@@ -840,9 +1014,22 @@ let list_specialize compiled (f : Flow.t) =
         (prev < 0 || probe v.Compiled.v_prev prev) && (next < 0 || probe v.Compiled.v_next next))
       live
 
+(* Term lists that mix hop-free terms (both hops [Any]) with the
+   generated ones in any order: a surviving hop-free term makes the
+   spec admit every crossing, wherever it stands. *)
+let gen_mixed_terms =
+  QCheck.Gen.(
+    list_size (int_range 1 5)
+      (map2
+         (fun t free ->
+           if free then
+             { t with Policy_term.prev_hops = Policy_term.Any; next_hops = Policy_term.Any }
+           else t)
+         gen_term bool))
+
 let specialize_matches_list_built =
   QCheck.Test.make ~name:"specialize equals the list-built specialization" ~count:500
-    (QCheck.make QCheck.Gen.(pair gen_terms gen_ctx))
+    (QCheck.make QCheck.Gen.(pair (oneof [ gen_terms; gen_mixed_terms ]) gen_ctx))
     (fun (terms, ctx) ->
       let compiled = Compiled.compile ~n:universe terms in
       let flow = ctx.Policy_term.flow in
@@ -854,6 +1041,20 @@ let specialize_matches_list_built =
             (fun next -> Compiled.spec_allows spec ~prev ~next = want ~prev ~next)
             hops)
         hops)
+
+(* A hop-free term that survives specialization leaves nothing to
+   probe per crossing: the spec is shared, and building it allocates
+   nothing. *)
+let hop_free_spec_allocates_nothing () =
+  let hops = Policy_term.Only [| 1; 2 |] in
+  let constrained = Policy_term.make ~owner:5 ~prev_hops:hops ~next_hops:hops () in
+  let compiled = Compiled.compile ~n:universe [ constrained; Policy_term.open_term 5 ] in
+  let flow = Flow.make ~src:0 ~dst:9 () in
+  let spec = ref (Compiled.specialize compiled flow) in
+  check_bool "admits a crossing no constrained term does" true
+    (Compiled.spec_allows !spec ~prev:7 ~next:8);
+  let words = Pr_telemetry.Alloc.words (fun () -> spec := Compiled.specialize compiled flow) in
+  check_bool (Printf.sprintf "specialize allocated %.0f words" words) true (words = 0.0)
 
 let admitted_sources_matches_scan =
   QCheck.Test.make
@@ -962,7 +1163,11 @@ let () =
           Alcotest.test_case "advertisement bytes cached" `Quick transit_bytes_cached;
         ] );
       ( "compiled",
-        [ Alcotest.test_case "store memo and versioning" `Quick store_memo_and_version ]
+        [
+          Alcotest.test_case "store memo and versioning" `Quick store_memo_and_version;
+          Alcotest.test_case "hop-free spec allocates nothing" `Quick
+            hop_free_spec_allocates_nothing;
+        ]
         @ qsuite
             [
               compiled_allows_matches_interpreted;
@@ -998,11 +1203,13 @@ let () =
           Alcotest.test_case "route exists" `Quick oracle_route_exists;
           Alcotest.test_case "best legal" `Quick oracle_best_legal;
           Alcotest.test_case "at 10^4 ADs" `Quick oracle_at_ten_thousand_ads;
+          Alcotest.test_case "states at 10^3 ADs" `Quick oracle_states_at_scale;
         ]
         @ qsuite
             [
               oracle_qcheck_consistency;
               oracle_dijkstra_matches_enumeration;
+              bounded_oracle_matches_unbounded;
               pt_open_admits_everything;
               pt_only_except_complement;
               pt_restriction_monotone;

@@ -990,9 +990,7 @@ let labels_match_spf_reference =
 (* A label build allocates the label and its cache entry, nothing per
    AD searched: <= 1.5 words per AD at 2 000 ADs, averaged over 16
    builds toward distinct destinations. An [Spf.search] build, with
-   its four n-word arrays, allocated 4.5. The label is a major-heap block, whose words
-   the runtime counts only at its next collection: a full major first
-   and a minor last settle the count. *)
+   its four n-word arrays, allocated 4.5. *)
 let label_build_budget () =
   let policy = Daemon.default_config.Daemon.policy in
   let sc = Scenario.for_size ~policy ~target_ads:2000 ~seed:1 () in
@@ -1001,13 +999,11 @@ let label_build_budget () =
   let n = Graph.n g in
   ignore (Serve.label server Qos.Default 0);
   let builds = 16 in
-  Gc.full_major ();
   let words =
     Pr_telemetry.Alloc.words (fun () ->
         for dst = 1 to builds do
           ignore (Serve.label server Qos.Default dst)
-        done;
-        Gc.minor ())
+        done)
   in
   check_int "labels built" (builds + 1) (Serve.stats server).Serve.bound_builds;
   let per_ad = words /. float_of_int (builds * n) in

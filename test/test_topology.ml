@@ -984,6 +984,62 @@ let policy_search_restricted_rows =
       done;
       !ok)
 
+(* The label cache builds into the arrays of labels it evicted or
+   dropped at a join. Under any sequence of requests and joins, every
+   label it returns is a fresh [lower_bound] over the rows kept so
+   far. *)
+let policy_search_labels_recycle =
+  QCheck.Test.make ~name:"recycled labels = fresh lower bounds" ~count:200
+    QCheck.(triple small_int (int_range 1 4) (int_range 0 100))
+    (fun (gseed, capacity, pkeep) ->
+      let g = random_multigraph gseed in
+      let n = Graph.n g and rng = Rng.create gseed in
+      let view = Policy_search.of_graph g in
+      let keep v = Hashtbl.hash (gseed, v) mod 100 < pkeep in
+      let labels = Policy_search.labels view ~keep ~capacity in
+      let kept = Array.init n keep in
+      let metric = Array.init (Array.length (snd (Graph.unique_csr g))) (Graph.slot_cost g) in
+      let heap = Pqueue.Keyed.create ~capacity:n and ok = ref true in
+      for _ = 1 to 40 do
+        if Rng.int rng 8 = 0 then begin
+          let v = Rng.int rng n in
+          kept.(v) <- true;
+          Policy_search.join labels v
+        end
+        else begin
+          let dst = Rng.int rng n in
+          let got = Policy_search.label labels ~key:dst ~dst ~metric in
+          let rows = Policy_search.restrict view ~keep:(fun v -> kept.(v)) in
+          if got <> Policy_search.lower_bound rows heap ~dst ~metric then ok := false
+        end
+      done;
+      !ok)
+
+(* Once the cache is full, a build writes into the label it evicts:
+   it allocates a cache entry, not an n-word label. *)
+let policy_search_label_builds_recycle () =
+  let g = Generator.generate (Rng.create 1) (Generator.scaled ~target_ads:2000) in
+  let view = Policy_search.of_graph g in
+  let labels =
+    Policy_search.labels view ~keep:(fun v -> Ad.is_transit_capable (Graph.ad g v)) ~capacity:4
+  in
+  let metric = Array.init (Array.length (snd (Graph.unique_csr g))) (Graph.slot_cost g) in
+  for dst = 0 to 3 do
+    ignore (Policy_search.label labels ~key:dst ~dst ~metric)
+  done;
+  let builds = 16 in
+  let words =
+    Pr_telemetry.Alloc.words (fun () ->
+        for dst = 4 to 3 + builds do
+          ignore (Policy_search.label labels ~key:dst ~dst ~metric)
+        done)
+  in
+  Alcotest.(check int) "labels evicted" builds (Policy_search.label_evictions labels);
+  let per_build = words /. float_of_int builds in
+  if per_build > 32.0 then
+    Alcotest.failf "%.1f words per build on a full cache (budget 32; a label is %d)" per_build
+      (Graph.n g)
+
 let policy_search_basics () =
   (* A triangle 0-1-2 plus a tail 2-3, where 1 refuses 0 -> 1 -> 2. *)
   let ads =
@@ -1088,12 +1144,16 @@ let () =
         ]
         @ qsuite [ delta_vs_scratch_prop ] );
       ( "policy-search",
-        [ Alcotest.test_case "basics" `Quick policy_search_basics ]
+        [
+          Alcotest.test_case "basics" `Quick policy_search_basics;
+          Alcotest.test_case "label builds recycle" `Quick policy_search_label_builds_recycle;
+        ]
         @ qsuite
             [
               policy_search_matches_reference;
               policy_search_bounded_matches_unbounded;
               policy_search_restricted_rows;
+              policy_search_labels_recycle;
             ] );
       ( "hierarchy",
         [
