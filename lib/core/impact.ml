@@ -50,42 +50,47 @@ let assess (scenario : Scenario.t) ~proposed ?(qos = Pr_policy.Qos.Default)
   let degraded = ref [] and improved = ref [] in
   let load_before = ref 0 and load_after = ref 0 in
   let costs_before = ref [] and costs_after = ref [] in
-  let pairs = ref 0 in
-  List.iter
-    (fun src ->
-      List.iter
-        (fun dst ->
-          if src <> dst then begin
-            incr pairs;
-            let flow = Flow.make ~src ~dst ~qos ~uci () in
-            let before = Validate.best_legal g config_before flow ~max_hops in
-            let after = Validate.best_legal g config_after flow ~max_hops in
-            let change = { src; dst; before; after } in
-            let transits path =
-              match path with
-              | Some p -> List.mem owner (Path.transit_ads p)
-              | None -> false
-            in
-            if transits before then incr load_before;
-            if transits after then incr load_after;
-            match (before, after) with
-            | Some _, None -> lost := change :: !lost
-            | None, Some _ -> gained := change :: !gained
-            | Some pb, Some pa -> (
-              match (Path.cost g pb, Path.cost g pa) with
-              | Some cb, Some ca ->
-                costs_before := float_of_int cb :: !costs_before;
-                costs_after := float_of_int ca :: !costs_after;
-                if ca > cb then degraded := change :: !degraded
-                else if ca < cb then improved := change :: !improved
-              | _ -> ())
-            | None, None -> ()
-          end)
-        hosts)
-    hosts;
+  let flows =
+    List.concat_map
+      (fun src ->
+        List.filter_map
+          (fun dst -> if src <> dst then Some (Flow.make ~src ~dst ~qos ~uci ()) else None)
+          hosts)
+      hosts
+  in
+  (* Every [before] answer, then every [after] one: the oracle's policy
+     store ({!Pr_policy.Policy_store.of_config}) remembers one
+     configuration, so alternating the two would recompile on every
+     call. *)
+  let best config = List.map (fun flow -> Validate.best_legal g config flow ~max_hops) flows in
+  let befores = best config_before in
+  let afters = best config_after in
+  List.iter2
+    (fun (flow : Flow.t) (before, after) ->
+      let change = { src = flow.Flow.src; dst = flow.Flow.dst; before; after } in
+      let transits path =
+        match path with
+        | Some p -> List.mem owner (Path.transit_ads p)
+        | None -> false
+      in
+      if transits before then incr load_before;
+      if transits after then incr load_after;
+      match (before, after) with
+      | Some _, None -> lost := change :: !lost
+      | None, Some _ -> gained := change :: !gained
+      | Some pb, Some pa -> (
+        match (Path.cost g pb, Path.cost g pa) with
+        | Some cb, Some ca ->
+          costs_before := float_of_int cb :: !costs_before;
+          costs_after := float_of_int ca :: !costs_after;
+          if ca > cb then degraded := change :: !degraded
+          else if ca < cb then improved := change :: !improved
+        | _ -> ())
+      | None, None -> ())
+    flows (List.combine befores afters);
   {
     owner;
-    pairs_total = !pairs;
+    pairs_total = List.length flows;
     lost = List.rev !lost;
     gained = List.rev !gained;
     degraded = List.rev !degraded;

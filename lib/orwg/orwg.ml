@@ -150,6 +150,12 @@ module Make (V : VARIANT) = struct
     | [] -> false
     | first :: _ -> first = flow.Flow.src && ok (-1) path
 
+  (* The static filler [nodes] is made over, never handed out:
+     [Array.init] over more than 256 ADs would start it from a young
+     node, and creating such an array from one forces a minor
+     collection. *)
+  let no_node = { pr_cache = Lru.create (); pg_cache = Lru.create (); validations = 0 }
+
   let create graph config net =
     let n = Graph.n graph in
     let store = Policy_store.create config in
@@ -172,6 +178,15 @@ module Make (V : VARIANT) = struct
             | Some provider -> provider
             | None -> ad)
     in
+    let nodes = Array.make n no_node in
+    for ad = 0 to n - 1 do
+      nodes.(ad) <-
+        {
+          pr_cache = Lru.create ~capacity:V.pr_capacity ();
+          pg_cache = Lru.create ~capacity:V.pg_capacity ();
+          validations = 0;
+        }
+    done;
     let t =
       {
         graph;
@@ -180,13 +195,7 @@ module Make (V : VARIANT) = struct
         flood;
         store;
         route_server;
-        nodes =
-          Array.init n (fun _ ->
-              {
-                pr_cache = Lru.create ~capacity:V.pr_capacity ();
-                pg_cache = Lru.create ~capacity:V.pg_capacity ();
-                validations = 0;
-              });
+        nodes;
         next_handle = 1;
       }
     in

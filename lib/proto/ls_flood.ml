@@ -35,13 +35,27 @@ type t = {
   mutable on_change : Pr_topology.Ad.id -> origin:Pr_topology.Ad.id option -> unit;
 }
 
+(* Static fillers of the per-AD arrays, never handed out. Creating an
+   array of more than 256 words from a young element forces a minor
+   collection, and [Array.init] over more than 256 ADs starts from one,
+   so each per-AD array is made over a static filler (and filled after
+   where its slots differ). *)
+let no_db = Lsdb.create ~n:0
+
+let unvetted = Lsdb.make_lsa ~origin:(-1) ~seq:(-1) ~adjacencies:[] ~terms:[]
+
 let create net ~terms_for ?(flood_to = fun _ -> true) () =
   let n = Graph.n (Network.graph net) in
   let first = Lsdb.create ~n in
+  let dbs = Array.make n no_db and origins = Array.make n None in
+  for ad = 0 to n - 1 do
+    dbs.(ad) <- (if ad = 0 then first else Lsdb.sibling first);
+    origins.(ad) <- Some ad
+  done;
   {
     net;
     n;
-    dbs = Array.init n (fun ad -> if ad = 0 then first else Lsdb.sibling first);
+    dbs;
     seqs = Array.make n 0;
     versions = Array.make n 0;
     dirty = Array.make n [];
@@ -49,8 +63,8 @@ let create net ~terms_for ?(flood_to = fun _ -> true) () =
     dirty_full = Array.make n false;
     terms_for;
     flood_to;
-    vetted = Array.make n (Lsdb.make_lsa ~origin:(-1) ~seq:(-1) ~adjacencies:[] ~terms:[]);
-    origins = Array.init n Option.some;
+    vetted = Array.make n unvetted;
+    origins;
     on_change = (fun _ ~origin:_ -> ());
   }
 

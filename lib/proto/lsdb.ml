@@ -113,6 +113,10 @@ let compiled_of t origin =
 
 let entry_count t = t.count
 
+let no_pair =
+  let none = { nbr = -1; cost = 0; delay = 0.0 } in
+  (none, none)
+
 let build_search t =
   let n = Array.length t.store in
   let seen = Array.make n (-1) in
@@ -126,16 +130,22 @@ let build_search t =
           (v, a, b))
         (find_adjacency t v u)
   in
-  let rows =
-    Array.init n (fun u ->
-        Array.of_list (List.filter_map (confirmed u) t.store.(u).adjacencies))
-  in
+  (* Arrays of fresh blocks start from static fillers and are filled
+     after: [Array.init] and [Array.map] start from a young first
+     element, and creating more than 256 words from one forces a minor
+     collection. *)
+  let rows = Array.make n [||] in
+  for u = 0 to n - 1 do
+    rows.(u) <- Array.of_list (List.filter_map (confirmed u) t.store.(u).adjacencies)
+  done;
   let off = Array.make (n + 1) 0 in
   Array.iteri (fun u row -> off.(u + 1) <- off.(u) + Array.length row) rows;
   let slots = Array.concat (Array.to_list rows) in
+  let pairs = Array.make (Array.length slots) no_pair in
+  Array.iteri (fun i (_, a, b) -> pairs.(i) <- (a, b)) slots;
   {
     view = Pr_topology.Policy_search.of_csr ~off ~nbr:(Array.map (fun (v, _, _) -> v) slots);
-    pairs = Array.map (fun (_, a, b) -> (a, b)) slots;
+    pairs;
     metrics = Array.make Pr_policy.Qos.count None;
   }
 

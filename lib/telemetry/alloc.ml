@@ -15,6 +15,12 @@ let words f =
 
 let words_per ~ops f = words f /. float_of_int (max 1 ops)
 
+let minor_collections f =
+  Gc.full_major ();
+  let c0 = (Gc.quick_stat ()).Gc.minor_collections in
+  f ();
+  (Gc.quick_stat ()).Gc.minor_collections - c0
+
 let sample ?(registry = Registry.default) () =
   let s = Gc.quick_stat () in
   let set name v = Registry.set (Registry.gauge registry name) v in

@@ -17,6 +17,12 @@ val words_per : ops:int -> (unit -> unit) -> float
 (** [words f /. float ops]: per-operation allocation for a thunk that
     performs [ops] operations. *)
 
+val minor_collections : (unit -> unit) -> int
+(** Minor collections during one call of [f], whatever started them:
+    a full minor heap, a full remembered set, a forced one. Runs a full
+    major collection before [f], so [f] starts from an empty minor
+    heap: keep it out of timed loops. *)
+
 val sample : ?registry:Registry.t -> unit -> unit
 (** Set the [gc.*] gauges (minor/major/promoted words, collection and
     compaction counts, heap words) in [registry] (default

@@ -24,13 +24,24 @@
    for the minor GC to scan. Sifts carry the moving entry in locals and
    write the hole once per level.
 
-   Values live apart, in [values], indexed by [slot]: each value is
+   Values live apart, in [pages], indexed by [slot]: each value is
    written once by [add] and cleared once by the pop that removes it,
    and vacant slots are recycled through the [free] stack. A popped
    value is therefore never retained past its pop — the queue's
    high-water mark holds no stale references. A call entry ({!Calls})
-   keeps its argument beside its handler, in [args]; the two are
-   written, read and cleared together.
+   keeps its argument beside its handler, in the next cell of the
+   same page; the two are written, read and cleared together.
+
+   Pages. A page holds 128 slots, value and argument side by side: 256
+   words, the largest block OCaml still allocates in the minor heap.
+   A simulated run writes a young handler and a young argument per
+   event; written into one long-lived array, each write would add an
+   entry to the remembered set, and tens of thousands of them per run
+   overflow it and force a minor collection. Into a young page, the
+   writes cost nothing. Pages travel with the rest of the storage, and
+   [Calls.create] (one per simulated run) renews the pages the spare's
+   last run wrote when a minor collection has promoted them since they
+   were made.
 
    Storage outlives a drained queue. The queue that empties hands its
    arrays to a domain-local spare, which keeps the larger of its own
@@ -44,12 +55,17 @@ type 'a t = {
   mutable prio : Float.Array.t;  (* heap position -> priority of its run *)
   mutable seq : int array;  (* heap position -> insertion seq of the run head *)
   mutable slot : int array;  (* heap position -> value slot of the run head *)
-  mutable values : 'a array;  (* value slot -> value; vacant slots hold [vacant] *)
-  mutable args : Obj.t array;  (* value slot -> argument of a call entry, else [vacant] *)
+  mutable pages : Obj.t array array;
+      (* value slot s -> page s lsr 7, cells 2 (s land 127) (the value)
+         and the next one (the argument of a call entry); vacant cells
+         hold [vacant] *)
   mutable vseq : int array;  (* value slot -> insertion seq *)
   mutable next : int array;  (* value slot -> next slot of its run; -1 at the tail *)
   mutable free : int array;  (* stack of vacant value slots *)
   mutable nfree : int;
+  mutable low : int;
+      (* the fewest vacant slots since the queue was last empty: its
+         run has taken the free-stack positions [low, capacity) *)
   mutable size : int;  (* heap entries: one per run *)
   mutable count : int;  (* values *)
   mutable next_seq : int;
@@ -57,12 +73,33 @@ type 'a t = {
   mutable open_tail : int array;  (* bucket -> tail slot of its open run; -1 when none *)
 }
 
-(* Filler for vacant value and argument slots. It is an immediate, so
-   neither array is ever created as a flat float array (the arrays
-   start from it, even for ['a = float]), and it is never read back as
-   an ['a]. It is also [Obj.repr ()], the argument a plain closure of a
-   {!Calls} queue is applied to. *)
+(* Filler for vacant value and argument cells. It is an immediate, so
+   no page is ever created as a flat float array, and it is never read
+   back as an ['a]. It is also [Obj.repr ()], the argument a plain
+   closure of a {!Calls} queue is applied to. *)
 let vacant () : 'a = Obj.magic 0
+
+let page_bits = 7
+
+let page_slots = 1 lsl page_bits
+
+let new_page () : Obj.t array = Array.make (2 * page_slots) (vacant ())
+
+(* [k] fresh pages. The array starts from the static [[||]], not from a
+   young page: [Array.make] forces a minor collection to create more
+   than 256 words from a young element. *)
+let new_pages k =
+  let a = Array.make k [||] in
+  for i = 0 to k - 1 do
+    a.(i) <- new_page ()
+  done;
+  a
+
+(* The page of a value slot, and the cell of its value there; its
+   argument is in the next cell. *)
+let[@inline] page t sl = Array.unsafe_get t.pages (sl lsr page_bits)
+
+let[@inline] cell sl = 2 * (sl land (page_slots - 1))
 
 let buckets = 64
 
@@ -81,12 +118,12 @@ let create () =
     prio = no_prio;
     seq = [||];
     slot = [||];
-    values = [||];
-    args = [||];
+    pages = [||];
     vseq = [||];
     next = [||];
     free = [||];
     nfree = 0;
+    low = 0;
     size = 0;
     count = 0;
     next_seq = 0;
@@ -109,37 +146,48 @@ let drop t =
   t.prio <- no_prio;
   t.seq <- [||];
   t.slot <- [||];
-  t.values <- [||];
-  t.args <- [||];
+  t.pages <- [||];
   t.vseq <- [||];
   t.next <- [||];
   t.free <- [||];
   t.open_prio <- no_prio;
   t.open_tail <- [||];
-  t.nfree <- 0
+  t.nfree <- 0;
+  t.low <- 0
 
 (* Move an empty queue's storage to [dst] and leave [src] at zero
-   capacity. The values array holds only vacant slots, so its element
-   type is moot. *)
+   capacity. *)
 let transfer (src : 'a t) (dst : 'b t) =
   dst.prio <- src.prio;
   dst.seq <- src.seq;
   dst.slot <- src.slot;
-  dst.values <- (Obj.magic (src.values : 'a array) : 'b array);
-  dst.args <- src.args;
+  dst.pages <- src.pages;
   dst.vseq <- src.vseq;
   dst.next <- src.next;
   dst.free <- src.free;
+  dst.low <- src.low;
   dst.open_prio <- src.open_prio;
   dst.open_tail <- src.open_tail;
   drop src
 
 (* The queue has just emptied: hand its storage to the spare if larger
    than the spare's, else drop it. Either way the queue is left at zero
-   capacity, and its next [add] adopts the spare. *)
+   capacity, and its next [add] adopts the spare. Handed-on storage
+   has its free stack sorted back, lowest slot on top: positions below
+   [low] were never popped and still are, and the run's pushes and
+   pops left the rest a permutation of the slots it took. Every run
+   therefore takes the lowest slots, and a run that peaks at d values
+   writes only the pages of slots [0, d). *)
 let release t =
   let sp = Domain.DLS.get spare in
-  if capacity t > capacity sp then transfer t sp else drop t
+  let cap = capacity t in
+  if cap > capacity sp then begin
+    for i = t.low to cap - 1 do
+      Array.unsafe_set t.free i (cap - 1 - i)
+    done;
+    transfer t sp
+  end
+  else drop t
 
 (* Every value slot is in use: adopt the spare when the queue has no
    storage yet, else double the arrays and push the new slots on the
@@ -150,7 +198,8 @@ let grow t =
   let sp = Domain.DLS.get spare in
   if cap = 0 && capacity sp > 0 then begin
     transfer sp t;
-    t.nfree <- capacity t
+    t.nfree <- capacity t;
+    t.low <- t.nfree
   end
   else begin
     let ncap = if cap = 0 then 16 else 2 * cap in
@@ -160,12 +209,13 @@ let grow t =
     t.prio <- prio;
     t.seq <- extend t.seq;
     t.slot <- extend t.slot;
-    t.values <- Array.append t.values (Array.make (ncap - cap) (vacant ()));
-    t.args <- Array.append t.args (Array.make (ncap - cap) (vacant ()));
+    let npages = (ncap + page_slots - 1) lsr page_bits and have = Array.length t.pages in
+    if npages > have then t.pages <- Array.append t.pages (new_pages (npages - have));
     t.vseq <- extend t.vseq;
     t.next <- extend t.next;
     t.free <- Array.init ncap (fun i -> ncap - 1 - i);
     t.nfree <- ncap - cap;
+    t.low <- t.nfree;
     if cap = 0 then begin
       t.open_prio <- Float.Array.make buckets 0.0;
       t.open_tail <- Array.make buckets (-1)
@@ -182,11 +232,12 @@ let[@inline] same (p : float) (q : float) =
   p = q && (p <> 0.0 || Float.sign_bit p = Float.sign_bit q)
 
 (* Queue [value] and return its value slot. *)
-let[@inline] insert t ~priority value =
+let[@inline] insert (t : 'a t) ~priority (value : 'a) =
   if t.nfree = 0 then grow t;
   t.nfree <- t.nfree - 1;
+  if t.nfree < t.low then t.low <- t.nfree;
   let sl = t.free.(t.nfree) in
-  t.values.(sl) <- value;
+  Array.unsafe_set (page t sl) (cell sl) (Obj.repr value);
   let s = t.next_seq in
   t.next_seq <- s + 1;
   t.count <- t.count + 1;
@@ -277,10 +328,11 @@ let sift_down t =
    the last heap entry moves to the root and sifts down. The caller
    has read and cleared the slot's argument; a queue left empty hands
    its storage on. *)
-let remove_top t =
+let remove_top (t : 'a t) : 'a =
   let sl = Array.unsafe_get t.slot 0 in
-  let v = t.values.(sl) in
-  t.values.(sl) <- vacant ();
+  let pg = page t sl and c = cell sl in
+  let v = Obj.obj (Array.unsafe_get pg c) in
+  Array.unsafe_set pg c (vacant ());
   t.free.(t.nfree) <- sl;
   t.nfree <- t.nfree + 1;
   t.count <- t.count - 1;
@@ -324,8 +376,9 @@ let clear t =
     for i = 0 to t.size - 1 do
       let sl = ref (Array.unsafe_get t.slot i) in
       while !sl >= 0 do
-        t.values.(!sl) <- vacant ();
-        t.args.(!sl) <- vacant ();
+        let pg = page t !sl and c = cell !sl in
+        Array.unsafe_set pg c (vacant ());
+        Array.unsafe_set pg (c + 1) (vacant ());
         t.free.(t.nfree) <- !sl;
         t.nfree <- t.nfree + 1;
         sl := Array.unsafe_get t.next !sl
@@ -342,7 +395,35 @@ module Calls = struct
 
   type clock = { mutable now : float }
 
-  let create = create
+  (* The minor-collection count when the spare's pages were last
+     renewed. *)
+  let renewed = Domain.DLS.new_key (fun () -> ref (-1))
+
+  (* A queue starts at zero capacity and adopts the spare on its first
+     [add], so a run writes its events into the spare's pages. Renew
+     the pages the last run wrote (the next one likely writes as many)
+     when a minor collection has run since they were made: it has
+     promoted them, and young values written into old pages fill the
+     remembered set. Their cells are all vacant, so the fresh pages
+     hold the same. Pages of more than a quarter of the minor heap are
+     left alone: a run that large collects early anyway, after which
+     the values it writes are old too, so renewing would only copy
+     the pages once more. *)
+  let create () =
+    let sp = Domain.DLS.get spare in
+    let used = (capacity sp - sp.low + page_slots - 1) lsr page_bits in
+    if used > 0 && 4 * used * ((2 * page_slots) + 1) <= (Gc.get ()).Gc.minor_heap_size
+    then begin
+      let collections = (Gc.quick_stat ()).Gc.minor_collections in
+      let last = Domain.DLS.get renewed in
+      if collections <> !last then begin
+        last := collections;
+        for i = 0 to used - 1 do
+          sp.pages.(i) <- new_page ()
+        done
+      end
+    end;
+    create ()
 
   let is_empty = is_empty
 
@@ -357,14 +438,15 @@ module Calls = struct
 
   let add_call_after t clock ~delay (f : 'a -> unit) (x : 'a) =
     let sl = insert t ~priority:(clock.now +. delay) (Obj.magic f : Obj.t -> unit) in
-    t.args.(sl) <- Obj.repr x
+    Array.unsafe_set (page t sl) (cell sl + 1) (Obj.repr x)
 
   let run_top t clock =
     if t.size = 0 then invalid_arg "Pqueue.Calls.run_top: empty queue";
     clock.now <- Float.Array.unsafe_get t.prio 0;
     let sl = Array.unsafe_get t.slot 0 in
-    let x = Array.unsafe_get t.args sl in
-    if Obj.is_block x then Array.unsafe_set t.args sl (vacant ());
+    let pg = page t sl and c = cell sl + 1 in
+    let x = Array.unsafe_get pg c in
+    if Obj.is_block x then Array.unsafe_set pg c (vacant ());
     let f = remove_top t in
     f x
 end

@@ -72,6 +72,11 @@ module Calls : sig
   (** An all-float record, stored flat: updating it boxes nothing. *)
 
   val create : unit -> t
+  (** An empty queue. It also renews the cells the domain's spare
+      storage keeps handlers and arguments in, when a minor collection
+      has promoted them since their last renewal: a run then writes
+      its young events into young blocks, which fills no remembered
+      set. *)
 
   val is_empty : t -> bool
 

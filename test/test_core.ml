@@ -320,6 +320,25 @@ let impact_class_specific () =
   check_int "research unaffected" 0 (List.length res.Pr_core.Impact.lost);
   check_bool "commercial loses" true (List.length com.Pr_core.Impact.lost > 0)
 
+(* The oracle's policy store remembers one configuration: an
+   assessment that asked it about the two configurations in turn
+   recompiled every AD on every call. Asking all of one, then all of
+   the other, compiles each AD at most once per configuration. *)
+let impact_compiles_once_per_config () =
+  let scenario = Scenario.for_size ~target_ads:60 ~seed:3 () in
+  let n = Graph.n scenario.Scenario.graph in
+  let compilations =
+    Pr_telemetry.Registry.counter Pr_telemetry.Registry.default "policy.compilations"
+  in
+  let before = Pr_telemetry.Registry.count compilations in
+  let r =
+    Pr_core.Impact.assess scenario ~proposed:(Pr_policy.Transit_policy.no_transit 1) ()
+  in
+  let made = Pr_telemetry.Registry.count compilations - before in
+  check_bool "some pairs lost" true (r.Pr_core.Impact.lost <> []);
+  check_bool (Printf.sprintf "%d compilations for %d ADs (budget 2n)" made n) true
+    (made <= 2 * n)
+
 let impact_summary_renders () =
   let scenario = Scenario.figure1 ~seed:42 () in
   let r =
@@ -344,6 +363,28 @@ let experiment_smoke_all_protocols () =
         (r.Experiment.delivered + r.Experiment.dropped + r.Experiment.looped
        + r.Experiment.prep_failed))
     Registry.all
+
+(* Minor collections over back-to-back ORWG evaluations of 120-AD
+   internets, after one warm-up. Each allocates under half the minor
+   heap, but forced collections (a remembered set overflowed by the
+   event queue, an [Array.map] of fresh pairs in the search view) made
+   16 over 8 evaluations. The budget is half that. *)
+let experiment_minor_collections () =
+  let packed = Registry.find "orwg" in
+  let cases =
+    List.init 8 (fun i ->
+        let sc = Scenario.for_size ~target_ads:120 ~seed:(i + 1) () in
+        (sc, Scenario.flows sc ~rng:(Rng.create (i + 2)) ~count:40 ()))
+  in
+  let evaluate (sc, flows) =
+    let r = Experiment.evaluate packed sc ~flows () in
+    check_bool "converged" true r.Experiment.converged
+  in
+  evaluate (List.hd cases);
+  let collections = Pr_telemetry.Alloc.minor_collections (fun () -> List.iter evaluate cases) in
+  check_bool
+    (Printf.sprintf "%d minor collections over 8 evaluations (budget 8)" collections)
+    true (collections <= 8)
 
 let experiment_deterministic () =
   let scenario = Scenario.figure1 ~seed:42 () in
@@ -490,11 +531,15 @@ let () =
           Alcotest.test_case "opening gains" `Quick impact_opening_gains;
           Alcotest.test_case "class specific" `Quick impact_class_specific;
           Alcotest.test_case "summary renders" `Quick impact_summary_renders;
+          Alcotest.test_case "compiles once per configuration" `Quick
+            impact_compiles_once_per_config;
         ] );
       ( "experiment",
         [
           Alcotest.test_case "smoke all protocols" `Slow experiment_smoke_all_protocols;
           Alcotest.test_case "deterministic" `Quick experiment_deterministic;
+          Alcotest.test_case "back-to-back evaluations collect rarely" `Quick
+            experiment_minor_collections;
           Alcotest.test_case "policy designs: no transit violations" `Quick
             experiment_policy_designs_zero_violations;
           Alcotest.test_case "orwg: no source violations" `Quick

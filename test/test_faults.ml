@@ -579,6 +579,53 @@ let converge_words_per_event () =
     (Printf.sprintf "%.2f words/event over %d events (budget 0.6)" per_event c.Runner.events)
     true (per_event <= 0.6)
 
+(* Minor collections over back-to-back fault-free ORWG runs, after one
+   warm-up run of the same internet. Each 120-AD converge allocates
+   about a sixth of the minor heap, yet a queue that wrote each event's
+   handler and message into long-lived arrays overflowed the remembered
+   set and collected in almost every run: 16 collections over 16 runs.
+   The budget is half that. *)
+let converge_minor_collections () =
+  let (Registry.Packed (module P)) = orwg_runner () in
+  let module R = Runner.Make (P) in
+  let sc = Scenario.for_size ~target_ads:120 ~seed:1 () in
+  let converge () =
+    let c = R.converge (R.setup sc.Scenario.graph sc.Scenario.config) in
+    check_bool "converged" true c.Runner.converged
+  in
+  converge ();
+  let collections =
+    Pr_telemetry.Alloc.minor_collections (fun () ->
+        for _ = 1 to 16 do
+          converge ()
+        done)
+  in
+  check_bool
+    (Printf.sprintf "%d minor collections over 16 converges (budget 9)" collections)
+    true (collections <= 9)
+
+(* Above 256 ADs, an array of per-AD blocks made by [Array.init] starts
+   from a young block, and creating it forces a minor collection. The
+   per-run arrays of the flood, the protocol and the search view are
+   made over static fillers instead: a warm 304-AD converge and its
+   first route synthesis ran 5 collections with those [Array.init]s
+   and 1 without, so each one that comes back fails the budget. *)
+let large_run_minor_collections () =
+  let (Registry.Packed (module P)) = orwg_runner () in
+  let module R = Runner.Make (P) in
+  let sc = Scenario.for_size ~target_ads:300 ~seed:1 () in
+  let flow = List.hd (Scenario.flows sc ~rng:(Rng.create 2) ~count:1 ()) in
+  let run () =
+    let r = R.setup sc.Scenario.graph sc.Scenario.config in
+    check_bool "converged" true (R.converge r).Runner.converged;
+    ignore (R.send_flow r flow : Forwarding.outcome)
+  in
+  run ();
+  let collections = Pr_telemetry.Alloc.minor_collections run in
+  check_bool
+    (Printf.sprintf "%d minor collections (budget 1)" collections)
+    true (collections <= 1)
+
 (* One call records each notable event: every link, node, fault, guard
    and invariant-violation entry the post-mortem ring holds after a
    traced run is in the run's trace too, at the same ts and tid. *)
@@ -680,6 +727,10 @@ let () =
             faulted_convergence_minor_words_per_event;
           Alcotest.test_case "fault-free 120-AD converge allocation budget" `Quick
             converge_words_per_event;
+          Alcotest.test_case "back-to-back converges collect rarely" `Quick
+            converge_minor_collections;
+          Alcotest.test_case "no forced collections above 256 ADs" `Quick
+            large_run_minor_collections;
           Alcotest.test_case "notable events reach trace and post-mortem ring" `Quick
             notable_events_reach_both_sinks;
           Alcotest.test_case "post-mortem covers one run" `Quick post_mortem_covers_one_run;

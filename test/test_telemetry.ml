@@ -438,20 +438,75 @@ let scenario_input =
     ~print:(fun s -> Printf.sprintf "%d bytes: %S" (String.length s) s)
     (frequency [ (1, string ~gen:char); (1, byte); (1, truncated); (3, renumbered) ])
 
-let never_raises ?(count = 600) ?(input = fuzz_input) name f =
+(* Baseline rows: random configs over the fields a daemon row carries
+   (and a stray one), and the committed BENCH_serve.json rows with one
+   field set to a random value, dropped, or given twice. *)
+let serve_rows =
+  match Gate.read "../BENCH_serve.json" with
+  | Ok (_, rows) -> rows
+  | Error e -> failwith ("BENCH_serve.json: " ^ e)
+
+let row_input =
+  let open QCheck.Gen in
+  let names =
+    [ "plan"; "seed"; "target_ads"; "duration"; "batch"; "interval"; "flip_every";
+      "route_capacity"; "handle_capacity"; "check_every"; "restrictiveness";
+      "source_policy_prob"; "granularity"; "cores" ]
+  in
+  let value =
+    frequency
+      [
+        (3, map (fun i -> J.Int i) (oneof [ int; int_range (-3) 100_000 ]));
+        ( 3,
+          map
+            (fun f -> J.Float f)
+            (oneof [ float; oneofl [ nan; infinity; neg_infinity; -0.0; 0.5; 1.5; 1e300 ] ]) );
+        ( 3,
+          map
+            (fun s -> J.String s)
+            (oneof
+               [
+                 string_printable;
+                 oneofl [ "default"; "none"; "storm"; "bogus:plan"; "coarse"; "fine"; "" ];
+               ]) );
+        (1, oneofl [ J.Null; J.Bool true; J.List []; J.Obj [] ]);
+      ]
+  in
+  let field = pair (oneof [ oneofl names; string_printable ]) value in
+  let random = list_size (int_bound 8) field in
+  let mutated =
+    oneofl serve_rows >>= fun row ->
+    let config = row.Gate.config in
+    field >>= fun (name, v) ->
+    oneofl
+      [
+        (name, v) :: List.remove_assoc name config;
+        List.remove_assoc name config;
+        (name, v) :: config;
+      ]
+  in
+  QCheck.make
+    ~print:(fun row -> J.to_string (J.Obj row.Gate.config))
+    (map
+       (fun config ->
+         { Gate.layer = "serve"; kernel = "daemon"; config; exact = []; band = []; cores = 1 })
+       (oneof [ random; mutated ]))
+
+let never_raises ?(count = 600) input name f =
   QCheck.Test.make ~name ~count input (fun s ->
       match f s with Ok _ | Error _ -> true | exception _ -> false)
 
 let fuzz_tests =
   [
-    never_raises "Json.parse" J.parse;
-    never_raises "Gate.document_of_json" (fun s ->
+    never_raises fuzz_input "Json.parse" J.parse;
+    never_raises fuzz_input "Gate.document_of_json" (fun s ->
         Result.bind (J.parse s) Gate.document_of_json);
-    never_raises "Plan.of_string" Pr_faults.Plan.of_string;
-    never_raises "Sexp.of_string" Pr_util.Sexp.of_string;
-    never_raises ~count:1500 ~input:scenario_input "Sexp.of_string on scenarios"
+    never_raises fuzz_input "Plan.of_string" Pr_faults.Plan.of_string;
+    never_raises fuzz_input "Sexp.of_string" Pr_util.Sexp.of_string;
+    never_raises ~count:1500 scenario_input "Sexp.of_string on scenarios"
       Pr_util.Sexp.of_string;
-    never_raises ~count:1500 ~input:scenario_input "Codec.load" Pr_core.Codec.load;
+    never_raises ~count:1500 scenario_input "Codec.load" Pr_core.Codec.load;
+    never_raises ~count:1500 row_input "Daemon.config_of_row" Daemon.config_of_row;
   ]
 
 (* A source policy owned by an AD outside the graph is an error, not
@@ -489,6 +544,26 @@ let test_alloc_words () =
   Alloc.sample ~registry:r ();
   check_bool "gc gauges published" true
     (List.mem_assoc "gc.minor_words" (Reg.snapshot r))
+
+(* [Array.init] over more than 256 words starts the array from a young
+   element and so forces a minor collection; the same array made over a
+   static filler and filled after does not. *)
+let test_alloc_minor_collections () =
+  check_int "nothing collects nothing" 0 (Alloc.minor_collections ignore);
+  check_int "one Gc.minor" 1 (Alloc.minor_collections Gc.minor);
+  let sink = ref [||] in
+  let forced = Alloc.minor_collections (fun () -> sink := Array.init 300 Option.some) in
+  check_bool (Printf.sprintf "Array.init 300 collects (%d)" forced) true (forced >= 1);
+  let filled =
+    Alloc.minor_collections (fun () ->
+        let a = Array.make 300 None in
+        for i = 0 to 299 do
+          a.(i) <- Some i
+        done;
+        sink := a)
+  in
+  check_int "Array.make 300, then filled" 0 filled;
+  ignore (Sys.opaque_identity !sink)
 
 (* --- daemon acceptance: estimates vs exact sorted-list values -------- *)
 
@@ -573,7 +648,10 @@ let () =
           test_source_owner_out_of_range
         :: List.map QCheck_alcotest.to_alcotest fuzz_tests );
       ( "alloc",
-        [ Alcotest.test_case "words" `Quick test_alloc_words ] );
+        [
+          Alcotest.test_case "words" `Quick test_alloc_words;
+          Alcotest.test_case "minor collections" `Quick test_alloc_minor_collections;
+        ] );
       ( "daemon",
         [
           Alcotest.test_case "one-bucket acceptance" `Quick
