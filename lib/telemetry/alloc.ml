@@ -21,6 +21,12 @@ let minor_collections f =
   f ();
   (Gc.quick_stat ()).Gc.minor_collections - c0
 
+let promoted_words f =
+  Gc.full_major ();
+  let p0 = (Gc.quick_stat ()).Gc.promoted_words in
+  f ();
+  (Gc.quick_stat ()).Gc.promoted_words -. p0
+
 let sample ?(registry = Registry.default) () =
   let s = Gc.quick_stat () in
   let set name v = Registry.set (Registry.gauge registry name) v in

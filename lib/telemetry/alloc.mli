@@ -23,6 +23,11 @@ val minor_collections : (unit -> unit) -> int
     major collection before [f], so [f] starts from an empty minor
     heap: keep it out of timed loops. *)
 
+val promoted_words : (unit -> unit) -> float
+(** Words the minor collections during one call of [f] copied into the
+    major heap. Like {!minor_collections}, runs a full major collection
+    before [f] and none after it. *)
+
 val sample : ?registry:Registry.t -> unit -> unit
 (** Set the [gc.*] gauges (minor/major/promoted words, collection and
     compaction counts, heap words) in [registry] (default

@@ -74,9 +74,9 @@ module Calls : sig
   val create : unit -> t
   (** An empty queue. It also renews the cells the domain's spare
       storage keeps handlers and arguments in, when a minor collection
-      has promoted them since their last renewal: a run then writes
-      its young events into young blocks, which fills no remembered
-      set. *)
+      has promoted them since their last renewal and they take at
+      most a quarter of the minor heap: a run then writes its young
+      events into young blocks, which fills no remembered set. *)
 
   val is_empty : t -> bool
 

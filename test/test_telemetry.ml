@@ -565,6 +565,21 @@ let test_alloc_minor_collections () =
   check_int "Array.make 300, then filled" 0 filled;
   ignore (Sys.opaque_identity !sink)
 
+(* A minor collection copies what is live in the minor heap, and
+   [Alloc.promoted_words] counts the copy. *)
+let test_alloc_promoted_words () =
+  check_bool "nothing promotes nothing" true (Alloc.promoted_words ignore = 0.0);
+  let live = ref [] in
+  let promoted =
+    Alloc.promoted_words (fun () ->
+        live := List.init 100 Fun.id;
+        Gc.minor ())
+  in
+  check_bool
+    (Printf.sprintf "a live 100-cell list is promoted (%.0f words)" promoted)
+    true (promoted >= 300.0);
+  ignore (Sys.opaque_identity !live)
+
 (* --- daemon acceptance: estimates vs exact sorted-list values -------- *)
 
 let test_daemon_one_bucket () =
@@ -651,6 +666,7 @@ let () =
         [
           Alcotest.test_case "words" `Quick test_alloc_words;
           Alcotest.test_case "minor collections" `Quick test_alloc_minor_collections;
+          Alcotest.test_case "promoted words" `Quick test_alloc_promoted_words;
         ] );
       ( "daemon",
         [
