@@ -1,6 +1,5 @@
 module J = Pr_util.Json
 module Rng = Pr_util.Rng
-module Stats = Pr_util.Stats
 module Graph = Pr_topology.Graph
 module Metrics = Pr_sim.Metrics
 module Engine = Pr_sim.Engine
@@ -21,17 +20,7 @@ type t = {
   stop_reason : string;
   outcome : string;
   sim_time : float;
-  messages : int;
-  bytes : int;
-  computations : int;
-  transit_computations : int;
-  msgs_lost : int;
-  table_total : int;
-  table_max : int;
-  msg_max : int;
-  msg_mean : float;
-  msg_p90 : float;
-  tbl_p90 : float;
+  costs : Runner.costs;
   delivered : int;
   loop_violations : int;
   blackhole_violations : int;
@@ -106,17 +95,7 @@ let execute_faulted packed (run : Grid.run) plan =
       stop_reason = report.C.stop_reason;
       outcome = (if report.C.converged then "completed" else "budget_exhausted");
       sim_time = report.C.sim_time;
-      messages = report.C.messages;
-      bytes = report.C.bytes;
-      computations = report.C.computations;
-      transit_computations = report.C.transit_computations;
-      msgs_lost = report.C.msgs_lost;
-      table_total = report.C.table_total;
-      table_max = report.C.table_max;
-      msg_max = report.C.msg_max;
-      msg_mean = report.C.msg_mean;
-      msg_p90 = report.C.msg_p90;
-      tbl_p90 = report.C.tbl_p90;
+      costs = report.C.costs;
       delivered = report.C.delivered;
       loop_violations = C.loop_violations report;
       blackhole_violations = C.blackhole_violations report;
@@ -169,13 +148,6 @@ let execute ?(chaos = no_chaos) ?trace_dir (run : Grid.run) =
     in
     let r = R.setup ~trace g scenario.Scenario.config in
     let m = R.metrics r in
-    let table_total () =
-      let acc = ref 0 in
-      for ad = 0 to Graph.n g - 1 do
-        acc := !acc + P.table_entries (R.protocol r) ad
-      done;
-      !acc
-    in
     let timeline =
       if trace_dir = None then None
       else
@@ -186,7 +158,7 @@ let execute ?(chaos = no_chaos) ?trace_dir (run : Grid.run) =
                [|
                  float_of_int (Metrics.messages m);
                  float_of_int (Metrics.computations m);
-                 float_of_int (table_total ());
+                 float_of_int (R.table_entries r);
                |])
              trace)
     in
@@ -207,20 +179,6 @@ let execute ?(chaos = no_chaos) ?trace_dir (run : Grid.run) =
         (fun acc f -> if Pr_proto.Forwarding.delivered (R.send_flow r f) then acc + 1 else acc)
         0 flows
     in
-    let transit_computations =
-      List.fold_left
-        (fun acc ad -> acc + Metrics.computations_of m ad)
-        0 (Graph.transit_ids g)
-    in
-    (* Per-AD skew: the §5.2.1/§5.3 arguments are about the
-       worst-loaded AD, not the totals. *)
-    let n = Graph.n g in
-    let per_ad_msgs = List.init n (fun ad -> float_of_int (Metrics.messages_of m ad)) in
-    let per_ad_tbls = List.init n (fun ad -> float_of_int (P.table_entries (R.protocol r) ad)) in
-    let msg_max =
-      List.fold_left (fun acc ad -> Stdlib.max acc (Metrics.messages_of m ad)) 0
-        (List.init n Fun.id)
-    in
     let trace_file =
       Option.map
         (fun dir ->
@@ -237,17 +195,7 @@ let execute ?(chaos = no_chaos) ?trace_dir (run : Grid.run) =
         stop_reason = (if c.Runner.converged then "drained" else "event-budget");
         outcome = (if c.Runner.converged then "completed" else "budget_exhausted");
         sim_time = c.Runner.sim_time;
-        messages = Metrics.messages m;
-        bytes = Metrics.bytes m;
-        computations = Metrics.computations m;
-        transit_computations;
-        msgs_lost = Metrics.msgs_lost m;
-        table_total = R.table_entries r;
-        table_max = R.max_table_entries r;
-        msg_max;
-        msg_mean = Stats.mean per_ad_msgs;
-        msg_p90 = Stats.percentile per_ad_msgs 90.0;
-        tbl_p90 = Stats.percentile per_ad_tbls 90.0;
+        costs = R.costs r;
         delivered;
         loop_violations = 0;
         blackhole_violations = 0;
@@ -263,6 +211,7 @@ let execute ?(chaos = no_chaos) ?trace_dir (run : Grid.run) =
       })
 
 let to_json t =
+  let c = t.costs in
   J.Obj
     (Grid.params_json t.run
     @ [
@@ -271,17 +220,17 @@ let to_json t =
         ("stop_reason", J.String t.stop_reason);
         ("outcome", J.String t.outcome);
         ("sim_time", J.Float t.sim_time);
-        ("messages", J.Int t.messages);
-        ("bytes", J.Int t.bytes);
-        ("computations", J.Int t.computations);
-        ("transit_computations", J.Int t.transit_computations);
-        ("msgs_lost", J.Int t.msgs_lost);
-        ("table_total", J.Int t.table_total);
-        ("table_max", J.Int t.table_max);
-        ("msg_max", J.Int t.msg_max);
-        ("msg_mean", J.Float t.msg_mean);
-        ("msg_p90", J.Float t.msg_p90);
-        ("tbl_p90", J.Float t.tbl_p90);
+        ("messages", J.Int c.Runner.messages);
+        ("bytes", J.Int c.Runner.bytes);
+        ("computations", J.Int c.Runner.computations);
+        ("transit_computations", J.Int c.Runner.transit_computations);
+        ("msgs_lost", J.Int c.Runner.msgs_lost);
+        ("table_total", J.Int c.Runner.table_total);
+        ("table_max", J.Int c.Runner.table_max);
+        ("msg_max", J.Int c.Runner.msg_max);
+        ("msg_mean", J.Float c.Runner.msg_mean);
+        ("msg_p90", J.Float c.Runner.msg_p90);
+        ("tbl_p90", J.Float c.Runner.tbl_p90);
         ("delivered", J.Int t.delivered);
         ("loop_violations", J.Int t.loop_violations);
         ("blackhole_violations", J.Int t.blackhole_violations);

@@ -3,9 +3,8 @@
     Builds the scenario the run's parameters describe, converges the
     protocol (with scheduled link churn interleaved when the run asks
     for it), pushes the workload through the forwarding plane, and
-    reduces the {!Pr_sim.Metrics} to the totals the paper compares:
-    messages, bytes, route computations (split out at transit ADs),
-    and routing-table state. *)
+    records the run's {!Pr_proto.Runner.costs}: messages, bytes, route
+    computations (split out at transit ADs), and routing-table state. *)
 
 type chaos = {
   crash_id : string option;
@@ -25,17 +24,7 @@ type t = {
           ran out — a result with partial metrics, not a worker
           failure (so resume does not re-run it) *)
   sim_time : float;
-  messages : int;
-  bytes : int;
-  computations : int;
-  transit_computations : int;
-  msgs_lost : int;  (** messages lost in flight (faults, crashes) *)
-  table_total : int;
-  table_max : int;
-  msg_max : int;  (** messages sent by the worst-loaded AD *)
-  msg_mean : float;  (** mean messages per AD *)
-  msg_p90 : float;  (** 90th percentile of per-AD messages *)
-  tbl_p90 : float;  (** 90th percentile of per-AD table entries *)
+  costs : Pr_proto.Runner.costs;  (** after the workload's flows *)
   delivered : int;
   loop_violations : int;
       (** post-reconvergence forwarding loops found by the resilience

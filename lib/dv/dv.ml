@@ -43,6 +43,9 @@ module Make (V : VARIANT) = struct
     Design_point.make Design_point.Distance_vector Design_point.Hop_by_hop
       Design_point.In_topology
 
+  (* The static filler [nodes] is made over ({!Pr_util.Filler}). *)
+  let no_node = { heard = Hashtbl.create 1; metric = [||]; next_hop = [||] }
+
   let create graph _config net =
     let n = Graph.n graph in
     let make_node ad =
@@ -52,7 +55,7 @@ module Make (V : VARIANT) = struct
       next_hop.(ad) <- ad;
       { heard = Hashtbl.create 8; metric; next_hop }
     in
-    { graph; net; nodes = Array.init n make_node }
+    { graph; net; nodes = Pr_util.Filler.init ~filler:no_node n make_node }
 
   let vector_bytes entries =
     Cost_model.update_fixed_bytes + (Cost_model.dv_entry_bytes * List.length entries)

@@ -77,12 +77,16 @@ let dest_allowed config ad dest q =
   let store = Pr_policy.Policy_store.of_config config in
   Pr_policy.Compiled.dest_allowed (Pr_policy.Policy_store.compiled store ad) dest q
 
+(* The static filler [nodes] is made over ({!Pr_util.Filler}). *)
+let no_node =
+  { heard = Hashtbl.create 1; down_only = [||]; down_hop = [||]; mixed = [||]; mixed_hop = [||] }
+
 let create graph config net =
   let n = Graph.n graph in
   let make_tables () = Array.init Qos.count (fun _ -> Array.make n infinity_metric) in
   let make_hops () = Array.init Qos.count (fun _ -> Array.make n (-1)) in
   let nodes =
-    Array.init n (fun ad ->
+    Pr_util.Filler.init ~filler:no_node n (fun ad ->
         let node =
           {
             heard = Hashtbl.create 8;

@@ -24,14 +24,21 @@ let design_point =
   Design_point.make Design_point.Distance_vector Design_point.Hop_by_hop
     Design_point.In_topology
 
+(* The static filler [nodes] is made over ({!Pr_util.Filler}). *)
+let no_node = { advertisers = [||]; chosen = [||]; sent = Hashtbl.create 1 }
+
 let create graph _config net =
   let n = Graph.n graph in
   let make_node ad =
     let chosen = Array.make n (-1) in
     chosen.(ad) <- ad;
-    { advertisers = Array.init n (fun _ -> Array.make n false); chosen; sent = Hashtbl.create 8 }
+    {
+      advertisers = Pr_util.Filler.init ~filler:[||] n (fun _ -> Array.make n false);
+      chosen;
+      sent = Hashtbl.create 8;
+    }
   in
-  { graph; net; nodes = Array.init n make_node }
+  { graph; net; nodes = Pr_util.Filler.init ~filler:no_node n make_node }
 
 (* EGP distances are not comparable across neighbors, so route choice
    cannot pick "the shortest". We model the practical behaviour: the

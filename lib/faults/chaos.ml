@@ -1,12 +1,10 @@
 module J = Pr_util.Json
 module Rng = Pr_util.Rng
-module Stats = Pr_util.Stats
 module Graph = Pr_topology.Graph
 module Link = Pr_topology.Link
 module Flow = Pr_policy.Flow
 module Engine = Pr_sim.Engine
 module Network = Pr_sim.Network
-module Metrics = Pr_sim.Metrics
 module Churn = Pr_sim.Churn
 module Runner = Pr_proto.Runner
 module Forwarding = Pr_proto.Forwarding
@@ -55,17 +53,7 @@ type report = {
   baseline_delivered : int;
   delivered : int;
   violations : violation list;
-  messages : int;
-  bytes : int;
-  computations : int;
-  transit_computations : int;
-  msgs_lost : int;
-  table_total : int;
-  table_max : int;
-  msg_max : int;
-  msg_mean : float;
-  msg_p90 : float;
-  tbl_p90 : float;
+  costs : Runner.costs;
 }
 
 let count_kind t kind =
@@ -271,10 +259,6 @@ let run ?(plan = Plan.default) ?(guard = Guard.default_config) ?flows
   else
     violate ~flow:None "no-reconvergence"
       (Printf.sprintf "event budget exhausted after %d events" conv.Runner.events);
-  let m = R.metrics r in
-  let n = Graph.n g in
-  let per_ad_msgs = List.init n (fun ad -> float_of_int (Metrics.messages_of m ad)) in
-  let per_ad_tbls = List.init n (fun ad -> float_of_int (P.table_entries (R.protocol r) ad)) in
   {
     protocol = P.name;
     scenario = scenario.Scenario.label;
@@ -308,23 +292,13 @@ let run ?(plan = Plan.default) ?(guard = Guard.default_config) ?flows
     baseline_delivered = !baseline_delivered;
     delivered = !delivered;
     violations = List.rev !violations;
-    messages = Metrics.messages m;
-    bytes = Metrics.bytes m;
-    computations = Metrics.computations m;
-    transit_computations =
-      List.fold_left (fun acc ad -> acc + Metrics.computations_of m ad) 0 (Graph.transit_ids g);
-    msgs_lost = Metrics.msgs_lost m;
-    table_total = R.table_entries r;
-    table_max = R.max_table_entries r;
-    msg_max = List.fold_left (fun acc ad -> Stdlib.max acc (Metrics.messages_of m ad)) 0 (List.init n Fun.id);
-    msg_mean = Stats.mean per_ad_msgs;
-    msg_p90 = Stats.percentile per_ad_msgs 90.0;
-    tbl_p90 = Stats.percentile per_ad_tbls 90.0;
+    costs = R.costs r;
   }
 
 (* No wall-clock anywhere: identical (seed, plan) must render
    byte-identically. *)
 let report_json t =
+  let c = t.costs in
   J.Obj
     [
       ("protocol", J.String t.protocol);
@@ -354,7 +328,7 @@ let report_json t =
       ("quarantines", J.Int t.quarantines);
       ("quarantine_drops", J.Int t.quarantine_drops);
       ("readmissions", J.Int t.readmissions);
-      ("msgs_lost", J.Int t.msgs_lost);
+      ("msgs_lost", J.Int c.Runner.msgs_lost);
       ("checks", J.Int t.checks);
       ("transient_loops", J.Int t.transient_loops);
       ("attack_probes", J.Int t.attack_probes);
@@ -377,16 +351,16 @@ let report_json t =
                    | None -> [])
                  @ [ ("detail", J.String v.detail) ]))
              t.violations) );
-      ("messages", J.Int t.messages);
-      ("bytes", J.Int t.bytes);
-      ("computations", J.Int t.computations);
-      ("transit_computations", J.Int t.transit_computations);
-      ("table_total", J.Int t.table_total);
-      ("table_max", J.Int t.table_max);
-      ("msg_max", J.Int t.msg_max);
-      ("msg_mean", J.Float t.msg_mean);
-      ("msg_p90", J.Float t.msg_p90);
-      ("tbl_p90", J.Float t.tbl_p90);
+      ("messages", J.Int c.Runner.messages);
+      ("bytes", J.Int c.Runner.bytes);
+      ("computations", J.Int c.Runner.computations);
+      ("transit_computations", J.Int c.Runner.transit_computations);
+      ("table_total", J.Int c.Runner.table_total);
+      ("table_max", J.Int c.Runner.table_max);
+      ("msg_max", J.Int c.Runner.msg_max);
+      ("msg_mean", J.Float c.Runner.msg_mean);
+      ("msg_p90", J.Float c.Runner.msg_p90);
+      ("tbl_p90", J.Float c.Runner.tbl_p90);
     ]
 
 let pp ppf t =
@@ -399,7 +373,8 @@ let pp ppf t =
   List.iter (fun (ts, what) -> Format.fprintf ppf "  t=%6.2f  %s@," ts what) t.fault_log;
   Format.fprintf ppf
     "message faults: %d dropped, %d duplicated, %d delayed, %d reordered; %d lost in flight@,"
-    t.msgs_dropped t.msgs_duplicated t.msgs_delayed t.msgs_reordered t.msgs_lost;
+    t.msgs_dropped t.msgs_duplicated t.msgs_delayed t.msgs_reordered
+    t.costs.Runner.msgs_lost;
   if t.attackers <> [] then
     Format.fprintf ppf
       "byzantine faults: %d corrupted, %d replayed, %d forged@,"

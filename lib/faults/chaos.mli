@@ -94,17 +94,7 @@ type report = {
   baseline_delivered : int;
   delivered : int;
   violations : violation list;
-  messages : int;
-  bytes : int;
-  computations : int;
-  transit_computations : int;
-  msgs_lost : int;
-  table_total : int;
-  table_max : int;
-  msg_max : int;
-  msg_mean : float;
-  msg_p90 : float;
-  tbl_p90 : float;
+  costs : Pr_proto.Runner.costs;  (** of the faulted run, probes included *)
 }
 
 val run :

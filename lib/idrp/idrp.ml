@@ -74,6 +74,10 @@ module Make (V : VARIANT) = struct
     end
     else (Qos.of_index (c / Uci.count), Uci.of_index (c mod Uci.count), None)
 
+  (* The static filler [nodes] is made over ({!Pr_util.Filler}). *)
+  let no_node =
+    { rib_in = Hashtbl.create 1; selected = Hashtbl.create 1; mask_cache = Hashtbl.create 1 }
+
   let create graph config net =
     let n = Graph.n graph in
     let make_node _ =
@@ -87,7 +91,7 @@ module Make (V : VARIANT) = struct
       graph;
       config;
       net;
-      nodes = Array.init n make_node;
+      nodes = Pr_util.Filler.init ~filler:no_node n make_node;
       n;
       store = Pr_policy.Policy_store.of_config config;
     }

@@ -12,7 +12,8 @@ let probe_spf = Pr_proto.Probe.make "ls.spf"
 type message = Lsdb.lsa
 
 type node = {
-  mutable next_hops : Pr_topology.Ad.id array;  (* -1 = unreachable *)
+  mutable next_hops : Pr_topology.Ad.id array;
+      (* -1 = unreachable; an SPF replaces the array, never writes it *)
   mutable reachable : int;  (* entries of [next_hops] that are >= 0 *)
   (* Database version the tree was computed at; -1 = never. The tree is
      a per-source SPF cache: fresh while the version still matches. *)
@@ -24,6 +25,8 @@ type t = {
   net : message Network.t;
   flood : Ls_flood.t;
   nodes : node array;
+  unreached : Pr_topology.Ad.id array;
+      (* all -1: the next hops every node starts (and restarts) on *)
   mutable spf_count : int;
 }
 
@@ -33,16 +36,21 @@ let design_point =
   Design_point.make Design_point.Link_state Design_point.Hop_by_hop
     Design_point.In_topology
 
+(* The static filler [nodes] is made over ({!Pr_util.Filler}). *)
+let no_node = { next_hops = [||]; reachable = 0; computed_version = -1 }
+
 let create graph _config net =
   let n = Graph.n graph in
   let flood = Ls_flood.create net ~terms_for:(fun _ -> []) () in
+  let unreached = Array.make n (-1) in
   {
     graph;
     net;
     flood;
     nodes =
-      Array.init n (fun _ ->
-          { next_hops = Array.make n (-1); reachable = 0; computed_version = -1 });
+      Pr_util.Filler.init ~filler:no_node n (fun _ ->
+          { next_hops = unreached; reachable = 0; computed_version = -1 });
+    unreached;
     spf_count = 0;
   }
 
@@ -54,7 +62,7 @@ let handle_link t ~at ~link ~up = Ls_flood.handle_link t.flood ~at ~link ~up
 
 let reset_node t ~at =
   let node = t.nodes.(at) in
-  Array.fill node.next_hops 0 (Array.length node.next_hops) (-1);
+  node.next_hops <- t.unreached;
   node.reachable <- 0;
   node.computed_version <- -1;
   Ls_flood.reset_node t.flood at
@@ -81,40 +89,26 @@ let run_spf t ad ~version =
   node.computed_version <- version
 
 (* Scoped invalidation: the version moved, but if every changed origin
-   is provably outside the region this AD's tree spans — not reachable
-   in the cached tree and not newly attached to it — the cached next
-   hops are still exact and the recompute is skipped. The reachability
-   proxy is the cached tree itself: [next_hops.(o) >= 0] iff [o] was
-   reachable when the tree was computed. Trees are always rebuilt by
-   the one full-SPF code path, never repaired in place: per-AD
-   incremental repairs could break equal-cost ties differently at
-   different ADs, and hop-by-hop forwarding over disagreeing trees can
-   loop. *)
-let delta_out_of_scope t ad = function
-  | Ls_flood.Unchanged -> true
-  | Ls_flood.Full -> false
-  | Ls_flood.Origins os ->
-    let node = t.nodes.(ad) in
-    node.computed_version >= 0
-    &&
-    let db = Ls_flood.db t.flood ad in
-    let in_tree v = v = ad || (v >= 0 && v < Array.length node.next_hops && node.next_hops.(v) >= 0) in
-    not
-      (List.exists
-         (fun o ->
-           in_tree o
-           || List.exists
-                (fun (a : Lsdb.adjacency) ->
-                  in_tree a.Lsdb.nbr && Lsdb.bidirectional db o a.Lsdb.nbr <> None)
-                (Lsdb.adjacencies_of db o))
-         os)
-
+   is provably outside the region this AD's tree spans (the flood's
+   {!Ls_flood.delta_in_scope} rule over the ADs the cached tree
+   reaches), the cached next hops are still exact and the recompute is
+   skipped. Trees are always rebuilt by the one full-SPF code path,
+   never repaired in place: per-AD incremental repairs could break
+   equal-cost ties differently at different ADs, and hop-by-hop
+   forwarding over disagreeing trees can loop. *)
 let ensure_fresh t ad =
   let version = Ls_flood.db_version t.flood ad in
-  if t.nodes.(ad).computed_version <> version then begin
-    let delta = Ls_flood.take_delta t.flood ad in
-    if delta_out_of_scope t ad delta then t.nodes.(ad).computed_version <- version
-    else run_spf t ad ~version
+  let node = t.nodes.(ad) in
+  if node.computed_version <> version then begin
+    let in_scope =
+      match Ls_flood.take_delta t.flood ad with
+      | Ls_flood.Unchanged -> false
+      | Ls_flood.Full -> true
+      | Ls_flood.Origins os ->
+        node.computed_version < 0
+        || Ls_flood.delta_in_scope t.flood ad ~in_region:(fun v -> node.next_hops.(v) >= 0) os
+    in
+    if in_scope then run_spf t ad ~version else node.computed_version <- version
   end
 
 (* Adversarial surface: the shared flood realizes all of it (see

@@ -41,6 +41,9 @@ let design_point =
   Design_point.make Design_point.Link_state Design_point.Hop_by_hop
     Design_point.Policy_terms
 
+(* The static filler [nodes] is made over ({!Pr_util.Filler}). *)
+let no_node = { route_cache = Hashtbl.create 1; region_version = 0; reach = None }
+
 let create graph config net =
   let n = Graph.n graph in
   let terms_for ad = (Config.transit config ad).Transit_policy.terms in
@@ -50,7 +53,7 @@ let create graph config net =
     net;
     flood;
     nodes =
-      Array.init n (fun _ ->
+      Pr_util.Filler.init ~filler:no_node n (fun _ ->
           { route_cache = Hashtbl.create 32; region_version = 0; reach = None });
   }
 
@@ -85,7 +88,7 @@ let sync_region t at =
         node.reach <- Some r;
         r
     in
-    if Ls_flood.delta_in_scope t.flood at ~reach os then begin
+    if Ls_flood.delta_in_scope t.flood at ~in_region:(Pr_util.Bitset.mem reach) os then begin
       node.region_version <- Ls_flood.db_version t.flood at;
       node.reach <- None
     end

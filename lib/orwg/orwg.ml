@@ -37,8 +37,8 @@ module type VARIANT = sig
   (** Bound on policy routes cached per route server; [None] =
       unbounded. Same LRU policy as the gateway handle tables: under
       sustained churn an unbounded route cache grows without limit, so
-      the deployable variants bound it and count evictions in
-      {!Pr_sim.Metrics}. *)
+      the deployable variants bound it; {!route_evictions} counts
+      what it evicts. *)
 
   val setup_retries : int
   (** How many times the route server re-synthesizes around an AD that
@@ -101,8 +101,8 @@ module Make (V : VARIANT) = struct
      gateway's handle table was always evict-least-recently-used when
      bounded, and the route server's cache now shares the same policy
      instead of growing without limit under sustained churn. Eviction
-     counts live in the Lru structures (lifetime counters surviving
-     [reset_node]) and are mirrored into {!Pr_sim.Metrics}. *)
+     counts live in the Lru structures only (lifetime counters
+     surviving [reset_node]), read by [evictions]/[route_evictions]. *)
   type node = {
     (* Route server: (dst, class) -> installed policy route. *)
     pr_cache : (int * int, pr_entry) Lru.t;
@@ -150,10 +150,7 @@ module Make (V : VARIANT) = struct
     | [] -> false
     | first :: _ -> first = flow.Flow.src && ok (-1) path
 
-  (* The static filler [nodes] is made over, never handed out:
-     [Array.init] over more than 256 ADs would start it from a young
-     node, and creating such an array from one forces a minor
-     collection. *)
+  (* The static filler [nodes] is made over ({!Pr_util.Filler}). *)
   let no_node = { pr_cache = Lru.create (); pg_cache = Lru.create (); validations = 0 }
 
   let create graph config net =
@@ -178,15 +175,14 @@ module Make (V : VARIANT) = struct
             | Some provider -> provider
             | None -> ad)
     in
-    let nodes = Array.make n no_node in
-    for ad = 0 to n - 1 do
-      nodes.(ad) <-
-        {
-          pr_cache = Lru.create ~capacity:V.pr_capacity ();
-          pg_cache = Lru.create ~capacity:V.pg_capacity ();
-          validations = 0;
-        }
-    done;
+    let nodes =
+      Pr_util.Filler.init ~filler:no_node n (fun _ ->
+          {
+            pr_cache = Lru.create ~capacity:V.pr_capacity ();
+            pg_cache = Lru.create ~capacity:V.pg_capacity ();
+            validations = 0;
+          })
+    in
     let t =
       {
         graph;
@@ -320,11 +316,8 @@ module Make (V : VARIANT) = struct
     end
 
   (* Install setup state at a gateway; a bounded full cache evicts its
-     least recently used handle, counted in Metrics. *)
-  let pg_install t ad handle entry =
-    match Lru.put t.nodes.(ad).pg_cache handle entry with
-    | Some _victim -> Metrics.record_eviction (Network.metrics t.net) ad ()
-    | None -> ()
+     least recently used handle, counted by the cache ({!evictions}). *)
+  let pg_install t ad handle entry = ignore (Lru.put t.nodes.(ad).pg_cache handle entry)
 
   (* The setup packet walks the route; each policy gateway validates
      against its LOCAL policy terms and caches the state under the
@@ -375,10 +368,7 @@ module Make (V : VARIANT) = struct
         match setup t flow path with
         | Ok handle ->
           let key = (flow.Flow.dst, Flow.class_key flow) in
-          (match Lru.put t.nodes.(flow.Flow.src).pr_cache key { path; handle } with
-          | Some _victim ->
-            Metrics.record_eviction (Network.metrics t.net) flow.Flow.src ()
-          | None -> ());
+          ignore (Lru.put t.nodes.(flow.Flow.src).pr_cache key { path; handle });
           Ok path
         | Error ad ->
           if tries > 0 then attempt (ad :: refusers) (tries - 1)

@@ -42,8 +42,8 @@ module type VARIANT = sig
   val pr_capacity : int option
   (** Bound on policy routes cached per route server; [None] =
       unbounded. Bounded caches use the same LRU eviction policy as the
-      gateway handle tables, and evictions are mirrored into
-      {!Pr_sim.Metrics} eviction counts. *)
+      gateway handle tables; {!route_evictions} counts what they
+      evict. *)
 
   val setup_retries : int
   (** How many times the route server re-synthesizes around an AD that

@@ -35,11 +35,8 @@ type t = {
   mutable on_change : Pr_topology.Ad.id -> origin:Pr_topology.Ad.id option -> unit;
 }
 
-(* Static fillers of the per-AD arrays, never handed out. Creating an
-   array of more than 256 words from a young element forces a minor
-   collection, and [Array.init] over more than 256 ADs starts from one,
-   so each per-AD array is made over a static filler (and filled after
-   where its slots differ). *)
+(* Static fillers of the per-AD arrays, never handed out
+   ({!Pr_util.Filler}). *)
 let no_db = Lsdb.create ~n:0
 
 let unvetted = Lsdb.make_lsa ~origin:(-1) ~seq:(-1) ~adjacencies:[] ~terms:[]
@@ -47,15 +44,12 @@ let unvetted = Lsdb.make_lsa ~origin:(-1) ~seq:(-1) ~adjacencies:[] ~terms:[]
 let create net ~terms_for ?(flood_to = fun _ -> true) () =
   let n = Graph.n (Network.graph net) in
   let first = Lsdb.create ~n in
-  let dbs = Array.make n no_db and origins = Array.make n None in
-  for ad = 0 to n - 1 do
-    dbs.(ad) <- (if ad = 0 then first else Lsdb.sibling first);
-    origins.(ad) <- Some ad
-  done;
   {
     net;
     n;
-    dbs;
+    dbs =
+      Pr_util.Filler.init ~filler:no_db n (fun ad ->
+          if ad = 0 then first else Lsdb.sibling first);
     seqs = Array.make n 0;
     versions = Array.make n 0;
     dirty = Array.make n [];
@@ -64,7 +58,7 @@ let create net ~terms_for ?(flood_to = fun _ -> true) () =
     terms_for;
     flood_to;
     vetted = Array.make n unvetted;
-    origins;
+    origins = Pr_util.Filler.init ~filler:None n Option.some;
     on_change = (fun _ ~origin:_ -> ());
   }
 
@@ -156,23 +150,22 @@ let reachable_set t ad =
   done;
   reach
 
-(* Can a change to [o]'s LSA affect routes computed over [reach]?
+(* Can a change to [o]'s LSA affect routes computed over the region?
    Only if [o] is inside the region, or its LSA advertises a
    bidirectionally-confirmed adjacency attaching it to the region (a
    new attachment grows the region; anything further away cannot alter
    any shortest or policy route among region members, because every
    edge such routes use is advertised by two region members whose LSAs
    did not change). *)
-let delta_in_scope t ad ~reach origins =
+let delta_in_scope t ad ~in_region origins =
   let db = t.dbs.(ad) in
+  let inside v = v = ad || (v >= 0 && v < t.n && in_region v) in
   List.exists
     (fun o ->
-      o = ad
-      || Bitset.mem reach o
+      inside o
       || List.exists
            (fun (a : Lsdb.adjacency) ->
-             let v = a.Lsdb.nbr in
-             v >= 0 && v < t.n && Bitset.mem reach v && Lsdb.bidirectional db o v <> None)
+             inside a.Lsdb.nbr && Lsdb.bidirectional db o a.Lsdb.nbr <> None)
            (Lsdb.adjacencies_of db o))
     origins
 

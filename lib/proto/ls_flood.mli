@@ -93,13 +93,16 @@ val reachable_set : t -> Pr_topology.Ad.id -> Pr_util.Bitset.t
     (the same edge-validity rule the protocols' SPFs apply). *)
 
 val delta_in_scope :
-  t -> Pr_topology.Ad.id -> reach:Pr_util.Bitset.t -> Pr_topology.Ad.id list -> bool
-(** Can changes to these origins' LSAs affect routes computed over
-    [reach]? True iff some origin is inside the region or advertises a
+  t -> Pr_topology.Ad.id -> in_region:(Pr_topology.Ad.id -> bool) -> Pr_topology.Ad.id list -> bool
+(** Can changes to these origins' LSAs affect the AD's routes, computed
+    over the region of the ADs satisfying [in_region] (the AD itself
+    always counts as inside; [in_region] is only asked about valid
+    ids)? True iff some origin is inside the region or advertises a
     confirmed adjacency attaching it to the region. Any origin further
     away cannot alter routes among region members: every edge such
     routes use is advertised by two region members whose LSAs did not
-    change. *)
+    change. The region is {!reachable_set} or any superset of it, such
+    as the ADs a cached shortest-path tree reaches. *)
 
 val db_entries : t -> Pr_topology.Ad.id -> int
 

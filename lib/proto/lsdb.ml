@@ -130,22 +130,21 @@ let build_search t =
           (v, a, b))
         (find_adjacency t v u)
   in
-  (* Arrays of fresh blocks start from static fillers and are filled
-     after: [Array.init] and [Array.map] start from a young first
-     element, and creating more than 256 words from one forces a minor
-     collection. *)
-  let rows = Array.make n [||] in
-  for u = 0 to n - 1 do
-    rows.(u) <- Array.of_list (List.filter_map (confirmed u) t.store.(u).adjacencies)
-  done;
+  (* Arrays of fresh blocks are made over static fillers
+     ({!Pr_util.Filler}). *)
+  let rows =
+    Pr_util.Filler.init ~filler:[||] n (fun u ->
+        Array.of_list (List.filter_map (confirmed u) t.store.(u).adjacencies))
+  in
   let off = Array.make (n + 1) 0 in
   Array.iteri (fun u row -> off.(u + 1) <- off.(u) + Array.length row) rows;
   let slots = Array.concat (Array.to_list rows) in
-  let pairs = Array.make (Array.length slots) no_pair in
-  Array.iteri (fun i (_, a, b) -> pairs.(i) <- (a, b)) slots;
   {
     view = Pr_topology.Policy_search.of_csr ~off ~nbr:(Array.map (fun (v, _, _) -> v) slots);
-    pairs;
+    pairs =
+      Pr_util.Filler.init ~filler:no_pair (Array.length slots) (fun i ->
+          let _, a, b = slots.(i) in
+          (a, b));
     metrics = Array.make Pr_policy.Qos.count None;
   }
 

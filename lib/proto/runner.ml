@@ -3,6 +3,21 @@ module Network = Pr_sim.Network
 module Metrics = Pr_sim.Metrics
 module Graph = Pr_topology.Graph
 module Trace = Pr_obs.Trace
+module Stats = Pr_util.Stats
+
+type costs = {
+  messages : int;
+  bytes : int;
+  computations : int;
+  transit_computations : int;
+  msgs_lost : int;
+  table_total : int;
+  table_max : int;
+  msg_max : int;
+  msg_mean : float;
+  msg_p90 : float;
+  tbl_p90 : float;
+}
 
 type convergence = {
   converged : bool;
@@ -26,10 +41,11 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
     metrics : Metrics.t;
     proto : P.t;
     mutable started : bool;
-    (* Metrics state at the end of the previous converge, so that
-       control traffic triggered between converges (e.g. by fail_link
+    (* Totals at the end of the previous converge, so that control
+       traffic triggered between converges (e.g. by fail_link
        handlers) is attributed to the next convergence delta. *)
-    mutable marker : Metrics.t;
+    mutable messages_marker : int;
+    mutable bytes_marker : int;
     mutable events_marker : int;
     (* AD whose link notifications are suppressed, or -1. While a
        crashed AD's links are being forced down (and back up on
@@ -62,7 +78,8 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
         metrics;
         proto;
         started = false;
-        marker = Metrics.snapshot metrics;
+        messages_marker = 0;
+        bytes_marker = 0;
         events_marker = 0;
         muted = -1;
         crash_links = Hashtbl.create 4;
@@ -103,7 +120,6 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
   let trace t = Network.trace t.net
 
   let converge ?max_events t =
-    let before = t.marker in
     let events_before = t.events_marker in
     let tr = Network.trace t.net in
     if Trace.enabled tr then
@@ -114,16 +130,20 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
     end;
     let stop = Engine.run ?max_events t.engine in
     if Trace.enabled tr then Trace.span_end tr ~ts:(Engine.now t.engine) ~tid:0 "converge";
-    let delta = Metrics.diff ~after:t.metrics ~before in
-    t.marker <- Metrics.snapshot t.metrics;
+    let messages = Metrics.messages t.metrics and bytes = Metrics.bytes t.metrics in
+    let c =
+      {
+        converged = stop = Engine.Drained;
+        sim_time = Engine.now t.engine;
+        events = Engine.events_executed t.engine - events_before;
+        messages = messages - t.messages_marker;
+        bytes = bytes - t.bytes_marker;
+      }
+    in
+    t.messages_marker <- messages;
+    t.bytes_marker <- bytes;
     t.events_marker <- Engine.events_executed t.engine;
-    {
-      converged = stop = Engine.Drained;
-      sim_time = Engine.now t.engine;
-      events = Engine.events_executed t.engine - events_before;
-      messages = Metrics.messages delta;
-      bytes = Metrics.bytes delta;
-    }
+    c
 
   let fail_link t lid = Network.set_link_state t.net lid ~up:false
 
@@ -195,6 +215,28 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
       best := Stdlib.max !best (P.table_entries t.proto ad)
     done;
     !best
+
+  let costs t =
+    let m = t.metrics and n = Graph.n t.graph in
+    let per_ad f = List.init n (fun ad -> float_of_int (f ad)) in
+    let msgs = per_ad (Metrics.messages_of m) in
+    let tables = per_ad (P.table_entries t.proto) in
+    {
+      messages = Metrics.messages m;
+      bytes = Metrics.bytes m;
+      computations = Metrics.computations m;
+      transit_computations =
+        List.fold_left
+          (fun acc ad -> acc + Metrics.computations_of m ad)
+          0 (Graph.transit_ids t.graph);
+      msgs_lost = Metrics.msgs_lost m;
+      table_total = table_entries t;
+      table_max = max_table_entries t;
+      msg_max = int_of_float (List.fold_left Float.max 0.0 msgs);
+      msg_mean = Stats.mean msgs;
+      msg_p90 = Stats.percentile msgs 90.0;
+      tbl_p90 = Stats.percentile tables 90.0;
+    }
 
   (* Adversarial-surface delegates, so harnesses (chaos, guard) work
      against the runner without reaching into the protocol value. *)

@@ -5,6 +5,24 @@
     topology changes, and sends data packets through the protocol's
     forwarding plane. *)
 
+type costs = {
+  messages : int;  (** control messages sent *)
+  bytes : int;  (** control bytes sent *)
+  computations : int;  (** route-computation work units *)
+  transit_computations : int;  (** the work at transit-capable ADs only *)
+  msgs_lost : int;  (** messages lost in flight (faults, crashes) *)
+  table_total : int;  (** routing state summed over the ADs *)
+  table_max : int;  (** routing state at the worst-loaded AD *)
+  msg_max : int;  (** messages sent by the worst-loaded AD *)
+  msg_mean : float;  (** mean messages per AD *)
+  msg_p90 : float;  (** 90th percentile of per-AD messages *)
+  tbl_p90 : float;  (** 90th percentile of per-AD table entries *)
+}
+(** A run's cost in the paper's currencies (§5): messages and bytes,
+    computation, and state. The per-AD skew figures matter because the
+    §5.2.1/§5.3 arguments are about the worst-loaded AD, not the
+    totals. *)
+
 type convergence = {
   converged : bool;  (** false when the event budget was exhausted *)
   sim_time : float;  (** simulated time when the system quiesced *)
@@ -78,6 +96,10 @@ module Make (P : Protocol_intf.PROTOCOL) : sig
   (** Sum of per-AD routing state. *)
 
   val max_table_entries : t -> int
+
+  val costs : t -> costs
+  (** The run's costs so far: the {!Pr_sim.Metrics} totals and per-AD
+      skew, with state read from the protocol's [table_entries]. *)
 
   val set_receive_filter :
     t -> (at:Pr_topology.Ad.id -> from:Pr_topology.Ad.id -> P.message -> bool) option -> unit

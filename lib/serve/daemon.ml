@@ -199,7 +199,6 @@ let run cfg =
   in
   let stale_gauge = Reg.gauge Reg.default "serve.stale_snapshot_age" in
   Reg.set stale_gauge 0.0;
-  let m_sheds = Reg.counter Reg.default "serve.sheds" in
   let stale_batches = ref 0 and queries_shed = ref 0 in
   let max_stale_age = ref 0.0 in
   (* (snapshot, pin time) of the last batch served from a healthy
@@ -282,10 +281,7 @@ let run cfg =
           (* Past the degradation deadline only cached answers stay on
              the menu: a synthesis on the stale database is work the
              server sheds to keep the cheap queries fast. *)
-          if shedding && not (Serve.cache_ready serve ~snap flow) then begin
-            incr queries_shed;
-            Reg.inc m_sheds
-          end
+          if shedding && not (Serve.cache_ready serve ~snap flow) then incr queries_shed
           else begin
             let t0 = now_ns () in
             let answer = Serve.query ~snap serve ~now flow in
@@ -387,8 +383,25 @@ let run cfg =
       Trace.note (Engine.trace engine) ~ts:cfg.duration ~tid:0 ~detail:e
         "serve.self_check_failed"
   | None -> ());
-  (* Publish the session histograms into the process-global registry so
-     `prx serve --metrics` / campaign snapshots see them. *)
+  (* Publish the session's counters and histograms into the
+     process-global registry so `prx serve --metrics` / campaign
+     snapshots see them. *)
+  List.iter
+    (fun (name, v) -> Reg.add (Reg.counter Reg.default ("serve." ^ name)) v)
+    [
+      ("queries", stats.Serve.queries);
+      ("route_hits", stats.Serve.route_hits);
+      ("route_misses", stats.Serve.route_misses);
+      ("handle_hits", stats.Serve.handle_hits);
+      ("handle_misses", stats.Serve.handle_misses);
+      ("no_routes", stats.Serve.no_routes);
+      ("handles_issued", stats.Serve.handles_issued);
+      ("handle_evictions", stats.Serve.handle_evictions);
+      ("search_states", stats.Serve.search_states);
+      ("bound_builds", stats.Serve.bound_builds);
+      ("bound_evictions", stats.Serve.bound_evictions);
+      ("sheds", !queries_shed);
+    ];
   Hist.merge ~into:(Reg.histogram Reg.default "serve.query_latency_ns") lat_hist;
   Hist.merge ~into:(Reg.histogram Reg.default "serve.rebuild_batch_ns") rebuild_hist;
   Alloc.sample ();

@@ -112,7 +112,9 @@ type report = {
 
 val run : config -> report
 (** One session. It starts by clearing {!Pr_obs.Trace.flight}, so a
-    post-mortem written after it holds this session's events only. *)
+    post-mortem written after it holds this session's events only. At
+    its end it adds the session's {!Serve.stats} counters and its shed
+    queries into the registry's [serve.*] counters, once. *)
 
 val healthy : report -> bool
 (** No admission disagreements, no leak/audit error, and at least one

@@ -49,19 +49,8 @@ type t = {
   mutable handle_misses : int;
   mutable no_routes : int;
   mutable search_states : int;
-  (* Registry handles resolved once at creation; the query path never
-     hashes a metric name. These shadow the per-server counters above
-     into the process-global registry so campaign shards and the
-     daemon can snapshot/merge them. *)
-  m_queries : Reg.counter;
-  m_route_hits : Reg.counter;
-  m_route_misses : Reg.counter;
-  m_handle_hits : Reg.counter;
-  m_handle_misses : Reg.counter;
-  m_no_routes : Reg.counter;
-  m_handles_issued : Reg.counter;
-  m_handle_evictions : Reg.counter;
-  m_search_states : Reg.counter;
+  (* Registry handles resolved once at creation. The counters above
+     reach the registry's serve.* counters once per daemon session. *)
   m_rebuild_ns : Hist.t;
   m_pdd_nodes : Reg.gauge;
   m_pdd_preds : Reg.gauge;
@@ -88,12 +77,6 @@ let create ?(route_capacity = Some 4096) ?(handle_capacity = Some 1024)
   let fold_links k f = Graph.fold_slot_links graph k ~init:max_int ~f in
   let pdd = Pdd.db_create store in
   let snap = Pdd.snapshot pdd in
-  let m_bound_builds = Reg.counter Reg.default "serve.bound_builds"
-  and m_bound_evictions = Reg.counter Reg.default "serve.bound_evictions" in
-  let on_build ~evicted =
-    Reg.inc m_bound_builds;
-    if evicted then Reg.inc m_bound_evictions
-  in
   {
     graph;
     store;
@@ -111,7 +94,7 @@ let create ?(route_capacity = Some 4096) ?(handle_capacity = Some 1024)
       Array.init slots (fun k ->
           fold_links k (fun only l -> if only = max_int then l else -1));
     labels =
-      Policy_search.labels ~on_build view ~keep:(carries graph snap) ~capacity:label_capacity;
+      Policy_search.labels view ~keep:(carries graph snap) ~capacity:label_capacity;
     entries = Array.make (Graph.n graph) (Pdd.leaf false);
     trace;
     routes = Lru.create ~capacity:route_capacity ();
@@ -125,15 +108,6 @@ let create ?(route_capacity = Some 4096) ?(handle_capacity = Some 1024)
     handle_misses = 0;
     no_routes = 0;
     search_states = 0;
-    m_queries = Reg.counter Reg.default "serve.queries";
-    m_route_hits = Reg.counter Reg.default "serve.route_hits";
-    m_route_misses = Reg.counter Reg.default "serve.route_misses";
-    m_handle_hits = Reg.counter Reg.default "serve.handle_hits";
-    m_handle_misses = Reg.counter Reg.default "serve.handle_misses";
-    m_no_routes = Reg.counter Reg.default "serve.no_routes";
-    m_handles_issued = Reg.counter Reg.default "serve.handles_issued";
-    m_handle_evictions = Reg.counter Reg.default "serve.handle_evictions";
-    m_search_states = Reg.counter Reg.default "serve.search_states";
     m_rebuild_ns = Reg.histogram Reg.default "pdd.rebuild_ns";
     m_pdd_nodes = Reg.gauge Reg.default "pdd.nodes";
     m_pdd_preds = Reg.gauge Reg.default "pdd.preds";
@@ -249,7 +223,6 @@ let synthesize t snap (f : Flow.t) =
   in
   let states = Policy_search.settled t.scratch in
   t.search_states <- t.search_states + states;
-  Reg.add t.m_search_states states;
   match outcome with
   | Policy_search.Route path -> Some path
   | Policy_search.Revisits | Policy_search.Unreachable -> None
@@ -257,11 +230,8 @@ let synthesize t snap (f : Flow.t) =
 let issue_handle t ~now path =
   let h = t.next_handle in
   t.next_handle <- h + 1;
-  Reg.inc t.m_handles_issued;
   (match Lru.put t.handles h path with
-  | Some _evicted ->
-      Reg.inc t.m_handle_evictions;
-      Trace.instant t.trace ~ts:now ~tid:0 "serve.handle.evict"
+  | Some _evicted -> Trace.instant t.trace ~ts:now ~tid:0 "serve.handle.evict"
   | None -> ());
   Trace.counter t.trace ~ts:now ~tid:0
     ~value:(float_of_int (Lru.length t.handles))
@@ -275,7 +245,6 @@ let cache_ready t ~snap (f : Flow.t) =
 
 let query ?snap t ~now (f : Flow.t) =
   t.queries <- t.queries + 1;
-  Reg.inc t.m_queries;
   (* Pin one snapshot for every read this query makes: a concurrent
      set_transit + refresh publishes a new roots array but never
      mutates this one, so the answer is wholly from one version. *)
@@ -290,12 +259,10 @@ let query ?snap t ~now (f : Flow.t) =
   match cached with
   | Some path ->
       t.route_hits <- t.route_hits + 1;
-      Reg.inc t.m_route_hits;
       Trace.instant t.trace ~ts:now ~tid:0 "serve.query.hit";
       Route { path; handle = issue_handle t ~now path; version; cache_hit = true }
   | None -> (
       t.route_misses <- t.route_misses + 1;
-      Reg.inc t.m_route_misses;
       Trace.instant t.trace ~ts:now ~tid:0 "serve.query.miss";
       match synthesize t snap f with
       | Some path ->
@@ -303,7 +270,6 @@ let query ?snap t ~now (f : Flow.t) =
           Route { path; handle = issue_handle t ~now path; version; cache_hit = false }
       | None ->
           t.no_routes <- t.no_routes + 1;
-          Reg.inc t.m_no_routes;
           No_route { version })
 
 let data t ~now ~handle =
@@ -311,11 +277,9 @@ let data t ~now ~handle =
   match Lru.find t.handles handle with
   | Some path ->
       t.handle_hits <- t.handle_hits + 1;
-      Reg.inc t.m_handle_hits;
       Some path
   | None ->
       t.handle_misses <- t.handle_misses + 1;
-      Reg.inc t.m_handle_misses;
       Trace.instant t.trace ~ts:now ~tid:0 "serve.handle.stale";
       None
 

@@ -160,17 +160,15 @@ type labels = {
   cache : (int, int array) Lru.t;
   mutable spare : int array list;  (* arrays of the labels [join] dropped *)
   mutable builds : int;
-  on_build : evicted:bool -> unit;
 }
 
-let labels ?(on_build = fun ~evicted:_ -> ()) v ~keep ~capacity =
+let labels v ~keep ~capacity =
   {
     rows = restrict v ~keep;
     heap = Keyed.create ~capacity:(Array.length v.off - 1);
     cache = Lru.create ~capacity:(Some capacity) ();
     spare = [];
     builds = 0;
-    on_build;
   }
 
 let carrying l = l.rows
@@ -198,7 +196,7 @@ let label l ~key ~dst ~metric =
       in
       let h = lower_bound ?into l.rows l.heap ~dst ~metric in
       l.builds <- l.builds + 1;
-      l.on_build ~evicted:(Lru.put l.cache key h <> None);
+      ignore (Lru.put l.cache key h);
       h
 
 let label_builds l = l.builds

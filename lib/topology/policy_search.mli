@@ -70,11 +70,9 @@ type labels
     dropped before it, so a full cache allocates a cache entry per
     build, not an n-word label. *)
 
-val labels :
-  ?on_build:(evicted:bool -> unit) -> view -> keep:(Ad.id -> bool) -> capacity:int -> labels
+val labels : view -> keep:(Ad.id -> bool) -> capacity:int -> labels
 (** Rows restricted to [keep] ({!restrict}) and an empty cache of at
-    most [capacity] labels. [on_build] is called after each build,
-    told whether it evicted a cached label. *)
+    most [capacity] labels. *)
 
 val carrying : labels -> rows
 (** The restricted rows, to pass to {!search} with a label. *)

@@ -134,17 +134,7 @@ let metrics_losses () =
   Metrics.record_loss m 1;
   Metrics.record_loss m 2;
   check_int "total losses" 3 (Metrics.msgs_lost m);
-  check_int "per-node losses" 2 (Metrics.msgs_lost_of m 1);
-  let m' =
-    match Metrics.of_json (Metrics.to_json m) with
-    | Ok m' -> m'
-    | Error e -> Alcotest.failf "metrics did not round-trip: %s" e
-  in
-  check_int "losses survive the json round-trip" 3 (Metrics.msgs_lost m');
-  let other = Metrics.create ~n:3 in
-  Metrics.record_loss other 0;
-  Metrics.merge m other;
-  check_int "merge sums losses" 4 (Metrics.msgs_lost m)
+  check_int "per-node losses" 2 (Metrics.msgs_lost_of m 1)
 
 (* --- Crash/restart across the protocol families --------------------- *)
 
@@ -244,7 +234,7 @@ let chaos_empty_plan_is_clean () =
   let report = Chaos.run ~plan:[] ~probes:20 packed scenario in
   check_bool "converged" true report.Chaos.converged;
   check_int "no faults fired" 0 (List.length report.Chaos.fault_log);
-  check_int "nothing lost" 0 report.Chaos.msgs_lost;
+  check_int "nothing lost" 0 report.Chaos.costs.Runner.msgs_lost;
   check_int "no violations" 0 (List.length report.Chaos.violations)
 
 (* --- Non-vacuity ----------------------------------------------------- *)
@@ -665,7 +655,13 @@ let large_run_promoted_words () =
    per-run arrays of the flood, the protocol and the search view are
    made over static fillers instead: a warm 304-AD converge and its
    first route synthesis ran 5 collections with those [Array.init]s
-   and 1 without, so each one that comes back fails the budget. *)
+   and 1 without, so each one that comes back fails the budget. Every
+   design point's set-up is held to the same rule: a warm 304-AD
+   [Runner.setup] forced one collection in DV, LS, ECMA, IDRP and
+   LS-HBH and forces none now. EGP is left out: the n x n advertiser
+   table of each AD, 28 M words at 304 ADs, runs major cycles, each of
+   which empties the minor heap, so its count (1 or 2, by the state of
+   the heap) measures that table, not how its arrays are made. *)
 let large_run_minor_collections () =
   let (Registry.Packed (module P)) = orwg_runner () in
   let module R = Runner.Make (P) in
@@ -680,7 +676,15 @@ let large_run_minor_collections () =
   let collections = Pr_telemetry.Alloc.minor_collections run in
   check_bool
     (Printf.sprintf "%d minor collections (budget 1)" collections)
-    true (collections <= 1)
+    true (collections <= 1);
+  List.iter
+    (fun (Registry.Packed (module P) as packed) ->
+      let module R = Runner.Make (P) in
+      let setup () = ignore (R.setup sc.Scenario.graph sc.Scenario.config : R.t) in
+      setup ();
+      let collections = Pr_telemetry.Alloc.minor_collections setup in
+      check_int (Registry.name packed ^ " set-up: minor collections") 0 collections)
+    (List.filter (fun p -> Registry.name p <> "egp") Registry.all)
 
 (* One call records each notable event: every link, node, fault, guard
    and invariant-violation entry the post-mortem ring holds after a

@@ -639,6 +639,41 @@ let qos_routes_differ () =
   Alcotest.(check (list int)) "ecma low delay via Y" [ 0; 3; 1 ]
     (epath Pr_policy.Qos.Low_delay)
 
+(* --- Runner ---------------------------------------------------------- *)
+
+(* Traffic that a link failure's handlers send before the next converge
+   is that converge's: each convergence reports what was sent since the
+   previous one ended, so successive reports add up to the totals. *)
+let runner_attributes_deltas () =
+  let g = Figure1.graph () in
+  let module R = Pr_proto.Runner.Make (Pr_ls.Ls) in
+  let r = R.setup g (Config.defaults g) in
+  let m = R.metrics r in
+  let first = R.converge r in
+  let msgs0 = Metrics.messages m and bytes0 = Metrics.bytes m in
+  R.fail_link r 0;
+  let handler_msgs = Metrics.messages m - msgs0
+  and handler_bytes = Metrics.bytes m - bytes0 in
+  check_bool "the failure's handlers sent before converging" true (handler_msgs > 0);
+  let second = R.converge r in
+  check_bool "second convergence carries the handlers' messages" true
+    (second.Pr_proto.Runner.messages > handler_msgs);
+  check_bool "and their bytes" true (second.Pr_proto.Runner.bytes > handler_bytes);
+  check_int "second convergence = messages since the first ended"
+    (Metrics.messages m - msgs0) second.Pr_proto.Runner.messages;
+  check_int "second convergence = bytes since the first ended" (Metrics.bytes m - bytes0)
+    second.Pr_proto.Runner.bytes;
+  R.restore_link r 0;
+  let third = R.converge r in
+  let idle = R.converge r in
+  check_int "an idle convergence sends nothing" 0 idle.Pr_proto.Runner.messages;
+  let runs = [ first; second; third; idle ] in
+  check_int "messages add up"
+    (Metrics.messages m)
+    (List.fold_left (fun acc c -> acc + c.Pr_proto.Runner.messages) 0 runs);
+  check_int "bytes add up" (Metrics.bytes m)
+    (List.fold_left (fun acc c -> acc + c.Pr_proto.Runner.bytes) 0 runs)
+
 (* --- Forwarding ------------------------------------------------------ *)
 
 let forwarding_delivers () =
@@ -751,6 +786,7 @@ let () =
           Alcotest.test_case "path delay" `Quick qos_path_delay;
           Alcotest.test_case "per-QOS paths differ" `Quick qos_routes_differ;
         ] );
+      ("runner", [ Alcotest.test_case "convergence deltas" `Quick runner_attributes_deltas ]);
       ( "forwarding",
         [
           Alcotest.test_case "delivers" `Quick forwarding_delivers;

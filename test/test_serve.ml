@@ -25,7 +25,6 @@ module Pdd = Pr_serve.Pdd
 module Serve = Pr_serve.Serve
 module Workload = Pr_serve.Workload
 module Daemon = Pr_serve.Daemon
-module Metrics = Pr_sim.Metrics
 module Link = Pr_topology.Link
 module Validate = Pr_policy.Validate
 module Lsdb = Pr_proto.Lsdb
@@ -537,6 +536,59 @@ let post_mortem_after_two_sessions () =
       | Error e -> Alcotest.failf "post-mortem after two sessions: %s" e)
   | _ -> Alcotest.fail "no events list"
 
+(* A session's query counters reach the registry once, when it ends:
+   over two sessions, each serve.* counter grows by the sum of the
+   sessions' stats, and serve.sheds by their shed queries. The sessions
+   move every counter: a chattering link with a 4-handle table sheds
+   queries and misses and evicts handles, and a flip-free 300-AD
+   session overflows the label cache. *)
+let daemon_publishes_counters () =
+  let module Reg = Pr_telemetry.Registry in
+  let published (r : Daemon.report) =
+    let s = r.Daemon.stats in
+    [
+      ("queries", s.Serve.queries);
+      ("route_hits", s.Serve.route_hits);
+      ("route_misses", s.Serve.route_misses);
+      ("handle_hits", s.Serve.handle_hits);
+      ("handle_misses", s.Serve.handle_misses);
+      ("no_routes", s.Serve.no_routes);
+      ("handles_issued", s.Serve.handles_issued);
+      ("handle_evictions", s.Serve.handle_evictions);
+      ("search_states", s.Serve.search_states);
+      ("bound_builds", s.Serve.bound_builds);
+      ("bound_evictions", s.Serve.bound_evictions);
+      ("sheds", r.Daemon.queries_shed);
+    ]
+  in
+  let before = Reg.snapshot Reg.default in
+  let chatter = Option.get (Pr_faults.Plan.profile "chatter") in
+  let a =
+    Daemon.run
+      { Daemon.default_config with Daemon.plan = chatter; plan_name = "chatter"; handle_capacity = 4 }
+  in
+  let b =
+    Daemon.run
+      {
+        Daemon.default_config with
+        Daemon.target_ads = 300;
+        flip_every = 0.0;
+        batch = 128;
+      }
+  in
+  let after = Reg.snapshot Reg.default in
+  let count snap name =
+    match List.assoc_opt ("serve." ^ name) snap with
+    | Some (Reg.Counter c) -> c
+    | _ -> 0
+  in
+  List.iter2
+    (fun (name, va) (_, vb) ->
+      check_bool (name ^ " moved in the sessions") true (va + vb > 0);
+      check_int ("serve." ^ name ^ " grew by both sessions") (va + vb)
+        (count after name - count before name))
+    (published a) (published b)
+
 (* --- ORWG route cache bounded by the same LRU ---------------------- *)
 
 module Tiny_rc = Pr_orwg.Orwg.Make (struct
@@ -569,9 +621,6 @@ let orwg_route_cache_bounded () =
   check_bool "route cache at capacity" true
     (Tiny_rc.route_cache_entries (Rt.protocol r) 7 <= 1);
   check_bool "route evictions counted" true (Tiny_rc.route_evictions (Rt.protocol r) 7 > 0);
-  (* Evictions surface in the run metrics too. *)
-  check_bool "metrics see the evictions" true
-    (Metrics.evictions_of (Rt.metrics r) 7 > 0);
   (* The evicted flow still delivers — through a fresh synthesis. *)
   check_bool "f1 recovers" true (Pr_proto.Forwarding.delivered (Rt.send_flow r f1))
 
@@ -588,27 +637,6 @@ let orwg_route_cache_default_roomy () =
       check_int "no route evictions at the default bound" 0
         (Pr_orwg.Orwg.Orwg.route_evictions (Ro.protocol r) ad))
     (List.init (Graph.n g) Fun.id)
-
-(* --- metrics eviction counters ------------------------------------- *)
-
-let metrics_evictions_roundtrip () =
-  let m = Metrics.create ~n:3 in
-  Metrics.record_eviction m 1 ();
-  Metrics.record_eviction m 1 ~count:4 ();
-  Metrics.record_eviction m 2 ();
-  check_int "total" 6 (Metrics.evictions m);
-  check_int "per-ad" 5 (Metrics.evictions_of m 1);
-  (match Metrics.of_json (Metrics.to_json m) with
-  | Ok m' ->
-    check_int "json roundtrip total" 6 (Metrics.evictions m');
-    check_int "json roundtrip per-ad" 5 (Metrics.evictions_of m' 1)
-  | Error e -> Alcotest.failf "of_json: %s" e);
-  let d = Metrics.diff ~after:m ~before:(Metrics.create ~n:3) in
-  check_int "diff keeps evictions" 6 (Metrics.evictions d);
-  let acc = Metrics.create ~n:3 in
-  Metrics.merge acc m;
-  Metrics.merge acc m;
-  check_int "merge accumulates" 12 (Metrics.evictions acc)
 
 (* --- one search kernel, three callers ------------------------------ *)
 
@@ -1049,6 +1077,8 @@ let () =
           Alcotest.test_case "row config round-trips" `Quick row_config_round_trips;
           Alcotest.test_case "post-mortem after two sessions" `Quick
             post_mortem_after_two_sessions;
+          Alcotest.test_case "sessions publish their counters" `Quick
+            daemon_publishes_counters;
         ]
         @ qsuite [ three_callers_agree; labels_exact_across_flips; labels_match_spf_reference ] );
       ( "orwg-cache",
@@ -1056,10 +1086,5 @@ let () =
           Alcotest.test_case "bounded route cache evicts" `Quick orwg_route_cache_bounded;
           Alcotest.test_case "default bound never evicts here" `Quick
             orwg_route_cache_default_roomy;
-        ] );
-      ( "metrics",
-        [
-          Alcotest.test_case "eviction counters roundtrip" `Quick
-            metrics_evictions_roundtrip;
         ] );
     ]

@@ -253,122 +253,12 @@ let metrics_counters () =
   Metrics.record_send m 0 ~bytes:50;
   Metrics.record_send m 2 ~bytes:10;
   Metrics.record_computation m 1 ~work:5 ();
-  Metrics.set_table_entries m 2 7;
   check_int "messages" 3 (Metrics.messages m);
   check_int "bytes" 160 (Metrics.bytes m);
   check_int "computations" 5 (Metrics.computations m);
   check_int "per-node messages" 2 (Metrics.messages_of m 0);
   check_int "per-node bytes" 10 (Metrics.bytes_of m 2);
-  check_int "tables" 7 (Metrics.table_entries m);
-  check_int "max table" 7 (Metrics.max_table_entries m);
-  Metrics.add_table_entries m 2 3;
-  check_int "add gauge" 10 (Metrics.table_entries_of m 2)
-
-let metrics_diff () =
-  let m = Metrics.create ~n:2 in
-  Metrics.record_send m 0 ~bytes:10;
-  let before = Metrics.snapshot m in
-  Metrics.record_send m 0 ~bytes:10;
-  Metrics.record_send m 1 ~bytes:5;
-  let d = Metrics.diff ~after:m ~before in
-  check_int "delta messages" 2 (Metrics.messages d);
-  check_int "delta bytes" 15 (Metrics.bytes d)
-
-let metrics_reset () =
-  let m = Metrics.create ~n:2 in
-  Metrics.record_send m 0 ~bytes:10;
-  Metrics.reset m;
-  check_int "reset" 0 (Metrics.messages m)
-
-let metrics_merge () =
-  let a = Metrics.create ~n:3 and b = Metrics.create ~n:3 in
-  Metrics.record_send a 0 ~bytes:100;
-  Metrics.record_computation a 1 ~work:4 ();
-  Metrics.add_table_entries a 2 5;
-  Metrics.record_send b 0 ~bytes:50;
-  Metrics.record_send b 2 ~bytes:10;
-  Metrics.add_table_entries b 2 3;
-  Metrics.merge a b;
-  check_int "merged messages" 3 (Metrics.messages a);
-  check_int "merged bytes" 160 (Metrics.bytes a);
-  check_int "merged computations" 4 (Metrics.computations a);
-  check_int "merged per-node bytes" 150 (Metrics.bytes_of a 0);
-  check_int "merged gauge" 8 (Metrics.table_entries_of a 2);
-  (* [from] is read, not written. *)
-  check_int "source untouched" 2 (Metrics.messages b)
-
-let metrics_merge_size_mismatch () =
-  let a = Metrics.create ~n:2 and b = Metrics.create ~n:3 in
-  Alcotest.check_raises "n mismatch" (Invalid_argument "Metrics.merge: size mismatch")
-    (fun () -> Metrics.merge a b)
-
-(* Recording operations whose effect is additive per AD — the ones
-   workers perform — so that splitting a recording across workers and
-   merging must equal recording sequentially. *)
-let metrics_op =
-  QCheck.(
-    map
-      (fun (which, ad, v) ->
-        let ad = ad mod 4 and v = 1 + (v mod 50) in
-        match which mod 3 with
-        | 0 -> `Send (ad, v)
-        | 1 -> `Compute (ad, v)
-        | _ -> `Table (ad, v))
-      (triple small_int small_int small_int))
-
-let apply_op m = function
-  | `Send (ad, bytes) -> Metrics.record_send m ad ~bytes
-  | `Compute (ad, work) -> Metrics.record_computation m ad ~work ()
-  | `Table (ad, k) -> Metrics.add_table_entries m ad k
-
-let metrics_equal a b =
-  let per_node f = List.init 4 (fun ad -> f a ad = f b ad) in
-  Metrics.messages a = Metrics.messages b
-  && Metrics.bytes a = Metrics.bytes b
-  && Metrics.computations a = Metrics.computations b
-  && Metrics.table_entries a = Metrics.table_entries b
-  && Metrics.max_table_entries a = Metrics.max_table_entries b
-  && List.for_all Fun.id (per_node Metrics.messages_of)
-  && List.for_all Fun.id (per_node Metrics.bytes_of)
-  && List.for_all Fun.id (per_node Metrics.computations_of)
-  && List.for_all Fun.id (per_node Metrics.table_entries_of)
-
-let metrics_merge_matches_sequential =
-  QCheck.Test.make ~name:"merged worker metrics equal sequential recording" ~count:100
-    QCheck.(pair (list metrics_op) (list metrics_op))
-    (fun (ops1, ops2) ->
-      let sequential = Metrics.create ~n:4 in
-      List.iter (apply_op sequential) (ops1 @ ops2);
-      let w1 = Metrics.create ~n:4 and w2 = Metrics.create ~n:4 in
-      List.iter (apply_op w1) ops1;
-      List.iter (apply_op w2) ops2;
-      Metrics.merge w1 w2;
-      metrics_equal sequential w1)
-
-let metrics_json_roundtrip =
-  QCheck.Test.make ~name:"metrics survive a JSON round-trip" ~count:100
-    QCheck.(list metrics_op)
-    (fun ops ->
-      let m = Metrics.create ~n:4 in
-      List.iter (apply_op m) ops;
-      match Pr_util.Json.parse (Pr_util.Json.to_string (Metrics.to_json m)) with
-      | Error _ -> false
-      | Ok doc -> (
-        match Metrics.of_json doc with
-        | Error _ -> false
-        | Ok m' -> metrics_equal m m'))
-
-let metrics_of_json_rejects_garbage () =
-  List.iter
-    (fun doc ->
-      check_bool "rejected" true (Result.is_error (Metrics.of_json doc)))
-    Pr_util.Json.
-      [
-        Null;
-        Obj [];
-        Obj [ ("n", Int 2); ("messages", List [ Int 1 ]) ] (* wrong length *);
-        Obj [ ("n", Int 2); ("messages", String "x") ];
-      ]
+  check_int "per-node computations" 5 (Metrics.computations_of m 1)
 
 (* --- Network ------------------------------------------------------- *)
 
@@ -762,14 +652,7 @@ let () =
       ( "metrics",
         [
           Alcotest.test_case "counters" `Quick metrics_counters;
-          Alcotest.test_case "diff" `Quick metrics_diff;
-          Alcotest.test_case "reset" `Quick metrics_reset;
-          Alcotest.test_case "merge" `Quick metrics_merge;
-          Alcotest.test_case "merge size mismatch" `Quick metrics_merge_size_mismatch;
-          Alcotest.test_case "of_json rejects garbage" `Quick metrics_of_json_rejects_garbage;
-        ]
-        @ List.map QCheck_alcotest.to_alcotest
-            [ metrics_merge_matches_sequential; metrics_json_roundtrip ] );
+        ] );
       ( "network",
         [
           Alcotest.test_case "delivery" `Quick network_delivery;
