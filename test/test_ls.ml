@@ -12,7 +12,7 @@ module Runner = Pr_proto.Runner
 module Ls = Pr_ls.Ls
 module R = Runner.Make (Ls)
 
-let _check_int = Alcotest.(check int)
+let check_int = Alcotest.(check int)
 
 let check_bool = Alcotest.(check bool)
 
@@ -142,6 +142,46 @@ let routes_match_fold =
       done;
       !ok)
 
+(* Every AD starts on one shared all-unreached next-hop table, and a
+   restart puts it back there. Each AD's table must still be its own:
+   the tables ADs compute do not depend on the order in which ADs
+   compute them, and restarting one AD leaves every other AD's routes
+   as they were. *)
+let tables_are_per_ad () =
+  let g = Generator.random_mesh (Rng.create 11) ~n:20 ~extra_links:12 in
+  let n = Graph.n g in
+  let table r at = List.init n (fun dst -> Ls.next_hop_of (R.protocol r) ~at ~dst) in
+  (* Every AD computes its tree, in the given order; then every table
+     is read, so a table written through another AD's would show. *)
+  let tables r order =
+    List.iter (fun at -> ignore (Ls.next_hop_of (R.protocol r) ~at ~dst:at)) order;
+    List.init n (table r)
+  in
+  let ads = List.init n Fun.id in
+  let forward = R.setup g (Config.defaults g) and backward = R.setup g (Config.defaults g) in
+  ignore (R.converge forward);
+  ignore (R.converge backward);
+  for at = 0 to n - 1 do
+    check_bool "no routes before the first SPF" true (Ls.routes (R.protocol forward) at = 0)
+  done;
+  let tables_fwd = tables forward ads in
+  let tables_bwd = tables backward (List.rev ads) in
+  check_bool "tables do not depend on the order ADs compute them" true
+    (tables_fwd = tables_bwd);
+  let routes_before = List.init n (Ls.routes (R.protocol forward)) in
+  R.crash_ad forward 3;
+  ignore (R.converge forward);
+  R.restart_ad forward 3;
+  check_int "the restarted AD's table is empty" 0 (Ls.routes (R.protocol forward) 3);
+  List.iteri
+    (fun at before ->
+      if at <> 3 then
+        check_int (Printf.sprintf "routes at %d" at) before (Ls.routes (R.protocol forward) at))
+    routes_before;
+  ignore (R.converge forward);
+  check_bool "after reconverging, every table is as before" true
+    (tables forward (List.rev ads) = tables_fwd)
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -154,6 +194,7 @@ let () =
           Alcotest.test_case "partition" `Quick ls_partition;
           Alcotest.test_case "fewer messages than DV" `Quick
             ls_cheaper_convergence_messages_than_dv;
+          Alcotest.test_case "tables are per AD" `Quick tables_are_per_ad;
         ]
         @ qsuite [ ls_next_hop_is_neighbor; routes_match_fold ] );
     ]

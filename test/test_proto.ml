@@ -381,6 +381,56 @@ let flood_change_callback () =
   ignore (Engine.run e);
   check_bool "callbacks fired" true (!changes > 0)
 
+(* [delta_in_scope]'s region rule over a converged flood on a random
+   mesh: an origin inside the region (or the AD itself) is in scope,
+   and so is one confirmed adjacent to a region member; a list is in
+   scope iff one of its origins is; a larger region keeps everything
+   in scope that a smaller one had; and the region predicate is only
+   asked about valid ids. *)
+let flood_delta_scope_rule =
+  QCheck.Test.make ~name:"delta scope follows the region rule" ~count:30 QCheck.small_nat
+    (fun seed ->
+      let rng = Rng.create seed in
+      let g = Generator.random_mesh rng ~n:16 ~extra_links:8 in
+      let n = Graph.n g in
+      let e = Engine.create () in
+      let net = Network.create e g (Metrics.create ~n) in
+      let flood = Ls_flood.create net ~terms_for:(fun _ -> []) () in
+      Network.set_message_handler net (fun ~at ~from msg ->
+          Ls_flood.handle_message flood ~at ~from msg);
+      Ls_flood.start flood;
+      ignore (Engine.run e);
+      let ad = Rng.int rng n in
+      let db = Ls_flood.db flood ad in
+      let small = Pr_util.Bitset.create n and large = Pr_util.Bitset.create n in
+      for v = 0 to n - 1 do
+        if Rng.int rng 4 = 0 then Pr_util.Bitset.add small v;
+        if Pr_util.Bitset.mem small v || Rng.int rng 3 = 0 then Pr_util.Bitset.add large v
+      done;
+      let region set v =
+        if v < 0 || v >= n then failwith "asked about an invalid id";
+        Pr_util.Bitset.mem set v
+      in
+      let scope set os = Ls_flood.delta_in_scope flood ad ~in_region:(region set) os in
+      let inside set v = v = ad || Pr_util.Bitset.mem set v in
+      let expected set o =
+        inside set o
+        || List.exists
+             (fun (a : Lsdb.adjacency) ->
+               inside set a.Lsdb.nbr && Lsdb.bidirectional db o a.Lsdb.nbr <> None)
+             (Lsdb.adjacencies_of db o)
+      in
+      let origins = List.init 3 (fun _ -> Rng.int rng n) in
+      List.for_all
+        (fun o ->
+          scope small [ o ] = expected small o
+          && scope large [ o ] = expected large o
+          && ((not (scope small [ o ])) || scope large [ o ]))
+        (List.init n Fun.id)
+      && scope small origins = List.exists (expected small) origins
+      && scope small [ ad ]
+      && not (scope small []))
+
 (* --- Policy_route ---------------------------------------------------- *)
 
 let converged_policy_db config =
@@ -674,6 +724,51 @@ let runner_attributes_deltas () =
   check_int "bytes add up" (Metrics.bytes m)
     (List.fold_left (fun acc c -> acc + c.Pr_proto.Runner.bytes) 0 runs)
 
+(* The one run-cost summary reads the metrics' totals, the protocol's
+   own state, and the per-AD skew of both. *)
+let runner_costs_read_the_run () =
+  let g = Figure1.graph () in
+  let module R = Pr_proto.Runner.Make (Pr_ls.Ls) in
+  let r = R.setup g (Config.defaults g) in
+  ignore (R.converge r);
+  R.fail_link r 0;
+  ignore (R.converge r);
+  (* LS computes its trees on demand: a flow from every AD makes each
+     one compute. *)
+  let n = Graph.n g in
+  for src = 0 to n - 1 do
+    ignore (R.send_flow r (Flow.make ~src ~dst:((src + 1) mod n) ()))
+  done;
+  let m = R.metrics r and c = R.costs r in
+  let per_ad f = List.init n f in
+  check_int "messages" (Metrics.messages m) c.Pr_proto.Runner.messages;
+  check_int "bytes" (Metrics.bytes m) c.Pr_proto.Runner.bytes;
+  check_int "computations" (Metrics.computations m) c.Pr_proto.Runner.computations;
+  check_int "transit computations"
+    (List.fold_left (fun acc ad -> acc + Metrics.computations_of m ad) 0 (Graph.transit_ids g))
+    c.Pr_proto.Runner.transit_computations;
+  check_bool "stubs compute too" true
+    (c.Pr_proto.Runner.transit_computations < c.Pr_proto.Runner.computations);
+  check_int "losses" (Metrics.msgs_lost m) c.Pr_proto.Runner.msgs_lost;
+  check_int "table total" (R.table_entries r) c.Pr_proto.Runner.table_total;
+  check_bool "state counted" true (c.Pr_proto.Runner.table_total > 0);
+  check_int "table max" (R.max_table_entries r) c.Pr_proto.Runner.table_max;
+  let msgs = per_ad (Metrics.messages_of m) in
+  check_int "message max" (List.fold_left max 0 msgs) c.Pr_proto.Runner.msg_max;
+  Alcotest.(check (float 1e-9))
+    "message mean"
+    (float_of_int (Metrics.messages m) /. float_of_int n)
+    c.Pr_proto.Runner.msg_mean;
+  let floats l = List.map float_of_int l in
+  Alcotest.(check (float 1e-9))
+    "message p90"
+    (Pr_util.Stats.percentile (floats msgs) 90.0)
+    c.Pr_proto.Runner.msg_p90;
+  Alcotest.(check (float 1e-9))
+    "table p90"
+    (Pr_util.Stats.percentile (floats (per_ad (Pr_ls.Ls.table_entries (R.protocol r)))) 90.0)
+    c.Pr_proto.Runner.tbl_p90
+
 (* --- Forwarding ------------------------------------------------------ *)
 
 let forwarding_delivers () =
@@ -772,7 +867,7 @@ let () =
           Alcotest.test_case "change callback" `Quick flood_change_callback;
           Alcotest.test_case "rejects impossible delays" `Quick flood_rejects_bad_delays;
         ]
-        @ qsuite [ vetting_matches_fresh ] );
+        @ qsuite [ vetting_matches_fresh; flood_delta_scope_rule ] );
       ( "policy-route",
         [
           Alcotest.test_case "matches oracle" `Quick policy_route_matches_oracle;
@@ -786,7 +881,11 @@ let () =
           Alcotest.test_case "path delay" `Quick qos_path_delay;
           Alcotest.test_case "per-QOS paths differ" `Quick qos_routes_differ;
         ] );
-      ("runner", [ Alcotest.test_case "convergence deltas" `Quick runner_attributes_deltas ]);
+      ( "runner",
+        [
+          Alcotest.test_case "convergence deltas" `Quick runner_attributes_deltas;
+          Alcotest.test_case "costs read the run" `Quick runner_costs_read_the_run;
+        ] );
       ( "forwarding",
         [
           Alcotest.test_case "delivers" `Quick forwarding_delivers;

@@ -260,6 +260,83 @@ let metrics_counters () =
   check_int "per-node bytes" 10 (Metrics.bytes_of m 2);
   check_int "per-node computations" 5 (Metrics.computations_of m 1)
 
+(* One recording operation on a 4-AD recorder: a send of [v] bytes,
+   [v] units of computation, or one loss, at AD [ad mod 4]. *)
+let metrics_op =
+  QCheck.(
+    map
+      (fun (which, ad, v) ->
+        let ad = ad mod 4 and v = 1 + (v mod 50) in
+        match which mod 3 with
+        | 0 -> `Send (ad, v)
+        | 1 -> `Compute (ad, v)
+        | _ -> `Lose ad)
+      (triple small_nat small_nat small_nat))
+
+let apply_op m = function
+  | `Send (ad, bytes) -> Metrics.record_send m ad ~bytes
+  | `Compute (ad, work) -> Metrics.record_computation m ad ~work ()
+  | `Lose ad -> Metrics.record_loss m ad
+
+(* Each total is its column's sum, and each column is what a plain
+   per-AD model of the same operations counts. *)
+let metrics_totals_sum_columns =
+  QCheck.Test.make ~name:"totals are the per-AD columns' sums" ~count:100
+    QCheck.(list metrics_op)
+    (fun ops ->
+      let m = Metrics.create ~n:4 in
+      List.iter (apply_op m) ops;
+      let model f = List.init 4 (fun ad -> List.fold_left (fun acc op -> acc + f ad op) 0 ops) in
+      let msgs = model (fun ad -> function `Send (a, _) when a = ad -> 1 | _ -> 0)
+      and bytes = model (fun ad -> function `Send (a, b) when a = ad -> b | _ -> 0)
+      and comps = model (fun ad -> function `Compute (a, w) when a = ad -> w | _ -> 0)
+      and lost = model (fun ad -> function `Lose a when a = ad -> 1 | _ -> 0) in
+      let column f = List.init 4 (f m) in
+      let total = List.fold_left ( + ) 0 in
+      column Metrics.messages_of = msgs
+      && column Metrics.bytes_of = bytes
+      && column Metrics.computations_of = comps
+      && column Metrics.msgs_lost_of = lost
+      && Metrics.messages m = total msgs
+      && Metrics.bytes m = total bytes
+      && Metrics.computations m = total comps
+      && Metrics.msgs_lost m = total lost)
+
+let sample_metrics () =
+  let m = Metrics.create ~n:3 in
+  Metrics.record_send m 0 ~bytes:100;
+  Metrics.record_send m 2 ~bytes:10;
+  Metrics.record_computation m 1 ~work:5 ();
+  Metrics.record_loss m 2;
+  m
+
+(* The JSON document holds the four columns, in this key order, and
+   nothing else. *)
+let metrics_to_json () =
+  let open Pr_util.Json in
+  let ints l = List (List.map (fun i -> Int i) l) in
+  Alcotest.(check string)
+    "document"
+    (to_string
+       (Obj
+          [
+            ("n", Int 3);
+            ("messages", ints [ 1; 0; 1 ]);
+            ("bytes", ints [ 100; 0; 10 ]);
+            ("computations", ints [ 0; 5; 0 ]);
+            ("losses", ints [ 0; 0; 1 ]);
+          ]))
+    (to_string (Metrics.to_json (sample_metrics ())))
+
+let metrics_load_series () =
+  let series = Metrics.load_series (sample_metrics ()) in
+  Alcotest.(check (list string))
+    "series names" [ "messages"; "bytes"; "computations" ] (List.map fst series);
+  Alcotest.(check (list (array (float 0.0))))
+    "per-AD vectors"
+    [ [| 1.; 0.; 1. |]; [| 100.; 0.; 10. |]; [| 0.; 5.; 0. |] ]
+    (List.map snd series)
+
 (* --- Network ------------------------------------------------------- *)
 
 let make_net () =
@@ -652,7 +729,10 @@ let () =
       ( "metrics",
         [
           Alcotest.test_case "counters" `Quick metrics_counters;
-        ] );
+          Alcotest.test_case "json document" `Quick metrics_to_json;
+          Alcotest.test_case "load series" `Quick metrics_load_series;
+        ]
+        @ List.map QCheck_alcotest.to_alcotest [ metrics_totals_sum_columns ] );
       ( "network",
         [
           Alcotest.test_case "delivery" `Quick network_delivery;

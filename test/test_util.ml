@@ -906,6 +906,36 @@ let sexp_pretty_parses =
       | Ok parsed -> parsed = s
       | Error _ -> false)
 
+(* --- Filler ---------------------------------------------------------- *)
+
+module Filler = Pr_util.Filler
+
+let filler_equals_array_init =
+  QCheck.Test.make ~name:"init equals Array.init" ~count:100
+    QCheck.(pair (int_range 0 600) small_nat)
+    (fun (n, k) ->
+      let f i = (i * k) + 1 in
+      Filler.init ~filler:0 n f = Array.init n f)
+
+(* A per-AD array of fresh records above 256 slots: [Array.init] forces
+   a minor collection to make it (the reason the helper exists), the
+   helper forces none, and none of its slots is the filler. *)
+let filler_forces_no_collection () =
+  let n = 304 in
+  let make i = ref i in
+  let filler = ref (-1) in
+  let warm = Filler.init ~filler n make in
+  ignore (Sys.opaque_identity warm);
+  let by_init = ref [||] in
+  check_bool "Array.init forces a collection" true
+    (Pr_telemetry.Alloc.minor_collections (fun () -> by_init := Array.init n make) > 0);
+  let by_filler = ref [||] in
+  check_int "Filler.init forces none" 0
+    (Pr_telemetry.Alloc.minor_collections (fun () -> by_filler := Filler.init ~filler n make));
+  check_bool "same contents" true (Array.map ( ! ) !by_filler = Array.map ( ! ) !by_init);
+  check_bool "the filler is never handed out" true
+    (Array.for_all (fun r -> r != filler) !by_filler)
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -948,6 +978,9 @@ let () =
               pqueue_refill_allocates_nothing;
           ]
         @ qsuite [ pqueue_sorted_output; pqueue_vs_model; pqueue_handover_vs_model ] );
+      ( "filler",
+        [ Alcotest.test_case "forces no collection" `Quick filler_forces_no_collection ]
+        @ qsuite [ filler_equals_array_init ] );
       ( "pqueue-keyed",
         [
           Alcotest.test_case "basic + decrease-key" `Quick keyed_basic;
