@@ -1,11 +1,8 @@
-module Graph = Pr_topology.Graph
-module Ad = Pr_topology.Ad
 module Path = Pr_topology.Path
 module Flow = Pr_policy.Flow
 module Validate = Pr_policy.Validate
 module Source_policy = Pr_policy.Source_policy
 module Config = Pr_policy.Config
-module Metrics = Pr_sim.Metrics
 module Forwarding = Pr_proto.Forwarding
 module Packet = Pr_proto.Packet
 module Runner = Pr_proto.Runner
@@ -19,7 +16,6 @@ type result = {
   scenario : string;
   converged : bool;
   convergence_time : float;
-  reconvergence_time : float option;
   messages : int;
   bytes : int;
   computations : int;
@@ -121,54 +117,28 @@ let classify (scenario : Scenario.t) tally flow outcome =
     tally.prep_failed <- tally.prep_failed + 1;
     if reachable then tally.availability_loss <- tally.availability_loss + 1
 
-let evaluate (Registry.Packed (module P)) (scenario : Scenario.t) ?fail_link ~flows () =
+let evaluate (Registry.Packed (module P)) (scenario : Scenario.t) ~flows () =
   let module R = Runner.Make (P) in
   let r = R.setup scenario.Scenario.graph scenario.Scenario.config in
   let conv = R.converge r in
-  let reconv =
-    match fail_link with
-    | None -> None
-    | Some lid ->
-      R.fail_link r lid;
-      Some (R.converge r)
-  in
   let tally = fresh_tally () in
-  (* For availability accounting after a failure the oracle must see
-     the failed topology: rebuild the scenario graph without the link
-     by consulting the network's live state through outcomes instead —
-     we keep the static graph and accept that a failed link makes the
-     oracle slightly optimistic; experiments that need exactness avoid
-     the fail_link path of this driver. *)
   List.iter
     (fun flow ->
       let outcome = R.send_flow r flow in
       classify scenario tally flow outcome)
     flows;
-  let metrics = R.metrics r in
-  let g = scenario.Scenario.graph in
-  let transit_comp =
-    List.fold_left
-      (fun acc ad -> acc + Metrics.computations_of metrics ad)
-      0 (Graph.transit_ids g)
-  in
+  let c = R.totals r in
   {
     protocol = P.name;
     scenario = scenario.Scenario.label;
-    converged =
-      (conv.Runner.converged
-      &&
-      match reconv with
-      | None -> true
-      | Some c -> c.Runner.converged);
+    converged = conv.Runner.converged;
     convergence_time = conv.Runner.sim_time;
-    reconvergence_time =
-      Option.map (fun c -> c.Runner.sim_time -. conv.Runner.sim_time) reconv;
-    messages = Metrics.messages metrics;
-    bytes = Metrics.bytes metrics;
-    computations = Metrics.computations metrics;
-    transit_computations = transit_comp;
-    table_total = R.table_entries r;
-    table_max = R.max_table_entries r;
+    messages = c.Runner.messages;
+    bytes = c.Runner.bytes;
+    computations = c.Runner.computations;
+    transit_computations = c.Runner.transit_computations;
+    table_total = c.Runner.table_total;
+    table_max = c.Runner.table_max;
     flows = List.length flows;
     oracle_reachable = tally.oracle_reachable;
     delivered = tally.delivered;

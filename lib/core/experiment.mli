@@ -11,7 +11,6 @@ type result = {
   scenario : string;
   converged : bool;
   convergence_time : float;
-  reconvergence_time : float option;  (** after the injected failure, if any *)
   messages : int;  (** control messages over the whole run *)
   bytes : int;
   computations : int;  (** total route-computation work units *)
@@ -39,13 +38,12 @@ type result = {
 val evaluate :
   Registry.packed ->
   Scenario.t ->
-  ?fail_link:Pr_topology.Link.id ->
   flows:Pr_policy.Flow.t list ->
   unit ->
   result
-(** Converge the protocol on the scenario; optionally fail a link and
-    re-converge; then send one packet per flow and classify outcomes
-    against the oracle. *)
+(** Converge the protocol on the scenario, then send one packet per
+    flow and classify outcomes against the oracle. The costs are
+    {!Pr_proto.Runner.Make.totals} after the flows. *)
 
 type convergence_probe = {
   initial_time : float;

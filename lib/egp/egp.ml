@@ -10,13 +10,23 @@ let probe_update = Pr_proto.Probe.make "egp.update"
 type message = (Pr_topology.Ad.id * bool) list
 
 type node = {
-  advertisers : bool array array;  (* advertisers.(dst).(nbr) *)
+  advertisers : Bytes.t;
+      (* byte [dst * degree + j] is 1 when the neighbor of the AD's
+         unique-neighbor slot [j] advertises [dst]; n x degree bytes *)
   chosen : int array;  (* sticky next hop per dst; -1 = none *)
   sent : (Pr_topology.Ad.id, bool array) Hashtbl.t;
       (* what we last announced to each neighbor *)
 }
 
-type t = { graph : Graph.t; net : message Network.t; nodes : node array }
+type t = {
+  graph : Graph.t;
+  net : message Network.t;
+  nodes : node array;
+  (* [Graph.unique_csr]: AD [ad]'s neighbor slots are [uoff.(ad)] to
+     [uoff.(ad + 1) - 1] of [unbr], in increasing neighbor order. *)
+  uoff : int array;
+  unbr : int array;
+}
 
 let name = "egp"
 
@@ -25,20 +35,32 @@ let design_point =
     Design_point.In_topology
 
 (* The static filler [nodes] is made over ({!Pr_util.Filler}). *)
-let no_node = { advertisers = [||]; chosen = [||]; sent = Hashtbl.create 1 }
+let no_node = { advertisers = Bytes.empty; chosen = [||]; sent = Hashtbl.create 1 }
 
 let create graph _config net =
   let n = Graph.n graph in
+  let uoff, unbr = Graph.unique_csr graph in
   let make_node ad =
     let chosen = Array.make n (-1) in
     chosen.(ad) <- ad;
     {
-      advertisers = Pr_util.Filler.init ~filler:[||] n (fun _ -> Array.make n false);
+      advertisers = Bytes.make (n * (uoff.(ad + 1) - uoff.(ad))) '\000';
       chosen;
       sent = Hashtbl.create 8;
     }
   in
-  { graph; net; nodes = Pr_util.Filler.init ~filler:no_node n make_node }
+  { graph; net; nodes = Pr_util.Filler.init ~filler:no_node n make_node; uoff; unbr }
+
+let degree t ad = t.uoff.(ad + 1) - t.uoff.(ad)
+
+(* [nbr]'s slot in [ad]'s row, counted from the row's start. *)
+let slot t ad nbr = Graph.uniq_slot t.graph ad nbr - t.uoff.(ad)
+
+let advertises t ad ~dst j =
+  Bytes.get t.nodes.(ad).advertisers ((dst * degree t ad) + j) <> '\000'
+
+let set_advertises t ad ~dst j yes =
+  Bytes.set t.nodes.(ad).advertisers ((dst * degree t ad) + j) (if yes then '\001' else '\000')
 
 (* EGP distances are not comparable across neighbors, so route choice
    cannot pick "the shortest". We model the practical behaviour: the
@@ -51,13 +73,15 @@ let rechoose t ad dst =
   let node = t.nodes.(ad) in
   if dst <> ad then begin
     let current = node.chosen.(dst) in
-    if current >= 0 && node.advertisers.(dst).(current) then ()
+    if current >= 0 && advertises t ad ~dst (slot t ad current) then ()
     else begin
-      let best = ref (-1) in
-      Array.iteri
-        (fun nbr yes -> if yes && !best < 0 then best := nbr)
-        node.advertisers.(dst);
-      node.chosen.(dst) <- !best
+      (* The row is sorted by neighbor id: its first advertiser is the
+         lowest-id one. *)
+      let j = ref 0 and deg = degree t ad in
+      while !j < deg && not (advertises t ad ~dst !j) do
+        incr j
+      done;
+      node.chosen.(dst) <- (if !j < deg then t.unbr.(t.uoff.(ad) + !j) else -1)
     end
   end
 
@@ -68,7 +92,8 @@ let choice t ad dst =
     if c >= 0 then Some c else None
   end
 
-let reaches t ad dst = choice t ad dst <> None
+(* [choice] without its option. *)
+let reaches t ad dst = ad = dst || t.nodes.(ad).chosen.(dst) >= 0
 
 let message_bytes entries =
   Cost_model.update_fixed_bytes + (Cost_model.dv_entry_bytes * List.length entries)
@@ -93,7 +118,7 @@ let advertise t ad =
       in
       let entries = ref [] in
       for dst = n - 1 downto 0 do
-        let now = choice t ad dst <> None in
+        let now = reaches t ad dst in
         if now <> previous.(dst) then begin
           previous.(dst) <- now;
           entries := (dst, now) :: !entries
@@ -110,9 +135,10 @@ let start t =
 
 let handle_message t ~at ~from entries =
   Pr_proto.Probe.computation probe_update t.net ~at ();
+  let j = slot t at from in
   List.iter
     (fun (dst, reachable) ->
-      t.nodes.(at).advertisers.(dst).(from) <- reachable;
+      set_advertises t at ~dst j reachable;
       rechoose t at dst)
     entries;
   advertise t at
@@ -121,18 +147,18 @@ let handle_link t ~at ~link ~up =
   let l = Graph.link t.graph link in
   let nbr = Pr_topology.Link.other_end l at in
   if not up then begin
-    Array.iteri
-      (fun dst adv ->
-        adv.(nbr) <- false;
-        rechoose t at dst)
-      t.nodes.(at).advertisers;
+    let j = slot t at nbr in
+    for dst = 0 to Graph.n t.graph - 1 do
+      set_advertises t at ~dst j false;
+      rechoose t at dst
+    done;
     Hashtbl.remove t.nodes.(at).sent nbr
   end;
   advertise t at
 
 let reset_node t ~at =
   let node = t.nodes.(at) in
-  Array.iter (fun adv -> Array.fill adv 0 (Array.length adv) false) node.advertisers;
+  Bytes.fill node.advertisers 0 (Bytes.length node.advertisers) '\000';
   Array.fill node.chosen 0 (Array.length node.chosen) (-1);
   node.chosen.(at) <- at;
   (* Forgetting [sent] resets the NR diff baseline: the next advertise

@@ -299,6 +299,7 @@ let run ?(plan = Plan.default) ?(guard = Guard.default_config) ?flows
    byte-identically. *)
 let report_json t =
   let c = t.costs in
+  let s = c.Runner.totals in
   J.Obj
     [
       ("protocol", J.String t.protocol);
@@ -328,7 +329,7 @@ let report_json t =
       ("quarantines", J.Int t.quarantines);
       ("quarantine_drops", J.Int t.quarantine_drops);
       ("readmissions", J.Int t.readmissions);
-      ("msgs_lost", J.Int c.Runner.msgs_lost);
+      ("msgs_lost", J.Int s.Runner.msgs_lost);
       ("checks", J.Int t.checks);
       ("transient_loops", J.Int t.transient_loops);
       ("attack_probes", J.Int t.attack_probes);
@@ -351,12 +352,12 @@ let report_json t =
                    | None -> [])
                  @ [ ("detail", J.String v.detail) ]))
              t.violations) );
-      ("messages", J.Int c.Runner.messages);
-      ("bytes", J.Int c.Runner.bytes);
-      ("computations", J.Int c.Runner.computations);
-      ("transit_computations", J.Int c.Runner.transit_computations);
-      ("table_total", J.Int c.Runner.table_total);
-      ("table_max", J.Int c.Runner.table_max);
+      ("messages", J.Int s.Runner.messages);
+      ("bytes", J.Int s.Runner.bytes);
+      ("computations", J.Int s.Runner.computations);
+      ("transit_computations", J.Int s.Runner.transit_computations);
+      ("table_total", J.Int s.Runner.table_total);
+      ("table_max", J.Int s.Runner.table_max);
       ("msg_max", J.Int c.Runner.msg_max);
       ("msg_mean", J.Float c.Runner.msg_mean);
       ("msg_p90", J.Float c.Runner.msg_p90);
@@ -374,7 +375,7 @@ let pp ppf t =
   Format.fprintf ppf
     "message faults: %d dropped, %d duplicated, %d delayed, %d reordered; %d lost in flight@,"
     t.msgs_dropped t.msgs_duplicated t.msgs_delayed t.msgs_reordered
-    t.costs.Runner.msgs_lost;
+    t.costs.Runner.totals.Runner.msgs_lost;
   if t.attackers <> [] then
     Format.fprintf ppf
       "byzantine faults: %d corrupted, %d replayed, %d forged@,"

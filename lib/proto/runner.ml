@@ -5,7 +5,7 @@ module Graph = Pr_topology.Graph
 module Trace = Pr_obs.Trace
 module Stats = Pr_util.Stats
 
-type costs = {
+type totals = {
   messages : int;
   bytes : int;
   computations : int;
@@ -13,6 +13,10 @@ type costs = {
   msgs_lost : int;
   table_total : int;
   table_max : int;
+}
+
+type costs = {
+  totals : totals;
   msg_max : int;
   msg_mean : float;
   msg_p90 : float;
@@ -216,11 +220,8 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
     done;
     !best
 
-  let costs t =
-    let m = t.metrics and n = Graph.n t.graph in
-    let per_ad f = List.init n (fun ad -> float_of_int (f ad)) in
-    let msgs = per_ad (Metrics.messages_of m) in
-    let tables = per_ad (P.table_entries t.proto) in
+  let totals t =
+    let m = t.metrics in
     {
       messages = Metrics.messages m;
       bytes = Metrics.bytes m;
@@ -232,6 +233,15 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
       msgs_lost = Metrics.msgs_lost m;
       table_total = table_entries t;
       table_max = max_table_entries t;
+    }
+
+  let costs t =
+    let n = Graph.n t.graph in
+    let per_ad f = List.init n (fun ad -> float_of_int (f ad)) in
+    let msgs = per_ad (Metrics.messages_of t.metrics) in
+    let tables = per_ad (P.table_entries t.proto) in
+    {
+      totals = totals t;
       msg_max = int_of_float (List.fold_left Float.max 0.0 msgs);
       msg_mean = Stats.mean msgs;
       msg_p90 = Stats.percentile msgs 90.0;

@@ -5,7 +5,7 @@
     topology changes, and sends data packets through the protocol's
     forwarding plane. *)
 
-type costs = {
+type totals = {
   messages : int;  (** control messages sent *)
   bytes : int;  (** control bytes sent *)
   computations : int;  (** route-computation work units *)
@@ -13,15 +13,20 @@ type costs = {
   msgs_lost : int;  (** messages lost in flight (faults, crashes) *)
   table_total : int;  (** routing state summed over the ADs *)
   table_max : int;  (** routing state at the worst-loaded AD *)
+}
+(** A run's cost in the paper's currencies (§5) as totals: messages
+    and bytes, computation, and state. *)
+
+type costs = {
+  totals : totals;
   msg_max : int;  (** messages sent by the worst-loaded AD *)
   msg_mean : float;  (** mean messages per AD *)
   msg_p90 : float;  (** 90th percentile of per-AD messages *)
   tbl_p90 : float;  (** 90th percentile of per-AD table entries *)
 }
-(** A run's cost in the paper's currencies (§5): messages and bytes,
-    computation, and state. The per-AD skew figures matter because the
-    §5.2.1/§5.3 arguments are about the worst-loaded AD, not the
-    totals. *)
+(** A run's {!totals} with the per-AD skew figures, which matter
+    because the §5.2.1/§5.3 arguments are about the worst-loaded AD,
+    not the totals. *)
 
 type convergence = {
   converged : bool;  (** false when the event budget was exhausted *)
@@ -97,9 +102,13 @@ module Make (P : Protocol_intf.PROTOCOL) : sig
 
   val max_table_entries : t -> int
 
+  val totals : t -> totals
+  (** The run's cost totals so far: the {!Pr_sim.Metrics} totals, with
+      state read from the protocol's [table_entries]. Builds no per-AD
+      list. *)
+
   val costs : t -> costs
-  (** The run's costs so far: the {!Pr_sim.Metrics} totals and per-AD
-      skew, with state read from the protocol's [table_entries]. *)
+  (** {!totals} and the per-AD skew figures. *)
 
   val set_receive_filter :
     t -> (at:Pr_topology.Ad.id -> from:Pr_topology.Ad.id -> P.message -> bool) option -> unit

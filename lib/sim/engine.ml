@@ -53,7 +53,13 @@ let schedule_call t ~delay f x =
   if not (delay >= 0.0) then invalid_arg "Engine.schedule_call: negative delay";
   Pqueue.Calls.add_call_after t.queue t.clock ~delay f x
 
+let schedule_fanout t ~delay f x ~mask =
+  if not (delay >= 0.0) then invalid_arg "Engine.schedule_fanout: negative delay";
+  Pqueue.Calls.add_fanout_after t.queue t.clock ~delay f x ~mask
+
 let pending t = Pqueue.Calls.length t.queue
+
+let queue_cells t = Pqueue.Calls.cells t.queue
 
 type stop_reason = Drained | Reached_limit
 

@@ -44,7 +44,24 @@ val schedule_call : t -> delay:float -> ('a -> unit) -> 'a -> unit
     per event.
     @raise Invalid_argument on a negative or NaN delay. *)
 
+val schedule_fanout : t -> delay:float -> (int -> 'a -> unit) -> 'a -> mask:int -> unit
+(** [schedule_fanout t ~delay f x ~mask] schedules the calls [f i x],
+    one per bit [i] set in [mask] (bits 0 to 61), in increasing [i],
+    all [delay] from now, as one queue entry. Each call is one event:
+    it counts in {!pending}, {!events_executed} and [max_events], and
+    the observer sees it, exactly as if each had been scheduled with
+    {!schedule_call} in turn at this point. A budget can stop a run
+    between two calls of one fan-out.
+    @raise Invalid_argument on a negative or NaN delay, or a mask
+    that is not positive. *)
+
 val pending : t -> int
+(** Events still to run: each call of a fan-out counts. *)
+
+val queue_cells : t -> int
+(** Queue cells the pending events take: one per {!schedule}d or
+    {!schedule_call}ed event, one per fan-out. Exported so that tests
+    can budget the queue's size; runs do not depend on it. *)
 
 type stop_reason =
   | Drained  (** no events left: the system has quiesced *)

@@ -41,12 +41,21 @@ type 'msg t = {
      it, built on the first send; [unbuilt] until then. Each send
      schedules (deliverer, message), so no closure is made per send. *)
   deliverers : ('msg -> unit) array;
+  (* Per AD: 1 when its broadcasts fan out (see {!broadcast}), 0 when
+     they send copy by copy, -1 until its first broadcast. *)
+  fans : int array;
+  (* Unique-neighbor slot [k] -> the fan-out handler of the chunk of
+     [fan_chunk] slots that starts there, built on the chunk's first
+     fan-out; [unbuilt_fanout] until then. *)
+  fanouts : (int -> 'msg -> unit) array;
   (* Registry handles resolved once at creation. *)
   m_sends : Reg.counter;
   m_losses : Reg.counter;
 }
 
 let unbuilt _ = ()
+
+let unbuilt_fanout _ _ = ()
 
 let create engine graph metrics =
   let uoff, unbr = Graph.unique_csr graph in
@@ -64,6 +73,8 @@ let create engine graph metrics =
     on_message = (fun ~at:_ ~from:_ _ -> ());
     on_link = (fun ~at:_ ~link:_ ~up:_ -> ());
     deliverers = Array.make (2 * Graph.num_links graph) unbuilt;
+    fans = Array.make (Graph.n graph) (-1);
+    fanouts = Array.make (Array.length unbr) unbuilt_fanout;
     m_sends = Reg.counter Reg.default "net.sends";
     m_losses = Reg.counter Reg.default "net.losses";
   }
@@ -148,16 +159,20 @@ let rec schedule_copies t ~delay deliver msg = function
     else Engine.schedule_call t.engine ~delay:(delay +. extra) deliver msg;
     schedule_copies t ~delay deliver msg rest
 
-(* The send path after the slot lookup, shared by {!send} and
-   {!broadcast}: [lid] is the up link [slot_link] chose for [src]'s
-   slot [slot] to [dst], and [src] is up. *)
-let send_on t ~src ~dst ~slot ~lid ~bytes msg =
+(* Charge one send from [src] to [dst] and record it. *)
+let[@inline] charge t ~src ~dst ~bytes =
   Metrics.record_send t.metrics src ~bytes;
   Reg.inc t.m_sends;
   if Trace.enabled t.trace then Trace.instant t.trace ~ts:(Engine.now t.engine) ~tid:src "net.send";
   if debug_on () then
     Log.debug (fun m ->
-        m "t=%.1f send %d -> %d (%d bytes)" (Engine.now t.engine) src dst bytes);
+        m "t=%.1f send %d -> %d (%d bytes)" (Engine.now t.engine) src dst bytes)
+
+(* The send path after the slot lookup, shared by {!send} and
+   {!broadcast}: [lid] is the up link [slot_link] chose for [src]'s
+   slot [slot] to [dst], and [src] is up. *)
+let send_on t ~src ~dst ~slot ~lid ~bytes msg =
+  charge t ~src ~dst ~bytes;
   let msg =
     match t.tamper with
     | None -> msg
@@ -184,17 +199,86 @@ let send t ~src ~dst ~bytes msg =
     if lid >= 0 then send_on t ~src ~dst ~slot ~lid ~bytes msg
   end
 
+(* Slots per fan-out: the bits of a positive OCaml int, so longer rows
+   take several fan-outs. *)
+let fan_chunk = 62
+
+(* The link of a slot that holds one. *)
+let only_link t k =
+  Graph.link t.graph (Graph.fold_slot_links t.graph k ~init:(-1) ~f:(fun _ l -> l))
+
+(* Can [src]'s broadcasts fan out? Each slot of its row must hold one
+   link, so the slot names the link a copy travels, and the row's
+   links must share one delay, so every copy arrives at once. *)
+let fans t src =
+  let s = t.fans.(src) in
+  if s >= 0 then s = 1
+  else begin
+    let lo = t.uoff.(src) and hi = t.uoff.(src + 1) in
+    let ok = ref (Graph.degree t.graph src = hi - lo) and k = ref (lo + 1) in
+    while !ok && !k < hi do
+      ok := (only_link t !k).Link.delay = (only_link t lo).Link.delay;
+      incr k
+    done;
+    t.fans.(src) <- (if !ok then 1 else 0);
+    !ok
+  end
+
+(* The fan-out handler of [src]'s chunk starting at slot [k0]: call [i]
+   delivers the copy sent on slot [k0 + i], lost as {!deliverer} would
+   lose it. The slot holds one link, so it has an up link exactly when
+   the link the copy was sent on is up. *)
+let fanout t ~src ~k0 =
+  let f = t.fanouts.(k0) in
+  if f != unbuilt_fanout then f
+  else begin
+    let f i msg =
+      let k = k0 + i in
+      let dst = t.unbr.(k) in
+      if slot_link t k >= 0 && t.node_up.(dst) then t.on_message ~at:dst ~from:src msg
+      else lose t ~src ~dst
+    in
+    t.fanouts.(k0) <- f;
+    f
+  end
+
+(* Charge the copies of slots [k0, min (k0 + fan_chunk) hi) and queue
+   them as one fan-out, then go on with the next chunk. *)
+let rec fan_out t ~src ~except ~filter ~bytes msg k0 hi =
+  let stop = Int.min (k0 + fan_chunk) hi in
+  let mask = ref 0 and lid = ref (-1) in
+  for k = k0 to stop - 1 do
+    let dst = t.unbr.(k) in
+    if dst <> except then begin
+      let l = slot_link t k in
+      if l >= 0 && filter dst then begin
+        charge t ~src ~dst ~bytes;
+        mask := !mask lor (1 lsl (k - k0));
+        lid := l
+      end
+    end
+  done;
+  if !mask <> 0 then
+    Engine.schedule_fanout t.engine
+      ~delay:(Graph.link t.graph !lid).Link.delay
+      (fanout t ~src ~k0) msg ~mask:!mask;
+  if stop < hi then fan_out t ~src ~except ~filter ~bytes msg stop hi
+
 let broadcast t ~src ~except ~filter ~bytes msg =
   if t.node_up.(src) then begin
     (* [src]'s unique-neighbor row: slot [k] is the pair (src, nbr.(k)),
        so no per-neighbor slot search. *)
-    for k = t.uoff.(src) to t.uoff.(src + 1) - 1 do
-      let dst = t.unbr.(k) in
-      if dst <> except then begin
-        let lid = slot_link t k in
-        if lid >= 0 && filter dst then send_on t ~src ~dst ~slot:k ~lid ~bytes msg
-      end
-    done
+    let lo = t.uoff.(src) and hi = t.uoff.(src + 1) in
+    match (t.interpose, t.tamper) with
+    | None, None when fans t src -> fan_out t ~src ~except ~filter ~bytes msg lo hi
+    | _ ->
+      for k = lo to hi - 1 do
+        let dst = t.unbr.(k) in
+        if dst <> except then begin
+          let lid = slot_link t k in
+          if lid >= 0 && filter dst then send_on t ~src ~dst ~slot:k ~lid ~bytes msg
+        end
+      done
   end
 
 let set_link_state t lid ~up =

@@ -94,7 +94,10 @@ val broadcast :
     It walks [src]'s unique-neighbor row instead of searching each
     neighbor's slot; deliveries, link choice and charges equal a
     {!send} per {!iter_up_neighbors} neighbor. [filter] is consulted
-    only for neighbors behind an up link. *)
+    only for neighbors behind an up link. When no interposer or tamper
+    hook is installed and [src]'s row has one link per neighbor, all
+    of one delay, the copies share one queue entry
+    ({!Engine.schedule_fanout}); every copy is still one event. *)
 
 val link_is_up : 'msg t -> Pr_topology.Link.id -> bool
 

@@ -32,6 +32,17 @@
    keeps its argument beside its handler, in the next cell of the
    same page; the two are written, read and cleared together.
 
+   Fan-outs. A {!Calls} entry may stand for several calls of one
+   handler on one argument at one priority: [mask] holds, per value
+   slot, the bits of the calls still to make (0 for a plain entry and
+   for a vacant slot). Such an entry is counted once per bit in
+   [count], and [Calls.run_top] makes one call per pop: it clears the
+   lowest bit and leaves the entry where it is, at the heap's root,
+   until its last bit. The calls of one fan-out take one seq, which is
+   exact when the caller would have added them back to back: no other
+   value can fall between consecutive seqs of one priority. The mask
+   is an immediate in an [int array], so writing it runs no barrier.
+
    Pages. A page holds 128 slots, value and argument side by side: 256
    words, the largest block OCaml still allocates in the minor heap.
    A simulated run writes a young handler and a young argument per
@@ -61,13 +72,20 @@ type 'a t = {
          hold [vacant] *)
   mutable vseq : int array;  (* value slot -> insertion seq *)
   mutable next : int array;  (* value slot -> next slot of its run; -1 at the tail *)
+  mutable mask : int array;
+      (* value slot -> calls left of a fan-out, 0 otherwise; empty
+         until the storage's first fan-out *)
   mutable free : int array;  (* stack of vacant value slots *)
   mutable nfree : int;
   mutable low : int;
       (* the fewest vacant slots since the queue was last empty: its
          run has taken the free-stack positions [low, capacity) *)
+  mutable extra : int;
+      (* the most calls beyond one per cell that fan-outs held at once
+         since the queue was last empty *)
   mutable size : int;  (* heap entries: one per run *)
   mutable count : int;  (* values *)
+  mutable fanouts : int;  (* cells with a non-zero [mask] *)
   mutable next_seq : int;
   mutable open_prio : Float.Array.t;  (* bucket -> priority of its open run *)
   mutable open_tail : int array;  (* bucket -> tail slot of its open run; -1 when none *)
@@ -121,11 +139,14 @@ let create () =
     pages = [||];
     vseq = [||];
     next = [||];
+    mask = [||];
     free = [||];
     nfree = 0;
     low = 0;
+    extra = 0;
     size = 0;
     count = 0;
+    fanouts = 0;
     next_seq = 0;
     open_prio = no_prio;
     open_tail = [||];
@@ -149,11 +170,13 @@ let drop t =
   t.pages <- [||];
   t.vseq <- [||];
   t.next <- [||];
+  t.mask <- [||];
   t.free <- [||];
   t.open_prio <- no_prio;
   t.open_tail <- [||];
   t.nfree <- 0;
-  t.low <- 0
+  t.low <- 0;
+  t.extra <- 0
 
 (* Move an empty queue's storage to [dst] and leave [src] at zero
    capacity. *)
@@ -164,8 +187,10 @@ let transfer (src : 'a t) (dst : 'b t) =
   dst.pages <- src.pages;
   dst.vseq <- src.vseq;
   dst.next <- src.next;
+  dst.mask <- src.mask;
   dst.free <- src.free;
   dst.low <- src.low;
+  dst.extra <- src.extra;
   dst.open_prio <- src.open_prio;
   dst.open_tail <- src.open_tail;
   drop src
@@ -199,7 +224,8 @@ let grow t =
   if cap = 0 && capacity sp > 0 then begin
     transfer sp t;
     t.nfree <- capacity t;
-    t.low <- t.nfree
+    t.low <- t.nfree;
+    t.extra <- 0
   end
   else begin
     let ncap = if cap = 0 then 16 else 2 * cap in
@@ -213,6 +239,7 @@ let grow t =
     if npages > have then t.pages <- Array.append t.pages (new_pages (npages - have));
     t.vseq <- extend t.vseq;
     t.next <- extend t.next;
+    if Array.length t.mask > 0 then t.mask <- extend t.mask;
     t.free <- Array.init ncap (fun i -> ncap - 1 - i);
     t.nfree <- ncap - cap;
     t.low <- t.nfree;
@@ -379,6 +406,7 @@ let clear t =
         let pg = page t !sl and c = cell !sl in
         Array.unsafe_set pg c (vacant ());
         Array.unsafe_set pg (c + 1) (vacant ());
+        if t.fanouts > 0 then Array.unsafe_set t.mask !sl 0;
         t.free.(t.nfree) <- !sl;
         t.nfree <- t.nfree + 1;
         sl := Array.unsafe_get t.next !sl
@@ -387,6 +415,7 @@ let clear t =
     Array.fill t.open_tail 0 buckets (-1);
     t.size <- 0;
     t.count <- 0;
+    t.fanouts <- 0;
     release t
   end
 
@@ -405,14 +434,20 @@ module Calls = struct
      when a minor collection has run since they were made: it has
      promoted them, and young values written into old pages fill the
      remembered set. Their cells are all vacant, so the fresh pages
-     hold the same. Pages of more than a quarter of the minor heap are
-     left alone: a run that large collects early anyway, after which
-     the values it writes are old too, so renewing would only copy
-     the pages once more. *)
+     hold the same. A run whose calls at their peak would fill more
+     than a quarter of the minor heap at one cell each is left alone:
+     a run that large collects early anyway, after which the values it
+     writes are old too, so renewing would only copy the pages once
+     more. The rule counts calls, not cells, because a fan-out takes
+     one cell for many calls: a large run's pages are then small, but
+     the run is no smaller. The peak cells plus the peak [extra] are
+     at least the peak calls, and both are kept off the plain [add]
+     path. *)
   let create () =
     let sp = Domain.DLS.get spare in
     let used = (capacity sp - sp.low + page_slots - 1) lsr page_bits in
-    if used > 0 && 4 * used * ((2 * page_slots) + 1) <= (Gc.get ()).Gc.minor_heap_size
+    let calls = (capacity sp - sp.low + sp.extra + page_slots - 1) lsr page_bits in
+    if used > 0 && 4 * calls * ((2 * page_slots) + 1) <= (Gc.get ()).Gc.minor_heap_size
     then begin
       let collections = (Gc.quick_stat ()).Gc.minor_collections in
       let last = Domain.DLS.get renewed in
@@ -440,15 +475,66 @@ module Calls = struct
     let sl = insert t ~priority:(clock.now +. delay) (Obj.magic f : Obj.t -> unit) in
     Array.unsafe_set (page t sl) (cell sl + 1) (Obj.repr x)
 
+  (* Set bits of a mask of at most 62 bits, by SWAR sums: no loop, no
+     allocation. Each constant fits an OCaml int. *)
+  let[@inline] popcount x =
+    let x = x - ((x lsr 1) land 0x1555555555555555) in
+    let x = (x land 0x3333333333333333) + ((x lsr 2) land 0x3333333333333333) in
+    let x = (x + (x lsr 4)) land 0x0F0F0F0F0F0F0F0F in
+    let x = x + (x lsr 8) in
+    let x = x + (x lsr 16) in
+    (x + (x lsr 32)) land 0x7F
+
+  let cells t = capacity t - t.nfree
+
+  let add_fanout_after t clock ~delay (f : int -> 'a -> unit) (x : 'a) ~mask =
+    if mask <= 0 then invalid_arg "Pqueue.Calls.add_fanout_after: empty mask";
+    let sl = insert t ~priority:(clock.now +. delay) (Obj.magic f : Obj.t -> unit) in
+    Array.unsafe_set (page t sl) (cell sl + 1) (Obj.repr x);
+    if Array.length t.mask = 0 then t.mask <- Array.make (capacity t) 0;
+    Array.unsafe_set t.mask sl mask;
+    t.fanouts <- t.fanouts + 1;
+    t.count <- t.count + popcount mask - 1;
+    let extra = t.count - cells t in
+    if extra > t.extra then t.extra <- extra
+
+  (* A fan-out makes its lowest call and stays at the root, where no
+     value added by the call can overtake it (each takes a larger seq
+     at a priority no smaller), until its last call, which pops it as
+     a plain entry is popped. Kept out of line, so that the plain path
+     of [run_top] stays short. *)
+  let run_fanout t sl pg c x m =
+    let rest = m land (m - 1) in
+    if rest = 0 then begin
+      if Obj.is_block x then Array.unsafe_set pg c (vacant ());
+      Array.unsafe_set t.mask sl 0;
+      t.fanouts <- t.fanouts - 1;
+      let f : int -> Obj.t -> unit = Obj.magic (remove_top t) in
+      f (popcount (m - 1)) x
+    end
+    else begin
+      Array.unsafe_set t.mask sl rest;
+      t.count <- t.count - 1;
+      let f : int -> Obj.t -> unit = Obj.magic (Array.unsafe_get pg (c - 1)) in
+      f (popcount ((m land (-m)) - 1)) x
+    end
+
   let run_top t clock =
     if t.size = 0 then invalid_arg "Pqueue.Calls.run_top: empty queue";
     clock.now <- Float.Array.unsafe_get t.prio 0;
     let sl = Array.unsafe_get t.slot 0 in
     let pg = page t sl and c = cell sl + 1 in
     let x = Array.unsafe_get pg c in
-    if Obj.is_block x then Array.unsafe_set pg c (vacant ());
-    let f = remove_top t in
-    f x
+    (* Reading the mask on every pop cost faulted runs, which never
+       fan out, about 3% of their time: read it only while the queue
+       holds a fan-out. *)
+    let m = if t.fanouts = 0 then 0 else Array.unsafe_get t.mask sl in
+    if m = 0 then begin
+      if Obj.is_block x then Array.unsafe_set pg c (vacant ());
+      let f = remove_top t in
+      f x
+    end
+    else run_fanout t sl pg c x m
 end
 
 (* Indexed heap with decrease-key over a dense integer key space. Keys

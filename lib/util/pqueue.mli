@@ -62,9 +62,11 @@ val clear : 'a t -> unit
     entry is a handler and its argument, kept side by side in one value
     slot, so queueing a call on a message allocates no closure. Pop
     order is the (priority, insertion seq) order of ['a t], over plain
-    and argument-carrying entries alike. The simulator's clock is a
-    cell the queue reads and advances itself, so no priority crosses a
-    call boundary as a boxed float. *)
+    and argument-carrying entries alike. A fan-out entry stands for
+    several calls of one handler on one argument at one priority, in
+    one cell: a flooded broadcast's copies queue as one entry. The
+    simulator's clock is a cell the queue reads and advances itself,
+    so no priority crosses a call boundary as a boxed float. *)
 module Calls : sig
   type t
 
@@ -74,13 +76,21 @@ module Calls : sig
   val create : unit -> t
   (** An empty queue. It also renews the cells the domain's spare
       storage keeps handlers and arguments in, when a minor collection
-      has promoted them since their last renewal and they take at
-      most a quarter of the minor heap: a run then writes its young
-      events into young blocks, which fills no remembered set. *)
+      has promoted them since their last renewal and the last run's
+      calls at their peak (bounded from above), at one cell each,
+      took at most a quarter of the minor heap: a run then writes its
+      young events into young blocks, which fills no remembered set. *)
 
   val is_empty : t -> bool
 
   val length : t -> int
+  (** Calls still to make: a fan-out counts once per call it has left. *)
+
+  val cells : t -> int
+  (** Value cells in use: one per plain entry and one per fan-out,
+      however many calls it has left. At most {!length}. Exported so
+      that a test can pin that broadcasts share cells; nothing else
+      depends on it. *)
 
   val add : t -> priority:float -> (unit -> unit) -> unit
   (** Queue the call [f ()] at an absolute priority. *)
@@ -92,11 +102,23 @@ module Calls : sig
   (** [add_call_after q clock ~delay f x] queues the call [f x] at
       [clock.now +. delay]. *)
 
+  val add_fanout_after :
+    t -> clock -> delay:float -> (int -> 'a -> unit) -> 'a -> mask:int -> unit
+  (** [add_fanout_after q clock ~delay f x ~mask] queues the calls
+      [f i x], one for each bit [i] set in [mask], in increasing [i],
+      all at [clock.now +. delay], in one value cell. They pop back to
+      back where the same calls added one after another would pop:
+      the fan-out takes the next seq, and an entry added before it
+      pops before all of its calls, one added after it after all.
+      [mask] may use bits 0 to 61.
+      @raise Invalid_argument when [mask] is not positive. *)
+
   val run_top : t -> clock -> unit
-  (** Set the clock to the next entry's priority, remove the entry,
-      then make its call. The entry is out of the queue, and its
-      handler and argument are no longer held by it, before the call
-      runs.
+  (** Set the clock to the next entry's priority and make its next
+      call. A plain entry, and a fan-out's last call, is removed
+      first: the queue no longer holds its handler and argument when
+      the call runs. A fan-out with calls left stays at the head,
+      still holding them.
       @raise Invalid_argument on an empty queue. *)
 end
 

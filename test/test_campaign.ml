@@ -146,21 +146,21 @@ let exec_measures () =
   | Ok t ->
     check_bool "converged" true t.Exec.converged;
     check_string "stop reason" "drained" t.Exec.stop_reason;
-    check_bool "messages counted" true (t.Exec.costs.Runner.messages > 0);
-    check_bool "state counted" true (t.Exec.costs.Runner.table_total > 0);
+    check_bool "messages counted" true (t.Exec.costs.Runner.totals.Runner.messages > 0);
+    check_bool "state counted" true (t.Exec.costs.Runner.totals.Runner.table_total > 0);
     check_bool "workload ran" true (t.Exec.delivered > 0);
     (* Determinism: a second execution measures identical totals. *)
     let t' = Result.get_ok (Exec.execute (sample_run ())) in
-    check_int "deterministic messages" t.Exec.costs.Runner.messages t'.Exec.costs.Runner.messages;
-    check_int "deterministic computations" t.Exec.costs.Runner.computations t'.Exec.costs.Runner.computations;
-    check_int "deterministic state" t.Exec.costs.Runner.table_total t'.Exec.costs.Runner.table_total
+    check_int "deterministic messages" t.Exec.costs.Runner.totals.Runner.messages t'.Exec.costs.Runner.totals.Runner.messages;
+    check_int "deterministic computations" t.Exec.costs.Runner.totals.Runner.computations t'.Exec.costs.Runner.totals.Runner.computations;
+    check_int "deterministic state" t.Exec.costs.Runner.totals.Runner.table_total t'.Exec.costs.Runner.totals.Runner.table_total
 
 let exec_churn_dimension () =
   let static = Result.get_ok (Exec.execute (sample_run ())) in
   let churned = Result.get_ok (Exec.execute (sample_run ~churn:true ())) in
   check_bool "churn run converges" true churned.Exec.converged;
   check_bool "churn costs extra control traffic" true
-    (churned.Exec.costs.Runner.messages > static.Exec.costs.Runner.messages)
+    (churned.Exec.costs.Runner.totals.Runner.messages > static.Exec.costs.Runner.totals.Runner.messages)
 
 let exec_unknown_protocol () =
   let record = Exec.run_record (sample_run ~protocol:"no-such-protocol" ()) in

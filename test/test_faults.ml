@@ -234,7 +234,7 @@ let chaos_empty_plan_is_clean () =
   let report = Chaos.run ~plan:[] ~probes:20 packed scenario in
   check_bool "converged" true report.Chaos.converged;
   check_int "no faults fired" 0 (List.length report.Chaos.fault_log);
-  check_int "nothing lost" 0 report.Chaos.costs.Runner.msgs_lost;
+  check_int "nothing lost" 0 report.Chaos.costs.Runner.totals.Runner.msgs_lost;
   check_int "no violations" 0 (List.length report.Chaos.violations)
 
 (* --- Non-vacuity ----------------------------------------------------- *)
@@ -595,8 +595,9 @@ let converge_minor_collections () =
     true (collections <= 8)
 
 (* The same converges in a process that has run a larger internet: the
-   event queue's spare storage is then the 304-AD run's, 490 pages,
-   more than a quarter of the minor heap. The 120-AD runs write only
+   event queue's spare storage is then the 304-AD run's, whose calls
+   at their peak, 490 pages at one cell each, are more than a quarter
+   of the minor heap. The 120-AD runs write only
    the pages of the slots they take, because a drained queue sorts its
    free stack back lowest slot first, and [Calls.create] renews only
    those pages. Renewing the pages of every slot skipped renewal here
@@ -624,12 +625,13 @@ let converge_after_large_run_minor_collections () =
     (Printf.sprintf "%d minor collections over 16 converges (budget 8)" collections)
     true (collections <= 8)
 
-(* A run whose pages exceed a quarter of the minor heap keeps its old
-   pages. Fresh ones would fill most of the minor heap before the run
-   starts, be promoted by the run's first collection and so only be
+(* A run whose calls at their peak would fill more than a quarter of
+   the minor heap at one cell each keeps its old pages. Fresh ones
+   would be promoted by the run's first collection and so only be
    copied once more: back-to-back 304-AD converges promoted about
-   176 k words each when they renewed their 490 pages, and about 50 k
-   without, as many as before the queue had pages. *)
+   176 k words each when they renewed 490 pages, a cell per call,
+   about 88 k when they renewed the 156 pages their fan-outs take, and
+   about 50 k without, as many as before the queue had pages. *)
 let large_run_promoted_words () =
   let (Registry.Packed (module P)) = orwg_runner () in
   let module R = Runner.Make (P) in
@@ -650,6 +652,26 @@ let large_run_promoted_words () =
     (Printf.sprintf "%.0f promoted words per 304-AD converge (budget 80 000)" per_run)
     true (per_run <= 80_000.0)
 
+(* A flooded broadcast takes one queue cell, not one per copy. The
+   fault-free 304-AD ORWG converge peaks at 62 786 pending events in
+   19 928 cells; with a cell per copy the two are equal. *)
+let converge_queue_cells () =
+  let (Registry.Packed (module P)) = orwg_runner () in
+  let module R = Runner.Make (P) in
+  let sc = Scenario.for_size ~target_ads:300 ~seed:1 () in
+  let r = R.setup sc.Scenario.graph sc.Scenario.config in
+  let e = Pr_sim.Network.engine (R.network r) in
+  let cells = ref 0 and pending = ref 0 in
+  Pr_sim.Engine.set_observer e
+    (Some
+       (fun ~time:_ ~pending:p ->
+         pending := Int.max !pending p;
+         cells := Int.max !cells (Pr_sim.Engine.queue_cells e)));
+  check_bool "converged" true (R.converge r).Runner.converged;
+  check_bool
+    (Printf.sprintf "peak %d cells for %d pending events (budget 25 000)" !cells !pending)
+    true (!cells <= 25_000)
+
 (* Above 256 ADs, an array of per-AD blocks made by [Array.init] starts
    from a young block, and creating it forces a minor collection. The
    per-run arrays of the flood, the protocol and the search view are
@@ -658,10 +680,7 @@ let large_run_promoted_words () =
    and 1 without, so each one that comes back fails the budget. Every
    design point's set-up is held to the same rule: a warm 304-AD
    [Runner.setup] forced one collection in DV, LS, ECMA, IDRP and
-   LS-HBH and forces none now. EGP is left out: the n x n advertiser
-   table of each AD, 28 M words at 304 ADs, runs major cycles, each of
-   which empties the minor heap, so its count (1 or 2, by the state of
-   the heap) measures that table, not how its arrays are made. *)
+   LS-HBH and forces none now. *)
 let large_run_minor_collections () =
   let (Registry.Packed (module P)) = orwg_runner () in
   let module R = Runner.Make (P) in
@@ -684,7 +703,7 @@ let large_run_minor_collections () =
       setup ();
       let collections = Pr_telemetry.Alloc.minor_collections setup in
       check_int (Registry.name packed ^ " set-up: minor collections") 0 collections)
-    (List.filter (fun p -> Registry.name p <> "egp") Registry.all)
+    Registry.all
 
 (* One call records each notable event: every link, node, fault, guard
    and invariant-violation entry the post-mortem ring holds after a
@@ -794,6 +813,7 @@ let () =
           Alcotest.test_case "converges after a larger run collect rarely" `Quick
             converge_after_large_run_minor_collections;
           Alcotest.test_case "large runs keep their pages" `Quick large_run_promoted_words;
+          Alcotest.test_case "one queue cell per broadcast" `Quick converge_queue_cells;
           Alcotest.test_case "notable events reach trace and post-mortem ring" `Quick
             notable_events_reach_both_sinks;
           Alcotest.test_case "post-mortem covers one run" `Quick post_mortem_covers_one_run;

@@ -740,19 +740,21 @@ let runner_costs_read_the_run () =
     ignore (R.send_flow r (Flow.make ~src ~dst:((src + 1) mod n) ()))
   done;
   let m = R.metrics r and c = R.costs r in
+  let s = c.Pr_proto.Runner.totals in
+  check_bool "costs carry the totals" true (R.totals r = s);
   let per_ad f = List.init n f in
-  check_int "messages" (Metrics.messages m) c.Pr_proto.Runner.messages;
-  check_int "bytes" (Metrics.bytes m) c.Pr_proto.Runner.bytes;
-  check_int "computations" (Metrics.computations m) c.Pr_proto.Runner.computations;
+  check_int "messages" (Metrics.messages m) s.Pr_proto.Runner.messages;
+  check_int "bytes" (Metrics.bytes m) s.Pr_proto.Runner.bytes;
+  check_int "computations" (Metrics.computations m) s.Pr_proto.Runner.computations;
   check_int "transit computations"
     (List.fold_left (fun acc ad -> acc + Metrics.computations_of m ad) 0 (Graph.transit_ids g))
-    c.Pr_proto.Runner.transit_computations;
+    s.Pr_proto.Runner.transit_computations;
   check_bool "stubs compute too" true
-    (c.Pr_proto.Runner.transit_computations < c.Pr_proto.Runner.computations);
-  check_int "losses" (Metrics.msgs_lost m) c.Pr_proto.Runner.msgs_lost;
-  check_int "table total" (R.table_entries r) c.Pr_proto.Runner.table_total;
-  check_bool "state counted" true (c.Pr_proto.Runner.table_total > 0);
-  check_int "table max" (R.max_table_entries r) c.Pr_proto.Runner.table_max;
+    (s.Pr_proto.Runner.transit_computations < s.Pr_proto.Runner.computations);
+  check_int "losses" (Metrics.msgs_lost m) s.Pr_proto.Runner.msgs_lost;
+  check_int "table total" (R.table_entries r) s.Pr_proto.Runner.table_total;
+  check_bool "state counted" true (s.Pr_proto.Runner.table_total > 0);
+  check_int "table max" (R.max_table_entries r) s.Pr_proto.Runner.table_max;
   let msgs = per_ad (Metrics.messages_of m) in
   check_int "message max" (List.fold_left max 0 msgs) c.Pr_proto.Runner.msg_max;
   Alcotest.(check (float 1e-9))

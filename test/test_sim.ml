@@ -120,17 +120,65 @@ let engine_observer () =
   check_int "no further calls" 3 (List.length !seen);
   check_int "observer adds no events" 4 (Engine.events_executed e)
 
+(* A fan-out is one queue cell but one event per call: the budget,
+   [pending], [events_executed] and the observer count its calls, a
+   budget can stop a run between two of them, and an event scheduled
+   by one of its calls, even at no delay, runs after the last. *)
+let engine_budget_inside_fanout () =
+  let e = Engine.create () and log = ref [] and seen = ref [] in
+  Engine.set_observer e (Some (fun ~time ~pending -> seen := (time, pending) :: !seen));
+  let copy i tag =
+    log := Printf.sprintf "%s%d" tag i :: !log;
+    if i = 1 then Engine.schedule e ~delay:0.0 (fun () -> log := "after" :: !log)
+  in
+  Engine.schedule e ~delay:2.0 (fun () -> log := "later" :: !log);
+  Engine.schedule_fanout e ~delay:1.0 copy "m" ~mask:0b10110;
+  check_int "pending counts calls" 4 (Engine.pending e);
+  check_int "cells count entries" 2 (Engine.queue_cells e);
+  check_bool "budget stops inside the fan-out" true
+    (Engine.run ~max_events:2 e = Engine.Reached_limit);
+  Alcotest.(check (list string)) "lowest bits first" [ "m1"; "m2" ] (List.rev !log);
+  check_int "executed" 2 (Engine.events_executed e);
+  check_int "one call and two events left" 3 (Engine.pending e);
+  check_int "the fan-out keeps its cell" 3 (Engine.queue_cells e);
+  check_bool "drained" true (Engine.run e = Engine.Drained);
+  Alcotest.(check (list string))
+    "the rest, then what its calls scheduled" [ "m1"; "m2"; "m4"; "after"; "later" ]
+    (List.rev !log);
+  Alcotest.(check (list (pair (float 1e-9) int)))
+    "observer after every call"
+    [ (1.0, 4); (1.0, 3); (1.0, 2); (1.0, 1); (2.0, 0) ]
+    (List.rev !seen);
+  check_int "nothing left" 0 (Engine.queue_cells e);
+  Alcotest.check_raises "empty mask" (Invalid_argument "Pqueue.Calls.add_fanout_after: empty mask")
+    (fun () -> Engine.schedule_fanout e ~delay:1.0 copy "m" ~mask:0);
+  Alcotest.check_raises "negative delay" (Invalid_argument "Engine.schedule_fanout: negative delay")
+    (fun () -> Engine.schedule_fanout e ~delay:(-1.0) copy "m" ~mask:1)
+
 (* Random event programs against a (time, seq) model. Event [i] (ids
    follow scheduling order) schedules the children listed in
    [program.(i)], each at a delay drawn from {0, 0.25, 1, a random
    fraction} either relative ([schedule]), absolute ([schedule_at]
-   now + d) or as a closure-free call of one shared handler on the
-   child's id ([schedule_call]). Integer times give long equal-time
-   runs, fractional ones near-singletons, so the queue's run path and
-   its plain heap path interleave, and calls share runs with closures.
-   The engine runs with a budget cut part-way and resumes; the executed
-   ids must be exactly the model's order. *)
-type child = Rel of float | Abs of float | Call of float
+   now + d), as a closure-free call of one shared handler on the
+   child's id ([schedule_call]), or as a fan-out of one to five calls
+   on random bits of a mask ([schedule_fanout]), which the model takes
+   for as many children scheduled one after another. Integer times
+   give long equal-time runs, fractional ones near-singletons, so the
+   queue's run path and its plain heap path interleave, and calls
+   share runs with closures and fan-outs. The engine runs with a
+   budget cut part-way, possibly inside a fan-out, and resumes; the
+   executed ids must be exactly the model's order. *)
+type child = Rel of float | Abs of float | Call of float | Fan of float * int
+
+(* The children a scheduled child stands for: one per bit of a fan-out. *)
+let copies = function
+  | Rel _ | Abs _ | Call _ -> 1
+  | Fan (_, mask) ->
+    let n = ref 0 in
+    for i = 0 to 61 do
+      if mask land (1 lsl i) <> 0 then incr n
+    done;
+    !n
 
 let child_gen =
   QCheck.Gen.(
@@ -143,7 +191,14 @@ let child_gen =
           map (fun k -> float_of_int k /. 97.0) (int_range 1 300);
         ]
     in
-    map2 (fun k d -> match k with 0 -> Rel d | 1 -> Abs d | _ -> Call d) (int_bound 2) delay)
+    let mask =
+      map
+        (List.fold_left (fun m i -> m lor (1 lsl i)) 0)
+        (list_size (int_range 1 5) (oneof [ int_bound 7; int_bound 61; return 61 ]))
+    in
+    map3
+      (fun k d m -> match k with 0 -> Rel d | 1 -> Abs d | 2 -> Call d | _ -> Fan (d, m))
+      (int_bound 3) delay mask)
 
 let engine_program_matches_model =
   QCheck.Test.make ~name:"engine executes random programs in (time, seq) order" ~count:200
@@ -168,12 +223,21 @@ let engine_program_matches_model =
       let rec fire id =
         executed := id :: !executed;
         List.iter
-          (fun c ->
-            let child = fresh () in
-            match c with
-            | Rel d -> Engine.schedule e ~delay:d (fun () -> fire child)
-            | Abs d -> Engine.schedule_at e ~time:(Engine.now e +. d) (fun () -> fire child)
-            | Call d -> Engine.schedule_call e ~delay:d fire child)
+          (function
+            | Rel d ->
+              let child = fresh () in
+              Engine.schedule e ~delay:d (fun () -> fire child)
+            | Abs d ->
+              let child = fresh () in
+              Engine.schedule_at e ~time:(Engine.now e +. d) (fun () -> fire child)
+            | Call d -> Engine.schedule_call e ~delay:d fire (fresh ())
+            | Fan (d, mask) ->
+              (* Bit [i] fires [ids.(i)]; ids follow the bits upward. *)
+              let ids = Array.make 62 (-1) in
+              for i = 0 to 61 do
+                if mask land (1 lsl i) <> 0 then ids.(i) <- fresh ()
+              done;
+              Engine.schedule_fanout e ~delay:d (fun i ids -> fire ids.(i)) ids ~mask)
           (children id)
       in
       for i = 1 to roots do
@@ -200,9 +264,11 @@ let engine_program_matches_model =
           pending := List.filter (fun (_, i) -> i <> id) !pending;
           order := id :: !order;
           List.iter
-            (fun (Rel d | Abs d | Call d) ->
-              pending := (now +. d, !next) :: !pending;
-              incr next)
+            (fun ((Rel d | Abs d | Call d | Fan (d, _)) as c) ->
+              for _ = 1 to copies c do
+                pending := (now +. d, !next) :: !pending;
+                incr next
+              done)
             (children id);
           drain ()
       in
@@ -504,6 +570,118 @@ let broadcast_matches_reference =
       in
       run true = run false)
 
+(* A broadcast from an AD whose row holds one link per neighbor, all of
+   one delay, queues one fan-out per 62 slots; an interposer that keeps
+   every copy as it is ([\[0.0\]]) sends the same broadcast copy by
+   copy, one queue entry each. On random networks (parallel links,
+   rows of one delay or of mixed ones, a hub whose row needs two
+   fan-outs), with floods that re-broadcast on delivery, link and node
+   flaps timed between sends and arrivals, and a budget cut that may
+   fall inside a fan-out, both must log the same sends, deliveries and
+   losses, each with its (src, dst) pair, at the same times, run the
+   same events, show the observer the same (time, pending) stream and
+   leave equal per-AD metrics. *)
+type flood_action = Flood of int * int | Flip_link of int | Flip_node of int
+
+let flood_graph rng =
+  let wide = Rng.int rng 4 = 0 in
+  let n = if wide then 64 + Rng.int rng 8 else 2 + Rng.int rng 9 in
+  let ads =
+    Array.init n (fun id ->
+        Pr_topology.Ad.make ~id ~name:(Printf.sprintf "N%d" id) ~klass:Pr_topology.Ad.Hybrid
+          ~level:Pr_topology.Ad.Metro)
+  in
+  let uniform = Rng.bool rng in
+  let delays = [| 0.25; 0.5; 1.0; 1.75 |] in
+  (* A wide graph's hub 0 neighbors every other AD over one link each. *)
+  let hub = if wide then List.init (n - 1) (fun i -> (0, i + 1)) else [] in
+  let lo = if wide then 1 else 0 in
+  let pairs =
+    List.init (Rng.int rng (3 * n)) (fun _ ->
+        let a = lo + Rng.int rng (n - lo) in
+        (a, lo + ((a - lo + 1 + Rng.int rng (n - lo - 1)) mod (n - lo))))
+  in
+  let links =
+    List.mapi
+      (fun id (a, b) ->
+        Link.make ~id ~a ~b ~cost:(1 + Rng.int rng 3)
+          ~delay:(if uniform then 1.0 else delays.(Rng.int rng (Array.length delays)))
+          Link.Lateral)
+      (hub @ pairs)
+  in
+  Graph.create ads (Array.of_list links)
+
+let fanout_matches_per_copy =
+  QCheck.Test.make ~name:"fan-out = copy-by-copy broadcast" ~count:300 QCheck.small_nat
+    (fun seed ->
+      let rng = Rng.create seed in
+      let g = flood_graph rng in
+      let n = Graph.n g and links = Graph.num_links g in
+      let keep = Array.init n (fun _ -> Rng.int rng 6 <> 0) in
+      let script =
+        List.init (1 + Rng.int rng 12) (fun _ ->
+            let at = float_of_int (Rng.int rng 40) /. 8.0 in
+            let action =
+              match Rng.int rng 4 with
+              | 0 when links > 0 -> Flip_link (Rng.int rng links)
+              | 1 -> Flip_node (Rng.int rng n)
+              | _ -> Flood (Rng.int rng n, Rng.int rng 3)
+            in
+            (at, action))
+      in
+      let cut = Rng.int rng 400 in
+      let run per_copy =
+        let e = Engine.create () in
+        let m = Metrics.create ~n in
+        let net = Network.create e g m in
+        if per_copy then
+          Network.set_delivery_interposer net
+            (Some (fun ~src:_ ~dst:_ ~slot:_ ~link:_ -> [ 0.0 ]));
+        let log = ref [] and seen = ref [] in
+        Logs.set_reporter
+          {
+            Logs.report =
+              (fun _ _ ~over k msgf ->
+                msgf (fun ?header:_ ?tags:_ fmt ->
+                    Format.kasprintf
+                      (fun line ->
+                        log := Printf.sprintf "%h %s" (Engine.now e) line :: !log;
+                        over ();
+                        k ())
+                      fmt));
+          };
+        let filter v = keep.(v) in
+        Network.set_message_handler net (fun ~at ~from ttl ->
+            log := Printf.sprintf "%h deliver %d -> %d ttl %d" (Engine.now e) from at ttl :: !log;
+            if ttl > 0 then Network.broadcast net ~src:at ~except:from ~filter ~bytes:8 (ttl - 1));
+        Engine.set_observer e (Some (fun ~time ~pending -> seen := (time, pending) :: !seen));
+        List.iter
+          (fun (at, action) ->
+            Engine.schedule_at e ~time:at (fun () ->
+                match action with
+                | Flood (src, ttl) ->
+                  Network.broadcast net ~src ~except:(-1) ~filter ~bytes:(10 + ttl) ttl
+                | Flip_link lid ->
+                  Network.set_link_state net lid ~up:(not (Network.link_is_up net lid))
+                | Flip_node ad ->
+                  Network.set_node_state net ad ~up:(not (Network.node_is_up net ad))))
+          script;
+        let first = Engine.run ~max_events:cut e in
+        let at_cut = (Engine.events_executed e, Engine.pending e) in
+        let last = Engine.run e in
+        ( (first, at_cut, last, Engine.events_executed e),
+          List.rev !log,
+          List.rev !seen,
+          Pr_util.Json.to_string (Metrics.to_json m) )
+      in
+      let level = Logs.Src.level Network.log_src and reporter = Logs.reporter () in
+      Logs.Src.set_level Network.log_src (Some Logs.Debug);
+      Fun.protect
+        ~finally:(fun () ->
+          Logs.Src.set_level Network.log_src level;
+          Logs.set_reporter reporter)
+        (fun () -> run false = run true))
+
 let network_up_neighbors () =
   let net, _, _, g = make_net () in
   Alcotest.(check (list int)) "all up initially" (Graph.neighbor_ids g 0)
@@ -720,6 +898,7 @@ let () =
           Alcotest.test_case "absolute schedule" `Quick engine_schedule_at;
           Alcotest.test_case "resume after budget" `Quick engine_resume_after_budget;
           Alcotest.test_case "observer" `Quick engine_observer;
+          Alcotest.test_case "budget inside a fan-out" `Quick engine_budget_inside_fanout;
           Alcotest.test_case "empty run" `Quick engine_empty_run;
           Alcotest.test_case "schedule_call payloads" `Quick engine_schedule_call_payloads;
           Alcotest.test_case "NaN schedule" `Quick engine_rejects_nan;
@@ -744,7 +923,8 @@ let () =
           Alcotest.test_case "fail random link" `Quick network_fail_random;
           Alcotest.test_case "fail random by kind" `Quick network_fail_random_kind;
         ]
-        @ List.map QCheck_alcotest.to_alcotest [ broadcast_matches_reference ] );
+        @ List.map QCheck_alcotest.to_alcotest
+            [ broadcast_matches_reference; fanout_matches_per_copy ] );
       ( "virtual-gateway",
         [
           Alcotest.test_case "failover" `Quick virtual_gateway_failover;
