@@ -1441,6 +1441,53 @@ let synth_measure g =
   let live = (Gc.stat ()).Gc.live_words in
   (k, !reps, ns, per_tree, live)
 
+(* The engine rung: faulted ORWG convergence, which runs the event
+   queue, the network's copy-by-copy send path and the fault
+   interposer on every message. Eight 56-AD internets under the
+   repository benchmark's plan (message delay and duplication, and a
+   gateway crash with state loss and restart), each set up, faulted
+   and converged per repetition. Events and messages are exact; time
+   and allocation are per executed event, set-up included. *)
+let engine_plan = "delay:p=0.25,max=2,until=40;dup:p=0.1,until=40;crash:at=14,down=8"
+
+let engine_ads = 56
+
+let engine_internets = 8
+
+let engine_measure () =
+  let (Registry.Packed (module P)) = Option.get (Registry.find_opt "orwg") in
+  let module R = Runner.Make (P) in
+  let plan =
+    match Pr_faults.Plan.of_string engine_plan with
+    | Ok p -> p
+    | Error e -> failwith ("engine plan: " ^ e)
+  in
+  let scenarios =
+    List.init engine_internets (fun i ->
+        (i + 1, Scenario.for_size ~target_ads:engine_ads ~seed:(i + 1) ()))
+  in
+  let events = ref 0 and messages = ref 0 in
+  let run_all () =
+    events := 0;
+    messages := 0;
+    List.iter
+      (fun (seed, (sc : Scenario.t)) ->
+        let r = R.setup sc.Scenario.graph sc.Scenario.config in
+        ignore
+          (Pr_faults.Nemesis.install (R.network r) ~rng:(Rng.derive seed "faults")
+             ~crash:(R.crash_ad r) ~restart:(R.restart_ad r) plan);
+        let c = R.converge r in
+        if not c.Runner.converged then failwith "engine: a faulted run did not converge";
+        events := !events + c.Runner.events;
+        messages := !messages + Metrics.messages (R.metrics r))
+      scenarios
+  in
+  run_all ();
+  let ev = !events and msgs = !messages in
+  let ns = time_ns_per ~ops:ev run_all in
+  let words = Pr_telemetry.Alloc.words_per ~ops:ev run_all in
+  (ev, msgs, ns, words)
+
 (* The policy mix the paper warns about (§5.2.1): most transit ADs
    restrictive, at per-(source set, UCI, QOS) granularity — the regime
    where admission checks dominate synthesis. *)
@@ -1791,6 +1838,29 @@ let synth () =
   Texttable.print pt;
   note "\nIncremental delta-SPF and hierarchical synthesis on the same internets:\n";
   let drows = run_delta ~sizes:(delta_sizes ()) in
+  note
+    "\nEngine: faulted ORWG convergence on %d %d-AD internets under\n\
+     %s (set-up included):\n"
+    engine_internets engine_ads engine_plan;
+  let e_events, e_messages, e_ns, e_words = engine_measure () in
+  let et =
+    Texttable.create
+      ~columns:
+        [
+          ("events", Texttable.Right);
+          ("messages", Texttable.Right);
+          ("ns/event", Texttable.Right);
+          ("alloc words/event", Texttable.Right);
+        ]
+  in
+  Texttable.add_row et
+    [
+      Texttable.cell_int e_events;
+      Texttable.cell_int e_messages;
+      Texttable.cell_float ~decimals:0 e_ns;
+      Texttable.cell_float ~decimals:1 e_words;
+    ];
+  Texttable.print et;
   if json then begin
     (* Graph shape and the counted work are fixed by the generator seed,
        so they are exact; time, repetition counts, allocation and heap
@@ -1865,10 +1935,27 @@ let synth () =
             ])
         drows
     in
+    let engine =
+      {
+        Gate.layer = "engine";
+        kernel = "Engine + Network + Nemesis (faulted ORWG converge)";
+        config =
+          [
+            ("target_ads", J.Int engine_ads);
+            ("internets", J.Int engine_internets);
+            ("plan", J.String engine_plan);
+          ];
+        exact = [ ("sim_events", J.Int e_events); ("control_messages", J.Int e_messages) ];
+        band =
+          [ ("ns_per_event", ns e_ns); ("alloc_words_per_event", round 1 e_words) ];
+        cores = 1;
+      }
+    in
     let oc = open_out out in
     output_string oc
       (J.to_string_pretty
-         (Gate.document_json ~benchmark:"route_synthesis_scaling" (spf @ policy @ delta)));
+         (Gate.document_json ~benchmark:"route_synthesis_scaling"
+            (spf @ policy @ delta @ [ engine ])));
     output_char oc '\n';
     close_out oc;
     note "\nWrote %s\n" out

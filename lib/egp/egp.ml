@@ -9,13 +9,18 @@ let probe_update = Pr_proto.Probe.make "egp.update"
 
 type message = (Pr_topology.Ad.id * bool) list
 
+(* What an AD last announced to one neighbor, per destination, and
+   the AD's advertise count just after it last compared it. *)
+type baseline = { seen : bool array; mutable synced : int }
+
 type node = {
   advertisers : Bytes.t;
       (* byte [dst * degree + j] is 1 when the neighbor of the AD's
          unique-neighbor slot [j] advertises [dst]; n x degree bytes *)
   chosen : int array;  (* sticky next hop per dst; -1 = none *)
-  sent : (Pr_topology.Ad.id, bool array) Hashtbl.t;
+  sent : (Pr_topology.Ad.id, baseline) Hashtbl.t;
       (* what we last announced to each neighbor *)
+  mutable advertised : int;  (* [advertise] calls so far *)
 }
 
 type t = {
@@ -35,7 +40,8 @@ let design_point =
     Design_point.In_topology
 
 (* The static filler [nodes] is made over ({!Pr_util.Filler}). *)
-let no_node = { advertisers = Bytes.empty; chosen = [||]; sent = Hashtbl.create 1 }
+let no_node =
+  { advertisers = Bytes.empty; chosen = [||]; sent = Hashtbl.create 1; advertised = 0 }
 
 let create graph _config net =
   let n = Graph.n graph in
@@ -47,6 +53,7 @@ let create graph _config net =
       advertisers = Bytes.make (n * (uoff.(ad + 1) - uoff.(ad))) '\000';
       chosen;
       sent = Hashtbl.create 8;
+      advertised = 0;
     }
   in
   { graph; net; nodes = Pr_util.Filler.init ~filler:no_node n make_node; uoff; unbr }
@@ -98,35 +105,69 @@ let reaches t ad dst = ad = dst || t.nodes.(ad).chosen.(dst) >= 0
 let message_bytes entries =
   Cost_model.update_fixed_bytes + (Cost_model.dv_entry_bytes * List.length entries)
 
+(* Are a message's destinations strictly ascending? One that
+   [advertise] built always is; a corrupted or forged one need not be. *)
+let rec ascending prev = function
+  | [] -> true
+  | (dst, _) :: rest -> dst > prev && ascending dst rest
+
 (* Send each neighbor the diff between what we now advertise to it and
    what we last told it. Faithful to EGP's NR messages, a gateway
    advertises everything it reaches — with NO split horizon; nothing in
    the protocol stops the advertisement going back to the neighbor the
    route runs through. On the engineered tree this is harmless; on a
-   cyclic topology it is what makes stable loops possible (§3). *)
-let advertise t ad =
+   cyclic topology it is what makes stable loops possible (§3).
+
+   Every handler that moves [chosen] advertises at once, so
+   [changed], when given, lists (in ascending order) every destination
+   whose [chosen] may have moved since the AD's last advertise. A
+   baseline compared at that advertise then differs from the AD's
+   routes only there. Any other baseline (new, reset, or kept while
+   its neighbor was down) is compared over every destination. *)
+let advertise ?changed t ad =
   let n = Graph.n t.graph in
-  List.iter
-    (fun nbr ->
-      let previous =
-        match Hashtbl.find_opt t.nodes.(ad).sent nbr with
-        | Some a -> a
+  let node = t.nodes.(ad) in
+  let epoch = node.advertised in
+  node.advertised <- epoch + 1;
+  let changed = match changed with Some l when ascending (-1) l -> Some l | _ -> None in
+  Network.iter_up_neighbors t.net ad ~f:(fun nbr ->
+      let b =
+        match Hashtbl.find_opt node.sent nbr with
+        | Some b -> b
         | None ->
-          let a = Array.make n false in
-          Hashtbl.replace t.nodes.(ad).sent nbr a;
-          a
+          let b = { seen = Array.make n false; synced = -1 } in
+          Hashtbl.replace node.sent nbr b;
+          b
       in
-      let entries = ref [] in
-      for dst = n - 1 downto 0 do
-        let now = reaches t ad dst in
-        if now <> previous.(dst) then begin
-          previous.(dst) <- now;
-          entries := (dst, now) :: !entries
-        end
-      done;
-      if !entries <> [] then
-        Network.send t.net ~src:ad ~dst:nbr ~bytes:(message_bytes !entries) !entries)
-    (Network.up_neighbors t.net ad)
+      let seen = b.seen in
+      let entries =
+        match changed with
+        | Some l when b.synced = epoch ->
+          let rec diff = function
+            | [] -> []
+            | (dst, _) :: rest ->
+              let now = reaches t ad dst in
+              if now <> seen.(dst) then begin
+                seen.(dst) <- now;
+                (dst, now) :: diff rest
+              end
+              else diff rest
+          in
+          diff l
+        | _ ->
+          let entries = ref [] in
+          for dst = n - 1 downto 0 do
+            let now = reaches t ad dst in
+            if now <> seen.(dst) then begin
+              seen.(dst) <- now;
+              entries := (dst, now) :: !entries
+            end
+          done;
+          !entries
+      in
+      b.synced <- epoch + 1;
+      if entries <> [] then
+        Network.send t.net ~src:ad ~dst:nbr ~bytes:(message_bytes entries) entries)
 
 let start t =
   for ad = 0 to Graph.n t.graph - 1 do
@@ -141,7 +182,7 @@ let handle_message t ~at ~from entries =
       set_advertises t at ~dst j reachable;
       rechoose t at dst)
     entries;
-  advertise t at
+  advertise t at ~changed:entries
 
 let handle_link t ~at ~link ~up =
   let l = Graph.link t.graph link in
@@ -152,9 +193,13 @@ let handle_link t ~at ~link ~up =
       set_advertises t at ~dst j false;
       rechoose t at dst
     done;
-    Hashtbl.remove t.nodes.(at).sent nbr
-  end;
-  advertise t at
+    Hashtbl.remove t.nodes.(at).sent nbr;
+    advertise t at
+  end
+  else
+    (* A restored link moves no route: only a neighbor without a
+       baseline hears anything. *)
+    advertise t at ~changed:[]
 
 let reset_node t ~at =
   let node = t.nodes.(at) in
@@ -206,7 +251,7 @@ let audit_state _t ~at:_ = None
    full restatement; other neighbors see empty diffs and nothing. *)
 let resync t ~at ~nbr =
   Hashtbl.remove t.nodes.(nbr).sent at;
-  advertise t nbr
+  advertise t nbr ~changed:[]
 
 let prepare_flow _t _flow = Packet.no_prep
 

@@ -70,9 +70,6 @@ let[@inline] extra_latency rules ~now rng =
   done;
   !acc
 
-(* The copy list of a message no fault touched, shared by all of them. *)
-let unperturbed = [ 0.0 ]
-
 let install (type msg) (net : msg Network.t) ~rng ?crash ?restart ?corrupt
     ?forge (plan : Plan.t) =
   let engine = Network.engine net in
@@ -169,14 +166,14 @@ let install (type msg) (net : msg Network.t) ~rng ?crash ?restart ?corrupt
     let last_arrival =
       Float.Array.make (Array.length (snd (Graph.unique_csr graph))) 0.0
     in
-    Network.set_delivery_interposer net
+    Network.set_delivery_interposer net ~copies:(1 + Array.length dups)
       (Some
-         (fun ~src:_ ~dst ~slot:pair ~link ->
+         (fun ~src:_ ~dst ~slot:pair ~link ~extras ->
            let now = Engine.now engine in
            if fires drops ~now msg_rng then begin
              t.dropped <- t.dropped + 1;
              instant ~tid:dst "fault.drop";
-             []
+             0
            end
            else begin
              let base_delay = (Graph.link graph link).Link.delay in
@@ -205,7 +202,10 @@ let install (type msg) (net : msg Network.t) ~rng ?crash ?restart ?corrupt
                end
                else base
              in
-             let copies = ref [] in
+             (* The first copy is the message itself; duplicates follow
+                in plan order. *)
+             Float.Array.set extras 0 (arrival -. base);
+             let copies = ref 1 in
              for i = 0 to Array.length dups - 1 do
                let r = dups.(i) in
                if in_window r.window now && Rng.chance msg_rng r.prob then begin
@@ -213,12 +213,11 @@ let install (type msg) (net : msg Network.t) ~rng ?crash ?restart ?corrupt
                  instant ~tid:dst "fault.dup";
                  let dup_arrival = arrival +. (0.25 *. base_delay) in
                  if clamp then Float.Array.set last_arrival pair dup_arrival;
-                 copies := (dup_arrival -. base) :: !copies
+                 Float.Array.set extras !copies (dup_arrival -. base);
+                 incr copies
                end
              done;
-             match !copies with
-             | [] when arrival = base -> unperturbed
-             | dup_copies -> (arrival -. base) :: List.rev dup_copies
+             !copies
            end))
   end;
   (* Byzantine actions: one attacker AD per run (for actions with

@@ -53,6 +53,10 @@ let schedule_call t ~delay f x =
   if not (delay >= 0.0) then invalid_arg "Engine.schedule_call: negative delay";
   Pqueue.Calls.add_call_after t.queue t.clock ~delay f x
 
+let[@inline] schedule_call_on t ~chan ~delay f x =
+  if not (delay >= 0.0) then invalid_arg "Engine.schedule_call_on: negative delay";
+  Pqueue.Calls.add_call_on t.queue t.clock ~chan ~delay f x
+
 let schedule_fanout t ~delay f x ~mask =
   if not (delay >= 0.0) then invalid_arg "Engine.schedule_fanout: negative delay";
   Pqueue.Calls.add_fanout_after t.queue t.clock ~delay f x ~mask
@@ -60,6 +64,8 @@ let schedule_fanout t ~delay f x ~mask =
 let pending t = Pqueue.Calls.length t.queue
 
 let queue_cells t = Pqueue.Calls.cells t.queue
+
+let queue_census t = Pqueue.Calls.census t.queue
 
 type stop_reason = Drained | Reached_limit
 

@@ -44,6 +44,16 @@ val schedule_call : t -> delay:float -> ('a -> unit) -> 'a -> unit
     per event.
     @raise Invalid_argument on a negative or NaN delay. *)
 
+val schedule_call_on : t -> chan:int -> delay:float -> ('a -> unit) -> 'a -> unit
+(** [schedule_call_on t ~chan ~delay f x] is {!schedule_call} on a
+    channel: the event runs exactly when {!schedule_call} would run it,
+    and while each event of channel [chan] (a non-negative int, such
+    as a directed link) comes no earlier than the one before it, the
+    channel's pending events take one queue entry between them
+    ({!Pr_util.Pqueue.Calls.add_call_on}).
+    @raise Invalid_argument on a negative or NaN delay, or a negative
+    channel. *)
+
 val schedule_fanout : t -> delay:float -> (int -> 'a -> unit) -> 'a -> mask:int -> unit
 (** [schedule_fanout t ~delay f x ~mask] schedules the calls [f i x],
     one per bit [i] set in [mask] (bits 0 to 61), in increasing [i],
@@ -62,6 +72,12 @@ val queue_cells : t -> int
 (** Queue cells the pending events take: one per {!schedule}d or
     {!schedule_call}ed event, one per fan-out. Exported so that tests
     can budget the queue's size; runs do not depend on it. *)
+
+val queue_census : t -> Pr_util.Pqueue.Calls.census
+(** The queue's heap entries, busy channels and the pending events
+    held in channel runs. Exported so that a test can pin that a
+    channel's pending events share one heap entry; runs do not depend
+    on it. It walks the queue. *)
 
 type stop_reason =
   | Drained  (** no events left: the system has quiesced *)

@@ -21,13 +21,19 @@ type 'msg t = {
   metrics : Metrics.t;
   link_up : bool array;
   node_up : bool array;
-  (* Fault-plan hook: maps each send to the extra delivery delays of
-     its copies ([] = dropped in flight, one 0.0 entry = the normal
-     delivery, several entries = duplicates). None (the default) costs
-     one match per send. *)
+  (* Fault-plan hook: writes the extra delivery delays of a send's
+     copies into [extras] and returns how many it made (0 = dropped in
+     flight, one 0.0 copy = the normal delivery, several =
+     duplicates). None (the default) costs one match per send. *)
   mutable interpose :
-    (src:Pr_topology.Ad.id -> dst:Pr_topology.Ad.id -> slot:int -> link:Link.id -> float list)
+    (src:Pr_topology.Ad.id ->
+    dst:Pr_topology.Ad.id ->
+    slot:int ->
+    link:Link.id ->
+    extras:Float.Array.t ->
+    int)
     option;
+  mutable extras : Float.Array.t;
   (* Byzantine hook: rewrite a message as it leaves [src] ([None] from
      the hook = pass unchanged). Used by the nemesis to model an
      attacker AD corrupting its own updates. *)
@@ -69,6 +75,7 @@ let create engine graph metrics =
     link_up = Array.make (Graph.num_links graph) true;
     node_up = Array.make (Graph.n graph) true;
     interpose = None;
+    extras = Float.Array.create 0;
     tamper = None;
     on_message = (fun ~at:_ ~from:_ _ -> ());
     on_link = (fun ~at:_ ~link:_ ~up:_ -> ());
@@ -94,7 +101,10 @@ let set_message_handler t f = t.on_message <- f
 
 let set_link_handler t f = t.on_link <- f
 
-let set_delivery_interposer t f = t.interpose <- f
+let set_delivery_interposer t ?(copies = 2) f =
+  if copies < 1 then invalid_arg "Network.set_delivery_interposer: copies < 1";
+  if Float.Array.length t.extras < copies then t.extras <- Float.Array.make copies 0.0;
+  t.interpose <- f
 
 let set_message_tamper t f = t.tamper <- f
 
@@ -150,15 +160,6 @@ let deliverer t (l : Link.t) ~src ~dst =
     d
   end
 
-(* One delivery event per interposed copy. A zero extra reuses the
-   link's own delay, so the common unperturbed copy boxes no float. *)
-let rec schedule_copies t ~delay deliver msg = function
-  | [] -> ()
-  | extra :: rest ->
-    if extra = 0.0 then Engine.schedule_call t.engine ~delay deliver msg
-    else Engine.schedule_call t.engine ~delay:(delay +. extra) deliver msg;
-    schedule_copies t ~delay deliver msg rest
-
 (* Charge one send from [src] to [dst] and record it. *)
 let[@inline] charge t ~src ~dst ~bytes =
   Metrics.record_send t.metrics src ~bytes;
@@ -170,7 +171,11 @@ let[@inline] charge t ~src ~dst ~bytes =
 
 (* The send path after the slot lookup, shared by {!send} and
    {!broadcast}: [lid] is the up link [slot_link] chose for [src]'s
-   slot [slot] to [dst], and [src] is up. *)
+   slot [slot] to [dst], and [src] is up. With a hook installed, a
+   copy is queued on the slot's channel, so the copies in flight on a
+   directed pair take one queue entry while they arrive in order. A
+   zero extra reuses the link's own delay, so the common unperturbed
+   copy rounds as an uninterposed send does. *)
 let send_on t ~src ~dst ~slot ~lid ~bytes msg =
   charge t ~src ~dst ~bytes;
   let msg =
@@ -182,14 +187,21 @@ let send_on t ~src ~dst ~slot ~lid ~bytes msg =
   let delay = l.Link.delay in
   let deliver = deliverer t l ~src ~dst in
   match t.interpose with
-  | None -> Engine.schedule_call t.engine ~delay deliver msg
-  | Some f -> (
-    match f ~src ~dst ~slot ~link:lid with
-    | [] ->
-      (* The fault plan ate it; the bits were still transmitted, so
-         the send stays charged. *)
-      lose t ~src ~dst
-    | extras -> schedule_copies t ~delay deliver msg extras)
+  | None ->
+    if Option.is_none t.tamper then Engine.schedule_call t.engine ~delay deliver msg
+    else Engine.schedule_call_on t.engine ~chan:slot ~delay deliver msg
+  | Some f ->
+    let extras = t.extras in
+    let copies = f ~src ~dst ~slot ~link:lid ~extras in
+    (* The fault plan ate it; the bits were still transmitted, so the
+       send stays charged. *)
+    if copies = 0 then lose t ~src ~dst
+    else
+      for i = 0 to copies - 1 do
+        let extra = Float.Array.get extras i in
+        let delay = if extra = 0.0 then delay else delay +. extra in
+        Engine.schedule_call_on t.engine ~chan:slot ~delay deliver msg
+      done
 
 let send t ~src ~dst ~bytes msg =
   (* A crashed AD transmits nothing. *)

@@ -43,22 +43,30 @@ val set_link_handler :
 
 val set_delivery_interposer :
   'msg t ->
+  ?copies:int ->
   (src:Pr_topology.Ad.id ->
   dst:Pr_topology.Ad.id ->
   slot:int ->
   link:Pr_topology.Link.id ->
-  float list)
+  extras:Float.Array.t ->
+  int)
   option ->
   unit
 (** Install (or remove, with [None]) a fault-plan hook consulted on
     every send. [slot] is the directed pair's
     {!Pr_topology.Graph.uniq_slot} (shared by parallel links), [link]
-    the link the message travels. It returns the extra delivery delays
-    of the message's copies: [\[0.0\]] is the unperturbed delivery,
-    [\[\]] drops the message in flight (counted in
-    {!Pr_sim.Metrics.msgs_lost}, the send still charged), several
-    entries duplicate it, and non-zero entries delay it. Without an
-    interposer the only cost is one match per send. *)
+    the link the message travels. The hook writes the extra delivery
+    delays of the message's copies into the first cells of [extras], a
+    buffer of at least [copies] (default 2) cells that the network
+    owns and reuses, and returns how many copies it made: one copy of
+    extra [0.0] is the unperturbed delivery, [0] drops the message in
+    flight (counted in {!Pr_sim.Metrics.msgs_lost}, the send still
+    charged), several duplicate it, and non-zero extras delay it. So a
+    send builds no list and boxes no float. Copies are queued on the
+    slot's channel ({!Engine.schedule_call_on}), in the order the hook
+    wrote them. Without an interposer the only cost is one match per
+    send.
+    @raise Invalid_argument when [copies < 1]. *)
 
 val set_message_tamper :
   'msg t ->

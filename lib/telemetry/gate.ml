@@ -9,7 +9,7 @@ type row = {
   cores : int;
 }
 
-let layers = [ "kernel"; "search"; "converge"; "serve" ]
+let layers = [ "kernel"; "search"; "engine"; "converge"; "serve" ]
 
 let members = [ "layer"; "kernel"; "config"; "exact"; "band"; "cores" ]
 

@@ -4,7 +4,7 @@
     [{"benchmark": id, "results": [row, ...]}]. A row is
     [{"layer", "kernel", "config", "exact", "band", "cores"}]:
     - [layer] is a rung of the benchmark ladder: [kernel], [search],
-      [converge] or [serve];
+      [engine], [converge] or [serve];
     - [kernel] names the code measured;
     - [config] is the object that reproduces the row;
     - [exact] holds the deterministic numbers: the producer puts a

@@ -18,6 +18,23 @@
    is still exact. Flooding waves, which land many events on one
    simulated time, therefore push and pop in O(1).
 
+   Channel runs. A {!Calls} entry may also be added on a channel (a
+   directed link of a simulated network). A channel's pending copies
+   form one run whose members keep their own priorities, each no
+   smaller than its predecessor's: a copy that arrives no earlier than
+   its channel's tail is appended behind it without touching the heap,
+   and a copy that would overtake the tail is queued as any other
+   entry and does not become the tail. Every run is therefore sorted
+   by (priority, seq), which is all the merge needs. [vprio] keeps
+   each value slot's own priority, and a pop that hands the root to
+   the run's successor moves that priority into the heap with it; in
+   an equal-priority run it is the run's priority. A channel's tail is
+   kept as its slot and seq ([chan_tail], [chan_seq]) and checked when
+   the next copy comes: it is still queued when its slot holds a value
+   of that seq. A pop therefore never looks at channels, and a queue
+   without them pays one priority store per add and one load per pop
+   of a run's successor.
+
    Heap position [i] is three parallel unboxed cells — [prio] (a flat
    [Float.Array]), [seq] and [slot] — so moving an entry is three
    stores of immediates: no [caml_modify], no write barrier, nothing
@@ -56,11 +73,13 @@
 
    Storage outlives a drained queue. The queue that empties hands its
    arrays to a domain-local spare, which keeps the larger of its own
-   and the handed ones, and a queue growing from zero capacity adopts
-   the spare instead of allocating. This is exact: an empty queue's
-   storage holds only vacant slots, a full free stack and closed run
-   buckets, and pop order depends only on (priority, seq), where seq
-   belongs to the queue record, not to its storage. *)
+   and the handed ones up to [spare_bound] slots, and a queue growing
+   from zero capacity adopts the spare instead of allocating. This is
+   exact: an empty queue's storage holds only vacant slots, a full free
+   stack and closed run buckets, and pop order depends only on
+   (priority, seq), where seq belongs to the queue record, not to its
+   storage. Channel tails belong to the queue record too, and are
+   closed when it empties. *)
 
 type 'a t = {
   mutable prio : Float.Array.t;  (* heap position -> priority of its run *)
@@ -71,6 +90,7 @@ type 'a t = {
          and the next one (the argument of a call entry); vacant cells
          hold [vacant] *)
   mutable vseq : int array;  (* value slot -> insertion seq *)
+  mutable vprio : Float.Array.t;  (* value slot -> its own priority *)
   mutable next : int array;  (* value slot -> next slot of its run; -1 at the tail *)
   mutable mask : int array;
       (* value slot -> calls left of a fan-out, 0 otherwise; empty
@@ -89,6 +109,10 @@ type 'a t = {
   mutable next_seq : int;
   mutable open_prio : Float.Array.t;  (* bucket -> priority of its open run *)
   mutable open_tail : int array;  (* bucket -> tail slot of its open run; -1 when none *)
+  mutable chan_tail : int array;
+      (* channel -> tail slot of its run, -1 when none; stale once that
+         slot is popped, which [chan_seq] and the slot's value tell *)
+  mutable chan_seq : int array;  (* channel -> seq of its tail *)
 }
 
 (* Filler for vacant value and argument cells. It is an immediate, so
@@ -138,6 +162,7 @@ let create () =
     slot = [||];
     pages = [||];
     vseq = [||];
+    vprio = no_prio;
     next = [||];
     mask = [||];
     free = [||];
@@ -150,6 +175,8 @@ let create () =
     next_seq = 0;
     open_prio = no_prio;
     open_tail = [||];
+    chan_tail = [||];
+    chan_seq = [||];
   }
 
 let is_empty t = t.size = 0
@@ -169,6 +196,7 @@ let drop t =
   t.slot <- [||];
   t.pages <- [||];
   t.vseq <- [||];
+  t.vprio <- no_prio;
   t.next <- [||];
   t.mask <- [||];
   t.free <- [||];
@@ -186,6 +214,7 @@ let transfer (src : 'a t) (dst : 'b t) =
   dst.slot <- src.slot;
   dst.pages <- src.pages;
   dst.vseq <- src.vseq;
+  dst.vprio <- src.vprio;
   dst.next <- src.next;
   dst.mask <- src.mask;
   dst.free <- src.free;
@@ -195,18 +224,28 @@ let transfer (src : 'a t) (dst : 'b t) =
   dst.open_tail <- src.open_tail;
   drop src
 
-(* The queue has just emptied: hand its storage to the spare if larger
-   than the spare's, else drop it. Either way the queue is left at zero
-   capacity, and its next [add] adopts the spare. Handed-on storage
-   has its free stack sorted back, lowest slot on top: positions below
-   [low] were never popped and still are, and the run's pushes and
-   pops left the rest a permutation of the slots it took. Every run
-   therefore takes the lowest slots, and a run that peaks at d values
-   writes only the pages of slots [0, d). *)
+(* The most slots the spare keeps: about nine words each, so at most
+   about 600 k words outlive the runs that grew them. A larger queue's
+   storage is dropped when it drains, so one large run does not pin
+   its peak for the life of the domain. *)
+let spare_bound = 1 lsl 16
+
+let spare_capacity () = capacity (Domain.DLS.get spare)
+
+(* The queue has just emptied: close its channels, and hand its storage
+   to the spare if larger than the spare's and within [spare_bound],
+   else drop it. Either way the queue is left at zero capacity, and
+   its next [add] adopts the spare. Handed-on storage has its free
+   stack sorted back, lowest slot on top: positions below [low] were
+   never popped and still are, and the run's pushes and pops left the
+   rest a permutation of the slots it took. Every run therefore takes
+   the lowest slots, and a run that peaks at d values writes only the
+   pages of slots [0, d). *)
 let release t =
   let sp = Domain.DLS.get spare in
   let cap = capacity t in
-  if cap > capacity sp then begin
+  Array.fill t.chan_tail 0 (Array.length t.chan_tail) (-1);
+  if cap > capacity sp && cap <= spare_bound then begin
     for i = t.low to cap - 1 do
       Array.unsafe_set t.free i (cap - 1 - i)
     done;
@@ -238,6 +277,9 @@ let grow t =
     let npages = (ncap + page_slots - 1) lsr page_bits and have = Array.length t.pages in
     if npages > have then t.pages <- Array.append t.pages (new_pages (npages - have));
     t.vseq <- extend t.vseq;
+    let vprio = Float.Array.create ncap in
+    Float.Array.blit t.vprio 0 vprio 0 cap;
+    t.vprio <- vprio;
     t.next <- extend t.next;
     if Array.length t.mask > 0 then t.mask <- extend t.mask;
     t.free <- Array.init ncap (fun i -> ncap - 1 - i);
@@ -258,8 +300,9 @@ let[@inline] less (p : float) (s : int) (q : float) (r : int) =
 let[@inline] same (p : float) (q : float) =
   p = q && (p <> 0.0 || Float.sign_bit p = Float.sign_bit q)
 
-(* Queue [value] and return its value slot. *)
-let[@inline] insert (t : 'a t) ~priority (value : 'a) =
+(* Take a vacant value slot for [value] at [priority] with the next
+   seq, outside every run. *)
+let[@inline] take (t : 'a t) ~priority (value : 'a) =
   if t.nfree = 0 then grow t;
   t.nfree <- t.nfree - 1;
   if t.nfree < t.low then t.low <- t.nfree;
@@ -269,7 +312,36 @@ let[@inline] insert (t : 'a t) ~priority (value : 'a) =
   t.next_seq <- s + 1;
   t.count <- t.count + 1;
   Array.unsafe_set t.vseq sl s;
+  Float.Array.unsafe_set t.vprio sl priority;
   Array.unsafe_set t.next sl (-1);
+  sl
+
+(* Sift a new run head (priority, seq [s], slot [sl]) up into the heap. *)
+let[@inline] push (t : 'a t) ~priority s sl =
+  let prio = t.prio and seq = t.seq and slot = t.slot in
+  let i = ref t.size in
+  t.size <- t.size + 1;
+  let moving = ref true in
+  while !moving && !i > 0 do
+    let parent = (!i - 1) / 2 in
+    let pp = Float.Array.unsafe_get prio parent in
+    let ps = Array.unsafe_get seq parent in
+    if less priority s pp ps then begin
+      Float.Array.unsafe_set prio !i pp;
+      Array.unsafe_set seq !i ps;
+      Array.unsafe_set slot !i (Array.unsafe_get slot parent);
+      i := parent
+    end
+    else moving := false
+  done;
+  Float.Array.unsafe_set prio !i priority;
+  Array.unsafe_set seq !i s;
+  Array.unsafe_set slot !i sl
+
+(* Append the taken slot [sl] (seq [s]) to its priority's open run, or
+   open a new run for it, evicting any other priority's open run from
+   the bucket. *)
+let[@inline] place (t : 'a t) ~priority s sl =
   let b = bucket priority in
   let tail = Array.unsafe_get t.open_tail b in
   if tail >= 0 && same (Float.Array.unsafe_get t.open_prio b) priority then begin
@@ -278,29 +350,58 @@ let[@inline] insert (t : 'a t) ~priority (value : 'a) =
     Array.unsafe_set t.open_tail b sl
   end
   else begin
-    (* Open a new run (evicting any other priority's open run from the
-       bucket) and sift its head up into the heap. *)
     Float.Array.unsafe_set t.open_prio b priority;
     Array.unsafe_set t.open_tail b sl;
-    let prio = t.prio and seq = t.seq and slot = t.slot in
-    let i = ref t.size in
-    t.size <- t.size + 1;
-    let moving = ref true in
-    while !moving && !i > 0 do
-      let parent = (!i - 1) / 2 in
-      let pp = Float.Array.unsafe_get prio parent in
-      let ps = Array.unsafe_get seq parent in
-      if less priority s pp ps then begin
-        Float.Array.unsafe_set prio !i pp;
-        Array.unsafe_set seq !i ps;
-        Array.unsafe_set slot !i (Array.unsafe_get slot parent);
-        i := parent
-      end
-      else moving := false
-    done;
-    Float.Array.unsafe_set prio !i priority;
-    Array.unsafe_set seq !i s;
-    Array.unsafe_set slot !i sl
+    push t ~priority s sl
+  end
+
+(* Queue [value] and return its value slot. *)
+let[@inline] insert (t : 'a t) ~priority (value : 'a) =
+  let sl = take t ~priority value in
+  place t ~priority (t.next_seq - 1) sl;
+  sl
+
+(* Room for channel [chan]; new channels have no run. *)
+let grow_chans t chan =
+  if chan < 0 then invalid_arg "Pqueue.Calls.add_call_on: negative channel";
+  let len = Int.max (chan + 1) (2 * Array.length t.chan_tail) in
+  let extend a fill = Array.append a (Array.make (len - Array.length a) fill) in
+  t.chan_tail <- extend t.chan_tail (-1);
+  t.chan_seq <- extend t.chan_seq 0
+
+(* The slot of channel [chan]'s tail while it is still queued, else
+   -1. It is queued when its slot holds a value (a value is a block:
+   channels serve only {!Calls}, whose values are handlers) of the
+   tail's seq; a popped tail's slot is vacant or holds a later seq. *)
+let[@inline] live_tail t chan =
+  let tl = Array.unsafe_get t.chan_tail chan in
+  if tl >= 0
+     && Array.unsafe_get t.vseq tl = Array.unsafe_get t.chan_seq chan
+     && Obj.is_block (Array.unsafe_get (page t tl) (cell tl))
+  then tl
+  else -1
+
+(* Queue [value] on channel [chan] and return its value slot: behind
+   the channel's tail when it arrives no earlier, as a plain entry when
+   it would overtake the tail, else as the head of the channel's new
+   run. *)
+let[@inline] insert_on (t : 'a t) ~chan ~priority (value : 'a) =
+  if chan < 0 || chan >= Array.length t.chan_tail then grow_chans t chan;
+  let sl = take t ~priority value in
+  let s = t.next_seq - 1 in
+  let tl = live_tail t chan in
+  if tl >= 0 then begin
+    if priority >= Float.Array.unsafe_get t.vprio tl then begin
+      Array.unsafe_set t.next tl sl;
+      Array.unsafe_set t.chan_tail chan sl;
+      Array.unsafe_set t.chan_seq chan s
+    end
+    else place t ~priority s sl
+  end
+  else begin
+    Array.unsafe_set t.chan_tail chan sl;
+    Array.unsafe_set t.chan_seq chan s;
+    push t ~priority s sl
   end;
   sl
 
@@ -349,8 +450,10 @@ let sift_down t =
   end
 
 (* Remove the head of the root run and release its value slot. If the
-   run goes on, its successor becomes the root entry (same priority, a
-   larger seq) and sifts down, which normally stops at once. If the run
+   run goes on, its successor becomes the root entry with its own
+   priority (the same in an equal-priority run, no smaller in a channel
+   run) and a larger seq, and sifts down, which normally stops at once
+   in an equal-priority run. If the run
    is finished, its bucket is closed when it still points at it, and
    the last heap entry moves to the root and sifts down. The caller
    has read and cleared the slot's argument; a queue left empty hands
@@ -365,6 +468,7 @@ let remove_top (t : 'a t) : 'a =
   t.count <- t.count - 1;
   let succ = Array.unsafe_get t.next sl in
   if succ >= 0 then begin
+    Float.Array.unsafe_set t.prio 0 (Float.Array.unsafe_get t.vprio succ);
     Array.unsafe_set t.seq 0 (Array.unsafe_get t.vseq succ);
     Array.unsafe_set t.slot 0 succ;
     sift_down t
@@ -464,6 +568,8 @@ module Calls = struct
 
   let length = length
 
+  let clear = clear
+
   let add t ~priority (f : unit -> unit) =
     ignore (insert t ~priority (Obj.magic f : Obj.t -> unit) : int)
 
@@ -473,6 +579,12 @@ module Calls = struct
 
   let add_call_after t clock ~delay (f : 'a -> unit) (x : 'a) =
     let sl = insert t ~priority:(clock.now +. delay) (Obj.magic f : Obj.t -> unit) in
+    Array.unsafe_set (page t sl) (cell sl + 1) (Obj.repr x)
+
+  (* Inlined through [Engine.schedule_call_on] into the send path, so
+     a delay summed there reaches the heap unboxed. *)
+  let[@inline] add_call_on t clock ~chan ~delay (f : 'a -> unit) (x : 'a) =
+    let sl = insert_on t ~chan ~priority:(clock.now +. delay) (Obj.magic f : Obj.t -> unit) in
     Array.unsafe_set (page t sl) (cell sl + 1) (Obj.repr x)
 
   (* Set bits of a mask of at most 62 bits, by SWAR sums: no loop, no
@@ -486,6 +598,31 @@ module Calls = struct
     (x + (x lsr 32)) land 0x7F
 
   let cells t = capacity t - t.nfree
+
+  type census = { entries : int; busy_channels : int; channel_calls : int }
+
+  (* Mark the slots of the channels' queued tails, then walk each heap
+     entry's run to its tail: a run that ends at a channel's tail is
+     that channel's. *)
+  let census t =
+    let tails = Array.make (capacity t) false and busy = ref 0 in
+    for chan = 0 to Array.length t.chan_tail - 1 do
+      let tl = live_tail t chan in
+      if tl >= 0 then begin
+        tails.(tl) <- true;
+        incr busy
+      end
+    done;
+    let calls = ref 0 in
+    for i = 0 to t.size - 1 do
+      let len = ref 1 and sl = ref t.slot.(i) in
+      while t.next.(!sl) >= 0 do
+        incr len;
+        sl := t.next.(!sl)
+      done;
+      if tails.(!sl) then calls := !calls + !len
+    done;
+    { entries = t.size; busy_channels = !busy; channel_calls = !calls }
 
   let add_fanout_after t clock ~delay (f : int -> 'a -> unit) (x : 'a) ~mask =
     if mask <= 0 then invalid_arg "Pqueue.Calls.add_fanout_after: empty mask";

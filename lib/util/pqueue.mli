@@ -21,8 +21,8 @@
 
     Storage outlives a drained queue: a queue that empties hands its
     arrays to a domain-local spare (which keeps the larger of its own
-    and the handed ones), and a queue growing from no storage adopts
-    the spare. A fresh queue therefore reaches the working size of the
+    and the handed ones, up to 2{^16} slots; larger storage is
+    dropped), and a queue growing from no storage adopts the spare. A fresh queue therefore reaches the working size of the
     last one drained on its domain without allocating. Pop order does
     not depend on which storage a queue holds. Because of the spare,
     queues used by several systhreads of one domain must be serialized
@@ -58,14 +58,21 @@ val pop : 'a t -> (float * 'a) option
 val clear : 'a t -> unit
 (** Remove every value, handing the storage on as a drain does. *)
 
+val spare_capacity : unit -> int
+(** Value slots of the calling domain's spare storage. Exported so that
+    a test can pin the spare's bound; nothing else depends on it. *)
+
 (** A queue of calls: the event list of a discrete-event simulator. An
     entry is a handler and its argument, kept side by side in one value
     slot, so queueing a call on a message allocates no closure. Pop
     order is the (priority, insertion seq) order of ['a t], over plain
     and argument-carrying entries alike. A fan-out entry stands for
     several calls of one handler on one argument at one priority, in
-    one cell: a flooded broadcast's copies queue as one entry. The
-    simulator's clock is a cell the queue reads and advances itself,
+    one cell: a flooded broadcast's copies queue as one entry. A call
+    added on a channel joins that channel's run: while each copy
+    arrives no earlier than the one before it, a channel's pending
+    calls take one heap entry between them, whatever their priorities.
+    The simulator's clock is a cell the queue reads and advances itself,
     so no priority crosses a call boundary as a boxed float. *)
 module Calls : sig
   type t
@@ -102,6 +109,31 @@ module Calls : sig
   (** [add_call_after q clock ~delay f x] queues the call [f x] at
       [clock.now +. delay]. *)
 
+  val add_call_on :
+    t -> clock -> chan:int -> delay:float -> ('a -> unit) -> 'a -> unit
+  (** [add_call_on q clock ~chan ~delay f x] queues the call [f x] at
+      [clock.now +. delay], as {!add_call_after} does, on channel
+      [chan] (any non-negative int; a queue holds room for the largest
+      it has seen). It pops exactly where {!add_call_after} would pop
+      it. When it arrives no earlier than the channel's last call
+      still queued, it is appended to that call's run without touching
+      the heap; a call that would overtake it is queued as a plain
+      entry and leaves the channel's run as it was.
+      @raise Invalid_argument on a negative [chan], queueing nothing. *)
+
+  type census = {
+    entries : int;
+        (** heap entries: one per equal-priority run, per channel run
+            and per fan-out *)
+    busy_channels : int;  (** channels with a call still queued in their run *)
+    channel_calls : int;  (** calls queued in channel runs *)
+  }
+
+  val census : t -> census
+  (** How the queue holds its calls, in O(capacity). Exported so that
+      a test can pin that a channel's calls share one heap entry;
+      nothing else depends on it. *)
+
   val add_fanout_after :
     t -> clock -> delay:float -> (int -> 'a -> unit) -> 'a -> mask:int -> unit
   (** [add_fanout_after q clock ~delay f x ~mask] queues the calls
@@ -112,6 +144,9 @@ module Calls : sig
       pops before all of its calls, one added after it after all.
       [mask] may use bits 0 to 61.
       @raise Invalid_argument when [mask] is not positive. *)
+
+  val clear : t -> unit
+  (** Remove every call, handing the storage on as a drain does. *)
 
   val run_top : t -> clock -> unit
   (** Set the clock to the next entry's priority and make its next

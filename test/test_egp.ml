@@ -89,6 +89,38 @@ let egp_table_entries () =
   (* Each node reaches all 5 destinations (including itself). *)
   check_int "full reachability" 25 (R.table_entries r)
 
+(* [advertise] compares a neighbor's baseline only at the destinations
+   the handler may have changed, and only when that baseline was
+   compared at the AD's previous advertise; any other baseline gets the
+   full scan. Crashes, partitions, link storms, flap chatter and
+   corrupted or forged updates all leave baselines that missed an
+   advertise. The chaos reports were pinned when every advertise
+   rescanned all destinations for every neighbor, so they fail on a
+   version that trusts a stale baseline. *)
+let egp_chaos_reports_pinned () =
+  let packed = Option.get (Pr_core.Registry.find_opt "egp") in
+  List.iter
+    (fun (profile, seed, want) ->
+      let plan =
+        if profile = "default" then Pr_faults.Plan.default
+        else Option.get (Pr_faults.Plan.profile profile)
+      in
+      let sc = Pr_core.Scenario.for_size ~target_ads:30 ~seed () in
+      let report = Pr_faults.Chaos.run ~plan ~probes:20 packed sc in
+      let doc = Pr_util.Json.to_string (Pr_faults.Chaos.report_json report) in
+      Alcotest.(check string)
+        (Printf.sprintf "%s, seed %d" profile seed)
+        want
+        (Stdlib.Digest.to_hex (Stdlib.Digest.string doc)))
+    [
+      ("default", 1, "af694cb011911759ddc9ef3c52f364d9");
+      ("crash", 2, "efd041a796109213f1f2bd04574c9659");
+      ("partition", 3, "cac8388bb2ce0266b798fd04ceb5a4f7");
+      ("storm", 4, "64202515512f1f5086f03f1775226c2e");
+      ("byzantine", 5, "3437e3ce7ac0583b4a1cb6ec5694aaa1");
+      ("chatter", 6, "54ce5fbc19e8d199bd482fbf7b72a167");
+    ]
+
 let () =
   Alcotest.run "pr_egp"
     [
@@ -99,5 +131,6 @@ let () =
           Alcotest.test_case "cycles accounted" `Quick egp_degrades_with_cycles;
           Alcotest.test_case "failure on ring terminates" `Quick egp_stale_loop_after_failure;
           Alcotest.test_case "table entries" `Quick egp_table_entries;
+          Alcotest.test_case "chaos reports pinned" `Quick egp_chaos_reports_pinned;
         ] );
     ]

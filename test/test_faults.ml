@@ -672,6 +672,53 @@ let converge_queue_cells () =
     (Printf.sprintf "peak %d cells for %d pending events (budget 25 000)" !cells !pending)
     true (!cells <= 25_000)
 
+(* Under a fault interposer, each directed pair's copies in flight
+   share one heap entry while they arrive in order, which the delay
+   rule's FIFO clamp keeps them doing. A faulted 56-AD ORWG converge
+   under the repository benchmark's plan (delay, duplicate and a
+   gateway crash) must therefore never hold more heap entries than
+   busy channels plus the events outside channel runs: timers, fault
+   events, and copies that overtake their channel's tail. The clamp
+   lets a copy overtake only by the rounding of now + (delay + extra),
+   one or two ulps. Both must stay few: the run peaks at 1 717
+   pending events in 153 entries, with 38 events outside channel runs;
+   with one entry per copy the two peaks are equal. *)
+let faulted_converge_heap_entries () =
+  let (Registry.Packed (module P)) = orwg_runner () in
+  let module R = Runner.Make (P) in
+  let sc = Scenario.for_size ~target_ads:56 ~seed:1 () in
+  let r = R.setup sc.Scenario.graph sc.Scenario.config in
+  let plan =
+    match
+      Plan.of_string "delay:p=0.25,max=2,until=40;dup:p=0.1,until=40;crash:at=14,down=8"
+    with
+    | Ok p -> p
+    | Error e -> Alcotest.fail e
+  in
+  ignore
+    (Nemesis.install (R.network r) ~rng:(Rng.derive 1 "faults") ~crash:(R.crash_ad r)
+       ~restart:(R.restart_ad r) plan);
+  let e = Network.engine (R.network r) in
+  let peak_entries = ref 0 and peak_pending = ref 0 and peak_off = ref 0 and over = ref 0 in
+  Engine.set_observer e
+    (Some
+       (fun ~time:_ ~pending ->
+         let c = Engine.queue_census e in
+         let entries = c.Pr_util.Pqueue.Calls.entries and off = pending - c.channel_calls in
+         if entries > c.busy_channels + off then incr over;
+         peak_entries := Int.max !peak_entries entries;
+         peak_pending := Int.max !peak_pending pending;
+         peak_off := Int.max !peak_off off));
+  check_bool "converged" true (R.converge r).Runner.converged;
+  check_int "events over the bound" 0 !over;
+  check_bool
+    (Printf.sprintf "peak of %d events outside channel runs (budget 64)" !peak_off)
+    true (!peak_off <= 64);
+  check_bool
+    (Printf.sprintf "peak %d heap entries for %d pending events" !peak_entries !peak_pending)
+    true
+    (4 * !peak_entries <= !peak_pending)
+
 (* Above 256 ADs, an array of per-AD blocks made by [Array.init] starts
    from a young block, and creating it forces a minor collection. The
    per-run arrays of the flood, the protocol and the search view are
@@ -814,6 +861,8 @@ let () =
             converge_after_large_run_minor_collections;
           Alcotest.test_case "large runs keep their pages" `Quick large_run_promoted_words;
           Alcotest.test_case "one queue cell per broadcast" `Quick converge_queue_cells;
+          Alcotest.test_case "one heap entry per busy channel" `Quick
+            faulted_converge_heap_entries;
           Alcotest.test_case "notable events reach trace and post-mortem ring" `Quick
             notable_events_reach_both_sinks;
           Alcotest.test_case "post-mortem covers one run" `Quick post_mortem_covers_one_run;

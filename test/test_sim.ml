@@ -60,7 +60,11 @@ let engine_event_budget () =
 let engine_bad_schedule () =
   let e = Engine.create () in
   Alcotest.check_raises "negative delay" (Invalid_argument "Engine.schedule: negative delay")
-    (fun () -> Engine.schedule e ~delay:(-1.0) (fun () -> ()))
+    (fun () -> Engine.schedule e ~delay:(-1.0) (fun () -> ()));
+  Alcotest.check_raises "negative channel"
+    (Invalid_argument "Pqueue.Calls.add_call_on: negative channel") (fun () ->
+      Engine.schedule_call_on e ~chan:(-1) ~delay:1.0 ignore ());
+  check_int "nothing queued" 0 (Engine.pending e)
 
 (* NaN compares false both ways, so a plain [delay < 0.0] guard let it
    through into the queue, where it has no place in the time order. *)
@@ -549,13 +553,21 @@ let broadcast_matches_reference =
         let sends = ref [] and deliveries = ref [] in
         Network.set_delivery_interposer net
           (Some
-             (fun ~src ~dst ~slot ~link ->
+             (fun ~src ~dst ~slot ~link ~extras ->
                sends := (src, dst, slot, link) :: !sends;
+               let copy i x = Float.Array.set extras i x in
                match (dst + link) mod 4 with
-               | 0 -> []
-               | 1 -> [ 0.0; 0.5 ]
-               | 2 -> [ 0.25 ]
-               | _ -> [ 0.0 ]));
+               | 0 -> 0
+               | 1 ->
+                 copy 0 0.0;
+                 copy 1 0.5;
+                 2
+               | 2 ->
+                 copy 0 0.25;
+                 1
+               | _ ->
+                 copy 0 0.0;
+                 1));
         Network.set_message_handler net (fun ~at ~from msg ->
             deliveries := (at, from, msg, Engine.now e) :: !deliveries);
         List.iteri
@@ -572,8 +584,8 @@ let broadcast_matches_reference =
 
 (* A broadcast from an AD whose row holds one link per neighbor, all of
    one delay, queues one fan-out per 62 slots; an interposer that keeps
-   every copy as it is ([\[0.0\]]) sends the same broadcast copy by
-   copy, one queue entry each. On random networks (parallel links,
+   every copy as it is (one copy of extra 0.0) sends the same broadcast
+   copy by copy, on channel runs. On random networks (parallel links,
    rows of one delay or of mixed ones, a hub whose row needs two
    fan-outs), with floods that re-broadcast on delivery, link and node
    flaps timed between sends and arrivals, and a budget cut that may
@@ -636,7 +648,10 @@ let fanout_matches_per_copy =
         let net = Network.create e g m in
         if per_copy then
           Network.set_delivery_interposer net
-            (Some (fun ~src:_ ~dst:_ ~slot:_ ~link:_ -> [ 0.0 ]));
+            (Some
+               (fun ~src:_ ~dst:_ ~slot:_ ~link:_ ~extras ->
+                 Float.Array.set extras 0 0.0;
+                 1));
         let log = ref [] and seen = ref [] in
         Logs.set_reporter
           {
@@ -885,6 +900,100 @@ let engine_loop_allocates_nothing () =
   let per_event = words /. float_of_int !count in
   check_bool (Printf.sprintf "%.3f words/event (budget 0.1)" per_event) true (per_event <= 0.1)
 
+(* With a fault interposer, each copy queues on its directed pair's
+   channel run; the order must be the one per-message queueing gives.
+   Floods over random multigraphs (parallel links, mixed delays) run
+   under random drop, duplicate, delay and reorder rules, delay
+   FIFO-clamped per directed pair as the nemesis clamps it, reorder
+   not. One run hands the rules' copies to the network; the other
+   queues each copy itself with [Engine.schedule_call], one queue
+   entry per copy, and hands the network none. Both must deliver the
+   same copies at the same times in the same order, and run as many
+   events. *)
+let channel_runs_match_per_message =
+  QCheck.Test.make ~name:"channel runs = per-message delivery" ~count:300 QCheck.small_nat
+    (fun seed ->
+      let rng = Rng.create seed in
+      let g = random_multigraph rng in
+      let n = Graph.n g in
+      let odds () = float_of_int (Rng.int rng 4) /. 8.0 in
+      let p_drop = odds () and p_dup = odds () and p_delay = odds () in
+      let p_reorder = odds () in
+      let floods =
+        List.init (1 + Rng.int rng 4) (fun _ ->
+            (float_of_int (Rng.int rng 8) /. 4.0, Rng.int rng n, Rng.int rng 3))
+      in
+      let run per_message =
+        let e = Engine.create () in
+        let net = Network.create e g (Metrics.create ~n) in
+        let draws = Rng.create (seed + 1) in
+        let floor = Array.make (Array.length (snd (Graph.unique_csr g))) 0.0 in
+        let log = ref [] and ids = ref 0 in
+        let flood ~src ttl =
+          let id = !ids in
+          incr ids;
+          Network.broadcast net ~src ~except:(-1) ~filter:(fun _ -> true) ~bytes:8 (id, ttl)
+        in
+        let deliver ~at ~from (id, ttl) =
+          log := (Int64.bits_of_float (Engine.now e), id, from, at) :: !log;
+          if ttl > 0 then flood ~src:at (ttl - 1)
+        in
+        Network.set_message_handler net deliver;
+        (* The interposer is not told the message; the tamper hook,
+           consulted just before it, is. *)
+        let sending = ref (0, 0) in
+        Network.set_message_tamper net
+          (Some
+             (fun ~src:_ ~dst:_ ~bytes:_ msg ->
+               sending := msg;
+               None));
+        Network.set_delivery_interposer net
+          (Some
+             (fun ~src ~dst ~slot ~link ~extras ->
+               let now = Engine.now e and delay = (Graph.link g link).Link.delay in
+               let copies =
+                 if Rng.chance draws p_drop then 0
+                 else begin
+                   let base = now +. delay in
+                   let extra_d = if Rng.chance draws p_delay then Rng.float draws 2.0 else 0.0 in
+                   let extra_r = if Rng.chance draws p_reorder then Rng.float draws 3.0 else 0.0 in
+                   let arrival =
+                     if extra_r > 0.0 then base +. extra_d +. extra_r
+                     else if p_delay > 0.0 then begin
+                       let a = Float.max (base +. extra_d) floor.(slot) in
+                       floor.(slot) <- a;
+                       a
+                     end
+                     else base
+                   in
+                   Float.Array.set extras 0 (arrival -. base);
+                   if Rng.chance draws p_dup then begin
+                     Float.Array.set extras 1 (arrival -. base +. (0.25 *. delay));
+                     2
+                   end
+                   else 1
+                 end
+               in
+               if not per_message then copies
+               else begin
+                 let msg = !sending in
+                 for i = 0 to copies - 1 do
+                   let x = Float.Array.get extras i in
+                   Engine.schedule_call e
+                     ~delay:(if x = 0.0 then delay else delay +. x)
+                     (fun msg -> deliver ~at:dst ~from:src msg)
+                     msg
+                 done;
+                 0
+               end));
+        List.iter
+          (fun (at, src, ttl) -> Engine.schedule_at e ~time:at (fun () -> flood ~src ttl))
+          floods;
+        ignore (Engine.run e);
+        (List.rev !log, Engine.events_executed e)
+      in
+      run false = run true)
+
 let () =
   Alcotest.run "pr_sim"
     [
@@ -924,7 +1033,11 @@ let () =
           Alcotest.test_case "fail random by kind" `Quick network_fail_random_kind;
         ]
         @ List.map QCheck_alcotest.to_alcotest
-            [ broadcast_matches_reference; fanout_matches_per_copy ] );
+            [
+              broadcast_matches_reference;
+              fanout_matches_per_copy;
+              channel_runs_match_per_message;
+            ] );
       ( "virtual-gateway",
         [
           Alcotest.test_case "failover" `Quick virtual_gateway_failover;

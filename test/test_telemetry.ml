@@ -355,7 +355,7 @@ let test_gate_schema () =
         {\"queries\": \"3\"}, \"band\": {}, \"cores\": 1}");
   rejects "layer off the ladder"
     (doc
-       "{\"layer\": \"engine\", \"kernel\": \"k\", \"config\": {}, \"exact\": {}, \
+       "{\"layer\": \"protocol\", \"kernel\": \"k\", \"config\": {}, \"exact\": {}, \
         \"band\": {}, \"cores\": 1}");
   rejects "zero cores" (doc ("{" ^ good ^ ", \"cores\": 0}"));
   rejects "missing cores" (doc ("{" ^ good ^ "}"));

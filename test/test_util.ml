@@ -528,6 +528,111 @@ let pqueue_refill_allocates_nothing () =
   check_int "refilled" size (Pqueue.length fresh);
   Alcotest.(check (float 0.0)) "refill allocates nothing" 0.0 words
 
+(* Channel runs of a call queue. Random programs add plain calls,
+   calls on a few channels and fan-outs, at zero and non-zero delays
+   that make channel copies overtake their channel's tail, pop them,
+   and clear the queue (which leaves channels to refill). Each pop
+   must make the call a sorted model names: the smallest (priority,
+   seq), a fan-out's calls in bit order under its one seq, at the
+   priority the call was added with, bit for bit. *)
+type chan_op =
+  | C_plain of float
+  | C_on of int * float
+  | C_fan of float * int
+  | C_pop
+  | C_clear
+
+let chan_delays = [| 0.0; 0.0; 0.25; 0.5; 1.0; 1.0; 1.5; 3.0 |]
+
+let chan_op_gen =
+  QCheck.Gen.(
+    let delay = map (fun i -> chan_delays.(i)) (int_bound (Array.length chan_delays - 1)) in
+    frequency
+      [
+        (2, map (fun d -> C_plain d) delay);
+        (8, map2 (fun c d -> C_on (c, d)) (int_bound 5) delay);
+        (1, map2 (fun d m -> C_fan (d, m)) delay (int_range 1 15));
+        (8, return C_pop);
+        (1, return C_clear);
+      ])
+
+let chan_op_print = function
+  | C_plain d -> Printf.sprintf "plain %g" d
+  | C_on (c, d) -> Printf.sprintf "chan %d %g" c d
+  | C_fan (d, m) -> Printf.sprintf "fan %g %x" d m
+  | C_pop -> "pop"
+  | C_clear -> "clear"
+
+let channel_runs_vs_model =
+  QCheck.Test.make ~name:"channel runs = sorted (priority, seq) model" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map chan_op_print ops))
+       QCheck.Gen.(list_size (int_range 0 800) chan_op_gen))
+    (fun ops ->
+      let module C = Pqueue.Calls in
+      let q = C.create () and clock = { C.now = 0.0 } in
+      (* Model entries: (priority, seq, bit, call id). *)
+      let model = ref [] and seq = ref 0 and made = ref (0L, -1) in
+      let record id = made := (Int64.bits_of_float clock.C.now, id) in
+      let queued ~delay ?(bit = 0) id =
+        model := (clock.C.now +. delay, !seq, bit, id) :: !model
+      in
+      let ok = ref true in
+      List.iteri
+        (fun id op ->
+          (match op with
+          | C_plain d ->
+            C.add_after q clock ~delay:d (fun () -> record id);
+            queued ~delay:d id;
+            incr seq
+          | C_on (chan, d) ->
+            C.add_call_on q clock ~chan ~delay:d record id;
+            queued ~delay:d id;
+            incr seq
+          | C_fan (d, mask) ->
+            C.add_fanout_after q clock ~delay:d (fun i id -> record ((id * 16) + i)) id ~mask;
+            for bit = 0 to 3 do
+              if mask land (1 lsl bit) <> 0 then queued ~delay:d ~bit ((id * 16) + bit)
+            done;
+            incr seq
+          | C_pop -> (
+            let key (p, s, b, _) = (p, s, b) in
+            match List.sort (fun a b -> compare (key a) (key b)) !model with
+            | [] -> ok := !ok && C.is_empty q
+            | ((p, _, _, want) as top) :: _ ->
+              C.run_top q clock;
+              model := List.filter (fun e -> e != top) !model;
+              ok := !ok && !made = (Int64.bits_of_float p, want))
+          | C_clear ->
+            C.clear q;
+            model := []);
+          ok := !ok && C.length q = List.length !model)
+        ops;
+      !ok)
+
+(* A queue that grew past the spare's bound drops its storage when it
+   drains, so the spare keeps at most 2^16 slots; storage within the
+   bound is still handed on. *)
+let pqueue_spare_bound () =
+  let bound = 1 lsl 16 in
+  let fill k =
+    let q = Pqueue.create () in
+    for i = 1 to k do
+      Pqueue.add q ~priority:(float_of_int (i land 1023)) i
+    done;
+    while not (Pqueue.is_empty q) do
+      ignore (Pqueue.pop_value q)
+    done
+  in
+  fill 1000;
+  check_bool "storage within the bound is kept" true (Pqueue.spare_capacity () >= 1000);
+  fill (bound + 1);
+  check_bool
+    (Printf.sprintf "spare of %d slots after a larger queue drained (bound %d)"
+       (Pqueue.spare_capacity ()) bound)
+    true
+    (Pqueue.spare_capacity () <= bound)
+
 (* --- Pqueue.Keyed --------------------------------------------------- *)
 
 let keyed_basic () =
@@ -977,7 +1082,9 @@ let () =
             Alcotest.test_case "refill to the spare's size allocates nothing" `Quick
               pqueue_refill_allocates_nothing;
           ]
-        @ qsuite [ pqueue_sorted_output; pqueue_vs_model; pqueue_handover_vs_model ] );
+        @ qsuite [ pqueue_sorted_output; pqueue_vs_model; pqueue_handover_vs_model ]
+        @ [ Alcotest.test_case "spare bound" `Quick pqueue_spare_bound ]
+        @ qsuite [ channel_runs_vs_model ] );
       ( "filler",
         [ Alcotest.test_case "forces no collection" `Quick filler_forces_no_collection ]
         @ qsuite [ filler_equals_array_init ] );
