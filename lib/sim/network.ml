@@ -101,7 +101,7 @@ let set_message_handler t f = t.on_message <- f
 
 let set_link_handler t f = t.on_link <- f
 
-let set_delivery_interposer t ?(copies = 2) f =
+let set_delivery_interposer t ~copies f =
   if copies < 1 then invalid_arg "Network.set_delivery_interposer: copies < 1";
   if Float.Array.length t.extras < copies then t.extras <- Float.Array.make copies 0.0;
   t.interpose <- f
@@ -171,8 +171,8 @@ let[@inline] charge t ~src ~dst ~bytes =
 
 (* The send path after the slot lookup, shared by {!send} and
    {!broadcast}: [lid] is the up link [slot_link] chose for [src]'s
-   slot [slot] to [dst], and [src] is up. With a hook installed, a
-   copy is queued on the slot's channel, so the copies in flight on a
+   slot [slot] to [dst], and [src] is up. With an interposer installed,
+   a copy is queued on the slot's channel, so the copies in flight on a
    directed pair take one queue entry while they arrive in order. A
    zero extra reuses the link's own delay, so the common unperturbed
    copy rounds as an uninterposed send does. *)
@@ -187,9 +187,7 @@ let send_on t ~src ~dst ~slot ~lid ~bytes msg =
   let delay = l.Link.delay in
   let deliver = deliverer t l ~src ~dst in
   match t.interpose with
-  | None ->
-    if Option.is_none t.tamper then Engine.schedule_call t.engine ~delay deliver msg
-    else Engine.schedule_call_on t.engine ~chan:slot ~delay deliver msg
+  | None -> Engine.schedule_call t.engine ~delay deliver msg
   | Some f ->
     let extras = t.extras in
     let copies = f ~src ~dst ~slot ~link:lid ~extras in

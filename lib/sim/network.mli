@@ -43,7 +43,7 @@ val set_link_handler :
 
 val set_delivery_interposer :
   'msg t ->
-  ?copies:int ->
+  copies:int ->
   (src:Pr_topology.Ad.id ->
   dst:Pr_topology.Ad.id ->
   slot:int ->
@@ -57,9 +57,9 @@ val set_delivery_interposer :
     {!Pr_topology.Graph.uniq_slot} (shared by parallel links), [link]
     the link the message travels. The hook writes the extra delivery
     delays of the message's copies into the first cells of [extras], a
-    buffer of at least [copies] (default 2) cells that the network
-    owns and reuses, and returns how many copies it made: one copy of
-    extra [0.0] is the unperturbed delivery, [0] drops the message in
+    buffer of at least [copies] cells that the network owns and
+    reuses, and returns how many copies it made: one copy of extra
+    [0.0] is the unperturbed delivery, [0] drops the message in
     flight (counted in {!Pr_sim.Metrics.msgs_lost}, the send still
     charged), several duplicate it, and non-zero extras delay it. So a
     send builds no list and boxes no float. Copies are queued on the

@@ -26,14 +26,18 @@
    and a copy that would overtake the tail is queued as any other
    entry and does not become the tail. Every run is therefore sorted
    by (priority, seq), which is all the merge needs. [vprio] keeps
-   each value slot's own priority, and a pop that hands the root to
-   the run's successor moves that priority into the heap with it; in
-   an equal-priority run it is the run's priority. A channel's tail is
-   kept as its slot and seq ([chan_tail], [chan_seq]) and checked when
-   the next copy comes: it is still queued when its slot holds a value
-   of that seq. A pop therefore never looks at channels, and a queue
-   without them pays one priority store per add and one load per pop
-   of a run's successor.
+   the priority of each slot added on a channel, and [next] links
+   a channel run's slot to its successor [s] as [-2 - s]: a pop that
+   hands the root to such a successor moves its priority into the
+   heap with it, while the successor in an equal-priority run (a link
+   [>= 0]) takes the root with the run's priority, as before. A
+   channel's tail is kept as its slot and seq ([chan_tail],
+   [chan_seq]) and checked when the next copy comes: it is still
+   queued when its slot holds a value of that seq. A pop therefore
+   never looks at channels, and storage gets [vprio] only once a queue
+   holding it has added on a channel, as it gets [mask] only with its
+   first fan-out: a queue without channels neither stores nor reads a
+   slot's priority, and keeps no room for one.
 
    Heap position [i] is three parallel unboxed cells — [prio] (a flat
    [Float.Array]), [seq] and [slot] — so moving an entry is three
@@ -90,8 +94,14 @@ type 'a t = {
          and the next one (the argument of a call entry); vacant cells
          hold [vacant] *)
   mutable vseq : int array;  (* value slot -> insertion seq *)
-  mutable vprio : Float.Array.t;  (* value slot -> its own priority *)
-  mutable next : int array;  (* value slot -> next slot of its run; -1 at the tail *)
+  mutable vprio : Float.Array.t;
+      (* value slot -> its own priority, written only by channel adds;
+         as long as the storage once a queue holding it has had
+         channels, empty before *)
+  mutable next : int array;
+      (* value slot -> next slot [s] of its run: [s] in an
+         equal-priority run, [-2 - s] in a channel run, -1 at the
+         tail *)
   mutable mask : int array;
       (* value slot -> calls left of a fan-out, 0 otherwise; empty
          until the storage's first fan-out *)
@@ -224,10 +234,11 @@ let transfer (src : 'a t) (dst : 'b t) =
   dst.open_tail <- src.open_tail;
   drop src
 
-(* The most slots the spare keeps: about nine words each, so at most
-   about 600 k words outlive the runs that grew them. A larger queue's
-   storage is dropped when it drains, so one large run does not pin
-   its peak for the life of the domain. *)
+(* The most slots the spare keeps: eight words each, ten once fan-outs
+   and channels have used the storage, so at most about 650 k words
+   outlive the runs that grew them. A larger queue's storage is
+   dropped when it drains, so one large run does not pin its peak for
+   the life of the domain. *)
 let spare_bound = 1 lsl 16
 
 let spare_capacity () = capacity (Domain.DLS.get spare)
@@ -253,6 +264,13 @@ let release t =
   end
   else drop t
 
+(* A queue that has channels keeps a priority per value slot: give
+   its storage [vprio] when it has none. [grow] keeps [vprio] as long
+   as the storage once it has one, so [insert_on] checks nothing. *)
+let fit_vprio t =
+  if Array.length t.chan_tail > 0 && Float.Array.length t.vprio < capacity t
+  then t.vprio <- Float.Array.create (capacity t)
+
 (* Every value slot is in use: adopt the spare when the queue has no
    storage yet, else double the arrays and push the new slots on the
    free stack, lowest on top. The run table is allocated with the first
@@ -277,9 +295,11 @@ let grow t =
     let npages = (ncap + page_slots - 1) lsr page_bits and have = Array.length t.pages in
     if npages > have then t.pages <- Array.append t.pages (new_pages (npages - have));
     t.vseq <- extend t.vseq;
-    let vprio = Float.Array.create ncap in
-    Float.Array.blit t.vprio 0 vprio 0 cap;
-    t.vprio <- vprio;
+    if Float.Array.length t.vprio > 0 then begin
+      let vprio = Float.Array.create ncap in
+      Float.Array.blit t.vprio 0 vprio 0 cap;
+      t.vprio <- vprio
+    end;
     t.next <- extend t.next;
     if Array.length t.mask > 0 then t.mask <- extend t.mask;
     t.free <- Array.init ncap (fun i -> ncap - 1 - i);
@@ -289,7 +309,8 @@ let grow t =
       t.open_prio <- Float.Array.make buckets 0.0;
       t.open_tail <- Array.make buckets (-1)
     end
-  end
+  end;
+  fit_vprio t
 
 let[@inline] less (p : float) (s : int) (q : float) (r : int) =
   p < q || (p = q && s < r)
@@ -300,9 +321,9 @@ let[@inline] less (p : float) (s : int) (q : float) (r : int) =
 let[@inline] same (p : float) (q : float) =
   p = q && (p <> 0.0 || Float.sign_bit p = Float.sign_bit q)
 
-(* Take a vacant value slot for [value] at [priority] with the next
-   seq, outside every run. *)
-let[@inline] take (t : 'a t) ~priority (value : 'a) =
+(* Take a vacant value slot for [value] with the next seq, outside
+   every run. *)
+let[@inline] take (t : 'a t) (value : 'a) =
   if t.nfree = 0 then grow t;
   t.nfree <- t.nfree - 1;
   if t.nfree < t.low then t.low <- t.nfree;
@@ -312,7 +333,6 @@ let[@inline] take (t : 'a t) ~priority (value : 'a) =
   t.next_seq <- s + 1;
   t.count <- t.count + 1;
   Array.unsafe_set t.vseq sl s;
-  Float.Array.unsafe_set t.vprio sl priority;
   Array.unsafe_set t.next sl (-1);
   sl
 
@@ -357,7 +377,7 @@ let[@inline] place (t : 'a t) ~priority s sl =
 
 (* Queue [value] and return its value slot. *)
 let[@inline] insert (t : 'a t) ~priority (value : 'a) =
-  let sl = take t ~priority value in
+  let sl = take t value in
   place t ~priority (t.next_seq - 1) sl;
   sl
 
@@ -367,7 +387,8 @@ let grow_chans t chan =
   let len = Int.max (chan + 1) (2 * Array.length t.chan_tail) in
   let extend a fill = Array.append a (Array.make (len - Array.length a) fill) in
   t.chan_tail <- extend t.chan_tail (-1);
-  t.chan_seq <- extend t.chan_seq 0
+  t.chan_seq <- extend t.chan_seq 0;
+  fit_vprio t
 
 (* The slot of channel [chan]'s tail while it is still queued, else
    -1. It is queued when its slot holds a value (a value is a block:
@@ -387,12 +408,13 @@ let[@inline] live_tail t chan =
    run. *)
 let[@inline] insert_on (t : 'a t) ~chan ~priority (value : 'a) =
   if chan < 0 || chan >= Array.length t.chan_tail then grow_chans t chan;
-  let sl = take t ~priority value in
+  let sl = take t value in
+  Float.Array.unsafe_set t.vprio sl priority;
   let s = t.next_seq - 1 in
   let tl = live_tail t chan in
   if tl >= 0 then begin
     if priority >= Float.Array.unsafe_get t.vprio tl then begin
-      Array.unsafe_set t.next tl sl;
+      Array.unsafe_set t.next tl (-2 - sl);
       Array.unsafe_set t.chan_tail chan sl;
       Array.unsafe_set t.chan_seq chan s
     end
@@ -449,13 +471,18 @@ let sift_down t =
     Array.unsafe_set slot !i msl
   end
 
+(* The slot after [sl] in its run, of either kind; -1 at the tail. *)
+let successor t sl =
+  let n = Array.unsafe_get t.next sl in
+  if n >= -1 then n else -2 - n
+
 (* Remove the head of the root run and release its value slot. If the
-   run goes on, its successor becomes the root entry with its own
-   priority (the same in an equal-priority run, no smaller in a channel
-   run) and a larger seq, and sifts down, which normally stops at once
-   in an equal-priority run. If the run
-   is finished, its bucket is closed when it still points at it, and
-   the last heap entry moves to the root and sifts down. The caller
+   run goes on, its successor becomes the root entry with a larger seq
+   and sifts down: in an equal-priority run it keeps the root's
+   priority and the sift normally stops at once, in a channel run it
+   brings its own, no smaller one. If the run is finished, its bucket
+   is closed when it still points at it, and the last heap entry moves
+   to the root and sifts down. The caller
    has read and cleared the slot's argument; a queue left empty hands
    its storage on. *)
 let remove_top (t : 'a t) : 'a =
@@ -468,6 +495,12 @@ let remove_top (t : 'a t) : 'a =
   t.count <- t.count - 1;
   let succ = Array.unsafe_get t.next sl in
   if succ >= 0 then begin
+    Array.unsafe_set t.seq 0 (Array.unsafe_get t.vseq succ);
+    Array.unsafe_set t.slot 0 succ;
+    sift_down t
+  end
+  else if succ < -1 then begin
+    let succ = -2 - succ in
     Float.Array.unsafe_set t.prio 0 (Float.Array.unsafe_get t.vprio succ);
     Array.unsafe_set t.seq 0 (Array.unsafe_get t.vseq succ);
     Array.unsafe_set t.slot 0 succ;
@@ -513,7 +546,7 @@ let clear t =
         if t.fanouts > 0 then Array.unsafe_set t.mask !sl 0;
         t.free.(t.nfree) <- !sl;
         t.nfree <- t.nfree + 1;
-        sl := Array.unsafe_get t.next !sl
+        sl := successor t !sl
       done
     done;
     Array.fill t.open_tail 0 buckets (-1);
@@ -616,9 +649,9 @@ module Calls = struct
     let calls = ref 0 in
     for i = 0 to t.size - 1 do
       let len = ref 1 and sl = ref t.slot.(i) in
-      while t.next.(!sl) >= 0 do
+      while successor t !sl >= 0 do
         incr len;
-        sl := t.next.(!sl)
+        sl := successor t !sl
       done;
       if tails.(!sl) then calls := !calls + !len
     done;

@@ -22,8 +22,9 @@
     Storage outlives a drained queue: a queue that empties hands its
     arrays to a domain-local spare (which keeps the larger of its own
     and the handed ones, up to 2{^16} slots; larger storage is
-    dropped), and a queue growing from no storage adopts the spare. A fresh queue therefore reaches the working size of the
-    last one drained on its domain without allocating. Pop order does
+    dropped), and a queue growing from no storage adopts the spare. A
+    fresh queue therefore reaches the working size of the last one
+    drained on its domain without allocating. Pop order does
     not depend on which storage a queue holds. Because of the spare,
     queues used by several systhreads of one domain must be serialized
     together, not only each on its own. *)
@@ -146,7 +147,9 @@ module Calls : sig
       @raise Invalid_argument when [mask] is not positive. *)
 
   val clear : t -> unit
-  (** Remove every call, handing the storage on as a drain does. *)
+  (** Remove every call, handing the storage on as a drain does.
+      Exported so that a test can empty a queue that holds channel
+      runs and refill it; nothing else depends on it. *)
 
   val run_top : t -> clock -> unit
   (** Set the clock to the next entry's priority and make its next

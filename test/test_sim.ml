@@ -551,7 +551,7 @@ let broadcast_matches_reference =
         Array.iteri (fun lid d -> if d then Network.set_link_state net lid ~up:false) down;
         Array.iteri (fun ad c -> if c then Network.set_node_state net ad ~up:false) crashed;
         let sends = ref [] and deliveries = ref [] in
-        Network.set_delivery_interposer net
+        Network.set_delivery_interposer net ~copies:2
           (Some
              (fun ~src ~dst ~slot ~link ~extras ->
                sends := (src, dst, slot, link) :: !sends;
@@ -647,7 +647,7 @@ let fanout_matches_per_copy =
         let m = Metrics.create ~n in
         let net = Network.create e g m in
         if per_copy then
-          Network.set_delivery_interposer net
+          Network.set_delivery_interposer net ~copies:1
             (Some
                (fun ~src:_ ~dst:_ ~slot:_ ~link:_ ~extras ->
                  Float.Array.set extras 0 0.0;
@@ -947,7 +947,7 @@ let channel_runs_match_per_message =
              (fun ~src:_ ~dst:_ ~bytes:_ msg ->
                sending := msg;
                None));
-        Network.set_delivery_interposer net
+        Network.set_delivery_interposer net ~copies:2
           (Some
              (fun ~src ~dst ~slot ~link ~extras ->
                let now = Engine.now e and delay = (Graph.link g link).Link.delay in
