@@ -47,10 +47,10 @@ let legal g config flow path = check g config flow path = Legal
 
 (* What the oracle keeps for the last (graph, store) this domain
    searched: experiments call it per flow on one internet. Only an AD
-   with a term can be crossed, so the carrying rows keep those, and
-   each label is the [slot_cost] distance to its destination through
-   them: it bounds every legal route's cost, [avoid] only removing
-   edges, so the bounded search returns the unbounded one's route. *)
+   with a term can be crossed, so the dense view keeps those, and each
+   label is the [slot_cost] distance to its destination through them:
+   it bounds every legal route's cost, [avoid] only removing edges, so
+   the bounded search returns the unbounded one's route. *)
 type oracle = {
   graph : Graph.t;
   store : Policy_store.t;
@@ -63,9 +63,9 @@ type oracle = {
          [Policy_search.first_touch] has fired *)
 }
 
-(* Labels are n words each: the cache holds at most 2^22 words of
-   them (32 MB), and never more than 512 labels. *)
-let label_capacity n = max 16 (min 512 ((1 lsl 22) / max 1 n))
+(* A label is one word per AD with a term: the cache holds at most
+   2^22 words of them (32 MB), and never more than 512 labels. *)
+let label_capacity len = max 16 (min 512 ((1 lsl 22) / max 1 len))
 
 let oracles = Domain.DLS.new_key (fun () -> ref None)
 
@@ -82,6 +82,7 @@ let oracle_of g config =
     in
     let n = Graph.n g in
     let has_terms v = Transit_policy.term_count (Policy_store.transit store v) > 0 in
+    let rows = Policy_search.restrict view ~keep:has_terms in
     let o =
       {
         graph = g;
@@ -89,7 +90,7 @@ let oracle_of g config =
         version = Policy_store.version store;
         view;
         cost = Array.init (Array.length (snd (Graph.unique_csr g))) (Graph.slot_cost g);
-        labels = Policy_search.labels view ~keep:has_terms ~capacity:(label_capacity n);
+        labels = Policy_search.labels rows ~capacity:(label_capacity (Policy_search.size rows));
         specs = Array.make n Compiled.no_spec;
       }
     in
@@ -97,11 +98,16 @@ let oracle_of g config =
     o
 
 (* Admission through each touched AD's flow specialization, resolved
-   once per search: a warm search allocates only its route. *)
-let admit o s flow v p w =
+   once per search: a warm search allocates only its route. An AD whose
+   specialization kept no term refuses every crossing. *)
+let spec o s flow v =
   if Policy_search.first_touch s v then
     o.specs.(v) <- Compiled.specialize (Policy_store.compiled o.store v) flow;
-  Compiled.spec_allows o.specs.(v) ~prev:p ~next:w
+  o.specs.(v)
+
+let admit o s flow v p w = Compiled.spec_allows (spec o s flow v) ~prev:p ~next:w
+
+let refuses o s flow v = spec o s flow v == Compiled.no_spec
 
 let legal_paths g config flow ~max_hops ?(limit = 10_000) () =
   let o = oracle_of g config and s = Policy_search.shared_scratch () in
@@ -122,6 +128,7 @@ let state_search g config flow ~avoid =
   in
   let outcome =
     Policy_search.search s o.view ~src ~dst ~avoid ?lower ~rows:(Policy_search.carrying o.labels)
+      ~refuses:(refuses o s flow)
       ~metric:(fun _ _ k -> cost.(k))
       ~admit:(admit o s flow) ()
   in

@@ -51,10 +51,11 @@ val route_exists : Pr_topology.Graph.t -> Config.t -> Flow.t -> max_hops:int -> 
     self-intersects or exceeds the bound. When no state walk reaches
     the destination there is no route, and no DFS runs.
 
-    The search relaxes only the rows of the ADs that have a term (no
-    other AD can be crossed), bounded by the destination's distance
-    label over them. Per (graph, store) the calling domain keeps the
-    rows, the labels (rebuilt when the graph, the store or its version
+    The search walks only the dense view of the ADs that have a term
+    (no other AD can be crossed), bounded by the destination's distance
+    label over them, and skips the row of an AD none of whose terms
+    survives the flow. Per (graph, store) the calling domain keeps the
+    view, the labels (rebuilt when the graph, the store or its version
     changes) and per-AD flow specializations. The route is the
     unbounded search's. *)
 

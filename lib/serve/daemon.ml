@@ -516,6 +516,7 @@ let row r =
         ("max_stale_age", Json.Float r.max_stale_age);
         ("link_quarantines", Json.Int r.link_quarantines);
         ("link_readmissions", Json.Int r.link_readmissions);
+        ("search_states", Json.Int s.Serve.search_states);
       ];
     band =
       [

@@ -29,11 +29,10 @@ type t = {
          every relaxation instead halves query throughput at 10^4 ADs. *)
   single_link : int array;  (* per slot: its link when it has one, else -1 *)
   labels : Policy_search.labels;
-      (* rows kept: the ADs that [carries] at some version [refresh]
-         has seen, a set that only grows. Labels keyed by (dst, QOS)
-         packed: per AD, its [slot_metric] distance to dst through
-         carrying ADs ([max_int] if none, and at every AD but dst that
-         carries none), the search's lower bound. *)
+      (* kept: the ADs that [carries] at some version [refresh] has
+         seen, a set that only grows. Labels keyed by (dst, QOS)
+         packed: per kept AD, its [slot_metric] distance to dst through
+         kept ADs ([max_int] if none), the search's lower bound. *)
   entries : Pdd.node array;
       (* per-AD flow entries of the running search, valid where
          [Policy_search.first_touch] has fired *)
@@ -94,7 +93,8 @@ let create ?(route_capacity = Some 4096) ?(handle_capacity = Some 1024)
       Array.init slots (fun k ->
           fold_links k (fun only l -> if only = max_int then l else -1));
     labels =
-      Policy_search.labels view ~keep:(carries graph snap) ~capacity:label_capacity;
+      Policy_search.labels (Policy_search.restrict view ~keep:(carries graph snap))
+        ~capacity:label_capacity;
     entries = Array.make (Graph.n graph) (Pdd.leaf false);
     trace;
     routes = Lru.create ~capacity:route_capacity ();
@@ -115,9 +115,10 @@ let create ?(route_capacity = Some 4096) ?(handle_capacity = Some 1024)
 
 let pdd t = t.pdd
 
-(* An AD joins [carrying] only through a recompiled diagram, so only
-   the ADs [Pdd.refresh] recompiled are looked at. A join drops every
-   label: each was built without the joiner. *)
+(* An AD joins the carrying set only through a recompiled diagram, so
+   only the ADs [Pdd.refresh] recompiled are looked at. A join rebuilds
+   the dense view and drops every label: each was built without the
+   joiner. *)
 let refresh t ~now =
   let t0 = Monotonic_clock.now () in
   let ads = Pdd.refresh t.pdd in
@@ -170,16 +171,16 @@ type answer =
   | No_route of { version : int }
 
 (* The search's lower bound toward [dst] under [qos]: one node-level
-   Dijkstra from [dst] over [slot_metric], through the carrying rows
+   Dijkstra toward [dst] over [slot_metric], through the carrying ADs
    only ([Policy_search.label]). An AD outside the carrying set admits
    nothing at any snapshot a query can pin, so no route crosses it; it
-   gets [max_int] unless it is dst, and the search never pushes a state
-   there — such a state
-   could never push one in turn, so the other states keep their
-   relative order and the route is the unbounded search's. Policy and
-   link or node state only remove edges or raise a pair's metric above
-   its cheapest link, so the distance bounds every admissible route's
-   and is consistent. It stays valid until an AD joins the set. *)
+   stands for [max_int] unless it is dst, and the search never pushes
+   a state there — such a state could never push one in turn, so the
+   other states keep their relative order and the route is the
+   unbounded search's. Policy and link or node state only remove edges
+   or raise a pair's metric above its cheapest link, so the distance
+   bounds every admissible route's and is consistent. It stays valid
+   until an AD joins the set. *)
 let label t qos dst =
   Policy_search.label t.labels ~key:((dst * Qos.count) + Qos.index qos) ~dst
     ~metric:t.slot_metric.(Qos.index qos)
@@ -191,8 +192,9 @@ let label t qos dst =
    cheapest up parallel link under the flow's QOS: a table read when
    the AD pair has a single link. The destination's label bounds the
    search (see [Policy_search.search]): the route is the unbounded
-   search's. The label is [max_int] at every AD outside the carrying
-   set but dst, so the search relaxes only the carrying rows. *)
+   search's. The label covers the carrying ADs only, so the search
+   walks their dense view; it skips the row of an AD whose flow entry
+   is the false leaf, which admits no crossing. *)
 let synthesize t snap (f : Flow.t) =
   let g = t.graph and qos = f.Flow.qos and link_up = t.link_up and node_up = t.node_up in
   let static = t.slot_metric.(Qos.index qos) and single = t.single_link in
@@ -210,16 +212,18 @@ let synthesize t snap (f : Flow.t) =
     end
     else -1
   in
-  let admit v p w =
+  let entry v =
     if Policy_search.first_touch t.scratch v then
       t.entries.(v) <- Pdd.flow_entry (Pdd.root snap v) f;
-    Pdd.entry_admit t.entries.(v) ~prev:p ~next:w
+    t.entries.(v)
   in
+  let admit v p w = Pdd.entry_admit (entry v) ~prev:p ~next:w in
+  let refuses v = Pdd.is_false_leaf (entry v) in
   let src = f.Flow.src and dst = f.Flow.dst in
   let lower = if src = dst then None else Some (label t qos dst) in
   let outcome =
     Policy_search.search t.scratch t.view ~src ~dst ?lower ~rows:(Policy_search.carrying t.labels)
-      ~metric ~admit ()
+      ~refuses ~metric ~admit ()
   in
   let states = Policy_search.settled t.scratch in
   t.search_states <- t.search_states + states;

@@ -21,17 +21,20 @@
       (evicted under LRU pressure) means the client must re-set-up.
 
     A third LRU keeps per-destination distance labels: for each
-    (destination, QOS), every AD's shortest metric to the destination
-    over the static graph, through the ADs that can carry transit
-    (transit-capable by class, or a diagram root other than the
-    [false] leaf); every other AD but the destination is out of reach.
-    A label lower-bounds every admissible route, so a query passes it
-    to {!Pr_topology.Policy_search.search} to settle fewer states and
-    run fewer admissions for the same route. No link or node event
-    invalidates a label; {!refresh} drops them all when a recompiled
-    AD joins the carrying set. Refresh the diagrams through {!refresh}
-    only: a direct {!Pdd.refresh} on {!pdd} would hide a joining AD
-    from the labels.
+    (destination, QOS), each carrying AD's shortest metric to the
+    destination over the static graph, through the carrying ADs: those
+    that can carry transit (transit-capable by class, or a diagram root
+    other than the [false] leaf) at some version {!refresh} has seen.
+    Every other AD but the destination is out of reach. A label
+    lower-bounds every admissible route, so a query passes it to
+    {!Pr_topology.Policy_search.search}, which walks only the dense
+    view of the carrying ADs, settles fewer states and runs fewer
+    admissions for the same route. It also skips the row of every AD
+    whose flow entry is the [false] leaf. No link or node event
+    invalidates a label; {!refresh} rebuilds the dense view and drops
+    every label when a recompiled AD joins the carrying set. Refresh
+    the diagrams through {!refresh} only: a direct {!Pdd.refresh} on
+    {!pdd} would hide a joining AD from the labels.
 
     Cache hits, misses and evictions are exposed in {!stats} and as
     [lib/obs] trace instants/counters. *)
@@ -67,16 +70,15 @@ val snapshot : t -> Pdd.snapshot
 
 val label : t -> Pr_policy.Qos.t -> Pr_topology.Ad.id -> int array
 (** The distance label toward the destination under the QOS class, the
-    lower bound a query passes to the search: per AD, the least
-    cheapest-link metric of a walk to the destination through ADs that
-    carry transit, [max_int] where none is and at every AD but the
-    destination that carries none. Built on a miss and cached; the
-    array is shared with the cache, so it must not be written, and a
-    later build may write into it, so it is valid only until the
-    next label is built.
+    lower bound a query passes to the search: per carrying AD, in
+    increasing AD order, the least cheapest-link metric of a walk to
+    the destination through carrying ADs, [max_int] where none is.
+    Built on a miss and cached; the array is shared with the cache, so
+    it must not be written, and a later build may write into it, so it
+    is valid only until the next label is built.
     Queries call it; it is exported so that its value and its
-    allocation (the label's own n + 1 words, and the cache entry) can
-    be checked. *)
+    allocation (the label's own K + 1 words for K carrying ADs, and the
+    cache entry) can be checked. *)
 
 type answer =
   | Route of { path : Pr_topology.Path.t; handle : int; version : int; cache_hit : bool }

@@ -4,7 +4,9 @@
    row. [twin] maps the slot of (v -> w) in v's row to the slot of
    (w -> v) in w's row: relaxing slot k from v reaches state
    [twin.(k)], and state slot s is at AD [nbr.(twin.(s))]. The start
-   state takes the one slot past the rows. *)
+   state takes the one slot past the rows. Dense rows number their
+   nodes and slots the same way (see [scratch] for the states an
+   unkept src or dst adds). *)
 
 module Keyed = Pr_util.Pqueue.Keyed
 
@@ -76,74 +78,103 @@ let iter_row v ad ~f =
     f v.nbr.(k) k
   done
 
-(* AD v's restricted row is [slots.(off.(v) + i)] for i < [len.(v)]:
-   each row keeps its view span, so a joining AD's slot is inserted in
-   place. *)
-type rows = { view : view; kept : bool array; len : int array; slots : int array }
+(* The dense view of a kept set: kept AD u is node [dense.(u)], nodes
+   number the kept ADs in increasing order and [ads] maps them back.
+   Node i's row is dense slots off.(i) .. off.(i+1) - 1, one per kept
+   neighbor in view slot order: the neighbor's node [nbr], the slot of
+   the reverse edge [twin] and the view slot [slot]. *)
+type rows = {
+  view : view;
+  dense : int array;
+  ads : int array;
+  off : int array;
+  nbr : int array;
+  twin : int array;
+  slot : int array;
+}
 
-let restrict v ~keep =
+let restrict (v : view) ~keep =
   let n = Array.length v.off - 1 in
-  let kept = Array.init n keep in
-  let len = Array.make n 0 and slots = Array.make (Array.length v.nbr) 0 in
+  let dense = Array.make n (-1) and count = ref 0 in
   for u = 0 to n - 1 do
-    for k = v.off.(u) to v.off.(u + 1) - 1 do
-      if kept.(v.nbr.(k)) then begin
-        slots.(v.off.(u) + len.(u)) <- k;
-        len.(u) <- len.(u) + 1
-      end
-    done
+    if keep u then begin
+      dense.(u) <- !count;
+      incr count
+    end
   done;
-  { view = v; kept; len; slots }
-
-let kept r ad = r.kept.(ad)
-
-let keep r ad =
-  if not r.kept.(ad) then begin
-    r.kept.(ad) <- true;
-    let v = r.view and slots = r.slots in
-    for k = v.off.(ad) to v.off.(ad + 1) - 1 do
-      (* Slot [twin.(k)] of neighbor u reaches [ad]: insertion-sort it
-         into u's restricted row. *)
-      let u = v.nbr.(k) and s = v.twin.(k) in
-      let base = v.off.(u) in
-      let i = ref (base + r.len.(u)) in
-      while !i > base && slots.(!i - 1) > s do
-        slots.(!i) <- slots.(!i - 1);
-        decr i
+  let ads = Array.make !count 0 and off = Array.make (!count + 1) 0 in
+  for u = 0 to n - 1 do
+    let i = dense.(u) in
+    if i >= 0 then begin
+      ads.(i) <- u;
+      let len = ref 0 in
+      for k = v.off.(u) to v.off.(u + 1) - 1 do
+        if dense.(v.nbr.(k)) >= 0 then incr len
       done;
-      slots.(!i) <- s;
-      r.len.(u) <- r.len.(u) + 1
-    done
-  end
+      off.(i + 1) <- off.(i) + !len
+    end
+  done;
+  let slots = off.(!count) in
+  let nbr = Array.make slots 0 and slot = Array.make slots 0 in
+  (* [at]: view slot between two kept ADs -> its dense slot. *)
+  let at = Array.make (Array.length v.nbr) 0 and j = ref 0 in
+  Array.iter
+    (fun u ->
+      for k = v.off.(u) to v.off.(u + 1) - 1 do
+        let w = dense.(v.nbr.(k)) in
+        if w >= 0 then begin
+          nbr.(!j) <- w;
+          slot.(!j) <- k;
+          at.(k) <- !j;
+          incr j
+        end
+      done)
+    ads;
+  let twin = Array.map (fun k -> at.(v.twin.(k))) slot in
+  { view = v; dense; ads; off; nbr; twin; slot }
+
+let kept r ad = r.dense.(ad) >= 0
+
+let size r = Array.length r.ads
 
 let no_rows =
   let view = { off = [| 0 |]; nbr = [||]; twin = [||]; seq_bits = 0; max_dist = 0 } in
-  { view; kept = [||]; len = [||]; slots = [||] }
+  { view; dense = [||]; ads = [||]; off = [| 0 |]; nbr = [||]; twin = [||]; slot = [||] }
 
-(* Node-level Dijkstra from [dst] over the restricted rows. Relaxing
-   w's slot k to v prices the edge v -> w by its own slot, [twin.(k)].
-   With decrease-key and metrics >= 0, a settled AD is never improved
+(* Node-level Dijkstra toward [dst] over the dense rows: from [dst]'s
+   node, or, when [dst] is not kept, from each kept neighbor at the
+   metric of its edge to [dst]. Relaxing w's dense slot j to u prices
+   the edge u -> w by its own view slot, [slot.(twin.(j))]. With
+   decrease-key and metrics >= 0, a settled node is never improved
    again, so the label doubles as the distance array. *)
-let lower_bound ?into r q ~dst ~metric =
-  let v = r.view in
-  let off = v.off and nbr = v.nbr and twin = v.twin and len = r.len and slots = r.slots in
-  let n = Array.length off - 1 in
+let lower_bound ?into (r : rows) q ~dst ~metric =
+  let v = r.view and off = r.off and nbr = r.nbr and twin = r.twin and slot = r.slot in
+  let size = size r in
   let h =
     match into with
     | Some h ->
-        Array.fill h 0 n max_int;
+        Array.fill h 0 size max_int;
         h
-    | None -> Array.make n max_int
+    | None -> Array.make size max_int
   in
   Keyed.clear q;
-  h.(dst) <- 0;
-  ignore (Keyed.insert_or_decrease q dst ~priority:0);
+  if kept r dst then begin
+    h.(r.dense.(dst)) <- 0;
+    ignore (Keyed.insert_or_decrease q r.dense.(dst) ~priority:0)
+  end
+  else
+    for j = v.off.(dst) to v.off.(dst + 1) - 1 do
+      let u = r.dense.(v.nbr.(j)) in
+      if u >= 0 then begin
+        h.(u) <- metric.(v.twin.(j));
+        ignore (Keyed.insert_or_decrease q u ~priority:h.(u))
+      end
+    done;
   while not (Keyed.is_empty q) do
     let w = Keyed.pop_min q in
     let d = h.(w) in
-    for i = off.(w) to off.(w) + len.(w) - 1 do
-      let k = slots.(i) in
-      let u = nbr.(k) and d' = d + metric.(twin.(k)) in
+    for j = off.(w) to off.(w + 1) - 1 do
+      let u = nbr.(j) and d' = d + metric.(slot.(twin.(j))) in
       if d' < h.(u) then begin
         h.(u) <- d';
         ignore (Keyed.insert_or_decrease q u ~priority:d')
@@ -155,44 +186,41 @@ let lower_bound ?into r q ~dst ~metric =
 module Lru = Pr_util.Lru
 
 type labels = {
-  rows : rows;
-  heap : Keyed.t;
+  mutable rows : rows;
+  mutable heap : Keyed.t;
   cache : (int, int array) Lru.t;
-  mutable spare : int array list;  (* arrays of the labels [join] dropped *)
   mutable builds : int;
 }
 
-let labels v ~keep ~capacity =
+let labels rows ~capacity =
   {
-    rows = restrict v ~keep;
-    heap = Keyed.create ~capacity:(Array.length v.off - 1);
+    rows;
+    heap = Keyed.create ~capacity:(size rows);
     cache = Lru.create ~capacity:(Some capacity) ();
-    spare = [];
     builds = 0;
   }
 
 let carrying l = l.rows
 
+(* Every cached label is one word short of the new view: drop them. *)
 let join l ad =
-  if not (kept l.rows ad) then begin
-    keep l.rows ad;
-    l.spare <- Lru.fold l.cache ~init:l.spare ~f:(fun acc _ h -> h :: acc);
+  let r = l.rows in
+  if not (kept r ad) then begin
+    l.rows <- restrict r.view ~keep:(fun u -> u = ad || kept r u);
+    l.heap <- Keyed.create ~capacity:(size l.rows);
     Lru.clear l.cache
   end
 
-(* A miss builds into a dropped label's array, else into the array of
-   the label its [put] is about to evict. *)
+(* A miss on a full cache builds into the array of the label its [put]
+   is about to evict. *)
 let label l ~key ~dst ~metric =
   match Lru.find l.cache key with
   | Some h -> h
   | None ->
       let into =
-        match (l.spare, Lru.capacity l.cache) with
-        | h :: rest, _ ->
-            l.spare <- rest;
-            Some h
-        | [], Some c when Lru.length l.cache >= c -> Lru.oldest l.cache
-        | [], _ -> None
+        match Lru.capacity l.cache with
+        | Some c when Lru.length l.cache >= c -> Lru.oldest l.cache
+        | _ -> None
       in
       let h = lower_bound ?into l.rows l.heap ~dst ~metric in
       l.builds <- l.builds + 1;
@@ -203,16 +231,34 @@ let label_builds l = l.builds
 
 let label_evictions l = Lru.evictions l.cache
 
+(* A search walks nodes and states. Over the view, a node is an AD and
+   the states are its slots, the start state [first] = m. Over dense
+   rows [r], nodes and states are the dense ones, and an unkept src or
+   dst attaches per search: state [first] is at src; when src is not
+   kept, its entries x in [0, src_len) list the slots of src's row to
+   kept ADs (state [first] + 1 + x) and to dst; when dst is not kept,
+   it is node [size r], every state from [dst_base] on is at dst, and
+   each kept neighbor's slot to dst is one more entry, found through
+   [dst_mark]/[dst_ix]. An entry holds its view slot [xk], node [xw]
+   and state [xst]. *)
 type scratch = {
   mutable dist : int array;
   mutable parent : int array;
-  mutable reached : int array;  (* slot -> generation whose dist is valid *)
+  mutable reached : int array;  (* state -> generation whose dist is valid *)
   mutable q : Keyed.t;
   mutable touched : int array;  (* AD -> [touch] of its first touch *)
-  mutable avoided : int array;
-  mutable on_path : int array;
-  mutable dst_mark : int array;  (* AD -> [touch] when it neighbors an unkept dst *)
-  mutable dst_slot : int array;  (* ... and then its slot to dst *)
+  mutable on_path : int array;  (* AD *)
+  mutable avoided : int array;  (* node *)
+  mutable dst_mark : int array;  (* node -> [touch] when it neighbors an unkept dst *)
+  mutable dst_ix : int array;  (* ... and then its entry *)
+  mutable xk : int array;
+  mutable xw : int array;
+  mutable xst : int array;
+  mutable src_node : int;  (* -1 when src is not kept *)
+  mutable dst_node : int;
+  mutable first : int;
+  mutable src_len : int;
+  mutable dst_base : int;
   mutable gen : int;  (* bumped per pass: stamps [reached], [avoided], [on_path] *)
   mutable touch : int;  (* [gen] at the search's start: both passes share it *)
   mutable work : int;
@@ -226,41 +272,59 @@ let scratch () =
     reached = [||];
     q = Keyed.create ~capacity:0;
     touched = [||];
-    avoided = [||];
     on_path = [||];
+    avoided = [||];
     dst_mark = [||];
-    dst_slot = [||];
+    dst_ix = [||];
+    xk = [||];
+    xw = [||];
+    xst = [||];
+    src_node = 0;
+    dst_node = 0;
+    first = 0;
+    src_len = 0;
+    dst_base = max_int;
     gen = 0;
     touch = 0;
     work = 0;
     bound_work = 0;
   }
 
-(* Grow to fit the view and open a new generation. Fresh stamp arrays
-   hold 0, below every live generation. *)
-let begin_search s v =
-  let size = Array.length v.nbr + 1 and n = Array.length v.off - 1 in
-  if Array.length s.dist < size then begin
-    s.dist <- Array.make size 0;
-    s.parent <- Array.make size 0;
-    s.reached <- Array.make size 0;
-    s.q <- Keyed.create ~capacity:size
+(* Grow to fit and open a new generation. Fresh stamp arrays hold 0,
+   below every live generation. *)
+let begin_search s ~states ~nodes ~ads ~entries =
+  if Array.length s.dist < states then begin
+    s.dist <- Array.make states 0;
+    s.parent <- Array.make states 0;
+    s.reached <- Array.make states 0;
+    s.q <- Keyed.create ~capacity:states
   end;
-  if Array.length s.touched < n then begin
-    s.touched <- Array.make n 0;
-    s.avoided <- Array.make n 0;
-    s.on_path <- Array.make n 0;
-    s.dst_mark <- Array.make n 0;
-    s.dst_slot <- Array.make n 0
+  if Array.length s.avoided < nodes then begin
+    s.avoided <- Array.make nodes 0;
+    s.dst_mark <- Array.make nodes 0;
+    s.dst_ix <- Array.make nodes 0
+  end;
+  if Array.length s.touched < ads then begin
+    s.touched <- Array.make ads 0;
+    s.on_path <- Array.make ads 0
+  end;
+  if Array.length s.xk < entries then begin
+    s.xk <- Array.make entries 0;
+    s.xw <- Array.make entries 0;
+    s.xst <- Array.make entries 0
   end;
   s.gen <- s.gen + 1;
   s.touch <- s.gen;
   s.work <- 0;
   s.bound_work <- 0
 
+let begin_view s (v : view) =
+  let n = Array.length v.off - 1 in
+  begin_search s ~states:(Array.length v.nbr + 1) ~nodes:n ~ads:n ~entries:0
+
 let scratch_for v =
   let s = scratch () in
-  begin_search s v;
+  begin_view s v;
   s
 
 let shared = Domain.DLS.new_key scratch
@@ -277,106 +341,235 @@ type outcome = Route of Path.t | Revisits | Unreachable
 
 let overflow () = invalid_arg "Policy_search.search: path metric overflow"
 
-(* One pass of the relaxation loop; returns the settled destination
-   state, or -1. A push whose d' + h(w) exceeds [cut] is skipped before
-   admission; an empty [h] bounds nothing. The exact order keys a push
-   by (d', seq); the bound pass ([astar]) by (d' + h(w), LIFO seq) and
-   lowers [cut] to each destination distance it pushes.
+let never _ = false
 
-   With restricted rows [r] an AD's slots are its kept ones, with the
-   slot to an unkept dst ([dst_slot], or [max_int] when none) merged in
-   at its place: the slots left out reach ADs with h = max_int, whose
-   pushes are skipped anyway, so the pushes and their seqs are those
-   of the full rows. *)
-let pass s v r ~src ~dst ~avoid ~metric ~admit ~h ~astar ~cut =
-  let bounded = Array.length h > 0 and gen = s.gen and off = v.off and nbr = v.nbr and twin = v.twin in
+(* Stamp the avoided ADs' nodes: the ADs themselves over the view,
+   their dense ids (when kept) over dense rows. A toplevel function
+   rather than a closure, which would keep [pass] from being inlined. *)
+let rec mark_avoided avoided gen ~n ~dense = function
+  | [] -> ()
+  | a :: rest ->
+      if a >= 0 && a < n then begin
+        let x = if Array.length dense = 0 then a else dense.(a) in
+        if x >= 0 then avoided.(x) <- gen
+      end;
+      mark_avoided avoided gen ~n ~dense rest
+
+(* One pass of the relaxation loop over the view ([dense] false) or
+   the dense rows [r]; returns the settled destination state, or -1. A
+   push whose d' + h(w) exceeds [cut] is skipped before admission; an
+   empty [h] bounds nothing, and h is 0 at dst. The exact order keys a
+   push by (d', seq); the bound pass ([astar]) by (d' + h(w), LIFO seq)
+   and lowers [cut] to each destination distance it pushes. A popped
+   state at an AD [refuses] holds for, other than the start, relaxes
+   nothing: admission would refuse every push it could make.
+
+   Over dense rows, a node's entries are its row's, merged by view
+   slot with its attachment entries: the rows leave out only slots to
+   ADs with h = max_int, whose pushes are skipped anyway, so the
+   pushes and their seqs are those of the full rows.
+
+   [dense] is a constant at both call sites ([pass_view], [pass_dense])
+   and the loop is inlined into each, so the compiler drops the other
+   kind's branches: a search over the view pays nothing for dense rows
+   or attachments. *)
+let[@inline] pass ~dense s (v : view) (r : rows) ~src ~dst ~avoid ~metric ~admit ~refuses ~h
+    ~astar ~cut =
+  let off = if dense then r.off else v.off and nbr = if dense then r.nbr else v.nbr in
+  let twin = if dense then r.twin else v.twin and slot = r.slot and ads = r.ads in
+  let bounded = Array.length h > 0 and gen = s.gen in
   let dist = s.dist and parent = s.parent and reached = s.reached in
   let avoided = s.avoided and q = s.q and bits = v.seq_bits in
-  let restricted = r != no_rows and len = r.len and slots = r.slots in
-  let merge_dst = restricted && not r.kept.(dst) and dst_mark = s.dst_mark and touch = s.touch in
-  List.iter (fun a -> if a >= 0 && a < Array.length avoided then avoided.(a) <- gen) avoid;
-  let start = Array.length nbr and seq = ref 1 and final = ref (-1) and cut = ref cut in
+  let src_node = s.src_node and dst_node = s.dst_node in
+  let first = s.first and dst_base = s.dst_base in
+  let xk = s.xk and xw = s.xw and xst = s.xst in
+  let merge_dst = dense && not (kept r dst) and dst_mark = s.dst_mark and touch = s.touch in
+  let refusing = refuses != never in
+  mark_avoided avoided gen ~n:(Array.length v.off - 1) ~dense:(if dense then r.dense else [||]) avoid;
+  let seq = ref 1 and final = ref (-1) and cut = ref cut in
   let tie = if astar then (1 lsl bits) - 1 else 0 in
+  let i = ref 0 and stop = ref 0 and x = ref 0 and xstop = ref 0 in
+  let ew = ref 0 and ek = ref 0 and est = ref 0 in
   Keyed.clear q;
-  dist.(start) <- 0;
-  parent.(start) <- -1;
-  reached.(start) <- gen;
-  ignore (Keyed.insert_or_decrease q start ~priority:0);
+  dist.(first) <- 0;
+  parent.(first) <- -1;
+  reached.(first) <- gen;
+  ignore (Keyed.insert_or_decrease q first ~priority:0);
   while !final < 0 && not (Keyed.is_empty q) do
     (* Metrics are >= 0, h is consistent and only strict improvements
        enter the heap, so a popped state is settled for good. *)
     let st = Keyed.pop_min q in
     s.work <- s.work + 1;
-    let at = if st = start then src else nbr.(twin.(st)) in
-    if at = dst then final := st
+    let at =
+      if st < first then nbr.(twin.(st))
+      else if st = first then src_node
+      else if st < dst_base then xw.(st - first - 1)
+      else dst_node
+    in
+    if at = dst_node then final := st
     else begin
-      let d = dist.(st) and from = if st = start then -1 else nbr.(st) in
-      let i = ref off.(at) in
-      let stop = if restricted then !i + len.(at) else off.(at + 1) in
-      let kd = ref (if merge_dst && dst_mark.(at) = touch then s.dst_slot.(at) else max_int) in
-      while !i < stop || !kd < max_int do
-        let next = if !i >= stop then max_int else if restricted then slots.(!i) else !i in
-        let k = if next < !kd then next else !kd in
-        if next < !kd then incr i else kd := max_int;
-        let w = nbr.(k) in
-        if w <> src && (w = dst || avoided.(w) <> gen) then begin
-          let c = metric at w k in
-          let st' = twin.(k) and d' = d + c in
-          if c >= 0 && (reached.(st') <> gen || d' < dist.(st')) then begin
-            let hw = if bounded then h.(w) else 0 in
-            (* Admission last: it is the dearest check, and pure. *)
-            if hw <> max_int && hw <= !cut - d' && (at = src || admit at from w) then begin
-              let f = if astar then d' + hw else d' in
-              if f > v.max_dist then overflow ();
-              if astar && w = dst then cut := d';
-              reached.(st') <- gen;
-              dist.(st') <- d';
-              parent.(st') <- st;
-              ignore (Keyed.insert_or_decrease q st' ~priority:((f lsl bits) lor (!seq lxor tie)));
-              incr seq
+      let at_ad = if not dense then at else if at >= 0 then ads.(at) else src in
+      if (not refusing) || st = first || not (refuses at_ad) then begin
+        let d = dist.(st) in
+        let from =
+          if st < first then if dense then ads.(nbr.(st)) else nbr.(st)
+          else if st = first then -1
+          else src
+        in
+        if not dense then begin
+          i := off.(at);
+          stop := off.(at + 1)
+        end
+        else if at >= 0 then begin
+          let merge = merge_dst && dst_mark.(at) = touch in
+          i := off.(at);
+          stop := off.(at + 1);
+          x := if merge then s.dst_ix.(at) else 0;
+          xstop := if merge then !x + 1 else 0
+        end
+        else begin
+          (* The start at an unkept src: its entries are its row. *)
+          i := 0;
+          stop := 0;
+          x := 0;
+          xstop := s.src_len
+        end;
+        while if dense then !i < !stop || !x < !xstop else !i < !stop do
+          if dense && !x < !xstop && not (!i < !stop && slot.(!i) < xk.(!x)) then begin
+            ew := xw.(!x);
+            ek := xk.(!x);
+            est := xst.(!x);
+            incr x
+          end
+          else begin
+            ew := nbr.(!i);
+            ek := if dense then slot.(!i) else !i;
+            est := twin.(!i);
+            incr i
+          end;
+          let w = !ew in
+          if w <> src_node && (w = dst_node || avoided.(w) <> gen) then begin
+            let w_ad = if not dense then w else if w = dst_node then dst else ads.(w) in
+            let c = metric at_ad w_ad !ek in
+            let st' = !est and d' = d + c in
+            if c >= 0 && (reached.(st') <> gen || d' < dist.(st')) then begin
+              let hw = if not bounded then 0 else if dense && w = dst_node then 0 else h.(w) in
+              (* Admission last: it is the dearest check, and pure. *)
+              if hw <> max_int && hw <= !cut - d' && (st = first || admit at_ad from w_ad) then begin
+                let f = if astar then d' + hw else d' in
+                if f > v.max_dist then overflow ();
+                if astar && w = dst_node then cut := d';
+                reached.(st') <- gen;
+                dist.(st') <- d';
+                parent.(st') <- st;
+                ignore (Keyed.insert_or_decrease q st' ~priority:((f lsl bits) lor (!seq lxor tie)));
+                incr seq
+              end
             end
           end
-        end
-      done
+        done
+      end
     end
   done;
   !final
 
-let search s v ~src ~dst ?(avoid = []) ?lower ?(rows = no_rows) ~metric ~admit () =
-  begin_search s v;
-  if rows != no_rows && rows.view != v then invalid_arg "Policy_search.search: rows of another view";
+let pass_view s v ~src ~dst ~avoid ~metric ~admit ~refuses ~h ~astar ~cut =
+  pass ~dense:false s v no_rows ~src ~dst ~avoid ~metric ~admit ~refuses ~h ~astar ~cut
+
+let pass_dense s v r ~src ~dst ~avoid ~metric ~admit ~refuses ~h ~astar ~cut =
+  pass ~dense:true s v r ~src ~dst ~avoid ~metric ~admit ~refuses ~h ~astar ~cut
+
+let run_pass s v r ~src ~dst ~avoid ~metric ~admit ~refuses ~h ~astar ~cut =
+  if r == no_rows then pass_view s v ~src ~dst ~avoid ~metric ~admit ~refuses ~h ~astar ~cut
+  else pass_dense s v r ~src ~dst ~avoid ~metric ~admit ~refuses ~h ~astar ~cut
+
+(* Attach an unkept src and dst to the dense rows (see [scratch]). *)
+let attach s (v : view) r ~src ~dst =
+  let size = size r and first = Array.length r.nbr in
+  let src_node = r.dense.(src) and dst_node = if kept r dst then r.dense.(dst) else size in
+  let deg u = v.off.(u + 1) - v.off.(u) in
+  begin_search s ~states:(first + 1 + deg src + deg dst) ~nodes:(size + 1)
+    ~ads:(Array.length v.off - 1) ~entries:(deg src + deg dst);
+  let dst_base = if src_node < 0 then first + 1 + deg src else first + 1 in
+  let e = ref 0 in
+  if src_node < 0 then
+    for k = v.off.(src) to v.off.(src + 1) - 1 do
+      let w = v.nbr.(k) in
+      if kept r w || w = dst then begin
+        s.xk.(!e) <- k;
+        s.xw.(!e) <- (if kept r w then r.dense.(w) else dst_node);
+        s.xst.(!e) <- (if kept r w then first + 1 + !e else dst_base + v.twin.(k) - v.off.(dst));
+        incr e
+      end
+    done;
+  s.src_len <- !e;
+  if not (kept r dst) then
+    for j = v.off.(dst) to v.off.(dst + 1) - 1 do
+      let a = r.dense.(v.nbr.(j)) in
+      if a >= 0 then begin
+        s.xk.(!e) <- v.twin.(j);
+        s.xw.(!e) <- dst_node;
+        s.xst.(!e) <- dst_base + j - v.off.(dst);
+        s.dst_mark.(a) <- s.touch;
+        s.dst_ix.(a) <- !e;
+        incr e
+      end
+    done;
+  s.src_node <- src_node;
+  s.dst_node <- dst_node;
+  s.first <- first;
+  s.dst_base <- dst_base
+
+let search s (v : view) ~src ~dst ?(avoid = []) ?lower ?(rows = no_rows) ?(refuses = never) ~metric
+    ~admit () =
+  let dense = rows != no_rows in
+  if dense then begin
+    if rows.view != v then invalid_arg "Policy_search.search: rows of another view";
+    attach s v rows ~src ~dst
+  end
+  else begin
+    begin_view s v;
+    s.src_node <- src;
+    s.dst_node <- dst;
+    s.first <- Array.length v.nbr;
+    s.src_len <- 0;
+    s.dst_base <- max_int
+  end;
   if src = dst then Route [ src ]
   else begin
     let final =
       match lower with
       | None ->
-          if rows != no_rows then invalid_arg "Policy_search.search: rows without a lower bound";
-          pass s v rows ~src ~dst ~avoid ~metric ~admit ~h:[||] ~astar:false ~cut:max_int
+          if dense then invalid_arg "Policy_search.search: rows without a lower bound";
+          run_pass s v rows ~src ~dst ~avoid ~metric ~admit ~refuses ~h:[||] ~astar:false ~cut:max_int
       | Some h ->
-          if Array.length h < Array.length v.off - 1 then
+          if Array.length h < (if dense then size rows else Array.length v.off - 1) then
             invalid_arg "Policy_search.search: lower bound shorter than the view";
-          if rows != no_rows && not rows.kept.(dst) then
-            for j = v.off.(dst) to v.off.(dst + 1) - 1 do
-              s.dst_mark.(v.nbr.(j)) <- s.touch;
-              s.dst_slot.(v.nbr.(j)) <- v.twin.(j)
-            done;
           (* Pass 1 learns the optimum D*; pass 2 replays the exact
              order over the states that can still meet it. *)
-          let goal = pass s v rows ~src ~dst ~avoid ~metric ~admit ~h ~astar:true ~cut:max_int in
+          let goal = run_pass s v rows ~src ~dst ~avoid ~metric ~admit ~refuses ~h ~astar:true ~cut:max_int in
           s.bound_work <- s.work;
           if goal < 0 then -1
           else begin
             let best = s.dist.(goal) in
             s.gen <- s.gen + 1;
-            pass s v rows ~src ~dst ~avoid ~metric ~admit ~h ~astar:false ~cut:best
+            run_pass s v rows ~src ~dst ~avoid ~metric ~admit ~refuses ~h ~astar:false ~cut:best
           end
     in
     if final < 0 then Unreachable
     else begin
-      let gen = s.gen and start = Array.length v.nbr and nbr = v.nbr and twin = v.twin in
+      let gen = s.gen and first = s.first and nbr = if dense then rows.nbr else v.nbr in
+      let twin = if dense then rows.twin else v.twin in
       let path = ref [] and simple = ref true and st = ref final in
       while !st >= 0 do
-        let ad = if !st = start then src else nbr.(twin.(!st)) in
+        let ad =
+          if !st < first then
+            let x = nbr.(twin.(!st)) in
+            if dense then rows.ads.(x) else x
+          else if !st = first then src
+          else if !st < s.dst_base then rows.ads.(s.xw.(!st - first - 1))
+          else dst
+        in
         if s.on_path.(ad) = gen then simple := false;
         s.on_path.(ad) <- gen;
         path := ad :: !path;
@@ -386,8 +579,8 @@ let search s v ~src ~dst ?(avoid = []) ?lower ?(rows = no_rows) ~metric ~admit (
     end
   end
 
-let enumerate s v ~src ~dst ~max_hops ~limit ~admit =
-  begin_search s v;
+let enumerate s (v : view) ~src ~dst ~max_hops ~limit ~admit =
+  begin_view s v;
   let gen = s.gen and on_path = s.on_path in
   let results = ref [] and count = ref 0 in
   let rec go u prev prefix_rev depth =

@@ -36,50 +36,49 @@ val iter_row : view -> Ad.id -> f:(Ad.id -> int -> unit) -> unit
 (** [f w k] for each neighbor [w] of the AD, [k] its slot, in row order. *)
 
 type rows
-(** A view's rows restricted to a set of kept ADs: each AD's row lists
-    the view slots whose neighbor is kept, in view order. A search
-    passed them iterates only those slots (see {!search}). *)
+(** The dense view of a set of kept ADs: the kept ADs numbered
+    0 .. {!size} - 1 in increasing AD order, each with a row of its
+    kept neighbors in view slot order. A search passed them walks only
+    these rows (see {!search}), and a label is indexed by this
+    numbering. *)
 
 val restrict : view -> keep:(Ad.id -> bool) -> rows
-(** Rows restricted to the ADs [keep] holds for. O(n + m). *)
-
-val keep : rows -> Ad.id -> unit
-(** Add the AD to the kept set, in place: its slot enters each
-    neighbor's row at its view position. O(sum of the neighbors' row
-    lengths); nothing when already kept. *)
+(** The dense view of the ADs [keep] holds for. O(n + m). *)
 
 val kept : rows -> Ad.id -> bool
+
+val size : rows -> int
+(** The number of kept ADs: the length of a label over the rows. *)
 
 val lower_bound :
   ?into:int array ->
   rows -> Pr_util.Pqueue.Keyed.t -> dst:Ad.id -> metric:int array -> int array
-(** Per AD, the least [metric] (by view slot, [>= 0]) of a walk to
-    [dst] whose ADs other than [dst] are all kept; [max_int] where none
-    is, so every unkept AD but [dst]. A Dijkstra from [dst] on the
-    heap, whose capacity must be at least n. The label is written into
-    [into] (an n-word array, overwritten) and returned, or else into a
-    fresh array, the build's only allocation. It bounds {!search} for
-    any metric no lower than [metric] slot for slot, and meets the
-    precondition of [~rows]. *)
+(** Per kept AD, by its number in the rows, the least [metric] (by
+    view slot, [>= 0]) of a walk to [dst] whose ADs other than [dst]
+    are all kept; [max_int] where none is. [dst] itself need not be
+    kept. A Dijkstra on the heap, whose capacity must be at least
+    {!size}. The label is written into [into] (at least {!size} words,
+    overwritten) and returned, or else into a fresh array, the build's
+    only allocation. It bounds {!search} for any metric no lower than
+    [metric] slot for slot, over the same rows. *)
 
 type labels
 (** The label machinery of a route search that knows which ADs can
-    carry transit: restricted rows over the kept ADs, the heap their
-    labels are built on, and an LRU cache of built labels. Label arrays
-    are recycled: a build writes into the array of a label evicted or
-    dropped before it, so a full cache allocates a cache entry per
-    build, not an n-word label. *)
+    carry transit: the dense view of the kept ADs, the heap their
+    labels are built on, and an LRU cache of built labels. Once the
+    cache is full, a build writes into the array of the label it
+    evicts, so it allocates a cache entry, not a label. *)
 
-val labels : view -> keep:(Ad.id -> bool) -> capacity:int -> labels
-(** Rows restricted to [keep] ({!restrict}) and an empty cache of at
-    most [capacity] labels. *)
+val labels : rows -> capacity:int -> labels
+(** The rows and an empty cache of at most [capacity] labels. *)
 
 val carrying : labels -> rows
-(** The restricted rows, to pass to {!search} with a label. *)
+(** The current rows, to pass to {!search} with a label. *)
 
 val join : labels -> Ad.id -> unit
-(** {!keep} the AD; when it was not kept, drop every cached label
-    (each was built without it). *)
+(** Add the AD to the kept set: when it was not kept, rebuild the rows
+    ({!restrict}, O(n + m)) and drop every cached label (each was built
+    without it, and is one word short). *)
 
 val label : labels -> key:int -> dst:Ad.id -> metric:int array -> int array
 (** The cached label under [key], else {!lower_bound} toward [dst]
@@ -120,40 +119,51 @@ val search :
   ?avoid:Ad.id list ->
   ?lower:int array ->
   ?rows:rows ->
+  ?refuses:(Ad.id -> bool) ->
   metric:(Ad.id -> Ad.id -> int -> int) ->
   admit:(Ad.id -> Ad.id -> Ad.id -> bool) ->
   unit ->
   outcome
 (** Minimum-metric route that never re-enters [src] and has no
     [avoid] AD in its interior. [metric v w k] is the metric of edge
-    [v -> w], slot [k]: [>= 0], or negative when the edge is unusable.
-    [admit v p w] decides the interior crossing p -> v -> w; [src]
-    needs none, and it is asked only about edges that would improve a
-    state.
+    [v -> w], view slot [k]: [>= 0], or negative when the edge is
+    unusable. [admit v p w] decides the interior crossing p -> v -> w;
+    [src] needs none, and it is asked only about edges that would
+    improve a state.
 
-    [lower], indexed by AD, must be a consistent lower bound on the
-    metric to [dst]: [lower.(dst) = 0], [lower.(v) <= metric v w k +
-    lower.(w)] for every usable edge, and [max_int] only where no
-    usable walk reaches [dst]. The search then runs two passes of the
-    one relaxation loop. The bound pass pops states by d + lower (A-star)
-    and skips pushes beyond the best destination distance pushed so
-    far: it finds the optimum D* or proves [Unreachable]. The exact pass
-    replays the (distance, improvement) order, skipping, before
-    admission, every push whose d + lower exceeds D*. No state on the
-    returned parent chain is skipped and a skipped state leads only to
-    states beyond D*, so the outcome is the unbounded search's; the
-    exact pass settles a subset of its states.
+    [lower] must be a consistent lower bound on the metric to [dst]:
+    [lower.(dst) = 0], [lower.(v) <= metric v w k + lower.(w)] for
+    every usable edge, and [max_int] only where no usable walk reaches
+    [dst]. The search then runs two passes of the one relaxation loop.
+    The bound pass pops states by d + lower (A-star) and skips pushes
+    beyond the best destination distance pushed so far: it finds the
+    optimum D* or proves [Unreachable]. The exact pass replays the
+    (distance, improvement) order, skipping, before admission, every
+    push whose d + lower exceeds D*. No state on the returned parent
+    chain is skipped and a skipped state leads only to states beyond
+    D*, so the outcome is the unbounded search's; the exact pass
+    settles a subset of its states.
 
-    [rows], restricted rows over this view, needs [lower], and
-    [lower.(v) = max_int] for every AD [v] outside the kept set other
-    than [dst]. Both passes then relax only the kept slots, plus the
-    slot to [dst] when [dst] is not kept, merged in at its place in
-    slot order. Every slot left out leads to a push the bound would
-    skip, so the outcome, pop order and {!settled} are those of the
-    search without [rows]; [metric] is simply not asked about them.
+    Without [rows], [lower] is indexed by AD. [rows], the dense view of
+    a kept set over this view, needs [lower] indexed by its numbering
+    (a {!label} or {!lower_bound} over it) and stands for [max_int] at
+    every AD outside the kept set other than [dst]. The search then
+    walks the dense rows only: an unkept [src] relaxes its slots to
+    kept ADs and to [dst], and an unkept [dst] is reached through its
+    kept neighbors' slots to it, merged in at their place in slot
+    order. Every slot left out leads to a push the bound would skip, so
+    the outcome, pop order and {!settled} are those of the search over
+    the view with [lower] expanded to it; [metric] is simply not asked
+    about them.
+
+    [refuses v] may claim that [admit v p w] is false for every [p] and
+    [w]: a popped state at such an AD, other than the start at [src],
+    relaxes nothing. It is asked once per popped state, and changes
+    nothing but the work done.
     @raise Invalid_argument if a path metric (plus its bound, in the
     bound pass) overflows the heap key, [lower] is shorter than the
-    view, or [rows] are another view's or come without [lower]. *)
+    view or the rows, or [rows] are another view's or come without
+    [lower]. *)
 
 val settled : scratch -> int
 (** States settled by the last search, both passes counted: the work

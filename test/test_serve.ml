@@ -839,7 +839,8 @@ let multihomed_ids g =
    sizes served, every answer stays the unbounded search's across
    transit ADs closed, opened and restored and multi-homed stubs given
    a transit term and closed again, for queries pinned to the current
-   snapshot and to older ones. *)
+   snapshot and to older ones. A stub's first term rebuilds the dense
+   view of the carrying ADs: the labels grow. *)
 let labels_exact_across_flips =
   QCheck.Test.make ~name:"serve equals the unbounded search across flips" ~count:6
     QCheck.(pair (int_range 300 1000) small_int)
@@ -872,6 +873,8 @@ let labels_exact_across_flips =
              (Array.to_list stubs))
       in
       let n = Graph.n g in
+      let carrying () = Array.length (Serve.label server Qos.Default 0) in
+      let before = carrying () in
       let snaps = ref [ Serve.snapshot server ] and bad = ref None in
       (* Round 0 only builds labels; every later round flips one AD
          first, each kind of flip in turn, and round 3 always gives a
@@ -918,6 +921,7 @@ let labels_exact_across_flips =
                            flow.Flow.src flow.Flow.dst)
         done
       done;
+      if carrying () <= before then QCheck.Test.fail_report "no stub joined the carrying ADs";
       match !bad with Some m -> QCheck.Test.fail_report m | None -> true)
 
 (* S reaches D through the multi-homed stub M or through the transit
@@ -976,9 +980,11 @@ let carries g snap u =
 
 (* Every label the server builds over its carrying rows is the
    [Spf]-built one over the ADs that carried transit at some refreshed
-   version, before and after multi-homed stubs join that set. The same
-   destinations are asked each round, so a label kept past a join would
-   differ. *)
+   version, before and after multi-homed stubs join that set. A label
+   holds one word per carrying AD, in increasing AD order, and the
+   reference is [max_int] at every other AD but the destination. The
+   same destinations are asked each round, so a label kept past a join
+   would differ. *)
 let labels_match_spf_reference =
   QCheck.Test.make ~name:"labels = the Spf-built reference across stub joins" ~count:6
     QCheck.(pair (int_range 300 1000) small_int)
@@ -1004,28 +1010,37 @@ let labels_match_spf_reference =
           let snap = Serve.snapshot server in
           Array.iteri (fun u c -> if not c then carrying.(u) <- carries g snap u) carrying
         end;
+        let members = List.filter (fun u -> carrying.(u)) (List.init n Fun.id) in
         List.iter
           (fun dst ->
             List.iter
               (fun qos ->
-                if Serve.label server qos dst <> spf_label g view carrying qos dst && !bad = None
-                then bad := Some (Printf.sprintf "round %d: label toward %d differs" round dst))
+                let reference = spf_label g view carrying qos dst in
+                let outside =
+                  List.exists
+                    (fun u -> u <> dst && (not carrying.(u)) && reference.(u) <> max_int)
+                    (List.init n Fun.id)
+                in
+                let kept = Array.of_list (List.map (fun u -> reference.(u)) members) in
+                if (outside || Serve.label server qos dst <> kept) && !bad = None then
+                  bad := Some (Printf.sprintf "round %d: label toward %d differs" round dst))
               Qos.all)
           dsts
       done;
       match !bad with Some m -> QCheck.Test.fail_report m | None -> true)
 
 (* A label build allocates the label and its cache entry, nothing per
-   AD searched: <= 1.5 words per AD at 2 000 ADs, averaged over 16
-   builds toward distinct destinations. An [Spf.search] build, with
-   its four n-word arrays, allocated 4.5. *)
+   AD searched: at 2 000 ADs, averaged over 16 builds toward distinct
+   destinations, at most the label's own words (one per carrying AD,
+   plus its header) and 16 for the entry. An n-word label over the
+   whole graph allocated up to 1.5 words per AD; an [Spf.search]
+   build, with its four n-word arrays, 4.5. *)
 let label_build_budget () =
   let policy = Daemon.default_config.Daemon.policy in
   let sc = Scenario.for_size ~policy ~target_ads:2000 ~seed:1 () in
   let g = sc.Scenario.graph in
   let server = Serve.create g (Policy_store.create sc.Scenario.config) in
-  let n = Graph.n g in
-  ignore (Serve.label server Qos.Default 0);
+  let len = Array.length (Serve.label server Qos.Default 0) in
   let builds = 16 in
   let words =
     Pr_telemetry.Alloc.words (fun () ->
@@ -1034,8 +1049,11 @@ let label_build_budget () =
         done)
   in
   check_int "labels built" (builds + 1) (Serve.stats server).Serve.bound_builds;
-  let per_ad = words /. float_of_int (builds * n) in
-  check_bool (Printf.sprintf "%.2f words per AD per label (budget 1.5)" per_ad) true (per_ad <= 1.5)
+  check_bool "a label is shorter than the graph" true (len * 10 < Graph.n g);
+  let per_build = words /. float_of_int builds and budget = float_of_int (len + 1 + 16) in
+  check_bool
+    (Printf.sprintf "%.1f words per build (budget %.0f: the label and its entry)" per_build budget)
+    true (per_build <= budget)
 
 let () =
   Alcotest.run "pr_serve"

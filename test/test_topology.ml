@@ -929,18 +929,21 @@ let policy_search_bounded_matches_unbounded =
       done;
       !ok)
 
-(* Restricted rows against the full ones. Rows are shuffled, so slot
+(* The dense view against the full one. Rows are shuffled, so slot
    order is not neighbor order and the merged slot to an unkept dst
-   must land at its place. Some ADs join the kept set in place after
-   [restrict]. An unkept AD admits no crossing, so the label over the
-   kept rows bounds every admissible route: both searches also return
-   the unbounded search's outcome. Every (src, dst) pair is searched,
-   so kept and unkept dsts, unkept srcs and adjacent pairs all occur. *)
+   must land at its place. Every (src, dst) pair is searched, so kept
+   and unkept srcs and dsts, adjacent pairs and src = dst all occur, with
+   some ADs avoided. An unkept AD admits no crossing, so the label over
+   the kept rows, expanded to the view with [max_int] at every unkept
+   AD but dst, bounds every admissible route. Some kept ADs refuse
+   every crossing too, and the dense search is told so: skipping their
+   rows, but never src's, must leave the outcome and the work of the
+   full-view searches, which are not told. *)
 let policy_search_restricted_rows =
   QCheck.Test.make ~name:"restricted rows = full rows (outcome, settled, bound settled)"
     ~count:300
-    QCheck.(pair small_int (triple small_int (int_range 20 100) (int_range 0 100)))
-    (fun (gseed, (aseed, pct, pkeep)) ->
+    QCheck.(pair small_int (quad small_int (int_range 20 100) (int_range 0 100) (int_range 0 40)))
+    (fun (gseed, (aseed, pct, pkeep, prefuse)) ->
       let g = random_multigraph gseed in
       let n = Graph.n g in
       let roll x = Hashtbl.hash (gseed, aseed, x) mod 100 in
@@ -957,37 +960,52 @@ let policy_search_restricted_rows =
       done;
       let view = Policy_search.of_csr ~off ~nbr in
       let rows = Policy_search.restrict view ~keep:(fun v -> roll (`Keep v) < pkeep) in
+      let kept = Policy_search.kept rows in
+      (* Kept ADs are numbered in increasing order. *)
+      let index = Array.make n (-1) and count = ref 0 in
       for v = 0 to n - 1 do
-        if roll (`Join v) < 15 then Policy_search.keep rows v
+        if kept v then begin
+          index.(v) <- !count;
+          incr count
+        end
       done;
       let base = Array.init (Array.length nbr) (fun k -> 1 + (roll (`Cost k) mod 5)) in
       let metric v w k =
         if roll (`Down (v, w)) < 10 then -1 else base.(k) + (roll (`Extra k) mod 2)
       in
-      let admit v p w = Policy_search.kept rows v && random_admit aseed pct v p w in
+      let refuses v = (not (kept v)) || roll (`Refuse v) < prefuse in
+      let admit v p w = (not (refuses v)) && random_admit aseed pct v p w in
+      let avoid = List.filter (fun v -> roll (`Avoid v) < 10) (List.init n Fun.id) in
       let plain = Policy_search.scratch_for view and full = Policy_search.scratch_for view in
-      let restricted = Policy_search.scratch_for view in
+      let dense = Policy_search.scratch_for view in
       let heap = Pqueue.Keyed.create ~capacity:n in
-      let ok = ref true in
+      let ok = ref (Policy_search.size rows = !count) in
       for dst = 0 to n - 1 do
-        let lower = Policy_search.lower_bound rows heap ~dst ~metric:base in
+        let label = Policy_search.lower_bound rows heap ~dst ~metric:base in
+        let lower =
+          Array.init n (fun v -> if v = dst then 0 else if kept v then label.(index.(v)) else max_int)
+        in
+        if Array.length label <> !count then ok := false;
         for src = 0 to n - 1 do
-          let want = Policy_search.search plain view ~src ~dst ~metric ~admit () in
-          let bounded = Policy_search.search full view ~src ~dst ~lower ~metric ~admit () in
-          let got = Policy_search.search restricted view ~src ~dst ~lower ~rows ~metric ~admit () in
+          let want = Policy_search.search plain view ~src ~dst ~avoid ~metric ~admit () in
+          let bounded = Policy_search.search full view ~src ~dst ~avoid ~lower ~metric ~admit () in
+          let got =
+            Policy_search.search dense view ~src ~dst ~avoid ~lower:label ~rows ~refuses ~metric
+              ~admit ()
+          in
           if
             got <> bounded || got <> want
-            || Policy_search.settled restricted <> Policy_search.settled full
-            || Policy_search.bound_settled restricted <> Policy_search.bound_settled full
+            || Policy_search.settled dense <> Policy_search.settled full
+            || Policy_search.bound_settled dense <> Policy_search.bound_settled full
           then ok := false
         done
       done;
       !ok)
 
-(* The label cache builds into the arrays of labels it evicted or
-   dropped at a join. Under any sequence of requests and joins, every
-   label it returns is a fresh [lower_bound] over the rows kept so
-   far. *)
+(* The label cache builds into the arrays of the labels it evicts, and
+   a join rebuilds the dense view. Under any sequence of requests and
+   joins, every label it returns is a fresh [lower_bound] over the
+   rows of the ADs kept so far. *)
 let policy_search_labels_recycle =
   QCheck.Test.make ~name:"recycled labels = fresh lower bounds" ~count:200
     QCheck.(triple small_int (int_range 1 4) (int_range 0 100))
@@ -996,7 +1014,7 @@ let policy_search_labels_recycle =
       let n = Graph.n g and rng = Rng.create gseed in
       let view = Policy_search.of_graph g in
       let keep v = Hashtbl.hash (gseed, v) mod 100 < pkeep in
-      let labels = Policy_search.labels view ~keep ~capacity in
+      let labels = Policy_search.labels (Policy_search.restrict view ~keep) ~capacity in
       let kept = Array.init n keep in
       let metric = Array.init (Array.length (snd (Graph.unique_csr g))) (Graph.slot_cost g) in
       let heap = Pqueue.Keyed.create ~capacity:n and ok = ref true in
@@ -1010,19 +1028,20 @@ let policy_search_labels_recycle =
           let dst = Rng.int rng n in
           let got = Policy_search.label labels ~key:dst ~dst ~metric in
           let rows = Policy_search.restrict view ~keep:(fun v -> kept.(v)) in
-          if got <> Policy_search.lower_bound rows heap ~dst ~metric then ok := false
+          if got <> Policy_search.lower_bound rows heap ~dst ~metric then ok := false;
+          if Policy_search.carrying labels |> Policy_search.size <> Policy_search.size rows then
+            ok := false
         end
       done;
       !ok)
 
 (* Once the cache is full, a build writes into the label it evicts:
-   it allocates a cache entry, not an n-word label. *)
+   it allocates a cache entry, not a label. *)
 let policy_search_label_builds_recycle () =
   let g = Generator.generate (Rng.create 1) (Generator.scaled ~target_ads:2000) in
   let view = Policy_search.of_graph g in
-  let labels =
-    Policy_search.labels view ~keep:(fun v -> Ad.is_transit_capable (Graph.ad g v)) ~capacity:4
-  in
+  let rows = Policy_search.restrict view ~keep:(fun v -> Ad.is_transit_capable (Graph.ad g v)) in
+  let labels = Policy_search.labels rows ~capacity:4 in
   let metric = Array.init (Array.length (snd (Graph.unique_csr g))) (Graph.slot_cost g) in
   for dst = 0 to 3 do
     ignore (Policy_search.label labels ~key:dst ~dst ~metric)
@@ -1038,7 +1057,7 @@ let policy_search_label_builds_recycle () =
   let per_build = words /. float_of_int builds in
   if per_build > 32.0 then
     Alcotest.failf "%.1f words per build on a full cache (budget 32; a label is %d)" per_build
-      (Graph.n g)
+      (Policy_search.size rows)
 
 let policy_search_basics () =
   (* A triangle 0-1-2 plus a tail 2-3, where 1 refuses 0 -> 1 -> 2. *)
@@ -1085,6 +1104,30 @@ let policy_search_basics () =
      the cheapest walk from 0 to 3 is 0-2-1-2-3, which revisits 2. *)
   let loop v p w = (v = 2 && ((p = 0 && w = 1) || (p = 1 && w = 3))) || (v = 1 && p = 2 && w = 2) in
   check_bool "revisiting walk" true (search ~admit:loop 0 3 = Policy_search.Revisits);
+  (* Refusing ADs relax nothing, but the start at src always relaxes:
+     0 -> 1 needs no admission. Over the view and over dense rows that
+     keep every AD, 0 and 1, or none. *)
+  let refuses _ = true and none _ _ _ = false in
+  check_bool "a refusing src still relaxes" true
+    (Policy_search.search scratch view ~src:0 ~dst:1 ~refuses ~metric ~admit:none ()
+    = Policy_search.Route [ 0; 1 ]);
+  let slot_cost = Array.init 8 (Graph.slot_cost g) in
+  List.iter
+    (fun keep ->
+      let rows = Policy_search.restrict view ~keep in
+      let heap = Pqueue.Keyed.create ~capacity:4 in
+      let lower dst = Policy_search.lower_bound rows heap ~dst ~metric:slot_cost in
+      check_bool "a refusing src still relaxes (dense)" true
+        (Policy_search.search scratch view ~src:0 ~dst:1 ~lower:(lower 1) ~rows ~refuses ~metric
+           ~admit:none ()
+        = Policy_search.Route [ 0; 1 ]);
+      (* Admission would let 1 and 2 carry the route: only the skip
+         leaves 3 unreached. *)
+      check_bool "a refusing interior relaxes nothing (dense)" true
+        (Policy_search.search scratch view ~src:0 ~dst:3 ~lower:(lower 3) ~rows ~refuses ~metric
+           ~admit:all ()
+        = Policy_search.Unreachable))
+    [ (fun _ -> true); (fun v -> v < 2); (fun _ -> false) ];
   Alcotest.check_raises "asymmetric rows"
     (Invalid_argument "Policy_search.of_csr: rows are not symmetric") (fun () ->
       ignore (Policy_search.of_csr ~off:[| 0; 1; 1 |] ~nbr:[| 1 |]))
