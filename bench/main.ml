@@ -1528,7 +1528,8 @@ let interpreted_admits db ad ctx =
 (* Route synthesis (the LS-HBH/ORWG kernel: engine build + exact
    (node, arrived-from) search) on one scenario, timed with the
    interpreted admission path and again with the compiled one. Returns
-   (flows, interpreted ns/route, compiled ns/route). *)
+   (flows, states the compiled searches settled in all, interpreted
+   ns/route, compiled ns/route). *)
 let policy_synth_measure (scenario : Scenario.t) =
   let g = scenario.Scenario.graph in
   let n = Graph.n g in
@@ -1551,22 +1552,27 @@ let policy_synth_measure (scenario : Scenario.t) =
     | Pr_topology.Policy_search.Route p -> Some p
     | Pr_topology.Policy_search.Revisits | Pr_topology.Policy_search.Unreachable -> None
   in
-  let compiled_route flow =
-    fst (Pr_proto.Policy_route.shortest (Pr_proto.Policy_route.engine db ~n flow) ())
+  let compiled_search flow =
+    Pr_proto.Policy_route.shortest (Pr_proto.Policy_route.engine db ~n flow) ()
   in
+  let compiled_route flow = fst (compiled_search flow) in
   let synthesize_all route () = List.iter (fun flow -> ignore (route flow)) flows in
   (* Both paths must synthesize identical routes — the equivalence the
      qcheck suite proves term-by-term, re-checked here end-to-end. *)
-  List.iter
-    (fun flow ->
-      if interpreted_route flow <> compiled_route flow then
-        failwith "policy_synth_measure: interpreted and compiled routes differ")
-    flows;
+  let states =
+    List.fold_left
+      (fun states flow ->
+        let path, settled = compiled_search flow in
+        if interpreted_route flow <> path then
+          failwith "policy_synth_measure: interpreted and compiled routes differ";
+        states + settled)
+      0 flows
+  in
   let interp_ns, compiled_ns =
     time_pair_ns_per ~ops:(List.length flows)
       (synthesize_all interpreted_route) (synthesize_all compiled_route)
   in
-  (List.length flows, interp_ns, compiled_ns)
+  (List.length flows, states, interp_ns, compiled_ns)
 
 (* ------------------------------------------------------------------ *)
 (* DELTA: incremental SPF repair vs full recompute, and hierarchical   *)
@@ -1810,6 +1816,7 @@ let synth () =
           ("ADs", Texttable.Right);
           ("links", Texttable.Right);
           ("flows", Texttable.Right);
+          ("states", Texttable.Right);
           ("interp ns/route", Texttable.Right);
           ("compiled ns/route", Texttable.Right);
           ("speedup", Texttable.Right);
@@ -1822,17 +1829,18 @@ let synth () =
           Scenario.for_size ~policy:restrictive_policy ~target_ads:target ~seed:211 ()
         in
         let g = scenario.Scenario.graph in
-        let flows, interp_ns, compiled_ns = policy_synth_measure scenario in
+        let flows, states, interp_ns, compiled_ns = policy_synth_measure scenario in
         Texttable.add_row pt
           [
             Texttable.cell_int (Graph.n g);
             Texttable.cell_int (Graph.num_links g);
             Texttable.cell_int flows;
+            Texttable.cell_int states;
             Texttable.cell_float ~decimals:0 interp_ns;
             Texttable.cell_float ~decimals:0 compiled_ns;
             Texttable.cell_float ~decimals:2 (interp_ns /. compiled_ns);
           ];
-        (target, Graph.n g, Graph.num_links g, flows, interp_ns, compiled_ns))
+        (target, Graph.n g, Graph.num_links g, flows, states, interp_ns, compiled_ns))
       psizes
   in
   Texttable.print pt;
@@ -1896,12 +1904,17 @@ let synth () =
     in
     let policy =
       List.map
-        (fun (target, ads, links, flows, interp_ns, compiled_ns) ->
+        (fun (target, ads, links, flows, states, interp_ns, compiled_ns) ->
           row "search"
             "Policy_route.shortest (exact policy search, restrictiveness 0.8, fine \
              granularity)"
             target
-            [ ("ads", J.Int ads); ("links", J.Int links); ("flows", J.Int flows) ]
+            [
+              ("ads", J.Int ads);
+              ("links", J.Int links);
+              ("flows", J.Int flows);
+              ("search_states", J.Int states);
+            ]
             [
               ("interpreted_ns_per_route", ns interp_ns);
               ("compiled_ns_per_route", ns compiled_ns);

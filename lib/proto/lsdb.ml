@@ -25,11 +25,13 @@ let make_lsa ~origin ~seq ~adjacencies ~terms =
 let lsa_bytes lsa = lsa.bytes
 
 (* The confirmed adjacency as a search view, each slot with its two
-   directed adjacencies and, per QOS class asked for, its metric;
+   directed adjacencies ([out] as the row's AD advertises it, [back]
+   as the neighbor does) and, per QOS class asked for, its metric;
    derived on demand and dropped by every accepted insert. *)
 type search = {
   view : Pr_topology.Policy_search.view;
-  pairs : (adjacency * adjacency) array;
+  out : adjacency array;
+  back : adjacency array;
   metrics : int array option array;  (* by Qos.index *)
 }
 
@@ -89,9 +91,16 @@ let fold t ~init ~f =
 
 let adjacencies_of t origin = t.store.(origin).adjacencies
 
-let find_adjacency t u v = List.find_opt (fun a -> a.nbr = v) t.store.(u).adjacencies
+(* The filler of the slot arrays, and [adjacency_to]'s "none". *)
+let no_adjacency = { nbr = -1; cost = 0; delay = 0.0 }
 
-let adjacency_cost t u v = Option.map (fun a -> a.cost) (find_adjacency t u v)
+let rec adjacency_to v = function
+  | [] -> no_adjacency
+  | a :: rest -> if a.nbr = v then a else adjacency_to v rest
+
+let adjacency_cost t u v =
+  let a = adjacency_to v t.store.(u).adjacencies in
+  if a == no_adjacency then None else Some a.cost
 
 let bidirectional t u v =
   match (adjacency_cost t u v, adjacency_cost t v u) with
@@ -113,38 +122,41 @@ let compiled_of t origin =
 
 let entry_count t = t.count
 
-let no_pair =
-  let none = { nbr = -1; cost = 0; delay = 0.0 } in
-  (none, none)
-
+(* One walk over the advertisements fills the rows in place: arrays
+   sized by the advertised adjacencies, trimmed to the confirmed ones.
+   [seen.(v) = u] once row u holds v, so a repeat keeps its first
+   position. *)
 let build_search t =
   let n = Array.length t.store in
-  let seen = Array.make n (-1) in
-  let confirmed u a =
-    let v = a.nbr in
-    if v < 0 || v >= n || seen.(v) = u then None
-    else
-      Option.map
-        (fun b ->
+  let cap = Array.fold_left (fun c lsa -> c + List.length lsa.adjacencies) 0 t.store in
+  let off = Array.make (n + 1) 0 and nbr = Array.make cap 0 in
+  let out = Array.make cap no_adjacency and back = Array.make cap no_adjacency in
+  let seen = Array.make n (-1) and m = ref 0 in
+  let rec fill u = function
+    | [] -> ()
+    | a :: rest ->
+      let v = a.nbr in
+      if v >= 0 && v < n && seen.(v) <> u then begin
+        let b = adjacency_to u t.store.(v).adjacencies in
+        if b != no_adjacency then begin
           seen.(v) <- u;
-          (v, a, b))
-        (find_adjacency t v u)
+          nbr.(!m) <- v;
+          out.(!m) <- a;
+          back.(!m) <- b;
+          incr m
+        end
+      end;
+      fill u rest
   in
-  (* Arrays of fresh blocks are made over static fillers
-     ({!Pr_util.Filler}). *)
-  let rows =
-    Pr_util.Filler.init ~filler:[||] n (fun u ->
-        Array.of_list (List.filter_map (confirmed u) t.store.(u).adjacencies))
-  in
-  let off = Array.make (n + 1) 0 in
-  Array.iteri (fun u row -> off.(u + 1) <- off.(u) + Array.length row) rows;
-  let slots = Array.concat (Array.to_list rows) in
+  for u = 0 to n - 1 do
+    fill u t.store.(u).adjacencies;
+    off.(u + 1) <- !m
+  done;
+  let trim a = if !m = cap then a else Array.sub a 0 !m in
   {
-    view = Pr_topology.Policy_search.of_csr ~off ~nbr:(Array.map (fun (v, _, _) -> v) slots);
-    pairs =
-      Pr_util.Filler.init ~filler:no_pair (Array.length slots) (fun i ->
-          let _, a, b = slots.(i) in
-          (a, b));
+    view = Pr_topology.Policy_search.of_csr ~off ~nbr:(trim nbr);
+    out = trim out;
+    back = trim back;
     metrics = Array.make Pr_policy.Qos.count None;
   }
 
@@ -178,9 +190,9 @@ let search_view t qos =
   match s.metrics.(i) with
   | Some m -> (s.view, m)
   | None ->
-    let metric (a, b) =
+    let metric a b =
       Qos_metric.metric qos ~cost:(Stdlib.max a.cost b.cost) ~delay:(Stdlib.max a.delay b.delay)
     in
-    let m = Array.map metric s.pairs in
+    let m = Array.map2 metric s.out s.back in
     s.metrics.(i) <- Some m;
     (s.view, m)

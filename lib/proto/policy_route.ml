@@ -3,24 +3,35 @@ module Compiled = Pr_policy.Compiled
 module Policy_search = Pr_topology.Policy_search
 module Spf = Pr_topology.Spf
 
-type engine = {
-  db : Lsdb.t;
-  n : int;
-  flow : Flow.t;
-  specs : Compiled.spec option array;
-      (* per-AD per-flow specializations, built lazily: synthesis
-         probes the same transit ADs many times for one flow *)
-}
+(* Per-AD flow specializations, built lazily (synthesis probes the
+   same transit ADs many times for one flow) into one table per domain
+   that every engine shares: an entry is valid for the engine whose
+   [id] stamps it. An engine interleaved with another re-specializes
+   the ADs the other overwrote, so no engine allocates a table. *)
+type specs = { mutable spec : Compiled.spec array; mutable owner : int array; mutable ids : int }
 
-let engine db ~n flow = { db; n; flow; specs = Array.make n None }
+let tables = Domain.DLS.new_key (fun () -> { spec = [||]; owner = [||]; ids = 0 })
+
+type engine = { db : Lsdb.t; n : int; flow : Flow.t; id : int; specs : specs }
+
+let engine db ~n flow =
+  let t = Domain.DLS.get tables in
+  if Array.length t.spec < n then begin
+    t.spec <- Array.make n Compiled.no_spec;
+    t.owner <- Array.make n 0
+  end;
+  t.ids <- t.ids + 1;
+  { db; n; flow; id = t.ids; specs = t }
 
 let spec_for e ad =
-  match e.specs.(ad) with
-  | Some s -> s
-  | None ->
+  let t = e.specs in
+  if t.owner.(ad) = e.id then t.spec.(ad)
+  else begin
     let s = Compiled.specialize (Lsdb.compiled_of e.db ad) e.flow in
-    e.specs.(ad) <- Some s;
+    t.spec.(ad) <- s;
+    t.owner.(ad) <- e.id;
     s
+  end
 
 let admits e ad ~prev ~next = Compiled.spec_allows (spec_for e ad) ~prev ~next
 

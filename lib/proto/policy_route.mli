@@ -20,8 +20,10 @@
 
 type engine
 (** A flow-specialized admission engine over one database snapshot.
-    Cheap to build (one small array); per-AD specializations are
-    compiled lazily on first probe. Build a fresh engine per (flow,
+    Cheap to build (one small record, no per-AD array): per-AD
+    specializations are compiled lazily on first probe, into a table
+    the calling domain's engines share, each entry stamped with the
+    engine that wrote it. Build a fresh engine per (flow,
     database-version) — callers already keyed on
     {!Ls_flood.db_version} for their route caches get this for free. *)
 

@@ -15,9 +15,11 @@ let create ~n =
     lost = Array.make n 0;
   }
 
-let record_send t ad ~bytes =
-  t.msgs.(ad) <- t.msgs.(ad) + 1;
-  t.bytes_sent.(ad) <- t.bytes_sent.(ad) + bytes
+let record_sends t ad ~copies ~bytes =
+  t.msgs.(ad) <- t.msgs.(ad) + copies;
+  t.bytes_sent.(ad) <- t.bytes_sent.(ad) + (copies * bytes)
+
+let record_send t ad ~bytes = record_sends t ad ~copies:1 ~bytes
 
 let record_loss t ad = t.lost.(ad) <- t.lost.(ad) + 1
 

@@ -16,6 +16,10 @@ val create : n:int -> t
 val record_send : t -> Pr_topology.Ad.id -> bytes:int -> unit
 (** One control message of the given size sent by the AD. *)
 
+val record_sends : t -> Pr_topology.Ad.id -> copies:int -> bytes:int -> unit
+(** [copies] control messages of [bytes] each sent by the AD: what
+    [copies] calls of {!record_send} record. *)
+
 val record_loss : t -> Pr_topology.Ad.id -> unit
 (** One control message lost in the network before reaching the AD —
     taken by a link that failed while it was in flight, addressed to a

@@ -160,14 +160,18 @@ let deliverer t (l : Link.t) ~src ~dst =
     d
   end
 
-(* Charge one send from [src] to [dst] and record it. *)
-let[@inline] charge t ~src ~dst ~bytes =
-  Metrics.record_send t.metrics src ~bytes;
-  Reg.inc t.m_sends;
+(* Record one send from [src] to [dst] in the trace and the debug log. *)
+let[@inline] note_send t ~src ~dst ~bytes =
   if Trace.enabled t.trace then Trace.instant t.trace ~ts:(Engine.now t.engine) ~tid:src "net.send";
   if debug_on () then
     Log.debug (fun m ->
         m "t=%.1f send %d -> %d (%d bytes)" (Engine.now t.engine) src dst bytes)
+
+(* Charge one send from [src] to [dst] and record it. *)
+let[@inline] charge t ~src ~dst ~bytes =
+  Metrics.record_send t.metrics src ~bytes;
+  Reg.inc t.m_sends;
+  note_send t ~src ~dst ~bytes
 
 (* The send path after the slot lookup, shared by {!send} and
    {!broadcast}: [lid] is the up link [slot_link] chose for [src]'s
@@ -252,26 +256,31 @@ let fanout t ~src ~k0 =
     f
   end
 
-(* Charge the copies of slots [k0, min (k0 + fan_chunk) hi) and queue
-   them as one fan-out, then go on with the next chunk. *)
+(* Queue the copies of slots [k0, min (k0 + fan_chunk) hi) as one
+   fan-out and charge them in one step (each is still traced and
+   logged in slot order), then go on with the next chunk. *)
 let rec fan_out t ~src ~except ~filter ~bytes msg k0 hi =
   let stop = Int.min (k0 + fan_chunk) hi in
-  let mask = ref 0 and lid = ref (-1) in
+  let mask = ref 0 and lid = ref (-1) and copies = ref 0 in
   for k = k0 to stop - 1 do
     let dst = t.unbr.(k) in
     if dst <> except then begin
       let l = slot_link t k in
       if l >= 0 && filter dst then begin
-        charge t ~src ~dst ~bytes;
+        note_send t ~src ~dst ~bytes;
         mask := !mask lor (1 lsl (k - k0));
-        lid := l
+        lid := l;
+        incr copies
       end
     end
   done;
-  if !mask <> 0 then
+  if !mask <> 0 then begin
+    Metrics.record_sends t.metrics src ~copies:!copies ~bytes;
+    Reg.add t.m_sends !copies;
     Engine.schedule_fanout t.engine
       ~delay:(Graph.link t.graph !lid).Link.delay
-      (fanout t ~src ~k0) msg ~mask:!mask;
+      (fanout t ~src ~k0) msg ~mask:!mask
+  end;
   if stop < hi then fan_out t ~src ~except ~filter ~bytes msg stop hi
 
 let broadcast t ~src ~except ~filter ~bytes msg =

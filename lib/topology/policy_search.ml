@@ -10,15 +10,7 @@
 
 module Keyed = Pr_util.Pqueue.Keyed
 
-type view = {
-  off : int array;
-  nbr : int array;
-  twin : int array;
-  seq_bits : int;  (* low heap-key bits, holding the improvement stamp *)
-  max_dist : int;  (* largest path metric the other bits hold *)
-}
-
-let rec bit_width x = if x = 0 then 0 else 1 + bit_width (x lsr 1)
+type view = { off : int array; nbr : int array; twin : int array }
 
 let of_csr ~off ~nbr =
   let n = Array.length off - 1 and m = Array.length nbr in
@@ -47,9 +39,6 @@ let of_csr ~off ~nbr =
     done
   done;
   let twin = Array.make m 0 and pos = Array.make n (-1) in
-  (* Improvements per search <= relaxations <= sum over ADs of
-     (states there) x (row length) <= d (d + 1). *)
-  let bound = ref 1 in
   for w = 0 to n - 1 do
     for a = off.(w) to off.(w + 1) - 1 do
       pos.(nbr.(a)) <- a
@@ -60,14 +49,11 @@ let of_csr ~off ~nbr =
     done;
     for a = off.(w) to off.(w + 1) - 1 do
       pos.(nbr.(a)) <- -1
-    done;
-    let d = off.(w + 1) - off.(w) in
-    bound := !bound + (d * (d + 1))
+    done
   done;
   (* A duplicate neighbor leaves some slot unpaired. *)
   Array.iteri (fun k t -> if twin.(t) <> k then asymmetric ()) twin;
-  let seq_bits = bit_width !bound in
-  { off; nbr; twin; seq_bits; max_dist = max_int lsr seq_bits }
+  { off; nbr; twin }
 
 let of_graph g =
   let off, nbr = Graph.unique_csr g in
@@ -138,7 +124,7 @@ let kept r ad = r.dense.(ad) >= 0
 let size r = Array.length r.ads
 
 let no_rows =
-  let view = { off = [| 0 |]; nbr = [||]; twin = [||]; seq_bits = 0; max_dist = 0 } in
+  let view = { off = [| 0 |]; nbr = [||]; twin = [||] } in
   { view; dense = [||]; ads = [||]; off = [| 0 |]; nbr = [||]; twin = [||]; slot = [||] }
 
 (* Node-level Dijkstra toward [dst] over the dense rows: from [dst]'s
@@ -245,7 +231,14 @@ type scratch = {
   mutable dist : int array;
   mutable parent : int array;
   mutable reached : int array;  (* state -> generation whose dist is valid *)
-  mutable q : Keyed.t;
+  mutable key : int array;  (* state -> its bucket's key while queued, else -1 *)
+  mutable next : int array;  (* state -> the next state in its bucket, or -1 *)
+  mutable prev : int array;  (* ... and the previous one, or -1 *)
+  mutable head : int array;  (* bucket -> its first state, -1 when empty *)
+  mutable tail : int array;  (* bucket -> its last state, when not empty *)
+  mutable low : int;  (* no queued key is below it: the last pop's key *)
+  mutable high : int;  (* no queued key is above it *)
+  mutable live : int;  (* queued states *)
   mutable touched : int array;  (* AD -> [touch] of its first touch *)
   mutable on_path : int array;  (* AD *)
   mutable avoided : int array;  (* node *)
@@ -265,12 +258,153 @@ type scratch = {
   mutable bound_work : int;
 }
 
+(* The queue is a ring of buckets, one per key (Dial, CACM 12(11),
+   1969): keys are integer path metrics, and every key queued lies
+   within one edge metric (exact pass) or two (bound pass, whose
+   bound is consistent) of the last pop. A bucket is a doubly linked
+   list of states through [next]/[prev]. The exact pass appends, so a
+   bucket pops in improvement order, and the bound pass prepends, so
+   it pops the latest improvement first: the (key, seq) orders of a
+   heap with FIFO and with LIFO ties. An improved state is unlinked
+   from its old bucket, as a heap would decrease its key.
+
+   While the queued keys span fewer keys than the ring has buckets, a
+   bucket holds one key. A wider push doubles the ring until it fits,
+   up to [max_ring] buckets; past that a bucket may hold several keys
+   [max_ring] apart, and a pop takes the first state of the cursor's
+   key in the list, in order, or jumps to the least queued key after a
+   whole turn without one. No metric can break the order, only slow
+   it. A pass leaves its leftover states queued; the next pass clears
+   the buckets between their least and greatest keys. *)
+let initial_ring = 64
+
+let max_ring = 1 lsl 16
+
+let[@inline] link s st k ~lifo =
+  let b = k land (Array.length s.head - 1) in
+  let h = s.head.(b) in
+  s.key.(st) <- k;
+  if h < 0 then begin
+    s.head.(b) <- st;
+    s.tail.(b) <- st;
+    s.prev.(st) <- -1;
+    s.next.(st) <- -1
+  end
+  else if lifo then begin
+    s.prev.(st) <- -1;
+    s.next.(st) <- h;
+    s.prev.(h) <- st;
+    s.head.(b) <- st
+  end
+  else begin
+    let t = s.tail.(b) in
+    s.next.(t) <- st;
+    s.prev.(st) <- t;
+    s.next.(st) <- -1;
+    s.tail.(b) <- st
+  end
+
+let[@inline] unlink s st =
+  let b = s.key.(st) land (Array.length s.head - 1) in
+  let p = s.prev.(st) and n = s.next.(st) in
+  if p < 0 then s.head.(b) <- n else s.next.(p) <- n;
+  if n < 0 then s.tail.(b) <- p else s.prev.(n) <- p;
+  s.key.(st) <- -1;
+  s.live <- s.live - 1
+
+(* Double the ring until it spans [span] keys (or reaches [max_ring])
+   and move every queued state over. A key's states share one bucket
+   in their order, and each is appended to its new bucket in turn, so
+   they keep that order. *)
+let grow s span =
+  let size = ref (2 * Array.length s.head) in
+  while !size <= span && !size < max_ring do
+    size := 2 * !size
+  done;
+  let old = s.head in
+  s.head <- Array.make !size (-1);
+  s.tail <- Array.make !size (-1);
+  for b = 0 to Array.length old - 1 do
+    let st = ref old.(b) in
+    while !st >= 0 do
+      let n = s.next.(!st) in
+      link s !st s.key.(!st) ~lifo:false;
+      st := n
+    done
+  done
+
+(* Queue [st], not queued, under key [k]. An empty ring re-anchors at
+   [k]; a key below [low] only comes from an inconsistent bound, and
+   moves the cursor back to it. *)
+let[@inline] push s st k ~lifo =
+  if s.live = 0 then begin
+    s.low <- k;
+    s.high <- k
+  end
+  else begin
+    if k < s.low then s.low <- k;
+    if k > s.high then s.high <- k;
+    let span = s.high - s.low in
+    if span >= Array.length s.head && Array.length s.head < max_ring then grow s span
+  end;
+  link s st k ~lifo;
+  s.live <- s.live + 1
+
+let rec find_key next key st k = if st < 0 || key.(st) = k then st else find_key next key next.(st) k
+
+let min_key s =
+  let m = ref max_int in
+  for b = 0 to Array.length s.head - 1 do
+    let st = ref s.head.(b) in
+    while !st >= 0 do
+      m := Int.min !m s.key.(!st);
+      st := s.next.(!st)
+    done
+  done;
+  !m
+
+(* The first state queued under the least key, scanning up from [k]
+   ([turn] buckets scanned so far); the ring must not be empty. *)
+let rec scan s k turn =
+  let mask = Array.length s.head - 1 in
+  let st = find_key s.next s.key s.head.(k land mask) k in
+  if st >= 0 then begin
+    s.low <- k;
+    st
+  end
+  else if turn >= mask then scan s (min_key s) 0
+  else scan s (k + 1) (turn + 1)
+
+let[@inline] pop s =
+  let st = scan s s.low 0 in
+  unlink s st;
+  st
+
+(* Clear what the last pass left queued. *)
+let reset_ring s =
+  if s.live > 0 then begin
+    let mask = Array.length s.head - 1 in
+    if s.high - s.low <= mask then
+      for k = s.low to s.high do
+        s.head.(k land mask) <- -1
+      done
+    else Array.fill s.head 0 (mask + 1) (-1);
+    s.live <- 0
+  end
+
 let scratch () =
   {
     dist = [||];
     parent = [||];
     reached = [||];
-    q = Keyed.create ~capacity:0;
+    key = [||];
+    next = [||];
+    prev = [||];
+    head = Array.make initial_ring (-1);
+    tail = Array.make initial_ring (-1);
+    low = 0;
+    high = 0;
+    live = 0;
     touched = [||];
     on_path = [||];
     avoided = [||];
@@ -297,7 +431,9 @@ let begin_search s ~states ~nodes ~ads ~entries =
     s.dist <- Array.make states 0;
     s.parent <- Array.make states 0;
     s.reached <- Array.make states 0;
-    s.q <- Keyed.create ~capacity:states
+    s.key <- Array.make states (-1);
+    s.next <- Array.make states (-1);
+    s.prev <- Array.make states (-1)
   end;
   if Array.length s.avoided < nodes then begin
     s.avoided <- Array.make nodes 0;
@@ -358,9 +494,10 @@ let rec mark_avoided avoided gen ~n ~dense = function
 (* One pass of the relaxation loop over the view ([dense] false) or
    the dense rows [r]; returns the settled destination state, or -1. A
    push whose d' + h(w) exceeds [cut] is skipped before admission; an
-   empty [h] bounds nothing, and h is 0 at dst. The exact order keys a
-   push by (d', seq); the bound pass ([astar]) by (d' + h(w), LIFO seq)
-   and lowers [cut] to each destination distance it pushes. A popped
+   empty [h] bounds nothing, and h is 0 at dst. The exact pass queues
+   a push under d', ties popping in push order; the bound pass
+   ([astar]) under d' + h(w), the latest push first, and lowers [cut]
+   to each destination distance it pushes. A popped
    state at an AD [refuses] holds for, other than the start, relaxes
    nothing: admission would refuse every push it could make.
 
@@ -379,26 +516,25 @@ let[@inline] pass ~dense s (v : view) (r : rows) ~src ~dst ~avoid ~metric ~admit
   let twin = if dense then r.twin else v.twin and slot = r.slot and ads = r.ads in
   let bounded = Array.length h > 0 and gen = s.gen in
   let dist = s.dist and parent = s.parent and reached = s.reached in
-  let avoided = s.avoided and q = s.q and bits = v.seq_bits in
+  let avoided = s.avoided in
   let src_node = s.src_node and dst_node = s.dst_node in
   let first = s.first and dst_base = s.dst_base in
   let xk = s.xk and xw = s.xw and xst = s.xst in
   let merge_dst = dense && not (kept r dst) and dst_mark = s.dst_mark and touch = s.touch in
   let refusing = refuses != never in
   mark_avoided avoided gen ~n:(Array.length v.off - 1) ~dense:(if dense then r.dense else [||]) avoid;
-  let seq = ref 1 and final = ref (-1) and cut = ref cut in
-  let tie = if astar then (1 lsl bits) - 1 else 0 in
+  let final = ref (-1) and cut = ref cut in
   let i = ref 0 and stop = ref 0 and x = ref 0 and xstop = ref 0 in
   let ew = ref 0 and ek = ref 0 and est = ref 0 in
-  Keyed.clear q;
+  reset_ring s;
   dist.(first) <- 0;
   parent.(first) <- -1;
   reached.(first) <- gen;
-  ignore (Keyed.insert_or_decrease q first ~priority:0);
-  while !final < 0 && not (Keyed.is_empty q) do
+  push s first 0 ~lifo:astar;
+  while !final < 0 && s.live > 0 do
     (* Metrics are >= 0, h is consistent and only strict improvements
-       enter the heap, so a popped state is settled for good. *)
-    let st = Keyed.pop_min q in
+       are queued, so a popped state is settled for good. *)
+    let st = pop s in
     s.work <- s.work + 1;
     let at =
       if st < first then nbr.(twin.(st))
@@ -457,13 +593,13 @@ let[@inline] pass ~dense s (v : view) (r : rows) ~src ~dst ~avoid ~metric ~admit
               (* Admission last: it is the dearest check, and pure. *)
               if hw <> max_int && hw <= !cut - d' && (st = first || admit at_ad from w_ad) then begin
                 let f = if astar then d' + hw else d' in
-                if f > v.max_dist then overflow ();
+                if d' < d || f < d' then overflow ();
                 if astar && w = dst_node then cut := d';
+                if reached.(st') = gen && s.key.(st') >= 0 then unlink s st';
                 reached.(st') <- gen;
                 dist.(st') <- d';
                 parent.(st') <- st;
-                ignore (Keyed.insert_or_decrease q st' ~priority:((f lsl bits) lor (!seq lxor tie)));
-                incr seq
+                push s st' f ~lifo:astar
               end
             end
           end

@@ -9,8 +9,8 @@
     from neighbor p. State (v, p) lives in the slot of p in v's row of
     a {!view}, so there are as many states as adjacencies, never n².
     A {!scratch} holds the per-state arrays, generation-stamped so no
-    search clears them, and an int-keyed indexed heap: the relaxation
-    loop allocates nothing.
+    search clears them, and a ring of buckets indexed by path metric
+    (Dial's queue): a warm search allocates only its route.
 
     Pop order is (distance, order of the last strict improvement), the
     order of a FIFO-tie heap that pushes every improvement: routes and
@@ -93,7 +93,9 @@ val label_evictions : labels -> int
 (** Labels evicted from the cache by a build. *)
 
 type scratch
-(** Reusable search state, grown to fit the largest view it serves. *)
+(** Reusable search state, grown to fit the largest view it serves and
+    the widest span of path metrics it queues at once (at most 2^16
+    buckets). *)
 
 val scratch_for : view -> scratch
 
@@ -161,7 +163,7 @@ val search :
     relaxes nothing. It is asked once per popped state, and changes
     nothing but the work done.
     @raise Invalid_argument if a path metric (plus its bound, in the
-    bound pass) overflows the heap key, [lower] is shorter than the
+    bound pass) overflows an [int], [lower] is shorter than the
     view or the rows, or [rows] are another view's or come without
     [lower]. *)
 

@@ -12,7 +12,7 @@ type ('k, 'v) node = {
 
 type ('k, 'v) t = {
   capacity : int option;
-  tbl : ('k, ('k, 'v) node) Hashtbl.t;
+  mutable tbl : ('k, ('k, 'v) node) Hashtbl.t option;  (* made by the first [put] *)
   mutable head : ('k, 'v) node option;
   mutable tail : ('k, 'v) node option;
   mutable evictions : int;
@@ -22,12 +22,23 @@ let create ?(capacity = None) () =
   (match capacity with
   | Some c when c < 1 -> invalid_arg "Lru.create: capacity < 1"
   | _ -> ());
-  let size = match capacity with Some c -> min c 64 | None -> 16 in
-  { capacity; tbl = Hashtbl.create size; head = None; tail = None; evictions = 0 }
+  { capacity; tbl = None; head = None; tail = None; evictions = 0 }
+
+(* A cache that was never written has no table: most of the ones a
+   simulation makes per AD never are. *)
+let table t =
+  match t.tbl with
+  | Some h -> h
+  | None ->
+      let h = Hashtbl.create (match t.capacity with Some c -> min c 64 | None -> 16) in
+      t.tbl <- Some h;
+      h
+
+let find_node t k = match t.tbl with Some h -> Hashtbl.find_opt h k | None -> None
 
 let capacity t = t.capacity
-let length t = Hashtbl.length t.tbl
-let mem t k = Hashtbl.mem t.tbl k
+let length t = match t.tbl with Some h -> Hashtbl.length h | None -> 0
+let mem t k = match t.tbl with Some h -> Hashtbl.mem h k | None -> false
 let evictions t = t.evictions
 
 let unlink t node =
@@ -54,10 +65,10 @@ let touch t node =
       push_front t node
 
 let peek t k =
-  match Hashtbl.find_opt t.tbl k with Some n -> Some n.value | None -> None
+  match find_node t k with Some n -> Some n.value | None -> None
 
 let find t k =
-  match Hashtbl.find_opt t.tbl k with
+  match find_node t k with
   | Some n ->
       touch t n;
       Some n.value
@@ -70,12 +81,13 @@ let evict_lru t =
   | None -> None
   | Some victim ->
       unlink t victim;
-      Hashtbl.remove t.tbl victim.key;
+      Hashtbl.remove (table t) victim.key;
       t.evictions <- t.evictions + 1;
       Some victim.key
 
 let put t k v =
-  match Hashtbl.find_opt t.tbl k with
+  let tbl = table t in
+  match Hashtbl.find_opt tbl k with
   | Some n ->
       n.value <- v;
       touch t n;
@@ -83,23 +95,23 @@ let put t k v =
   | None ->
       let evicted =
         match t.capacity with
-        | Some c when Hashtbl.length t.tbl >= c -> evict_lru t
+        | Some c when Hashtbl.length tbl >= c -> evict_lru t
         | _ -> None
       in
       let node = { key = k; value = v; prev = None; next = None } in
       push_front t node;
-      Hashtbl.replace t.tbl k node;
+      Hashtbl.replace tbl k node;
       evicted
 
 let remove t k =
-  match Hashtbl.find_opt t.tbl k with
+  match find_node t k with
   | Some n ->
       unlink t n;
-      Hashtbl.remove t.tbl k
+      Hashtbl.remove (table t) k
   | None -> ()
 
 let clear t =
-  Hashtbl.reset t.tbl;
+  Option.iter Hashtbl.reset t.tbl;
   t.head <- None;
   t.tail <- None
 
@@ -112,7 +124,7 @@ let fold t ~init ~f =
 
 let self_check t =
   let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  let n = Hashtbl.length t.tbl in
+  let n = length t in
   let rec walk seen prev cur =
     match cur with
     | None ->
@@ -129,7 +141,7 @@ let self_check t =
                       | Some a, Some b -> a == b
                       | _ -> false)) then err "broken back-link at entry %d" seen
         else if
-          match Hashtbl.find_opt t.tbl node.key with
+          match find_node t node.key with
           | Some n' -> n' != node
           | None -> true
         then err "table disagrees with list at entry %d" seen

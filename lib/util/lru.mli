@@ -18,7 +18,8 @@ val create : ?capacity:int option -> unit -> ('k, 'v) t
 (** [create ~capacity ()] makes an empty cache.  [capacity] of
     [Some c] bounds the cache to [c] entries ([c >= 1]); [None] (the
     default) means unbounded.  Raises [Invalid_argument] on
-    [Some c] with [c < 1]. *)
+    [Some c] with [c < 1].  The hash table is made by the first
+    [put]: a cache that is never written allocates none. *)
 
 val capacity : ('k, 'v) t -> int option
 

@@ -433,8 +433,7 @@ let flood_delta_scope_rule =
 
 (* --- Policy_route ---------------------------------------------------- *)
 
-let converged_policy_db config =
-  let g = Figure1.graph () in
+let converged_db g config =
   let e = Engine.create () in
   let m = Metrics.create ~n:(Graph.n g) in
   let net = Network.create e g m in
@@ -446,7 +445,11 @@ let converged_policy_db config =
   Network.set_message_handler net (fun ~at ~from msg -> Ls_flood.handle_message flood ~at ~from msg);
   Ls_flood.start flood;
   ignore (Engine.run e);
-  (g, flood)
+  flood
+
+let converged_policy_db config =
+  let g = Figure1.graph () in
+  (g, converged_db g config)
 
 (* --- Ls_flood vetting ------------------------------------------------- *)
 
@@ -623,6 +626,96 @@ let policy_route_enumerate_legal () =
   check_bool "nonempty" true (paths <> []);
   check_bool "all legal" true
     (List.for_all (fun p -> Validate.transit_legal g config flow p) paths)
+
+(* Once the database's view and metrics and the domain's search
+   scratch are built, a route costs what the route holds: the engine
+   specializes into the domain's shared table, not into an array of
+   its own. The budget is the 10^4-AD oracle test's. *)
+let policy_route_warm_allocation () =
+  let sc = Pr_core.Scenario.for_size ~target_ads:120 ~seed:1 () in
+  let g = sc.Pr_core.Scenario.graph in
+  let flood = converged_db g sc.Pr_core.Scenario.config in
+  let n = Graph.n g and routed = ref 0 in
+  List.iter
+    (fun (flow : Flow.t) ->
+      let db = Ls_flood.db flood flow.Flow.src in
+      let route () = Policy_route.shortest (Policy_route.engine db ~n flow) () in
+      match route () with
+      | None, _ -> ()
+      | (Some p, _) as first ->
+        incr routed;
+        let again = ref first in
+        let words = Pr_telemetry.Alloc.words (fun () -> again := route ()) in
+        check_bool "same route and work again" true (!again = first);
+        let bound = 64.0 +. (8.0 *. float_of_int (List.length p)) in
+        if words > bound then
+          Alcotest.failf "flow %d->%d: a warm route allocated %.0f words for a %d-AD route"
+            flow.Flow.src flow.Flow.dst words (List.length p))
+    (Pr_core.Scenario.flows sc ~rng:(Rng.create 5) ~count:20 ());
+  check_bool "some flow routed" true (!routed > 0)
+
+(* Engines share one specialization table, each entry stamped with
+   the engine that wrote it. Two flows' engines interleaved AD by AD
+   (A, B, A) must answer every crossing as the flow's compiled terms
+   do, and then route and settle as a search admitting straight off
+   those terms. *)
+let policy_route_interleaved_engines =
+  QCheck.Test.make ~name:"interleaved engines (A, B, A) = fresh engines" ~count:25
+    QCheck.small_int (fun seed ->
+      let rng = Rng.create seed in
+      let config =
+        Gen.generate rng (Figure1.graph ())
+          { Gen.default with restrictiveness = 0.8; granularity = Gen.Fine }
+      in
+      let g, flood = converged_policy_db config in
+      let n = Graph.n g and hosts = Graph.host_ids g in
+      let flow () =
+        Flow.make ~src:(Rng.choose rng hosts) ~dst:(Rng.choose rng hosts)
+          ~qos:(Pr_policy.Qos.of_index (Rng.int rng Pr_policy.Qos.count))
+          ~uci:(Pr_policy.Uci.of_index (Rng.int rng Pr_policy.Uci.count))
+          ~hour:(Rng.int rng 24) ~authenticated:(Rng.bool rng) ()
+      in
+      let fa = flow () and fb = flow () in
+      let db = Ls_flood.db flood fa.Flow.src in
+      let terms f ad ~prev ~next =
+        Pr_policy.Compiled.allows_crossing (Lsdb.compiled_of db ad) f ~prev ~next
+      in
+      let ea = Policy_route.engine db ~n fa and eb = Policy_route.engine db ~n fb in
+      let ok = ref true in
+      for ad = 0 to n - 1 do
+        let hops = -1 :: Graph.neighbor_ids g ad in
+        List.iter
+          (fun prev ->
+            List.iter
+              (fun next ->
+                let a1 = Policy_route.admits ea ad ~prev ~next in
+                let b = Policy_route.admits eb ad ~prev ~next in
+                let a2 = Policy_route.admits ea ad ~prev ~next in
+                let want_a = terms fa ad ~prev ~next and want_b = terms fb ad ~prev ~next in
+                if a1 <> want_a || a2 <> want_a || b <> want_b then ok := false)
+              hops)
+          hops
+      done;
+      let reference (f : Flow.t) =
+        let module S = Pr_topology.Policy_search in
+        if f.Flow.src = f.Flow.dst then (Some [ f.Flow.src ], 0)
+        else begin
+          let view, metrics = Lsdb.search_view db f.Flow.qos in
+          let scratch = S.scratch_for view in
+          let outcome =
+            S.search scratch view ~src:f.Flow.src ~dst:f.Flow.dst
+              ~metric:(fun _ _ k -> metrics.(k))
+              ~admit:(fun v p w -> terms f v ~prev:p ~next:w)
+              ()
+          in
+          ((match outcome with S.Route p -> Some p | S.Revisits | S.Unreachable -> None),
+           S.settled scratch)
+        end
+      in
+      let ra1 = Policy_route.shortest ea () in
+      let rb = Policy_route.shortest eb () in
+      let ra2 = Policy_route.shortest ea () in
+      !ok && ra1 = reference fa && ra2 = ra1 && rb = reference fb)
 
 let qos_metric_shapes () =
   let m q = Pr_proto.Qos_metric.metric q ~cost:4 ~delay:2.5 in
@@ -875,8 +968,10 @@ let () =
           Alcotest.test_case "matches oracle" `Quick policy_route_matches_oracle;
           Alcotest.test_case "respects avoid" `Quick policy_route_respects_avoid;
           Alcotest.test_case "enumerate legal" `Quick policy_route_enumerate_legal;
+          Alcotest.test_case "a warm route allocates only itself" `Quick
+            policy_route_warm_allocation;
         ]
-        @ qsuite [ policy_route_respects_policy ] );
+        @ qsuite [ policy_route_respects_policy; policy_route_interleaved_engines ] );
       ( "qos-routing",
         [
           Alcotest.test_case "metric shapes" `Quick qos_metric_shapes;

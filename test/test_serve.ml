@@ -335,6 +335,29 @@ let lru_unbounded_and_bad_capacity () =
     (Invalid_argument "Lru.create: capacity < 1") (fun () ->
       ignore (Lru.create ~capacity:(Some 0) ()))
 
+(* ORWG makes two caches per AD per run, and most are never written:
+   such a cache allocates its record, not a hash table, whatever it is
+   asked. The first [put] makes the table. *)
+let lru_unwritten_allocates_no_table () =
+  let t = ref (Lru.create ()) in
+  let capacity = Some 1024 in
+  let words =
+    Pr_telemetry.Alloc.words (fun () ->
+        let c = Lru.create ~capacity () in
+        ignore (Lru.find c 1);
+        ignore (Lru.peek c 2);
+        ignore (Lru.mem c 3);
+        Lru.remove c 4;
+        Lru.clear c;
+        t := c)
+  in
+  check_int "empty" 0 (Lru.length !t);
+  check_bool "self-check" true (Lru.self_check !t = Ok ());
+  if words > 8.0 then Alcotest.failf "an unwritten cache allocated %.0f words" words;
+  let first_put = Pr_telemetry.Alloc.words (fun () -> ignore (Lru.put !t 1 1)) in
+  check_bool "the first put makes the table" true (first_put > 64.0);
+  check_bool "written" true (Lru.find !t 1 = Some 1)
+
 (* --- snapshots never mix versions (satellite: stale-snapshot fix) --- *)
 
 let restrictive =
@@ -1079,6 +1102,8 @@ let () =
           Alcotest.test_case "eviction order" `Quick lru_eviction_order;
           Alcotest.test_case "unbounded + bad capacity" `Quick
             lru_unbounded_and_bad_capacity;
+          Alcotest.test_case "an unwritten cache allocates no table" `Quick
+            lru_unwritten_allocates_no_table;
         ]
         @ qsuite [ lru_matches_model ] );
       ( "serve",

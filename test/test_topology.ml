@@ -1002,6 +1002,150 @@ let policy_search_restricted_rows =
       done;
       !ok)
 
+(* The search as it ran on an indexed heap, before its bucket queue:
+   state (v, p) is [v * (n + 1) + p], the start [src * (n + 1) + n];
+   a push keys the heap by (key, seq), seq counting up in the exact
+   pass (FIFO ties) and down in the bound pass (LIFO ties), and an
+   improved state has its key decreased. Same passes, cuts, avoid
+   marks and refusals as [Policy_search.search] over the view. Returns
+   the outcome, the states settled and those the bound pass settled. *)
+let keyed_reference_search view ~n ~src ~dst ~avoid ?lower ~refuses ~metric ~admit () =
+  let states = n * (n + 1) and start = (src * (n + 1)) + n in
+  let dist = Array.make states 0 and parent = Array.make states (-1) in
+  let reached = Array.make states (-1) and q = Pqueue.Keyed.create ~capacity:states in
+  let work = ref 0 and seq_bits = 24 in
+  let pass ~h ~astar ~cut gen =
+    let cut = ref cut and seq = ref 1 and final = ref (-1) in
+    let tie = if astar then (1 lsl seq_bits) - 1 else 0 in
+    Pqueue.Keyed.clear q;
+    dist.(start) <- 0;
+    parent.(start) <- -1;
+    reached.(start) <- gen;
+    ignore (Pqueue.Keyed.insert_or_decrease q start ~priority:0);
+    while !final < 0 && not (Pqueue.Keyed.is_empty q) do
+      let st = Pqueue.Keyed.pop_min q in
+      incr work;
+      let at = st / (n + 1) and from = st mod (n + 1) in
+      if at = dst then final := st
+      else if st = start || not (refuses at) then begin
+        let d = dist.(st) in
+        Policy_search.iter_row view at ~f:(fun w k ->
+            if w <> src && (w = dst || not (List.mem w avoid)) then begin
+              let c = metric at w k in
+              let st' = (w * (n + 1)) + at and d' = d + c in
+              if c >= 0 && (reached.(st') <> gen || d' < dist.(st')) then begin
+                let hw = match h with None -> 0 | Some h -> h.(w) in
+                if hw <> max_int && hw <= !cut - d' && (st = start || admit at from w) then begin
+                  let f = if astar then d' + hw else d' in
+                  if astar && w = dst then cut := d';
+                  reached.(st') <- gen;
+                  dist.(st') <- d';
+                  parent.(st') <- st;
+                  ignore
+                    (Pqueue.Keyed.insert_or_decrease q st'
+                       ~priority:((f lsl seq_bits) lor (!seq lxor tie)));
+                  incr seq
+                end
+              end
+            end)
+      end
+    done;
+    !final
+  in
+  if src = dst then (Policy_search.Route [ src ], 0, 0)
+  else begin
+    let final, bound_work =
+      match lower with
+      | None -> (pass ~h:None ~astar:false ~cut:max_int 0, 0)
+      | Some h ->
+        let goal = pass ~h:(Some h) ~astar:true ~cut:max_int 0 in
+        let bound_work = !work in
+        if goal < 0 then (-1, bound_work)
+        else (pass ~h:(Some h) ~astar:false ~cut:dist.(goal) 1, bound_work)
+    in
+    let outcome =
+      if final < 0 then Policy_search.Unreachable
+      else begin
+        let rec walk acc st = if st < 0 then acc else walk ((st / (n + 1)) :: acc) parent.(st) in
+        let path = walk [] final in
+        if Path.is_loop_free path then Policy_search.Route path else Policy_search.Revisits
+      end
+    in
+    (outcome, !work, bound_work)
+  end
+
+(* The bucket queue pops the heap's order. Most metrics lie in
+   [0, 3], so ties are everywhere and a queue popping equal keys in
+   the wrong order changes [settled] or the route. The others lie in
+   [0, C]: C = 300 spans more keys than the ring's first 64 buckets,
+   so it grows mid-search with ties queued; C = 200 000 spans more
+   than its 2^16-bucket limit, so a bucket holds several keys. Some
+   edges are unusable, some ADs are avoided, some refuse every
+   crossing. Each (src, dst) pair is searched plain, with a label over
+   the view and with the label over dense rows; the scratches are
+   fresh per destination, so the ring grows again, and reused across
+   its sources. *)
+let policy_search_buckets_match_heap =
+  QCheck.Test.make ~name:"bucket queue = indexed heap (outcome, settled, bound settled)"
+    ~count:200
+    QCheck.(
+      pair (pair small_int (oneofl [ 3; 300; 200_000 ]))
+        (quad small_int (int_range 20 100) (int_range 0 100) (int_range 0 30)))
+    (fun ((gseed, c), (aseed, pct, pkeep, prefuse)) ->
+      let g = random_multigraph gseed in
+      let n = Graph.n g in
+      let roll x = Hashtbl.hash (gseed, aseed, c, x) mod 100 in
+      let view = Policy_search.of_graph g in
+      let slots = Array.length (snd (Graph.unique_csr g)) in
+      let base =
+        Array.init slots (fun k ->
+            Hashtbl.hash (gseed, aseed, k) mod if roll (`Wide k) < 20 then c + 1 else 4)
+      in
+      let metric v w k = if roll (`Down (v, w)) < 8 then -1 else base.(k) in
+      let rows = Policy_search.restrict view ~keep:(fun v -> roll (`Keep v) < pkeep) in
+      let kept = Policy_search.kept rows in
+      let refuses v = (not (kept v)) || roll (`Refuse v) < prefuse in
+      let admit v p w = (not (refuses v)) && random_admit aseed pct v p w in
+      let avoid = List.filter (fun v -> roll (`Avoid v) < 10) (List.init n Fun.id) in
+      let heap = Pqueue.Keyed.create ~capacity:n in
+      let index = Array.make n (-1) and count = ref 0 in
+      for v = 0 to n - 1 do
+        if kept v then begin
+          index.(v) <- !count;
+          incr count
+        end
+      done;
+      let ok = ref true in
+      let agree s (outcome, work, bound_work) got =
+        if
+          got <> outcome
+          || Policy_search.settled s <> work
+          || Policy_search.bound_settled s <> bound_work
+        then ok := false
+      in
+      for dst = 0 to n - 1 do
+        let label = Policy_search.lower_bound rows heap ~dst ~metric:base in
+        let lower =
+          Array.init n (fun v -> if v = dst then 0 else if kept v then label.(index.(v)) else max_int)
+        in
+        let plain = Policy_search.scratch_for view and full = Policy_search.scratch_for view in
+        let dense = Policy_search.scratch_for view in
+        for src = 0 to n - 1 do
+          let reference ?lower () =
+            keyed_reference_search view ~n ~src ~dst ~avoid ?lower ~refuses ~metric ~admit ()
+          in
+          agree plain (reference ())
+            (Policy_search.search plain view ~src ~dst ~avoid ~metric ~admit ());
+          let bounded = reference ~lower () in
+          agree full bounded
+            (Policy_search.search full view ~src ~dst ~avoid ~lower ~metric ~admit ());
+          agree dense bounded
+            (Policy_search.search dense view ~src ~dst ~avoid ~lower:label ~rows ~refuses ~metric
+               ~admit ())
+        done
+      done;
+      !ok)
+
 (* The label cache builds into the arrays of the labels it evicts, and
    a join rebuilds the dense view. Under any sequence of requests and
    joins, every label it returns is a fresh [lower_bound] over the
@@ -1196,6 +1340,7 @@ let () =
               policy_search_matches_reference;
               policy_search_bounded_matches_unbounded;
               policy_search_restricted_rows;
+              policy_search_buckets_match_heap;
               policy_search_labels_recycle;
             ] );
       ( "hierarchy",
