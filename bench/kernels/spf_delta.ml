@@ -28,8 +28,6 @@
    strictly increasing along parent chains, which is what lets
    first_hop be computed from the parent at settle time. *)
 
-module Keyed = Pr_util.Pqueue.Keyed
-
 type t = {
   g : Graph.t;
   src : Ad.id;

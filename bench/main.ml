@@ -21,8 +21,9 @@ module Generator = Pr_topology.Generator
 module Figure1 = Pr_topology.Figure1
 module Partial_order = Pr_topology.Partial_order
 module Spf = Pr_topology.Spf
-module Spf_delta = Pr_topology.Spf_delta
-module Hierarchy = Pr_topology.Hierarchy
+module Policy_search = Pr_topology.Policy_search
+module Spf_delta = Pr_kernels.Spf_delta
+module Hierarchy = Pr_kernels.Hierarchy
 module Qos = Pr_policy.Qos
 module Uci = Pr_policy.Uci
 module Flow = Pr_policy.Flow
@@ -1441,6 +1442,34 @@ let synth_measure g =
   let live = (Gc.stat ()).Gc.live_words in
   (k, !reps, ns, per_tree, live)
 
+(* The label kernel: the lower bounds the route server and the oracle
+   cut their searches with, one node-level Dijkstra toward a
+   destination through the kept ADs ([Policy_search.lower_bound]).
+   Here the kept ADs are the transit-capable ones of an [Spf.tree]
+   internet and the metric is the cheapest link per slot; [label_dsts]
+   destinations spread over the AD range. Labels and settled nodes
+   (one per kept AD a label reaches) are exact; ns and words per label,
+   each a fresh array, are banded. *)
+let label_dsts = 16
+
+let label_measure g =
+  let n = Graph.n g in
+  let view = Policy_search.of_graph g in
+  let rows = Policy_search.restrict view ~keep:(fun u -> Ad.is_transit_capable (Graph.ad g u)) in
+  let metric = Array.init (Array.length (snd (Graph.unique_csr g))) (Graph.slot_cost g) in
+  let q = Pr_util.Dial.create () in
+  let dsts = List.init label_dsts (fun i -> i * n / label_dsts) in
+  let build dst = Policy_search.lower_bound rows q ~dst ~metric in
+  let settled =
+    List.fold_left
+      (fun acc dst -> Array.fold_left (fun a d -> if d < max_int then a + 1 else a) acc (build dst))
+      0 dsts
+  in
+  let build_all () = List.iter (fun dst -> ignore (build dst)) dsts in
+  let ns = time_ns_per ~ops:label_dsts build_all in
+  let words = Pr_telemetry.Alloc.words_per ~ops:label_dsts build_all in
+  (settled, ns, words)
+
 (* The engine rung: faulted ORWG convergence, which runs the event
    queue, the network's copy-by-copy send path and the fault
    interposer on every message. Eight 56-AD internets under the
@@ -1806,6 +1835,41 @@ let synth () =
   in
   Texttable.print t;
   note
+    "\nSearch labels (Policy_search.lower_bound) toward %d destinations over\n\
+     the transit-capable ADs of the same internets, at 10^3 ADs and up:\n"
+    label_dsts;
+  let lt =
+    Texttable.create
+      ~columns:
+        [
+          ("ADs", Texttable.Right);
+          ("labels", Texttable.Right);
+          ("settled", Texttable.Right);
+          ("ns/label", Texttable.Right);
+          ("alloc words/label", Texttable.Right);
+        ]
+  in
+  let lresults =
+    List.filter_map
+      (fun target ->
+        if target < 1_000 then None
+        else begin
+          let g = Generator.generate (Rng.create 211) (Generator.scaled ~target_ads:target) in
+          let settled, ns, words = label_measure g in
+          Texttable.add_row lt
+            [
+              Texttable.cell_int (Graph.n g);
+              Texttable.cell_int label_dsts;
+              Texttable.cell_int settled;
+              Texttable.cell_float ~decimals:0 ns;
+              Texttable.cell_float ~decimals:0 words;
+            ];
+          Some (target, Graph.n g, settled, ns, words)
+        end)
+      sizes
+  in
+  Texttable.print lt;
+  note
     "\nRestrictive-policy route synthesis (the LS-HBH exact search under\n\
      restrictiveness 0.8, Fine granularity): interpreted term lists vs the\n\
      compiled bitset engine, identical routes checked per flow.\n";
@@ -1902,6 +1966,14 @@ let synth () =
             ])
         results
     in
+    let labels =
+      List.map
+        (fun (target, ads, settled, ns_label, words) ->
+          row "kernel" "Policy_search.lower_bound (labels over transit-capable ADs)" target
+            [ ("ads", J.Int ads); ("labels", J.Int label_dsts); ("settled", J.Int settled) ]
+            [ ("ns_per_label", ns ns_label); ("alloc_words_per_label", ns words) ])
+        lresults
+    in
     let policy =
       List.map
         (fun (target, ads, links, flows, states, interp_ns, compiled_ns) ->
@@ -1968,7 +2040,7 @@ let synth () =
     output_string oc
       (J.to_string_pretty
          (Gate.document_json ~benchmark:"route_synthesis_scaling"
-            (spf @ policy @ delta @ [ engine ])));
+            (spf @ labels @ policy @ delta @ [ engine ])));
     output_char oc '\n';
     close_out oc;
     note "\nWrote %s\n" out

@@ -23,8 +23,8 @@ module Link = Pr_topology.Link
 module Path = Pr_topology.Path
 module Generator = Pr_topology.Generator
 module Spf = Pr_topology.Spf
-module Spf_delta = Pr_topology.Spf_delta
-module Hierarchy = Pr_topology.Hierarchy
+module Spf_delta = Pr_kernels.Spf_delta
+module Hierarchy = Pr_kernels.Hierarchy
 module Config = Pr_policy.Config
 module Runner = Pr_proto.Runner
 module Registry = Pr_core.Registry

@@ -211,8 +211,6 @@ let execute ?(chaos = no_chaos) ?trace_dir (run : Grid.run) =
       })
 
 let to_json t =
-  let c = t.costs in
-  let s = c.Runner.totals in
   J.Obj
     (Grid.params_json t.run
     @ [
@@ -221,17 +219,9 @@ let to_json t =
         ("stop_reason", J.String t.stop_reason);
         ("outcome", J.String t.outcome);
         ("sim_time", J.Float t.sim_time);
-        ("messages", J.Int s.Runner.messages);
-        ("bytes", J.Int s.Runner.bytes);
-        ("computations", J.Int s.Runner.computations);
-        ("transit_computations", J.Int s.Runner.transit_computations);
-        ("msgs_lost", J.Int s.Runner.msgs_lost);
-        ("table_total", J.Int s.Runner.table_total);
-        ("table_max", J.Int s.Runner.table_max);
-        ("msg_max", J.Int c.Runner.msg_max);
-        ("msg_mean", J.Float c.Runner.msg_mean);
-        ("msg_p90", J.Float c.Runner.msg_p90);
-        ("tbl_p90", J.Float c.Runner.tbl_p90);
+      ]
+    @ Runner.cost_fields t.costs Runner.cost_keys
+    @ [
         ("delivered", J.Int t.delivered);
         ("loop_violations", J.Int t.loop_violations);
         ("blackhole_violations", J.Int t.blackhole_violations);

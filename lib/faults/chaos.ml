@@ -298,10 +298,8 @@ let run ?(plan = Plan.default) ?(guard = Guard.default_config) ?flows
 (* No wall-clock anywhere: identical (seed, plan) must render
    byte-identically. *)
 let report_json t =
-  let c = t.costs in
-  let s = c.Runner.totals in
   J.Obj
-    [
+    ([
       ("protocol", J.String t.protocol);
       ("scenario", J.String t.scenario);
       ("seed", J.Int t.seed);
@@ -329,7 +327,9 @@ let report_json t =
       ("quarantines", J.Int t.quarantines);
       ("quarantine_drops", J.Int t.quarantine_drops);
       ("readmissions", J.Int t.readmissions);
-      ("msgs_lost", J.Int s.Runner.msgs_lost);
+    ]
+    @ Runner.cost_fields t.costs [ "msgs_lost" ]
+    @ [
       ("checks", J.Int t.checks);
       ("transient_loops", J.Int t.transient_loops);
       ("attack_probes", J.Int t.attack_probes);
@@ -352,17 +352,8 @@ let report_json t =
                    | None -> [])
                  @ [ ("detail", J.String v.detail) ]))
              t.violations) );
-      ("messages", J.Int s.Runner.messages);
-      ("bytes", J.Int s.Runner.bytes);
-      ("computations", J.Int s.Runner.computations);
-      ("transit_computations", J.Int s.Runner.transit_computations);
-      ("table_total", J.Int s.Runner.table_total);
-      ("table_max", J.Int s.Runner.table_max);
-      ("msg_max", J.Int c.Runner.msg_max);
-      ("msg_mean", J.Float c.Runner.msg_mean);
-      ("msg_p90", J.Float c.Runner.msg_p90);
-      ("tbl_p90", J.Float c.Runner.tbl_p90);
     ]
+    @ Runner.cost_fields t.costs (List.filter (( <> ) "msgs_lost") Runner.cost_keys))
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>chaos %s on %s (seed %d)@," t.protocol t.scenario t.seed;

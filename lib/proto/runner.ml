@@ -23,6 +23,42 @@ type costs = {
   tbl_p90 : float;
 }
 
+let cost_keys =
+  [
+    "messages";
+    "bytes";
+    "computations";
+    "transit_computations";
+    "msgs_lost";
+    "table_total";
+    "table_max";
+    "msg_max";
+    "msg_mean";
+    "msg_p90";
+    "tbl_p90";
+  ]
+
+let cost_fields c keys =
+  let module J = Pr_util.Json in
+  let s = c.totals in
+  List.map
+    (fun key ->
+      ( key,
+        match key with
+        | "messages" -> J.Int s.messages
+        | "bytes" -> J.Int s.bytes
+        | "computations" -> J.Int s.computations
+        | "transit_computations" -> J.Int s.transit_computations
+        | "msgs_lost" -> J.Int s.msgs_lost
+        | "table_total" -> J.Int s.table_total
+        | "table_max" -> J.Int s.table_max
+        | "msg_max" -> J.Int c.msg_max
+        | "msg_mean" -> J.Float c.msg_mean
+        | "msg_p90" -> J.Float c.msg_p90
+        | "tbl_p90" -> J.Float c.tbl_p90
+        | _ -> invalid_arg ("Runner.cost_fields: unknown key " ^ key) ))
+    keys
+
 type convergence = {
   converged : bool;
   sim_time : float;

@@ -28,6 +28,17 @@ type costs = {
     because the §5.2.1/§5.3 arguments are about the worst-loaded AD,
     not the totals. *)
 
+val cost_keys : string list
+(** The JSON keys of the {!costs} fields: [messages], [bytes],
+    [computations], [transit_computations], [msgs_lost], [table_total],
+    [table_max], [msg_max], [msg_mean], [msg_p90], [tbl_p90]. *)
+
+val cost_fields : costs -> string list -> (string * Pr_util.Json.t) list
+(** The named fields of the costs, as JSON members in the order given:
+    the one writer of run costs, for reports that each pin their own
+    key order.
+    @raise Invalid_argument on a key not in {!cost_keys}. *)
+
 type convergence = {
   converged : bool;  (** false when the event budget was exhausted *)
   sim_time : float;  (** simulated time when the system quiesced *)

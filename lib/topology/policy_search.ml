@@ -8,7 +8,7 @@
    nodes and slots the same way (see [scratch] for the states an
    unkept src or dst adds). *)
 
-module Keyed = Pr_util.Pqueue.Keyed
+module Dial = Pr_util.Dial
 
 type view = { off : int array; nbr : int array; twin : int array }
 
@@ -130,9 +130,17 @@ let no_rows =
 (* Node-level Dijkstra toward [dst] over the dense rows: from [dst]'s
    node, or, when [dst] is not kept, from each kept neighbor at the
    metric of its edge to [dst]. Relaxing w's dense slot j to u prices
-   the edge u -> w by its own view slot, [slot.(twin.(j))]. With
-   decrease-key and metrics >= 0, a settled node is never improved
-   again, so the label doubles as the distance array. *)
+   the edge u -> w by its own view slot, [slot.(twin.(j))]. An improved
+   node is queued again under its new key; with metrics >= 0 a settled
+   node is never improved, so the label doubles as the distance array
+   and a finite label not yet settled is queued. *)
+let[@inline] improve q h u d =
+  if d < h.(u) then begin
+    if h.(u) < max_int then Dial.remove q u;
+    h.(u) <- d;
+    Dial.push q u d ~lifo:false
+  end
+
 let lower_bound ?into (r : rows) q ~dst ~metric =
   let v = r.view and off = r.off and nbr = r.nbr and twin = r.twin and slot = r.slot in
   let size = size r in
@@ -143,28 +151,18 @@ let lower_bound ?into (r : rows) q ~dst ~metric =
         h
     | None -> Array.make size max_int
   in
-  Keyed.clear q;
-  if kept r dst then begin
-    h.(r.dense.(dst)) <- 0;
-    ignore (Keyed.insert_or_decrease q r.dense.(dst) ~priority:0)
-  end
+  Dial.reserve q size;
+  if kept r dst then improve q h r.dense.(dst) 0
   else
     for j = v.off.(dst) to v.off.(dst + 1) - 1 do
       let u = r.dense.(v.nbr.(j)) in
-      if u >= 0 then begin
-        h.(u) <- metric.(v.twin.(j));
-        ignore (Keyed.insert_or_decrease q u ~priority:h.(u))
-      end
+      if u >= 0 then improve q h u metric.(v.twin.(j))
     done;
-  while not (Keyed.is_empty q) do
-    let w = Keyed.pop_min q in
+  while not (Dial.is_empty q) do
+    let w = Dial.pop q in
     let d = h.(w) in
     for j = off.(w) to off.(w + 1) - 1 do
-      let u = nbr.(j) and d' = d + metric.(slot.(twin.(j))) in
-      if d' < h.(u) then begin
-        h.(u) <- d';
-        ignore (Keyed.insert_or_decrease q u ~priority:d')
-      end
+      improve q h nbr.(j) (d + metric.(slot.(twin.(j))))
     done
   done;
   h
@@ -173,7 +171,7 @@ module Lru = Pr_util.Lru
 
 type labels = {
   mutable rows : rows;
-  mutable heap : Keyed.t;
+  ring : Dial.t;
   cache : (int, int array) Lru.t;
   mutable builds : int;
 }
@@ -181,7 +179,7 @@ type labels = {
 let labels rows ~capacity =
   {
     rows;
-    heap = Keyed.create ~capacity:(size rows);
+    ring = Dial.create ();
     cache = Lru.create ~capacity:(Some capacity) ();
     builds = 0;
   }
@@ -193,7 +191,6 @@ let join l ad =
   let r = l.rows in
   if not (kept r ad) then begin
     l.rows <- restrict r.view ~keep:(fun u -> u = ad || kept r u);
-    l.heap <- Keyed.create ~capacity:(size l.rows);
     Lru.clear l.cache
   end
 
@@ -208,7 +205,7 @@ let label l ~key ~dst ~metric =
         | Some c when Lru.length l.cache >= c -> Lru.oldest l.cache
         | _ -> None
       in
-      let h = lower_bound ?into l.rows l.heap ~dst ~metric in
+      let h = lower_bound ?into l.rows l.ring ~dst ~metric in
       l.builds <- l.builds + 1;
       ignore (Lru.put l.cache key h);
       h
@@ -231,14 +228,7 @@ type scratch = {
   mutable dist : int array;
   mutable parent : int array;
   mutable reached : int array;  (* state -> generation whose dist is valid *)
-  mutable key : int array;  (* state -> its bucket's key while queued, else -1 *)
-  mutable next : int array;  (* state -> the next state in its bucket, or -1 *)
-  mutable prev : int array;  (* ... and the previous one, or -1 *)
-  mutable head : int array;  (* bucket -> its first state, -1 when empty *)
-  mutable tail : int array;  (* bucket -> its last state, when not empty *)
-  mutable low : int;  (* no queued key is below it: the last pop's key *)
-  mutable high : int;  (* no queued key is above it *)
-  mutable live : int;  (* queued states *)
+  ring : Dial.t;  (* states, queued by path metric *)
   mutable touched : int array;  (* AD -> [touch] of its first touch *)
   mutable on_path : int array;  (* AD *)
   mutable avoided : int array;  (* node *)
@@ -258,153 +248,21 @@ type scratch = {
   mutable bound_work : int;
 }
 
-(* The queue is a ring of buckets, one per key (Dial, CACM 12(11),
-   1969): keys are integer path metrics, and every key queued lies
-   within one edge metric (exact pass) or two (bound pass, whose
-   bound is consistent) of the last pop. A bucket is a doubly linked
-   list of states through [next]/[prev]. The exact pass appends, so a
-   bucket pops in improvement order, and the bound pass prepends, so
-   it pops the latest improvement first: the (key, seq) orders of a
-   heap with FIFO and with LIFO ties. An improved state is unlinked
-   from its old bucket, as a heap would decrease its key.
-
-   While the queued keys span fewer keys than the ring has buckets, a
-   bucket holds one key. A wider push doubles the ring until it fits,
-   up to [max_ring] buckets; past that a bucket may hold several keys
-   [max_ring] apart, and a pop takes the first state of the cursor's
-   key in the list, in order, or jumps to the least queued key after a
-   whole turn without one. No metric can break the order, only slow
-   it. A pass leaves its leftover states queued; the next pass clears
-   the buckets between their least and greatest keys. *)
-let initial_ring = 64
-
-let max_ring = 1 lsl 16
-
-let[@inline] link s st k ~lifo =
-  let b = k land (Array.length s.head - 1) in
-  let h = s.head.(b) in
-  s.key.(st) <- k;
-  if h < 0 then begin
-    s.head.(b) <- st;
-    s.tail.(b) <- st;
-    s.prev.(st) <- -1;
-    s.next.(st) <- -1
-  end
-  else if lifo then begin
-    s.prev.(st) <- -1;
-    s.next.(st) <- h;
-    s.prev.(h) <- st;
-    s.head.(b) <- st
-  end
-  else begin
-    let t = s.tail.(b) in
-    s.next.(t) <- st;
-    s.prev.(st) <- t;
-    s.next.(st) <- -1;
-    s.tail.(b) <- st
-  end
-
-let[@inline] unlink s st =
-  let b = s.key.(st) land (Array.length s.head - 1) in
-  let p = s.prev.(st) and n = s.next.(st) in
-  if p < 0 then s.head.(b) <- n else s.next.(p) <- n;
-  if n < 0 then s.tail.(b) <- p else s.prev.(n) <- p;
-  s.key.(st) <- -1;
-  s.live <- s.live - 1
-
-(* Double the ring until it spans [span] keys (or reaches [max_ring])
-   and move every queued state over. A key's states share one bucket
-   in their order, and each is appended to its new bucket in turn, so
-   they keep that order. *)
-let grow s span =
-  let size = ref (2 * Array.length s.head) in
-  while !size <= span && !size < max_ring do
-    size := 2 * !size
-  done;
-  let old = s.head in
-  s.head <- Array.make !size (-1);
-  s.tail <- Array.make !size (-1);
-  for b = 0 to Array.length old - 1 do
-    let st = ref old.(b) in
-    while !st >= 0 do
-      let n = s.next.(!st) in
-      link s !st s.key.(!st) ~lifo:false;
-      st := n
-    done
-  done
-
-(* Queue [st], not queued, under key [k]. An empty ring re-anchors at
-   [k]; a key below [low] only comes from an inconsistent bound, and
-   moves the cursor back to it. *)
-let[@inline] push s st k ~lifo =
-  if s.live = 0 then begin
-    s.low <- k;
-    s.high <- k
-  end
-  else begin
-    if k < s.low then s.low <- k;
-    if k > s.high then s.high <- k;
-    let span = s.high - s.low in
-    if span >= Array.length s.head && Array.length s.head < max_ring then grow s span
-  end;
-  link s st k ~lifo;
-  s.live <- s.live + 1
-
-let rec find_key next key st k = if st < 0 || key.(st) = k then st else find_key next key next.(st) k
-
-let min_key s =
-  let m = ref max_int in
-  for b = 0 to Array.length s.head - 1 do
-    let st = ref s.head.(b) in
-    while !st >= 0 do
-      m := Int.min !m s.key.(!st);
-      st := s.next.(!st)
-    done
-  done;
-  !m
-
-(* The first state queued under the least key, scanning up from [k]
-   ([turn] buckets scanned so far); the ring must not be empty. *)
-let rec scan s k turn =
-  let mask = Array.length s.head - 1 in
-  let st = find_key s.next s.key s.head.(k land mask) k in
-  if st >= 0 then begin
-    s.low <- k;
-    st
-  end
-  else if turn >= mask then scan s (min_key s) 0
-  else scan s (k + 1) (turn + 1)
-
-let[@inline] pop s =
-  let st = scan s s.low 0 in
-  unlink s st;
-  st
-
-(* Clear what the last pass left queued. *)
-let reset_ring s =
-  if s.live > 0 then begin
-    let mask = Array.length s.head - 1 in
-    if s.high - s.low <= mask then
-      for k = s.low to s.high do
-        s.head.(k land mask) <- -1
-      done
-    else Array.fill s.head 0 (mask + 1) (-1);
-    s.live <- 0
-  end
-
+(* The queue is Dial's ring of buckets: keys are integer path metrics,
+   and every key queued lies within one edge metric (exact pass) or two
+   (bound pass, whose bound is consistent) of the last pop. The exact
+   pass appends, so a bucket pops in improvement order, and the bound
+   pass prepends, so it pops the latest improvement first: the (key,
+   seq) orders of a heap with FIFO and with LIFO ties. An improved
+   state is removed from its old bucket, as a heap would decrease its
+   key. A pass leaves its leftover states queued; the next one clears
+   them ([Dial.reserve]). *)
 let scratch () =
   {
     dist = [||];
     parent = [||];
     reached = [||];
-    key = [||];
-    next = [||];
-    prev = [||];
-    head = Array.make initial_ring (-1);
-    tail = Array.make initial_ring (-1);
-    low = 0;
-    high = 0;
-    live = 0;
+    ring = Dial.create ();
     touched = [||];
     on_path = [||];
     avoided = [||];
@@ -430,11 +288,9 @@ let begin_search s ~states ~nodes ~ads ~entries =
   if Array.length s.dist < states then begin
     s.dist <- Array.make states 0;
     s.parent <- Array.make states 0;
-    s.reached <- Array.make states 0;
-    s.key <- Array.make states (-1);
-    s.next <- Array.make states (-1);
-    s.prev <- Array.make states (-1)
+    s.reached <- Array.make states 0
   end;
+  Dial.reserve s.ring states;
   if Array.length s.avoided < nodes then begin
     s.avoided <- Array.make nodes 0;
     s.dst_mark <- Array.make nodes 0;
@@ -526,15 +382,16 @@ let[@inline] pass ~dense s (v : view) (r : rows) ~src ~dst ~avoid ~metric ~admit
   let final = ref (-1) and cut = ref cut in
   let i = ref 0 and stop = ref 0 and x = ref 0 and xstop = ref 0 in
   let ew = ref 0 and ek = ref 0 and est = ref 0 in
-  reset_ring s;
+  let ring = s.ring in
+  Dial.reserve ring 0;
   dist.(first) <- 0;
   parent.(first) <- -1;
   reached.(first) <- gen;
-  push s first 0 ~lifo:astar;
-  while !final < 0 && s.live > 0 do
+  Dial.push ring first 0 ~lifo:astar;
+  while !final < 0 && not (Dial.is_empty ring) do
     (* Metrics are >= 0, h is consistent and only strict improvements
        are queued, so a popped state is settled for good. *)
-    let st = pop s in
+    let st = Dial.pop ring in
     s.work <- s.work + 1;
     let at =
       if st < first then nbr.(twin.(st))
@@ -595,11 +452,11 @@ let[@inline] pass ~dense s (v : view) (r : rows) ~src ~dst ~avoid ~metric ~admit
                 let f = if astar then d' + hw else d' in
                 if d' < d || f < d' then overflow ();
                 if astar && w = dst_node then cut := d';
-                if reached.(st') = gen && s.key.(st') >= 0 then unlink s st';
+                if reached.(st') = gen && Dial.key ring st' >= 0 then Dial.remove ring st';
                 reached.(st') <- gen;
                 dist.(st') <- d';
                 parent.(st') <- st;
-                push s st' f ~lifo:astar
+                Dial.push ring st' f ~lifo:astar
               end
             end
           end

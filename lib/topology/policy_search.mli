@@ -52,19 +52,20 @@ val size : rows -> int
 
 val lower_bound :
   ?into:int array ->
-  rows -> Pr_util.Pqueue.Keyed.t -> dst:Ad.id -> metric:int array -> int array
+  rows -> Pr_util.Dial.t -> dst:Ad.id -> metric:int array -> int array
 (** Per kept AD, by its number in the rows, the least [metric] (by
     view slot, [>= 0]) of a walk to [dst] whose ADs other than [dst]
     are all kept; [max_int] where none is. [dst] itself need not be
-    kept. A Dijkstra on the heap, whose capacity must be at least
-    {!size}. The label is written into [into] (at least {!size} words,
-    overwritten) and returned, or else into a fresh array, the build's
-    only allocation. It bounds {!search} for any metric no lower than
+    kept. A Dijkstra on the queue, which it grows to fit the rows; the
+    order equal keys pop in changes no distance. The label is written
+    into [into] (at least {!size} words, overwritten) and returned, or
+    else into a fresh array, the build's only allocation once the
+    queue has grown. It bounds {!search} for any metric no lower than
     [metric] slot for slot, over the same rows. *)
 
 type labels
 (** The label machinery of a route search that knows which ADs can
-    carry transit: the dense view of the kept ADs, the heap their
+    carry transit: the dense view of the kept ADs, the queue their
     labels are built on, and an LRU cache of built labels. Once the
     cache is full, a build writes into the array of the label it
     evicts, so it allocates a cache entry, not a label. *)

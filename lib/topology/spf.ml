@@ -1,9 +1,12 @@
 (* Single-source shortest paths: the one node-level Dijkstra in the
-   library (pop order and early exit are documented in spf.mli).
-   Integer costs give many equal distances, which the FIFO run heap
-   pushes and pops in O(1) each. *)
+   library (pop order and early exit are documented in spf.mli), on the
+   calling domain's bucket queue. A node other than [src] that this
+   search reached and has not settled ([parent] set, [dist] still -1)
+   is queued, its tentative distance its key: an improvement moves it
+   to the back of its new key's bucket, where a lazy-deletion heap
+   would push a fresh entry. *)
 
-module Pqueue = Pr_util.Pqueue
+module Dial = Pr_util.Dial
 
 type tree = {
   src : Ad.id;
@@ -12,49 +15,41 @@ type tree = {
   first_hop : int array;  (* first AD after the source; -1 at the source *)
 }
 
+let rings = Domain.DLS.new_key Dial.create
+
 let search ~n ~src ?(dst = -1) ~relax () =
   let dist = Array.make n (-1) in
   let parent = Array.make n (-1) in
   let first_hop = Array.make n (-1) in
-  let best = Array.make n max_int in
-  let q = Pqueue.create () in
+  let q = Domain.DLS.get rings in
+  Dial.reserve q n;
   let settled = ref 0 in
   (* The node being expanded and its distance. [improve] reads them
      from here, so one closure serves every pop. *)
   let u = ref src and du = ref 0 in
   let improve v cost =
     if dist.(v) < 0 then begin
-      let d = !du + cost in
-      if d < best.(v) then begin
-        best.(v) <- d;
+      let d = !du + cost and queued = parent.(v) >= 0 in
+      if (not queued) || d < Dial.key q v then begin
+        if queued then Dial.remove q v;
         parent.(v) <- !u;
         first_hop.(v) <- (if !u = src then v else first_hop.(!u));
-        Pqueue.add q ~priority:(float_of_int d) v
+        Dial.push q v d ~lifo:false
       end
     end
   in
-  let rec drain () =
-    if not (Pqueue.is_empty q) then begin
-      let v = Pqueue.pop_value q in
-      if dist.(v) >= 0 then drain ()
-      else begin
-        dist.(v) <- best.(v);
-        incr settled;
-        if v <> dst then begin
-          u := v;
-          du := best.(v);
-          relax v improve;
-          drain ()
-        end
-      end
+  Dial.push q src 0 ~lifo:false;
+  while not (Dial.is_empty q) do
+    let v = Dial.pop q in
+    dist.(v) <- Dial.last_key q;
+    incr settled;
+    if v = dst then Dial.reserve q 0
+    else begin
+      u := v;
+      du := dist.(v);
+      relax v improve
     end
-  in
-  best.(src) <- 0;
-  Pqueue.add q ~priority:0.0 src;
-  drain ();
-  (* An early exit at [dst] leaves entries behind; clearing hands the
-     queue's storage on to the next search, as a drain does. *)
-  Pqueue.clear q;
+  done;
   ({ src; dist; parent; first_hop }, !settled)
 
 let tree g ~src =

@@ -29,10 +29,13 @@ val search :
     number of nodes settled — the computation figure protocols
     charge per search.
 
-    Pop order: lazy deletion over the FIFO-tie-break {!Pr_util.Pqueue}.
-    A node is pushed each time its tentative distance strictly
-    improves and settled at its first pop; nodes pop in increasing
-    (distance, push order). So among equal-cost predecessors the
+    Pop order: that of lazy deletion over a FIFO-tie heap. A node is
+    pushed each time its tentative distance strictly improves and
+    settled at its first pop; nodes pop in increasing (distance, push
+    order). The search runs on the calling domain's
+    {!Pr_util.Dial} queue, where an improvement moves the node to the
+    back of its new distance's bucket, and allocates its tree; [relax]
+    must not start another search on the same domain. So among equal-cost predecessors the
     recorded parent is the first to reach the best distance, and
     callers that describe the same edges in the same order get the
     same tree. Nodes left unsettled by an early exit have [dist = -1];
@@ -47,12 +50,13 @@ val tree_state : Graph.t -> up:bool array -> cost:int array -> src:Ad.id -> tree
     [up.(lid)] gates each link, [cost.(lid)] overrides its static cost.
     Iterates the full parallel-link adjacency (the precomputed
     cheapest-parallel-link index assumes static costs, so it cannot be
-    used here). This is the reference the incremental kernel in
-    {!Spf_delta} is checked against, and the full-recompute arm of the
-    delta benchmark. Ties break as in {!search}: with every link up
-    at its static cost the result equals {!tree} structurally.
-    Distances are uniquely determined, so only [dist] is comparable
-    with {!Spf_delta}, whose repair breaks ties its own way. *)
+    used here). This is the reference the incremental kernel
+    [Spf_delta] (under bench/) is checked against, and the
+    full-recompute arm of the delta benchmark. Ties break as in
+    {!search}: with every link up at its static cost the result equals
+    {!tree} structurally. Distances are uniquely determined, so only
+    [dist] is comparable with [Spf_delta], whose repair breaks ties its
+    own way. *)
 
 val path : tree -> Ad.id -> Path.t option
 (** The tree route from the source to [dst]. *)

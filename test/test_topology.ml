@@ -9,10 +9,10 @@ module Generator = Pr_topology.Generator
 module Figure1 = Pr_topology.Figure1
 module Partial_order = Pr_topology.Partial_order
 module Spf = Pr_topology.Spf
-module Spf_delta = Pr_topology.Spf_delta
-module Hierarchy = Pr_topology.Hierarchy
 module Policy_search = Pr_topology.Policy_search
 module Pqueue = Pr_util.Pqueue
+module Dial = Pr_util.Dial
+module Keyed = Pr_kernels.Keyed
 
 let check_int = Alcotest.(check int)
 
@@ -611,195 +611,6 @@ let dot_highlight () =
   let plain = Pr_topology.Dot.to_dot g in
   check_bool "no highlight by default" false (contains_substring plain "color=red")
 
-(* --- Spf_delta ------------------------------------------------------ *)
-
-(* Apply one random patch both to the retained tree and to the mirror
-   up/cost arrays the from-scratch oracle reads. [crashed] records the
-   links each crashed AD took down, as the simulation runner does. *)
-let delta_apply_op g d up cost crashed (kind, x, y) =
-  let n = Graph.n g and m = Graph.num_links g in
-  match kind mod 4 with
-  | 0 ->
-    let lid = x mod m in
-    let to_up = not (Spf_delta.link_up d lid) in
-    Spf_delta.set_link d lid ~up:to_up;
-    up.(lid) <- to_up
-  | 1 ->
-    let lid = x mod m in
-    let c = 1 + (y mod 9) in
-    Spf_delta.set_cost d lid ~cost:c;
-    cost.(lid) <- c
-  | 2 ->
-    let v = x mod n in
-    if not (Hashtbl.mem crashed v) then begin
-      let links = Spf_delta.node_down d v in
-      List.iter (fun lid -> up.(lid) <- false) links;
-      Hashtbl.add crashed v links
-    end
-  | _ -> (
-    match Hashtbl.fold (fun v links _ -> Some (v, links)) crashed None with
-    | None -> ()
-    | Some (v, links) ->
-      Spf_delta.node_up d ~links;
-      List.iter (fun lid -> up.(lid) <- true) links;
-      Hashtbl.remove crashed v)
-
-let delta_graph seed =
-  let rng = Rng.create seed in
-  match seed mod 4 with
-  | 0 -> Generator.generate rng Generator.default
-  | 1 -> Generator.generate rng (Generator.scaled ~target_ads:150)
-  | 2 -> Generator.random_mesh rng ~n:40 ~extra_links:25
-  | _ -> Generator.ring ~n:24
-
-(* The ISSUE's core property: after an arbitrary sequence of link
-   up/down, weight-change and crash/restart deltas, the retained tree's
-   distances equal a from-scratch SPF under the same link state — after
-   every single repair, not just at the end — and the structural audit
-   passes. Restoring everything must bring it back to [Spf.tree]. *)
-let delta_vs_scratch_prop =
-  QCheck.Test.make ~name:"Spf_delta repairs match from-scratch SPF" ~count:40
-    QCheck.(pair small_nat (small_list (triple small_nat small_nat small_nat)))
-    (fun (seed, ops) ->
-      let g = delta_graph seed in
-      let n = Graph.n g and m = Graph.num_links g in
-      let src = seed * 7 mod n in
-      let d = Spf_delta.create g ~src in
-      let up = Array.make m true in
-      let cost = Array.init m (fun lid -> (Graph.link g lid).Link.cost) in
-      let crashed = Hashtbl.create 8 in
-      let agrees () =
-        let scratch = Spf.tree_state g ~up ~cost ~src in
-        (Spf_delta.to_tree d).Spf.dist = scratch.Spf.dist
-        && Spf_delta.self_check d = Ok ()
-      in
-      agrees ()
-      && List.for_all
-           (fun op ->
-             delta_apply_op g d up cost crashed op;
-             agrees ())
-           ops
-      &&
-      (* restore everything and compare against the static-cost tree *)
-      (Hashtbl.iter (fun _ links -> Spf_delta.node_up d ~links) crashed;
-       for lid = 0 to m - 1 do
-         Spf_delta.set_link d lid ~up:true;
-         Spf_delta.set_cost d lid ~cost:(Graph.link g lid).Link.cost
-       done;
-       (Spf_delta.to_tree d).Spf.dist = (Spf.tree g ~src).Spf.dist
-       && Spf_delta.self_check d = Ok ()))
-
-let delta_basics () =
-  let g = Figure1.graph () in
-  let src = 0 in
-  let d = Spf_delta.create g ~src in
-  let t0 = Spf.tree g ~src in
-  check_bool "fresh tree = Spf.tree" true ((Spf_delta.to_tree d).Spf.dist = t0.Spf.dist);
-  check_int "no events yet" 0 (Spf_delta.events d);
-  (* take down every link on the source's shortest-path tree edge to a
-     chosen far node, one at a time, and verify against scratch *)
-  let up = Array.make (Graph.num_links g) true in
-  let cost = Array.init (Graph.num_links g) (fun lid -> (Graph.link g lid).Link.cost) in
-  for lid = 0 to Stdlib.min 3 (Graph.num_links g - 1) do
-    Spf_delta.set_link d lid ~up:false;
-    up.(lid) <- false;
-    let scratch = Spf.tree_state g ~up ~cost ~src in
-    check_bool
-      (Printf.sprintf "dist after link %d down" lid)
-      true
-      ((Spf_delta.to_tree d).Spf.dist = scratch.Spf.dist)
-  done;
-  check_int "events counted" 4 (Spf_delta.events d);
-  check_bool "self check" true (Spf_delta.self_check d = Ok ());
-  (* crash the source: everything else must become unreachable *)
-  let links = Spf_delta.node_down d src in
-  check_bool "source still at 0" true (Spf_delta.dist d src = 0);
-  let others_unreachable = ref true in
-  for v = 1 to Graph.n g - 1 do
-    if Spf_delta.dist d v >= 0 then others_unreachable := false
-  done;
-  check_bool "others unreachable after src crash" true !others_unreachable;
-  Spf_delta.node_up d ~links;
-  List.iter (fun lid -> up.(lid) <- true) links;
-  check_bool "restored matches scratch" true
-    ((Spf_delta.to_tree d).Spf.dist = (Spf.tree_state g ~up ~cost ~src).Spf.dist);
-  check_bool "repaired fewer nodes than full recompute" true
-    (Spf_delta.nodes_repaired d <= Spf_delta.events d * Graph.n g)
-
-let delta_cost_guard () =
-  let g = Figure1.graph () in
-  let d = Spf_delta.create g ~src:0 in
-  Alcotest.check_raises "cost below 1 rejected"
-    (Invalid_argument "Spf_delta.set_cost: cost must be >= 1") (fun () ->
-      Spf_delta.set_cost d 0 ~cost:0)
-
-(* --- Hierarchy ------------------------------------------------------ *)
-
-let hierarchy_partition h n =
-  let seen = Array.make n 0 in
-  for c = 0 to Hierarchy.num_clusters h - 1 do
-    Array.iter
-      (fun ad ->
-        seen.(ad) <- seen.(ad) + 1;
-        if Hierarchy.cluster_of h ad <> c then seen.(ad) <- 99)
-      (Hierarchy.members h c)
-  done;
-  Array.for_all (fun x -> x = 1) seen
-
-let hierarchy_figure1 () =
-  let g = Figure1.graph () in
-  let h = Hierarchy.build g ~cluster_of:(Hierarchy.clusters_of_levels g) in
-  let n = Graph.n g in
-  check_bool "clusters partition the ADs" true (hierarchy_partition h n);
-  check_bool "more than one cluster" true (Hierarchy.num_clusters h > 1);
-  let exact = Array.init n (fun src -> Spf.tree g ~src) in
-  for src = 0 to n - 1 do
-    for dst = 0 to n - 1 do
-      match Hierarchy.route h ~src ~dst with
-      | None -> Alcotest.failf "no hierarchical route %d -> %d" src dst
-      | Some p ->
-        check_bool "valid path" true (src = dst || Path.is_valid g p);
-        check_int "starts at src" src (Path.source p);
-        check_int "ends at dst" dst (Path.destination p);
-        check_bool "loop free" true (Path.is_loop_free p);
-        let c = Hierarchy.route_cost h p in
-        check_bool "stretch >= 1" true (c >= exact.(src).Spf.dist.(dst))
-    done
-  done
-
-let hierarchy_routes_prop =
-  QCheck.Test.make ~name:"hierarchical routes deliver, loop-free, stretch >= 1" ~count:25
-    QCheck.small_nat (fun seed ->
-      let rng = Rng.create seed in
-      let g = Generator.generate rng Generator.default in
-      let n = Graph.n g in
-      let h = Hierarchy.build g ~cluster_of:(Hierarchy.clusters_of_levels g) in
-      hierarchy_partition h n
-      && List.for_all
-           (fun _ ->
-             let src = Rng.int rng n and dst = Rng.int rng n in
-             match Hierarchy.route h ~src ~dst with
-             | None -> false
-             | Some p ->
-               (src = dst || Path.is_valid g p)
-               && Path.source p = src && Path.destination p = dst
-               && Path.is_loop_free p
-               && Hierarchy.route_cost h p >= (Spf.tree g ~src).Spf.dist.(dst))
-           (List.init 20 (fun i -> i)))
-
-let hierarchy_compact () =
-  let rng = Rng.create 17 in
-  let g = Generator.generate rng (Generator.scaled ~target_ads:400) in
-  let n = Graph.n g in
-  let h = Hierarchy.build g ~cluster_of:(Hierarchy.clusters_of_levels g) in
-  check_bool "cluster graph much smaller than internet" true
-    (Graph.n (Hierarchy.cluster_graph h) < n / 2);
-  let all_compact = ref true in
-  for ad = 0 to n - 1 do
-    if Hierarchy.table_entries h ad >= n then all_compact := false
-  done;
-  check_bool "every table smaller than flat O(n)" true !all_compact
-
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 (* --- Policy_search ----------------------------------------------- *)
@@ -978,10 +789,10 @@ let policy_search_restricted_rows =
       let avoid = List.filter (fun v -> roll (`Avoid v) < 10) (List.init n Fun.id) in
       let plain = Policy_search.scratch_for view and full = Policy_search.scratch_for view in
       let dense = Policy_search.scratch_for view in
-      let heap = Pqueue.Keyed.create ~capacity:n in
+      let ring = Dial.create () in
       let ok = ref (Policy_search.size rows = !count) in
       for dst = 0 to n - 1 do
-        let label = Policy_search.lower_bound rows heap ~dst ~metric:base in
+        let label = Policy_search.lower_bound rows ring ~dst ~metric:base in
         let lower =
           Array.init n (fun v -> if v = dst then 0 else if kept v then label.(index.(v)) else max_int)
         in
@@ -1012,18 +823,18 @@ let policy_search_restricted_rows =
 let keyed_reference_search view ~n ~src ~dst ~avoid ?lower ~refuses ~metric ~admit () =
   let states = n * (n + 1) and start = (src * (n + 1)) + n in
   let dist = Array.make states 0 and parent = Array.make states (-1) in
-  let reached = Array.make states (-1) and q = Pqueue.Keyed.create ~capacity:states in
+  let reached = Array.make states (-1) and q = Keyed.create ~capacity:states in
   let work = ref 0 and seq_bits = 24 in
   let pass ~h ~astar ~cut gen =
     let cut = ref cut and seq = ref 1 and final = ref (-1) in
     let tie = if astar then (1 lsl seq_bits) - 1 else 0 in
-    Pqueue.Keyed.clear q;
+    Keyed.clear q;
     dist.(start) <- 0;
     parent.(start) <- -1;
     reached.(start) <- gen;
-    ignore (Pqueue.Keyed.insert_or_decrease q start ~priority:0);
-    while !final < 0 && not (Pqueue.Keyed.is_empty q) do
-      let st = Pqueue.Keyed.pop_min q in
+    ignore (Keyed.insert_or_decrease q start ~priority:0);
+    while !final < 0 && not (Keyed.is_empty q) do
+      let st = Keyed.pop_min q in
       incr work;
       let at = st / (n + 1) and from = st mod (n + 1) in
       if at = dst then final := st
@@ -1042,7 +853,7 @@ let keyed_reference_search view ~n ~src ~dst ~avoid ?lower ~refuses ~metric ~adm
                   dist.(st') <- d';
                   parent.(st') <- st;
                   ignore
-                    (Pqueue.Keyed.insert_or_decrease q st'
+                    (Keyed.insert_or_decrease q st'
                        ~priority:((f lsl seq_bits) lor (!seq lxor tie)));
                   incr seq
                 end
@@ -1107,7 +918,7 @@ let policy_search_buckets_match_heap =
       let refuses v = (not (kept v)) || roll (`Refuse v) < prefuse in
       let admit v p w = (not (refuses v)) && random_admit aseed pct v p w in
       let avoid = List.filter (fun v -> roll (`Avoid v) < 10) (List.init n Fun.id) in
-      let heap = Pqueue.Keyed.create ~capacity:n in
+      let ring = Dial.create () in
       let index = Array.make n (-1) and count = ref 0 in
       for v = 0 to n - 1 do
         if kept v then begin
@@ -1124,7 +935,7 @@ let policy_search_buckets_match_heap =
         then ok := false
       in
       for dst = 0 to n - 1 do
-        let label = Policy_search.lower_bound rows heap ~dst ~metric:base in
+        let label = Policy_search.lower_bound rows ring ~dst ~metric:base in
         let lower =
           Array.init n (fun v -> if v = dst then 0 else if kept v then label.(index.(v)) else max_int)
         in
@@ -1146,6 +957,57 @@ let policy_search_buckets_match_heap =
       done;
       !ok)
 
+(* Labels against a plain Bellman-Ford kept here, off the queue: per
+   kept AD, the least metric of a walk to [dst] through kept ADs, an
+   edge priced by the slot of the AD it leaves. [dst] is kept or not;
+   some metrics are 0, and the others lie in [0, C]: C = 300 spans more
+   keys than the ring's first 64 buckets, C = 200 000 more than its
+   2^16-bucket limit, so buckets alias. One ring serves every build,
+   and every other build writes into the last label's array. *)
+let lower_bound_matches_bellman_ford =
+  QCheck.Test.make ~name:"lower_bound = Bellman-Ford over the kept ADs" ~count:300
+    QCheck.(quad small_int (oneofl [ 3; 300; 200_000 ]) (int_range 0 100) (int_range 0 50))
+    (fun (gseed, c, pkeep, pzero) ->
+      let g = random_multigraph gseed in
+      let n = Graph.n g in
+      let view = Policy_search.of_graph g in
+      let off, nbr = Graph.unique_csr g in
+      let roll x = Hashtbl.hash (gseed, c, pkeep, x) mod 100 in
+      let metric =
+        Array.init (Array.length nbr) (fun k ->
+            if roll (`Zero k) < pzero then 0 else Hashtbl.hash (gseed, k) mod (c + 1))
+      in
+      let keep v = roll (`Keep v) < pkeep in
+      let rows = Policy_search.restrict view ~keep in
+      let ads = List.filter keep (List.init n Fun.id) in
+      let ring = Dial.create () and last = ref [||] in
+      List.for_all
+        (fun dst ->
+          let d = Array.make n max_int and changed = ref true in
+          d.(dst) <- 0;
+          while !changed do
+            changed := false;
+            List.iter
+              (fun u ->
+                for k = off.(u) to off.(u + 1) - 1 do
+                  let w = nbr.(k) in
+                  if (w = dst || keep w) && d.(w) < max_int && metric.(k) + d.(w) < d.(u) then begin
+                    d.(u) <- metric.(k) + d.(w);
+                    changed := true
+                  end
+                done)
+              ads
+          done;
+          let label =
+            if dst land 1 = 1 && Array.length !last = Policy_search.size rows then
+              Policy_search.lower_bound ~into:!last rows ring ~dst ~metric
+            else Policy_search.lower_bound rows ring ~dst ~metric
+          in
+          last := label;
+          List.length ads = Array.length label
+          && List.for_all2 (fun u l -> l = d.(u)) ads (Array.to_list label))
+        (List.init n Fun.id))
+
 (* The label cache builds into the arrays of the labels it evicts, and
    a join rebuilds the dense view. Under any sequence of requests and
    joins, every label it returns is a fresh [lower_bound] over the
@@ -1161,7 +1023,7 @@ let policy_search_labels_recycle =
       let labels = Policy_search.labels (Policy_search.restrict view ~keep) ~capacity in
       let kept = Array.init n keep in
       let metric = Array.init (Array.length (snd (Graph.unique_csr g))) (Graph.slot_cost g) in
-      let heap = Pqueue.Keyed.create ~capacity:n and ok = ref true in
+      let ring = Dial.create () and ok = ref true in
       for _ = 1 to 40 do
         if Rng.int rng 8 = 0 then begin
           let v = Rng.int rng n in
@@ -1172,7 +1034,7 @@ let policy_search_labels_recycle =
           let dst = Rng.int rng n in
           let got = Policy_search.label labels ~key:dst ~dst ~metric in
           let rows = Policy_search.restrict view ~keep:(fun v -> kept.(v)) in
-          if got <> Policy_search.lower_bound rows heap ~dst ~metric then ok := false;
+          if got <> Policy_search.lower_bound rows ring ~dst ~metric then ok := false;
           if Policy_search.carrying labels |> Policy_search.size <> Policy_search.size rows then
             ok := false
         end
@@ -1259,8 +1121,8 @@ let policy_search_basics () =
   List.iter
     (fun keep ->
       let rows = Policy_search.restrict view ~keep in
-      let heap = Pqueue.Keyed.create ~capacity:4 in
-      let lower dst = Policy_search.lower_bound rows heap ~dst ~metric:slot_cost in
+      let ring = Dial.create () in
+      let lower dst = Policy_search.lower_bound rows ring ~dst ~metric:slot_cost in
       check_bool "a refusing src still relaxes (dense)" true
         (Policy_search.search scratch view ~src:0 ~dst:1 ~lower:(lower 1) ~rows ~refuses ~metric
            ~admit:none ()
@@ -1324,12 +1186,6 @@ let () =
               generator_no_duplicate_links;
             ] );
       ("figure1", [ Alcotest.test_case "shape" `Quick figure1_shape ]);
-      ( "spf-delta",
-        [
-          Alcotest.test_case "basics" `Quick delta_basics;
-          Alcotest.test_case "cost guard" `Quick delta_cost_guard;
-        ]
-        @ qsuite [ delta_vs_scratch_prop ] );
       ( "policy-search",
         [
           Alcotest.test_case "basics" `Quick policy_search_basics;
@@ -1341,14 +1197,9 @@ let () =
               policy_search_bounded_matches_unbounded;
               policy_search_restricted_rows;
               policy_search_buckets_match_heap;
+              lower_bound_matches_bellman_ford;
               policy_search_labels_recycle;
             ] );
-      ( "hierarchy",
-        [
-          Alcotest.test_case "figure1 routes" `Quick hierarchy_figure1;
-          Alcotest.test_case "compact tables" `Quick hierarchy_compact;
-        ]
-        @ qsuite [ hierarchy_routes_prop ] );
       ( "dot",
         [
           Alcotest.test_case "well formed" `Quick dot_well_formed;

@@ -633,183 +633,6 @@ let pqueue_spare_bound () =
     true
     (Pqueue.spare_capacity () <= bound)
 
-(* --- Pqueue.Keyed --------------------------------------------------- *)
-
-let keyed_basic () =
-  let q = Pqueue.Keyed.create ~capacity:8 in
-  check_bool "empty" true (Pqueue.Keyed.is_empty q);
-  check_bool "insert 3" true (Pqueue.Keyed.insert_or_decrease q 3 ~priority:30);
-  check_bool "insert 1" true (Pqueue.Keyed.insert_or_decrease q 1 ~priority:10);
-  check_bool "insert 5" true (Pqueue.Keyed.insert_or_decrease q 5 ~priority:20);
-  check_int "length" 3 (Pqueue.Keyed.length q);
-  check_bool "mem 3" true (Pqueue.Keyed.mem q 3);
-  check_bool "not mem 0" false (Pqueue.Keyed.mem q 0);
-  Alcotest.(check (option int)) "priority of 3" (Some 30) (Pqueue.Keyed.priority q 3);
-  check_bool "worse priority ignored" false (Pqueue.Keyed.insert_or_decrease q 3 ~priority:40);
-  Alcotest.(check (option int)) "still 30" (Some 30) (Pqueue.Keyed.priority q 3);
-  check_bool "decrease 3" true (Pqueue.Keyed.insert_or_decrease q 3 ~priority:5);
-  Alcotest.(check (option (pair int int))) "pop 3 first after decrease" (Some (5, 3))
-    (Pqueue.Keyed.pop q);
-  check_bool "popped not mem" false (Pqueue.Keyed.mem q 3);
-  Alcotest.(check (option (pair int int))) "pop 1" (Some (10, 1)) (Pqueue.Keyed.pop q);
-  Alcotest.(check (option (pair int int))) "pop 5" (Some (20, 5)) (Pqueue.Keyed.pop q);
-  Alcotest.(check (option (pair int int))) "pop none" None (Pqueue.Keyed.pop q)
-
-let keyed_key_ties () =
-  let q = Pqueue.Keyed.create ~capacity:8 in
-  List.iter
-    (fun k -> ignore (Pqueue.Keyed.insert_or_decrease q k ~priority:7))
-    [ 6; 2; 4; 0 ];
-  let popped = ref [] in
-  let rec drain () =
-    match Pqueue.Keyed.pop q with
-    | None -> ()
-    | Some (_, k) ->
-      popped := k :: !popped;
-      drain ()
-  in
-  drain ();
-  Alcotest.(check (list int)) "equal priorities pop by key" [ 0; 2; 4; 6 ] (List.rev !popped)
-
-(* The decrease-key analog of the vacated-slot path: popping moves the
-   last heap entry into the root, so the pos bookkeeping must stay
-   exact through pop/reinsert cycles that reuse freed keys. *)
-let keyed_vacated_reuse () =
-  let q = Pqueue.Keyed.create ~capacity:4 in
-  for k = 0 to 3 do
-    ignore (Pqueue.Keyed.insert_or_decrease q k ~priority:(10 + k))
-  done;
-  Alcotest.(check (option (pair int int))) "pop 0" (Some (10, 0)) (Pqueue.Keyed.pop q);
-  (* key 0 reinserted after its slot was vacated and backfilled *)
-  check_bool "reinsert popped key" true (Pqueue.Keyed.insert_or_decrease q 0 ~priority:25);
-  check_bool "decrease reinserted" true (Pqueue.Keyed.insert_or_decrease q 0 ~priority:9);
-  Alcotest.(check (option (pair int int))) "reinserted pops first" (Some (9, 0))
-    (Pqueue.Keyed.pop q);
-  Pqueue.Keyed.clear q;
-  check_bool "cleared" true (Pqueue.Keyed.is_empty q);
-  check_bool "cleared keys absent" false (Pqueue.Keyed.mem q 2);
-  check_bool "usable after clear" true (Pqueue.Keyed.insert_or_decrease q 2 ~priority:1);
-  Alcotest.(check (option (pair int int))) "pop after clear" (Some (1, 2)) (Pqueue.Keyed.pop q)
-
-(* Model check: a sequence of insert_or_decrease operations against a
-   reference map, then drain — pops must come out exactly in
-   (priority, key) order of the final model state. *)
-let keyed_vs_model =
-  QCheck.Test.make ~name:"keyed heap drains in (priority, key) order of the model"
-    ~count:300
-    QCheck.(list (pair (int_range 0 31) (int_range 0 50)))
-    (fun ops ->
-      let q = Pqueue.Keyed.create ~capacity:32 in
-      let model = Hashtbl.create 32 in
-      List.iter
-        (fun (k, p) ->
-          let changed = Pqueue.Keyed.insert_or_decrease q k ~priority:p in
-          (match Hashtbl.find_opt model k with
-          | None ->
-            if not changed then raise Exit;
-            Hashtbl.replace model k p
-          | Some old ->
-            if changed <> (p < old) then raise Exit;
-            if p < old then Hashtbl.replace model k p))
-        ops;
-      let expect =
-        Hashtbl.fold (fun k p acc -> (p, k) :: acc) model [] |> List.sort compare
-      in
-      let rec drain acc =
-        match Pqueue.Keyed.pop q with None -> List.rev acc | Some pk -> drain (pk :: acc)
-      in
-      drain [] = expect)
-
-(* The swap-based, recursive Keyed heap that the hole-based sifts
-   replaced, kept here as the reference for pop order. *)
-module Swap_keyed = struct
-  type t = { heap : int array; pos : int array; prio : int array; mutable size : int }
-
-  let create n = { heap = Array.make n 0; pos = Array.make n (-1); prio = Array.make n 0; size = 0 }
-
-  let less t a b = t.prio.(a) < t.prio.(b) || (t.prio.(a) = t.prio.(b) && a < b)
-
-  let swap t i j =
-    let a = t.heap.(i) and b = t.heap.(j) in
-    t.heap.(i) <- b;
-    t.heap.(j) <- a;
-    t.pos.(b) <- i;
-    t.pos.(a) <- j
-
-  let rec sift_up t i =
-    if i > 0 then begin
-      let parent = (i - 1) / 2 in
-      if less t t.heap.(i) t.heap.(parent) then begin
-        swap t i parent;
-        sift_up t parent
-      end
-    end
-
-  let rec sift_down t i =
-    let l = (2 * i) + 1 and r = (2 * i) + 2 in
-    let smallest = ref i in
-    if l < t.size && less t t.heap.(l) t.heap.(!smallest) then smallest := l;
-    if r < t.size && less t t.heap.(r) t.heap.(!smallest) then smallest := r;
-    if !smallest <> i then begin
-      swap t i !smallest;
-      sift_down t !smallest
-    end
-
-  let insert_or_decrease t key ~priority =
-    let slot = t.pos.(key) in
-    if slot < 0 then begin
-      t.prio.(key) <- priority;
-      t.heap.(t.size) <- key;
-      t.pos.(key) <- t.size;
-      t.size <- t.size + 1;
-      sift_up t (t.size - 1);
-      true
-    end
-    else if priority < t.prio.(key) then begin
-      t.prio.(key) <- priority;
-      sift_up t slot;
-      true
-    end
-    else false
-
-  let pop_min t =
-    if t.size = 0 then -1
-    else begin
-      let top = t.heap.(0) in
-      t.size <- t.size - 1;
-      t.pos.(top) <- -1;
-      if t.size > 0 then begin
-        let last = t.heap.(t.size) in
-        t.heap.(0) <- last;
-        t.pos.(last) <- 0;
-        sift_down t 0
-      end;
-      top
-    end
-end
-
-(* Interleaved inserts, decreases and pops, with many equal
-   priorities: every answer and every popped key is the swap-based
-   heap's, down to the final drain. *)
-let keyed_matches_swap_heap =
-  QCheck.Test.make ~name:"keyed heap pops as the swap-based heap does" ~count:500
-    QCheck.(list (pair (int_range 0 63) (int_range (-1) 40)))
-    (fun ops ->
-      let q = Pqueue.Keyed.create ~capacity:64 and r = Swap_keyed.create 64 in
-      List.for_all
-        (fun (k, p) ->
-          if p < 0 then Pqueue.Keyed.pop_min q = Swap_keyed.pop_min r
-          else
-            Pqueue.Keyed.insert_or_decrease q k ~priority:p
-            = Swap_keyed.insert_or_decrease r k ~priority:p)
-        ops
-      &&
-      let rec drain () =
-        let a = Pqueue.Keyed.pop_min q in
-        a = Swap_keyed.pop_min r && (a < 0 || drain ())
-      in
-      drain ())
-
 (* --- Bitset -------------------------------------------------------- *)
 
 let bitset_basic () =
@@ -1088,13 +911,6 @@ let () =
       ( "filler",
         [ Alcotest.test_case "forces no collection" `Quick filler_forces_no_collection ]
         @ qsuite [ filler_equals_array_init ] );
-      ( "pqueue-keyed",
-        [
-          Alcotest.test_case "basic + decrease-key" `Quick keyed_basic;
-          Alcotest.test_case "key ties" `Quick keyed_key_ties;
-          Alcotest.test_case "vacated slot reuse + clear" `Quick keyed_vacated_reuse;
-        ]
-        @ qsuite [ keyed_vs_model; keyed_matches_swap_heap ] );
       ( "bitset",
         [
           Alcotest.test_case "basic" `Quick bitset_basic;
