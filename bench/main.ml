@@ -1470,12 +1470,13 @@ let label_measure g =
   let words = Pr_telemetry.Alloc.words_per ~ops:label_dsts build_all in
   (settled, ns, words)
 
-(* The engine rung: faulted ORWG convergence, which runs the event
-   queue, the network's copy-by-copy send path and the fault
-   interposer on every message. Eight 56-AD internets under the
-   repository benchmark's plan (message delay and duplication, and a
-   gateway crash with state loss and restart), each set up, faulted
-   and converged per repetition. Events and messages are exact; time
+(* The engine rungs: ORWG convergence on eight 56-AD internets, each
+   set up and converged per repetition. Fault-free, it runs the event
+   queue's plain runs and the network's broadcast fan-outs. Faulted,
+   under the repository benchmark's plan (message delay and
+   duplication, and a gateway crash with state loss and restart), it
+   runs the copy-by-copy send path, the channel runs and the fault
+   interposer on every message. Events and messages are exact; time
    and allocation are per executed event, set-up included. *)
 let engine_plan = "delay:p=0.25,max=2,until=40;dup:p=0.1,until=40;crash:at=14,down=8"
 
@@ -1483,13 +1484,16 @@ let engine_ads = 56
 
 let engine_internets = 8
 
-let engine_measure () =
+let engine_measure ?plan () =
   let (Registry.Packed (module P)) = Option.get (Registry.find_opt "orwg") in
   let module R = Runner.Make (P) in
   let plan =
-    match Pr_faults.Plan.of_string engine_plan with
-    | Ok p -> p
-    | Error e -> failwith ("engine plan: " ^ e)
+    Option.map
+      (fun plan ->
+        match Pr_faults.Plan.of_string plan with
+        | Ok p -> p
+        | Error e -> failwith ("engine plan: " ^ e))
+      plan
   in
   let scenarios =
     List.init engine_internets (fun i ->
@@ -1502,11 +1506,14 @@ let engine_measure () =
     List.iter
       (fun (seed, (sc : Scenario.t)) ->
         let r = R.setup sc.Scenario.graph sc.Scenario.config in
-        ignore
-          (Pr_faults.Nemesis.install (R.network r) ~rng:(Rng.derive seed "faults")
-             ~crash:(R.crash_ad r) ~restart:(R.restart_ad r) plan);
+        Option.iter
+          (fun plan ->
+            ignore
+              (Pr_faults.Nemesis.install (R.network r) ~rng:(Rng.derive seed "faults")
+                 ~crash:(R.crash_ad r) ~restart:(R.restart_ad r) plan))
+          plan;
         let c = R.converge r in
-        if not c.Runner.converged then failwith "engine: a faulted run did not converge";
+        if not c.Runner.converged then failwith "engine: a run did not converge";
         events := !events + c.Runner.events;
         messages := !messages + Metrics.messages (R.metrics r))
       scenarios
@@ -1911,27 +1918,33 @@ let synth () =
   note "\nIncremental delta-SPF and hierarchical synthesis on the same internets:\n";
   let drows = run_delta ~sizes:(delta_sizes ()) in
   note
-    "\nEngine: faulted ORWG convergence on %d %d-AD internets under\n\
+    "\nEngine: ORWG convergence on %d %d-AD internets, fault-free and under\n\
      %s (set-up included):\n"
     engine_internets engine_ads engine_plan;
-  let e_events, e_messages, e_ns, e_words = engine_measure () in
+  let clean = engine_measure () in
+  let faulted = engine_measure ~plan:engine_plan () in
   let et =
     Texttable.create
       ~columns:
         [
+          ("run", Texttable.Left);
           ("events", Texttable.Right);
           ("messages", Texttable.Right);
           ("ns/event", Texttable.Right);
           ("alloc words/event", Texttable.Right);
         ]
   in
-  Texttable.add_row et
-    [
-      Texttable.cell_int e_events;
-      Texttable.cell_int e_messages;
-      Texttable.cell_float ~decimals:0 e_ns;
-      Texttable.cell_float ~decimals:1 e_words;
-    ];
+  List.iter
+    (fun (run, (events, messages, ns, words)) ->
+      Texttable.add_row et
+        [
+          run;
+          Texttable.cell_int events;
+          Texttable.cell_int messages;
+          Texttable.cell_float ~decimals:0 ns;
+          Texttable.cell_float ~decimals:1 words;
+        ])
+    [ ("fault-free", clean); ("faulted", faulted) ];
   Texttable.print et;
   if json then begin
     (* Graph shape and the counted work are fixed by the generator seed,
@@ -2020,27 +2033,31 @@ let synth () =
             ])
         drows
     in
-    let engine =
+    let engine kernel plan (events, messages, ns_event, words) =
       {
         Gate.layer = "engine";
-        kernel = "Engine + Network + Nemesis (faulted ORWG converge)";
+        kernel;
         config =
-          [
-            ("target_ads", J.Int engine_ads);
-            ("internets", J.Int engine_internets);
-            ("plan", J.String engine_plan);
-          ];
-        exact = [ ("sim_events", J.Int e_events); ("control_messages", J.Int e_messages) ];
-        band =
-          [ ("ns_per_event", ns e_ns); ("alloc_words_per_event", round 1 e_words) ];
+          [ ("target_ads", J.Int engine_ads); ("internets", J.Int engine_internets) ]
+          @ plan;
+        exact = [ ("sim_events", J.Int events); ("control_messages", J.Int messages) ];
+        band = [ ("ns_per_event", ns ns_event); ("alloc_words_per_event", round 1 words) ];
         cores = 1;
       }
+    in
+    let engines =
+      [
+        engine "Engine + Network (fault-free ORWG converge)" [] clean;
+        engine "Engine + Network + Nemesis (faulted ORWG converge)"
+          [ ("plan", J.String engine_plan) ]
+          faulted;
+      ]
     in
     let oc = open_out out in
     output_string oc
       (J.to_string_pretty
          (Gate.document_json ~benchmark:"route_synthesis_scaling"
-            (spf @ labels @ policy @ delta @ [ engine ])));
+            (spf @ labels @ policy @ delta @ engines)));
     output_char oc '\n';
     close_out oc;
     note "\nWrote %s\n" out

@@ -1,63 +1,35 @@
-(** Minimum priority queue on float priorities with deterministic FIFO
+(** The event list of the discrete-event engine: a minimum priority
+    queue of calls on float priorities with deterministic FIFO
     tie-breaking.
 
-    Entries with equal priority are returned in insertion order, which
-    makes discrete-event schedules reproducible independent of queue
+    Calls with equal priority are made in insertion order, which makes
+    discrete-event schedules reproducible independent of queue
     internals: pop order is the strict total order (priority, insertion
     seq).
 
-    Internally the queue is a binary min-heap of {e runs}: values added
-    with exactly the same priority while that priority's run is open
-    are chained behind one another in insertion order, and the heap
-    holds only each run's head. A flooding wave that lands many events
-    on one priority therefore adds and pops them in O(1) each. Popping
-    is a merge of sorted runs, so the order is the same (priority, seq)
-    order a plain heap gives; runs change the cost, never the order.
+    Internally the queue is a binary min-heap of {e runs}: a call added
+    no earlier than the last call of its channel's open run is chained
+    behind it, and the heap holds only each run's head. Plain calls
+    share 64 channels by a hash of their priority, so a flooding wave
+    that lands many events on one priority adds and pops them in O(1)
+    each. Popping is a merge of sorted runs, so the order is the same
+    (priority, seq) order a plain heap gives; runs change the cost,
+    never the order.
 
     The heap holds only unboxed priorities, seqs and value-slot ids, so
-    reordering it never runs a write barrier; {!add} followed by
-    {!top_priority}/{!pop_value} allocates nothing once the arrays have
-    grown to the working size. A popped value is never retained.
+    reordering it never runs a write barrier; adding and making calls
+    allocates nothing once the arrays have grown to the working size.
+    A call's handler and argument are not retained once it is made.
 
     Storage outlives a drained queue: a queue that empties hands its
     arrays to a domain-local spare (which keeps the larger of its own
     and the handed ones, up to 2{^16} slots; larger storage is
     dropped), and a queue growing from no storage adopts the spare. A
     fresh queue therefore reaches the working size of the last one
-    drained on its domain without allocating. Pop order does
-    not depend on which storage a queue holds. Because of the spare,
+    drained on its domain without allocating. Pop order does not
+    depend on which storage a queue holds. Because of the spare,
     queues used by several systhreads of one domain must be serialized
     together, not only each on its own. *)
-
-type 'a t
-
-val create : unit -> 'a t
-
-val is_empty : 'a t -> bool
-
-val length : 'a t -> int
-(** Number of values in the queue (every value of every run, not the
-    number of heap entries). *)
-
-val add : 'a t -> priority:float -> 'a -> unit
-(** Insert an element with the given priority. *)
-
-val top_priority : 'a t -> float
-(** Priority of the next element to be popped; [infinity] when the
-    queue is empty. *)
-
-val pop_value : 'a t -> 'a
-(** Remove the entry with the smallest priority (FIFO among equals)
-    and return its value — the allocation-free form of {!pop}, paired
-    with {!top_priority} to read the priority first.
-    @raise Invalid_argument on an empty queue. *)
-
-val pop : 'a t -> (float * 'a) option
-(** Remove and return the entry with the smallest priority (FIFO among
-    equals). *)
-
-val clear : 'a t -> unit
-(** Remove every value, handing the storage on as a drain does. *)
 
 val spare_capacity : unit -> int
 (** Value slots of the calling domain's spare storage. Exported so that
@@ -66,8 +38,8 @@ val spare_capacity : unit -> int
 (** A queue of calls: the event list of a discrete-event simulator. An
     entry is a handler and its argument, kept side by side in one value
     slot, so queueing a call on a message allocates no closure. Pop
-    order is the (priority, insertion seq) order of ['a t], over plain
-    and argument-carrying entries alike. A fan-out entry stands for
+    order is (priority, insertion seq), over plain and
+    argument-carrying entries alike. A fan-out entry stands for
     several calls of one handler on one argument at one priority, in
     one cell: a flooded broadcast's copies queue as one entry. A call
     added on a channel joins that channel's run: while each copy
@@ -124,14 +96,14 @@ module Calls : sig
 
   type census = {
     entries : int;
-        (** heap entries: one per equal-priority run, per channel run
-            and per fan-out *)
+        (** heap entries: one per run, of plain calls or of one
+            channel's calls *)
     busy_channels : int;  (** channels with a call still queued in their run *)
     channel_calls : int;  (** calls queued in channel runs *)
   }
 
   val census : t -> census
-  (** How the queue holds its calls, in O(capacity). Exported so that
+  (** How the queue holds its calls, in O(channels + calls). Exported so that
       a test can pin that a channel's calls share one heap entry;
       nothing else depends on it. *)
 

@@ -10,7 +10,6 @@ module Figure1 = Pr_topology.Figure1
 module Partial_order = Pr_topology.Partial_order
 module Spf = Pr_topology.Spf
 module Policy_search = Pr_topology.Policy_search
-module Pqueue = Pr_util.Pqueue
 module Dial = Pr_util.Dial
 module Keyed = Pr_kernels.Keyed
 
@@ -289,6 +288,33 @@ let spf_tree_prop =
                (all_ids g))
         (all_ids g))
 
+(* The priority queue of the reference searches below: a set ordered
+   by (priority, insertion seq), so equal priorities pop FIFO. *)
+module Fifo_queue = struct
+  module S = Set.Make (struct
+    type t = float * int * int
+
+    let compare (p, s, _) (q, r, _) = if p = q then Int.compare s r else Float.compare p q
+  end)
+
+  type t = { mutable set : S.t; mutable seq : int }
+
+  let create () = { set = S.empty; seq = 0 }
+
+  let is_empty q = S.is_empty q.set
+
+  let add q ~priority v =
+    q.set <- S.add (priority, q.seq, v) q.set;
+    q.seq <- q.seq + 1
+
+  let pop q =
+    match S.min_elt_opt q.set with
+    | None -> None
+    | Some ((p, _, v) as e) ->
+      q.set <- S.remove e q.set;
+      Some (p, v)
+end
+
 (* The dense lazy-deletion Dijkstra [Spf.tree] ran before it became a
    caller of [Spf.search], generalized to an up mask, per-link costs
    and an early exit at [dst] (-1: none). Returns the tree and the
@@ -301,11 +327,11 @@ let reference_search g ~up ~cost ~src ~dst =
   let settled = Array.make n false in
   let best = Array.make n max_int in
   let count = ref 0 in
-  let q = Pqueue.create () in
+  let q = Fifo_queue.create () in
   best.(src) <- 0;
-  Pqueue.add q ~priority:0.0 src;
+  Fifo_queue.add q ~priority:0.0 src;
   let rec drain () =
-    match Pqueue.pop q with
+    match Fifo_queue.pop q with
     | None -> ()
     | Some (_, u) ->
       if settled.(u) then drain ()
@@ -321,7 +347,7 @@ let reference_search g ~up ~cost ~src ~dst =
                   best.(v) <- d;
                   parent.(v) <- u;
                   first_hop.(v) <- (if u = src then v else first_hop.(u));
-                  Pqueue.add q ~priority:(float_of_int d) v
+                  Fifo_queue.add q ~priority:(float_of_int d) v
                 end
               end);
           drain ()
@@ -628,12 +654,12 @@ let reference_search g ~src ~dst ~avoid ~admit =
   else begin
     let dist = Array.make (n * n) infinity and parent = Array.make (n * n) (-1) in
     let settled = Array.make (n * n) false in
-    let q = Pqueue.create () in
+    let q = Fifo_queue.create () in
     let start = (src * n) + src and work = ref 0 and final = ref (-1) in
     dist.(start) <- 0.0;
-    Pqueue.add q ~priority:0.0 start;
-    while !final < 0 && not (Pqueue.is_empty q) do
-      match Pqueue.pop q with
+    Fifo_queue.add q ~priority:0.0 start;
+    while !final < 0 && not (Fifo_queue.is_empty q) do
+      match Fifo_queue.pop q with
       | None -> ()
       | Some (d, st) ->
         if not settled.(st) then begin
@@ -653,7 +679,7 @@ let reference_search g ~src ~dst ~avoid ~admit =
                   if d' < dist.(st') then begin
                     dist.(st') <- d';
                     parent.(st') <- st;
-                    Pqueue.add q ~priority:d' st'
+                    Fifo_queue.add q ~priority:d' st'
                   end
                 end)
         end

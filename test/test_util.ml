@@ -202,80 +202,93 @@ let rng_draws_allocate_nothing () =
 
 (* --- Pqueue -------------------------------------------------------- *)
 
+module Calls = Pqueue.Calls
+
+(* Every call these tests queue records an id in [made]: making the
+   queue's next call tells the priority it popped at (the clock) and
+   which call it was. *)
+let made = ref (-1)
+
+let record id = made := id
+
+(* Queue [record id] at [priority], bit for bit (a closure per call). *)
+let add_id q ~priority id = Calls.add q ~priority (fun () -> record id)
+
+(* Queue [record id] at a priority no smaller than 0.0 without
+   allocating: the delay is added to a clock that stays at 0.0. *)
+let origin = { Calls.now = 0.0 }
+
+let add_at q ~priority id = Calls.add_call_after q origin ~delay:priority record id
+
+(* Make the next call and return (priority, id); [None] on an empty
+   queue. *)
+let pop_id q clock =
+  if Calls.is_empty q then None
+  else begin
+    Calls.run_top q clock;
+    Some (clock.Calls.now, !made)
+  end
+
+let drain_ids q clock =
+  let rec go acc = match pop_id q clock with None -> List.rev acc | Some e -> go (e :: acc) in
+  go []
+
 let pqueue_basic () =
-  let q = Pqueue.create () in
-  check_bool "empty" true (Pqueue.is_empty q);
-  Pqueue.add q ~priority:2.0 "b";
-  Pqueue.add q ~priority:1.0 "a";
-  Pqueue.add q ~priority:3.0 "c";
-  check_int "length" 3 (Pqueue.length q);
-  Alcotest.(check (float 0.0)) "min" 1.0 (Pqueue.top_priority q);
-  Alcotest.(check (option (pair (float 0.0) string))) "pop a" (Some (1.0, "a")) (Pqueue.pop q);
-  Alcotest.(check (option (pair (float 0.0) string))) "pop b" (Some (2.0, "b")) (Pqueue.pop q);
-  Alcotest.(check (option (pair (float 0.0) string))) "pop c" (Some (3.0, "c")) (Pqueue.pop q);
-  Alcotest.(check (option (pair (float 0.0) string))) "pop none" None (Pqueue.pop q)
+  let q = Calls.create () and clock = { Calls.now = 0.0 } in
+  check_bool "empty" true (Calls.is_empty q);
+  add_id q ~priority:2.0 1;
+  add_id q ~priority:1.0 0;
+  add_id q ~priority:3.0 2;
+  check_int "length" 3 (Calls.length q);
+  let check = Alcotest.(check (option (pair (float 0.0) int))) in
+  check "pop a" (Some (1.0, 0)) (pop_id q clock);
+  check "pop b" (Some (2.0, 1)) (pop_id q clock);
+  check "pop c" (Some (3.0, 2)) (pop_id q clock);
+  check "pop none" None (pop_id q clock)
 
 let pqueue_fifo_ties () =
-  let q = Pqueue.create () in
-  List.iteri (fun i name -> Pqueue.add q ~priority:(float_of_int (i mod 2)) name)
-    [ "a0"; "b1"; "c0"; "d1"; "e0" ];
-  let popped = ref [] in
-  let rec drain () =
-    match Pqueue.pop q with
-    | None -> ()
-    | Some (_, v) ->
-      popped := v :: !popped;
-      drain ()
-  in
-  drain ();
+  let q = Calls.create () and clock = { Calls.now = 0.0 } in
+  let names = [| "a0"; "b1"; "c0"; "d1"; "e0" |] in
+  Array.iteri (fun i _ -> add_id q ~priority:(float_of_int (i mod 2)) i) names;
   Alcotest.(check (list string)) "FIFO among equal priorities"
-    [ "a0"; "c0"; "e0"; "b1"; "d1" ] (List.rev !popped)
+    [ "a0"; "c0"; "e0"; "b1"; "d1" ]
+    (List.map (fun (_, id) -> names.(id)) (drain_ids q clock))
 
-(* Values chained into an equal-priority run still count one each, and
-   a run stays FIFO while it is appended to between pops. *)
+(* Calls chained into a run still count one each, and a run stays FIFO
+   while it is appended to between pops. *)
 let pqueue_run_length () =
-  let q = Pqueue.create () in
-  List.iter (fun v -> Pqueue.add q ~priority:1.0 v) [ "a"; "b"; "c" ];
-  Pqueue.add q ~priority:2.0 "x";
-  Pqueue.add q ~priority:1.0 "d";
-  check_int "every value counted" 5 (Pqueue.length q);
-  Alcotest.(check string) "run head" "a" (Pqueue.pop_value q);
-  Pqueue.add q ~priority:1.0 "e";
-  check_int "after a pop and an append" 5 (Pqueue.length q);
-  let rest = List.init 5 (fun _ -> Pqueue.pop_value q) in
-  Alcotest.(check (list string)) "FIFO within the run" [ "b"; "c"; "d"; "e"; "x" ] rest;
-  check_int "drained" 0 (Pqueue.length q);
-  check_bool "empty" true (Pqueue.is_empty q)
+  let q = Calls.create () and clock = { Calls.now = 0.0 } in
+  let names = [| "a"; "b"; "c"; "x"; "d"; "e" |] in
+  List.iter (fun id -> add_id q ~priority:1.0 id) [ 0; 1; 2 ];
+  add_id q ~priority:2.0 3;
+  add_id q ~priority:1.0 4;
+  check_int "every call counted" 5 (Calls.length q);
+  Calls.run_top q clock;
+  Alcotest.(check string) "run head" "a" names.(!made);
+  add_id q ~priority:1.0 5;
+  check_int "after a pop and an append" 5 (Calls.length q);
+  Alcotest.(check (list string)) "FIFO within the run" [ "b"; "c"; "d"; "e"; "x" ]
+    (List.map (fun (_, id) -> names.(id)) (drain_ids q clock));
+  check_int "drained" 0 (Calls.length q);
+  check_bool "empty" true (Calls.is_empty q)
 
 let pqueue_sorted_output =
   QCheck.Test.make ~name:"pqueue pops in nondecreasing priority" ~count:200
     QCheck.(list (float_bound_inclusive 100.0))
     (fun priorities ->
-      let q = Pqueue.create () in
-      List.iter (fun p -> Pqueue.add q ~priority:p ()) priorities;
-      let rec drain acc =
-        match Pqueue.pop q with
-        | None -> List.rev acc
-        | Some (p, ()) -> drain (p :: acc)
-      in
-      let out = drain [] in
-      out = List.sort compare priorities)
+      let q = Calls.create () and clock = { Calls.now = 0.0 } in
+      List.iter (fun p -> add_id q ~priority:p 0) priorities;
+      List.map fst (drain_ids q clock) = List.sort compare priorities)
 
-(* Model check: random interleavings of add / pop / pop_value against
-   a list model popped by (priority, insertion seq). Priorities come
-   from a tiny set, so most comparisons are ties and the FIFO tie-break
+(* Model check: random interleavings of adds and pops against a list
+   model popped by (priority, insertion seq). Priorities come from a
+   tiny set, so most comparisons are ties and the FIFO tie-break
    carries the order. *)
-type pq_op = Add of int | Pop | Pop_value
+type pq_op = Add of int | Pop
 
-let pq_op_gen =
-  QCheck.Gen.(
-    frequency
-      [ (6, map (fun p -> Add p) (int_range 0 3)); (3, return Pop); (3, return Pop_value) ])
+let pq_op_gen = QCheck.Gen.(frequency [ (6, map (fun p -> Add p) (int_range 0 3)); (6, return Pop) ])
 
-let pq_op_print = function
-  | Add p -> Printf.sprintf "add %d" p
-  | Pop -> "pop"
-  | Pop_value -> "pop_value"
+let pq_op_print = function Add p -> Printf.sprintf "add %d" p | Pop -> "pop"
 
 let pqueue_vs_model =
   QCheck.Test.make ~name:"pqueue = stable-sorted list model" ~count:300
@@ -283,8 +296,8 @@ let pqueue_vs_model =
        ~print:(fun ops -> String.concat "; " (List.map pq_op_print ops))
        QCheck.Gen.(list_size (int_range 0 400) pq_op_gen))
     (fun ops ->
-      let q = Pqueue.create () in
-      (* The model: (priority, seq) pairs; the value is the seq. *)
+      let q = Calls.create () and clock = { Calls.now = 0.0 } in
+      (* The model: (priority, seq) pairs; the call records the seq. *)
       let model = ref [] and next = ref 0 in
       let model_min () =
         List.fold_left
@@ -294,46 +307,31 @@ let pqueue_vs_model =
             | _ -> Some (p, s))
           None !model
       in
-      let take (p, s) = model := List.filter (fun e -> e <> (p, s)) !model in
       List.for_all
         (fun op ->
-          let ok =
-            match op with
-            | Add p ->
-              Pqueue.add q ~priority:(float_of_int p) !next;
-              model := (float_of_int p, !next) :: !model;
-              incr next;
-              true
-            | Pop -> (
-              match (Pqueue.pop q, model_min ()) with
-              | None, None -> true
-              | Some (p, v), Some (mp, ms) ->
-                take (mp, ms);
-                p = mp && v = ms
-              | _ -> false)
-            | Pop_value -> (
-              match model_min () with
-              | None -> Pqueue.is_empty q && Pqueue.top_priority q = Float.infinity
-              | Some (mp, ms) ->
-                let p = Pqueue.top_priority q in
-                let v = Pqueue.pop_value q in
-                take (mp, ms);
-                p = mp && v = ms)
-          in
-          ok
-          && Pqueue.length q = List.length !model
-          && Pqueue.top_priority q
-             = Option.fold ~none:Float.infinity ~some:fst (model_min ()))
+          (match op with
+          | Add p ->
+            add_id q ~priority:(float_of_int p) !next;
+            model := (float_of_int p, !next) :: !model;
+            incr next;
+            true
+          | Pop -> (
+            match (pop_id q clock, model_min ()) with
+            | None, None -> true
+            | Some (p, v), Some (mp, ms) ->
+              model := List.filter (fun e -> e <> (mp, ms)) !model;
+              p = mp && v = ms
+            | _ -> false))
+          && Calls.length q = List.length !model)
         ops)
 
 (* The run path against the same model. The tiny-set model above never
-   has more distinct priorities pending than the run table has buckets,
+   has more distinct priorities pending than there are plain channels,
    so here priorities mix a few hot values (0.0 and -0.0 among them)
-   with hundreds of distinct ones: buckets collide, open runs are
-   evicted and left in the heap closed, and a later run opens for a
-   priority whose earlier run is still queued. Popped priorities are
-   compared bit for bit, so a run that swallowed a -0.0 behind a 0.0
-   head would show. *)
+   with hundreds of distinct ones: channels are shared, runs close and
+   stay in the heap, and a later run opens on a channel whose earlier
+   run is still queued. Popped priorities are compared bit for bit, so
+   a run whose successor took the wrong priority would show. *)
 type pq_run_op = Add_prio of float | Pop_any
 
 let pq_hot = [| 0.0; -0.0; 1.0; 2.0; 2.5 |]
@@ -357,7 +355,7 @@ let pqueue_runs_vs_model =
        ~print:(fun ops -> String.concat "; " (List.map pq_run_op_print ops))
        QCheck.Gen.(list_size (int_range 0 1500) pq_run_op_gen))
     (fun ops ->
-      let q = Pqueue.create () in
+      let q = Calls.create () and clock = { Calls.now = 0.0 } in
       let model = ref [] and next = ref 0 in
       let model_pop () =
         let min =
@@ -376,32 +374,33 @@ let pqueue_runs_vs_model =
         (fun op ->
           (match op with
           | Add_prio p ->
-            Pqueue.add q ~priority:p !next;
+            add_id q ~priority:p !next;
             model := (p, !next) :: !model;
             incr next;
             true
           | Pop_any -> (
-            match (Pqueue.pop q, model_pop ()) with
+            match (pop_id q clock, model_pop ()) with
             | None, None -> true
             | Some (p, v), Some (mp, ms) -> bits p = bits mp && v = ms
             | _ -> false))
-          && Pqueue.length q = List.length !model)
+          && Calls.length q = List.length !model)
         ops)
 
-(* Once the arrays have grown to the working size, add + pop_value
+(* Once the arrays have grown to the working size, an add and a call
    allocate nothing. The priorities are boxed up front: a float passed
    to a function in another module is boxed by the caller, and that
    box is the caller's allocation, not the queue's. *)
 let pqueue_steady_state_allocates_nothing () =
-  let q = Pqueue.create () in
+  let q = Calls.create () and clock = { Calls.now = 0.0 } in
   let prios = List.init 64 (fun i -> float_of_int (i mod 7)) in
-  List.iteri (fun i p -> Pqueue.add q ~priority:p i) prios;
+  List.iteri (fun i p -> add_at q ~priority:p i) prios;
   let sum = ref 0 in
   let rec round i = function
     | [] -> ()
     | p :: rest ->
-      Pqueue.add q ~priority:p i;
-      sum := !sum + Pqueue.pop_value q;
+      add_at q ~priority:p i;
+      Calls.run_top q clock;
+      sum := !sum + !made;
       round (i + 1) rest
   in
   let rounds () =
@@ -411,33 +410,38 @@ let pqueue_steady_state_allocates_nothing () =
   in
   rounds ();
   let words = Pr_telemetry.Alloc.words rounds in
-  check_int "queue size unchanged" 64 (Pqueue.length q);
-  Alcotest.(check (float 0.0)) "add + pop_value allocate nothing" 0.0 words
+  check_int "queue size unchanged" 64 (Calls.length q);
+  Alcotest.(check (float 0.0)) "add + run_top allocate nothing" 0.0 words
 
-(* A popped value must not stay reachable from the queue. *)
+(* A call made must not stay reachable from the queue: neither a value
+   its handler closes over nor its argument. *)
 let pqueue_no_retention () =
-  let q = Pqueue.create () in
-  let w = Weak.create 1 in
-  let popped = ref 0 in
-  (let v = Bytes.make 64 'x' in
+  let q = Calls.create () and clock = { Calls.now = 0.0 } in
+  let w = Weak.create 2 in
+  (let v = Bytes.make 64 'x' and x = Bytes.make 64 'x' in
    Weak.set w 0 (Some v);
-   Pqueue.add q ~priority:1.0 v);
+   Weak.set w 1 (Some x);
+   Calls.add q ~priority:1.0 (fun () -> record (Bytes.length v));
+   Calls.add_call_after q origin ~delay:1.5 (fun b -> record (Bytes.length b)) x);
   for i = 1 to 40 do
-    Pqueue.add q ~priority:(float_of_int (i + 1)) (Bytes.make 8 'y')
+    let y = Bytes.make 8 'y' in
+    Calls.add q ~priority:(float_of_int (i + 1)) (fun () -> record (Bytes.length y))
   done;
-  (match Pqueue.pop q with Some (1.0, _) -> incr popped | _ -> ());
+  let popped = List.init 2 (fun _ -> pop_id q clock) in
   Gc.full_major ();
-  check_int "popped the tracked value" 1 !popped;
-  check_bool "popped value collected" false (Weak.check w 0);
-  check_int "rest still queued" 40 (Pqueue.length q)
+  Alcotest.(check (list (option (pair (float 0.0) int)))) "made the tracked calls"
+    [ Some (1.0, 64); Some (1.5, 64) ] popped;
+  check_bool "closed-over value collected" false (Weak.check w 0);
+  check_bool "argument collected" false (Weak.check w 1);
+  check_int "rest still queued" 40 (Calls.length q)
 
-(* Storage handover. Two queues with different value types alternate
-   filling and draining, the first to drain alternating by round, so
-   each adopts the storage the other handed on; round sizes vary, so
-   adoption meets a spare both larger and smaller than the queue's last
-   storage. Every drain must pop in the stable-sorted (priority, seq)
-   order of a list model, and [clear] must leave a queue that refills
-   in the same order. *)
+(* Storage handover. Two queues whose calls carry arguments of
+   different types alternate filling and draining, the first to drain
+   alternating by round, so each adopts the storage the other handed
+   on; round sizes vary, so adoption meets a spare both larger and
+   smaller than the queue's last storage. Every drain must pop in the
+   stable-sorted (priority, seq) order of a list model, and [clear]
+   must leave a queue that refills in the same order. *)
 let pqueue_handover_vs_model =
   let prios = QCheck.Gen.(list_size (int_range 0 120) (int_bound 4)) in
   QCheck.Test.make ~name:"pqueue storage handover = stable-sorted list model" ~count:200
@@ -450,61 +454,63 @@ let pqueue_handover_vs_model =
               rounds))
        QCheck.Gen.(list_size (int_range 1 8) (triple prios prios bool)))
     (fun rounds ->
-      let qa : string Pqueue.t = Pqueue.create () and qb : float Pqueue.t = Pqueue.create () in
+      let qa = Calls.create () and qb = Calls.create () and clock = { Calls.now = 0.0 } in
       let model ps =
         List.stable_sort (fun (p, _) (q, _) -> compare p q)
           (List.mapi (fun i p -> (float_of_int p, i)) ps)
       in
-      let drain q value =
-        let rec go acc =
-          match Pqueue.pop q with
-          | None -> List.rev acc
-          | Some (p, v) -> go ((p, value v) :: acc)
-        in
-        go []
-      in
-      let fill q value ps =
-        List.iteri (fun i p -> Pqueue.add q ~priority:(float_of_int p) (value i)) ps
+      let fill_a ps =
+        List.iteri
+          (fun i p ->
+            Calls.add_call_after qa origin ~delay:(float_of_int p)
+              (fun s -> record (int_of_string s))
+              (string_of_int i))
+          ps
+      and fill_b ps =
+        List.iteri
+          (fun i p ->
+            Calls.add_call_after qb origin ~delay:(float_of_int p)
+              (fun x -> record (int_of_float x))
+              (float_of_int i))
+          ps
       in
       List.for_all
         (fun (pa, pb, clear_b) ->
-          fill qa string_of_int pa;
-          fill qb float_of_int pb;
+          fill_a pa;
+          fill_b pb;
           let a, b =
             if clear_b then begin
-              (* Abandon b's entries, then refill it. *)
-              Pqueue.clear qb;
-              fill qb float_of_int pb;
-              let b = drain qb int_of_float in
-              (drain qa int_of_string, b)
+              (* Abandon b's calls, then refill it. *)
+              Calls.clear qb;
+              fill_b pb;
+              let b = drain_ids qb clock in
+              (drain_ids qa clock, b)
             end
             else
-              let a = drain qa int_of_string in
-              (a, drain qb int_of_float)
+              let a = drain_ids qa clock in
+              (a, drain_ids qb clock)
           in
-          a = model pa && b = model pb && Pqueue.is_empty qa && Pqueue.is_empty qb)
+          a = model pa && b = model pb && Calls.is_empty qa && Calls.is_empty qb)
         rounds)
 
-(* The storage a drained queue hands on holds none of its values: a
-   queue that adopts it does not keep them reachable. *)
+(* The storage a drained queue hands on holds none of its calls: a
+   queue that adopts it does not keep their arguments reachable. *)
 let pqueue_handover_no_retention () =
-  let q = Pqueue.create () in
+  let q = Calls.create () and clock = { Calls.now = 0.0 } in
   let w = Weak.create 50 in
   for i = 0 to 49 do
     let v = Bytes.make 64 'x' in
     Weak.set w i (Some v);
-    Pqueue.add q ~priority:(float_of_int (i mod 3)) v
+    Calls.add_call_after q origin ~delay:(float_of_int (i mod 3)) ignore v
   done;
-  while not (Pqueue.is_empty q) do
-    ignore (Pqueue.pop_value q)
-  done;
-  let adopter = Pqueue.create () in
-  Pqueue.add adopter ~priority:0.0 (Bytes.make 8 'y');
+  ignore (drain_ids q clock);
+  let adopter = Calls.create () in
+  Calls.add_call_after adopter origin ~delay:0.0 ignore (Bytes.make 8 'y');
   Gc.full_major ();
   for i = 0 to 49 do
     check_bool (Printf.sprintf "value %d collected" i) false (Weak.check w i)
   done;
-  check_int "adopter holds its own value" 1 (Pqueue.length adopter)
+  check_int "adopter holds its own call" 1 (Calls.length adopter)
 
 (* A fresh queue refilled up to the size of the last one drained adopts
    its storage and allocates nothing. Priorities are boxed up front, as
@@ -515,28 +521,32 @@ let pqueue_refill_allocates_nothing () =
   let rec fill q = function
     | [] -> ()
     | p :: rest ->
-      Pqueue.add q ~priority:p 7;
+      add_at q ~priority:p 7;
       fill q rest
   in
-  let first = Pqueue.create () in
+  let first = Calls.create () in
   fill first prios;
-  while not (Pqueue.is_empty first) do
-    ignore (Pqueue.pop_value first)
-  done;
-  let fresh = Pqueue.create () in
+  ignore (drain_ids first { Calls.now = 0.0 });
+  let fresh = Calls.create () in
   let words = Pr_telemetry.Alloc.words (fun () -> fill fresh prios) in
-  check_int "refilled" size (Pqueue.length fresh);
+  check_int "refilled" size (Calls.length fresh);
   Alcotest.(check (float 0.0)) "refill allocates nothing" 0.0 words
 
-(* Channel runs of a call queue. Random programs add plain calls,
-   calls on a few channels and fan-outs, at zero and non-zero delays
-   that make channel copies overtake their channel's tail, pop them,
-   and clear the queue (which leaves channels to refill). Each pop
-   must make the call a sorted model names: the smallest (priority,
-   seq), a fan-out's calls in bit order under its one seq, at the
-   priority the call was added with, bit for bit. *)
+(* Channel runs of a call queue. Random programs add plain calls, at
+   delays from the clock and at absolute priorities, calls on a few
+   channels and fan-outs, pop them, and clear the queue (which leaves
+   channels to refill). The delays make channel copies overtake their
+   channel's tail. The absolute priorities are 0.0, -0.0 and multiples
+   of 2^26, which the queue's hash puts on one plain channel, above
+   and below that channel's tail. Each pop must make the call a sorted
+   model names: the smallest (priority, seq), a fan-out's calls in bit
+   order under its one seq, at the priority the call was added with,
+   bit for bit. After every step no more channels may be busy than
+   have calls queued; after every drain a queue that adopts the
+   handed-on storage must find every channel closed. *)
 type chan_op =
   | C_plain of float
+  | C_at of float
   | C_on of int * float
   | C_fan of float * int
   | C_pop
@@ -544,12 +554,16 @@ type chan_op =
 
 let chan_delays = [| 0.0; 0.0; 0.25; 0.5; 1.0; 1.0; 1.5; 3.0 |]
 
+let chan_absolute = Array.append [| 0.0; -0.0 |] (Array.init 6 (fun k -> Float.ldexp (float_of_int k) 26))
+
 let chan_op_gen =
   QCheck.Gen.(
-    let delay = map (fun i -> chan_delays.(i)) (int_bound (Array.length chan_delays - 1)) in
+    let pick a = map (fun i -> a.(i)) (int_bound (Array.length a - 1)) in
+    let delay = pick chan_delays in
     frequency
       [
         (2, map (fun d -> C_plain d) delay);
+        (1, map (fun p -> C_at p) (pick chan_absolute));
         (8, map2 (fun c d -> C_on (c, d)) (int_bound 5) delay);
         (1, map2 (fun d m -> C_fan (d, m)) delay (int_range 1 15));
         (8, return C_pop);
@@ -558,6 +572,7 @@ let chan_op_gen =
 
 let chan_op_print = function
   | C_plain d -> Printf.sprintf "plain %g" d
+  | C_at p -> Printf.sprintf "at %h" p
   | C_on (c, d) -> Printf.sprintf "chan %d %g" c d
   | C_fan (d, m) -> Printf.sprintf "fan %g %x" d m
   | C_pop -> "pop"
@@ -569,44 +584,60 @@ let channel_runs_vs_model =
        ~print:(fun ops -> String.concat "; " (List.map chan_op_print ops))
        QCheck.Gen.(list_size (int_range 0 800) chan_op_gen))
     (fun ops ->
-      let module C = Pqueue.Calls in
-      let q = C.create () and clock = { C.now = 0.0 } in
-      (* Model entries: (priority, seq, bit, call id). *)
+      let q = Calls.create () and clock = { Calls.now = 0.0 } in
+      (* Model entries: (priority, seq, bit, call id, channel or -1). *)
       let model = ref [] and seq = ref 0 and made = ref (0L, -1) in
-      let record id = made := (Int64.bits_of_float clock.C.now, id) in
-      let queued ~delay ?(bit = 0) id =
-        model := (clock.C.now +. delay, !seq, bit, id) :: !model
+      let record id = made := (Int64.bits_of_float clock.Calls.now, id) in
+      let queued ?(chan = -1) ?(bit = 0) p id = model := (p, !seq, bit, id, chan) :: !model in
+      let busy () = (Calls.census q).Calls.busy_channels in
+      (* A probe queue adopts the storage a drain handed on. *)
+      let closed_after_drain () =
+        let probe = Calls.create () in
+        Calls.add probe ~priority:0.0 ignore;
+        let busy = (Calls.census probe).Calls.busy_channels in
+        Calls.clear probe;
+        busy = 0
       in
       let ok = ref true in
       List.iteri
         (fun id op ->
           (match op with
           | C_plain d ->
-            C.add_after q clock ~delay:d (fun () -> record id);
-            queued ~delay:d id;
+            Calls.add_after q clock ~delay:d (fun () -> record id);
+            queued (clock.Calls.now +. d) id;
+            incr seq
+          | C_at p ->
+            Calls.add q ~priority:p (fun () -> record id);
+            queued p id;
             incr seq
           | C_on (chan, d) ->
-            C.add_call_on q clock ~chan ~delay:d record id;
-            queued ~delay:d id;
+            Calls.add_call_on q clock ~chan ~delay:d record id;
+            queued ~chan (clock.Calls.now +. d) id;
             incr seq
           | C_fan (d, mask) ->
-            C.add_fanout_after q clock ~delay:d (fun i id -> record ((id * 16) + i)) id ~mask;
+            Calls.add_fanout_after q clock ~delay:d (fun i id -> record ((id * 16) + i)) id ~mask;
             for bit = 0 to 3 do
-              if mask land (1 lsl bit) <> 0 then queued ~delay:d ~bit ((id * 16) + bit)
+              if mask land (1 lsl bit) <> 0 then queued ~bit (clock.Calls.now +. d) ((id * 16) + bit)
             done;
             incr seq
           | C_pop -> (
-            let key (p, s, b, _) = (p, s, b) in
+            let key (p, s, b, _, _) = (p, s, b) in
             match List.sort (fun a b -> compare (key a) (key b)) !model with
-            | [] -> ok := !ok && C.is_empty q
-            | ((p, _, _, want) as top) :: _ ->
-              C.run_top q clock;
+            | [] -> ok := !ok && Calls.is_empty q
+            | ((p, _, _, want, _) as top) :: _ ->
+              Calls.run_top q clock;
               model := List.filter (fun e -> e != top) !model;
-              ok := !ok && !made = (Int64.bits_of_float p, want))
+              ok := !ok && !made = (Int64.bits_of_float p, want);
+              if !model = [] then ok := !ok && busy () = 0 && closed_after_drain ())
           | C_clear ->
-            C.clear q;
-            model := []);
-          ok := !ok && C.length q = List.length !model)
+            Calls.clear q;
+            model := [];
+            ok := !ok && busy () = 0 && closed_after_drain ());
+          let chans =
+            List.sort_uniq compare
+              (List.filter_map (fun (_, _, _, _, c) -> if c >= 0 then Some c else None) !model)
+          in
+          ok := !ok && Calls.length q = List.length !model && busy () <= List.length chans)
         ops;
       !ok)
 
@@ -616,12 +647,12 @@ let channel_runs_vs_model =
 let pqueue_spare_bound () =
   let bound = 1 lsl 16 in
   let fill k =
-    let q = Pqueue.create () in
+    let q = Calls.create () and clock = { Calls.now = 0.0 } in
     for i = 1 to k do
-      Pqueue.add q ~priority:(float_of_int (i land 1023)) i
+      add_at q ~priority:(float_of_int (i land 1023)) i
     done;
-    while not (Pqueue.is_empty q) do
-      ignore (Pqueue.pop_value q)
+    while not (Calls.is_empty q) do
+      Calls.run_top q clock
     done
   in
   fill 1000;
