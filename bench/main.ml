@@ -1573,7 +1573,7 @@ let policy_synth_measure (scenario : Scenario.t) =
   let flows = Scenario.flows scenario ~rng:(Rng.create 213) ~count:10 () in
   (* The interpreted arm runs the same search as the compiled one. *)
   let interpreted_route (flow : Flow.t) =
-    let view, metrics = Pr_proto.Lsdb.search_view db flow.Flow.qos in
+    let _, rows, metrics = Pr_proto.Lsdb.search_view db flow.Flow.qos in
     let admit ad prev next =
       let hop x = if x < 0 then None else Some x in
       interpreted_admits db ad { Pr_policy.Policy_term.flow; prev = hop prev; next = hop next }
@@ -1581,7 +1581,7 @@ let policy_synth_measure (scenario : Scenario.t) =
     match
       Pr_topology.Policy_search.search
         (Pr_topology.Policy_search.shared_scratch ())
-        view ~src:flow.Flow.src ~dst:flow.Flow.dst
+        rows ~src:flow.Flow.src ~dst:flow.Flow.dst
         ~metric:(fun _ _ k -> metrics.(k))
         ~admit ()
     with
@@ -1609,6 +1609,32 @@ let policy_synth_measure (scenario : Scenario.t) =
       (synthesize_all interpreted_route) (synthesize_all compiled_route)
   in
   (List.length flows, states, interp_ns, compiled_ns)
+
+(* The oracle rung: the ground-truth classification every evaluation
+   makes per flow ([Experiment.classify]): the best legal route under
+   the source's criteria, else whether any legal route of at most
+   [Experiment.oracle_max_hops] hops exists, each a state search over
+   the carrying rows bounded by a cached label. [oracle_flows] flows on
+   a restrictive-policy internet. Routes found, reachable flows and
+   the states the searches settle are exact; ns per flow is banded. *)
+let oracle_flows = 200
+
+let oracle_measure (scenario : Scenario.t) =
+  let g = scenario.Scenario.graph and config = scenario.Scenario.config in
+  let flows = Scenario.flows scenario ~rng:(Rng.create 213) ~count:oracle_flows () in
+  let max_hops = Experiment.oracle_max_hops in
+  let classify flow =
+    let best = Validate.best_legal g config flow ~max_hops in
+    (best <> None, best <> None || Validate.route_exists g config flow ~max_hops)
+  in
+  let before = Validate.searched_states () in
+  let classes = List.map classify flows in
+  let states = Validate.searched_states () - before in
+  let tally f = List.length (List.filter f classes) in
+  let ns =
+    time_ns_per ~ops:oracle_flows (fun () -> List.iter (fun f -> ignore (classify f)) flows)
+  in
+  (tally fst, tally snd, states, ns)
 
 (* ------------------------------------------------------------------ *)
 (* DELTA: incremental SPF repair vs full recompute, and hierarchical   *)
@@ -1915,6 +1941,46 @@ let synth () =
       psizes
   in
   Texttable.print pt;
+  note
+    "\nGround-truth oracle (Validate.best_legal, else route_exists) on %d flows\n\
+     per restrictive-policy internet, at 10^3 ADs and up:\n"
+    oracle_flows;
+  let ot =
+    Texttable.create
+      ~columns:
+        [
+          ("ADs", Texttable.Right);
+          ("flows", Texttable.Right);
+          ("best found", Texttable.Right);
+          ("reachable", Texttable.Right);
+          ("states", Texttable.Right);
+          ("ns/flow", Texttable.Right);
+        ]
+  in
+  let oresults =
+    List.filter_map
+      (fun target ->
+        if target < 1_000 then None
+        else begin
+          let scenario =
+            Scenario.for_size ~policy:restrictive_policy ~target_ads:target ~seed:211 ()
+          in
+          let best, reachable, states, ns = oracle_measure scenario in
+          let ads = Graph.n scenario.Scenario.graph in
+          Texttable.add_row ot
+            [
+              Texttable.cell_int ads;
+              Texttable.cell_int oracle_flows;
+              Texttable.cell_int best;
+              Texttable.cell_int reachable;
+              Texttable.cell_int states;
+              Texttable.cell_float ~decimals:0 ns;
+            ];
+          Some (target, ads, best, reachable, states, ns)
+        end)
+      sizes
+  in
+  Texttable.print ot;
   note "\nIncremental delta-SPF and hierarchical synthesis on the same internets:\n";
   let drows = run_delta ~sizes:(delta_sizes ()) in
   note
@@ -2007,6 +2073,21 @@ let synth () =
             ])
         presults
     in
+    let oracle =
+      List.map
+        (fun (target, ads, best, reachable, states, ns_flow) ->
+          row "search" "Validate.best_legal + route_exists (oracle classification over carrying rows)"
+            target
+            [
+              ("ads", J.Int ads);
+              ("flows", J.Int oracle_flows);
+              ("best_found", J.Int best);
+              ("reachable", J.Int reachable);
+              ("search_states", J.Int states);
+            ]
+            [ ("ns_per_flow", ns ns_flow) ])
+        oresults
+    in
     let delta =
       List.map
         (fun r ->
@@ -2057,7 +2138,7 @@ let synth () =
     output_string oc
       (J.to_string_pretty
          (Gate.document_json ~benchmark:"route_synthesis_scaling"
-            (spf @ labels @ policy @ delta @ engines)));
+            (spf @ labels @ policy @ oracle @ delta @ engines)));
     output_char oc '\n';
     close_out oc;
     note "\nWrote %s\n" out

@@ -279,8 +279,8 @@ module Make (V : VARIANT) = struct
       if server <> src then begin
         (* The stub queries its provider's route server and receives
            the synthesized route back. *)
-        Metrics.record_send (Network.metrics t.net) src ~bytes:query_bytes;
-        Metrics.record_send (Network.metrics t.net) server
+        Network.charge t.net ~src ~dst:server ~bytes:query_bytes;
+        Network.charge t.net ~src:server ~dst:src
           ~bytes:(response_bytes (Option.value ~default:[] path))
       end
     in

@@ -127,7 +127,7 @@ let state_search g config flow ~avoid =
     if src = dst then None else Some (Policy_search.label o.labels ~key:dst ~dst ~metric:cost)
   in
   let outcome =
-    Policy_search.search s o.view ~src ~dst ~avoid ?lower ~rows:(Policy_search.carrying o.labels)
+    Policy_search.search s (Policy_search.carrying o.labels) ~src ~dst ~avoid ?lower
       ~refuses:(refuses o s flow)
       ~metric:(fun _ _ k -> cost.(k))
       ~admit:(admit o s flow) ()

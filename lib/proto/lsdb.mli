@@ -84,16 +84,21 @@ val compiled_of : t -> Pr_topology.Ad.id -> Pr_policy.Compiled.t
     Compiles on first use and caches in the LSA itself, so the cost is
     paid once per origination, not once per database copy. *)
 
-val search_view : t -> Pr_policy.Qos.t -> Pr_topology.Policy_search.view * int array
+val search_view :
+  t ->
+  Pr_policy.Qos.t ->
+  Pr_topology.Policy_search.view * Pr_topology.Policy_search.rows * int array
 (** The adjacency both LSAs of a pair confirm, as a policy-search view:
     each AD's row lists its confirmed neighbors in advertisement order
-    (a neighbor listed twice counts once, at its first position),
-    paired with each slot's {!Qos_metric.metric} under the QOS class,
-    taken over the larger cost and delay of the two directions — what
+    (a neighbor listed twice counts once, at its first position). With
+    it come its full rows ({!Pr_topology.Policy_search.restrict}
+    keeping every AD), which {!Pr_topology.Policy_search.search} walks,
+    and each slot's {!Qos_metric.metric} under the QOS class, taken
+    over the larger cost and delay of the two directions — what
     QOS-aware route computations accumulate instead of the raw cost.
-    The view is built on first use, each class's metrics on the first
-    search under that class; both are kept until the next accepted
-    {!insert}.
+    The view and its rows are built on first use, each class's metrics
+    on the first search under that class; all are kept until the next
+    accepted {!insert}.
 
     Siblings share views: a database whose store holds, slot for slot,
     the physically same LSA records as the one the family's last view

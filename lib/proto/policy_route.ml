@@ -39,15 +39,13 @@ let shortest e ?(avoid = []) () =
   let src = e.flow.Flow.src and dst = e.flow.Flow.dst in
   if src = dst then (Some [ src ], 0)
   else begin
-    let view, metrics = Lsdb.search_view e.db e.flow.Flow.qos in
+    let _, rows, metrics = Lsdb.search_view e.db e.flow.Flow.qos in
     let scratch = Policy_search.shared_scratch () in
     let metric _ _ k = metrics.(k) and admit v p w = admits e v ~prev:p ~next:w in
     (* A best walk that revisits an AD is no route: sources require
        loop-free routes (paper §4.4). *)
     let path =
-      match
-        Policy_search.search scratch view ~src ~dst ~avoid ~metric ~admit ()
-      with
+      match Policy_search.search scratch rows ~src ~dst ~avoid ~metric ~admit () with
       | Policy_search.Route p -> Some p
       | Policy_search.Revisits | Policy_search.Unreachable -> None
     in
@@ -62,7 +60,7 @@ let shortest e ?(avoid = []) () =
    hop-constrained term rejects it. *)
 let shortest_optimistic e ~avoid =
   let src = e.flow.Flow.src and dst = e.flow.Flow.dst in
-  let view, metrics = Lsdb.search_view e.db e.flow.Flow.qos in
+  let view, _, metrics = Lsdb.search_view e.db e.flow.Flow.qos in
   let avoid_arr = Array.make e.n false in
   List.iter (fun a -> if a >= 0 && a < e.n then avoid_arr.(a) <- true) avoid;
   let relax v f =
@@ -96,8 +94,8 @@ let shortest_pruned e ?(avoid = []) () =
     (path, work + full_work)
 
 let enumerate e ~max_hops ?(limit = 2000) () =
-  Policy_search.enumerate (Policy_search.shared_scratch ())
-    (fst (Lsdb.search_view e.db e.flow.Flow.qos))
+  let view, _, _ = Lsdb.search_view e.db e.flow.Flow.qos in
+  Policy_search.enumerate (Policy_search.shared_scratch ()) view
     ~src:e.flow.Flow.src ~dst:e.flow.Flow.dst ~max_hops ~limit
     ~admit:(fun v p w -> admits e v ~prev:p ~next:w)
 

@@ -10,8 +10,8 @@
     Because admission of an interior AD depends on both its
     predecessor and successor, shortest-path search runs over
     (node, arrived-from) states rather than nodes: the shared
-    {!Pr_topology.Policy_search} kernel, over the database's
-    {!Lsdb.search_view}.
+    {!Pr_topology.Policy_search} kernel, over the full rows of the
+    database's {!Lsdb.search_view}.
 
     All searches run through an {!engine}: a per-flow view of the
     database that resolves each AD's flow-only policy conditions once

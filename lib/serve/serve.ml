@@ -21,7 +21,6 @@ type t = {
   pdd : Pdd.db;
   link_up : Link.id -> bool;
   node_up : Pr_topology.Ad.id -> bool;
-  view : Policy_search.view;
   scratch : Policy_search.scratch;
   slot_metric : int array array;
       (* per QOS class, per graph slot: the metric of the AD pair's
@@ -82,7 +81,6 @@ let create ?(route_capacity = Some 4096) ?(handle_capacity = Some 1024)
     pdd;
     link_up;
     node_up;
-    view;
     scratch = Policy_search.scratch_for view;
     slot_metric =
       Array.init Qos.count (fun i ->
@@ -222,8 +220,8 @@ let synthesize t snap (f : Flow.t) =
   let src = f.Flow.src and dst = f.Flow.dst in
   let lower = if src = dst then None else Some (label t qos dst) in
   let outcome =
-    Policy_search.search t.scratch t.view ~src ~dst ?lower ~rows:(Policy_search.carrying t.labels)
-      ~refuses ~metric ~admit ()
+    Policy_search.search t.scratch (Policy_search.carrying t.labels) ~src ~dst ?lower ~refuses
+      ~metric ~admit ()
   in
   let states = Policy_search.settled t.scratch in
   t.search_states <- t.search_states + states;

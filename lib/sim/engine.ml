@@ -92,7 +92,6 @@ let run ?(max_events = 10_000_000) t =
     else if Pqueue.Calls.is_empty t.queue then Drained
     else begin
       t.executed <- t.executed + 1;
-      Reg.inc t.m_events;
       decr budget;
       Pqueue.Calls.run_top t.queue t.clock;
       if t.executed land depth_sample_mask = 0 then begin
@@ -108,10 +107,12 @@ let run ?(max_events = 10_000_000) t =
       loop ()
     end
   in
-  let reason = loop () in
-  let wall = Sys.time () -. wall_start in
-  if wall > 0.0 then
-    Reg.set t.m_rate (float_of_int (t.executed - executed_at_start) /. wall);
-  reason
+  (* Counted once per run, a run a handler ends by raising too. *)
+  let account () =
+    let wall = Sys.time () -. wall_start and ran = t.executed - executed_at_start in
+    Reg.add t.m_events ran;
+    if wall > 0.0 then Reg.set t.m_rate (float_of_int ran /. wall)
+  in
+  Fun.protect ~finally:account loop
 
 let events_executed t = t.executed

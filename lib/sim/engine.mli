@@ -87,7 +87,9 @@ val run : ?max_events:int -> t -> stop_reason
 (** Execute events until none remain or [max_events] (default 10^7)
     have run. Returns why it stopped; hitting the limit also logs a
     warning on the ["pr.engine"] source with the executed and pending
-    counts and leaves an ["engine.reached_limit"] {!Pr_obs.Trace.note}. *)
+    counts and leaves an ["engine.reached_limit"] {!Pr_obs.Trace.note}.
+    The registry's ["engine.events"] counter gains the run's executed
+    events once, when it returns or a handler raises. *)
 
 val events_executed : t -> int
 (** Total events executed so far over the engine's lifetime. *)

@@ -19,8 +19,6 @@ let record_sends t ad ~copies ~bytes =
   t.msgs.(ad) <- t.msgs.(ad) + copies;
   t.bytes_sent.(ad) <- t.bytes_sent.(ad) + (copies * bytes)
 
-let record_send t ad ~bytes = record_sends t ad ~copies:1 ~bytes
-
 let record_loss t ad = t.lost.(ad) <- t.lost.(ad) + 1
 
 let record_computation t ad ?(work = 1) () = t.comps.(ad) <- t.comps.(ad) + work

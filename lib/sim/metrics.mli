@@ -13,12 +13,10 @@ type t
 val create : n:int -> t
 (** [n] is the number of ADs. *)
 
-val record_send : t -> Pr_topology.Ad.id -> bytes:int -> unit
-(** One control message of the given size sent by the AD. *)
-
 val record_sends : t -> Pr_topology.Ad.id -> copies:int -> bytes:int -> unit
-(** [copies] control messages of [bytes] each sent by the AD: what
-    [copies] calls of {!record_send} record. *)
+(** [copies] control messages of [bytes] each sent by the AD. The
+    network is its one caller: a protocol charges a message through
+    [Network.charge], {!Network.send} or {!Network.broadcast}. *)
 
 val record_loss : t -> Pr_topology.Ad.id -> unit
 (** One control message lost in the network before reaching the AD —

@@ -169,7 +169,7 @@ let[@inline] note_send t ~src ~dst ~bytes =
 
 (* Charge one send from [src] to [dst] and record it. *)
 let[@inline] charge t ~src ~dst ~bytes =
-  Metrics.record_send t.metrics src ~bytes;
+  Metrics.record_sends t.metrics src ~copies:1 ~bytes;
   Reg.inc t.m_sends;
   note_send t ~src ~dst ~bytes
 

@@ -88,6 +88,12 @@ val send :
     charged to metrics even if the message is later lost (the bits
     were transmitted). *)
 
+val charge : 'msg t -> src:Pr_topology.Ad.id -> dst:Pr_topology.Ad.id -> bytes:int -> unit
+(** Charge one message from [src] to [dst] as {!send} does (to
+    {!Metrics}, ["net.sends"] and a ["net.send"] instant) without
+    carrying it: for exchanges a protocol counts but does not simulate,
+    such as a stub's route query to its route server and the reply. *)
+
 val broadcast :
   'msg t ->
   src:Pr_topology.Ad.id ->

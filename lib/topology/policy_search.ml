@@ -123,10 +123,6 @@ let kept r ad = r.dense.(ad) >= 0
 
 let size r = Array.length r.ads
 
-let no_rows =
-  let view = { off = [| 0 |]; nbr = [||]; twin = [||] } in
-  { view; dense = [||]; ads = [||]; off = [| 0 |]; nbr = [||]; twin = [||]; slot = [||] }
-
 (* Node-level Dijkstra toward [dst] over the dense rows: from [dst]'s
    node, or, when [dst] is not kept, from each kept neighbor at the
    metric of its edge to [dst]. Relaxing w's dense slot j to u prices
@@ -214,16 +210,14 @@ let label_builds l = l.builds
 
 let label_evictions l = Lru.evictions l.cache
 
-(* A search walks nodes and states. Over the view, a node is an AD and
-   the states are its slots, the start state [first] = m. Over dense
-   rows [r], nodes and states are the dense ones, and an unkept src or
-   dst attaches per search: state [first] is at src; when src is not
-   kept, its entries x in [0, src_len) list the slots of src's row to
-   kept ADs (state [first] + 1 + x) and to dst; when dst is not kept,
-   it is node [size r], every state from [dst_base] on is at dst, and
-   each kept neighbor's slot to dst is one more entry, found through
-   [dst_mark]/[dst_ix]. An entry holds its view slot [xk], node [xw]
-   and state [xst]. *)
+(* A search walks the nodes and states of dense rows [r], and an
+   unkept src or dst attaches per search: state [first] is at src;
+   when src is not kept, its entries x in [0, src_len) list the slots
+   of src's row to kept ADs (state [first] + 1 + x) and to dst; when
+   dst is not kept, it is node [size r], every state from [dst_base] on
+   is at dst, and each kept neighbor's slot to dst is one more entry,
+   found through [dst_mark]/[dst_ix]. An entry holds its view slot
+   [xk], node [xw] and state [xst]. On full rows nothing attaches. *)
 type scratch = {
   mutable dist : int array;
   mutable parent : int array;
@@ -335,54 +329,40 @@ let overflow () = invalid_arg "Policy_search.search: path metric overflow"
 
 let never _ = false
 
-(* Stamp the avoided ADs' nodes: the ADs themselves over the view,
-   their dense ids (when kept) over dense rows. A toplevel function
-   rather than a closure, which would keep [pass] from being inlined. *)
-let rec mark_avoided avoided gen ~n ~dense = function
+(* Stamp the avoided ADs' nodes, those of them that are kept. *)
+let rec mark_avoided avoided gen dense = function
   | [] -> ()
   | a :: rest ->
-      if a >= 0 && a < n then begin
-        let x = if Array.length dense = 0 then a else dense.(a) in
-        if x >= 0 then avoided.(x) <- gen
-      end;
-      mark_avoided avoided gen ~n ~dense rest
+      if a >= 0 && a < Array.length dense && dense.(a) >= 0 then avoided.(dense.(a)) <- gen;
+      mark_avoided avoided gen dense rest
 
-(* One pass of the relaxation loop over the view ([dense] false) or
-   the dense rows [r]; returns the settled destination state, or -1. A
-   push whose d' + h(w) exceeds [cut] is skipped before admission; an
-   empty [h] bounds nothing, and h is 0 at dst. The exact pass queues
-   a push under d', ties popping in push order; the bound pass
-   ([astar]) under d' + h(w), the latest push first, and lowers [cut]
-   to each destination distance it pushes. A popped
-   state at an AD [refuses] holds for, other than the start, relaxes
-   nothing: admission would refuse every push it could make.
+(* One pass of the relaxation loop over the rows [r]; returns the
+   settled destination state, or -1. A push whose d' + h(w) exceeds
+   [cut] is skipped before admission; an empty [h] bounds nothing, and
+   h is 0 at dst. The exact pass queues a push under d', ties popping
+   in push order; the bound pass ([astar]) under d' + h(w), the latest
+   push first, and lowers [cut] to each destination distance it
+   pushes. A popped state at an AD [refuses] holds for, other than the
+   start, relaxes nothing: admission would refuse every push it could
+   make.
 
-   Over dense rows, a node's entries are its row's, merged by view
-   slot with its attachment entries: the rows leave out only slots to
-   ADs with h = max_int, whose pushes are skipped anyway, so the
-   pushes and their seqs are those of the full rows.
-
-   [dense] is a constant at both call sites ([pass_view], [pass_dense])
-   and the loop is inlined into each, so the compiler drops the other
-   kind's branches: a search over the view pays nothing for dense rows
-   or attachments. *)
-let[@inline] pass ~dense s (v : view) (r : rows) ~src ~dst ~avoid ~metric ~admit ~refuses ~h
-    ~astar ~cut =
-  let off = if dense then r.off else v.off and nbr = if dense then r.nbr else v.nbr in
-  let twin = if dense then r.twin else v.twin and slot = r.slot and ads = r.ads in
+   A node's entries are its row's, merged by view slot with its
+   attachment entries: restricted rows leave out only slots to ADs
+   with h = max_int, whose pushes are skipped anyway, so the pushes and
+   their seqs are those of the full rows. *)
+let pass s (r : rows) ~src ~dst ~avoid ~metric ~admit ~refuses ~h ~astar ~cut =
+  let off = r.off and nbr = r.nbr and twin = r.twin and slot = r.slot and ads = r.ads in
   let bounded = Array.length h > 0 and gen = s.gen in
-  let dist = s.dist and parent = s.parent and reached = s.reached in
-  let avoided = s.avoided in
+  let dist = s.dist and parent = s.parent and reached = s.reached and avoided = s.avoided in
   let src_node = s.src_node and dst_node = s.dst_node in
   let first = s.first and dst_base = s.dst_base in
   let xk = s.xk and xw = s.xw and xst = s.xst in
-  let merge_dst = dense && not (kept r dst) and dst_mark = s.dst_mark and touch = s.touch in
+  let merge_dst = not (kept r dst) and dst_mark = s.dst_mark and touch = s.touch in
   let refusing = refuses != never in
-  mark_avoided avoided gen ~n:(Array.length v.off - 1) ~dense:(if dense then r.dense else [||]) avoid;
+  mark_avoided avoided gen r.dense avoid;
   let final = ref (-1) and cut = ref cut in
   let i = ref 0 and stop = ref 0 and x = ref 0 and xstop = ref 0 in
-  let ew = ref 0 and ek = ref 0 and est = ref 0 in
-  let ring = s.ring in
+  let ew = ref 0 and ek = ref 0 and est = ref 0 and ring = s.ring in
   Dial.reserve ring 0;
   dist.(first) <- 0;
   parent.(first) <- -1;
@@ -401,19 +381,11 @@ let[@inline] pass ~dense s (v : view) (r : rows) ~src ~dst ~avoid ~metric ~admit
     in
     if at = dst_node then final := st
     else begin
-      let at_ad = if not dense then at else if at >= 0 then ads.(at) else src in
+      let at_ad = if at >= 0 then ads.(at) else src in
       if (not refusing) || st = first || not (refuses at_ad) then begin
         let d = dist.(st) in
-        let from =
-          if st < first then if dense then ads.(nbr.(st)) else nbr.(st)
-          else if st = first then -1
-          else src
-        in
-        if not dense then begin
-          i := off.(at);
-          stop := off.(at + 1)
-        end
-        else if at >= 0 then begin
+        let from = if st < first then ads.(nbr.(st)) else if st = first then -1 else src in
+        if at >= 0 then begin
           let merge = merge_dst && dst_mark.(at) = touch in
           i := off.(at);
           stop := off.(at + 1);
@@ -427,8 +399,8 @@ let[@inline] pass ~dense s (v : view) (r : rows) ~src ~dst ~avoid ~metric ~admit
           x := 0;
           xstop := s.src_len
         end;
-        while if dense then !i < !stop || !x < !xstop else !i < !stop do
-          if dense && !x < !xstop && not (!i < !stop && slot.(!i) < xk.(!x)) then begin
+        while !i < !stop || !x < !xstop do
+          if !x < !xstop && not (!i < !stop && slot.(!i) < xk.(!x)) then begin
             ew := xw.(!x);
             ek := xk.(!x);
             est := xst.(!x);
@@ -436,17 +408,17 @@ let[@inline] pass ~dense s (v : view) (r : rows) ~src ~dst ~avoid ~metric ~admit
           end
           else begin
             ew := nbr.(!i);
-            ek := if dense then slot.(!i) else !i;
+            ek := slot.(!i);
             est := twin.(!i);
             incr i
           end;
           let w = !ew in
           if w <> src_node && (w = dst_node || avoided.(w) <> gen) then begin
-            let w_ad = if not dense then w else if w = dst_node then dst else ads.(w) in
+            let w_ad = if w = dst_node then dst else ads.(w) in
             let c = metric at_ad w_ad !ek in
             let st' = !est and d' = d + c in
             if c >= 0 && (reached.(st') <> gen || d' < dist.(st')) then begin
-              let hw = if not bounded then 0 else if dense && w = dst_node then 0 else h.(w) in
+              let hw = if (not bounded) || w = dst_node then 0 else h.(w) in
               (* Admission last: it is the dearest check, and pure. *)
               if hw <> max_int && hw <= !cut - d' && (st = first || admit at_ad from w_ad) then begin
                 let f = if astar then d' + hw else d' in
@@ -466,19 +438,9 @@ let[@inline] pass ~dense s (v : view) (r : rows) ~src ~dst ~avoid ~metric ~admit
   done;
   !final
 
-let pass_view s v ~src ~dst ~avoid ~metric ~admit ~refuses ~h ~astar ~cut =
-  pass ~dense:false s v no_rows ~src ~dst ~avoid ~metric ~admit ~refuses ~h ~astar ~cut
-
-let pass_dense s v r ~src ~dst ~avoid ~metric ~admit ~refuses ~h ~astar ~cut =
-  pass ~dense:true s v r ~src ~dst ~avoid ~metric ~admit ~refuses ~h ~astar ~cut
-
-let run_pass s v r ~src ~dst ~avoid ~metric ~admit ~refuses ~h ~astar ~cut =
-  if r == no_rows then pass_view s v ~src ~dst ~avoid ~metric ~admit ~refuses ~h ~astar ~cut
-  else pass_dense s v r ~src ~dst ~avoid ~metric ~admit ~refuses ~h ~astar ~cut
-
-(* Attach an unkept src and dst to the dense rows (see [scratch]). *)
-let attach s (v : view) r ~src ~dst =
-  let size = size r and first = Array.length r.nbr in
+(* Attach an unkept src and dst to the rows (see [scratch]). *)
+let attach s r ~src ~dst =
+  let v = r.view and size = size r and first = Array.length r.nbr in
   let src_node = r.dense.(src) and dst_node = if kept r dst then r.dense.(dst) else size in
   let deg u = v.off.(u + 1) - v.off.(u) in
   begin_search s ~states:(first + 1 + deg src + deg dst) ~nodes:(size + 1)
@@ -513,52 +475,34 @@ let attach s (v : view) r ~src ~dst =
   s.first <- first;
   s.dst_base <- dst_base
 
-let search s (v : view) ~src ~dst ?(avoid = []) ?lower ?(rows = no_rows) ?(refuses = never) ~metric
-    ~admit () =
-  let dense = rows != no_rows in
-  if dense then begin
-    if rows.view != v then invalid_arg "Policy_search.search: rows of another view";
-    attach s v rows ~src ~dst
-  end
-  else begin
-    begin_view s v;
-    s.src_node <- src;
-    s.dst_node <- dst;
-    s.first <- Array.length v.nbr;
-    s.src_len <- 0;
-    s.dst_base <- max_int
-  end;
+let search s rows ~src ~dst ?(avoid = []) ?lower ?(refuses = never) ~metric ~admit () =
+  attach s rows ~src ~dst;
   if src = dst then Route [ src ]
   else begin
     let final =
       match lower with
-      | None ->
-          if dense then invalid_arg "Policy_search.search: rows without a lower bound";
-          run_pass s v rows ~src ~dst ~avoid ~metric ~admit ~refuses ~h:[||] ~astar:false ~cut:max_int
+      | None -> pass s rows ~src ~dst ~avoid ~metric ~admit ~refuses ~h:[||] ~astar:false ~cut:max_int
       | Some h ->
-          if Array.length h < (if dense then size rows else Array.length v.off - 1) then
-            invalid_arg "Policy_search.search: lower bound shorter than the view";
+          if Array.length h < size rows then
+            invalid_arg "Policy_search.search: lower bound shorter than the rows";
           (* Pass 1 learns the optimum D*; pass 2 replays the exact
              order over the states that can still meet it. *)
-          let goal = run_pass s v rows ~src ~dst ~avoid ~metric ~admit ~refuses ~h ~astar:true ~cut:max_int in
+          let goal = pass s rows ~src ~dst ~avoid ~metric ~admit ~refuses ~h ~astar:true ~cut:max_int in
           s.bound_work <- s.work;
           if goal < 0 then -1
           else begin
             let best = s.dist.(goal) in
             s.gen <- s.gen + 1;
-            run_pass s v rows ~src ~dst ~avoid ~metric ~admit ~refuses ~h ~astar:false ~cut:best
+            pass s rows ~src ~dst ~avoid ~metric ~admit ~refuses ~h ~astar:false ~cut:best
           end
     in
     if final < 0 then Unreachable
     else begin
-      let gen = s.gen and first = s.first and nbr = if dense then rows.nbr else v.nbr in
-      let twin = if dense then rows.twin else v.twin in
+      let gen = s.gen and first = s.first in
       let path = ref [] and simple = ref true and st = ref final in
       while !st >= 0 do
         let ad =
-          if !st < first then
-            let x = nbr.(twin.(!st)) in
-            if dense then rows.ads.(x) else x
+          if !st < first then rows.ads.(rows.nbr.(rows.twin.(!st)))
           else if !st = first then src
           else if !st < s.dst_base then rows.ads.(s.xw.(!st - first - 1))
           else dst

@@ -6,11 +6,14 @@
     A Policy Term may constrain an interior AD's previous and next hop
     (paper §4.2), so admission depends on where the route came from:
     {!search} is a Dijkstra over states (v, p) — at v, having arrived
-    from neighbor p. State (v, p) lives in the slot of p in v's row of
-    a {!view}, so there are as many states as adjacencies, never n².
-    A {!scratch} holds the per-state arrays, generation-stamped so no
-    search clears them, and a ring of buckets indexed by path metric
-    (Dial's queue): a warm search allocates only its route.
+    from neighbor p. State (v, p) lives in the slot of p in v's row, so
+    there are as many states as adjacencies, never n². A {!view} holds
+    the rows of every AD; a search walks {!rows}, the dense view of a
+    set of kept ADs ({!restrict}), which keeping every AD makes the
+    view's own rows. A {!scratch} holds the per-state arrays,
+    generation-stamped so no search clears them, and a ring of buckets
+    indexed by path metric (Dial's queue): a warm search allocates only
+    its route.
 
     Pop order is (distance, order of the last strict improvement), the
     order of a FIFO-tie heap that pushes every improvement: routes and
@@ -43,7 +46,8 @@ type rows
     numbering. *)
 
 val restrict : view -> keep:(Ad.id -> bool) -> rows
-(** The dense view of the ADs [keep] holds for. O(n + m). *)
+(** The dense view of the ADs [keep] holds for. O(n + m). Keeping
+    every AD gives the full rows, which number each AD as itself. *)
 
 val kept : rows -> Ad.id -> bool
 
@@ -116,57 +120,56 @@ type outcome =
 
 val search :
   scratch ->
-  view ->
+  rows ->
   src:Ad.id ->
   dst:Ad.id ->
   ?avoid:Ad.id list ->
   ?lower:int array ->
-  ?rows:rows ->
   ?refuses:(Ad.id -> bool) ->
   metric:(Ad.id -> Ad.id -> int -> int) ->
   admit:(Ad.id -> Ad.id -> Ad.id -> bool) ->
   unit ->
   outcome
-(** Minimum-metric route that never re-enters [src] and has no
-    [avoid] AD in its interior. [metric v w k] is the metric of edge
-    [v -> w], view slot [k]: [>= 0], or negative when the edge is
+(** Minimum-metric route over the rows that never re-enters [src] and
+    has no [avoid] AD in its interior. [metric v w k] is the metric of
+    edge [v -> w], view slot [k]: [>= 0], or negative when the edge is
     unusable. [admit v p w] decides the interior crossing p -> v -> w;
     [src] needs none, and it is asked only about edges that would
     improve a state.
 
-    [lower] must be a consistent lower bound on the metric to [dst]:
-    [lower.(dst) = 0], [lower.(v) <= metric v w k + lower.(w)] for
-    every usable edge, and [max_int] only where no usable walk reaches
-    [dst]. The search then runs two passes of the one relaxation loop.
-    The bound pass pops states by d + lower (A-star) and skips pushes
-    beyond the best destination distance pushed so far: it finds the
-    optimum D* or proves [Unreachable]. The exact pass replays the
-    (distance, improvement) order, skipping, before admission, every
-    push whose d + lower exceeds D*. No state on the returned parent
-    chain is skipped and a skipped state leads only to states beyond
-    D*, so the outcome is the unbounded search's; the exact pass
-    settles a subset of its states.
+    The route's interior ADs are kept ones; [src] and [dst] need not
+    be. An unkept [src] relaxes its slots to kept ADs and to [dst], and
+    an unkept [dst] is reached through its kept neighbors' slots to it,
+    merged in at their place in slot order. Without [lower], this is
+    the one-pass search over the kept subgraph; on full rows, over the
+    whole view.
 
-    Without [rows], [lower] is indexed by AD. [rows], the dense view of
-    a kept set over this view, needs [lower] indexed by its numbering
-    (a {!label} or {!lower_bound} over it) and stands for [max_int] at
-    every AD outside the kept set other than [dst]. The search then
-    walks the dense rows only: an unkept [src] relaxes its slots to
-    kept ADs and to [dst], and an unkept [dst] is reached through its
-    kept neighbors' slots to it, merged in at their place in slot
-    order. Every slot left out leads to a push the bound would skip, so
-    the outcome, pop order and {!settled} are those of the search over
-    the view with [lower] expanded to it; [metric] is simply not asked
-    about them.
+    [lower], indexed by the rows' numbering (a {!label} or
+    {!lower_bound} over them), must be a consistent lower bound on the
+    metric to [dst]: 0 at [dst] when it is kept, [lower.(v) <= metric v
+    w k + lower.(w)] for every usable edge, and [max_int] only where no
+    usable walk reaches [dst]. The search then runs two passes of the
+    one relaxation loop. The bound pass pops states by d + lower
+    (A-star) and skips pushes beyond the best destination distance
+    pushed so far: it finds the optimum D* or proves [Unreachable]. The
+    exact pass replays the (distance, improvement) order, skipping,
+    before admission, every push whose d + lower exceeds D*. No state
+    on the returned parent chain is skipped and a skipped state leads
+    only to states beyond D*, so the outcome is the unbounded search's;
+    the exact pass settles a subset of its states. With [lower], rows
+    restricted to a kept set stand for [max_int] at every unkept AD but
+    [dst]: every slot they leave out leads to a push the bound would
+    skip, so the outcome, pop order and {!settled} are those of the
+    search over the full rows with [lower] expanded to them; [metric]
+    is simply not asked about those slots.
 
     [refuses v] may claim that [admit v p w] is false for every [p] and
     [w]: a popped state at such an AD, other than the start at [src],
     relaxes nothing. It is asked once per popped state, and changes
     nothing but the work done.
     @raise Invalid_argument if a path metric (plus its bound, in the
-    bound pass) overflows an [int], [lower] is shorter than the
-    view or the rows, or [rows] are another view's or come without
-    [lower]. *)
+    bound pass) overflows an [int] or [lower] is shorter than the
+    rows. *)
 
 val settled : scratch -> int
 (** States settled by the last search, both passes counted: the work

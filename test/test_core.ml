@@ -488,6 +488,47 @@ let isolated_chaos () =
   let first, again = a_b_a run in
   Alcotest.(check string) "A's chaos report is unchanged by B" first again
 
+(* --- One charge per message ----------------------------------------- *)
+
+(* Every message a design point charges reaches Metrics, the
+   registry's net.sends and, when tracing, a net.send instant; every
+   loss reaches Metrics and net.losses; and engine.events gains each
+   converge's executed events. A traced run of each design point on a
+   30-AD internet (per-source IDRP's tables make 56 ADs take half a
+   minute): converge, then 100 flows (ORWG's delegated synthesis
+   charges a stub's route query and its reply). *)
+let charges_agree () =
+  let module Reg = Pr_telemetry.Registry in
+  let module Metrics = Pr_sim.Metrics in
+  let count name = Reg.count (Reg.counter Reg.default name) in
+  let sc = Scenario.for_size ~target_ads:30 ~seed:1 () in
+  let flows = Scenario.flows sc ~rng:(Rng.create 1) ~count:100 () in
+  List.iter
+    (fun (Registry.Packed (module P) as packed) ->
+      let module R = Pr_proto.Runner.Make (P) in
+      let name = Registry.name packed in
+      let trace = Pr_obs.Trace.create () in
+      let sends = count "net.sends" and losses = count "net.losses" in
+      let events = count "engine.events" in
+      let r = R.setup ~trace sc.Scenario.graph sc.Scenario.config in
+      let c = R.converge r in
+      check_int (name ^ ": engine.events") c.Pr_proto.Runner.events
+        (count "engine.events" - events);
+      List.iter (fun f -> ignore (R.send_flow r f)) flows;
+      let m = R.metrics r in
+      let instants =
+        match Pr_util.Json.member "traceEvents" (Pr_obs.Trace.to_json trace) with
+        | Some (Pr_util.Json.List l) ->
+          List.length
+            (List.filter (fun e -> Pr_util.Json.string_member "name" e = Ok "net.send") l)
+        | _ -> Alcotest.fail "no traceEvents list"
+      in
+      check_int (name ^ ": trace complete") 0 (Pr_obs.Trace.dropped trace);
+      check_int (name ^ ": net.sends") (Metrics.messages m) (count "net.sends" - sends);
+      check_int (name ^ ": net.send instants") (Metrics.messages m) instants;
+      check_int (name ^ ": net.losses") (Metrics.msgs_lost m) (count "net.losses" - losses))
+    Registry.all
+
 let () =
   Alcotest.run "pr_core"
     [
@@ -546,5 +587,6 @@ let () =
             experiment_orwg_zero_source_violations;
           Alcotest.test_case "convergence probe" `Quick experiment_convergence_probe;
           Alcotest.test_case "availability helper" `Quick experiment_availability_helper;
+          Alcotest.test_case "one count per charged message and event" `Quick charges_agree;
         ] );
     ]

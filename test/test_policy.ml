@@ -731,7 +731,8 @@ let reference_state_search g config flow ~avoid =
   let view = Policy_search.of_graph g in
   let scratch = Policy_search.scratch_for view in
   let outcome =
-    Policy_search.search scratch view ~src:flow.Flow.src ~dst:flow.Flow.dst ~avoid
+    Policy_search.search scratch (Policy_search.restrict view ~keep:(fun _ -> true))
+      ~src:flow.Flow.src ~dst:flow.Flow.dst ~avoid
       ~metric:(fun _ _ k -> Graph.slot_cost g k)
       ~admit:(fun v p w ->
         Compiled.allows_crossing (Policy_store.compiled store v) flow ~prev:p ~next:w)

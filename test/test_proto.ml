@@ -116,7 +116,7 @@ let lsdb_bytes_pinned () =
 let lsdb_sentinel_hidden () =
   let db = Lsdb.create ~n:4 and wide = Lsdb.create ~n:9 in
   let empty_view db =
-    let view, _ = Lsdb.search_view db Pr_policy.Qos.Default in
+    let view, _, _ = Lsdb.search_view db Pr_policy.Qos.Default in
     let rows = ref 0 in
     for u = 0 to 3 do
       Pr_topology.Policy_search.iter_row view u ~f:(fun _ _ -> incr rows)
@@ -240,8 +240,12 @@ let view_rows view =
 
 (* The view and every class's metrics, as plain data. *)
 let view_contents db =
-  let view = fst (Lsdb.search_view db Pr_policy.Qos.Default) in
-  (view_rows view, List.map (fun q -> snd (Lsdb.search_view db q)) Pr_policy.Qos.all)
+  let view, _, _ = Lsdb.search_view db Pr_policy.Qos.Default in
+  let metrics q =
+    let _, _, m = Lsdb.search_view db q in
+    m
+  in
+  (view_rows view, List.map metrics Pr_policy.Qos.all)
 
 (* The kept entry count against a fold over the store, after every
    insert (fresh, newer, stale or duplicate) and every reset to an
@@ -279,7 +283,7 @@ let lsdb_shared_view =
       let last = ref None in
       let search d =
         let db = dbs.(d) in
-        let view, _ = Lsdb.search_view db Pr_policy.Qos.Default in
+        let view, _, _ = Lsdb.search_view db Pr_policy.Qos.Default in
         let private_db = Lsdb.create ~n:shared_view_n in
         Lsdb.fold db ~init:() ~f:(fun () l -> ignore (Lsdb.insert private_db l));
         if view_contents db <> view_contents private_db then
@@ -700,10 +704,10 @@ let policy_route_interleaved_engines =
         let module S = Pr_topology.Policy_search in
         if f.Flow.src = f.Flow.dst then (Some [ f.Flow.src ], 0)
         else begin
-          let view, metrics = Lsdb.search_view db f.Flow.qos in
+          let view, _, metrics = Lsdb.search_view db f.Flow.qos in
           let scratch = S.scratch_for view in
           let outcome =
-            S.search scratch view ~src:f.Flow.src ~dst:f.Flow.dst
+            S.search scratch (S.restrict view ~keep:(fun _ -> true)) ~src:f.Flow.src ~dst:f.Flow.dst
               ~metric:(fun _ _ k -> metrics.(k))
               ~admit:(fun v p w -> terms f v ~prev:p ~next:w)
               ()

@@ -711,6 +711,9 @@ let flooded_db g config =
   done;
   db
 
+(* The rows that keep every AD: a search over them walks the whole view. *)
+let full view = Policy_search.restrict view ~keep:(fun _ -> true)
+
 (* Per graph slot, the flow's QOS metric of the AD pair's cheapest link:
    the edge metric of the route server and of policy route synthesis
    when every link is up. *)
@@ -748,7 +751,7 @@ let three_callers_agree =
       let server = Serve.create g store in
       let db = flooded_db g config in
       let view = Policy_search.of_graph g in
-      let scratch = Policy_search.scratch_for view in
+      let scratch = Policy_search.scratch_for view and rows = full view in
       let metrics = Array.init Qos.count (fun i -> qos_slot_metric g (Qos.of_index i)) in
       let n = Graph.n g in
       List.for_all
@@ -768,7 +771,7 @@ let three_callers_agree =
           let synthesized = fst (Policy_route.shortest (Policy_route.engine db ~n flow) ()) in
           let oracle = Validate.shortest_legal g config flow () in
           let kernel =
-            Policy_search.search scratch view ~src:flow.Flow.src ~dst:flow.Flow.dst
+            Policy_search.search scratch rows ~src:flow.Flow.src ~dst:flow.Flow.dst
               ~metric:(fun _ _ k -> metrics.(Qos.index qos).(k))
               ~admit:(fun v p w ->
                 Compiled.allows_crossing (Policy_store.compiled store v) flow ~prev:p ~next:w)
@@ -795,7 +798,7 @@ let three_callers_agree =
    the same diagram snapshot, all links up, with no distance label. *)
 let unbounded_search g =
   let view = Policy_search.of_graph g in
-  let scratch = Policy_search.scratch_for view in
+  let scratch = Policy_search.scratch_for view and rows = full view in
   let metrics = Array.init Qos.count (fun i -> qos_slot_metric g (Qos.of_index i)) in
   let entries = Array.make (Graph.n g) (Pdd.leaf false) in
   let search snap (f : Flow.t) =
@@ -806,7 +809,7 @@ let unbounded_search g =
     in
     let metric _ _ k = metrics.(Qos.index f.Flow.qos).(k) in
     match
-      Policy_search.search scratch view ~src:f.Flow.src ~dst:f.Flow.dst ~metric ~admit ()
+      Policy_search.search scratch rows ~src:f.Flow.src ~dst:f.Flow.dst ~metric ~admit ()
     with
     | Policy_search.Route p -> Some p
     | Policy_search.Revisits | Policy_search.Unreachable -> None

@@ -319,9 +319,9 @@ let engine_empty_run () =
 
 let metrics_counters () =
   let m = Metrics.create ~n:3 in
-  Metrics.record_send m 0 ~bytes:100;
-  Metrics.record_send m 0 ~bytes:50;
-  Metrics.record_send m 2 ~bytes:10;
+  Metrics.record_sends m 0 ~copies:1 ~bytes:100;
+  Metrics.record_sends m 0 ~copies:1 ~bytes:50;
+  Metrics.record_sends m 2 ~copies:1 ~bytes:10;
   Metrics.record_computation m 1 ~work:5 ();
   check_int "messages" 3 (Metrics.messages m);
   check_int "bytes" 160 (Metrics.bytes m);
@@ -344,7 +344,7 @@ let metrics_op =
       (triple small_nat small_nat small_nat))
 
 let apply_op m = function
-  | `Send (ad, bytes) -> Metrics.record_send m ad ~bytes
+  | `Send (ad, bytes) -> Metrics.record_sends m ad ~copies:1 ~bytes
   | `Compute (ad, work) -> Metrics.record_computation m ad ~work ()
   | `Lose ad -> Metrics.record_loss m ad
 
@@ -374,8 +374,8 @@ let metrics_totals_sum_columns =
 
 let sample_metrics () =
   let m = Metrics.create ~n:3 in
-  Metrics.record_send m 0 ~bytes:100;
-  Metrics.record_send m 2 ~bytes:10;
+  Metrics.record_sends m 0 ~copies:1 ~bytes:100;
+  Metrics.record_sends m 2 ~copies:1 ~bytes:10;
   Metrics.record_computation m 1 ~work:5 ();
   Metrics.record_loss m 2;
   m

@@ -641,6 +641,10 @@ let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 (* --- Policy_search ----------------------------------------------- *)
 
+(* The rows that keep every AD, numbered as the ADs: a search over them
+   walks the whole view. *)
+let full view = Policy_search.restrict view ~keep:(fun _ -> true)
+
 (* Admission as a pure pseudo-random function of the crossing. *)
 let random_admit seed pct v p w = Hashtbl.hash (seed, v, p, w) mod 100 < pct
 
@@ -707,7 +711,7 @@ let policy_search_matches_reference =
       let n = Graph.n g in
       let avoid = List.map (fun a -> a mod n) avoid in
       let view = Policy_search.of_graph g in
-      let scratch = Policy_search.scratch_for view in
+      let scratch = Policy_search.scratch_for view and rows = full view in
       let admit = random_admit aseed pct in
       let metric _ _ k = Graph.slot_cost g k in
       let ok = ref true in
@@ -715,17 +719,18 @@ let policy_search_matches_reference =
          from one search into the next. *)
       for src = 0 to n - 1 do
         for dst = 0 to n - 1 do
-          let got = Policy_search.search scratch view ~src ~dst ~avoid ~metric ~admit () in
+          let got = Policy_search.search scratch rows ~src ~dst ~avoid ~metric ~admit () in
           let want, work = reference_search g ~src ~dst ~avoid ~admit in
           if got <> want || Policy_search.settled scratch <> work then ok := false
         done
       done;
       !ok)
 
-(* The bounded search against the unbounded one, on live metrics the
-   label only bounds: some AD pairs are down for good (the label skips
-   them too, so some ADs get no label), some directed edges are down
-   for now, and live metrics exceed the cheapest link's. *)
+(* The bounded search against the unbounded one over full rows, where a
+   bound by AD is a bound by node, on live metrics the label only
+   bounds: some AD pairs are down for good (the label skips them too,
+   so some ADs get no label), some directed edges are down for now, and
+   live metrics exceed the cheapest link's. *)
 let policy_search_bounded_matches_unbounded =
   QCheck.Test.make ~name:"bounded Policy_search = unbounded (outcome; exact pass settles fewer)"
     ~count:300
@@ -738,6 +743,7 @@ let policy_search_bounded_matches_unbounded =
       let avoid = List.map (fun a -> a mod n) avoid in
       let view = Policy_search.of_graph g in
       let bounded = Policy_search.scratch_for view and plain = Policy_search.scratch_for view in
+      let rows = full view in
       let admit = random_admit aseed pct in
       let roll x = Hashtbl.hash (gseed, aseed, x) mod 100 in
       let dead v w = roll (`Pair (min v w, max v w)) < pdown in
@@ -758,24 +764,24 @@ let policy_search_bounded_matches_unbounded =
       for dst = 0 to n - 1 do
         let lower = label dst in
         for src = 0 to n - 1 do
-          let want = Policy_search.search plain view ~src ~dst ~avoid ~metric ~admit () in
-          let got = Policy_search.search bounded view ~src ~dst ~avoid ~lower ~metric ~admit () in
+          let want = Policy_search.search plain rows ~src ~dst ~avoid ~metric ~admit () in
+          let got = Policy_search.search bounded rows ~src ~dst ~avoid ~lower ~metric ~admit () in
           let exact_pass = Policy_search.settled bounded - Policy_search.bound_settled bounded in
           if got <> want || exact_pass > Policy_search.settled plain then ok := false
         done
       done;
       !ok)
 
-(* The dense view against the full one. Rows are shuffled, so slot
+(* Restricted rows against full rows. Rows are shuffled, so slot
    order is not neighbor order and the merged slot to an unkept dst
    must land at its place. Every (src, dst) pair is searched, so kept
    and unkept srcs and dsts, adjacent pairs and src = dst all occur, with
    some ADs avoided. An unkept AD admits no crossing, so the label over
-   the kept rows, expanded to the view with [max_int] at every unkept
+   the kept rows, expanded to full rows with [max_int] at every unkept
    AD but dst, bounds every admissible route. Some kept ADs refuse
-   every crossing too, and the dense search is told so: skipping their
-   rows, but never src's, must leave the outcome and the work of the
-   full-view searches, which are not told. *)
+   every crossing too, and the restricted search is told so: skipping
+   their rows, but never src's, must leave the outcome and the work of
+   the full-row searches, which are not told. *)
 let policy_search_restricted_rows =
   QCheck.Test.make ~name:"restricted rows = full rows (outcome, settled, bound settled)"
     ~count:300
@@ -813,8 +819,8 @@ let policy_search_restricted_rows =
       let refuses v = (not (kept v)) || roll (`Refuse v) < prefuse in
       let admit v p w = (not (refuses v)) && random_admit aseed pct v p w in
       let avoid = List.filter (fun v -> roll (`Avoid v) < 10) (List.init n Fun.id) in
-      let plain = Policy_search.scratch_for view and full = Policy_search.scratch_for view in
-      let dense = Policy_search.scratch_for view in
+      let plain = Policy_search.scratch_for view and whole = Policy_search.scratch_for view in
+      let dense = Policy_search.scratch_for view and all = full view in
       let ring = Dial.create () in
       let ok = ref (Policy_search.size rows = !count) in
       for dst = 0 to n - 1 do
@@ -824,16 +830,15 @@ let policy_search_restricted_rows =
         in
         if Array.length label <> !count then ok := false;
         for src = 0 to n - 1 do
-          let want = Policy_search.search plain view ~src ~dst ~avoid ~metric ~admit () in
-          let bounded = Policy_search.search full view ~src ~dst ~avoid ~lower ~metric ~admit () in
+          let want = Policy_search.search plain all ~src ~dst ~avoid ~metric ~admit () in
+          let bounded = Policy_search.search whole all ~src ~dst ~avoid ~lower ~metric ~admit () in
           let got =
-            Policy_search.search dense view ~src ~dst ~avoid ~lower:label ~rows ~refuses ~metric
-              ~admit ()
+            Policy_search.search dense rows ~src ~dst ~avoid ~lower:label ~refuses ~metric ~admit ()
           in
           if
             got <> bounded || got <> want
-            || Policy_search.settled dense <> Policy_search.settled full
-            || Policy_search.bound_settled dense <> Policy_search.bound_settled full
+            || Policy_search.settled dense <> Policy_search.settled whole
+            || Policy_search.bound_settled dense <> Policy_search.bound_settled whole
           then ok := false
         done
       done;
@@ -844,7 +849,7 @@ let policy_search_restricted_rows =
    a push keys the heap by (key, seq), seq counting up in the exact
    pass (FIFO ties) and down in the bound pass (LIFO ties), and an
    improved state has its key decreased. Same passes, cuts, avoid
-   marks and refusals as [Policy_search.search] over the view. Returns
+   marks and refusals as [Policy_search.search] over full rows. Returns
    the outcome, the states settled and those the bound pass settled. *)
 let keyed_reference_search view ~n ~src ~dst ~avoid ?lower ~refuses ~metric ~admit () =
   let states = n * (n + 1) and start = (src * (n + 1)) + n in
@@ -918,8 +923,11 @@ let keyed_reference_search view ~n ~src ~dst ~avoid ?lower ~refuses ~metric ~adm
    so it grows mid-search with ties queued; C = 200 000 spans more
    than its 2^16-bucket limit, so a bucket holds several keys. Some
    edges are unusable, some ADs are avoided, some refuse every
-   crossing. Each (src, dst) pair is searched plain, with a label over
-   the view and with the label over dense rows; the scratches are
+   crossing. Each (src, dst) pair is searched plain and with the label
+   expanded to full rows, and over restricted rows with the label and
+   without it, where they are the kept subgraph: the heap search's
+   over the view with every edge into or out of an unkept AD other
+   than src and dst unusable. The scratches are
    fresh per destination, so the ring grows again, and reused across
    its sources. *)
 let policy_search_buckets_match_heap =
@@ -940,7 +948,7 @@ let policy_search_buckets_match_heap =
       in
       let metric v w k = if roll (`Down (v, w)) < 8 then -1 else base.(k) in
       let rows = Policy_search.restrict view ~keep:(fun v -> roll (`Keep v) < pkeep) in
-      let kept = Policy_search.kept rows in
+      let kept = Policy_search.kept rows and all = full view in
       let refuses v = (not (kept v)) || roll (`Refuse v) < prefuse in
       let admit v p w = (not (refuses v)) && random_admit aseed pct v p w in
       let avoid = List.filter (fun v -> roll (`Avoid v) < 10) (List.init n Fun.id) in
@@ -965,20 +973,24 @@ let policy_search_buckets_match_heap =
         let lower =
           Array.init n (fun v -> if v = dst then 0 else if kept v then label.(index.(v)) else max_int)
         in
-        let plain = Policy_search.scratch_for view and full = Policy_search.scratch_for view in
+        let plain = Policy_search.scratch_for view and whole = Policy_search.scratch_for view in
         let dense = Policy_search.scratch_for view in
         for src = 0 to n - 1 do
-          let reference ?lower () =
+          let reference ?lower ?(metric = metric) () =
             keyed_reference_search view ~n ~src ~dst ~avoid ?lower ~refuses ~metric ~admit ()
           in
           agree plain (reference ())
-            (Policy_search.search plain view ~src ~dst ~avoid ~metric ~admit ());
+            (Policy_search.search plain all ~src ~dst ~avoid ~metric ~admit ());
           let bounded = reference ~lower () in
-          agree full bounded
-            (Policy_search.search full view ~src ~dst ~avoid ~lower ~metric ~admit ());
+          agree whole bounded
+            (Policy_search.search whole all ~src ~dst ~avoid ~lower ~metric ~admit ());
           agree dense bounded
-            (Policy_search.search dense view ~src ~dst ~avoid ~lower:label ~rows ~refuses ~metric
-               ~admit ())
+            (Policy_search.search dense rows ~src ~dst ~avoid ~lower:label ~refuses ~metric
+               ~admit ());
+          let inside v = kept v || v = src || v = dst in
+          let kept_only v w k = if inside v && inside w then metric v w k else -1 in
+          agree dense (reference ~metric:kept_only ())
+            (Policy_search.search dense rows ~src ~dst ~avoid ~refuses ~metric ~admit ())
         done
       done;
       !ok)
@@ -1099,10 +1111,10 @@ let policy_search_basics () =
   let link id a b cost = Link.make ~id ~a ~b ~cost Link.Lateral in
   let g = Graph.create ads [| link 0 0 1 1; link 1 1 2 1; link 2 0 2 5; link 3 2 3 1 |] in
   let view = Policy_search.of_graph g in
-  let scratch = Policy_search.scratch_for view in
+  let scratch = Policy_search.scratch_for view and whole = full view in
   let metric _ _ k = Graph.slot_cost g k in
   let search ?avoid ~admit src dst =
-    Policy_search.search scratch view ~src ~dst ?avoid ~metric ~admit ()
+    Policy_search.search scratch whole ~src ~dst ?avoid ~metric ~admit ()
   in
   let all _ _ _ = true in
   check_bool "cheapest route" true (search ~admit:all 0 3 = Policy_search.Route [ 0; 1; 2; 3 ]);
@@ -1120,28 +1132,28 @@ let policy_search_basics () =
   (* Exact distances to 3 as the bound: each pass settles 4 states. *)
   let lower = [| 3; 2; 1; 0 |] in
   check_bool "bounded: same route" true
-    (Policy_search.search scratch view ~src:0 ~dst:3 ~lower ~metric ~admit:all ()
+    (Policy_search.search scratch whole ~src:0 ~dst:3 ~lower ~metric ~admit:all ()
     = Policy_search.Route [ 0; 1; 2; 3 ]);
   check_int "bounded: states, both passes" 8 (Policy_search.settled scratch);
   check_int "bounded: states, bound pass" 4 (Policy_search.bound_settled scratch);
-  Alcotest.check_raises "bound shorter than the view"
-    (Invalid_argument "Policy_search.search: lower bound shorter than the view") (fun () ->
+  Alcotest.check_raises "bound shorter than the rows"
+    (Invalid_argument "Policy_search.search: lower bound shorter than the rows") (fun () ->
       ignore
-        (Policy_search.search scratch view ~src:0 ~dst:3 ~lower:[| 0 |] ~metric ~admit:all ()));
+        (Policy_search.search scratch whole ~src:0 ~dst:3 ~lower:[| 0 |] ~metric ~admit:all ()));
   let unusable _ w _ = if w = 3 then -1 else 1 in
   check_bool "negative metric = unusable edge" true
-    (Policy_search.search scratch view ~src:0 ~dst:3 ~metric:unusable ~admit:all ()
+    (Policy_search.search scratch whole ~src:0 ~dst:3 ~metric:unusable ~admit:all ()
     = Policy_search.Unreachable);
   (* 2 admits only 0 -> 2 -> 1 and 1 -> 2 -> 3 and 1 only 2 -> 1 -> 2:
      the cheapest walk from 0 to 3 is 0-2-1-2-3, which revisits 2. *)
   let loop v p w = (v = 2 && ((p = 0 && w = 1) || (p = 1 && w = 3))) || (v = 1 && p = 2 && w = 2) in
   check_bool "revisiting walk" true (search ~admit:loop 0 3 = Policy_search.Revisits);
   (* Refusing ADs relax nothing, but the start at src always relaxes:
-     0 -> 1 needs no admission. Over the view and over dense rows that
-     keep every AD, 0 and 1, or none. *)
+     0 -> 1 needs no admission. Unbounded over full rows, and bounded
+     over rows that keep every AD, 0 and 1, or none. *)
   let refuses _ = true and none _ _ _ = false in
   check_bool "a refusing src still relaxes" true
-    (Policy_search.search scratch view ~src:0 ~dst:1 ~refuses ~metric ~admit:none ()
+    (Policy_search.search scratch whole ~src:0 ~dst:1 ~refuses ~metric ~admit:none ()
     = Policy_search.Route [ 0; 1 ]);
   let slot_cost = Array.init 8 (Graph.slot_cost g) in
   List.iter
@@ -1149,14 +1161,14 @@ let policy_search_basics () =
       let rows = Policy_search.restrict view ~keep in
       let ring = Dial.create () in
       let lower dst = Policy_search.lower_bound rows ring ~dst ~metric:slot_cost in
-      check_bool "a refusing src still relaxes (dense)" true
-        (Policy_search.search scratch view ~src:0 ~dst:1 ~lower:(lower 1) ~rows ~refuses ~metric
+      check_bool "a refusing src still relaxes (bounded)" true
+        (Policy_search.search scratch rows ~src:0 ~dst:1 ~lower:(lower 1) ~refuses ~metric
            ~admit:none ()
         = Policy_search.Route [ 0; 1 ]);
       (* Admission would let 1 and 2 carry the route: only the skip
          leaves 3 unreached. *)
-      check_bool "a refusing interior relaxes nothing (dense)" true
-        (Policy_search.search scratch view ~src:0 ~dst:3 ~lower:(lower 3) ~rows ~refuses ~metric
+      check_bool "a refusing interior relaxes nothing (bounded)" true
+        (Policy_search.search scratch rows ~src:0 ~dst:3 ~lower:(lower 3) ~refuses ~metric
            ~admit:all ()
         = Policy_search.Unreachable))
     [ (fun _ -> true); (fun v -> v < 2); (fun _ -> false) ];
