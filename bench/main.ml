@@ -1454,8 +1454,10 @@ let label_dsts = 16
 
 let label_measure g =
   let n = Graph.n g in
-  let view = Policy_search.of_graph g in
-  let rows = Policy_search.restrict view ~keep:(fun u -> Ad.is_transit_capable (Graph.ad g u)) in
+  let rows =
+    Policy_search.restrict (Policy_search.of_graph g) ~keep:(fun u ->
+        Ad.is_transit_capable (Graph.ad g u))
+  in
   let metric = Array.init (Array.length (snd (Graph.unique_csr g))) (Graph.slot_cost g) in
   let q = Pr_util.Dial.create () in
   let dsts = List.init label_dsts (fun i -> i * n / label_dsts) in
@@ -1564,8 +1566,11 @@ let interpreted_admits db ad ctx =
 (* Route synthesis (the LS-HBH/ORWG kernel: engine build + exact
    (node, arrived-from) search) on one scenario, timed with the
    interpreted admission path and again with the compiled one. Returns
-   (flows, states the compiled searches settled in all, interpreted
-   ns/route, compiled ns/route). *)
+   (flows, states the compiled searches settled in all, words one
+   search-structure build allocates, interpreted ns/route, compiled
+   ns/route). The build is the first [Lsdb.search_view] on a fresh copy
+   of the database: the rows, the slot adjacencies and one QOS class's
+   metrics, those of [Qos.Default]; exact. *)
 let policy_synth_measure (scenario : Scenario.t) =
   let g = scenario.Scenario.graph in
   let n = Graph.n g in
@@ -1573,7 +1578,7 @@ let policy_synth_measure (scenario : Scenario.t) =
   let flows = Scenario.flows scenario ~rng:(Rng.create 213) ~count:10 () in
   (* The interpreted arm runs the same search as the compiled one. *)
   let interpreted_route (flow : Flow.t) =
-    let _, rows, metrics = Pr_proto.Lsdb.search_view db flow.Flow.qos in
+    let rows, metrics = Pr_proto.Lsdb.search_view db flow.Flow.qos in
     let admit ad prev next =
       let hop x = if x < 0 then None else Some x in
       interpreted_admits db ad { Pr_policy.Policy_term.flow; prev = hop prev; next = hop next }
@@ -1604,11 +1609,15 @@ let policy_synth_measure (scenario : Scenario.t) =
         states + settled)
       0 flows
   in
+  let build_words =
+    let fresh = static_policy_db scenario in
+    Pr_telemetry.Alloc.words (fun () -> ignore (Pr_proto.Lsdb.search_view fresh Qos.Default))
+  in
   let interp_ns, compiled_ns =
     time_pair_ns_per ~ops:(List.length flows)
       (synthesize_all interpreted_route) (synthesize_all compiled_route)
   in
-  (List.length flows, states, interp_ns, compiled_ns)
+  (List.length flows, states, int_of_float build_words, interp_ns, compiled_ns)
 
 (* The oracle rung: the ground-truth classification every evaluation
    makes per flow ([Experiment.classify]): the best legal route under
@@ -1914,6 +1923,7 @@ let synth () =
           ("links", Texttable.Right);
           ("flows", Texttable.Right);
           ("states", Texttable.Right);
+          ("build words", Texttable.Right);
           ("interp ns/route", Texttable.Right);
           ("compiled ns/route", Texttable.Right);
           ("speedup", Texttable.Right);
@@ -1926,18 +1936,19 @@ let synth () =
           Scenario.for_size ~policy:restrictive_policy ~target_ads:target ~seed:211 ()
         in
         let g = scenario.Scenario.graph in
-        let flows, states, interp_ns, compiled_ns = policy_synth_measure scenario in
+        let flows, states, build_words, interp_ns, compiled_ns = policy_synth_measure scenario in
         Texttable.add_row pt
           [
             Texttable.cell_int (Graph.n g);
             Texttable.cell_int (Graph.num_links g);
             Texttable.cell_int flows;
             Texttable.cell_int states;
+            Texttable.cell_int build_words;
             Texttable.cell_float ~decimals:0 interp_ns;
             Texttable.cell_float ~decimals:0 compiled_ns;
             Texttable.cell_float ~decimals:2 (interp_ns /. compiled_ns);
           ];
-        (target, Graph.n g, Graph.num_links g, flows, states, interp_ns, compiled_ns))
+        (target, Graph.n g, Graph.num_links g, flows, states, build_words, interp_ns, compiled_ns))
       psizes
   in
   Texttable.print pt;
@@ -2055,7 +2066,7 @@ let synth () =
     in
     let policy =
       List.map
-        (fun (target, ads, links, flows, states, interp_ns, compiled_ns) ->
+        (fun (target, ads, links, flows, states, build_words, interp_ns, compiled_ns) ->
           row "search"
             "Policy_route.shortest (exact policy search, restrictiveness 0.8, fine \
              granularity)"
@@ -2065,6 +2076,7 @@ let synth () =
               ("links", J.Int links);
               ("flows", J.Int flows);
               ("search_states", J.Int states);
+              ("build_words", J.Int build_words);
             ]
             [
               ("interpreted_ns_per_route", ns interp_ns);

@@ -47,16 +47,17 @@ let legal g config flow path = check g config flow path = Legal
 
 (* What the oracle keeps for the last (graph, store) this domain
    searched: experiments call it per flow on one internet. Only an AD
-   with a term can be crossed, so the dense view keeps those, and each
-   label is the [slot_cost] distance to its destination through them:
-   it bounds every legal route's cost, [avoid] only removing edges, so
-   the bounded search returns the unbounded one's route. *)
+   with a term can be crossed, so the rows the search walks keep those,
+   and each label is the [slot_cost] distance to its destination
+   through them: it bounds every legal route's cost, [avoid] only
+   removing edges, so the bounded search returns the unbounded one's
+   route. *)
 type oracle = {
   graph : Graph.t;
   store : Policy_store.t;
   version : int;
-  view : Policy_search.view;
-  cost : int array;  (* per view slot: [Graph.slot_cost] *)
+  full : Policy_search.rows;
+  cost : int array;  (* per slot: [Graph.slot_cost] *)
   labels : Policy_search.labels;  (* keyed by destination *)
   specs : Compiled.spec array;
       (* per AD, the running search's flow specialization, valid where
@@ -75,20 +76,20 @@ let oracle_of g config =
   match !cell with
   | Some o when o.graph == g && o.store == store && o.version = Policy_store.version store -> o
   | last ->
-    let view =
+    let full =
       match last with
-      | Some o when o.graph == g -> o.view
+      | Some o when o.graph == g -> o.full
       | _ -> Policy_search.of_graph g
     in
     let n = Graph.n g in
     let has_terms v = Transit_policy.term_count (Policy_store.transit store v) > 0 in
-    let rows = Policy_search.restrict view ~keep:has_terms in
+    let rows = Policy_search.restrict full ~keep:has_terms in
     let o =
       {
         graph = g;
         store;
         version = Policy_store.version store;
-        view;
+        full;
         cost = Array.init (Array.length (snd (Graph.unique_csr g))) (Graph.slot_cost g);
         labels = Policy_search.labels rows ~capacity:(label_capacity (Policy_search.size rows));
         specs = Array.make n Compiled.no_spec;
@@ -111,7 +112,7 @@ let refuses o s flow v = spec o s flow v == Compiled.no_spec
 
 let legal_paths g config flow ~max_hops ?(limit = 10_000) () =
   let o = oracle_of g config and s = Policy_search.shared_scratch () in
-  Policy_search.enumerate s o.view ~src:flow.Flow.src ~dst:flow.Flow.dst ~max_hops ~limit
+  Policy_search.enumerate s o.full ~src:flow.Flow.src ~dst:flow.Flow.dst ~max_hops ~limit
     ~admit:(admit o s flow)
 
 let states = Domain.DLS.new_key (fun () -> ref 0)

@@ -51,12 +51,12 @@ val route_exists : Pr_topology.Graph.t -> Config.t -> Flow.t -> max_hops:int -> 
     self-intersects or exceeds the bound. When no state walk reaches
     the destination there is no route, and no DFS runs.
 
-    The search walks only the dense view of the ADs that have a term
+    The search walks only the rows of the ADs that have a term
     (no other AD can be crossed), bounded by the destination's distance
     label over them, and skips the row of an AD none of whose terms
     survives the flow. Per (graph, store) the calling domain keeps the
-    view, the labels (rebuilt when the graph, the store or its version
-    changes) and per-AD flow specializations. The route is the
+    full rows, the labels (rebuilt when the graph, the store or its
+    version changes) and per-AD flow specializations. The route is the
     unbounded search's. *)
 
 val shortest_legal :

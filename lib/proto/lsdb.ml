@@ -24,12 +24,11 @@ let make_lsa ~origin ~seq ~adjacencies ~terms =
 
 let lsa_bytes lsa = lsa.bytes
 
-(* The confirmed adjacency as a search view and its full rows, each
-   slot with its two directed adjacencies ([out] as the row's AD
-   advertises it, [back] as the neighbor does) and, per QOS class, its
-   metric; derived on demand and dropped by every accepted insert. *)
+(* The confirmed adjacency as the search's full rows, each slot with
+   its two directed adjacencies ([out] as the row's AD advertises it,
+   [back] as the neighbor does) and, per QOS class, its metric; derived
+   on demand and dropped by every accepted insert. *)
 type search = {
-  view : Pr_topology.Policy_search.view;
   rows : Pr_topology.Policy_search.rows;
   out : adjacency array;
   back : adjacency array;
@@ -154,10 +153,8 @@ let build_search t =
     off.(u + 1) <- !m
   done;
   let trim a = if !m = cap then a else Array.sub a 0 !m in
-  let view = Pr_topology.Policy_search.of_csr ~off ~nbr:(trim nbr) in
   {
-    view;
-    rows = Pr_topology.Policy_search.restrict view ~keep:(fun _ -> true);
+    rows = Pr_topology.Policy_search.of_csr ~off ~nbr:(trim nbr);
     out = trim out;
     back = trim back;
     metrics = Array.make Pr_policy.Qos.count None;
@@ -191,11 +188,11 @@ let search_view t qos =
   in
   let i = Pr_policy.Qos.index qos in
   match s.metrics.(i) with
-  | Some m -> (s.view, s.rows, m)
+  | Some m -> (s.rows, m)
   | None ->
     let metric a b =
       Qos_metric.metric qos ~cost:(Stdlib.max a.cost b.cost) ~delay:(Stdlib.max a.delay b.delay)
     in
     let m = Array.map2 metric s.out s.back in
     s.metrics.(i) <- Some m;
-    (s.view, s.rows, m)
+    (s.rows, m)

@@ -87,24 +87,23 @@ val compiled_of : t -> Pr_topology.Ad.id -> Pr_policy.Compiled.t
 val search_view :
   t ->
   Pr_policy.Qos.t ->
-  Pr_topology.Policy_search.view * Pr_topology.Policy_search.rows * int array
-(** The adjacency both LSAs of a pair confirm, as a policy-search view:
-    each AD's row lists its confirmed neighbors in advertisement order
-    (a neighbor listed twice counts once, at its first position). With
-    it come its full rows ({!Pr_topology.Policy_search.restrict}
-    keeping every AD), which {!Pr_topology.Policy_search.search} walks,
-    and each slot's {!Qos_metric.metric} under the QOS class, taken
-    over the larger cost and delay of the two directions — what
-    QOS-aware route computations accumulate instead of the raw cost.
-    The view and its rows are built on first use, each class's metrics
-    on the first search under that class; all are kept until the next
-    accepted {!insert}.
+  Pr_topology.Policy_search.rows * int array
+(** The adjacency both LSAs of a pair confirm, as the full rows that
+    {!Pr_topology.Policy_search.search} walks
+    ({!Pr_topology.Policy_search.of_csr}): each AD's row lists its
+    confirmed neighbors in advertisement order (a neighbor listed twice
+    counts once, at its first position). With them comes each slot's
+    {!Qos_metric.metric} under the QOS class, taken over the larger
+    cost and delay of the two directions — what QOS-aware route
+    computations accumulate instead of the raw cost. The rows are
+    built on first use, each class's metrics on the first search under
+    that class; all are kept until the next accepted {!insert}.
 
     Siblings share views: a database whose store holds, slot for slot,
-    the physically same LSA records as the one the family's last view
-    was built from reuses that view (and its metrics) instead of
+    the physically same LSA records as the one the family's last rows
+    were built from reuses those rows (and their metrics) instead of
     building its own; any other content builds afresh and replaces the
-    shared entry. The view is a function of the records alone, so
+    shared entry. The rows are a function of the records alone, so
     sharing changes no route and no search work. The key is record
     identity, not the sequence number: a corrupted copy
     ({!Ls_flood.corrupt_lsa}) carries the honest [seq] with different

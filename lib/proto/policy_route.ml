@@ -39,7 +39,7 @@ let shortest e ?(avoid = []) () =
   let src = e.flow.Flow.src and dst = e.flow.Flow.dst in
   if src = dst then (Some [ src ], 0)
   else begin
-    let _, rows, metrics = Lsdb.search_view e.db e.flow.Flow.qos in
+    let rows, metrics = Lsdb.search_view e.db e.flow.Flow.qos in
     let scratch = Policy_search.shared_scratch () in
     let metric _ _ k = metrics.(k) and admit v p w = admits e v ~prev:p ~next:w in
     (* A best walk that revisits an AD is no route: sources require
@@ -60,12 +60,12 @@ let shortest e ?(avoid = []) () =
    hop-constrained term rejects it. *)
 let shortest_optimistic e ~avoid =
   let src = e.flow.Flow.src and dst = e.flow.Flow.dst in
-  let view, _, metrics = Lsdb.search_view e.db e.flow.Flow.qos in
+  let rows, metrics = Lsdb.search_view e.db e.flow.Flow.qos in
   let avoid_arr = Array.make e.n false in
   List.iter (fun a -> if a >= 0 && a < e.n then avoid_arr.(a) <- true) avoid;
   let relax v f =
     if v = src || admits e v ~prev:(-1) ~next:(-1) then
-      Policy_search.iter_row view v ~f:(fun w k ->
+      Policy_search.iter_row rows v ~f:(fun w k ->
           if w = dst || not avoid_arr.(w) then f w metrics.(k))
   in
   let tree, work = Spf.search ~n:e.n ~src ~dst ~relax () in
@@ -94,8 +94,8 @@ let shortest_pruned e ?(avoid = []) () =
     (path, work + full_work)
 
 let enumerate e ~max_hops ?(limit = 2000) () =
-  let view, _, _ = Lsdb.search_view e.db e.flow.Flow.qos in
-  Policy_search.enumerate (Policy_search.shared_scratch ()) view
+  let rows, _ = Lsdb.search_view e.db e.flow.Flow.qos in
+  Policy_search.enumerate (Policy_search.shared_scratch ()) rows
     ~src:e.flow.Flow.src ~dst:e.flow.Flow.dst ~max_hops ~limit
     ~admit:(fun v p w -> admits e v ~prev:p ~next:w)
 

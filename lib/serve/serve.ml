@@ -70,7 +70,7 @@ let carries graph snap u =
 let create ?(route_capacity = Some 4096) ?(handle_capacity = Some 1024)
     ?(trace = Trace.disabled) ?(link_up = fun _ -> true) ?(node_up = fun _ -> true)
     graph store =
-  let view = Policy_search.of_graph graph in
+  let full = Policy_search.of_graph graph in
   let slots = Array.length (snd (Graph.unique_csr graph)) in
   let fold_links k f = Graph.fold_slot_links graph k ~init:max_int ~f in
   let pdd = Pdd.db_create store in
@@ -81,7 +81,7 @@ let create ?(route_capacity = Some 4096) ?(handle_capacity = Some 1024)
     pdd;
     link_up;
     node_up;
-    scratch = Policy_search.scratch_for view;
+    scratch = Policy_search.scratch ();
     slot_metric =
       Array.init Qos.count (fun i ->
           let qos = Qos.of_index i in
@@ -91,7 +91,7 @@ let create ?(route_capacity = Some 4096) ?(handle_capacity = Some 1024)
       Array.init slots (fun k ->
           fold_links k (fun only l -> if only = max_int then l else -1));
     labels =
-      Policy_search.labels (Policy_search.restrict view ~keep:(carries graph snap))
+      Policy_search.labels (Policy_search.restrict full ~keep:(carries graph snap))
         ~capacity:label_capacity;
     entries = Array.make (Graph.n graph) (Pdd.leaf false);
     trace;
@@ -115,7 +115,7 @@ let pdd t = t.pdd
 
 (* An AD joins the carrying set only through a recompiled diagram, so
    only the ADs [Pdd.refresh] recompiled are looked at. A join rebuilds
-   the dense view and drops every label: each was built without the
+   the carrying rows and drops every label: each was built without the
    joiner. *)
 let refresh t ~now =
   let t0 = Monotonic_clock.now () in
@@ -191,7 +191,7 @@ let label t qos dst =
    the AD pair has a single link. The destination's label bounds the
    search (see [Policy_search.search]): the route is the unbounded
    search's. The label covers the carrying ADs only, so the search
-   walks their dense view; it skips the row of an AD whose flow entry
+   walks their rows; it skips the row of an AD whose flow entry
    is the false leaf, which admits no crossing. *)
 let synthesize t snap (f : Flow.t) =
   let g = t.graph and qos = f.Flow.qos and link_up = t.link_up and node_up = t.node_up in

@@ -27,11 +27,11 @@
     other than the [false] leaf) at some version {!refresh} has seen.
     Every other AD but the destination is out of reach. A label
     lower-bounds every admissible route, so a query passes it to
-    {!Pr_topology.Policy_search.search}, which walks only the dense
-    view of the carrying ADs, settles fewer states and runs fewer
+    {!Pr_topology.Policy_search.search}, which walks only the rows
+    of the carrying ADs, settles fewer states and runs fewer
     admissions for the same route. It also skips the row of every AD
     whose flow entry is the [false] leaf. No link or node event
-    invalidates a label; {!refresh} rebuilds the dense view and drops
+    invalidates a label; {!refresh} rebuilds those rows and drops
     every label when a recompiled AD joins the carrying set. Refresh
     the diagrams through {!refresh} only: a direct {!Pdd.refresh} on
     {!pdd} would hide a joining AD from the labels.

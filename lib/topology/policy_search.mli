@@ -7,13 +7,12 @@
     (paper §4.2), so admission depends on where the route came from:
     {!search} is a Dijkstra over states (v, p) — at v, having arrived
     from neighbor p. State (v, p) lives in the slot of p in v's row, so
-    there are as many states as adjacencies, never n². A {!view} holds
-    the rows of every AD; a search walks {!rows}, the dense view of a
-    set of kept ADs ({!restrict}), which keeping every AD makes the
-    view's own rows. A {!scratch} holds the per-state arrays,
-    generation-stamped so no search clears them, and a ring of buckets
-    indexed by path metric (Dial's queue): a warm search allocates only
-    its route.
+    there are as many states as adjacencies, never n². A search walks
+    {!rows}: the full rows of every AD ({!of_csr}), or those of a set of
+    kept ADs cut from them ({!restrict}). A {!scratch} holds the
+    per-state arrays, generation-stamped so no search clears them, and
+    a ring of buckets indexed by path metric (Dial's queue): a warm
+    search allocates only its route.
 
     Pop order is (distance, order of the last strict improvement), the
     order of a FIFO-tie heap that pushes every improvement: routes and
@@ -23,31 +22,33 @@
     {!labels} builds and caches such bounds over the ADs that can carry
     transit, for the route server and the oracle alike. *)
 
-type view
-(** Immutable rows of unique neighbors plus the reverse-slot index. *)
+type rows
+(** The rows of a set of kept ADs: the kept ADs numbered 0 .. {!size}
+    - 1 in increasing AD order, each with a row of its kept neighbors
+    in slot order. A slot is a directed adjacency, numbered as in the
+    full rows, which keep every AD and number each AD as itself; rows
+    cut from them by {!restrict} keep a reference to them. A search
+    walks only the rows it is passed (see {!search}), and a label is
+    indexed by their numbering. *)
 
-val of_csr : off:int array -> nbr:int array -> view
-(** Row [v] is [nbr.(off.(v)) .. nbr.(off.(v+1) - 1)], in the order
-    searches visit it; rows must be duplicate-free and symmetric. The
-    arrays are shared, not copied. O(n + m).
+val of_csr : off:int array -> nbr:int array -> rows
+(** The full rows of the adjacency: row [v] is [nbr.(off.(v)) ..
+    nbr.(off.(v+1) - 1)], in the order searches visit it, and [nbr.(k)]
+    is slot [k]. Rows must be duplicate-free and symmetric. [off] is
+    shared, not copied. O(n + m).
     @raise Invalid_argument on malformed or asymmetric rows. *)
 
-val of_graph : Graph.t -> view
-(** {!Graph.unique_csr}: slot [k] of the view is slot [k] of the graph. *)
+val of_graph : Graph.t -> rows
+(** The full rows of {!Graph.unique_csr}: slot [k] is slot [k] of the
+    graph. *)
 
-val iter_row : view -> Ad.id -> f:(Ad.id -> int -> unit) -> unit
-(** [f w k] for each neighbor [w] of the AD, [k] its slot, in row order. *)
+val iter_row : rows -> Ad.id -> f:(Ad.id -> int -> unit) -> unit
+(** [f w k] for each kept neighbor [w] of the AD, [k] its slot, in row
+    order; nothing when the AD is not kept. *)
 
-type rows
-(** The dense view of a set of kept ADs: the kept ADs numbered
-    0 .. {!size} - 1 in increasing AD order, each with a row of its
-    kept neighbors in view slot order. A search passed them walks only
-    these rows (see {!search}), and a label is indexed by this
-    numbering. *)
-
-val restrict : view -> keep:(Ad.id -> bool) -> rows
-(** The dense view of the ADs [keep] holds for. O(n + m). Keeping
-    every AD gives the full rows, which number each AD as itself. *)
+val restrict : rows -> keep:(Ad.id -> bool) -> rows
+(** The rows of the ADs [keep] holds for, cut from the full rows that
+    the argument is or was cut from. O(n + m). *)
 
 val kept : rows -> Ad.id -> bool
 
@@ -58,7 +59,7 @@ val lower_bound :
   ?into:int array ->
   rows -> Pr_util.Dial.t -> dst:Ad.id -> metric:int array -> int array
 (** Per kept AD, by its number in the rows, the least [metric] (by
-    view slot, [>= 0]) of a walk to [dst] whose ADs other than [dst]
+    slot, [>= 0]) of a walk to [dst] whose ADs other than [dst]
     are all kept; [max_int] where none is. [dst] itself need not be
     kept. A Dijkstra on the queue, which it grows to fit the rows; the
     order equal keys pop in changes no distance. The label is written
@@ -69,7 +70,7 @@ val lower_bound :
 
 type labels
 (** The label machinery of a route search that knows which ADs can
-    carry transit: the dense view of the kept ADs, the queue their
+    carry transit: the rows of the kept ADs, the queue their
     labels are built on, and an LRU cache of built labels. Once the
     cache is full, a build writes into the array of the label it
     evicts, so it allocates a cache entry, not a label. *)
@@ -98,11 +99,12 @@ val label_evictions : labels -> int
 (** Labels evicted from the cache by a build. *)
 
 type scratch
-(** Reusable search state, grown to fit the largest view it serves and
-    the widest span of path metrics it queues at once (at most 2^16
+(** Reusable search state, grown by each search to fit its rows and the
+    widest span of path metrics it queues at once (at most 2^16
     buckets). *)
 
-val scratch_for : view -> scratch
+val scratch : unit -> scratch
+(** An empty scratch. *)
 
 val shared_scratch : unit -> scratch
 (** The calling domain's scratch, for callers that own none. Callbacks
@@ -132,7 +134,7 @@ val search :
   outcome
 (** Minimum-metric route over the rows that never re-enters [src] and
     has no [avoid] AD in its interior. [metric v w k] is the metric of
-    edge [v -> w], view slot [k]: [>= 0], or negative when the edge is
+    edge [v -> w], slot [k]: [>= 0], or negative when the edge is
     unusable. [admit v p w] decides the interior crossing p -> v -> w;
     [src] needs none, and it is asked only about edges that would
     improve a state.
@@ -140,9 +142,9 @@ val search :
     The route's interior ADs are kept ones; [src] and [dst] need not
     be. An unkept [src] relaxes its slots to kept ADs and to [dst], and
     an unkept [dst] is reached through its kept neighbors' slots to it,
-    merged in at their place in slot order. Without [lower], this is
-    the one-pass search over the kept subgraph; on full rows, over the
-    whole view.
+    merged in at their place in slot order. Without [lower], this
+    is the one-pass search over the kept subgraph; on full rows, over
+    the whole adjacency.
 
     [lower], indexed by the rows' numbering (a {!label} or
     {!lower_bound} over them), must be a consistent lower bound on the
@@ -181,12 +183,12 @@ val bound_settled : scratch -> int
 
 val enumerate :
   scratch ->
-  view ->
+  rows ->
   src:Ad.id ->
   dst:Ad.id ->
   max_hops:int ->
   limit:int ->
   admit:(Ad.id -> Ad.id -> Ad.id -> bool) ->
   Path.t list
-(** Up to [limit] admissible simple routes of at most [max_hops] hops,
-    by depth-first search in row order. *)
+(** Up to [limit] admissible simple routes of at most [max_hops] hops
+    whose ADs are all kept, by depth-first search in row order. *)

@@ -728,10 +728,9 @@ let oracle_at_ten_thousand_ads () =
    full row, admitting each crossing straight off the compiled terms. *)
 let reference_state_search g config flow ~avoid =
   let store = Policy_store.of_config config in
-  let view = Policy_search.of_graph g in
-  let scratch = Policy_search.scratch_for view in
+  let scratch = Policy_search.scratch () in
   let outcome =
-    Policy_search.search scratch (Policy_search.restrict view ~keep:(fun _ -> true))
+    Policy_search.search scratch (Policy_search.of_graph g)
       ~src:flow.Flow.src ~dst:flow.Flow.dst ~avoid
       ~metric:(fun _ _ k -> Graph.slot_cost g k)
       ~admit:(fun v p w ->

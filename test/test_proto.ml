@@ -116,12 +116,12 @@ let lsdb_bytes_pinned () =
 let lsdb_sentinel_hidden () =
   let db = Lsdb.create ~n:4 and wide = Lsdb.create ~n:9 in
   let empty_view db =
-    let view, _, _ = Lsdb.search_view db Pr_policy.Qos.Default in
-    let rows = ref 0 in
+    let rows, _ = Lsdb.search_view db Pr_policy.Qos.Default in
+    let slots = ref 0 in
     for u = 0 to 3 do
-      Pr_topology.Policy_search.iter_row view u ~f:(fun _ _ -> incr rows)
+      Pr_topology.Policy_search.iter_row rows u ~f:(fun _ _ -> incr slots)
     done;
-    !rows
+    !slots
   in
   let hidden label db ad =
     check_bool (label ^ ": get") true (Lsdb.get db ad = None);
@@ -232,20 +232,16 @@ let same_records a b =
       | _ -> false)
     a b
 
-let view_rows view =
+let view_rows rows =
   Array.init shared_view_n (fun u ->
       let row = ref [] in
-      Pr_topology.Policy_search.iter_row view u ~f:(fun w k -> row := (w, k) :: !row);
+      Pr_topology.Policy_search.iter_row rows u ~f:(fun w k -> row := (w, k) :: !row);
       List.rev !row)
 
-(* The view and every class's metrics, as plain data. *)
+(* The rows and every class's metrics, as plain data. *)
 let view_contents db =
-  let view, _, _ = Lsdb.search_view db Pr_policy.Qos.Default in
-  let metrics q =
-    let _, _, m = Lsdb.search_view db q in
-    m
-  in
-  (view_rows view, List.map metrics Pr_policy.Qos.all)
+  let rows, _ = Lsdb.search_view db Pr_policy.Qos.Default in
+  (view_rows rows, List.map (fun q -> snd (Lsdb.search_view db q)) Pr_policy.Qos.all)
 
 (* The kept entry count against a fold over the store, after every
    insert (fresh, newer, stale or duplicate) and every reset to an
@@ -283,7 +279,7 @@ let lsdb_shared_view =
       let last = ref None in
       let search d =
         let db = dbs.(d) in
-        let view, _, _ = Lsdb.search_view db Pr_policy.Qos.Default in
+        let view, _ = Lsdb.search_view db Pr_policy.Qos.Default in
         let private_db = Lsdb.create ~n:shared_view_n in
         Lsdb.fold db ~init:() ~f:(fun () l -> ignore (Lsdb.insert private_db l));
         if view_contents db <> view_contents private_db then
@@ -704,10 +700,10 @@ let policy_route_interleaved_engines =
         let module S = Pr_topology.Policy_search in
         if f.Flow.src = f.Flow.dst then (Some [ f.Flow.src ], 0)
         else begin
-          let view, _, metrics = Lsdb.search_view db f.Flow.qos in
-          let scratch = S.scratch_for view in
+          let rows, metrics = Lsdb.search_view db f.Flow.qos in
+          let scratch = S.scratch () in
           let outcome =
-            S.search scratch (S.restrict view ~keep:(fun _ -> true)) ~src:f.Flow.src ~dst:f.Flow.dst
+            S.search scratch rows ~src:f.Flow.src ~dst:f.Flow.dst
               ~metric:(fun _ _ k -> metrics.(k))
               ~admit:(fun v p w -> terms f v ~prev:p ~next:w)
               ()

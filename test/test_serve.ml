@@ -711,9 +711,6 @@ let flooded_db g config =
   done;
   db
 
-(* The rows that keep every AD: a search over them walks the whole view. *)
-let full view = Policy_search.restrict view ~keep:(fun _ -> true)
-
 (* Per graph slot, the flow's QOS metric of the AD pair's cheapest link:
    the edge metric of the route server and of policy route synthesis
    when every link is up. *)
@@ -750,8 +747,7 @@ let three_callers_agree =
       let store = Policy_store.create config in
       let server = Serve.create g store in
       let db = flooded_db g config in
-      let view = Policy_search.of_graph g in
-      let scratch = Policy_search.scratch_for view and rows = full view in
+      let rows = Policy_search.of_graph g and scratch = Policy_search.scratch () in
       let metrics = Array.init Qos.count (fun i -> qos_slot_metric g (Qos.of_index i)) in
       let n = Graph.n g in
       List.for_all
@@ -797,8 +793,7 @@ let three_callers_agree =
 (* The reference for every route-server answer: the same search over
    the same diagram snapshot, all links up, with no distance label. *)
 let unbounded_search g =
-  let view = Policy_search.of_graph g in
-  let scratch = Policy_search.scratch_for view and rows = full view in
+  let rows = Policy_search.of_graph g and scratch = Policy_search.scratch () in
   let metrics = Array.init Qos.count (fun i -> qos_slot_metric g (Qos.of_index i)) in
   let entries = Array.make (Graph.n g) (Pdd.leaf false) in
   let search snap (f : Flow.t) =
@@ -865,8 +860,8 @@ let multihomed_ids g =
    sizes served, every answer stays the unbounded search's across
    transit ADs closed, opened and restored and multi-homed stubs given
    a transit term and closed again, for queries pinned to the current
-   snapshot and to older ones. A stub's first term rebuilds the dense
-   view of the carrying ADs: the labels grow. *)
+   snapshot and to older ones. A stub's first term rebuilds the rows
+   of the carrying ADs: the labels grow. *)
 let labels_exact_across_flips =
   QCheck.Test.make ~name:"serve equals the unbounded search across flips" ~count:6
     QCheck.(pair (int_range 300 1000) small_int)
@@ -992,10 +987,10 @@ let stub_joins_after_labels () =
 
 (* The label as built before the carrying rows: one [Spf.search] from
    dst over the full rows that relaxes only toward carrying ADs. *)
-let spf_label g view carrying qos dst =
+let spf_label g rows carrying qos dst =
   let static = qos_slot_metric g qos in
   let relax u f =
-    Policy_search.iter_row view u ~f:(fun w k -> if carrying.(w) then f w static.(k))
+    Policy_search.iter_row rows u ~f:(fun w k -> if carrying.(w) then f w static.(k))
   in
   let dist = (fst (Pr_topology.Spf.search ~n:(Graph.n g) ~src:dst ~relax ())).Pr_topology.Spf.dist in
   Array.map (fun d -> if d < 0 then max_int else d) dist
@@ -1020,7 +1015,7 @@ let labels_match_spf_reference =
       let g = sc.Scenario.graph in
       let store = Policy_store.create sc.Scenario.config in
       let server = Serve.create g store in
-      let view = Policy_search.of_graph g and n = Graph.n g in
+      let rows = Policy_search.of_graph g and n = Graph.n g in
       let carrying = Array.init n (carries g (Serve.snapshot server)) in
       let rng = Rng.create (seed + 11) in
       let dsts = List.init 6 (fun _ -> Rng.int rng n) in
@@ -1041,7 +1036,7 @@ let labels_match_spf_reference =
           (fun dst ->
             List.iter
               (fun qos ->
-                let reference = spf_label g view carrying qos dst in
+                let reference = spf_label g rows carrying qos dst in
                 let outside =
                   List.exists
                     (fun u -> u <> dst && (not carrying.(u)) && reference.(u) <> max_int)

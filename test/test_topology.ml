@@ -641,10 +641,6 @@ let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 (* --- Policy_search ----------------------------------------------- *)
 
-(* The rows that keep every AD, numbered as the ADs: a search over them
-   walks the whole view. *)
-let full view = Policy_search.restrict view ~keep:(fun _ -> true)
-
 (* Admission as a pure pseudo-random function of the crossing. *)
 let random_admit seed pct v p w = Hashtbl.hash (seed, v, p, w) mod 100 < pct
 
@@ -710,8 +706,7 @@ let policy_search_matches_reference =
       let g = random_multigraph gseed in
       let n = Graph.n g in
       let avoid = List.map (fun a -> a mod n) avoid in
-      let view = Policy_search.of_graph g in
-      let scratch = Policy_search.scratch_for view and rows = full view in
+      let rows = Policy_search.of_graph g and scratch = Policy_search.scratch () in
       let admit = random_admit aseed pct in
       let metric _ _ k = Graph.slot_cost g k in
       let ok = ref true in
@@ -741,9 +736,8 @@ let policy_search_bounded_matches_unbounded =
       let g = random_multigraph gseed in
       let n = Graph.n g in
       let avoid = List.map (fun a -> a mod n) avoid in
-      let view = Policy_search.of_graph g in
-      let bounded = Policy_search.scratch_for view and plain = Policy_search.scratch_for view in
-      let rows = full view in
+      let rows = Policy_search.of_graph g in
+      let bounded = Policy_search.scratch () and plain = Policy_search.scratch () in
       let admit = random_admit aseed pct in
       let roll x = Hashtbl.hash (gseed, aseed, x) mod 100 in
       let dead v w = roll (`Pair (min v w, max v w)) < pdown in
@@ -753,7 +747,7 @@ let policy_search_bounded_matches_unbounded =
       in
       let label dst =
         let relax u f =
-          Policy_search.iter_row view u ~f:(fun w k ->
+          Policy_search.iter_row rows u ~f:(fun w k ->
               if not (dead u w) then f w (Graph.slot_cost g k))
         in
         Array.map
@@ -801,8 +795,8 @@ let policy_search_restricted_rows =
           nbr.(j) <- x
         done
       done;
-      let view = Policy_search.of_csr ~off ~nbr in
-      let rows = Policy_search.restrict view ~keep:(fun v -> roll (`Keep v) < pkeep) in
+      let all = Policy_search.of_csr ~off ~nbr in
+      let rows = Policy_search.restrict all ~keep:(fun v -> roll (`Keep v) < pkeep) in
       let kept = Policy_search.kept rows in
       (* Kept ADs are numbered in increasing order. *)
       let index = Array.make n (-1) and count = ref 0 in
@@ -819,9 +813,8 @@ let policy_search_restricted_rows =
       let refuses v = (not (kept v)) || roll (`Refuse v) < prefuse in
       let admit v p w = (not (refuses v)) && random_admit aseed pct v p w in
       let avoid = List.filter (fun v -> roll (`Avoid v) < 10) (List.init n Fun.id) in
-      let plain = Policy_search.scratch_for view and whole = Policy_search.scratch_for view in
-      let dense = Policy_search.scratch_for view and all = full view in
-      let ring = Dial.create () in
+      let plain = Policy_search.scratch () and whole = Policy_search.scratch () in
+      let dense = Policy_search.scratch () and ring = Dial.create () in
       let ok = ref (Policy_search.size rows = !count) in
       for dst = 0 to n - 1 do
         let label = Policy_search.lower_bound rows ring ~dst ~metric:base in
@@ -849,9 +842,10 @@ let policy_search_restricted_rows =
    a push keys the heap by (key, seq), seq counting up in the exact
    pass (FIFO ties) and down in the bound pass (LIFO ties), and an
    improved state has its key decreased. Same passes, cuts, avoid
-   marks and refusals as [Policy_search.search] over full rows. Returns
-   the outcome, the states settled and those the bound pass settled. *)
-let keyed_reference_search view ~n ~src ~dst ~avoid ?lower ~refuses ~metric ~admit () =
+   marks and refusals as [Policy_search.search] over full rows, walking
+   the CSR rows [off]/[nbr] (slot [k] is [nbr.(k)]) itself. Returns the
+   outcome, the states settled and those the bound pass settled. *)
+let keyed_reference_search (off, nbr) ~n ~src ~dst ~avoid ?lower ~refuses ~metric ~admit () =
   let states = n * (n + 1) and start = (src * (n + 1)) + n in
   let dist = Array.make states 0 and parent = Array.make states (-1) in
   let reached = Array.make states (-1) and q = Keyed.create ~capacity:states in
@@ -871,25 +865,27 @@ let keyed_reference_search view ~n ~src ~dst ~avoid ?lower ~refuses ~metric ~adm
       if at = dst then final := st
       else if st = start || not (refuses at) then begin
         let d = dist.(st) in
-        Policy_search.iter_row view at ~f:(fun w k ->
-            if w <> src && (w = dst || not (List.mem w avoid)) then begin
-              let c = metric at w k in
-              let st' = (w * (n + 1)) + at and d' = d + c in
-              if c >= 0 && (reached.(st') <> gen || d' < dist.(st')) then begin
-                let hw = match h with None -> 0 | Some h -> h.(w) in
-                if hw <> max_int && hw <= !cut - d' && (st = start || admit at from w) then begin
-                  let f = if astar then d' + hw else d' in
-                  if astar && w = dst then cut := d';
-                  reached.(st') <- gen;
-                  dist.(st') <- d';
-                  parent.(st') <- st;
-                  ignore
-                    (Keyed.insert_or_decrease q st'
-                       ~priority:((f lsl seq_bits) lor (!seq lxor tie)));
-                  incr seq
-                end
+        for k = off.(at) to off.(at + 1) - 1 do
+          let w = nbr.(k) in
+          if w <> src && (w = dst || not (List.mem w avoid)) then begin
+            let c = metric at w k in
+            let st' = (w * (n + 1)) + at and d' = d + c in
+            if c >= 0 && (reached.(st') <> gen || d' < dist.(st')) then begin
+              let hw = match h with None -> 0 | Some h -> h.(w) in
+              if hw <> max_int && hw <= !cut - d' && (st = start || admit at from w) then begin
+                let f = if astar then d' + hw else d' in
+                if astar && w = dst then cut := d';
+                reached.(st') <- gen;
+                dist.(st') <- d';
+                parent.(st') <- st;
+                ignore
+                  (Keyed.insert_or_decrease q st'
+                     ~priority:((f lsl seq_bits) lor (!seq lxor tie)));
+                incr seq
               end
-            end)
+            end
+          end
+        done
       end
     done;
     !final
@@ -926,7 +922,7 @@ let keyed_reference_search view ~n ~src ~dst ~avoid ?lower ~refuses ~metric ~adm
    crossing. Each (src, dst) pair is searched plain and with the label
    expanded to full rows, and over restricted rows with the label and
    without it, where they are the kept subgraph: the heap search's
-   over the view with every edge into or out of an unkept AD other
+   over the full rows with every edge into or out of an unkept AD other
    than src and dst unusable. The scratches are
    fresh per destination, so the ring grows again, and reused across
    its sources. *)
@@ -940,15 +936,15 @@ let policy_search_buckets_match_heap =
       let g = random_multigraph gseed in
       let n = Graph.n g in
       let roll x = Hashtbl.hash (gseed, aseed, c, x) mod 100 in
-      let view = Policy_search.of_graph g in
+      let all = Policy_search.of_graph g in
       let slots = Array.length (snd (Graph.unique_csr g)) in
       let base =
         Array.init slots (fun k ->
             Hashtbl.hash (gseed, aseed, k) mod if roll (`Wide k) < 20 then c + 1 else 4)
       in
       let metric v w k = if roll (`Down (v, w)) < 8 then -1 else base.(k) in
-      let rows = Policy_search.restrict view ~keep:(fun v -> roll (`Keep v) < pkeep) in
-      let kept = Policy_search.kept rows and all = full view in
+      let rows = Policy_search.restrict all ~keep:(fun v -> roll (`Keep v) < pkeep) in
+      let kept = Policy_search.kept rows in
       let refuses v = (not (kept v)) || roll (`Refuse v) < prefuse in
       let admit v p w = (not (refuses v)) && random_admit aseed pct v p w in
       let avoid = List.filter (fun v -> roll (`Avoid v) < 10) (List.init n Fun.id) in
@@ -973,11 +969,12 @@ let policy_search_buckets_match_heap =
         let lower =
           Array.init n (fun v -> if v = dst then 0 else if kept v then label.(index.(v)) else max_int)
         in
-        let plain = Policy_search.scratch_for view and whole = Policy_search.scratch_for view in
-        let dense = Policy_search.scratch_for view in
+        let plain = Policy_search.scratch () and whole = Policy_search.scratch () in
+        let dense = Policy_search.scratch () in
         for src = 0 to n - 1 do
           let reference ?lower ?(metric = metric) () =
-            keyed_reference_search view ~n ~src ~dst ~avoid ?lower ~refuses ~metric ~admit ()
+            keyed_reference_search (Graph.unique_csr g) ~n ~src ~dst ~avoid ?lower ~refuses ~metric
+              ~admit ()
           in
           agree plain (reference ())
             (Policy_search.search plain all ~src ~dst ~avoid ~metric ~admit ());
@@ -995,6 +992,81 @@ let policy_search_buckets_match_heap =
       done;
       !ok)
 
+(* Rows from [of_csr] on random symmetric adjacencies, isolated ADs
+   and shuffled rows included, and their [restrict] to a random keep
+   set, against the heap reference over the kept subgraph, which walks
+   the test's own CSR with every edge into or out of an unkept AD other
+   than src and dst unusable. Every (src, dst) pair is searched, so kept
+   and unkept srcs and dsts all occur: unbounded, and bounded by the
+   label over the kept rows (expanded to every AD for the full rows).
+   Route, [settled] and [bound_settled] must all agree. *)
+let policy_search_rows_match_kept_reference =
+  QCheck.Test.make ~name:"of_csr and restricted rows = reference over the kept subgraph"
+    ~count:300
+    QCheck.(quad small_int (int_range 1 12) (int_range 0 100) (int_range 0 100))
+    (fun (seed, n, pedge, pkeep) ->
+      let rng = Rng.create seed in
+      let roll x = Hashtbl.hash (seed, n, pedge, x) mod 100 in
+      let adj = Array.make n [] in
+      for u = 0 to n - 1 do
+        for v = u + 1 to n - 1 do
+          if roll (`Edge (u, v)) < pedge then begin
+            adj.(u) <- v :: adj.(u);
+            adj.(v) <- u :: adj.(v)
+          end
+        done
+      done;
+      let adj = Array.map (fun l -> Rng.shuffle_list rng l) adj in
+      let off = Array.make (n + 1) 0 in
+      Array.iteri (fun u l -> off.(u + 1) <- off.(u) + List.length l) adj;
+      let nbr = Array.of_list (List.concat (Array.to_list adj)) in
+      let full = Policy_search.of_csr ~off ~nbr in
+      let keep v = roll (`Keep v) < pkeep in
+      let rows = Policy_search.restrict full ~keep in
+      let index = Array.make n (-1) and count = ref 0 in
+      for v = 0 to n - 1 do
+        if keep v then begin
+          index.(v) <- !count;
+          incr count
+        end
+      done;
+      let base = Array.init (Array.length nbr) (fun k -> roll (`Cost k) mod 5) in
+      let metric v w k = if roll (`Down (v, w)) < 10 then -1 else base.(k) in
+      let refuses v = roll (`Refuse v) < 15 in
+      let admit v p w = (not (refuses v)) && random_admit seed 70 v p w in
+      let avoid = List.filter (fun v -> roll (`Avoid v) < 10) (List.init n Fun.id) in
+      let ring = Dial.create () and s = Policy_search.scratch () and ok = ref true in
+      let agree (outcome, work, bound_work) got =
+        if
+          got <> outcome
+          || Policy_search.settled s <> work
+          || Policy_search.bound_settled s <> bound_work
+        then ok := false
+      in
+      for dst = 0 to n - 1 do
+        let label = Policy_search.lower_bound rows ring ~dst ~metric:base in
+        let lower =
+          Array.init n (fun v -> if v = dst then 0 else if keep v then label.(index.(v)) else max_int)
+        in
+        for src = 0 to n - 1 do
+          let inside v = keep v || v = src || v = dst in
+          let kept_only v w k = if inside v && inside w then metric v w k else -1 in
+          let reference ?lower () =
+            keyed_reference_search (off, nbr) ~n ~src ~dst ~avoid ?lower ~refuses ~metric:kept_only
+              ~admit ()
+          in
+          let search r ?lower metric =
+            Policy_search.search s r ~src ~dst ~avoid ?lower ~refuses ~metric ~admit ()
+          in
+          let plain = reference () and bounded = reference ~lower () in
+          agree plain (search full kept_only);
+          agree plain (search rows metric);
+          agree bounded (search full ~lower kept_only);
+          agree bounded (search rows ~lower:label metric)
+        done
+      done;
+      !ok)
+
 (* Labels against a plain Bellman-Ford kept here, off the queue: per
    kept AD, the least metric of a walk to [dst] through kept ADs, an
    edge priced by the slot of the AD it leaves. [dst] is kept or not;
@@ -1008,7 +1080,7 @@ let lower_bound_matches_bellman_ford =
     (fun (gseed, c, pkeep, pzero) ->
       let g = random_multigraph gseed in
       let n = Graph.n g in
-      let view = Policy_search.of_graph g in
+      let all = Policy_search.of_graph g in
       let off, nbr = Graph.unique_csr g in
       let roll x = Hashtbl.hash (gseed, c, pkeep, x) mod 100 in
       let metric =
@@ -1016,7 +1088,7 @@ let lower_bound_matches_bellman_ford =
             if roll (`Zero k) < pzero then 0 else Hashtbl.hash (gseed, k) mod (c + 1))
       in
       let keep v = roll (`Keep v) < pkeep in
-      let rows = Policy_search.restrict view ~keep in
+      let rows = Policy_search.restrict all ~keep in
       let ads = List.filter keep (List.init n Fun.id) in
       let ring = Dial.create () and last = ref [||] in
       List.for_all
@@ -1047,7 +1119,7 @@ let lower_bound_matches_bellman_ford =
         (List.init n Fun.id))
 
 (* The label cache builds into the arrays of the labels it evicts, and
-   a join rebuilds the dense view. Under any sequence of requests and
+   a join rebuilds the rows. Under any sequence of requests and
    joins, every label it returns is a fresh [lower_bound] over the
    rows of the ADs kept so far. *)
 let policy_search_labels_recycle =
@@ -1056,9 +1128,9 @@ let policy_search_labels_recycle =
     (fun (gseed, capacity, pkeep) ->
       let g = random_multigraph gseed in
       let n = Graph.n g and rng = Rng.create gseed in
-      let view = Policy_search.of_graph g in
+      let all = Policy_search.of_graph g in
       let keep v = Hashtbl.hash (gseed, v) mod 100 < pkeep in
-      let labels = Policy_search.labels (Policy_search.restrict view ~keep) ~capacity in
+      let labels = Policy_search.labels (Policy_search.restrict all ~keep) ~capacity in
       let kept = Array.init n keep in
       let metric = Array.init (Array.length (snd (Graph.unique_csr g))) (Graph.slot_cost g) in
       let ring = Dial.create () and ok = ref true in
@@ -1071,7 +1143,7 @@ let policy_search_labels_recycle =
         else begin
           let dst = Rng.int rng n in
           let got = Policy_search.label labels ~key:dst ~dst ~metric in
-          let rows = Policy_search.restrict view ~keep:(fun v -> kept.(v)) in
+          let rows = Policy_search.restrict all ~keep:(fun v -> kept.(v)) in
           if got <> Policy_search.lower_bound rows ring ~dst ~metric then ok := false;
           if Policy_search.carrying labels |> Policy_search.size <> Policy_search.size rows then
             ok := false
@@ -1083,8 +1155,10 @@ let policy_search_labels_recycle =
    it allocates a cache entry, not a label. *)
 let policy_search_label_builds_recycle () =
   let g = Generator.generate (Rng.create 1) (Generator.scaled ~target_ads:2000) in
-  let view = Policy_search.of_graph g in
-  let rows = Policy_search.restrict view ~keep:(fun v -> Ad.is_transit_capable (Graph.ad g v)) in
+  let rows =
+    Policy_search.restrict (Policy_search.of_graph g) ~keep:(fun v ->
+        Ad.is_transit_capable (Graph.ad g v))
+  in
   let labels = Policy_search.labels rows ~capacity:4 in
   let metric = Array.init (Array.length (snd (Graph.unique_csr g))) (Graph.slot_cost g) in
   for dst = 0 to 3 do
@@ -1110,8 +1184,7 @@ let policy_search_basics () =
   in
   let link id a b cost = Link.make ~id ~a ~b ~cost Link.Lateral in
   let g = Graph.create ads [| link 0 0 1 1; link 1 1 2 1; link 2 0 2 5; link 3 2 3 1 |] in
-  let view = Policy_search.of_graph g in
-  let scratch = Policy_search.scratch_for view and whole = full view in
+  let whole = Policy_search.of_graph g and scratch = Policy_search.scratch () in
   let metric _ _ k = Graph.slot_cost g k in
   let search ?avoid ~admit src dst =
     Policy_search.search scratch whole ~src ~dst ?avoid ~metric ~admit ()
@@ -1158,7 +1231,7 @@ let policy_search_basics () =
   let slot_cost = Array.init 8 (Graph.slot_cost g) in
   List.iter
     (fun keep ->
-      let rows = Policy_search.restrict view ~keep in
+      let rows = Policy_search.restrict whole ~keep in
       let ring = Dial.create () in
       let lower dst = Policy_search.lower_bound rows ring ~dst ~metric:slot_cost in
       check_bool "a refusing src still relaxes (bounded)" true
@@ -1235,6 +1308,7 @@ let () =
               policy_search_bounded_matches_unbounded;
               policy_search_restricted_rows;
               policy_search_buckets_match_heap;
+              policy_search_rows_match_kept_reference;
               lower_bound_matches_bellman_ford;
               policy_search_labels_recycle;
             ] );
