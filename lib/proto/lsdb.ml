@@ -35,7 +35,7 @@ type search = {
   metrics : int array option array;  (* by Qos.index *)
 }
 
-(* The last view built by any database of a family, with the store it
+(* The last rows built by any database of a family, with the store it
    was built from. One per flood: shared by every sibling, never
    global. *)
 type cache = {

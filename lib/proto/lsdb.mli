@@ -47,8 +47,8 @@ val create : n:int -> t
 
 val sibling : t -> t
 (** An empty database of the same size that shares its argument's
-    search-view cache: the databases of one flood are siblings, so a
-    view built for one is reused by every other holding the same
+    search-view cache: the databases of one flood are siblings, so the
+    rows built for one are reused by every other holding the same
     records. *)
 
 val insert : t -> lsa -> bool
@@ -99,7 +99,7 @@ val search_view :
     built on first use, each class's metrics on the first search under
     that class; all are kept until the next accepted {!insert}.
 
-    Siblings share views: a database whose store holds, slot for slot,
+    Siblings share rows: a database whose store holds, slot for slot,
     the physically same LSA records as the one the family's last rows
     were built from reuses those rows (and their metrics) instead of
     building its own; any other content builds afresh and replaces the

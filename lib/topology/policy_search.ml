@@ -226,15 +226,15 @@ let label_builds l = l.builds
 let label_evictions l = Lru.evictions l.cache
 
 (* A search walks the nodes and states of rows [r], and an unkept src
-   or dst attaches per search: state [first] is at src; when src is not
-   kept, its entries x in [0, src_len) list the slots of src's row to
-   kept ADs (state [first] + 1 + x) and to dst; when dst is not kept, it
-   is node [size r], every state from [dst_base] on is at dst, and each
-   kept neighbor's slot to dst is one more entry, which a copy of that
-   neighbor's row takes at its place in slot order, found through
-   [dst_mark]/[dst_ix]. Entries are laid out as slots are, in [xe], the
-   twin word holding the state the entry reaches. On full rows nothing
-   attaches. *)
+   or dst attaches per search: state [first], past the rows' slots, is
+   at src; when src is not kept, its entries x in [0, src_len) list the
+   slots of src's row to kept ADs (state [first] + 1 + x) and to dst;
+   when dst is not kept, it is node [size r], every state from
+   [dst_base] on is at dst, and each kept neighbor's slot to dst is one
+   more entry, which a copy of that neighbor's row takes at its place
+   in slot order, found through [dst_mark]/[dst_ix]. Entries are laid
+   out as slots are, in [xe], the twin word holding the state the entry
+   reaches. On full rows nothing attaches. *)
 type scratch = {
   mutable dist : int array;
   mutable parent : int array;
@@ -248,7 +248,6 @@ type scratch = {
   mutable xe : int array;
   mutable src_node : int;  (* -1 when src is not kept *)
   mutable dst_node : int;
-  mutable first : int;
   mutable src_len : int;
   mutable dst_base : int;
   mutable gen : int;  (* bumped per pass: stamps [reached], [on_path] *)
@@ -280,7 +279,6 @@ let scratch () =
     xe = [||];
     src_node = 0;
     dst_node = 0;
-    first = 0;
     src_len = 0;
     dst_base = max_int;
     gen = 0;
@@ -348,7 +346,7 @@ let pass s (r : rows) ~src ~dst ~metric ~admit ~refuses ~h ~astar ~cut =
   let bounded = Array.length h > 0 and gen = s.gen in
   let dist = s.dist and parent = s.parent and reached = s.reached and avoided = s.avoided in
   let src_node = s.src_node and dst_node = s.dst_node in
-  let first = s.first and dst_base = s.dst_base and xe = s.xe in
+  let first = Array.length edge / 4 and dst_base = s.dst_base and xe = s.xe in
   let dst_mark = s.dst_mark and touch = s.touch in
   let refusing = refuses != never in
   let final = ref (-1) and cut = ref cut in
@@ -419,57 +417,60 @@ let pass s (r : rows) ~src ~dst ~metric ~admit ~refuses ~h ~astar ~cut =
   done;
   !final
 
+let rec mark_avoided s n = function
+  | [] -> ()
+  | a :: rest ->
+      if a >= 0 && a < n then s.avoided.(a) <- s.touch;
+      mark_avoided s n rest
+
 (* Attach an unkept src and dst to the rows (see [scratch]) and stamp
-   the avoided ADs. *)
+   the avoided ADs; it runs on every search, so it makes no closure. *)
 let attach s r ~src ~dst ~avoid =
   let f = r.full and first = Array.length r.edge / 4 in
   let src_node = node r src and dst_node = if kept r dst then node r dst else size r in
-  let deg u = f.off.(u + 1) - f.off.(u) in
+  let deg_src = f.off.(src + 1) - f.off.(src) and deg_dst = f.off.(dst + 1) - f.off.(dst) in
   let merged = ref 0 in
   if not (kept r dst) then
     for j = f.off.(dst) to f.off.(dst + 1) - 1 do
       let a = node r (ad_at f.edge j) in
       if a >= 0 then merged := !merged + r.off.(a + 1) - r.off.(a) + 1
     done;
-  begin_search s ~states:(first + 1 + deg src + deg dst) ~nodes:(size r + 1) ~ads:(size f)
-    ~entries:(deg src + !merged);
-  let dst_base = if src_node < 0 then first + 1 + deg src else first + 1 in
-  let e = ref 0 in
-  let put ~node ~state ~slot ~ad =
-    set s.xe !e ~node ~twin:state ~slot ~ad;
-    incr e
-  in
-  let copy lo hi =
-    Array.blit r.edge (4 * lo) s.xe (4 * !e) (4 * (hi - lo));
-    e := !e + hi - lo
-  in
+  begin_search s ~states:(first + 1 + deg_src + deg_dst) ~nodes:(size r + 1) ~ads:(size f)
+    ~entries:(deg_src + !merged);
+  let dst_base = if src_node < 0 then first + 1 + deg_src else first + 1 in
+  let xe = s.xe and e = ref 0 in
   if src_node < 0 then
     for k = f.off.(src) to f.off.(src + 1) - 1 do
       let w = ad_at f.edge k in
-      if kept r w then put ~node:(node r w) ~state:(first + 1 + !e) ~slot:k ~ad:w
-      else if w = dst then
-        put ~node:dst_node ~state:(dst_base + twin_at f.edge k - f.off.(dst)) ~slot:k ~ad:w
+      let a = node r w in
+      if a >= 0 || w = dst then begin
+        let state = if a >= 0 then first + 1 + !e else dst_base + twin_at f.edge k - f.off.(dst) in
+        set xe !e ~node:(if a >= 0 then a else dst_node) ~twin:state ~slot:k ~ad:w;
+        incr e
+      end
     done;
   s.src_len <- !e;
   if not (kept r dst) then
     for j = f.off.(dst) to f.off.(dst + 1) - 1 do
       let a = node r (ad_at f.edge j) in
       if a >= 0 then begin
-        let k = twin_at f.edge j and split = ref r.off.(a) in
-        while !split < r.off.(a + 1) && slot_at r.edge !split < k do
+        let k = twin_at f.edge j and lo = r.off.(a) and hi = r.off.(a + 1) in
+        let split = ref lo in
+        while !split < hi && slot_at r.edge !split < k do
           incr split
         done;
         s.dst_mark.(a) <- s.touch;
         s.dst_ix.(a) <- !e;
-        copy r.off.(a) !split;
-        put ~node:dst_node ~state:(dst_base + j - f.off.(dst)) ~slot:k ~ad:dst;
-        copy !split r.off.(a + 1)
+        Array.blit r.edge (4 * lo) xe (4 * !e) (4 * (!split - lo));
+        e := !e + !split - lo;
+        set xe !e ~node:dst_node ~twin:(dst_base + j - f.off.(dst)) ~slot:k ~ad:dst;
+        Array.blit r.edge (4 * !split) xe (4 * (!e + 1)) (4 * (hi - !split));
+        e := !e + 1 + hi - !split
       end
     done;
-  List.iter (fun a -> if a >= 0 && a < size f then s.avoided.(a) <- s.touch) avoid;
+  mark_avoided s (size f) avoid;
   s.src_node <- src_node;
   s.dst_node <- dst_node;
-  s.first <- first;
   s.dst_base <- dst_base
 
 let search s rows ~src ~dst ?(avoid = []) ?lower ?(refuses = never) ~metric ~admit () =
@@ -495,7 +496,7 @@ let search s rows ~src ~dst ?(avoid = []) ?lower ?(refuses = never) ~metric ~adm
     in
     if final < 0 then Unreachable
     else begin
-      let gen = s.gen and first = s.first in
+      let gen = s.gen and first = Array.length rows.edge / 4 in
       let path = ref [] and simple = ref true and st = ref final in
       while !st >= 0 do
         let ad =
