@@ -6,8 +6,9 @@
    with the same layer, kernel and config, whose exact fields match
    and whose band fields stay within Gate.default_tolerance.
 
-   Exit codes: 0 ok, 1 a baseline row is missing or out of tolerance,
-   2 usage or a malformed document (one line on stderr). *)
+   Exit codes: 0 ok, 1 a baseline row is missing or out of tolerance
+   (each missing row and failed field named on stderr), 2 usage or a
+   malformed document (one line on stderr). *)
 
 module Gate = Pr_telemetry.Gate
 
@@ -24,20 +25,15 @@ let gate ~baseline ~current =
       (fun failed (b : Gate.row) ->
         match List.find_opt (Gate.same_key b) cur_rows with
         | None ->
-          Printf.printf "%s: no row for %s\n" current (Gate.describe b);
+          Printf.eprintf "%s: no row for %s\n" current (Gate.describe b);
           failed + 1
         | Some c ->
-          let bad =
-            Gate.failures
-              (Gate.compare_row ~tolerance:Gate.default_tolerance ~baseline:b ~current:c)
-          in
-          if bad <> [] then Printf.printf "%s:\n" (Gate.describe b);
-          List.iter (Format.printf "  %a@." Gate.pp_outcome) bad;
-          failed + List.length bad)
+          failed
+          + Gate.report_failures ~tolerance:Gate.default_tolerance ~baseline:b ~current:c)
       0 base_rows
   in
   if failed > 0 then begin
-    Printf.printf "bench_check: FAIL (%d field(s) or row(s) off %s)\n" failed baseline;
+    Printf.eprintf "bench_check: FAIL (%d field(s) or row(s) off %s)\n" failed baseline;
     exit 1
   end;
   Printf.printf "bench_check: %s: %d row(s) within tolerance of %s\n" current

@@ -39,6 +39,7 @@ module Scenario = Pr_core.Scenario
 module Experiment = Pr_core.Experiment
 module Design_space = Pr_core.Design_space
 module Gate = Pr_telemetry.Gate
+module Timing = Pr_telemetry.Timing
 
 let section title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '#')
@@ -1380,49 +1381,9 @@ let synth_arg prefix =
            Some (String.sub a (String.length prefix) (String.length a - String.length prefix))
          else None)
 
-(* Shared timing harness for the scaling benchmarks below: warm up,
-   settle the heap, then take the best of several short batches — the
-   minimum is the standard noise-robust estimator for a deterministic
-   kernel (scheduler preemption, GC, and host frequency dips only ever
-   inflate a batch). [ops] is how many logical operations one call of
-   [f] performs. *)
-let batch_ns_per ~ops f =
-  let reps = ref 0 in
-  let elapsed = ref 0.0 in
-  let t0 = Sys.time () in
-  while !reps < 2 || (!elapsed < 0.05 && !reps < 100) do
-    f ();
-    incr reps;
-    elapsed := Sys.time () -. t0
-  done;
-  !elapsed *. 1e9 /. (float_of_int !reps *. float_of_int ops)
-
-let time_ns_per ~ops f =
-  f () (* warm-up *);
-  Gc.full_major ();
-  let best = ref infinity in
-  for _batch = 1 to 5 do
-    let per = batch_ns_per ~ops f in
-    if per < !best then best := per
-  done;
-  !best
-
-(* Comparative form: interleave the two variants' batches (A B A B …)
-   so both sample the same noise profile — on a shared host, sustained
-   interference would otherwise land entirely on whichever variant ran
-   second and invert the ratio. *)
-let time_pair_ns_per ~ops fa fb =
-  fa ();
-  fb () (* warm-up both *);
-  Gc.full_major ();
-  let best_a = ref infinity and best_b = ref infinity in
-  for _round = 1 to 6 do
-    let a = batch_ns_per ~ops fa in
-    if a < !best_a then best_a := a;
-    let b = batch_ns_per ~ops fb in
-    if b < !best_b then best_b := b
-  done;
-  (!best_a, !best_b)
+(* The scaling benchmarks below time each kernel with
+   [Pr_telemetry.Timing] (least of several batches); [ops] is how many
+   logical operations one call of a timed thunk performs. *)
 
 (* Spf-tree scaling measurement: min-of-batches timing like every
    other kernel here, plus one counted pass outside the timed loop for
@@ -1434,7 +1395,7 @@ let synth_measure g =
   let run_once () = List.iter (fun src -> ignore (Spf.tree g ~src)) sources in
   let reps = ref 0 in
   let ns =
-    time_ns_per ~ops:k (fun () ->
+    Timing.ns_per ~ops:k (fun () ->
         incr reps;
         run_once ())
   in
@@ -1468,7 +1429,7 @@ let label_measure g =
       0 dsts
   in
   let build_all () = List.iter (fun dst -> ignore (build dst)) dsts in
-  let ns = time_ns_per ~ops:label_dsts build_all in
+  let ns = Timing.ns_per ~ops:label_dsts build_all in
   let words = Pr_telemetry.Alloc.words_per ~ops:label_dsts build_all in
   (settled, ns, words)
 
@@ -1522,7 +1483,7 @@ let engine_measure ?plan () =
   in
   run_all ();
   let ev = !events and msgs = !messages in
-  let ns = time_ns_per ~ops:ev run_all in
+  let ns = Timing.ns_per ~ops:ev run_all in
   let words = Pr_telemetry.Alloc.words_per ~ops:ev run_all in
   (ev, msgs, ns, words)
 
@@ -1614,7 +1575,7 @@ let policy_synth_measure (scenario : Scenario.t) =
     Pr_telemetry.Alloc.words (fun () -> ignore (Pr_proto.Lsdb.search_view fresh Qos.Default))
   in
   let interp_ns, compiled_ns =
-    time_pair_ns_per ~ops:(List.length flows)
+    Timing.pair_ns_per ~ops:(List.length flows)
       (synthesize_all interpreted_route) (synthesize_all compiled_route)
   in
   (List.length flows, states, int_of_float build_words, interp_ns, compiled_ns)
@@ -1641,7 +1602,7 @@ let oracle_measure (scenario : Scenario.t) =
   let states = Validate.searched_states () - before in
   let tally f = List.length (List.filter f classes) in
   let ns =
-    time_ns_per ~ops:oracle_flows (fun () -> List.iter (fun f -> ignore (classify f)) flows)
+    Timing.ns_per ~ops:oracle_flows (fun () -> List.iter (fun f -> ignore (classify f)) flows)
   in
   (tally fst, tally snd, states, ns)
 
@@ -1715,7 +1676,7 @@ let delta_measure target =
       then failwith "delta_measure: incremental and full SPF disagree")
     trees sources;
   let ops = srcs * toggles * 2 in
-  let full_ns, incr_ns = time_pair_ns_per ~ops full_arm incr_arm in
+  let full_ns, incr_ns = Timing.pair_ns_per ~ops full_arm incr_arm in
   (* Hierarchical synthesis on the same internet: cluster-level routes
      stitched through border ADs, stretch measured against exact
      shortest paths from a few sampled sources. *)
@@ -1742,7 +1703,7 @@ let delta_measure target =
         pairs)
     hsrcs;
   let route_ns =
-    time_ns_per ~ops:(List.length pairs) (fun () ->
+    Timing.ns_per ~ops:(List.length pairs) (fun () ->
         List.iter (fun (src, dst) -> ignore (Hierarchy.route h ~src ~dst)) pairs)
   in
   let table_total = ref 0 in
@@ -2272,11 +2233,11 @@ let padmit () =
     failwith "padmit: admission variants disagree";
   if count_diagram () <> admitted || count_diagram_entry () <> admitted then
     failwith "padmit: decision diagram disagrees with the term engines";
-  let interp_ns = time_ns_per ~ops (fun () -> ignore (count_interpreted ())) in
-  let compiled_ns = time_ns_per ~ops (fun () -> ignore (count_compiled ())) in
-  let spec_ns = time_ns_per ~ops (fun () -> ignore (count_engine ())) in
-  let diagram_ns = time_ns_per ~ops (fun () -> ignore (count_diagram ())) in
-  let diagram_entry_ns = time_ns_per ~ops (fun () -> ignore (count_diagram_entry ())) in
+  let interp_ns = Timing.ns_per ~ops (fun () -> ignore (count_interpreted ())) in
+  let compiled_ns = Timing.ns_per ~ops (fun () -> ignore (count_compiled ())) in
+  let spec_ns = Timing.ns_per ~ops (fun () -> ignore (count_engine ())) in
+  let diagram_ns = Timing.ns_per ~ops (fun () -> ignore (count_diagram ())) in
+  let diagram_entry_ns = Timing.ns_per ~ops (fun () -> ignore (count_diagram_entry ())) in
   let t =
     Texttable.create
       ~columns:

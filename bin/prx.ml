@@ -1148,14 +1148,13 @@ let bench_cmd =
             Printf.printf "re-running size %d (seed %d, plan %s)...\n%!" ads cfg.Daemon.seed
               cfg.Daemon.plan_name;
             let current = Daemon.row (Daemon.run cfg) in
-            let bad = Gate.failures (Gate.compare_row ~tolerance ~baseline:row ~current) in
-            List.iter (Format.printf "  %a@." Gate.pp_outcome) bad;
-            Printf.printf "  size %d: %d field(s) out of tolerance\n" ads (List.length bad);
-            failed + List.length bad)
+            let bad = Gate.report_failures ~tolerance ~baseline:row ~current in
+            Printf.printf "  size %d: %d field(s) out of tolerance\n" ads bad;
+            failed + bad)
           0 chosen
       in
       if failed > 0 then begin
-        Printf.printf "bench diff: FAIL (%d field(s) out of tolerance vs %s)\n" failed baseline;
+        Printf.eprintf "bench diff: FAIL (%d field(s) out of tolerance vs %s)\n" failed baseline;
         exit 1
       end;
       Printf.printf "bench diff: ok (%d row(s) within tolerance of %s)\n" (List.length chosen)

@@ -121,22 +121,3 @@ let advertisement_bytes t =
   8
   + (2 * (pred_size t.sources + pred_size t.destinations + pred_size t.prev_hops
          + pred_size t.next_hops))
-
-let pp_ids ppf ids =
-  Format.pp_print_list
-    ~pp_sep:(fun ppf () -> Format.pp_print_char ppf ',')
-    Format.pp_print_int ppf (Array.to_list ids)
-
-let pp_pred ppf = function
-  | Any -> Format.pp_print_string ppf "any"
-  | Only ids -> Format.fprintf ppf "only{%a}" pp_ids ids
-  | Except ids -> Format.fprintf ppf "except{%a}" pp_ids ids
-
-let pp ppf t =
-  Format.fprintf ppf "PT[ad %d: src=%a dst=%a prev=%a next=%a qos=%d uci=%d%s%s]" t.owner
-    pp_pred t.sources pp_pred t.destinations pp_pred t.prev_hops pp_pred t.next_hops
-    (List.length t.qos) (List.length t.ucis)
-    (match t.hours with
-    | None -> ""
-    | Some (a, b) -> Printf.sprintf " hours=%d-%d" a b)
-    (if t.auth_required then " auth" else "")

@@ -79,5 +79,3 @@ val advertisement_bytes : t -> int
 (** Size of this PT in a link-state advertisement under the byte model
     of {!Pr_proto.Cost_model} (fixed header plus 2 bytes per carried
     AD id). *)
-
-val pp : Format.formatter -> t -> unit

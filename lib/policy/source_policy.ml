@@ -44,10 +44,3 @@ let best t g paths =
   match List.sort compare scored with
   | [] -> None
   | (_, p) :: _ -> Some p
-
-let pp ppf t =
-  Format.fprintf ppf "src-policy(ad %d, avoid %d, prefer %d%s)" t.owner
-    (List.length t.avoid) (List.length t.prefer)
-    (match t.max_hops with
-    | None -> ""
-    | Some h -> Printf.sprintf ", max %d hops" h)

@@ -37,5 +37,3 @@ val score : t -> Pr_topology.Graph.t -> Pr_topology.Path.t -> float
 val best : t -> Pr_topology.Graph.t -> Pr_topology.Path.t list -> Pr_topology.Path.t option
 (** Minimum-score permitted path; deterministic tie-break on the path
     itself. *)
-
-val pp : Format.formatter -> t -> unit

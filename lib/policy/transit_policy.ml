@@ -22,6 +22,3 @@ let admitting_term t ctx = List.find_opt (fun term -> Policy_term.admits term ct
 let term_count t = List.length t.terms
 
 let advertisement_bytes t = t.bytes
-
-let pp ppf t =
-  Format.fprintf ppf "policy(ad %d, %d terms)" t.owner (List.length t.terms)

@@ -33,5 +33,3 @@ val advertisement_bytes : t -> int
 (** Total bytes to advertise every PT of this AD. O(1): the sum is
     computed once when the policy is built, not re-folded per
     advertisement. *)
-
-val pp : Format.formatter -> t -> unit

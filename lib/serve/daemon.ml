@@ -21,6 +21,7 @@ module Hist = Pr_telemetry.Hist
 module Reg = Pr_telemetry.Registry
 module Trace = Pr_obs.Trace
 module Alloc = Pr_telemetry.Alloc
+module Timing = Pr_telemetry.Timing
 module Gate = Pr_telemetry.Gate
 
 type config = {
@@ -99,29 +100,6 @@ type report = {
   exact_latencies : float list;
 }
 
-let now_ns () = Int64.to_float (Monotonic_clock.now ())
-
-(* Min-of-batches wall-clock timing (the bench/main.ml estimator, on
-   the monotonic clock): preemption and GC only ever inflate a batch,
-   so the minimum is the noise-robust per-op figure. *)
-let time_ns_per ~ops f =
-  f ();
-  Gc.full_major ();
-  let best = ref infinity in
-  for _batch = 1 to 5 do
-    let reps = ref 0 in
-    let t0 = now_ns () in
-    let elapsed = ref 0.0 in
-    while !reps < 2 || (!elapsed < 2e7 && !reps < 100) do
-      f ();
-      incr reps;
-      elapsed := now_ns () -. t0
-    done;
-    let per = !elapsed /. (float_of_int !reps *. float_of_int ops) in
-    if per < !best then best := per
-  done;
-  !best
-
 (* One admission probe: an interior crossing some answered route made. *)
 type probe = { p_ad : int; p_flow : Flow.t; p_prev : int; p_next : int }
 
@@ -151,13 +129,13 @@ let run cfg =
   Network.set_link_handler net (fun ~at ~link ~up ->
       let l = Graph.link graph link in
       Guard.observe_link guard ~at ~nbr:(Pr_topology.Link.other_end l at) ~up);
-  let t0_build = now_ns () in
+  let t0_build = Timing.now_ns () in
   let serve =
     Serve.create ~route_capacity:(Some cfg.route_capacity)
       ~handle_capacity:(Some cfg.handle_capacity)
       ~link_up:(Network.link_is_up net) ~node_up:(Network.node_is_up net) graph store
   in
-  let build_ns = now_ns () -. t0_build in
+  let build_ns = Timing.now_ns () -. t0_build in
   let workload = Workload.create ~rng:(Rng.derive cfg.seed "serve-workload") graph in
   (* Ring of the most recently issued handles; data packets present a
      recency rank into it. *)
@@ -263,9 +241,9 @@ let run cfg =
           Reg.set stale_gauge age;
           snap
       | _ ->
-          let t0 = now_ns () in
+          let t0 = Timing.now_ns () in
           let changed = Serve.refresh serve ~now in
-          if changed > 0 then Hist.record rebuild_hist (now_ns () -. t0);
+          if changed > 0 then Hist.record rebuild_hist (Timing.now_ns () -. t0);
           let snap = Serve.snapshot serve in
           pinned := Some (snap, now);
           snap
@@ -283,9 +261,9 @@ let run cfg =
              server sheds to keep the cheap queries fast. *)
           if shedding && not (Serve.cache_ready serve ~snap flow) then incr queries_shed
           else begin
-            let t0 = now_ns () in
+            let t0 = Timing.now_ns () in
             let answer = Serve.query ~snap serve ~now flow in
-            let dt = now_ns () -. t0 in
+            let dt = Timing.now_ns () -. t0 in
             Hist.record lat_hist dt;
             if cfg.record_exact then exact_latencies := dt :: !exact_latencies;
             total_query_ns := !total_query_ns +. dt;
@@ -361,8 +339,8 @@ let run cfg =
           then incr sink
         done
       in
-      let d = time_ns_per ~ops diagram in
-      let s = time_ns_per ~ops spec in
+      let d = Timing.ns_per ~ops diagram in
+      let s = Timing.ns_per ~ops spec in
       (* Steady-state allocation of the diagram walk (shared GC
          accounting with bench/main.ml's synth section): the admit hot
          path is expected to be allocation-free. *)

@@ -70,14 +70,15 @@ val pending : t -> int
 
 val queue_cells : t -> int
 (** Queue cells the pending events take: one per {!schedule}d or
-    {!schedule_call}ed event, one per fan-out. Exported so that tests
-    can budget the queue's size; runs do not depend on it. *)
+    {!schedule_call}ed event, one per fan-out. Exported for a test
+    budget only: [test_faults] "one queue cell per broadcast" (25 000
+    cells at the peak of a 304-AD ORWG converge). *)
 
 val queue_census : t -> Pr_util.Pqueue.Calls.census
 (** The queue's heap entries, busy channels and the pending events
-    held in channel runs. Exported so that a test can pin that a
-    channel's pending events share one heap entry; runs do not depend
-    on it. It walks the queue. *)
+    held in channel runs. It walks the queue. Exported for a test
+    budget only: [test_faults] "one heap entry per busy channel" (at
+    most 64 pending events outside channel runs). *)
 
 type stop_reason =
   | Drained  (** no events left: the system has quiesced *)

@@ -2,7 +2,6 @@ module Graph = Pr_topology.Graph
 module Link = Pr_topology.Link
 module Rng = Pr_util.Rng
 module Trace = Pr_obs.Trace
-module Reg = Pr_telemetry.Registry
 
 (* Debug tracing: enable with Logs.Src.set_level Network.log_src
    (Some Logs.Debug) and a reporter. Off by default and free when
@@ -54,9 +53,6 @@ type 'msg t = {
      [fan_chunk] slots that starts there, built on the chunk's first
      fan-out; [unbuilt_fanout] until then. *)
   fanouts : (int -> 'msg -> unit) array;
-  (* Registry handles resolved once at creation. *)
-  m_sends : Reg.counter;
-  m_losses : Reg.counter;
 }
 
 let unbuilt _ = ()
@@ -82,8 +78,6 @@ let create engine graph metrics =
     deliverers = Array.make (2 * Graph.num_links graph) unbuilt;
     fans = Array.make (Graph.n graph) (-1);
     fanouts = Array.make (Array.length unbr) unbuilt_fanout;
-    m_sends = Reg.counter Reg.default "net.sends";
-    m_losses = Reg.counter Reg.default "net.losses";
   }
 
 let graph t = t.graph
@@ -134,14 +128,24 @@ let up_neighbors t x =
   iter_up_neighbors t x ~f:(fun v -> acc := v :: !acc);
   List.rev !acc
 
+(* The opt-in record of one send, or with [~lost] one loss, from [src]
+   to [dst]: an instant on the charged AD's track and a debug line. *)
+let[@inline] note t ~src ~dst ~bytes ~lost =
+  if Trace.enabled t.trace then
+    Trace.instant t.trace ~ts:(Engine.now t.engine) ~tid:(if lost then dst else src)
+      (if lost then "net.lost" else "net.send");
+  if debug_on () then
+    if lost then
+      Log.debug (fun m ->
+          m "t=%.1f message %d -> %d lost in flight" (Engine.now t.engine) src dst)
+    else
+      Log.debug (fun m ->
+          m "t=%.1f send %d -> %d (%d bytes)" (Engine.now t.engine) src dst bytes)
+
 let lose t ~src ~dst =
   (* Loss is charged to the receiver. *)
   Metrics.record_loss t.metrics dst;
-  Reg.inc t.m_losses;
-  if Trace.enabled t.trace then Trace.instant t.trace ~ts:(Engine.now t.engine) ~tid:dst "net.lost";
-  if debug_on () then
-    Log.debug (fun m ->
-        m "t=%.1f message %d -> %d lost in flight" (Engine.now t.engine) src dst)
+  note t ~src ~dst ~bytes:0 ~lost:true
 
 (* The deliverer of the directed link [l] from [src] to [dst]. *)
 let deliverer t (l : Link.t) ~src ~dst =
@@ -160,18 +164,10 @@ let deliverer t (l : Link.t) ~src ~dst =
     d
   end
 
-(* Record one send from [src] to [dst] in the trace and the debug log. *)
-let[@inline] note_send t ~src ~dst ~bytes =
-  if Trace.enabled t.trace then Trace.instant t.trace ~ts:(Engine.now t.engine) ~tid:src "net.send";
-  if debug_on () then
-    Log.debug (fun m ->
-        m "t=%.1f send %d -> %d (%d bytes)" (Engine.now t.engine) src dst bytes)
-
 (* Charge one send from [src] to [dst] and record it. *)
 let[@inline] charge t ~src ~dst ~bytes =
   Metrics.record_sends t.metrics src ~copies:1 ~bytes;
-  Reg.inc t.m_sends;
-  note_send t ~src ~dst ~bytes
+  note t ~src ~dst ~bytes ~lost:false
 
 (* The send path after the slot lookup, shared by {!send} and
    {!broadcast}: [lid] is the up link [slot_link] chose for [src]'s
@@ -267,7 +263,7 @@ let rec fan_out t ~src ~except ~filter ~bytes msg k0 hi =
     if dst <> except then begin
       let l = slot_link t k in
       if l >= 0 && filter dst then begin
-        note_send t ~src ~dst ~bytes;
+        note t ~src ~dst ~bytes ~lost:false;
         mask := !mask lor (1 lsl (k - k0));
         lid := l;
         incr copies
@@ -276,7 +272,6 @@ let rec fan_out t ~src ~except ~filter ~bytes msg k0 hi =
   done;
   if !mask <> 0 then begin
     Metrics.record_sends t.metrics src ~copies:!copies ~bytes;
-    Reg.add t.m_sends !copies;
     Engine.schedule_fanout t.engine
       ~delay:(Graph.link t.graph !lid).Link.delay
       (fanout t ~src ~k0) msg ~mask:!mask

@@ -89,10 +89,11 @@ val send :
     were transmitted). *)
 
 val charge : 'msg t -> src:Pr_topology.Ad.id -> dst:Pr_topology.Ad.id -> bytes:int -> unit
-(** Charge one message from [src] to [dst] as {!send} does (to
-    {!Metrics}, ["net.sends"] and a ["net.send"] instant) without
+(** Charge one message from [src] to [dst] as {!send} does, without
     carrying it: for exchanges a protocol counts but does not simulate,
-    such as a stub's route query to its route server and the reply. *)
+    such as a stub's route query to its route server and the reply.
+    It calls {!Metrics.record_sends}, which also counts ["net.sends"];
+    the ["net.send"] instant and the debug line stay opt-in. *)
 
 val broadcast :
   'msg t ->

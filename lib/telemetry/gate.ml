@@ -161,3 +161,9 @@ let pp_outcome ppf o =
     (if o.exact then "exact" else "band")
     (J.to_string o.baseline) (text o.current)
     (if o.ok then "ok" else if o.current = None then "FAIL (missing)" else "FAIL")
+
+let report_failures ~tolerance ~baseline ~current =
+  let bad = failures (compare_row ~tolerance ~baseline ~current) in
+  if bad <> [] then Printf.eprintf "%s:\n" (describe baseline);
+  List.iter (Format.eprintf "  %a@." pp_outcome) bad;
+  List.length bad

@@ -76,4 +76,7 @@ val compare_row : tolerance:float -> baseline:row -> current:row -> outcome list
 
 val failures : outcome list -> outcome list
 
-val pp_outcome : Format.formatter -> outcome -> unit
+val report_failures : tolerance:float -> baseline:row -> current:row -> int
+(** How many fields of [current] fail {!compare_row} against
+    [baseline]. Each failed field is written to stderr, under a line
+    that names the baseline row ({!describe}). *)

@@ -31,8 +31,4 @@ let level_rank = function
   | Metro -> 2
   | Campus -> 3
 
-let pp ppf t =
-  Format.fprintf ppf "%s#%d(%s/%s)" t.name t.id (klass_to_string t.klass)
-    (level_to_string t.level)
-
 let equal a b = a.id = b.id && a.name = b.name && a.klass = b.klass && a.level = b.level

@@ -39,6 +39,4 @@ val level_rank : level -> int
 (** 0 for [Backbone] growing downward to 3 for [Campus]; used to derive
     the provider/customer partial ordering. *)
 
-val pp : Format.formatter -> t -> unit
-
 val equal : t -> t -> bool

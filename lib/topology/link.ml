@@ -22,6 +22,3 @@ let kind_to_string = function
   | Hierarchical -> "hierarchical"
   | Lateral -> "lateral"
   | Bypass -> "bypass"
-
-let pp ppf t =
-  Format.fprintf ppf "link#%d %d--%d (%s, cost %d)" t.id t.a t.b (kind_to_string t.kind) t.cost

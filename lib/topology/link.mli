@@ -33,5 +33,3 @@ val connects : t -> Ad.id -> Ad.id -> bool
 (** True when the link joins the two given ADs, in either order. *)
 
 val kind_to_string : kind -> string
-
-val pp : Format.formatter -> t -> unit

@@ -88,15 +88,6 @@ let inter_into dst src =
     Bytes.set dst.words i (Char.chr b)
   done
 
-let disjoint a b =
-  same_capacity a b;
-  let result = ref true in
-  for i = 0 to Bytes.length a.words - 1 do
-    if Char.code (Bytes.get a.words i) land Char.code (Bytes.get b.words i) <> 0 then
-      result := false
-  done;
-  !result
-
 let subset a b =
   same_capacity a b;
   let result = ref true in

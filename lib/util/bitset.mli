@@ -41,8 +41,6 @@ val union_compl_into : t -> t -> unit
 val inter_into : t -> t -> unit
 (** [inter_into dst src] removes from [dst] everything not in [src]. *)
 
-val disjoint : t -> t -> bool
-
 val subset : t -> t -> bool
 (** [subset a b] is true when every member of [a] is in [b]. *)
 

@@ -32,8 +32,8 @@
     together, not only each on its own. *)
 
 val spare_capacity : unit -> int
-(** Value slots of the calling domain's spare storage. Exported so that
-    a test can pin the spare's bound; nothing else depends on it. *)
+(** Value slots of the calling domain's spare storage. Exported for a
+    test budget only: [test_util] "spare bound" (2{^16} slots). *)
 
 (** A queue of calls: the event list of a discrete-event simulator. An
     entry is a handler and its argument, kept side by side in one value
@@ -120,8 +120,8 @@ module Calls : sig
 
   val clear : t -> unit
   (** Remove every call, handing the storage on as a drain does.
-      Exported so that a test can empty a queue that holds channel
-      runs and refill it; nothing else depends on it. *)
+      Exported for tests only: the [test_util] models "pqueue storage
+      handover" and "channel runs" empty a queue and refill it. *)
 
   val run_top : t -> clock -> unit
   (** Set the clock to the next entry's priority and make its next

@@ -67,9 +67,6 @@ val choose_array : t -> 'a array -> 'a
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
 
-val shuffle_list : t -> 'a list -> 'a list
-(** Returns a shuffled copy of the list. *)
-
 val sample : t -> int -> 'a list -> 'a list
 (** [sample t k xs] draws [min k (length xs)] distinct elements of [xs],
     uniformly without replacement. *)

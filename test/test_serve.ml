@@ -879,8 +879,7 @@ let labels_exact_across_flips =
          detour is often the best route between them, and the labels
          toward them were built while it carried none. *)
       let stubs =
-        Array.of_list
-          (List.filteri (fun i _ -> i < 3) (Rng.shuffle_list rng (multihomed_ids g)))
+        Array.of_list (Rng.sample rng 3 (multihomed_ids g))
       in
       if Array.length stubs = 0 then QCheck.Test.fail_report "no multi-homed stub to flip";
       let near =

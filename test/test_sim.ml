@@ -317,6 +317,14 @@ let engine_empty_run () =
 
 (* --- Metrics ------------------------------------------------------- *)
 
+(* Metrics' per-AD column [name] ("bytes", "losses", ...), read from
+   its JSON document. *)
+let json_column m name =
+  let open Pr_util.Json in
+  match Option.map to_list (member name (Metrics.to_json m)) with
+  | Some (Ok l) -> List.map (fun v -> Result.get_ok (to_int v)) l
+  | _ -> Alcotest.fail ("no metrics column " ^ name)
+
 let metrics_counters () =
   let m = Metrics.create ~n:3 in
   Metrics.record_sends m 0 ~copies:1 ~bytes:100;
@@ -327,7 +335,7 @@ let metrics_counters () =
   check_int "bytes" 160 (Metrics.bytes m);
   check_int "computations" 5 (Metrics.computations m);
   check_int "per-node messages" 2 (Metrics.messages_of m 0);
-  check_int "per-node bytes" 10 (Metrics.bytes_of m 2);
+  check_int "per-node bytes" 10 (List.nth (json_column m "bytes") 2);
   check_int "per-node computations" 5 (Metrics.computations_of m 1)
 
 (* One recording operation on a 4-AD recorder: a send of [v] bytes,
@@ -364,9 +372,9 @@ let metrics_totals_sum_columns =
       let column f = List.init 4 (f m) in
       let total = List.fold_left ( + ) 0 in
       column Metrics.messages_of = msgs
-      && column Metrics.bytes_of = bytes
+      && json_column m "bytes" = bytes
       && column Metrics.computations_of = comps
-      && column Metrics.msgs_lost_of = lost
+      && json_column m "losses" = lost
       && Metrics.messages m = total msgs
       && Metrics.bytes m = total bytes
       && Metrics.computations m = total comps
@@ -696,6 +704,115 @@ let fanout_matches_per_copy =
           Logs.Src.set_level Network.log_src level;
           Logs.set_reporter reporter)
         (fun () -> run false = run true))
+
+(* Charged work agrees per AD at the network layer. Random scripts of
+   unicasts and floods land on random networks while link and node
+   flips take copies in flight; a delivery at the end of a flood
+   charges a reply it does not carry ({!Network.charge}). Each script
+   runs traced on the fan-out path (no interposer) and on the
+   per-copy path, where an interposer drops, duplicates and delays
+   copies. For each AD, Metrics' messages must equal the net.send
+   instants on its track and its losses the net.lost instants on its
+   track (a loss is charged to the receiver), and the registry's
+   net.sends and net.losses must gain the totals. *)
+type charge_step = Unicast of int | Broadcast of int * int | Link_flip of int | Node_flip of int
+
+let charges_agree_per_ad =
+  QCheck.Test.make ~name:"charged work agrees per AD: metrics, trace, registry" ~count:300
+    QCheck.small_nat
+    (fun seed ->
+      let rng = Rng.create seed in
+      let g = flood_graph rng in
+      let n = Graph.n g and links = Graph.num_links g in
+      let script =
+        List.init (1 + Rng.int rng 16) (fun _ ->
+            let at = float_of_int (Rng.int rng 40) /. 8.0 in
+            let step =
+              match Rng.int rng 5 with
+              | 0 when links > 0 -> Link_flip (Rng.int rng links)
+              | 1 -> Node_flip (Rng.int rng n)
+              | 2 -> Unicast (Rng.int rng n)
+              | _ -> Broadcast (Rng.int rng n, Rng.int rng 3)
+            in
+            (at, step))
+      in
+      let module Reg = Pr_telemetry.Registry in
+      let module Trace = Pr_obs.Trace in
+      let count name = Reg.count (Reg.counter Reg.default name) in
+      let run per_copy =
+        let trace = Trace.create () in
+        let e = Engine.create ~trace () in
+        let m = Metrics.create ~n in
+        let net = Network.create e g m in
+        let sends = count "net.sends" and losses = count "net.losses" in
+        if per_copy then begin
+          let k = ref 0 in
+          Network.set_delivery_interposer net ~copies:2
+            (Some
+               (fun ~src:_ ~dst ~slot:_ ~link ~extras ->
+                 incr k;
+                 match (dst + link + !k) mod 5 with
+                 | 0 -> 0
+                 | 1 ->
+                   Float.Array.set extras 0 0.0;
+                   Float.Array.set extras 1 0.5;
+                   2
+                 | 2 ->
+                   Float.Array.set extras 0 0.25;
+                   1
+                 | _ ->
+                   Float.Array.set extras 0 0.0;
+                   1))
+        end;
+        Network.set_message_handler net (fun ~at ~from ttl ->
+            if ttl > 0 then
+              Network.broadcast net ~src:at ~except:from ~filter:(fun _ -> true) ~bytes:8
+                (ttl - 1)
+            else Network.charge net ~src:at ~dst:from ~bytes:4);
+        List.iter
+          (fun (at, step) ->
+            Engine.schedule_at e ~time:at (fun () ->
+                match step with
+                | Unicast src ->
+                  List.iter
+                    (fun dst -> Network.send net ~src ~dst ~bytes:(12 + dst) 0)
+                    (Graph.neighbor_ids g src)
+                | Broadcast (src, ttl) ->
+                  Network.broadcast net ~src ~except:(-1) ~filter:(fun _ -> true) ~bytes:10 ttl
+                | Link_flip lid ->
+                  Network.set_link_state net lid ~up:(not (Network.link_is_up net lid))
+                | Node_flip ad ->
+                  Network.set_node_state net ad ~up:(not (Network.node_is_up net ad))))
+          script;
+        ignore (Engine.run e);
+        let sent = Array.make n 0 and lost = Array.make n 0 in
+        (match Pr_util.Json.member "traceEvents" (Trace.to_json trace) with
+        | Some (Pr_util.Json.List l) ->
+          List.iter
+            (fun ev ->
+              match (Pr_util.Json.string_member "name" ev, Pr_util.Json.int_member "tid" ev) with
+              | Ok "net.send", Ok tid -> sent.(tid) <- sent.(tid) + 1
+              | Ok "net.lost", Ok tid -> lost.(tid) <- lost.(tid) + 1
+              | _ -> ())
+            l
+        | _ -> QCheck.Test.fail_report "no traceEvents list");
+        let path = if per_copy then "per-copy" else "fan-out" in
+        if Trace.dropped trace > 0 then QCheck.Test.fail_reportf "%s: trace dropped events" path;
+        let losses_of = Array.of_list (json_column m "losses") in
+        for ad = 0 to n - 1 do
+          if Metrics.messages_of m ad <> sent.(ad) || losses_of.(ad) <> lost.(ad) then
+            QCheck.Test.fail_reportf "%s: AD %d: %d messages, %d net.send; %d losses, %d net.lost"
+              path ad (Metrics.messages_of m ad) sent.(ad) losses_of.(ad) lost.(ad)
+        done;
+        if count "net.sends" - sends <> Metrics.messages m then
+          QCheck.Test.fail_reportf "%s: net.sends gained %d for %d messages" path
+            (count "net.sends" - sends) (Metrics.messages m);
+        if count "net.losses" - losses <> Metrics.msgs_lost m then
+          QCheck.Test.fail_reportf "%s: net.losses gained %d for %d losses" path
+            (count "net.losses" - losses) (Metrics.msgs_lost m);
+        true
+      in
+      run false && run true)
 
 let network_up_neighbors () =
   let net, _, _, g = make_net () in
@@ -1036,6 +1153,7 @@ let () =
             [
               broadcast_matches_reference;
               fanout_matches_per_copy;
+              charges_agree_per_ad;
               channel_runs_match_per_message;
             ] );
       ( "virtual-gateway",

@@ -1016,7 +1016,8 @@ let policy_search_rows_match_kept_reference =
           end
         done
       done;
-      let adj = Array.map (fun l -> Rng.shuffle_list rng l) adj in
+      (* Each row in a random order: a sample of all its members. *)
+      let adj = Array.map (fun l -> Rng.sample rng (List.length l) l) adj in
       let off = Array.make (n + 1) 0 in
       Array.iteri (fun u l -> off.(u + 1) <- off.(u) + List.length l) adj;
       let nbr = Array.of_list (List.concat (Array.to_list adj)) in

@@ -100,8 +100,9 @@ let rng_shuffle_permutation =
     QCheck.(pair small_int (list small_int))
     (fun (seed, xs) ->
       let rng = Rng.create seed in
-      let shuffled = Rng.shuffle_list rng xs in
-      List.sort compare shuffled = List.sort compare xs)
+      let a = Array.of_list xs in
+      Rng.shuffle rng a;
+      List.sort compare (Array.to_list a) = List.sort compare xs)
 
 let rng_sample_distinct =
   QCheck.Test.make ~name:"sample draws distinct positions" ~count:200
@@ -702,7 +703,6 @@ let bitset_vs_reference =
       let members s = List.filter (Bitset.mem s) (List.init 64 Fun.id) in
       members u = List.sort_uniq compare (sa @ sb)
       && members i = List.filter (fun x -> List.mem x sb) sa
-      && Bitset.disjoint a b = (members i = [])
       && Bitset.subset i a)
 
 let bitset_equal_copy =
