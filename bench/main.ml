@@ -5,9 +5,7 @@
 
    Usage:
      dune exec bench/main.exe                 # all experiment tables
-     dune exec bench/main.exe -- t1 e2 e8     # a subset
-     dune exec bench/main.exe -- --bechamel   # also run Bechamel
-                                              # micro-benchmarks *)
+     dune exec bench/main.exe -- t1 e2 e8     # a subset *)
 
 module Rng = Pr_util.Rng
 module Stats = Pr_util.Stats
@@ -2107,14 +2105,15 @@ let synth () =
           faulted;
       ]
     in
-    let oc = open_out out in
-    output_string oc
-      (J.to_string_pretty
-         (Gate.document_json ~benchmark:"route_synthesis_scaling"
-            (spf @ labels @ policy @ oracle @ delta @ engines)));
-    output_char oc '\n';
-    close_out oc;
-    note "\nWrote %s\n" out
+    match
+      J.write_file ~pretty:true ~path:out
+        (Gate.document_json ~benchmark:"route_synthesis_scaling"
+           (spf @ labels @ policy @ oracle @ delta @ engines))
+    with
+    | Ok () -> note "\nWrote %s\n" out
+    | Error e ->
+      prerr_endline ("synth: " ^ e);
+      exit 2
   end
 
 (* ------------------------------------------------------------------ *)
@@ -2274,100 +2273,6 @@ let padmit () =
     (Pr_serve.Pdd.store_preds pdd_store)
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one kernel per exhibit                   *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel_benchmarks () =
-  section "Bechamel micro-benchmarks (one kernel per exhibit)";
-  let open Bechamel in
-  (* Prebuilt state shared by kernels. *)
-  let fig = Figure1.graph () in
-  let fig_config = Config.defaults fig in
-  let scenario = Scenario.hierarchical ~seed:7 () in
-  let g56 = scenario.Scenario.graph in
-  let mesh = Generator.random_mesh (Rng.create 1) ~n:24 ~extra_links:8 in
-  let tests =
-    [
-      Test.make ~name:"t1_design_space_render"
-        (Staged.stage (fun () -> ignore (Design_space.render ())));
-      Test.make ~name:"f1_figure1_build"
-        (Staged.stage (fun () -> ignore (Figure1.graph ())));
-      Test.make ~name:"e1_egp_converge_mesh24"
-        (Staged.stage (fun () ->
-             let module R = Runner.Make (Pr_egp.Egp) in
-             let r = R.setup mesh (Config.defaults mesh) in
-             ignore (R.converge r)));
-      Test.make ~name:"e2_dv_count_to_infinity"
-        (Staged.stage (fun () ->
-             let tri = count_to_infinity_graph () in
-             let module R = Runner.Make (Pr_dv.Dv.Plain) in
-             let r = R.setup tri (Config.defaults tri) in
-             ignore (R.converge r);
-             R.fail_link r 3;
-             ignore (R.converge r)));
-      Test.make ~name:"e3_embeddability_k100"
-        (Staged.stage (fun () ->
-             let rng = Rng.create 5 in
-             let cs =
-               List.init 100 (fun _ ->
-                   { Partial_order.above = Rng.int rng 50; below = Rng.int rng 49 + 1 })
-             in
-             ignore (Partial_order.embeddable ~n:50 cs)));
-      Test.make ~name:"e4_idrp_converge_figure1"
-        (Staged.stage (fun () ->
-             let module R = Runner.Make (Pr_idrp.Idrp.Standard) in
-             let r = R.setup fig fig_config in
-             ignore (R.converge r)));
-      Test.make ~name:"e5_lshbh_converge_figure1"
-        (Staged.stage (fun () ->
-             let module R = Runner.Make (Pr_lshbh.Lshbh) in
-             let r = R.setup fig fig_config in
-             ignore (R.converge r)));
-      Test.make ~name:"e6_orwg_flow_setup"
-        (Staged.stage (fun () ->
-             let module R = Runner.Make (Pr_orwg.Orwg.Orwg) in
-             let r = R.setup fig fig_config in
-             ignore (R.converge r);
-             ignore (R.send_flow r (Flow.make ~src:7 ~dst:12 ()))));
-      Test.make ~name:"e7_ls_flood_56"
-        (Staged.stage (fun () ->
-             let module R = Runner.Make (Pr_ls.Ls) in
-             let r = R.setup g56 (Config.defaults g56) in
-             ignore (R.converge r)));
-      Test.make ~name:"e8_generate_200_ads"
-        (Staged.stage (fun () ->
-             ignore (Generator.generate (Rng.create 3) (Generator.scaled ~target_ads:200))));
-      Test.make ~name:"e9_oracle_shortest_legal"
-        (Staged.stage (fun () ->
-             ignore (Validate.shortest_legal fig fig_config (Flow.make ~src:7 ~dst:12 ()) ())));
-      Test.make ~name:"e10_forwarding_walk"
-        (Staged.stage
-           (let module R = Runner.Make (Pr_dv.Dv.Plain) in
-            let r = R.setup fig fig_config in
-            ignore (R.converge r);
-            fun () -> ignore (R.send_flow r (Flow.make ~src:7 ~dst:12 ()))));
-    ]
-  in
-  let t =
-    Texttable.create ~columns:[ ("kernel", Texttable.Left); ("ns/run", Texttable.Right) ]
-  in
-  List.iter
-    (fun test ->
-      let instance = Toolkit.Instance.monotonic_clock in
-      let cfg = Benchmark.cfg ~limit:100 ~quota:(Time.second 0.25) () in
-      let raw = Benchmark.all cfg [ instance ] test in
-      let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-      let results = Analyze.all ols instance raw in
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some (est :: _) -> Texttable.add_row t [ name; Texttable.cell_float ~decimals:0 est ]
-          | _ -> Texttable.add_row t [ name; "n/a" ])
-        results)
-    tests;
-  Texttable.print t
-
-(* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -2398,7 +2303,6 @@ let experiments =
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
-  let want_bechamel = List.mem "--bechamel" args in
   let selected = List.filter (fun a -> not (String.starts_with ~prefix:"--" a)) args in
   let to_run =
     match selected with
@@ -2419,5 +2323,4 @@ let () =
   print_endline
     "Domain Routing Protocols\", SIGCOMM 1990. See EXPERIMENTS.md for the";
   print_endline "claim-by-claim comparison.";
-  List.iter (fun (_, f) -> f ()) to_run;
-  if want_bechamel then bechamel_benchmarks ()
+  List.iter (fun (_, f) -> f ()) to_run

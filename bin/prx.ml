@@ -55,6 +55,48 @@ let count_arg ~name ~default ~doc =
   let arg = Arg.(value & opt int default & info [ name ] ~docv:"N" ~doc) in
   Term.(const check $ arg)
 
+(* A library [Error] on an outside input or output is a usage error too. *)
+let or_usage = function Ok v -> v | Error e -> usage_error "%s" e
+
+(* The one design-point resolver: every registry protocol, and the
+   deliberately broken broken-ls. *)
+let design_point name = or_usage (Pr_faults.Chaos.find_protocol name)
+
+let design_point_arg ~doc =
+  let arg = Arg.(required & pos 0 (some string) None & info [] ~docv:"PROTOCOL" ~doc) in
+  Term.(const design_point $ arg)
+
+(* Every JSON file a subcommand writes goes through here. *)
+let write_json ?pretty path doc = or_usage (Pr_util.Json.write_file ?pretty ~path doc)
+
+(* The process telemetry registry, its GC gauges sampled first. *)
+let telemetry_snapshot () =
+  Pr_telemetry.Alloc.sample ();
+  Pr_telemetry.Registry.snapshot Pr_telemetry.Registry.default
+
+(* A failed run's flight recorder, with a telemetry snapshot. *)
+let write_post_mortem path ~reason =
+  let metrics = Pr_telemetry.Registry.snapshot_to_json (telemetry_snapshot ()) in
+  write_json path (Pr_obs.Trace.post_mortem Pr_obs.Trace.flight ~metrics ~reason);
+  Printf.printf "post-mortem: %s\n" path
+
+(* --plan, one grammar for chaos and serve: the plan as given (reports
+   name it so) and the parsed plan. *)
+let plan_arg ~doc =
+  let doc =
+    Printf.sprintf
+      "Fault plan: a profile name (%s), $(b,profile:)NAME, or a spec like \
+       \"delay:p=0.25,max=2,until=40;crash:at=14,down=8\". %s"
+      (String.concat ", " Pr_faults.Plan.profile_names)
+      doc
+  in
+  let parse spec =
+    match Pr_faults.Plan.of_string spec with
+    | Ok plan -> (spec, plan)
+    | Error e -> usage_error "bad --plan %S: %s\n%s" spec e Pr_faults.Plan.grammar_help
+  in
+  Term.(const parse $ Arg.(value & opt string "default" & info [ "plan" ] ~docv:"PLAN" ~doc))
+
 let check_restrictiveness r =
   if not (r >= 0.0 && r <= 1.0) then
     usage_error "--restrictiveness must be in [0, 1] (got %g)" r
@@ -70,20 +112,17 @@ let restrictiveness_arg =
   let arg = Arg.(value & opt float 0.3 & info [ "restrictiveness" ] ~docv:"R" ~doc) in
   Term.(const check $ arg)
 
+let granularity_conv =
+  Arg.enum
+    (List.map
+       (fun g -> (Pr_policy.Gen.granularity_to_string g, g))
+       Pr_policy.Gen.all_granularities)
+
 let granularity_arg =
   let doc = "Policy granularity: coarse, destination, source-specific or fine." in
-  let gran_conv =
-    Arg.enum
-      [
-        ("coarse", Pr_policy.Gen.Coarse);
-        ("destination", Pr_policy.Gen.Destination);
-        ("source-specific", Pr_policy.Gen.Source_specific);
-        ("fine", Pr_policy.Gen.Fine);
-      ]
-  in
   Arg.(
     value
-    & opt gran_conv Pr_policy.Gen.Source_specific
+    & opt granularity_conv Pr_policy.Gen.Source_specific
     & info [ "granularity" ] ~docv:"G" ~doc)
 
 let scenario_of ~seed ~size ~restrictiveness ~granularity =
@@ -123,11 +162,11 @@ let scenario_of_args ~seed ~size ~restrictiveness ~granularity ~load =
 let topology_cmd =
   let run () seed size save =
     let s = scenario_of ~seed ~size ~restrictiveness:0.3 ~granularity:Pr_policy.Gen.Source_specific in
-    (match save with
-    | Some path ->
-      Pr_core.Codec.save_file s ~path;
-      Format.printf "saved scenario to %s@." path
-    | None -> ());
+    Option.iter
+      (fun path ->
+        or_usage (Pr_core.Codec.save_file s ~path);
+        Format.printf "saved scenario to %s@." path)
+      save;
     let g = s.Pr_core.Scenario.graph in
     Format.printf "%a@." Pr_topology.Graph.pp_summary g;
     Format.printf "connected: %b, cyclic: %b@." (Pr_topology.Graph.is_connected g)
@@ -203,11 +242,8 @@ let oracle_cmd =
     let g = scenario.Pr_core.Scenario.graph in
     let config = scenario.Pr_core.Scenario.config in
     let n = Pr_topology.Graph.n g in
-    if src < 0 || src >= n || dst < 0 || dst >= n then begin
-      Printf.eprintf "prx: --src %d / --dst %d: the generated internet has ADs 0..%d\n" src
-        dst (n - 1);
-      exit 2
-    end;
+    if src < 0 || src >= n || dst < 0 || dst >= n then
+      usage_error "--src %d / --dst %d: the generated internet has ADs 0..%d" src dst (n - 1);
     let flow = Pr_policy.Flow.make ~src ~dst () in
     (match Pr_policy.Validate.best_legal g config flow ~max_hops:12 with
     | Some best ->
@@ -269,19 +305,14 @@ let impact_cmd =
 let conformance_cmd =
   let protocol_arg =
     let doc = "Protocol name (see `prx design-space`); default: all." in
-    Arg.(value & opt (some string) None & info [ "protocol" ] ~docv:"NAME" ~doc)
+    let arg = Arg.(value & opt (some string) None & info [ "protocol" ] ~docv:"NAME" ~doc) in
+    Term.(const (Option.map design_point) $ arg)
   in
   let run () seed size restrictiveness granularity protocol =
     let scenario = scenario_of ~seed ~size ~restrictiveness ~granularity in
     let protocols =
       match protocol with
-      | Some name -> (
-        match Pr_core.Registry.find_opt name with
-        | Some p -> [ p ]
-        | None ->
-          Printf.eprintf "prx: unknown protocol %S (known: %s)\n" name
-            (String.concat ", " (Pr_core.Registry.names Pr_core.Registry.all));
-          exit 1)
+      | Some p -> [ p ]
       | None ->
         List.filter
           (fun p -> Pr_core.Registry.name p <> "idrp-per-source")
@@ -323,41 +354,24 @@ let conformance_cmd =
 
 let sweep_cmd =
   let open Pr_campaign in
-  let known_protocols () = Pr_core.Registry.names Pr_core.Registry.all in
-  let protocols_conv =
-    let parse s =
-      match s with
-      | "designs" -> Ok (Pr_core.Registry.names Pr_core.Registry.policy_designs)
-      | "baselines" -> Ok (Pr_core.Registry.names Pr_core.Registry.baselines)
-      | "all" -> Ok (known_protocols ())
-      | s -> (
-        let names = String.split_on_char ',' s in
-        match
-          List.filter (fun n -> Option.is_none (Pr_faults.Chaos.find_protocol n)) names
-        with
-        | [] -> Ok names
-        | unknown ->
-          Error
-            (`Msg
-               (Printf.sprintf
-                  "unknown protocol (design point) %s; known protocols: %s; or one of \
-                   the groups: designs, baselines, all"
-                  (String.concat ", " (List.map (Printf.sprintf "%S") unknown))
-                  (String.concat ", " (known_protocols () @ [ "broken-ls" ])))))
-    in
-    Arg.conv ~docv:"PROTOCOLS"
-      (parse, fun ppf ps -> Format.pp_print_string ppf (String.concat "," ps))
-  in
   let protocols_arg =
     let doc =
       "Comma-separated protocol (design point) names, or a group: designs (the four \
        section-5 points), baselines, all. The deliberately broken variant broken-ls is \
        also accepted: under a fault profile the harness must flag it."
     in
-    Arg.(
-      value
-      & opt protocols_conv (Pr_core.Registry.names Pr_core.Registry.policy_designs)
-      & info [ "protocols" ] ~docv:"PROTOCOLS" ~doc)
+    let expand = function
+      | "designs" -> Pr_core.Registry.names Pr_core.Registry.policy_designs
+      | "baselines" -> Pr_core.Registry.names Pr_core.Registry.baselines
+      | "all" -> Pr_core.Registry.names Pr_core.Registry.all
+      | s ->
+        let names = String.split_on_char ',' s in
+        List.iter (fun name -> ignore (design_point name)) names;
+        names
+    in
+    Term.(
+      const expand
+      $ Arg.(value & opt string "designs" & info [ "protocols" ] ~docv:"PROTOCOLS" ~doc))
   in
   let sizes_arg =
     let doc = "Comma-separated internet sizes (AD counts); 14 and below is Figure 1." in
@@ -376,18 +390,9 @@ let sweep_cmd =
   in
   let granularities_arg =
     let doc = "Comma-separated policy granularities." in
-    let gran_conv =
-      Arg.enum
-        [
-          ("coarse", Pr_policy.Gen.Coarse);
-          ("destination", Pr_policy.Gen.Destination);
-          ("source-specific", Pr_policy.Gen.Source_specific);
-          ("fine", Pr_policy.Gen.Fine);
-        ]
-    in
     Arg.(
       value
-      & opt (list gran_conv) [ Pr_policy.Gen.Source_specific ]
+      & opt (list granularity_conv) [ Pr_policy.Gen.Source_specific ]
       & info [ "granularities" ] ~docv:"GS" ~doc)
   in
   let churn_arg =
@@ -400,22 +405,20 @@ let sweep_cmd =
   in
   let faults_arg =
     let doc =
-      "Comma-separated fault-profile dimension (see `prx chaos`): none, default, \
-       crash, partition, storm, lossy."
+      "Comma-separated fault-profile dimension (see `prx chaos`): "
+      ^ String.concat ", " Pr_faults.Plan.profile_names
+      ^ "."
     in
-    let profile_conv =
-      let parse s =
-        match Pr_faults.Plan.profile s with
-        | Some _ -> Ok s
-        | None ->
-          Error
-            (`Msg
-               (Printf.sprintf "unknown fault profile %S; known profiles: %s" s
-                  (String.concat ", " Pr_faults.Plan.profile_names)))
-      in
-      Arg.conv ~docv:"PROFILE" (parse, Format.pp_print_string)
+    (* Run ids name the profile, so this dimension takes profile names only. *)
+    let check profiles =
+      List.iter
+        (fun p -> ignore (or_usage (Pr_faults.Plan.of_string ("profile:" ^ p))))
+        profiles;
+      profiles
     in
-    Arg.(value & opt (list profile_conv) [ "none" ] & info [ "faults" ] ~docv:"PROFILES" ~doc)
+    Term.(
+      const check
+      $ Arg.(value & opt (list string) [ "none" ] & info [ "faults" ] ~docv:"PROFILES" ~doc))
   in
   let replicates_arg =
     let doc = "Seed replicates per grid point." in
@@ -482,9 +485,10 @@ let sweep_cmd =
     in
     let summary_path = if summary = "none" then None else Some summary in
     let report =
-      Driver.sweep ~jobs ~timeout_s:timeout ~quiet
-        ~chaos:{ Exec.crash_id; hang_id }
-        ?summary_path ?trace_dir ~out spec
+      or_usage
+        (Driver.sweep ~jobs ~timeout_s:timeout ~quiet
+           ~chaos:{ Exec.crash_id; hang_id }
+           ?summary_path ?trace_dir ~out spec)
     in
     Pr_util.Texttable.print ~title:"campaign: per-design-point totals"
       (Pr_campaign.Aggregate.table report.Driver.rows);
@@ -515,8 +519,7 @@ let sweep_cmd =
 
 let converge_cmd =
   let protocol_arg =
-    let doc = "Protocol (design point) to converge; see `prx design-space`." in
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"PROTOCOL" ~doc)
+    design_point_arg ~doc:"Protocol (design point) to converge; see `prx design-space`."
   in
   let churn_flag =
     let doc = "Interleave scheduled link churn (its own rng stream) with convergence." in
@@ -530,34 +533,23 @@ let converge_cmd =
     let doc = "Write the final per-AD metrics as single-line JSON to this file." in
     Arg.(value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE" ~doc)
   in
-  let run () protocol seed size restrictiveness granularity churn max_events
-      metrics_out =
-    match Pr_core.Registry.find_opt protocol with
-    | None ->
-      Printf.eprintf "prx: unknown protocol %S (known: %s)\n" protocol
-        (String.concat ", " (Pr_core.Registry.names Pr_core.Registry.all));
-      exit 2
-    | Some (Pr_core.Registry.Packed (module P)) ->
-      let scenario = scenario_of ~seed ~size ~restrictiveness ~granularity in
-      let module R = Pr_proto.Runner.Make (P) in
-      let r = R.setup scenario.Pr_core.Scenario.graph scenario.Pr_core.Scenario.config in
-      if churn then
-        Pr_sim.Churn.schedule (R.network r)
-          (Pr_util.Rng.derive seed "churn")
-          ~events:6 ~spacing:4.0 ();
-      let c = R.converge ~max_events r in
-      Format.printf "%s on %s: %a@." protocol scenario.Pr_core.Scenario.label
-        Pr_proto.Runner.pp_convergence c;
-      Printf.printf "table entries: %d (max %d)\n" (R.table_entries r)
-        (R.max_table_entries r);
-      Option.iter
-        (fun path ->
-          let oc = open_out path in
-          output_string oc (Pr_util.Json.to_string (Pr_sim.Metrics.to_json (R.metrics r)));
-          output_char oc '\n';
-          close_out oc;
-          Printf.printf "metrics: %s\n" path)
-        metrics_out
+  let run ()
+      (Pr_core.Registry.Packed (module P) : Pr_core.Registry.packed)
+      seed size restrictiveness granularity churn max_events metrics_out =
+    let scenario = scenario_of ~seed ~size ~restrictiveness ~granularity in
+    let module R = Pr_proto.Runner.Make (P) in
+    let r = R.setup scenario.Pr_core.Scenario.graph scenario.Pr_core.Scenario.config in
+    if churn then Pr_sim.Churn.standard (R.network r) ~seed;
+    let c = R.converge ~max_events r in
+    Format.printf "%s on %s: %a@." P.name scenario.Pr_core.Scenario.label
+      Pr_proto.Runner.pp_convergence c;
+    Printf.printf "table entries: %d (max %d)\n" (R.table_entries r)
+      (R.max_table_entries r);
+    Option.iter
+      (fun path ->
+        write_json path (Pr_sim.Metrics.to_json (R.metrics r));
+        Printf.printf "metrics: %s\n" path)
+      metrics_out
   in
   Cmd.v
     (Cmd.info "converge"
@@ -576,8 +568,7 @@ let converge_cmd =
 
 let trace_cmd =
   let protocol_arg =
-    let doc = "Protocol (design point) to trace; see `prx design-space`." in
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"PROTOCOL" ~doc)
+    design_point_arg ~doc:"Protocol (design point) to trace; see `prx design-space`."
   in
   let out_arg =
     let doc = "Chrome trace-event output file (open in Perfetto or chrome://tracing)." in
@@ -591,71 +582,59 @@ let trace_cmd =
     let doc = "Simulation event budget." in
     Arg.(value & opt int 10_000_000 & info [ "max-events" ] ~docv:"N" ~doc)
   in
-  let run () protocol seed size flows restrictiveness granularity window
-      max_events out =
-    match Pr_core.Registry.find_opt protocol with
-    | None ->
-      Printf.eprintf "prx: unknown protocol %S (known: %s)\n" protocol
-        (String.concat ", " (Pr_core.Registry.names Pr_core.Registry.all));
-      exit 1
-    | Some (Pr_core.Registry.Packed (module P)) ->
-      let scenario = scenario_of ~seed ~size ~restrictiveness ~granularity in
-      let g = scenario.Pr_core.Scenario.graph in
-      let module R = Pr_proto.Runner.Make (P) in
-      let trace = Pr_obs.Trace.create () in
-      let r = R.setup ~trace g scenario.Pr_core.Scenario.config in
-      let m = R.metrics r in
-      let table_total () =
-        let acc = ref 0 in
-        for ad = 0 to Pr_topology.Graph.n g - 1 do
-          acc := !acc + P.table_entries (R.protocol r) ad
-        done;
-        !acc
-      in
-      let tl =
-        Pr_obs.Timeline.create ~window
-          ~series:[ "messages"; "computations"; "table-entries" ]
-          ~probe:(fun () ->
-            [|
-              float_of_int (Pr_sim.Metrics.messages m);
-              float_of_int (Pr_sim.Metrics.computations m);
-              float_of_int (table_total ());
-            |])
-          trace
-      in
-      let engine = Pr_sim.Network.engine (R.network r) in
-      Pr_sim.Engine.set_observer engine
-        (Some (fun ~time ~pending:_ -> Pr_obs.Timeline.observe tl ~now:time));
-      let c = R.converge ~max_events r in
-      let rng = Pr_util.Rng.create (seed + 2) in
-      let workload = Pr_core.Scenario.flows scenario ~rng ~count:flows () in
-      let delivered =
-        List.fold_left
-          (fun acc f ->
-            if Pr_proto.Forwarding.delivered (R.send_flow r f) then acc + 1 else acc)
-          0 workload
-      in
-      Pr_obs.Timeline.finish tl ~now:(Pr_sim.Engine.now engine);
-      Pr_obs.Trace.write ~path:out trace;
-      Format.printf "%s on %s: %a; delivered %d/%d@." protocol
-        scenario.Pr_core.Scenario.label Pr_proto.Runner.pp_convergence c delivered flows;
-      Pr_util.Texttable.print ~title:"convergence timeline" (Pr_obs.Timeline.table tl);
-      (match Pr_obs.Timeline.first_nonzero tl "table-entries" with
-      | Some ts -> Printf.printf "time to first route:  %.2f\n" ts
-      | None -> print_string "time to first route:  never\n");
-      Printf.printf "time to quiescence:   %.2f\n" (Pr_obs.Timeline.quiescence tl);
-      let per_ad_tables =
-        Array.init (Pr_topology.Graph.n g) (fun ad ->
-            float_of_int (P.table_entries (R.protocol r) ad))
-      in
-      let profile =
-        Pr_obs.Load_profile.of_series
-          (Pr_sim.Metrics.load_series m @ [ ("table-entries", per_ad_tables) ])
-      in
-      Pr_util.Texttable.print ~title:"per-AD load profile" (Pr_obs.Load_profile.table profile);
-      Printf.printf "trace: %s (%d events%s)\n" out (Pr_obs.Trace.length trace)
-        (let d = Pr_obs.Trace.dropped trace in
-         if d = 0 then "" else Printf.sprintf ", %d dropped" d)
+  let run ()
+      (Pr_core.Registry.Packed (module P) : Pr_core.Registry.packed)
+      seed size flows restrictiveness granularity window max_events out =
+    let scenario = scenario_of ~seed ~size ~restrictiveness ~granularity in
+    let g = scenario.Pr_core.Scenario.graph in
+    let module R = Pr_proto.Runner.Make (P) in
+    let trace = Pr_obs.Trace.create () in
+    let r = R.setup ~trace g scenario.Pr_core.Scenario.config in
+    let m = R.metrics r in
+    let tl =
+      Pr_obs.Timeline.create ~window
+        ~series:[ "messages"; "computations"; "table-entries" ]
+        ~probe:(fun () ->
+          [|
+            float_of_int (Pr_sim.Metrics.messages m);
+            float_of_int (Pr_sim.Metrics.computations m);
+            float_of_int (R.table_entries r);
+          |])
+        trace
+    in
+    let engine = Pr_sim.Network.engine (R.network r) in
+    Pr_sim.Engine.set_observer engine
+      (Some (fun ~time ~pending:_ -> Pr_obs.Timeline.observe tl ~now:time));
+    let c = R.converge ~max_events r in
+    let rng = Pr_util.Rng.create (seed + 2) in
+    let workload = Pr_core.Scenario.flows scenario ~rng ~count:flows () in
+    let delivered =
+      List.fold_left
+        (fun acc f ->
+          if Pr_proto.Forwarding.delivered (R.send_flow r f) then acc + 1 else acc)
+        0 workload
+    in
+    Pr_obs.Timeline.finish tl ~now:(Pr_sim.Engine.now engine);
+    write_json out (Pr_obs.Trace.to_json trace);
+    Format.printf "%s on %s: %a; delivered %d/%d@." P.name
+      scenario.Pr_core.Scenario.label Pr_proto.Runner.pp_convergence c delivered flows;
+    Pr_util.Texttable.print ~title:"convergence timeline" (Pr_obs.Timeline.table tl);
+    (match Pr_obs.Timeline.first_nonzero tl "table-entries" with
+    | Some ts -> Printf.printf "time to first route:  %.2f\n" ts
+    | None -> print_string "time to first route:  never\n");
+    Printf.printf "time to quiescence:   %.2f\n" (Pr_obs.Timeline.quiescence tl);
+    let per_ad_tables =
+      Array.init (Pr_topology.Graph.n g) (fun ad ->
+          float_of_int (P.table_entries (R.protocol r) ad))
+    in
+    let profile =
+      Pr_obs.Load_profile.of_series
+        (Pr_sim.Metrics.load_series m @ [ ("table-entries", per_ad_tables) ])
+    in
+    Pr_util.Texttable.print ~title:"per-AD load profile" (Pr_obs.Load_profile.table profile);
+    Printf.printf "trace: %s (%d events%s)\n" out (Pr_obs.Trace.length trace)
+      (let d = Pr_obs.Trace.dropped trace in
+       if d = 0 then "" else Printf.sprintf ", %d dropped" d)
   in
   Cmd.v
     (Cmd.info "trace"
@@ -683,12 +662,10 @@ let chaos_cmd =
     Arg.(value & pos 0 (some string) None & info [] ~docv:"PROTOCOL" ~doc)
   in
   let plan_arg =
-    let doc =
-      "Fault plan: a profile name or $(b,profile:)NAME (see $(b,--list-profiles)) or a \
-       spec like \"delay:p=0.25,max=2,until=40;crash:at=14,down=8\". Adversarial \
-       profiles ($(b,byzantine), $(b,leak), $(b,chatter)) add a Byzantine attacker."
-    in
-    Arg.(value & opt string "default" & info [ "plan" ] ~docv:"PLAN" ~doc)
+    plan_arg
+      ~doc:
+        "$(b,--list-profiles) expands each profile. Adversarial profiles \
+         ($(b,byzantine), $(b,leak), $(b,chatter)) add a Byzantine attacker."
   in
   let list_profiles_flag =
     let doc = "List the named fault profiles with their expanded plans, then exit." in
@@ -725,7 +702,7 @@ let chaos_cmd =
     Arg.(value & opt string "prx-postmortem.json" & info [ "post-mortem" ] ~docv:"FILE" ~doc)
   in
   let run () protocol seed size probes restrictiveness granularity churn
-      max_events plan_str list_profiles no_guard report_path post_mortem =
+      max_events (plan_name, plan) list_profiles no_guard report_path post_mortem =
     if list_profiles then begin
       List.iter
         (fun (name, p) ->
@@ -734,79 +711,36 @@ let chaos_cmd =
         Pr_faults.Plan.profiles;
       exit 0
     end;
-    let bad_plan reason =
-      Printf.eprintf "prx: bad --plan %S: %s\n%s\n" plan_str reason
-        Pr_faults.Plan.grammar_help;
-      exit 2
-    in
-    let plan =
-      let named = Pr_faults.Plan.profile in
-      match String.index_opt plan_str ':' with
-      | Some 7 when String.sub plan_str 0 7 = "profile" -> (
-        let name = String.sub plan_str 8 (String.length plan_str - 8) in
-        match named name with
-        | Some p -> p
-        | None -> bad_plan (Printf.sprintf "unknown profile %S" name))
-      | _ -> (
-        match named plan_str with
-        | Some p -> p
-        | None -> (
-          match Pr_faults.Plan.of_string plan_str with
-          | Ok p -> p
-          | Error e -> bad_plan e))
-    in
-    let protocol =
+    let packed =
       match protocol with
-      | Some p -> p
-      | None ->
-        Printf.eprintf "prx: a PROTOCOL argument is required (or use --list-profiles)\n";
-        exit 2
+      | Some name -> design_point name
+      | None -> usage_error "a PROTOCOL argument is required (or use --list-profiles)"
     in
-    match Pr_faults.Chaos.find_protocol protocol with
-    | None ->
-      Printf.eprintf "prx: unknown protocol %S (known: %s, broken-ls)\n" protocol
-        (String.concat ", " (Pr_core.Registry.names Pr_core.Registry.all));
-      exit 2
-    | Some packed ->
-      let scenario = scenario_of ~seed ~size ~restrictiveness ~granularity in
-      (match
-         Pr_faults.Plan.check_ads plan
-           ~n:(Pr_topology.Graph.n scenario.Pr_core.Scenario.graph)
-       with
-      | Ok () -> ()
-      | Error e -> bad_plan e);
-      let guard =
-        if no_guard then Pr_guard.Guard.disabled else Pr_guard.Guard.default_config
-      in
-      let report =
-        Pr_faults.Chaos.run ~plan ~guard ~probes
-          ?churn:(if churn then Some (6, 4.0) else None)
-          ~max_events packed scenario
-      in
-      Format.printf "%a@." Pr_faults.Chaos.pp report;
-      Option.iter
-        (fun path ->
-          let oc = open_out path in
-          output_string oc (Pr_util.Json.to_string_pretty (Pr_faults.Chaos.report_json report));
-          output_char oc '\n';
-          close_out oc;
-          Printf.printf "report: %s\n" path)
-        report_path;
-      if report.Pr_faults.Chaos.violations <> [] then begin
-        (if post_mortem <> "none" then begin
-           let module T = Pr_telemetry in
-           let first = List.hd report.Pr_faults.Chaos.violations in
-           T.Alloc.sample ();
-           Pr_obs.Trace.write_post_mortem Pr_obs.Trace.flight
-             ~metrics:(T.Registry.snapshot_to_json (T.Registry.snapshot T.Registry.default))
-             ~reason:
-               (Printf.sprintf "chaos invariant violation: [%s] %s"
-                  first.Pr_faults.Chaos.kind first.Pr_faults.Chaos.detail)
-             ~path:post_mortem;
-           Printf.printf "post-mortem: %s\n" post_mortem
-         end);
-        exit 1
-      end
+    let scenario = scenario_of ~seed ~size ~restrictiveness ~granularity in
+    (match
+       Pr_faults.Plan.check_ads plan ~n:(Pr_topology.Graph.n scenario.Pr_core.Scenario.graph)
+     with
+    | Ok () -> ()
+    | Error e -> usage_error "bad --plan %S: %s" plan_name e);
+    let guard = if no_guard then Pr_guard.Guard.disabled else Pr_guard.Guard.default_config in
+    let report =
+      Pr_faults.Chaos.run ~plan ~guard ~probes ~churn ~max_events packed scenario
+    in
+    Format.printf "%a@." Pr_faults.Chaos.pp report;
+    Option.iter
+      (fun path ->
+        write_json ~pretty:true path (Pr_faults.Chaos.report_json report);
+        Printf.printf "report: %s\n" path)
+      report_path;
+    match report.Pr_faults.Chaos.violations with
+    | [] -> ()
+    | first :: _ ->
+      if post_mortem <> "none" then
+        write_post_mortem post_mortem
+          ~reason:
+            (Printf.sprintf "chaos invariant violation: [%s] %s" first.Pr_faults.Chaos.kind
+               first.Pr_faults.Chaos.detail);
+      exit 1
   in
   Cmd.v
     (Cmd.info "chaos"
@@ -856,14 +790,10 @@ let serve_cmd =
       & info [ "interval" ] ~docv:"T" ~doc)
   in
   let plan_arg =
-    let doc =
-      "Fault plan: a profile name (none, default, crash, partition, storm, lossy, \
-       byzantine, leak, chatter) or a spec like \
-       \"delay:p=0.25,max=2,until=40;crash:at=14,down=8\". Adversarial profiles drive \
-       the daemon into serve-stale degradation when the update guard quarantines a \
-       flapping adjacency."
-    in
-    Arg.(value & opt string "default" & info [ "plan" ] ~docv:"PLAN" ~doc)
+    plan_arg
+      ~doc:
+        "Adversarial profiles drive the daemon into serve-stale degradation when the \
+         update guard quarantines a flapping adjacency."
   in
   let flip_every_arg =
     let doc = "Simulated time between transit-policy flips (0 disables them)." in
@@ -911,22 +841,10 @@ let serve_cmd =
     in
     Arg.(value & opt string "prx-postmortem.json" & info [ "post-mortem" ] ~docv:"FILE" ~doc)
   in
-  let run () seed sizes restrictiveness granularity duration batch interval plan_str
-      flip_every route_capacity handle_capacity check_every out metrics_out post_mortem =
-    let plan =
-      match Pr_faults.Plan.profile plan_str with
-      | Some p -> p
-      | None -> (
-        match Pr_faults.Plan.of_string plan_str with
-        | Ok p -> p
-        | Error e ->
-          Printf.eprintf "prx: bad --plan %S: %s\n" plan_str e;
-          exit 2)
-    in
-    if sizes = [] then begin
-      Printf.eprintf "prx: --sizes must name at least one size\n";
-      exit 2
-    end;
+  let run () seed sizes restrictiveness granularity duration batch interval
+      (plan_name, plan) flip_every route_capacity handle_capacity check_every out
+      metrics_out post_mortem =
+    if sizes = [] then usage_error "--sizes must name at least one size";
     let policy = { Pr_policy.Gen.default with restrictiveness; granularity } in
     (* A plan that names no AD fits every internet (it passes even
        against zero ADs); otherwise check it against each size's
@@ -940,9 +858,7 @@ let serve_cmd =
               ~n:(Pr_topology.Graph.n sc.Pr_core.Scenario.graph)
           with
           | Ok () -> ()
-          | Error e ->
-            Printf.eprintf "prx: bad --plan %S at size %d: %s\n" plan_str target_ads e;
-            exit 2)
+          | Error e -> usage_error "bad --plan %S at size %d: %s" plan_name target_ads e)
         sizes;
     let reports =
       List.map
@@ -955,7 +871,7 @@ let serve_cmd =
               batch;
               interval;
               plan;
-              plan_name = plan_str;
+              plan_name;
               flip_every;
               route_capacity;
               handle_capacity;
@@ -967,59 +883,38 @@ let serve_cmd =
           let cfg =
             match Pr_serve.Daemon.check_config cfg with
             | Ok cfg -> cfg
-            | Error e ->
-              Printf.eprintf "prx: bad serve option: %s\n" e;
-              exit 2
+            | Error e -> usage_error "bad serve option: %s" e
           in
           let r = Pr_serve.Daemon.run cfg in
           Format.printf "%a@." Pr_serve.Daemon.pp_report r;
           r)
         sizes
     in
-    (if out <> "none" then begin
-       let oc = open_out out in
-       output_string oc
-         (Pr_util.Json.to_string_pretty (Pr_serve.Daemon.document_json reports));
-       output_char oc '\n';
-       close_out oc;
-       Printf.printf "results: %s\n" out
-     end);
-    (if metrics_out <> "none" then begin
-       let module T = Pr_telemetry in
-       T.Alloc.sample ();
-       let oc = open_out metrics_out in
-       output_string oc
-         (Pr_util.Json.to_string_pretty
-            (T.Registry.snapshot_to_json (T.Registry.snapshot T.Registry.default)));
-       output_char oc '\n';
-       close_out oc;
-       Printf.printf "metrics: %s\n" metrics_out
-     end);
-    if not (List.for_all Pr_serve.Daemon.healthy reports) then begin
-      (if post_mortem <> "none" then begin
-         let module T = Pr_telemetry in
-         let sick =
-           List.filter (fun r -> not (Pr_serve.Daemon.healthy r)) reports
-         in
-         let describe (r : Pr_serve.Daemon.report) =
-           Printf.sprintf "size %d: %s" r.Pr_serve.Daemon.ads
-             (match r.Pr_serve.Daemon.self_check_error with
-             | Some e -> e
-             | None ->
-               if r.Pr_serve.Daemon.agreement_failures > 0 then
-                 Printf.sprintf "%d admission disagreements"
-                   r.Pr_serve.Daemon.agreement_failures
-               else "no queries answered")
-         in
-         T.Alloc.sample ();
-         Pr_obs.Trace.write_post_mortem Pr_obs.Trace.flight
-           ~metrics:(T.Registry.snapshot_to_json (T.Registry.snapshot T.Registry.default))
-           ~reason:
-             ("serve health-check failure: "
-             ^ String.concat "; " (List.map describe sick))
-           ~path:post_mortem;
-         Printf.printf "post-mortem: %s\n" post_mortem
-       end);
+    if out <> "none" then begin
+      write_json ~pretty:true out (Pr_serve.Daemon.document_json reports);
+      Printf.printf "results: %s\n" out
+    end;
+    if metrics_out <> "none" then begin
+      write_json ~pretty:true metrics_out
+        (Pr_telemetry.Registry.snapshot_to_json (telemetry_snapshot ()));
+      Printf.printf "metrics: %s\n" metrics_out
+    end;
+    let sick = List.filter (fun r -> not (Pr_serve.Daemon.healthy r)) reports in
+    if sick <> [] then begin
+      let describe (r : Pr_serve.Daemon.report) =
+        Printf.sprintf "size %d: %s" r.Pr_serve.Daemon.ads
+          (match r.Pr_serve.Daemon.self_check_error with
+          | Some e -> e
+          | None ->
+            if r.Pr_serve.Daemon.agreement_failures > 0 then
+              Printf.sprintf "%d admission disagreements"
+                r.Pr_serve.Daemon.agreement_failures
+            else "no queries answered")
+      in
+      if post_mortem <> "none" then
+        write_post_mortem post_mortem
+          ~reason:
+            ("serve health-check failure: " ^ String.concat "; " (List.map describe sick));
       exit 1
     end
   in
@@ -1045,37 +940,24 @@ let serve_cmd =
 
 let stats_cmd =
   let protocol_arg =
-    let doc = "Protocol (design point) to run; see `prx design-space`." in
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"PROTOCOL" ~doc)
+    design_point_arg ~doc:"Protocol (design point) to run; see `prx design-space`."
   in
   let out_arg =
     let doc = "Also write the snapshot as a telemetry-snapshot JSON document here." in
     Arg.(value & opt (some string) None & info [ "out" ] ~docv:"FILE" ~doc)
   in
-  let run () protocol seed size flows restrictiveness granularity out =
-    match Pr_core.Registry.find_opt protocol with
-    | None ->
-      Printf.eprintf "prx: unknown protocol %S (known: %s)\n" protocol
-        (String.concat ", " (Pr_core.Registry.names Pr_core.Registry.all));
-      exit 2
-    | Some packed ->
-      let scenario = scenario_of ~seed ~size ~restrictiveness ~granularity in
-      let rng = Pr_util.Rng.create (seed + 1) in
-      let workload = Pr_core.Scenario.flows scenario ~rng ~count:flows () in
-      ignore (Pr_core.Experiment.evaluate packed scenario ~flows:workload ());
-      let module T = Pr_telemetry in
-      T.Alloc.sample ();
-      let snap = T.Registry.snapshot T.Registry.default in
-      print_string (T.Registry.to_prometheus snap);
-      Option.iter
-        (fun path ->
-          let oc = open_out path in
-          output_string oc
-            (Pr_util.Json.to_string_pretty (T.Registry.snapshot_to_json snap));
-          output_char oc '\n';
-          close_out oc;
-          Printf.eprintf "snapshot: %s\n" path)
-        out
+  let run () packed seed size flows restrictiveness granularity out =
+    let scenario = scenario_of ~seed ~size ~restrictiveness ~granularity in
+    let rng = Pr_util.Rng.create (seed + 1) in
+    let workload = Pr_core.Scenario.flows scenario ~rng ~count:flows () in
+    ignore (Pr_core.Experiment.evaluate packed scenario ~flows:workload ());
+    let snap = telemetry_snapshot () in
+    print_string (Pr_telemetry.Registry.to_prometheus snap);
+    Option.iter
+      (fun path ->
+        write_json ~pretty:true path (Pr_telemetry.Registry.snapshot_to_json snap);
+        Printf.eprintf "snapshot: %s\n" path)
+      out
   in
   Cmd.v
     (Cmd.info "stats"
@@ -1104,24 +986,13 @@ let bench_cmd =
       let doc = "Only re-run baseline rows with these target_ads sizes (default: all)." in
       Arg.(value & opt (list int) [] & info [ "sizes" ] ~docv:"SIZES" ~doc)
     in
-    let tolerance_arg =
-      let doc =
-        "Relative tolerance for the rows' band fields (qps, latencies); exact fields \
-         always compare exactly. Generous by default because baselines cross machines."
-      in
-      Arg.(
-        value
-        & opt float Pr_telemetry.Gate.default_tolerance
-        & info [ "timing-tolerance" ] ~docv:"TOL" ~doc)
-    in
-    let run () baseline sizes tolerance =
+    let run () baseline sizes =
       let module Gate = Pr_telemetry.Gate in
       let module Daemon = Pr_serve.Daemon in
-      let fail fmt = Printf.ksprintf (fun m -> prerr_endline ("prx: " ^ m); exit 2) fmt in
       let rows =
         match Gate.read baseline with
         | Ok (_, rows) -> rows
-        | Error e -> fail "cannot read baseline %s: %s" baseline e
+        | Error e -> usage_error "cannot read baseline %s: %s" baseline e
       in
       (* Every serve row must describe a runnable session before any runs. *)
       let sessions =
@@ -1132,15 +1003,15 @@ let bench_cmd =
                else
                  match Daemon.config_of_row row with
                  | Ok cfg -> [ (row, cfg) ]
-                 | Error e -> fail "%s: results row %d: %s" baseline i e)
+                 | Error e -> usage_error "%s: results row %d: %s" baseline i e)
              rows)
       in
       let chosen =
         List.filter (fun (_, c) -> sizes = [] || List.mem c.Daemon.target_ads sizes) sessions
       in
       if chosen = [] then
-        fail "%s: no serve rows to re-run (%d row(s), %d serve)" baseline (List.length rows)
-          (List.length sessions);
+        usage_error "%s: no serve rows to re-run (%d row(s), %d serve)" baseline
+          (List.length rows) (List.length sessions);
       let failed =
         List.fold_left
           (fun failed (row, cfg) ->
@@ -1148,7 +1019,9 @@ let bench_cmd =
             Printf.printf "re-running size %d (seed %d, plan %s)...\n%!" ads cfg.Daemon.seed
               cfg.Daemon.plan_name;
             let current = Daemon.row (Daemon.run cfg) in
-            let bad = Gate.report_failures ~tolerance ~baseline:row ~current in
+            let bad =
+              Gate.report_failures ~tolerance:Gate.default_tolerance ~baseline:row ~current
+            in
             Printf.printf "  size %d: %d field(s) out of tolerance\n" ads bad;
             failed + bad)
           0 chosen
@@ -1165,7 +1038,7 @@ let bench_cmd =
          ~doc:
            "Re-run the serve rows of a committed benchmark document (BENCH_serve.json) \
             and gate them; exits 1 on regression, 2 when nothing was comparable.")
-      Term.(const run $ logs_term $ baseline_arg $ sizes_arg $ tolerance_arg)
+      Term.(const run $ logs_term $ baseline_arg $ sizes_arg)
   in
   Cmd.group
     (Cmd.info "bench" ~doc:"Benchmark-baseline tooling (see `prx bench diff`).")

@@ -37,8 +37,8 @@ type row = {
 
 let design_point_of protocol =
   match Pr_faults.Chaos.find_protocol protocol with
-  | Some packed -> Pr_proto.Design_point.to_string (Pr_core.Registry.design_point packed)
-  | None -> "?"
+  | Ok packed -> Pr_proto.Design_point.to_string (Pr_core.Registry.design_point packed)
+  | Error _ -> "?"
 
 let empty_row protocol =
   {
@@ -262,9 +262,3 @@ let summary_json sink =
   Gate.document_json ~benchmark:"campaign"
     ~context:[ ("telemetry", Telemetry.snapshot_to_json (merged_telemetry sink)) ]
     (List.map gate_row (rows sink))
-
-let write_summary ~path json =
-  let oc = open_out path in
-  output_string oc (J.to_string_pretty json);
-  output_char oc '\n';
-  close_out oc

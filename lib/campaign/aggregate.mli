@@ -62,5 +62,3 @@ val summary_json : Sink.t -> Pr_util.Json.t
     metric's kind with the records before it, is left out of the
     merge; a clash is reported on stderr with the run id and the
     metric. *)
-
-val write_summary : path:string -> Pr_util.Json.t -> unit

@@ -26,11 +26,12 @@ val sweep :
   ?trace_dir:string ->
   out:string ->
   Grid.spec ->
-  report
+  (report, string) result
 (** [sweep ~out spec] appends to (never truncates) the JSONL at
     [out]; a second invocation with the same spec therefore resumes,
     re-running only runs whose latest attempt is not [ok]. With
     [trace_dir] (created if missing), each executed run writes a
     Chrome trace of its simulation into the directory (see
     {!Exec.trace_filename}) and the pool writes its wall-clock worker
-    timeline to [pool.json] there. *)
+    timeline to [pool.json] there; [summary_path] receives the summary.
+    [Error] names a path that could not be written. *)

@@ -10,6 +10,8 @@ module Trace = Pr_obs.Trace
 module Timeline = Pr_obs.Timeline
 module Telemetry = Pr_telemetry.Registry
 
+let ( let* ) = Result.bind
+
 type chaos = { crash_id : string option; hang_id : string option }
 
 let no_chaos = { crash_id = None; hang_id = None }
@@ -33,13 +35,6 @@ type t = {
   trace_dropped : int;
   time_to_first_route : float option;
 }
-
-(* Churn parameters: enough flips to interleave with convergence, an
-   even count so the topology ends where it started and every run's
-   workload is measured on the full internet. *)
-let churn_events = 6
-
-let churn_spacing = 4.0
 
 let apply_chaos chaos (run : Grid.run) =
   (match chaos.crash_id with
@@ -84,7 +79,7 @@ let execute_faulted packed (run : Grid.run) plan =
   in
   let report =
     Pr_faults.Chaos.run ~plan ~flows
-      ?churn:(if run.churn then Some (churn_events, churn_spacing) else None)
+      ~churn:run.churn
       ~max_events:run.max_events packed scenario
   in
   let module C = Pr_faults.Chaos in
@@ -118,15 +113,9 @@ let execute_faulted packed (run : Grid.run) plan =
 let execute ?(chaos = no_chaos) ?trace_dir (run : Grid.run) =
   apply_chaos chaos run;
   match Pr_faults.Chaos.find_protocol run.protocol with
-  | None ->
-    Error
-      (Printf.sprintf "unknown protocol %S (known: %s, broken-ls)" run.protocol
-         (String.concat ", " (Registry.names Registry.all)))
-  | Some (Registry.Packed (module P) as packed) -> (
-    match
-      if run.faults = "none" then Some []
-      else Pr_faults.Plan.profile run.faults
-    with
+  | Error _ as e -> e
+  | Ok (Registry.Packed (module P) as packed) -> (
+    match Pr_faults.Plan.profile run.faults with
     | None ->
       Error
         (Printf.sprintf "unknown fault profile %S (known: %s)" run.faults
@@ -167,10 +156,7 @@ let execute ?(chaos = no_chaos) ?trace_dir (run : Grid.run) =
       (fun tl ->
         Engine.set_observer engine (Some (fun ~time ~pending:_ -> Timeline.observe tl ~now:time)))
       timeline;
-    if run.churn then
-      Pr_sim.Churn.schedule (R.network r)
-        (Rng.derive run.seed "churn")
-        ~events:churn_events ~spacing:churn_spacing ();
+    if run.churn then Pr_sim.Churn.standard (R.network r) ~seed:run.seed;
     let c = R.converge ~max_events:run.max_events r in
     let rng = Rng.create (run.seed + 2) in
     let flows = Scenario.flows scenario ~rng ~count:run.flows () in
@@ -179,14 +165,14 @@ let execute ?(chaos = no_chaos) ?trace_dir (run : Grid.run) =
         (fun acc f -> if Pr_proto.Forwarding.delivered (R.send_flow r f) then acc + 1 else acc)
         0 flows
     in
-    let trace_file =
-      Option.map
-        (fun dir ->
-          let file = trace_filename run in
-          Option.iter (fun tl -> Timeline.finish tl ~now:(Engine.now engine)) timeline;
-          Trace.write ~path:(Filename.concat dir file) trace;
-          file)
-        trace_dir
+    let* trace_file =
+      match trace_dir with
+      | None -> Ok None
+      | Some dir ->
+        let file = trace_filename run in
+        Option.iter (fun tl -> Timeline.finish tl ~now:(Engine.now engine)) timeline;
+        let* () = J.write_file ~path:(Filename.concat dir file) (Trace.to_json trace) in
+        Ok (Some file)
     in
     Ok
       {

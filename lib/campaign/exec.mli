@@ -59,14 +59,14 @@ val trace_filename : Grid.run -> string
 
 val execute :
   ?chaos:chaos -> ?trace_dir:string -> Grid.run -> (t, string) result
-(** [Error] reports an unknown protocol name or fault profile; every
-    simulation-level problem is folded into the result's fields
-    instead. When [trace_dir] is given (the directory must exist), the
-    run executes with an enabled recorder and writes a Chrome trace
-    named {!trace_filename} into it. Runs whose [faults] profile is
-    not ["none"] go through {!Pr_faults.Chaos} — the workload doubles
-    as the invariant probe set and violation counts land in the
-    record; tracing is not supported on that path. *)
+(** [Error] reports an unknown protocol name or fault profile, or an
+    unwritable trace file; every simulation-level problem is folded
+    into the result's fields instead. With [trace_dir] (which must
+    exist) the run executes with an enabled recorder and writes a
+    Chrome trace named {!trace_filename} there. Runs whose [faults]
+    profile is not ["none"] go through {!Pr_faults.Chaos} — the
+    workload doubles as the invariant probe set and violation counts
+    land in the record; tracing is not supported on that path. *)
 
 val to_json : t -> Pr_util.Json.t
 (** The run's JSONL record: {!Grid.params_json} fields, then

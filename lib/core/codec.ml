@@ -316,10 +316,9 @@ let load text =
   scenario_of_sexp sexp
 
 let save_file s ~path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (save s))
+  match Out_channel.with_open_text path (fun oc -> output_string oc (save s)) with
+  | () -> Ok ()
+  | exception Sys_error e -> Error ("cannot write " ^ e)
 
 let load_file ~path =
   match open_in path with

@@ -11,6 +11,7 @@ val save : Scenario.t -> string
 
 val load : string -> (Scenario.t, string) result
 
-val save_file : Scenario.t -> path:string -> unit
+val save_file : Scenario.t -> path:string -> (unit, string) result
+(** [save] to [path]; an unwritable path is an [Error] naming it. *)
 
 val load_file : path:string -> (Scenario.t, string) result

@@ -68,7 +68,12 @@ let containment_violations t = count_kind t "containment"
 let availability_violations t = count_kind t "availability"
 
 let find_protocol name =
-  if name = Broken.name then Some Broken.packed else Registry.find_opt name
+  if name = Broken.name then Ok Broken.packed
+  else
+    Option.to_result (Registry.find_opt name)
+      ~none:
+        (Printf.sprintf "unknown protocol %S (known: %s)" name
+           (String.concat ", " (Registry.names Registry.all @ [ Broken.name ])))
 
 (* How many packets a flow gets before "undeliverable" is final.
    Retries matter: ORWG answers a broken cached route by dropping the
@@ -82,7 +87,7 @@ let probe_attempts = 3
 let checkpoint_flows = 10
 
 let run ?(plan = Plan.default) ?(guard = Guard.default_config) ?flows
-    ?(probes = 40) ?churn ?max_events ?(trace = Trace.disabled)
+    ?(probes = 40) ?(churn = false) ?max_events ?(trace = Trace.disabled)
     (Registry.Packed (module P) : Registry.packed) (scenario : Scenario.t) =
   let module R = Runner.Make (P) in
   (* A post-mortem covers this run only: an earlier run in this process
@@ -135,10 +140,7 @@ let run ?(plan = Plan.default) ?(guard = Guard.default_config) ?flows
   let attackers = Nemesis.attackers nem in
   let is_attacker ad = List.mem ad attackers in
   let honest_flow (f : Flow.t) = not (is_attacker f.Flow.src || is_attacker f.Flow.dst) in
-  Option.iter
-    (fun (events, spacing) ->
-      Churn.schedule (R.network r) (Rng.derive seed "churn") ~events ~spacing ())
-    churn;
+  if churn then Churn.standard (R.network r) ~seed;
   (* Continuous checking: probe forwarding just after every incident.
      Loops observed here are *transient* — expected of hop-by-hop
      designs while databases disagree (experiment E10) — so they are

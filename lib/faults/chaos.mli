@@ -102,7 +102,7 @@ val run :
   ?guard:Pr_guard.Guard.config ->
   ?flows:Pr_policy.Flow.t list ->
   ?probes:int ->
-  ?churn:int * float ->
+  ?churn:bool ->
   ?max_events:int ->
   ?trace:Pr_obs.Trace.t ->
   Pr_core.Registry.packed ->
@@ -112,8 +112,8 @@ val run :
     (default {!Pr_guard.Guard.default_config}) configures the update
     guard — pass {!Pr_guard.Guard.disabled} for an undefended run;
     [flows] overrides the derived probe workload ([probes], default
-    40, flows drawn from the scenario); [churn] is [(events, spacing)]
-    for additional link churn on its own rng stream; [max_events]
+    40, flows drawn from the scenario); [churn] (default [false])
+    adds {!Pr_sim.Churn.standard} link churn on its own rng stream; [max_events]
     bounds the converge (exhaustion yields a [no-reconvergence]
     violation and a partial report rather than an exception). The run
     starts by clearing {!Pr_obs.Trace.flight}, so a post-mortem written
@@ -125,9 +125,10 @@ val blackhole_violations : report -> int
 
 val containment_violations : report -> int
 
-val find_protocol : string -> Pr_core.Registry.packed option
-(** {!Pr_core.Registry.find_opt} extended with the deliberately broken
-    {!Broken} variant (["broken-ls"]), which is not in the registry. *)
+val find_protocol : string -> (Pr_core.Registry.packed, string) result
+(** The one design-point resolver: {!Pr_core.Registry.find_opt} plus
+    the deliberately broken {!Broken} variant (["broken-ls"]). An
+    unknown name's error lists every name accepted. *)
 
 val report_json : report -> Pr_util.Json.t
 (** Deterministic rendering: identical (seed, plan) pairs produce

@@ -173,14 +173,6 @@ let parse_fields s =
     (Ok [])
     (String.split_on_char ',' s)
 
-let get_float fields key =
-  match List.assoc_opt key fields with
-  | None -> Error (Printf.sprintf "missing %s=" key)
-  | Some v -> (
-    match float_of_string_opt v with
-    | Some f -> Ok f
-    | None -> Error (Printf.sprintf "%s=%S is not a number" key v))
-
 let get_float_opt fields key =
   match List.assoc_opt key fields with
   | None -> Ok None
@@ -188,6 +180,10 @@ let get_float_opt fields key =
     match float_of_string_opt v with
     | Some f -> Ok (Some f)
     | None -> Error (Printf.sprintf "%s=%S is not a number" key v))
+
+let get_float fields key =
+  let* v = get_float_opt fields key in
+  Option.to_result v ~none:(Printf.sprintf "missing %s=" key)
 
 let get_prob fields =
   let* p = get_float fields "p" in
@@ -210,9 +206,7 @@ let get_time_opt fields key =
   let* v = get_float_opt fields key in
   match v with
   | None -> Ok None
-  | Some v ->
-    let* v = check_time key v in
-    Ok (Some v)
+  | Some v -> Result.map Option.some (check_time key v)
 
 let get_count fields key =
   let* v = get_float fields key in
@@ -298,7 +292,7 @@ let parse_action s =
       Ok (Flap_chatter { at_time; ad; flaps; spacing })
     | other -> Error (Printf.sprintf "unknown fault kind %S" other))
 
-let of_string s =
+let of_spec s =
   if String.trim s = "" then Ok []
   else
     List.fold_left
@@ -309,6 +303,21 @@ let of_string s =
       (Ok [])
       (String.split_on_char ';' s)
     |> Result.map List.rev
+
+(* A bare word or a [profile:] prefix never parses as a spec, so
+   naming a profile takes no spec's meaning away. *)
+let of_string s =
+  match profile s with
+  | Some p -> Ok p
+  | None when String.starts_with ~prefix:"profile:" s -> (
+    let name = String.sub s 8 (String.length s - 8) in
+    match profile name with
+    | Some p -> Ok p
+    | None ->
+      Error
+        (Printf.sprintf "unknown profile %S (known: %s)" name
+           (String.concat ", " profile_names)))
+  | None -> of_spec s
 
 let check_ads t ~n =
   let named =

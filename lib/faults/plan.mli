@@ -90,7 +90,10 @@ val to_string : t -> string
     through {!of_string}. *)
 
 val of_string : string -> (t, string) result
-(** Parse a spec: [;]-separated actions, each [kind:key=value,...].
+(** The one plan grammar: a profile name (see {!profiles}),
+    [profile:NAME], or a spec of [;]-separated actions, each
+    [kind:key=value,...]. An unknown [profile:NAME] is an error
+    naming the known profiles.
     Kinds/keys: [drop:p,from,until], [dup:p,from,until],
     [delay:p,max,from,until], [reorder:p,max,from,until],
     [crash:at,down,ad], [partition:at,heal],

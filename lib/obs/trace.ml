@@ -179,17 +179,6 @@ let post_mortem ?metrics ~reason t =
      ]
     @ match metrics with None -> [] | Some m -> [ ("metrics", m) ])
 
-let write_json ~path doc =
-  let oc = open_out path in
-  output_string oc (J.to_string doc);
-  output_char oc '\n';
-  close_out oc
-
-let write ~path t = write_json ~path (to_json t)
-
-let write_post_mortem ?metrics ~reason ~path t =
-  write_json ~path (post_mortem ?metrics ~reason t)
-
 (* --- validation ----------------------------------------------------- *)
 
 let ( let* ) = Result.bind

@@ -67,18 +67,11 @@ val to_json : t -> Pr_util.Json.t
     timestamps are monotone; spans still open at export are closed at
     the last recorded timestamp so begin/end pairs always balance. *)
 
-val write : path:string -> t -> unit
-(** [to_json] serialised to [path], newline-terminated. *)
-
 val post_mortem : ?metrics:Pr_util.Json.t -> reason:string -> t -> Pr_util.Json.t
 (** The [{"document": "post-mortem"}] document: the reason, the
     number of events ever recorded (["recorded"]), the capacity, the
     held events oldest first (same encoding as {!to_json}'s) and, when
     given, a metrics snapshot document. *)
-
-val write_post_mortem :
-  ?metrics:Pr_util.Json.t -> reason:string -> path:string -> t -> unit
-(** [post_mortem] serialised to [path], newline-terminated. *)
 
 val validate_events : Pr_util.Json.t list -> (unit, string) result
 (** The per-event check both documents share: each event an object

@@ -543,12 +543,9 @@ let config_of_row (row : Gate.row) =
     match field "plan" with
     | None -> Ok (default_config.plan, default_config.plan_name)
     | Some (Json.String s) -> (
-        match Plan.profile s with
-        | Some p -> Ok (p, s)
-        | None -> (
-            match Plan.of_string s with
-            | Ok p -> Ok (p, s)
-            | Error e -> bad "bad plan %S: %s" s e))
+        match Plan.of_string s with
+        | Ok p -> Ok (p, s)
+        | Error e -> bad "bad plan %S: %s" s e)
     | Some _ -> bad "plan must be a string"
   in
   let num name d =

@@ -143,6 +143,6 @@ val config_of_row : Pr_telemetry.Gate.row -> (config, string) result
     leaves out. Each row carries its own plan, so one document can
     gate benign and attack rows together. The `prx bench diff`
     regression gate re-runs rows through this. A missing or
-    non-positive [target_ads], a field of the wrong type, an
-    unparseable plan or granularity, or a config {!check_config}
-    refuses is an error. *)
+    non-positive [target_ads], a field of the wrong type, a plan
+    {!Pr_faults.Plan.of_string} rejects, an unknown granularity, or a
+    config {!check_config} refuses is an error. *)

@@ -18,3 +18,5 @@ let schedule net rng ~events ~spacing ?kind () =
           | [] -> ()
         end)
   done
+
+let standard net ~seed = schedule net (Pr_util.Rng.derive seed "churn") ~events:6 ~spacing:4.0 ()

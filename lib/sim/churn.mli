@@ -22,3 +22,7 @@ val schedule :
     given [kind]), odd events restore the most recently churn-failed
     link. Links failed by the churn are tracked so a restore never
     touches links failed by other means. *)
+
+val standard : 'msg Network.t -> seed:int -> unit
+(** The one [--churn] schedule: 6 flips 4.0 apart (an even count, so
+    the topology ends where it started) on [Rng.derive seed "churn"]. *)

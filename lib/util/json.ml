@@ -78,6 +78,12 @@ let to_string v = render ~indent:false v
 
 let to_string_pretty v = render ~indent:true v
 
+let write_file ?(pretty = false) ~path v =
+  let text = (if pretty then to_string_pretty else to_string) v ^ "\n" in
+  match Out_channel.with_open_text path (fun oc -> output_string oc text) with
+  | () -> Ok ()
+  | exception Sys_error e -> Error ("cannot write " ^ e)
+
 (* --- parsing ------------------------------------------------------- *)
 
 exception Parse_error of int * string

@@ -23,6 +23,10 @@ val to_string_pretty : t -> string
 (** Two-space indented rendering for files meant to be read (and
     diffed) by humans. *)
 
+val write_file : ?pretty:bool -> path:string -> t -> (unit, string) result
+(** One document, newline-terminated ({!to_string_pretty} when
+    [pretty]); a path that cannot be written is an [Error] naming it. *)
+
 val parse : string -> (t, string) result
 (** Parse one JSON document; surrounding whitespace is allowed,
     trailing garbage is an error. Errors carry a character offset. *)

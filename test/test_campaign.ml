@@ -345,21 +345,22 @@ let driver_end_to_end_and_resume () =
   let crash_id = "ecma/n14/r0.50/gsource-specific/static/fnone/rep0" in
   (* First invocation: one injected crash. *)
   let r1 =
-    Driver.sweep ~jobs:2 ~timeout_s:30.0 ~quiet:true
-      ~chaos:{ Exec.crash_id = Some crash_id; hang_id = None }
-      ~out:path toy_spec
+    Result.get_ok
+      (Driver.sweep ~jobs:2 ~timeout_s:30.0 ~quiet:true
+         ~chaos:{ Exec.crash_id = Some crash_id; hang_id = None }
+         ~out:path toy_spec)
   in
   check_int "grid size" 4 r1.Driver.total;
   check_int "nothing skipped on first run" 0 r1.Driver.skipped;
   check_int "three completed" 3 r1.Driver.ok;
   check_int "one crashed" 1 r1.Driver.not_ok;
   (* Second invocation, no chaos: resumes, re-running only the crash. *)
-  let r2 = Driver.sweep ~jobs:2 ~timeout_s:30.0 ~quiet:true ~out:path toy_spec in
+  let r2 = Result.get_ok (Driver.sweep ~jobs:2 ~timeout_s:30.0 ~quiet:true ~out:path toy_spec) in
   check_int "completed runs skipped" 3 r2.Driver.skipped;
   check_int "only the crashed run re-ran" 1 r2.Driver.executed;
   check_int "and completed" 1 r2.Driver.ok;
   (* Third invocation: everything is complete; nothing executes. *)
-  let r3 = Driver.sweep ~jobs:2 ~timeout_s:30.0 ~quiet:true ~out:path toy_spec in
+  let r3 = Result.get_ok (Driver.sweep ~jobs:2 ~timeout_s:30.0 ~quiet:true ~out:path toy_spec) in
   check_int "fully resumed" 4 r3.Driver.skipped;
   check_int "nothing to do" 0 r3.Driver.executed;
   (* The final file holds 5 attempts, latest-per-id all ok. *)
@@ -381,7 +382,7 @@ let driver_summary_schema () =
   let path = temp_jsonl () in
   let summary_path = Filename.temp_file "campaign_test" ".json" in
   let spec = { toy_spec with protocols = [ "ecma" ]; restrictiveness = [ 0.0 ] } in
-  let report = Driver.sweep ~jobs:1 ~quiet:true ~summary_path ~out:path spec in
+  let report = Result.get_ok (Driver.sweep ~jobs:1 ~quiet:true ~summary_path ~out:path spec) in
   let on_disk = Result.get_ok (J.parse (In_channel.with_open_text summary_path In_channel.input_all)) in
   Sys.remove path;
   Sys.remove summary_path;

@@ -251,7 +251,7 @@ let codec_file_roundtrip () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Pr_core.Codec.save_file s ~path;
+      Result.get_ok (Pr_core.Codec.save_file s ~path);
       match Pr_core.Codec.load_file ~path with
       | Ok s' -> check_int "roundtrip via file" (Graph.n s.Scenario.graph) (Graph.n s'.Scenario.graph)
       | Error e -> Alcotest.failf "load_file: %s" e)

@@ -48,6 +48,22 @@ let plan_parse_errors () =
       | Error _ -> ())
     [ "bogus:plan"; "drop:p=1.5"; "crash:down=8"; "drop:p=nope"; "storm:at=1,flaps=x" ]
 
+(* The one plan grammar also reads a profile by name, bare or behind
+   [profile:]; an unknown [profile:] name lists the known ones. *)
+let plan_names_profiles () =
+  List.iter
+    (fun name ->
+      let expected = Option.to_result (Plan.profile name) ~none:"no such profile" in
+      check_bool (name ^ " by name") true (Plan.of_string name = expected);
+      check_bool ("profile:" ^ name) true (Plan.of_string ("profile:" ^ name) = expected))
+    Plan.profile_names;
+  match Plan.of_string "profile:bogus" with
+  | Ok _ -> Alcotest.fail "profile:bogus should not parse"
+  | Error e ->
+    check_string "unknown profile lists the known ones"
+      ("unknown profile \"bogus\" (known: " ^ String.concat ", " Plan.profile_names ^ ")")
+      e
+
 (* Values that parse as numbers but cannot be scheduled or mean
    nothing. A crash in the past used to escape as an uncaught
    Invalid_argument from the engine at install time. *)
@@ -247,8 +263,8 @@ let harness_flags_broken_variant () =
   let scenario = Scenario.for_size ~target_ads:14 ~seed:42 () in
   let broken =
     match Chaos.find_protocol "broken-ls" with
-    | Some p -> p
-    | None -> Alcotest.fail "broken-ls not resolvable"
+    | Ok p -> p
+    | Error e -> Alcotest.fail e
   in
   check_bool "broken-ls is hidden from the registry" true
     (Registry.find_opt "broken-ls" = None);
@@ -798,7 +814,7 @@ let notable_events_reach_both_sinks () =
         let scenario = Scenario.for_size ~target_ads:14 ~seed:42 () in
         let plan = Option.get (Plan.profile "byzantine") in
         ignore
-          (Chaos.run ~plan ~trace (Option.get (Chaos.find_protocol "broken-ls")) scenario))
+          (Chaos.run ~plan ~trace (Result.get_ok (Chaos.find_protocol "broken-ls")) scenario))
   in
   List.iter
     (fun name ->
@@ -813,7 +829,7 @@ let notable_events_reach_both_sinks () =
    faulted run's events survive its own baseline run. *)
 let post_mortem_covers_one_run () =
   let scenario = Scenario.for_size ~target_ads:14 ~seed:42 () in
-  let packed = Option.get (Chaos.find_protocol "orwg") in
+  let packed = Result.get_ok (Chaos.find_protocol "orwg") in
   let events () =
     match J.member "events" (Trace.post_mortem ~reason:"test" Trace.flight) with
     | Some (J.List l) -> l
@@ -838,6 +854,7 @@ let () =
         [
           Alcotest.test_case "profiles round-trip through specs" `Quick plan_roundtrip;
           Alcotest.test_case "bad specs rejected" `Quick plan_parse_errors;
+          Alcotest.test_case "profiles by name" `Quick plan_names_profiles;
           Alcotest.test_case "nonsense values rejected" `Quick plan_rejects_nonsense_values;
           Alcotest.test_case "empty plan" `Quick plan_empty;
           Alcotest.test_case "incident times" `Quick plan_incidents;

@@ -283,7 +283,9 @@ let sweep_trace_files () =
       max_events = 1_000_000;
     }
   in
-  let report = Pr_campaign.Driver.sweep ~jobs:2 ~quiet:true ~trace_dir:dir ~out spec in
+  let report =
+    Result.get_ok (Pr_campaign.Driver.sweep ~jobs:2 ~quiet:true ~trace_dir:dir ~out spec)
+  in
   check_int "both runs ok" 2 report.Pr_campaign.Driver.ok;
   let validate_file path =
     let ic = open_in path in

@@ -256,8 +256,10 @@ let test_flight_dump () =
   Trace.note f ~ts:1.0 ~tid:3 ~detail:"AD 3" "node.down";
   Trace.counter f ~ts:2.0 ~tid:0 ~value:17.0 "queue";
   let path = Filename.temp_file "flight" ".json" in
-  Trace.write_post_mortem f ~reason:"test dump" ~path
-    ~metrics:(Reg.snapshot_to_json (Reg.snapshot (populated ())));
+  Result.get_ok
+    (J.write_file ~path
+       (Trace.post_mortem f ~reason:"test dump"
+          ~metrics:(Reg.snapshot_to_json (Reg.snapshot (populated ())))));
   let ic = open_in path in
   let doc = really_input_string ic (in_channel_length ic) in
   close_in ic;
