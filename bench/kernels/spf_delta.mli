@@ -8,7 +8,7 @@
     edges, plus whatever region a cost improvement actually reaches,
     are re-settled. This is the kernel behind the [delta] benchmark and
     the scale smoke; protocol modules use delta-scoped {e invalidation}
-    (see [Ls_flood.take_delta]) rather than this kernel directly, so
+    (see [Ls_flood.stale]) rather than this kernel directly, so
     that every AD's forwarding state keeps coming from one SPF code
     path.
 

@@ -153,9 +153,7 @@ let scenario_of_args ~seed ~size ~restrictiveness ~granularity ~load =
   | Some path -> (
     match Pr_core.Codec.load_file ~path with
     | Ok s -> s
-    | Error e ->
-      Printf.eprintf "cannot load %s: %s\n" path e;
-      exit 1)
+    | Error e -> usage_error "cannot load %s: %s" path e)
 
 (* --- topology ----------------------------------------------------- *)
 
@@ -590,21 +588,7 @@ let trace_cmd =
     let module R = Pr_proto.Runner.Make (P) in
     let trace = Pr_obs.Trace.create () in
     let r = R.setup ~trace g scenario.Pr_core.Scenario.config in
-    let m = R.metrics r in
-    let tl =
-      Pr_obs.Timeline.create ~window
-        ~series:[ "messages"; "computations"; "table-entries" ]
-        ~probe:(fun () ->
-          [|
-            float_of_int (Pr_sim.Metrics.messages m);
-            float_of_int (Pr_sim.Metrics.computations m);
-            float_of_int (R.table_entries r);
-          |])
-        trace
-    in
-    let engine = Pr_sim.Network.engine (R.network r) in
-    Pr_sim.Engine.set_observer engine
-      (Some (fun ~time ~pending:_ -> Pr_obs.Timeline.observe tl ~now:time));
+    let tl = R.timeline ~window r in
     let c = R.converge ~max_events r in
     let rng = Pr_util.Rng.create (seed + 2) in
     let workload = Pr_core.Scenario.flows scenario ~rng ~count:flows () in
@@ -614,7 +598,7 @@ let trace_cmd =
           if Pr_proto.Forwarding.delivered (R.send_flow r f) then acc + 1 else acc)
         0 workload
     in
-    Pr_obs.Timeline.finish tl ~now:(Pr_sim.Engine.now engine);
+    Pr_obs.Timeline.finish tl ~now:(Pr_sim.Engine.now (Pr_sim.Network.engine (R.network r)));
     write_json out (Pr_obs.Trace.to_json trace);
     Format.printf "%s on %s: %a; delivered %d/%d@." P.name
       scenario.Pr_core.Scenario.label Pr_proto.Runner.pp_convergence c delivered flows;
@@ -629,7 +613,7 @@ let trace_cmd =
     in
     let profile =
       Pr_obs.Load_profile.of_series
-        (Pr_sim.Metrics.load_series m @ [ ("table-entries", per_ad_tables) ])
+        (Pr_sim.Metrics.load_series (R.metrics r) @ [ ("table-entries", per_ad_tables) ])
     in
     Pr_util.Texttable.print ~title:"per-AD load profile" (Pr_obs.Load_profile.table profile);
     Printf.printf "trace: %s (%d events%s)\n" out (Pr_obs.Trace.length trace)
@@ -1044,24 +1028,43 @@ let bench_cmd =
     (Cmd.info "bench" ~doc:"Benchmark-baseline tooling (see `prx bench diff`).")
     [ diff_cmd ]
 
+(* A command line Cmdliner rejects (an unknown command or option, a
+   value it cannot convert, a missing argument) is a usage error like
+   any other:
+   its report, taken unwrapped, is cut to the one [prx:] line before the
+   usage block, and the exit status is 2 rather than Cmdliner's 124. *)
 let () =
   let info = Cmd.info "prx" ~doc:"Inter-AD policy routing explorer (Breslau & Estrin, SIGCOMM 1990)." in
-  exit
-    (Cmd.eval
-       (Cmd.group info
-          [
-            design_space_cmd;
-            topology_cmd;
-            evaluate_cmd;
-            dot_cmd;
-            oracle_cmd;
-            impact_cmd;
-            conformance_cmd;
-            sweep_cmd;
-            serve_cmd;
-            converge_cmd;
-            trace_cmd;
-            chaos_cmd;
-            stats_cmd;
-            bench_cmd;
-          ]))
+  let cmd =
+    Cmd.group info
+      [
+        design_space_cmd;
+        topology_cmd;
+        evaluate_cmd;
+        dot_cmd;
+        oracle_cmd;
+        impact_cmd;
+        conformance_cmd;
+        sweep_cmd;
+        serve_cmd;
+        converge_cmd;
+        trace_cmd;
+        chaos_cmd;
+        stats_cmd;
+        bench_cmd;
+      ]
+  in
+  let report = Buffer.create 256 in
+  let err = Format.formatter_of_buffer report in
+  Format.pp_set_margin err 1_000_000;
+  let result = Cmd.eval_value ~err cmd in
+  Format.pp_print_flush err ();
+  let report = Buffer.contents report in
+  match result with
+  | Ok _ -> exit Cmd.Exit.ok
+  | Error (`Parse | `Term) ->
+    prerr_endline (List.hd (String.split_on_char '\n' report));
+    exit 2
+  | Error `Exn ->
+    prerr_string report;
+    exit Cmd.Exit.internal_error

@@ -1,7 +1,6 @@
 module J = Pr_util.Json
 module Rng = Pr_util.Rng
 module Graph = Pr_topology.Graph
-module Metrics = Pr_sim.Metrics
 module Engine = Pr_sim.Engine
 module Runner = Pr_proto.Runner
 module Registry = Pr_core.Registry
@@ -136,26 +135,7 @@ let execute ?(chaos = no_chaos) ?trace_dir (run : Grid.run) =
       | None -> Trace.disabled
     in
     let r = R.setup ~trace g scenario.Scenario.config in
-    let m = R.metrics r in
-    let timeline =
-      if trace_dir = None then None
-      else
-        Some
-          (Timeline.create
-             ~series:[ "messages"; "computations"; "table-entries" ]
-             ~probe:(fun () ->
-               [|
-                 float_of_int (Metrics.messages m);
-                 float_of_int (Metrics.computations m);
-                 float_of_int (R.table_entries r);
-               |])
-             trace)
-    in
-    let engine = Pr_sim.Network.engine (R.network r) in
-    Option.iter
-      (fun tl ->
-        Engine.set_observer engine (Some (fun ~time ~pending:_ -> Timeline.observe tl ~now:time)))
-      timeline;
+    let timeline = if trace_dir = None then None else Some (R.timeline r) in
     if run.churn then Pr_sim.Churn.standard (R.network r) ~seed:run.seed;
     let c = R.converge ~max_events:run.max_events r in
     let rng = Rng.create (run.seed + 2) in
@@ -170,7 +150,9 @@ let execute ?(chaos = no_chaos) ?trace_dir (run : Grid.run) =
       | None -> Ok None
       | Some dir ->
         let file = trace_filename run in
-        Option.iter (fun tl -> Timeline.finish tl ~now:(Engine.now engine)) timeline;
+        Option.iter
+          (fun tl -> Timeline.finish tl ~now:(Engine.now (Pr_sim.Network.engine (R.network r))))
+          timeline;
         let* () = J.write_file ~path:(Filename.concat dir file) (Trace.to_json trace) in
         Ok (Some file)
     in

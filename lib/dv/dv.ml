@@ -46,14 +46,22 @@ module Make (V : VARIANT) = struct
   (* The static filler [nodes] is made over ({!Pr_util.Filler}). *)
   let no_node = { heard = Hashtbl.create 1; metric = [||]; next_hop = [||] }
 
+  (* A node's own table as at boot: itself at distance 0, everything
+     else unreachable. *)
+  let init_table node ad =
+    Array.fill node.metric 0 (Array.length node.metric) infinity_metric;
+    Array.fill node.next_hop 0 (Array.length node.next_hop) (-1);
+    node.metric.(ad) <- 0;
+    node.next_hop.(ad) <- ad
+
   let create graph _config net =
     let n = Graph.n graph in
     let make_node ad =
-      let metric = Array.make n infinity_metric in
-      let next_hop = Array.make n (-1) in
-      metric.(ad) <- 0;
-      next_hop.(ad) <- ad;
-      { heard = Hashtbl.create 8; metric; next_hop }
+      let node =
+        { heard = Hashtbl.create 8; metric = Array.make n 0; next_hop = Array.make n 0 }
+      in
+      init_table node ad;
+      node
     in
     { graph; net; nodes = Pr_util.Filler.init ~filler:no_node n make_node }
 
@@ -86,22 +94,22 @@ module Make (V : VARIANT) = struct
       changed
     end
 
-  (* Advertise the given destinations to every up neighbor, applying
-     poisoned reverse under split horizon. *)
+  (* The entry [ad] advertises to [nbr] for [dst]: poisoned reverse
+     under split horizon (a route through [nbr] goes back as
+     unreachable), the own metric otherwise. *)
+  let advertised_entry t ad nbr dst =
+    if V.split_horizon && t.nodes.(ad).next_hop.(dst) = nbr && dst <> ad then
+      (dst, infinity_metric)
+    else (dst, Stdlib.min t.nodes.(ad).metric.(dst) infinity_metric)
+
+  let send_vector t ~src ~dst dests =
+    let entries = List.map (advertised_entry t src dst) dests in
+    Network.send t.net ~src ~dst ~bytes:(vector_bytes entries) entries
+
+  (* Advertise the given destinations to every up neighbor. *)
   let advertise t ad dests =
-    if dests <> [] then begin
-      let node = t.nodes.(ad) in
-      Network.iter_up_neighbors t.net ad ~f:(fun nbr ->
-          let entries =
-            List.map
-              (fun dst ->
-                if V.split_horizon && node.next_hop.(dst) = nbr && dst <> ad then
-                  (dst, infinity_metric)
-                else (dst, Stdlib.min node.metric.(dst) infinity_metric))
-              dests
-          in
-          Network.send t.net ~src:ad ~dst:nbr ~bytes:(vector_bytes entries) entries)
-    end
+    if dests <> [] then
+      Network.iter_up_neighbors t.net ad ~f:(fun nbr -> send_vector t ~src:ad ~dst:nbr dests)
 
   let all_dests t = List.init (Graph.n t.graph) (fun i -> i)
 
@@ -144,13 +152,8 @@ module Make (V : VARIANT) = struct
     end
 
   let reset_node t ~at =
-    let node = t.nodes.(at) in
-    let n = Graph.n t.graph in
-    Hashtbl.reset node.heard;
-    Array.fill node.metric 0 n infinity_metric;
-    Array.fill node.next_hop 0 n (-1);
-    node.metric.(at) <- 0;
-    node.next_hop.(at) <- at;
+    Hashtbl.reset t.nodes.(at).heard;
+    init_table t.nodes.(at) at;
     advertise t at (all_dests t)
 
   (* {2 Adversarial surface}
@@ -216,17 +219,7 @@ module Make (V : VARIANT) = struct
 
   (* [nbr] re-sends its full vector to [at] alone — the link-up
      exchange, directed, with poisoned reverse relative to [at]. *)
-  let resync t ~at ~nbr =
-    let node = t.nodes.(nbr) in
-    let entries =
-      List.map
-        (fun dst ->
-          if V.split_horizon && node.next_hop.(dst) = at && dst <> nbr then
-            (dst, infinity_metric)
-          else (dst, Stdlib.min node.metric.(dst) infinity_metric))
-        (all_dests t)
-    in
-    Network.send t.net ~src:nbr ~dst:at ~bytes:(vector_bytes entries) entries
+  let resync t ~at ~nbr = send_vector t ~src:nbr ~dst:at (all_dests t)
 
   let prepare_flow _t _flow = Packet.no_prep
 

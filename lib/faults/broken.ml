@@ -23,34 +23,26 @@ module M = struct
   let create graph config net =
     { inner = Ls.create graph config net; confused = Array.make (Graph.n graph) false }
 
-  let start t = Ls.start t.inner
+  (* The flood members are the honest LS ones: broken-ls validates and
+     audits correctly — its defect is downstream, in the data plane.
+     Forged LSAs it accepts (when unguarded) therefore show up in the
+     containment audit, which is exactly the non-vacuity check the
+     guard tests need. Its [handle_link] alone adds to them: a failure
+     confuses the AD. *)
+  include Pr_proto.Ls_flood.Members (struct
+    type proto = t
 
-  let handle_message t ~at ~from msg = Ls.handle_message t.inner ~at ~from msg
+    let flood t = Ls.flood t.inner
+  end)
 
   let handle_link t ~at ~link ~up =
-    Ls.handle_link t.inner ~at ~link ~up;
+    handle_link t ~at ~link ~up;
     if not up then t.confused.(at) <- true
 
   (* Total state loss does not cure the confusion: the bug lives in
      nonvolatile configuration, so even a post-heal restart stays
      broken and the final invariant sweep is guaranteed to see it. *)
   let reset_node t ~at = Ls.reset_node t.inner ~at
-
-  (* The adversarial surface is the honest LS one: broken-ls validates
-     and audits correctly — its defect is downstream, in the data
-     plane. Forged LSAs it accepts (when unguarded) therefore show up
-     in the containment audit, which is exactly the non-vacuity check
-     the guard tests need. *)
-
-  let check_update t ~at ~from msg = Ls.check_update t.inner ~at ~from msg
-
-  let corrupt_update t ~rng msg = Ls.corrupt_update t.inner ~rng msg
-
-  let forge_update t ~origin = Ls.forge_update t.inner ~origin
-
-  let audit_state t ~at = Ls.audit_state t.inner ~at
-
-  let resync t ~at ~nbr = Ls.resync t.inner ~at ~nbr
 
   let prepare_flow t flow = Ls.prepare_flow t.inner flow
 

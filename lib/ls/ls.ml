@@ -54,11 +54,13 @@ let create graph _config net =
     spf_count = 0;
   }
 
-let start t = Ls_flood.start t.flood
+let flood t = t.flood
 
-let handle_message t ~at ~from lsa = Ls_flood.handle_message t.flood ~at ~from lsa
+include Ls_flood.Members (struct
+  type proto = t
 
-let handle_link t ~at ~link ~up = Ls_flood.handle_link t.flood ~at ~link ~up
+  let flood = flood
+end)
 
 let reset_node t ~at =
   let node = t.nodes.(at) in
@@ -71,14 +73,7 @@ let reset_node t ~at =
    ends advertise it. The tree's first hops are the next hops. *)
 let run_spf t ad ~version =
   let db = Ls_flood.db t.flood ad in
-  let relax u f =
-    List.iter
-      (fun (a : Lsdb.adjacency) ->
-        match Lsdb.bidirectional db u a.Lsdb.nbr with
-        | None -> ()
-        | Some cost -> f a.Lsdb.nbr cost)
-      (Lsdb.adjacencies_of db u)
-  in
+  let relax u f = Lsdb.iter_confirmed db u ~f in
   let tree, work = Spf.search ~n:(Graph.n t.graph) ~src:ad ~relax () in
   t.spf_count <- t.spf_count + 1;
   Pr_proto.Probe.computation probe_spf t.net ~at:ad ~work ();
@@ -90,39 +85,19 @@ let run_spf t ad ~version =
 
 (* Scoped invalidation: the version moved, but if every changed origin
    is provably outside the region this AD's tree spans (the flood's
-   {!Ls_flood.delta_in_scope} rule over the ADs the cached tree
-   reaches), the cached next hops are still exact and the recompute is
-   skipped. Trees are always rebuilt by the one full-SPF code path,
-   never repaired in place: per-AD incremental repairs could break
-   equal-cost ties differently at different ADs, and hop-by-hop
-   forwarding over disagreeing trees can loop. *)
+   {!Ls_flood.stale} rule over the ADs the cached tree reaches), the
+   cached next hops are still exact and the recompute is skipped.
+   Trees are always rebuilt by the one full-SPF code path, never
+   repaired in place: per-AD incremental repairs could break equal-cost
+   ties differently at different ADs, and hop-by-hop forwarding over
+   disagreeing trees can loop. *)
 let ensure_fresh t ad =
   let version = Ls_flood.db_version t.flood ad in
   let node = t.nodes.(ad) in
-  if node.computed_version <> version then begin
-    let in_scope =
-      match Ls_flood.take_delta t.flood ad with
-      | Ls_flood.Unchanged -> false
-      | Ls_flood.Full -> true
-      | Ls_flood.Origins os ->
-        node.computed_version < 0
-        || Ls_flood.delta_in_scope t.flood ad ~in_region:(fun v -> node.next_hops.(v) >= 0) os
-    in
-    if in_scope then run_spf t ad ~version else node.computed_version <- version
-  end
-
-(* Adversarial surface: the shared flood realizes all of it (see
-   {!Ls_flood}'s adversarial section). *)
-
-let check_update t ~at ~from:_ lsa = Ls_flood.check_lsa t.flood ~at lsa
-
-let corrupt_update t ~rng lsa = Ls_flood.corrupt_lsa t.flood ~rng lsa
-
-let forge_update t ~origin = Ls_flood.forge_lsa t.flood origin
-
-let audit_state t ~at = Ls_flood.audit_db t.flood ~at
-
-let resync t ~at ~nbr = Ls_flood.resync t.flood ~at ~nbr
+  if node.computed_version <> version then
+    if Ls_flood.stale t.flood ad ~in_region:(fun v -> node.next_hops.(v) >= 0) then
+      run_spf t ad ~version
+    else node.computed_version <- version
 
 let prepare_flow _t _flow = Packet.no_prep
 

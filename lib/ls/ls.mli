@@ -10,6 +10,10 @@ type message = Pr_proto.Lsdb.lsa
 
 include Pr_proto.Protocol_intf.PROTOCOL with type message := message
 
+val flood : t -> Pr_proto.Ls_flood.t
+(** The instance's flood, behind the {!Pr_proto.Ls_flood.Members} it
+    includes; a wrapper includes them over it. *)
+
 val next_hop_of :
   t -> at:Pr_topology.Ad.id -> dst:Pr_topology.Ad.id -> Pr_topology.Ad.id option
 (** The AD's current next hop toward a destination (forcing the

@@ -57,11 +57,14 @@ let create graph config net =
           { route_cache = Hashtbl.create 32; region_version = 0; reach = None });
   }
 
-let start t = Ls_flood.start t.flood
+(* The flood members; the Policy Terms riding in each LSA are what
+   make this design checkable — a forged or leaked term fails
+   {!Ls_flood.check_lsa}'s ownership rule at the first honest hop. *)
+include Ls_flood.Members (struct
+  type proto = t
 
-let handle_message t ~at ~from lsa = Ls_flood.handle_message t.flood ~at ~from lsa
-
-let handle_link t ~at ~link ~up = Ls_flood.handle_link t.flood ~at ~link ~up
+  let flood t = t.flood
+end)
 
 let reset_node t ~at =
   let node = t.nodes.(at) in
@@ -69,17 +72,13 @@ let reset_node t ~at =
   node.reach <- None;
   Ls_flood.reset_node t.flood at
 
-(* Drain the AD's pending delta and advance its region version iff the
-   delta is in scope: some changed origin lies inside (or newly
-   attaches to) the region the AD's routes are computed over. *)
+(* Drain the AD's pending changes and advance its region version iff
+   they are in scope: some changed origin lies inside (or newly
+   attaches to) the region the AD's routes are computed over. The
+   region is computed only when the question needs it. *)
 let sync_region t at =
   let node = t.nodes.(at) in
-  match Ls_flood.take_delta t.flood at with
-  | Ls_flood.Unchanged -> ()
-  | Ls_flood.Full ->
-    node.region_version <- Ls_flood.db_version t.flood at;
-    node.reach <- None
-  | Ls_flood.Origins os ->
+  let in_region v =
     let reach =
       match node.reach with
       | Some r -> r
@@ -88,10 +87,12 @@ let sync_region t at =
         node.reach <- Some r;
         r
     in
-    if Ls_flood.delta_in_scope t.flood at ~in_region:(Pr_util.Bitset.mem reach) os then begin
-      node.region_version <- Ls_flood.db_version t.flood at;
-      node.reach <- None
-    end
+    Pr_util.Bitset.mem reach v
+  in
+  if Ls_flood.stale t.flood at ~in_region then begin
+    node.region_version <- Ls_flood.db_version t.flood at;
+    node.reach <- None
+  end
 
 (* The uniform computation every AD replicates: the policy-constrained
    shortest route for the flow, from the flow's *source*, over this
@@ -114,29 +115,9 @@ let compute_route t at (flow : Flow.t) =
     Hashtbl.replace node.route_cache key (version, path);
     path
 
-(* Adversarial surface: delegated to the shared flood. The Policy
-   Terms riding in each LSA are what make this design checkable — a
-   forged or leaked term fails {!Ls_flood.check_lsa}'s ownership rule
-   at the first honest hop. *)
-
-let check_update t ~at ~from:_ lsa = Ls_flood.check_lsa t.flood ~at lsa
-
-let corrupt_update t ~rng lsa = Ls_flood.corrupt_lsa t.flood ~rng lsa
-
-let forge_update t ~origin = Ls_flood.forge_lsa t.flood origin
-
-let audit_state t ~at = Ls_flood.audit_db t.flood ~at
-
-let resync t ~at ~nbr = Ls_flood.resync t.flood ~at ~nbr
-
 let prepare_flow _t _flow = Packet.no_prep
 
 let originate _t _packet = ()
-
-let rec successor_on path at =
-  match path with
-  | [] | [ _ ] -> None
-  | x :: (y :: _ as rest) -> if x = at then Some y else successor_on rest at
 
 let forward t ~at ~from:_ packet =
   let flow = packet.Packet.flow in
@@ -145,7 +126,7 @@ let forward t ~at ~from:_ packet =
     match compute_route t at flow with
     | None -> Packet.Drop "no policy route"
     | Some path -> (
-      match successor_on path at with
+      match Pr_topology.Path.successor_on path at with
       | Some next -> Packet.Forward next
       | None -> Packet.Drop "not on my computed route (inconsistent databases)")
 

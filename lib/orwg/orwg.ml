@@ -40,10 +40,6 @@ module type VARIANT = sig
       the deployable variants bound it; {!route_evictions} counts
       what it evicts. *)
 
-  val setup_retries : int
-  (** How many times the route server re-synthesizes around an AD that
-      refused a setup (stale databases make refusals possible). *)
-
   val delegate_stub_route_servers : bool
   (** Database distribution strategy (paper section 6): when true, LSAs
       flood only among transit-capable ADs; stub sources delegate route
@@ -89,6 +85,10 @@ module Make (V : VARIANT) = struct
   type nonrec message = message
 
   let max_route_hops = 12
+
+  (* How many times the route server re-synthesizes around an AD that
+     refused a setup (stale databases make refusals possible). *)
+  let setup_retries = 2
 
   type pg_entry = {
     prev : Pr_topology.Ad.id option;  (* AD the packet must arrive from *)
@@ -242,11 +242,14 @@ module Make (V : VARIANT) = struct
        (and retried around the refusal). *)
     Ls_flood.originate t.flood ad
 
-  let start t = Ls_flood.start t.flood
+  (* The flood members. Ownership is the invariant checked on terms —
+     [set_policy] mutates transit policies live, so content cannot be
+     compared against the static configuration. *)
+  include Ls_flood.Members (struct
+    type proto = t
 
-  let handle_message t ~at ~from lsa = Ls_flood.handle_message t.flood ~at ~from lsa
-
-  let handle_link t ~at ~link ~up = Ls_flood.handle_link t.flood ~at ~link ~up
+    let flood t = t.flood
+  end)
 
   let reset_node t ~at =
     let node = t.nodes.(at) in
@@ -374,22 +377,7 @@ module Make (V : VARIANT) = struct
           if tries > 0 then attempt (ad :: refusers) (tries - 1)
           else Error (Printf.sprintf "setup refused at AD %d" ad))
     in
-    attempt [] V.setup_retries
-
-  (* Adversarial surface: delegated to the shared flood. Ownership is
-     the invariant checked on terms — [set_policy] mutates transit
-     policies live, so content cannot be compared against the static
-     configuration. *)
-
-  let check_update t ~at ~from:_ lsa = Ls_flood.check_lsa t.flood ~at lsa
-
-  let corrupt_update t ~rng lsa = Ls_flood.corrupt_lsa t.flood ~rng lsa
-
-  let forge_update t ~origin = Ls_flood.forge_lsa t.flood origin
-
-  let audit_state t ~at = Ls_flood.audit_db t.flood ~at
-
-  let resync t ~at ~nbr = Ls_flood.resync t.flood ~at ~nbr
+    attempt [] setup_retries
 
   let prepare_flow t (flow : Flow.t) =
     if flow.Flow.src = flow.Flow.dst then Packet.no_prep
@@ -454,11 +442,6 @@ module Make (V : VARIANT) = struct
         end
     end
 
-  let rec successor_on path at =
-    match path with
-    | [] | [ _ ] -> None
-    | x :: (y :: _ as rest) -> if x = at then Some y else successor_on rest at
-
   let forward t ~at ~from packet =
     let flow = packet.Packet.flow in
     if at = flow.Flow.dst then Packet.Deliver
@@ -490,7 +473,7 @@ module Make (V : VARIANT) = struct
       match packet.Packet.source_route with
       | None -> Packet.Drop "no source route"
       | Some path -> (
-        match successor_on path at with
+        match Path.successor_on path at with
         | None -> Packet.Drop "not on the source route"
         | Some next ->
           t.nodes.(at).validations <- t.nodes.(at).validations + 1;
@@ -530,7 +513,8 @@ module Make (V : VARIANT) = struct
   let db_entries t ad = Ls_flood.db_entries t.flood ad
 end
 
-module Orwg = Make (struct
+(* The full architecture; each variant below changes one knob of it. *)
+module Full = struct
   let name = "orwg"
 
   let use_handles = true
@@ -539,57 +523,33 @@ module Orwg = Make (struct
 
   let pr_capacity = Some 512
 
-  let setup_retries = 2
-
   let delegate_stub_route_servers = false
 
   let prune_synthesis = false
-end)
+end
+
+module Orwg = Make (Full)
 
 module No_handles = Make (struct
+  include Full
+
   let name = "orwg-no-handles"
 
   let use_handles = false
-
-  let pg_capacity = None
-
-  let pr_capacity = Some 512
-
-  let setup_retries = 2
-
-  let delegate_stub_route_servers = false
-
-  let prune_synthesis = false
 end)
 
 module Delegated = Make (struct
+  include Full
+
   let name = "orwg-delegated"
 
-  let use_handles = true
-
-  let pg_capacity = None
-
-  let pr_capacity = Some 512
-
-  let setup_retries = 2
-
   let delegate_stub_route_servers = true
-
-  let prune_synthesis = false
 end)
 
 module Pruned = Make (struct
+  include Full
+
   let name = "orwg-pruned"
-
-  let use_handles = true
-
-  let pg_capacity = None
-
-  let pr_capacity = Some 512
-
-  let setup_retries = 2
-
-  let delegate_stub_route_servers = false
 
   let prune_synthesis = true
 end)
@@ -598,17 +558,9 @@ module Bounded_pg (C : sig
   val capacity : int
 end) =
 Make (struct
+  include Full
+
   let name = Printf.sprintf "orwg-pg%d" C.capacity
 
-  let use_handles = true
-
   let pg_capacity = Some C.capacity
-
-  let pr_capacity = Some 512
-
-  let setup_retries = 2
-
-  let delegate_stub_route_servers = false
-
-  let prune_synthesis = false
 end)

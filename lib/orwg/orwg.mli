@@ -45,10 +45,6 @@ module type VARIANT = sig
       gateway handle tables; {!route_evictions} counts what they
       evict. *)
 
-  val setup_retries : int
-  (** How many times the route server re-synthesizes around an AD that
-      refused a setup (stale databases make refusals possible). *)
-
   val delegate_stub_route_servers : bool
   (** Database distribution strategy (paper section 6, open issue 2):
       when true, LSAs flood only among transit-capable ADs — stubs hold

@@ -2,8 +2,6 @@ module Graph = Pr_topology.Graph
 module Network = Pr_sim.Network
 module Bitset = Pr_util.Bitset
 
-type delta = Unchanged | Full | Origins of Pr_topology.Ad.id list
-
 type t = {
   net : Lsdb.lsa Network.t;
   n : int;
@@ -15,16 +13,13 @@ type t = {
      and policy routes are still valid. *)
   versions : int array;
   (* Per-AD dirty set since the AD's consumer last drained it: which
-     origins' LSAs changed. The scoped-invalidation machinery — a
-     consumer whose cached region provably does not meet the delta
-     skips its recompute entirely. [dirty_full] swallows the origin
-     list (database reset). Tracking starts at an AD's first drain,
-     which answers [Full] and allocates [dirty_mem]; until then
-     [dirty_mem] is [None] and nothing is recorded, so protocols that
-     never drain pay nothing per change. *)
+     origins' LSAs changed ({!stale}); a reset dirties the AD's own
+     origin. Tracking starts at an AD's first drain, which answers
+     stale and allocates [dirty_mem]; until then [dirty_mem] is [None]
+     and nothing is recorded, so protocols that never drain pay
+     nothing per change. *)
   dirty : Pr_topology.Ad.id list array;  (* newest first *)
   dirty_mem : Bitset.t option array;
-  dirty_full : bool array;
   terms_for : Pr_topology.Ad.id -> Pr_policy.Policy_term.t list;
   flood_to : Pr_topology.Ad.id -> bool;
   (* Per origin, the last record {!check_lsa} accepted (a sentinel
@@ -54,7 +49,6 @@ let create net ~terms_for ?(flood_to = fun _ -> true) () =
     versions = Array.make n 0;
     dirty = Array.make n [];
     dirty_mem = Array.make n None;
-    dirty_full = Array.make n false;
     terms_for;
     flood_to;
     vetted = Array.make n unvetted;
@@ -89,14 +83,11 @@ let flood_from t ad ~except lsa =
   Network.broadcast t.net ~src:ad ~except ~filter:t.flood_to ~bytes:(Lsdb.lsa_bytes lsa) lsa
 
 let mark_dirty t ad origin =
-  match (t.dirty_mem.(ad), origin) with
-  | None, _ -> ()
-  | Some m, None ->
-    t.dirty_full.(ad) <- true;
-    t.dirty.(ad) <- [];
-    Bitset.clear m
-  | Some m, Some o ->
-    if (not t.dirty_full.(ad)) && not (Bitset.mem m o) then begin
+  match t.dirty_mem.(ad) with
+  | None -> ()
+  | Some m ->
+    let o = Option.value origin ~default:ad in
+    if not (Bitset.mem m o) then begin
       Bitset.add m o;
       t.dirty.(ad) <- o :: t.dirty.(ad)
     end
@@ -106,29 +97,42 @@ let changed t ad ~origin =
   mark_dirty t ad origin;
   t.on_change ad ~origin
 
-let take_delta t ad =
+(* Drain the AD's dirty set: true on the first drain, when the AD's
+   own origin changed (a reset included), or when some other changed
+   origin is in scope. The answer does not depend on the order the
+   origins are drained in. *)
+let stale t ad ~in_region =
   match t.dirty_mem.(ad) with
   | None ->
     t.dirty_mem.(ad) <- Some (Bitset.create t.n);
-    Full
-  | Some m ->
-    if t.dirty_full.(ad) then begin
-      t.dirty_full.(ad) <- false;
+    true
+  | Some m -> (
+    match t.dirty.(ad) with
+    | [] -> false
+    | os ->
+      let own = Bitset.mem m ad in
       t.dirty.(ad) <- [];
       Bitset.clear m;
-      Full
-    end
-    else (
-      match t.dirty.(ad) with
-      | [] -> Unchanged
-      | os ->
-        t.dirty.(ad) <- [];
-        Bitset.clear m;
-        Origins (List.rev os))
+      let db = t.dbs.(ad) in
+      let inside v = v = ad || in_region v in
+      (* Can a change to [o]'s LSA affect routes computed over the
+         region? Only if [o] is inside the region, or its LSA
+         advertises a confirmed adjacency attaching it to the region
+         (a new attachment grows the region; anything further away
+         cannot alter any shortest or policy route among region
+         members, because every edge such routes use is advertised by
+         two region members whose LSAs did not change). *)
+      let in_scope o =
+        inside o
+        ||
+        let hit = ref false in
+        Lsdb.iter_confirmed db o ~f:(fun v _ -> if (not !hit) && inside v then hit := true);
+        !hit
+      in
+      own || List.exists in_scope os)
 
 (* The region an AD's cached routes can depend on: everything reachable
-   from it through bidirectionally-confirmed adjacencies of its own
-   database. *)
+   from it through confirmed adjacencies of its own database. *)
 let reachable_set t ad =
   let db = t.dbs.(ad) in
   let reach = Bitset.create t.n in
@@ -136,38 +140,13 @@ let reachable_set t ad =
   let queue = Queue.create () in
   Queue.add ad queue;
   while not (Queue.is_empty queue) do
-    let u = Queue.pop queue in
-    List.iter
-      (fun (a : Lsdb.adjacency) ->
-        let v = a.Lsdb.nbr in
-        if v >= 0 && v < t.n && (not (Bitset.mem reach v))
-           && Lsdb.bidirectional db u v <> None
-        then begin
+    Lsdb.iter_confirmed db (Queue.pop queue) ~f:(fun v _ ->
+        if not (Bitset.mem reach v) then begin
           Bitset.add reach v;
           Queue.add v queue
         end)
-      (Lsdb.adjacencies_of db u)
   done;
   reach
-
-(* Can a change to [o]'s LSA affect routes computed over the region?
-   Only if [o] is inside the region, or its LSA advertises a
-   bidirectionally-confirmed adjacency attaching it to the region (a
-   new attachment grows the region; anything further away cannot alter
-   any shortest or policy route among region members, because every
-   edge such routes use is advertised by two region members whose LSAs
-   did not change). *)
-let delta_in_scope t ad ~in_region origins =
-  let db = t.dbs.(ad) in
-  let inside v = v = ad || (v >= 0 && v < t.n && in_region v) in
-  List.exists
-    (fun o ->
-      inside o
-      || List.exists
-           (fun (a : Lsdb.adjacency) ->
-             inside a.Lsdb.nbr && Lsdb.bidirectional db o a.Lsdb.nbr <> None)
-           (Lsdb.adjacencies_of db o))
-    origins
 
 let originate t ad =
   t.seqs.(ad) <- t.seqs.(ad) + 1;
@@ -259,15 +238,6 @@ let check_lsa t ~at:_ (lsa : Lsdb.lsa) =
       Ok ()
     | Error _ as e -> e
 
-let audit_db t ~at =
-  Lsdb.fold t.dbs.(at) ~init:None ~f:(fun acc lsa ->
-      match acc with
-      | Some _ -> acc
-      | None -> (
-        match check_lsa t ~at lsa with
-        | Ok () -> None
-        | Error reason -> Some reason))
-
 (* Lowest-id AD the origin has no real link to — the fabricated
    neighbor corruption and forgery both claim. None in complete
    graphs. *)
@@ -348,3 +318,36 @@ let reset_node t ad =
      by the sequence-number check; the pushes are charged to the
      neighbors like any other flood traffic. *)
   Network.iter_up_neighbors t.net ad ~f:(fun nbr -> resync t ~at:ad ~nbr)
+
+module Members (P : sig
+  type proto
+
+  val flood : proto -> t
+end) =
+struct
+  let start p = start (P.flood p)
+
+  let handle_message p ~at ~from lsa = handle_message (P.flood p) ~at ~from lsa
+
+  let handle_link p ~at ~link ~up = handle_link (P.flood p) ~at ~link ~up
+
+  let check_update p ~at ~from:_ lsa = check_lsa (P.flood p) ~at lsa
+
+  let corrupt_update p ~rng lsa = corrupt_lsa (P.flood p) ~rng lsa
+
+  let forge_update p ~origin = forge_lsa (P.flood p) origin
+
+  (* The containment ground truth: the first stored LSA the check
+     would reject. *)
+  let audit_state p ~at =
+    let t = P.flood p in
+    Lsdb.fold t.dbs.(at) ~init:None ~f:(fun acc lsa ->
+        match acc with
+        | Some _ -> acc
+        | None -> (
+          match check_lsa t ~at lsa with
+          | Ok () -> None
+          | Error reason -> Some reason))
+
+  let resync p ~at ~nbr = resync (P.flood p) ~at ~nbr
+end

@@ -9,13 +9,6 @@
 
 type t
 
-type delta =
-  | Unchanged  (** nothing accepted since the last drain *)
-  | Full  (** database reset — everything may have changed *)
-  | Origins of Pr_topology.Ad.id list
-      (** exactly these origins' LSAs changed, deduplicated, oldest
-          first *)
-
 val create :
   Lsdb.lsa Pr_sim.Network.t ->
   terms_for:(Pr_topology.Ad.id -> Pr_policy.Policy_term.t list) ->
@@ -38,6 +31,8 @@ val start : t -> unit
 (** Every AD originates its first LSA and floods it. *)
 
 val handle_message : t -> at:Pr_topology.Ad.id -> from:Pr_topology.Ad.id -> Lsdb.lsa -> unit
+(** A newer LSA is installed and flooded on to every in-scope neighbor
+    but the sender; stale and duplicate copies are shed. *)
 
 val originate : t -> Pr_topology.Ad.id -> unit
 (** The AD re-originates and floods a fresh LSA reflecting its current
@@ -46,9 +41,10 @@ val originate : t -> Pr_topology.Ad.id -> unit
 val handle_link :
   t -> at:Pr_topology.Ad.id -> link:Pr_topology.Link.id -> up:bool -> unit
 (** An incident link changed state: the AD re-originates; on a restore
-    it also pulls the other end's full database ({!resync}), recovering
-    every LSA it missed while the link was down. The pull is charged to
-    the other end like any flood traffic. *)
+    it also pulls the other end's full database (as the shared
+    [resync] member does), recovering every LSA it missed while the
+    link was down. The pull is charged to the other end like any flood
+    traffic. *)
 
 val reset_node : t -> Pr_topology.Ad.id -> unit
 (** The AD restarted with state loss: its database is emptied (the
@@ -63,9 +59,10 @@ val db : t -> Pr_topology.Ad.id -> Lsdb.t
 
 val db_version : t -> Pr_topology.Ad.id -> int
 (** Monotonic per-AD database version, bumped on every accepted LSA.
-    Synthesis results computed at version [v] remain valid exactly
-    while [db_version] still returns [v] — protocols key their SPF and
-    policy-route caches on it instead of eagerly flushing on change. *)
+    Synthesis results computed at version [v] remain valid while
+    [db_version] still returns [v]; protocols key their SPF and
+    policy-route caches on it, and ask {!stale} whether a moved
+    version can touch their routes before recomputing. *)
 
 val set_on_change :
   t -> (Pr_topology.Ad.id -> origin:Pr_topology.Ad.id option -> unit) -> unit
@@ -73,36 +70,32 @@ val set_on_change :
     protocols that must eagerly revalidate state ({!db_version} covers
     the common lazy-invalidation case). [origin] identifies whose LSA
     changed, [None] on a database reset, so eager consumers can scope
-    their revalidation with {!delta_in_scope} just like lazy ones. *)
+    their revalidation to the routes the origin sits on. *)
 
-val take_delta : t -> Pr_topology.Ad.id -> delta
-(** Drain the AD's accumulated dirty set: which origins' LSAs changed
-    since this AD's consumer last drained. One drain point per AD —
-    each protocol instance owns its flood, so its per-AD node state is
-    that single consumer. Together with {!reachable_set} and
-    {!delta_in_scope} this replaces "db_version moved, recompute" with
-    "recompute only if the delta can touch my region".
+val stale : t -> Pr_topology.Ad.id -> in_region:(Pr_topology.Ad.id -> bool) -> bool
+(** Drain the AD's dirty set and answer whether the changes since the
+    last drain can affect the AD's routes, computed over the region of
+    the ADs satisfying [in_region]. True iff the database was reset or
+    some changed origin is inside the region (the AD itself always
+    counts) or advertises a confirmed adjacency
+    ({!Lsdb.iter_confirmed}) attaching it to the region. Any origin
+    further away cannot alter routes among region members: every edge
+    such routes use is advertised by two region members whose LSAs did
+    not change. The region is {!reachable_set} or any superset of it,
+    such as the ADs a cached shortest-path tree reaches. [in_region] is
+    only asked about valid ids, and not at all when nothing changed or
+    the AD's own LSA did (a reset included).
 
-    The first drain at an AD answers [Full] and starts tracking its
-    dirty origins; before it nothing is recorded, so protocols that
-    never drain keep no per-AD dirty state. *)
+    One drain point per AD: each protocol instance owns its flood, so
+    its per-AD node state is that single consumer. The first drain at
+    an AD answers true and starts tracking its dirty origins; before it
+    nothing is recorded, so protocols that never drain keep no per-AD
+    dirty state. *)
 
 val reachable_set : t -> Pr_topology.Ad.id -> Pr_util.Bitset.t
 (** The region the AD's routes depend on: every AD reachable from it
-    through bidirectionally-confirmed adjacencies of its own database
-    (the same edge-validity rule the protocols' SPFs apply). *)
-
-val delta_in_scope :
-  t -> Pr_topology.Ad.id -> in_region:(Pr_topology.Ad.id -> bool) -> Pr_topology.Ad.id list -> bool
-(** Can changes to these origins' LSAs affect the AD's routes, computed
-    over the region of the ADs satisfying [in_region] (the AD itself
-    always counts as inside; [in_region] is only asked about valid
-    ids)? True iff some origin is inside the region or advertises a
-    confirmed adjacency attaching it to the region. Any origin further
-    away cannot alter routes among region members: every edge such
-    routes use is advertised by two region members whose LSAs did not
-    change. The region is {!reachable_set} or any superset of it, such
-    as the ADs a cached shortest-path tree reaches. *)
+    through confirmed adjacencies of its own database (the edges the
+    protocols' route computations use). *)
 
 val db_entries : t -> Pr_topology.Ad.id -> int
 
@@ -128,10 +121,6 @@ val check_lsa : t -> at:Pr_topology.Ad.id -> Lsdb.lsa -> (unit, string) result
     recomputed every time. Every field the check reads is immutable and
     the graph is static, so the verdict equals a fresh check's. *)
 
-val audit_db : t -> at:Pr_topology.Ad.id -> string option
-(** First LSA in the AD's database that {!check_lsa} would reject —
-    the containment ground truth. *)
-
 val corrupt_lsa : t -> rng:Pr_util.Rng.t -> Lsdb.lsa -> Lsdb.lsa option
 (** Retarget one adjacency onto a non-existent link (index-safe,
     detectable, never confusable with an honest link-down). [None] for
@@ -141,7 +130,20 @@ val forge_lsa : t -> Pr_topology.Ad.id -> (Lsdb.lsa * int) option
 (** A far-future-sequence LSA carrying a fabricated adjacency — the
     classic shadowing attack. [None] in complete graphs. *)
 
-val resync : t -> at:Pr_topology.Ad.id -> nbr:Pr_topology.Ad.id -> unit
-(** [nbr] pushes its full database to [at] (the directed form of
-    {!reset_node}'s bring-up exchange), recovering whatever [at]
-    dropped while it had [nbr] quarantined. *)
+(** {2 The members every link-state design shares}
+
+    The control plane of {!Protocol_intf.PROTOCOL} ([start], the
+    message and link handlers and the adversarial surface), written
+    once over a design's flood from the functions above: the
+    adversarial members are {!check_lsa} (whoever the sender),
+    {!corrupt_lsa}, {!forge_lsa}, an audit answering the first stored
+    LSA {!check_lsa} would reject, and [resync], where [nbr] pushes its
+    full database to [at] (the directed form of {!reset_node}'s
+    bring-up exchange). Each link-state design includes them and adds
+    only its own route synthesis, forwarding, [reset_node] (which ends
+    in {!reset_node}) and table gauge. *)
+module Members (P : sig
+  type proto
+
+  val flood : proto -> t
+end) : Protocol_intf.CONTROL with type t := P.proto and type message := Lsdb.lsa

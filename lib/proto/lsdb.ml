@@ -107,6 +107,20 @@ let bidirectional t u v =
   | Some a, Some b -> Some (Stdlib.max a b)
   | _ -> None
 
+let iter_confirmed t u ~f =
+  let n = Array.length t.store in
+  let rec go = function
+    | [] -> ()
+    | a :: rest ->
+      let v = a.nbr in
+      if v >= 0 && v < n then begin
+        let b = adjacency_to u t.store.(v).adjacencies in
+        if b != no_adjacency then f v (Stdlib.max a.cost b.cost)
+      end;
+      go rest
+  in
+  go t.store.(u).adjacencies
+
 let terms_of t origin = t.store.(origin).terms
 
 let compiled_of t origin =

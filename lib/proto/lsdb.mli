@@ -76,6 +76,13 @@ val adjacency_cost : t -> Pr_topology.Ad.id -> Pr_topology.Ad.id -> int option
 val bidirectional : t -> Pr_topology.Ad.id -> Pr_topology.Ad.id -> int option
 (** Max of the two directed costs when both LSAs agree the link is up. *)
 
+val iter_confirmed : t -> Pr_topology.Ad.id -> f:(Pr_topology.Ad.id -> int -> unit) -> unit
+(** [iter_confirmed db u ~f] calls [f v cost] for each adjacency [u]'s
+    LSA lists whose other end [v] lists [u] back, in [u]'s
+    advertisement order, with the larger of the two advertised costs:
+    the edges every link-state route computation may use. Allocates
+    nothing of its own. *)
+
 val terms_of : t -> Pr_topology.Ad.id -> Pr_policy.Policy_term.t list
 (** Stored policy terms for the AD ([] when unknown). *)
 

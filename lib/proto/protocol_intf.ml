@@ -6,21 +6,13 @@
     the messages delivered to them). The {!Runner} functor wires an
     instance to a {!Pr_sim.Network} and drives it. *)
 
-module type PROTOCOL = sig
+(** The control plane: the advertisement exchange the neighbors drive
+    and its adversarial surface. The link-state designs share one
+    realization ({!Ls_flood.Members}). *)
+module type CONTROL = sig
   type t
-  (** Instance state: all per-AD agents for one simulation. *)
 
   type message
-  (** Control messages exchanged between neighbor ADs. *)
-
-  val name : string
-
-  val design_point : Design_point.t
-  (** Position in the paper's Table 1 design space. *)
-
-  val create : Pr_topology.Graph.t -> Pr_policy.Config.t -> message Pr_sim.Network.t -> t
-  (** Build agents for every AD. The protocol may keep the network for
-      sending but must not send until {!start}. *)
 
   val start : t -> unit
   (** Emit initial advertisements (full tables, LSA origination). *)
@@ -30,18 +22,6 @@ module type PROTOCOL = sig
 
   val handle_link : t -> at:Pr_topology.Ad.id -> link:Pr_topology.Link.id -> up:bool -> unit
   (** Link state change visible at endpoint [at]. *)
-
-  val reset_node : t -> at:Pr_topology.Ad.id -> unit
-  (** AD [at]'s router restarted with total state loss (paper §2.2:
-      gateways crash and recover): forget every learned route and
-      database entry, rebuild the AD's own local entries exactly as
-      {!create} would, and re-announce over currently-up links. The
-      rest of the internet keeps whatever it heard from the AD before
-      the crash — recovery must go through the normal protocol
-      exchange. Callers (see [Runner.Make.restart_ad]) invoke this
-      after the AD's links are back up, mirroring a rebooted gateway
-      whose adjacencies come up before its routing process has
-      relearned anything. *)
 
   (** {2 Adversarial surface}
 
@@ -92,6 +72,37 @@ module type PROTOCOL = sig
       adjacency-bring-up exchange replayed after [at] readmits [nbr]
       from quarantine, so updates dropped while quarantined are
       recovered. *)
+end
+
+module type PROTOCOL = sig
+  type t
+  (** Instance state: all per-AD agents for one simulation. *)
+
+  type message
+  (** Control messages exchanged between neighbor ADs. *)
+
+  val name : string
+
+  val design_point : Design_point.t
+  (** Position in the paper's Table 1 design space. *)
+
+  val create : Pr_topology.Graph.t -> Pr_policy.Config.t -> message Pr_sim.Network.t -> t
+  (** Build agents for every AD. The protocol may keep the network for
+      sending but must not send until {!start}. *)
+
+  include CONTROL with type t := t and type message := message
+
+  val reset_node : t -> at:Pr_topology.Ad.id -> unit
+  (** AD [at]'s router restarted with total state loss (paper §2.2:
+      gateways crash and recover): forget every learned route and
+      database entry, rebuild the AD's own local entries exactly as
+      {!create} would, and re-announce over currently-up links. The
+      rest of the internet keeps whatever it heard from the AD before
+      the crash — recovery must go through the normal protocol
+      exchange. Callers (see [Runner.Make.restart_ad]) invoke this
+      after the AD's links are back up, mirroring a rebooted gateway
+      whose adjacencies come up before its routing process has
+      relearned anything. *)
 
   (** {2 Data plane} *)
 

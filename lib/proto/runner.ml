@@ -248,6 +248,22 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
     done;
     !total
 
+  let timeline ?window t =
+    let tl =
+      Pr_obs.Timeline.create ?window
+        ~series:[ "messages"; "computations"; "table-entries" ]
+        ~probe:(fun () ->
+          [|
+            float_of_int (Metrics.messages t.metrics);
+            float_of_int (Metrics.computations t.metrics);
+            float_of_int (table_entries t);
+          |])
+        (trace t)
+    in
+    Engine.set_observer t.engine
+      (Some (fun ~time ~pending:_ -> Pr_obs.Timeline.observe tl ~now:time));
+    tl
+
   let max_table_entries t =
     let n = Graph.n t.graph in
     let best = ref 0 in

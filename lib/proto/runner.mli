@@ -113,6 +113,14 @@ module Make (P : Protocol_intf.PROTOCOL) : sig
 
   val max_table_entries : t -> int
 
+  val timeline : ?window:float -> t -> Pr_obs.Timeline.t
+  (** The traced run's convergence timeline: the [messages],
+      [computations] and [table-entries] series (the last is
+      {!table_entries}), sampled on the run's {!trace} by the engine's
+      per-event observer, which this installs. [window] is
+      {!Pr_obs.Timeline.create}'s. The caller takes the final sample
+      with {!Pr_obs.Timeline.finish}. *)
+
   val totals : t -> totals
   (** The run's cost totals so far: the {!Pr_sim.Metrics} totals, with
       state read from the protocol's [table_entries]. Builds no per-AD

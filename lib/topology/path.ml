@@ -34,6 +34,11 @@ let is_valid g p =
   | [] -> false
   | _ -> is_loop_free p && cost g p <> None
 
+let rec successor_on p at =
+  match p with
+  | [] | [ _ ] -> None
+  | x :: (y :: _ as rest) -> if x = at then Some y else successor_on rest at
+
 let transit_ads = function
   | [] | [ _ ] -> []
   | _ :: rest -> (

@@ -26,6 +26,11 @@ val cost : Graph.t -> t -> int option
 val is_valid : Graph.t -> t -> bool
 (** Consecutive ADs are adjacent and the path is loop-free. *)
 
+val successor_on : t -> Ad.id -> Ad.id option
+(** The AD after [at] on the path: where a gateway on a source route
+    hands the packet next. [None] when [at] is the destination or not
+    on the path. *)
+
 val transit_ads : t -> Ad.id list
 (** Interior ADs (everything except the two endpoints). *)
 

@@ -79,6 +79,33 @@ let lsdb_bidirectional () =
   ignore (Lsdb.insert db (lsa 2 1 [ adj 1 5 ]));
   Alcotest.(check (option int)) "max of directions" (Some 5) (Lsdb.bidirectional db 1 2)
 
+(* [iter_confirmed] is the listed adjacencies both ends confirm, in
+   listing order, at the [bidirectional] cost (honest LSAs list each
+   neighbor once). *)
+let lsdb_iter_confirmed =
+  QCheck.Test.make ~name:"iter_confirmed = listed and bidirectional" ~count:100 QCheck.small_nat
+    (fun seed ->
+      let rng = Rng.create seed in
+      let n = 2 + Rng.int rng 8 in
+      let db = Lsdb.create ~n in
+      for u = 0 to n - 1 do
+        let nbrs = List.filter (fun v -> v <> u && Rng.int rng 2 = 0) (List.init n Fun.id) in
+        let keyed = List.map (fun v -> (Rng.int rng 100, v)) nbrs in
+        let shuffled = List.map snd (List.sort compare keyed) in
+        if Rng.int rng 4 > 0 then
+          ignore (Lsdb.insert db (lsa u 1 (List.map (fun v -> adj v (Rng.int rng 5)) shuffled)))
+      done;
+      List.for_all
+        (fun u ->
+          let got = ref [] in
+          Lsdb.iter_confirmed db u ~f:(fun v cost -> got := (v, cost) :: !got);
+          List.rev !got
+          = List.filter_map
+              (fun (a : Lsdb.adjacency) ->
+                Option.map (fun c -> (a.Lsdb.nbr, c)) (Lsdb.bidirectional db u a.Lsdb.nbr))
+              (Lsdb.adjacencies_of db u))
+        (List.init n Fun.id))
+
 let lsdb_known_and_fold () =
   let db = Lsdb.create ~n:5 in
   ignore (Lsdb.insert db (lsa 0 1 []));
@@ -359,19 +386,30 @@ let flood_reacts_to_failure () =
       (Lsdb.bidirectional (Ls_flood.db flood ad) 0 1)
   done
 
-let flood_take_delta () =
+(* The drain: the first answers stale and starts tracking; nothing
+   changed is not stale and asks the region nothing; an origin whose
+   new LSA lists no adjacency is stale only from inside the region (or
+   at the AD itself); a reset is stale whatever the region. *)
+let flood_stale_drains () =
   let _, e, _, flood = flood_setup () in
   Ls_flood.start flood;
   ignore (Engine.run e);
-  (* Nothing is tracked before the first drain, which answers Full. *)
-  check_bool "first drain is full" true (Ls_flood.take_delta flood 0 = Ls_flood.Full);
-  check_bool "then unchanged" true (Ls_flood.take_delta flood 0 = Ls_flood.Unchanged);
+  let never v = Alcotest.failf "region asked about %d" v in
+  check_bool "first drain is stale" true (Ls_flood.stale flood 0 ~in_region:never);
+  check_bool "then fresh, region unasked" false (Ls_flood.stale flood 0 ~in_region:never);
   let seq o = Lsdb.seq_of (Ls_flood.db flood 0) o in
   let deliver o = Ls_flood.handle_message flood ~at:0 ~from:1 (lsa o (seq o + 1) []) in
   List.iter deliver [ 5; 2; 5; 9 ];
-  Alcotest.(check bool) "origins, deduplicated, oldest first" true
-    (Ls_flood.take_delta flood 0 = Ls_flood.Origins [ 5; 2; 9 ]);
-  check_bool "drained" true (Ls_flood.take_delta flood 0 = Ls_flood.Unchanged)
+  check_bool "detached origins outside the region" false
+    (Ls_flood.stale flood 0 ~in_region:(fun _ -> false));
+  List.iter deliver [ 5; 2; 5; 9 ];
+  check_bool "an origin inside the region" true
+    (Ls_flood.stale flood 0 ~in_region:(fun v -> v = 9));
+  check_bool "drained" false (Ls_flood.stale flood 0 ~in_region:(fun _ -> true));
+  deliver 0;
+  check_bool "the AD itself" true (Ls_flood.stale flood 0 ~in_region:(fun _ -> false));
+  Ls_flood.reset_node flood 0;
+  check_bool "a reset" true (Ls_flood.stale flood 0 ~in_region:never)
 
 let flood_change_callback () =
   let _, e, _, flood = flood_setup () in
@@ -381,55 +419,167 @@ let flood_change_callback () =
   ignore (Engine.run e);
   check_bool "callbacks fired" true (!changes > 0)
 
-(* [delta_in_scope]'s region rule over a converged flood on a random
-   mesh: an origin inside the region (or the AD itself) is in scope,
-   and so is one confirmed adjacent to a region member; a list is in
-   scope iff one of its origins is; a larger region keeps everything
-   in scope that a smaller one had; and the region predicate is only
-   asked about valid ids. *)
-let flood_delta_scope_rule =
-  QCheck.Test.make ~name:"delta scope follows the region rule" ~count:30 QCheck.small_nat
-    (fun seed ->
+(* [stale] against the composition it replaced, kept here as the
+   reference: a model of the old per-AD dirty-origin drain (fed by the
+   change callback; nothing tracked before the first drain, a reset
+   swallows the origins), the old scope rule and reachable set written
+   over [adjacencies_of] and [bidirectional], and the region memo as
+   LS-HBH kept it (filled at every origin drain, dropped when stale).
+   Random meshes take random LSA deliveries (random subsets of the real
+   adjacencies, sometimes a fabricated or repeated one, sometimes a
+   stale sequence number), resets and flood drains. Even ADs ask over
+   their reachable region, memoized; odd ones over a fresh random
+   region, as LS asks over its cached tree. Answers and memos agree at
+   every step, and the region is never asked about an invalid id. *)
+let flood_stale_matches_old_drain =
+  QCheck.Test.make ~name:"stale = the old delta drain, scope rule and memo" ~count:60
+    QCheck.small_nat (fun seed ->
+      let module Bitset = Pr_util.Bitset in
       let rng = Rng.create seed in
-      let g = Generator.random_mesh rng ~n:16 ~extra_links:8 in
+      let g = Generator.random_mesh rng ~n:(10 + Rng.int rng 8) ~extra_links:6 in
       let n = Graph.n g in
       let e = Engine.create () in
       let net = Network.create e g (Metrics.create ~n) in
       let flood = Ls_flood.create net ~terms_for:(fun _ -> []) () in
       Network.set_message_handler net (fun ~at ~from msg ->
           Ls_flood.handle_message flood ~at ~from msg);
+      let tracking = Array.make n false and full = Array.make n false in
+      let dirty = Array.make n [] in
+      Ls_flood.set_on_change flood (fun ad ~origin ->
+          if tracking.(ad) then
+            match origin with
+            | None ->
+              full.(ad) <- true;
+              dirty.(ad) <- []
+            | Some o ->
+              if (not full.(ad)) && not (List.mem o dirty.(ad)) then dirty.(ad) <- o :: dirty.(ad));
+      let take_delta ad =
+        if not tracking.(ad) then begin
+          tracking.(ad) <- true;
+          `Full
+        end
+        else if full.(ad) then begin
+          full.(ad) <- false;
+          `Full
+        end
+        else
+          match dirty.(ad) with
+          | [] -> `Unchanged
+          | os ->
+            dirty.(ad) <- [];
+            `Origins (List.rev os)
+      in
+      let confirmed db u v = v >= 0 && v < n && Lsdb.bidirectional db u v <> None in
+      let old_reachable_set ad =
+        let db = Ls_flood.db flood ad in
+        let reach = Bitset.create n in
+        Bitset.add reach ad;
+        let rec visit u =
+          List.iter
+            (fun (a : Lsdb.adjacency) ->
+              let v = a.Lsdb.nbr in
+              if confirmed db u v && not (Bitset.mem reach v) then begin
+                Bitset.add reach v;
+                visit v
+              end)
+            (Lsdb.adjacencies_of db u)
+        in
+        visit ad;
+        reach
+      in
+      let delta_in_scope ad ~in_region os =
+        let db = Ls_flood.db flood ad in
+        let inside v = v = ad || (v >= 0 && v < n && in_region v) in
+        List.exists
+          (fun o ->
+            inside o
+            || List.exists
+                 (fun (a : Lsdb.adjacency) -> inside a.Lsdb.nbr && confirmed db o a.Lsdb.nbr)
+                 (Lsdb.adjacencies_of db o))
+          os
+      in
+      let old_memo = Array.make n None and new_memo = Array.make n None in
+      let memo table reachable ad =
+        match table.(ad) with
+        | Some r -> r
+        | None ->
+          let r = reachable ad in
+          table.(ad) <- Some r;
+          r
+      in
+      let valid v = if v < 0 || v >= n then QCheck.Test.fail_reportf "region asked about %d" v in
+      let query ad =
+        let old_answer, new_answer =
+          if ad mod 2 = 0 then begin
+            let old_answer =
+              match take_delta ad with
+              | `Unchanged -> false
+              | `Full -> true
+              | `Origins os ->
+                let reach = memo old_memo old_reachable_set ad in
+                delta_in_scope ad ~in_region:(Bitset.mem reach) os
+            in
+            let new_answer =
+              Ls_flood.stale flood ad ~in_region:(fun v ->
+                  valid v;
+                  Bitset.mem (memo new_memo (Ls_flood.reachable_set flood) ad) v)
+            in
+            if old_answer then old_memo.(ad) <- None;
+            if new_answer then new_memo.(ad) <- None;
+            (old_answer, new_answer)
+          end
+          else begin
+            let region = Bitset.create n in
+            for v = 0 to n - 1 do
+              if Rng.int rng 3 = 0 then Bitset.add region v
+            done;
+            let old_answer =
+              match take_delta ad with
+              | `Unchanged -> false
+              | `Full -> true
+              | `Origins os -> delta_in_scope ad ~in_region:(Bitset.mem region) os
+            in
+            let new_answer =
+              Ls_flood.stale flood ad ~in_region:(fun v ->
+                  valid v;
+                  Bitset.mem region v)
+            in
+            (old_answer, new_answer)
+          end
+        in
+        if old_answer <> new_answer then
+          QCheck.Test.fail_reportf "seed %d, AD %d: old drain %b, stale %b" seed ad old_answer
+            new_answer;
+        match (old_memo.(ad), new_memo.(ad)) with
+        | None, None -> ()
+        | Some a, Some b when Bitset.equal a b -> ()
+        | _ -> QCheck.Test.fail_reportf "seed %d, AD %d: region memos differ" seed ad
+      in
+      let deliver () =
+        let at = Rng.int rng n and o = Rng.int rng n in
+        let adjacencies =
+          List.filter_map
+            (fun v -> if Rng.int rng 2 = 0 then Some (adj v (1 + Rng.int rng 4)) else None)
+            (Graph.neighbor_ids g o)
+          @ if Rng.int rng 4 = 0 then [ adj (Rng.int rng n) 1 ] else []
+        in
+        let seq = Lsdb.seq_of (Ls_flood.db flood at) o + if Rng.int rng 5 = 0 then 0 else 1 in
+        Ls_flood.handle_message flood ~at ~from:(-1) (lsa o seq adjacencies)
+      in
       Ls_flood.start flood;
       ignore (Engine.run e);
-      let ad = Rng.int rng n in
-      let db = Ls_flood.db flood ad in
-      let small = Pr_util.Bitset.create n and large = Pr_util.Bitset.create n in
-      for v = 0 to n - 1 do
-        if Rng.int rng 4 = 0 then Pr_util.Bitset.add small v;
-        if Pr_util.Bitset.mem small v || Rng.int rng 3 = 0 then Pr_util.Bitset.add large v
+      for _ = 1 to 80 do
+        match Rng.int rng 10 with
+        | 0 | 1 | 2 -> deliver ()
+        | 3 ->
+          let ad = Rng.int rng n in
+          Ls_flood.reset_node flood ad;
+          old_memo.(ad) <- None;
+          new_memo.(ad) <- None
+        | 4 -> ignore (Engine.run e)
+        | _ -> query (Rng.int rng n)
       done;
-      let region set v =
-        if v < 0 || v >= n then failwith "asked about an invalid id";
-        Pr_util.Bitset.mem set v
-      in
-      let scope set os = Ls_flood.delta_in_scope flood ad ~in_region:(region set) os in
-      let inside set v = v = ad || Pr_util.Bitset.mem set v in
-      let expected set o =
-        inside set o
-        || List.exists
-             (fun (a : Lsdb.adjacency) ->
-               inside set a.Lsdb.nbr && Lsdb.bidirectional db o a.Lsdb.nbr <> None)
-             (Lsdb.adjacencies_of db o)
-      in
-      let origins = List.init 3 (fun _ -> Rng.int rng n) in
-      List.for_all
-        (fun o ->
-          scope small [ o ] = expected small o
-          && scope large [ o ] = expected large o
-          && ((not (scope small [ o ])) || scope large [ o ]))
-        (List.init n Fun.id)
-      && scope small origins = List.exists (expected small) origins
-      && scope small [ ad ]
-      && not (scope small []))
+      true)
 
 (* --- Policy_route ---------------------------------------------------- *)
 
@@ -953,16 +1103,16 @@ let () =
           Alcotest.test_case "bytes pinned" `Quick lsdb_bytes_pinned;
           Alcotest.test_case "empty-slot sentinel hidden" `Quick lsdb_sentinel_hidden;
         ]
-        @ qsuite [ lsdb_shared_view; lsdb_count_matches_fold ] );
+        @ qsuite [ lsdb_shared_view; lsdb_count_matches_fold; lsdb_iter_confirmed ] );
       ( "ls-flood",
         [
           Alcotest.test_case "converges consistent" `Quick flood_converges_consistent;
           Alcotest.test_case "reacts to failure" `Quick flood_reacts_to_failure;
-          Alcotest.test_case "take delta" `Quick flood_take_delta;
+          Alcotest.test_case "stale drains" `Quick flood_stale_drains;
           Alcotest.test_case "change callback" `Quick flood_change_callback;
           Alcotest.test_case "rejects impossible delays" `Quick flood_rejects_bad_delays;
         ]
-        @ qsuite [ vetting_matches_fresh; flood_delta_scope_rule ] );
+        @ qsuite [ vetting_matches_fresh; flood_stale_matches_old_drain ] );
       ( "policy-route",
         [
           Alcotest.test_case "matches oracle" `Quick policy_route_matches_oracle;

@@ -623,8 +623,6 @@ module Tiny_rc = Pr_orwg.Orwg.Make (struct
 
   let pr_capacity = Some 1
 
-  let setup_retries = 2
-
   let delegate_stub_route_servers = false
 
   let prune_synthesis = false
